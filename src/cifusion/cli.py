@@ -67,11 +67,19 @@ def dumps(obj, indent: int = 0) -> str:
     return pad + json.dumps(obj)
 
 
-def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
+def _array(value, path: str) -> np.ndarray:
+    """A finite float array from a JSON value, or an error naming its path."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(path, f"not numeric: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise ProblemFileError(path, "holds a NaN or an infinity")
+    return arr
+
+
+def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
+    arr = _array(value, path)
     if arr.ndim == 1:
         if arr.size != rows * cols:
             raise ProblemFileError(
@@ -90,10 +98,10 @@ def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
     for field in ("H", "x_hat", "P_hat"):
         if field not in block:
             raise ProblemFileError(f"{key}.{field}", "missing")
-    h_raw = np.asarray(block["H"], dtype=float)
+    h_raw = _array(block["H"], f"{key}.H")
     p = h_raw.shape[0] if h_raw.ndim == 2 else h_raw.size // n
-    h = _matrix(block["H"], p, n, f"{key}.H")
-    x_hat = np.atleast_1d(np.asarray(block["x_hat"], dtype=float))
+    h = _matrix(h_raw, p, n, f"{key}.H")
+    x_hat = np.atleast_1d(_array(block["x_hat"], f"{key}.x_hat"))
     if x_hat.shape != (p,):
         raise ProblemFileError(f"{key}.x_hat", f"length {x_hat.size}, expected {p}")
     p_hat = _matrix(block["P_hat"], p, p, f"{key}.P_hat")
@@ -116,7 +124,7 @@ def load_problem_file(path: str) -> tuple[FusionProblem, dict]:
         raise ProblemFileError("n", "missing state dimension")
     try:
         n = int(doc["n"])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ProblemFileError("n", f"not an integer: {doc['n']!r}") from None
     if n < 1:
         raise ProblemFileError("n", f"state dimension must be positive, got {n}")
@@ -207,13 +215,23 @@ def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ProblemFileError(path, str(exc)) from None
+    if not isinstance(doc, dict):
+        raise ProblemFileError(path, "a result file holds one JSON object")
+    for key in ("alpha", "K1", "K2", "P_hat", "fused_x"):
+        if key not in doc:
+            raise ProblemFileError(key, "missing from the result file")
     n = problem.n
+    alpha = _array(doc["alpha"], "alpha")
+    if alpha.shape != () or not 0.0 <= alpha <= 1.0:
+        raise ProblemFileError("alpha", f"{doc['alpha']!r} is not a weight in [0, 1]")
     k1 = _matrix(doc["K1"], n, problem.p1, "K1")
     k2 = _matrix(doc["K2"], n, problem.p2, "K2")
     p_hat = psd_certify(_matrix(doc["P_hat"], n, n, "P_hat"))
-    fused_x = np.asarray(doc["fused_x"], dtype=float)
+    fused_x = _array(doc["fused_x"], "fused_x")
+    if fused_x.shape != (n,):
+        raise ProblemFileError("fused_x", f"shape {fused_x.shape}, expected ({n},)")
     return FusionResult(
-        alpha=float(doc["alpha"]),
+        alpha=float(alpha),
         K1=k1,
         K2=k2,
         P_hat=p_hat,

@@ -9,6 +9,10 @@ class DimensionMismatchError(CiFusionError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteError(CiFusionError):
+    """An input holds a NaN or an infinity."""
+
+
 class NotPsdError(CiFusionError):
     """A matrix failed positive-semidefinite certification."""
 

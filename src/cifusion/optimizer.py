@@ -2,11 +2,14 @@
 
 The family blends the two information matrices,
 ``Sigma_alpha = alpha * Sigma1 + (1 - alpha) * Sigma0``, and fuses with
-``P_hat = Sigma_alpha^{-1}``.  For the determinant cost the optimal weight
-is characterized by the sign pattern and unique root of the polynomial
-``Delta(alpha) = trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``; for the trace
-cost the optimum is found by golden-section search over the finite part of
-the extended objective and cross-checked against a gain-ratio fixed point.
+``P_hat = Sigma_alpha^{-1}``.  Both weight searches run on one joint
+diagonalisation per solve (:class:`JointSpectrum`: a Cholesky factor of the
+mean information matrix and one ``eigh``), in which the determinant and
+trace of the fused covariance are explicit functions of ``t = alpha - 1/2``
+with monotone slopes.  A slope test at each nonsingular endpoint, else a
+safeguarded Newton root, gives the optimum; the determinant slope has the
+sign of ``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.
+The trace result is cross-checked against a gain-ratio fixed point.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from .linalg import (
 )
 from .problem import FusionProblem
 
+#: the interior optimum is located to this width in alpha
 ROOT_TOL = 1e-12
-GOLDEN_INTERVAL_TOL = 1e-12
-GOLDEN_MAX_ITER = 200
-_INV_GOLDEN = 2.0 / (1.0 + math.sqrt(5.0))
+#: slope evaluations allowed in one root search (bisection alone needs 40)
+ROOT_MAX_EVALS = 200
 
 
 class Cost(enum.Enum):
@@ -136,44 +139,142 @@ class FusionResult:
         )
 
 
-def _sigma_min_eig_rel(sigma: np.ndarray) -> float:
-    eigs = np.linalg.eigvalsh(sigma)
-    scale = float(np.abs(eigs).max())
-    return math.inf if scale == 0.0 else float(eigs[0]) / scale
+@dataclass(frozen=True)
+class JointSpectrum:
+    """Joint diagonalisation of the two information matrices.
+
+    With ``S = (Sigma1 + Sigma0) / 2 = L L.T`` (PD under the rank
+    assumptions), ``M = L^-1 (Sigma1 - Sigma0) L^-T = V diag(lam) V.T`` and
+    ``t = alpha - 1/2``, the blend is ``Sigma_alpha = L V (I + t diag(lam))
+    V.T L.T``.  So ``det`` and ``trace`` of the fused covariance are
+    ``1 / (det S prod(1 + t lam))`` and ``sum(c / (1 + t lam))`` with ``c``
+    the squared column norms of ``L^-T V``.  ``lam`` lies in [-2, 2]; its
+    sign pattern is the Loewner relation of the pair, and a ``lam`` of +2
+    (-2) makes the blend at ``alpha = 0`` (``alpha = 1``) singular.
+    """
+
+    lam: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def of(cls, pair: SigmaPair) -> "JointSpectrum":
+        s1, s0 = pair.sigma1.data, pair.sigma0.data
+        try:
+            l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (s1 + s0)))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSigmaError(f"mean information matrix is not PD: {exc}") from None
+        lam, v = np.linalg.eigh(l_inv @ (s1 - s0) @ l_inv.T)
+        w = l_inv.T @ v
+        # rounding can push |lam| just past 2, where 1 + t lam would
+        # change sign inside the interval
+        return cls(np.clip(lam, -2.0, 2.0), np.einsum("ij,ij->j", w, w))
+
+    def relation(self, tol: float = DEFAULT_TOL) -> LoewnerRelation:
+        """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them."""
+        lo, hi = float(self.lam[0]), float(self.lam[-1])
+        if max(-lo, hi) <= tol:
+            return LoewnerRelation.EQUAL
+        if hi < -tol:
+            return LoewnerRelation.STRICTLY_GREATER
+        if lo > tol:
+            return LoewnerRelation.STRICTLY_LESS
+        if hi <= tol:
+            return LoewnerRelation.GREATER_EQUAL
+        if lo >= -tol:
+            return LoewnerRelation.LESS_EQUAL
+        return LoewnerRelation.INCOMPARABLE
+
+    def regular_at(self, t: float) -> bool:
+        """Whether the blend at ``alpha = t + 1/2`` is nonsingular."""
+        mu = 1.0 + t * self.lam
+        return float(mu.min()) > SINGULAR_RTOL * float(mu.max())
+
+    def det_slope(self, t: float) -> tuple[float, float]:
+        """Slope of ``log det P_hat`` in ``t`` and its (positive) derivative."""
+        u = self.lam / (1.0 + t * self.lam)
+        return -float(u.sum()), float(u @ u)
+
+    def trace_slope(self, t: float) -> tuple[float, float]:
+        """Slope of ``trace P_hat`` in ``t`` and its (positive) derivative."""
+        u = 1.0 / (1.0 + t * self.lam)
+        lu = self.lam * u
+        clu2 = self.c * lu * u
+        return -float(clu2.sum()), 2.0 * float(clu2 @ lu)
 
 
-def ku_rule(problem: FusionProblem, alpha: float, tol: float = DEFAULT_TOL) -> FusionResult:
+def _optimal_weight(spectrum: JointSpectrum, slope) -> tuple[float, str]:
+    """Minimiser of a convex cost in alpha, from its increasing slope in t.
+
+    A nonsingular endpoint wins when the slope there points out of the
+    interval; a singular endpoint has infinite cost and never wins.
+    Otherwise the slope has one root in (0, 1), found by Newton steps kept
+    inside a shrinking bracket, with bisection whenever a Newton step would
+    leave it or fails to halve the step before last.
+    """
+    if spectrum.regular_at(-0.5) and slope(-0.5)[0] >= 0.0:
+        return 0.0, "endpoint_zero"
+    if spectrum.regular_at(0.5) and slope(0.5)[0] <= 0.0:
+        return 1.0, "endpoint_one"
+    lo, hi, t = -0.5, 0.5, 0.0
+    last_step = hi - lo
+    for _ in range(ROOT_MAX_EVALS):
+        h, dh = slope(t)
+        if h == 0.0:
+            break
+        if h < 0.0:
+            lo = t
+        else:
+            hi = t
+        newton = t - h / dh if dh > 0.0 else math.nan
+        if lo < newton < hi and abs(newton - t) <= 0.5 * last_step:
+            last_step, t = abs(newton - t), newton
+            if last_step <= ROOT_TOL:
+                break
+        else:
+            last_step, t = 0.5 * (hi - lo), 0.5 * (lo + hi)
+            if hi - lo <= ROOT_TOL:
+                break
+    return 0.5 + t, "interior_root"
+
+
+def ku_rule(
+    problem: FusionProblem,
+    alpha: float,
+    tol: float = DEFAULT_TOL,
+    *,
+    certified: tuple[SigmaPair, LoewnerRelation] | None = None,
+) -> FusionResult:
     """Apply the fusion family member with the given weight.
 
     The weight is validated against the family case table: a strictly
     dominant second (first) information matrix forces ``alpha = 0``
     (``alpha = 1``), equal matrices admit any weight, and otherwise the
-    blended information matrix must be nonsingular.
+    blended information matrix must be nonsingular.  The solvers pass
+    ``certified``, the pair and Loewner relation they already computed, with
+    a weight they took from that table, and the validation is skipped.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
-    pair = SigmaPair.from_problem(problem, tol)
-    rel = loewner_compare(pair.sigma0, pair.sigma1, tol)
-    if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
-        raise InvalidFamilyParameterError(
-            alpha, "second information matrix strictly dominates; alpha must be 0"
-        )
-    if rel is LoewnerRelation.STRICTLY_LESS and alpha != 1.0:
-        raise InvalidFamilyParameterError(
-            alpha, "first information matrix strictly dominates; alpha must be 1"
-        )
-    corner = {
-        LoewnerRelation.STRICTLY_GREATER: "sigma0_dominant",
-        LoewnerRelation.STRICTLY_LESS: "sigma1_dominant",
-        LoewnerRelation.EQUAL: "sigma_equal",
-    }.get(rel, "general")
-    sigma = sigma_alpha(pair, alpha)
-    if _sigma_min_eig_rel(sigma.data) <= SINGULAR_RTOL:
-        raise SingularSigmaError(
-            f"blended information matrix is singular at alpha={alpha}"
-        )
+    if certified is None:
+        if not 0.0 <= alpha <= 1.0:
+            raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
+        pair = SigmaPair.from_problem(problem, tol)
+        rel = loewner_compare(pair.sigma0, pair.sigma1, tol)
+        if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
+            raise InvalidFamilyParameterError(
+                alpha, "second information matrix strictly dominates; alpha must be 0"
+            )
+        if rel is LoewnerRelation.STRICTLY_LESS and alpha != 1.0:
+            raise InvalidFamilyParameterError(
+                alpha, "first information matrix strictly dominates; alpha must be 1"
+            )
+        eigs = np.linalg.eigvalsh(sigma_alpha(pair, alpha).data)
+        if eigs[0] <= SINGULAR_RTOL * np.abs(eigs).max():
+            raise SingularSigmaError(
+                f"blended information matrix is singular at alpha={alpha}"
+            )
+    else:
+        pair, rel = certified
     try:
-        p_hat = psd_certify(inv_pd(sigma.data), tol)
+        p_hat = psd_certify(inv_pd(sigma_alpha(pair, alpha).data), tol)
     except (NotPdError, NotPsdError) as exc:  # near-singular blends only
         raise SingularSigmaError(str(exc)) from exc
     if not p_hat.strict:
@@ -183,6 +284,11 @@ def ku_rule(problem: FusionProblem, alpha: float, tol: float = DEFAULT_TOL) -> F
     k2 = (1.0 - alpha) * (p_hat.data @ est2.h.T @ est2.p_inv)
     fused_x = k1 @ est1.x_hat + k2 @ est2.x_hat
     unbias = k1 @ est1.h + k2 @ est2.h - np.eye(problem.n)
+    corner = {
+        LoewnerRelation.STRICTLY_GREATER: "sigma0_dominant",
+        LoewnerRelation.STRICTLY_LESS: "sigma1_dominant",
+        LoewnerRelation.EQUAL: "sigma_equal",
+    }.get(rel, "general")
     return FusionResult(
         alpha=float(alpha),
         K1=k1,
@@ -196,162 +302,47 @@ def ku_rule(problem: FusionProblem, alpha: float, tol: float = DEFAULT_TOL) -> F
     )
 
 
-def solve_ci_det(problem: FusionProblem, tol: float = DEFAULT_TOL) -> FusionResult:
-    """Determinant-optimal weight via the Delta polynomial case table.
-
-    ``alpha* = 0`` when ``Delta(0) <= 0`` (second matrix nonsingular),
-    ``alpha* = 1`` when ``Delta(1) >= 0`` (first matrix nonsingular),
-    0.5 by tie-break when the information matrices coincide, and otherwise
-    the unique root of Delta in (0, 1), bisected to an interval of 1e-12.
-    Delta is evaluated through the adjugate so singular endpoint blends are
-    fine.
-    """
+def _optimal_member(problem: FusionProblem, cost: Cost, tol: float) -> FusionResult:
     pair = SigmaPair.from_problem(problem, tol)
-    rel = loewner_compare(pair.sigma0, pair.sigma1, tol)
+    spectrum = JointSpectrum.of(pair)
+    rel = spectrum.relation(tol)
     if rel is LoewnerRelation.EQUAL:
         alpha, branch = 0.5, "equal"
     else:
-        d0 = delta_value(pair, 0.0)
-        d1 = delta_value(pair, 1.0)
-        sigma0_ok = _sigma_min_eig_rel(pair.sigma0.data) > SINGULAR_RTOL
-        sigma1_ok = _sigma_min_eig_rel(pair.sigma1.data) > SINGULAR_RTOL
-        # a singular endpoint has extended cost +inf, so it can never win
-        # even when the derivative test there is inconclusive (Delta == 0)
-        if d0 <= 0.0 and sigma0_ok:
-            alpha, branch = 0.0, "endpoint_zero"
-        elif d1 >= 0.0 and sigma1_ok:
-            alpha, branch = 1.0, "endpoint_one"
-        else:
-            lo, hi = 0.0, 1.0  # Delta > 0 left of the root, < 0 right of it
-            while hi - lo > ROOT_TOL:
-                mid = 0.5 * (lo + hi)
-                d_mid = delta_value(pair, mid)
-                if d_mid == 0.0:
-                    lo = hi = mid
-                elif d_mid > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            alpha, branch = 0.5 * (lo + hi), "interior_root"
-    result = ku_rule(problem, alpha, tol)
-    return result.with_cost(
-        Cost.DET.of(result.P_hat.data),
-        branch=branch,
-        cost="det",
-        delta_at_0=delta_value(pair, 0.0),
-        delta_at_1=delta_value(pair, 1.0),
-    )
+        slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
+        alpha, branch = _optimal_weight(spectrum, slope)
+    result = ku_rule(problem, alpha, tol, certified=(pair, rel))
+    return result.with_cost(cost.of(result.P_hat.data), branch=branch, cost=cost.value)
 
 
-def _golden_section(f, lo: float, hi: float) -> float:
-    c = hi - (hi - lo) * _INV_GOLDEN
-    d = lo + (hi - lo) * _INV_GOLDEN
-    fc, fd = f(c), f(d)
-    for _ in range(GOLDEN_MAX_ITER):
-        if abs(hi - lo) <= GOLDEN_INTERVAL_TOL:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) * _INV_GOLDEN
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) * _INV_GOLDEN
-            fd = f(d)
-    return 0.5 * (lo + hi)
+def solve_ci_det(problem: FusionProblem, tol: float = DEFAULT_TOL) -> FusionResult:
+    """Determinant-optimal weight from the joint spectrum.
 
-
-def _polish_trace_stationary(pair: SigmaPair, a: float, lo: float, hi: float) -> float:
-    """Safeguarded Newton steps on the trace objective's stationarity condition.
-
-    Value-based golden section stalls at the sqrt(eps) comparison floor of a
-    flat minimum; the derivative ``-trace(S^-1 D S^-1)`` is computable in
-    closed form and its root is well conditioned, so a few clipped Newton
-    steps recover the minimizer to near machine precision.
+    ``log det P_hat`` is convex in the weight with slope ``-sum(lam / (1 +
+    t lam))``, which has the sign of ``-Delta``.  So ``alpha* = 0`` when
+    ``Delta(0) <= 0`` (second matrix nonsingular), ``alpha* = 1`` when
+    ``Delta(1) >= 0`` (first matrix nonsingular), 0.5 by tie-break when the
+    information matrices coincide, and otherwise the unique root of Delta
+    in (0, 1), found to ``ROOT_TOL``.
     """
-    d = pair.sigma1.data - pair.sigma0.data
-    for _ in range(60):
-        inv = np.linalg.inv(a * pair.sigma1.data + (1.0 - a) * pair.sigma0.data)
-        inv_d = inv @ d
-        slope = -float(np.trace(inv_d @ inv))
-        curvature = 2.0 * float(np.trace(inv_d @ inv_d @ inv))
-        if not curvature > 0.0:
-            break
-        new = min(hi, max(lo, a - slope / curvature))
-        if abs(new - a) <= 1e-16:
-            a = new
-            break
-        a = new
-    return a
-
-
-def _finite_bracket_edge(f, endpoint: float, interior: float) -> float:
-    """Geometric shrink from a singular endpoint towards the interior.
-
-    Halves the distance from ``interior`` towards ``endpoint`` until the
-    objective stops decreasing; convexity of the objective on the finite
-    segment guarantees the returned point still brackets the minimizer.
-    """
-    prev = interior
-    f_prev = f(prev)
-    while abs(prev - endpoint) > 1e-13:
-        closer = 0.5 * (prev + endpoint)
-        f_closer = f(closer)
-        if f_closer >= f_prev:
-            return closer
-        prev, f_prev = closer, f_closer
-    return prev
+    return _optimal_member(problem, Cost.DET, tol)
 
 
 def solve_ci_trace(problem: FusionProblem, tol: float = DEFAULT_TOL) -> FusionResult:
-    """Trace-optimal weight by bracketing plus golden-section refinement.
+    """Trace-optimal weight from the joint spectrum.
 
-    Endpoints with a singular blend are assigned infinite cost; the finite
-    bracket is located by geometric shrink from each endpoint, refined by
-    golden section (iteration cap 200, interval tolerance 1e-12), and the
-    result is snapped to an endpoint whenever that is at least as good.
-    Diagnostics carry the gain-ratio fixed-point residual.
+    ``trace P_hat = sum(c / (1 + t lam))`` is convex in the weight, and the
+    determinant's case table applies to its slope ``-sum(c lam / (1 + t
+    lam)^2)``: a nonsingular endpoint whose slope points outwards, else the
+    interior root (a strictly dominant information matrix always takes its
+    endpoint).  Diagnostics carry the gain-ratio fixed-point residual.
     """
-    pair = SigmaPair.from_problem(problem, tol)
-    rel = loewner_compare(pair.sigma0, pair.sigma1, tol)
-
-    def f(a: float) -> float:
-        return extended_cost(
-            Cost.TRACE, a * pair.sigma1.data + (1.0 - a) * pair.sigma0.data
-        )
-
-    if rel is LoewnerRelation.EQUAL:
-        alpha, branch = 0.5, "equal"
-    elif rel is LoewnerRelation.STRICTLY_GREATER:
-        alpha, branch = 0.0, "forced_zero"
-    elif rel is LoewnerRelation.STRICTLY_LESS:
-        alpha, branch = 1.0, "forced_one"
-    else:
-        lo = 0.0 if f(0.0) < math.inf else _finite_bracket_edge(f, 0.0, 0.5)
-        hi = 1.0 if f(1.0) < math.inf else _finite_bracket_edge(f, 1.0, 0.5)
-        alpha = _golden_section(f, lo, hi)
-        branch = "golden_section"
-        if 0.0 < alpha < 1.0:
-            polished = _polish_trace_stationary(
-                pair, alpha, max(lo, 1e-15), min(hi, 1.0 - 1e-15)
-            )
-            if f(polished) <= f(alpha):
-                alpha = polished
-        best = f(alpha)
-        for endpoint in (0.0, 1.0):
-            fe = f(endpoint)
-            if fe <= best:
-                alpha, best, branch = endpoint, fe, "endpoint_snap"
-    result = ku_rule(problem, alpha, tol)
+    result = _optimal_member(problem, Cost.TRACE, tol)
     r1 = math.sqrt(max(0.0, Cost.TRACE.of(result.K1 @ problem.est1.p_hat.data @ result.K1.T)))
     r2 = math.sqrt(max(0.0, Cost.TRACE.of(result.K2 @ problem.est2.p_hat.data @ result.K2.T)))
     residual = abs(result.alpha - r1 / (r1 + r2)) if r1 + r2 > 0.0 else math.nan
     return result.with_cost(
-        Cost.TRACE.of(result.P_hat.data),
-        branch=branch,
-        cost="trace",
-        fixed_point_residual=residual,
-        gain_norms=(r1, r2),
+        result.cost_value, fixed_point_residual=residual, gain_norms=(r1, r2)
     )
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotPdError, RankDeficientError
+from .errors import DimensionMismatchError, NonFiniteError, NotPdError, RankDeficientError
 from .linalg import DEFAULT_TOL, PsdMatrix, inv_pd, inv_sqrt_pd, psd_certify, sqrt_psd
 
 #: singular values below RANK_RTOL * sigma_max do not count towards rank
@@ -33,7 +33,11 @@ class PartialEstimate:
     def __init__(self, h, x_hat, p_hat, tol: float = DEFAULT_TOL):
         h = np.atleast_2d(np.asarray(h, dtype=float))
         x = np.atleast_1d(np.asarray(x_hat, dtype=float))
-        cert = p_hat if isinstance(p_hat, PsdMatrix) else psd_certify(p_hat, tol)
+        cov = p_hat.data if isinstance(p_hat, PsdMatrix) else np.asarray(p_hat, dtype=float)
+        for name, arr in (("H", h), ("x_hat", x), ("P_hat", cov)):
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"{name} holds a NaN or an infinity")
+        cert = p_hat if isinstance(p_hat, PsdMatrix) else psd_certify(cov, tol)
         if not cert.strict:
             raise NotPdError("covariance estimate must be strictly PD")
         p = h.shape[0]

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from cifusion import FusionProblem, JointCovariance, PartialEstimate
-from cifusion.optimizer import Cost, SigmaPair
+from cifusion import FusionProblem, JointCovariance, LoewnerRelation, PartialEstimate
+from cifusion.linalg import loewner_compare
+from cifusion.optimizer import Cost, SigmaPair, delta_value
 
 
 def random_orthogonal(rng, dim: int) -> np.ndarray:
@@ -88,6 +89,40 @@ def grid_costs(problem: FusionProblem, cost: Cost, grid: int = 1001):
             vals = np.sum(1.0 / eigs, axis=1)
     vals[singular] = np.inf
     return alphas, vals
+
+
+def det_alpha_oracle(problem: FusionProblem) -> float:
+    """Determinant-optimal weight by bisection on the adjugate polynomial Delta.
+
+    Independent of the solver's joint spectrum: the Loewner relation comes
+    from ``loewner_compare``, endpoint singularity from ``eigvalsh`` of the
+    endpoint blends, and the slope sign from
+    ``Delta(alpha) = trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, which is
+    positive left of the optimum and negative right of it.
+    """
+    pair = SigmaPair.from_problem(problem)
+    if loewner_compare(pair.sigma0, pair.sigma1) is LoewnerRelation.EQUAL:
+        return 0.5
+
+    def regular(sigma) -> bool:
+        eigs = np.linalg.eigvalsh(sigma.data)
+        return eigs[0] > 1e-12 * np.abs(eigs).max()
+
+    if regular(pair.sigma0) and delta_value(pair, 0.0) <= 0.0:
+        return 0.0
+    if regular(pair.sigma1) and delta_value(pair, 1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        d_mid = delta_value(pair, mid)
+        if d_mid == 0.0:
+            return mid
+        if d_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def well_scaled_problems(rng, count: int, cost_cap: float = 50.0):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cifusion import cli
 
@@ -141,6 +142,28 @@ class TestVerify:
         assert rc1 == rc2 == 0
         assert direct == reloaded
 
+    @pytest.mark.parametrize("key", ["K1", "K2", "P_hat", "fused_x", "alpha"])
+    def test_result_file_missing_key_exits_two(self, tmp_path, capsys, key):
+        problem_path = write(tmp_path, EXAMPLE2)
+        fused_path = tmp_path / "fused.json"
+        assert cli.main(["fuse", problem_path, "--out", str(fused_path)]) == 0
+        doc = json.loads(fused_path.read_text())
+        del doc[key]
+        rc = cli.main(["verify", problem_path, "--result", write(tmp_path, doc, "r.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {key}: missing" in err
+
+    def test_result_file_weight_outside_unit_interval_exits_two(self, tmp_path, capsys):
+        problem_path = write(tmp_path, EXAMPLE2)
+        fused_path = tmp_path / "fused.json"
+        assert cli.main(["fuse", problem_path, "--out", str(fused_path)]) == 0
+        doc = json.loads(fused_path.read_text())
+        doc["alpha"] = 1.5
+        rc = cli.main(["verify", problem_path, "--result", write(tmp_path, doc, "r.json")])
+        assert rc == 2
+        assert "error: alpha:" in capsys.readouterr().err
+
 
 class TestKnown:
     def test_example_closed_form(self, tmp_path, capsys):
@@ -242,3 +265,27 @@ class TestProblemFiles:
         rc = cli.main(["fuse", write(tmp_path, doc)])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["alpha"] == 0.0
+
+    @pytest.mark.parametrize("command", ["fuse", "verify"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x_hat", [float("nan"), 0]), ("H", [[1, 0], [0, float("inf")]]),
+         ("P_hat", [[1, 0], [0, float("nan")]])],
+    )
+    def test_non_finite_entry_names_json_path(self, tmp_path, capsys, command, field, value):
+        doc = json.loads(json.dumps(EXAMPLE2))
+        doc["est1"][field] = value
+        samples = ["--samples", "10"] if command == "verify" else []
+        rc = cli.main([command, write(tmp_path, doc)] + samples)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"est1.{field}: holds a NaN or an infinity" in captured.err
+        assert captured.out == ""
+
+    def test_ragged_observation_matrix_names_json_path(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(EXAMPLE2))
+        doc["est1"]["H"] = [[1, 0], [0]]
+        rc = cli.main(["fuse", write(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "est1.H: not numeric" in err

@@ -13,6 +13,7 @@ from cifusion import (
 from cifusion.errors import InvalidFamilyParameterError, OutOfRangeError
 from cifusion.optimizer import (
     Cost,
+    JointSpectrum,
     SigmaPair,
     delta_poly_coeffs,
     delta_value,
@@ -26,8 +27,10 @@ from cifusion.optimizer import (
 )
 
 from conftest import (
+    det_alpha_oracle,
     dominated_problem,
     grid_costs,
+    random_orthogonal,
     random_problem,
     random_spd,
     well_scaled_problems,
@@ -346,7 +349,7 @@ class TestRobustness:
             for solver in (solve_ci_det, solve_ci_trace):
                 base = solver(problem)
                 moved = solver(scaled)
-                assert moved.alpha == pytest.approx(base.alpha, abs=1e-6)
+                assert moved.alpha == pytest.approx(base.alpha, abs=1e-11)
 
     def test_moderate_dimension_smoke(self):
         rng = np.random.default_rng(14)
@@ -361,6 +364,101 @@ class TestRobustness:
             assert np.abs(unbias).max() <= 1e-9
             _, vals = grid_costs(problem, cost, grid=2001)
             assert result.cost_value <= vals.min() * (1.0 + 1e-9) + 1e-9
+
+
+def _metamorphic_pool(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    pool = [random_problem(rng, n=int(rng.integers(2, 9))) for _ in range(count)]
+    pool += [random_problem(rng, full_state=True) for _ in range(count // 4)]
+    pool += [dominated_problem(rng, int(rng.integers(2, 6)), bool(k % 2)) for k in range(count // 4)]
+    return rng, pool
+
+
+def _rebuilt(problem, h_map=lambda h: h, scale: float = 1.0):
+    return FusionProblem(*(
+        PartialEstimate(h_map(est.h), est.x_hat, scale * est.p_hat.data)
+        for est in (problem.est1, problem.est2)
+    ))
+
+
+class TestJointSpectrum:
+    def test_relation_matches_loewner_compare(self):
+        rng = np.random.default_rng(20)
+        pool = [random_problem(rng) for _ in range(40)]
+        pool += [dominated_problem(rng, int(rng.integers(2, 6)), bool(k % 2)) for k in range(10)]
+        pool.append(equal_sigma_problem())
+        # second information matrix below the first but singular: LESS_EQUAL
+        pool.append(FusionProblem(
+            PartialEstimate(np.eye(2), [0.0, 0.0], np.eye(2)),
+            PartialEstimate([[1.0, 0.0]], [0.0], [[1.0]]),
+        ))
+        seen = set()
+        for problem in pool:
+            pair = SigmaPair.from_problem(problem)
+            rel = JointSpectrum.of(pair).relation()
+            assert rel is loewner_compare(pair.sigma0, pair.sigma1)
+            seen.add(rel)
+        assert len(seen) >= 4
+
+    def test_cost_forms_match_blended_inverse(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            pair = SigmaPair.from_problem(random_problem(rng))
+            spectrum = JointSpectrum.of(pair)
+            assert np.all(np.abs(spectrum.lam) <= 2.0)
+            d = pair.sigma1.data - pair.sigma0.data
+            for alpha in (0.1, 0.5, 0.9):
+                t = alpha - 0.5
+                p = np.linalg.inv(sigma_alpha(pair, alpha).data)
+                trace = float(np.sum(spectrum.c / (1.0 + t * spectrum.lam)))
+                assert trace == pytest.approx(np.trace(p), rel=1e-10)
+                # d/dalpha log det P = -tr(P D) and d/dalpha tr P = -tr(P D P)
+                assert spectrum.det_slope(t)[0] == pytest.approx(-np.trace(p @ d), rel=1e-9, abs=1e-12)
+                assert spectrum.trace_slope(t)[0] == pytest.approx(-np.trace(p @ d @ p), rel=1e-9, abs=1e-12)
+
+
+class TestDetOracle:
+    def test_weight_matches_adjugate_bisection(self):
+        rng = np.random.default_rng(22)
+        pool = [random_problem(rng, n=n) for n in (2, 3, 4, 5, 6, 8, 10, 15, 20) for _ in range(4)]
+        pool += [random_problem(rng, full_state=True) for _ in range(10)]
+        pool += [dominated_problem(rng, n, bool(n % 2)) for n in (2, 3, 4, 5, 6, 10)]
+        branches = set()
+        for problem in pool:
+            result = solve_ci_det(problem)
+            branches.add(result.diagnostics["branch"])
+            assert result.alpha == pytest.approx(det_alpha_oracle(problem), abs=1e-10)
+        assert branches >= {"interior_root", "endpoint_zero", "endpoint_one"}
+
+
+class TestMetamorphic:
+    """Relabelling, rotating or rescaling a problem must not move the weight."""
+
+    TOL = 1e-11
+
+    def test_swapping_the_estimates_mirrors_the_weight(self):
+        _, pool = _metamorphic_pool(23, 134)
+        for problem in pool:
+            for solver in (solve_ci_det, solve_ci_trace):
+                a = solver(problem).alpha
+                assert 1.0 - solver(problem.swapped()).alpha == pytest.approx(a, abs=self.TOL)
+
+    def test_orthogonal_change_of_state_basis(self):
+        rng, pool = _metamorphic_pool(24, 134)
+        for problem in pool:
+            q = random_orthogonal(rng, problem.n)
+            rotated = _rebuilt(problem, h_map=lambda h: h @ q)
+            for solver in (solve_ci_det, solve_ci_trace):
+                assert solver(rotated).alpha == pytest.approx(solver(problem).alpha, abs=self.TOL)
+
+    def test_common_rescaling_of_both_covariances(self):
+        _, pool = _metamorphic_pool(25, 134)
+        for problem in pool:
+            for solver in (solve_ci_det, solve_ci_trace):
+                base = solver(problem).alpha
+                for factor in (1e-6, 1e6):
+                    moved = solver(_rebuilt(problem, scale=factor)).alpha
+                    assert moved == pytest.approx(base, abs=self.TOL)
 
 
 class TestLowerBoundWitness:

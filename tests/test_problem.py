@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from cifusion import FusionProblem, PartialEstimate
-from cifusion.errors import DimensionMismatchError, NotPdError, RankDeficientError
+from cifusion.errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    NotPdError,
+    RankDeficientError,
+)
 from cifusion.linalg import LoewnerRelation
 
 
@@ -16,6 +21,16 @@ class TestPartialEstimate:
             PartialEstimate([[1.0, 0.0]], [0.0, 1.0], [[1.0]])
         with pytest.raises(DimensionMismatchError):
             PartialEstimate([[1.0, 0.0]], [0.0], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "h, x_hat, p_hat",
+        [([[1.0, np.nan]], [0.0], [[1.0]]),
+         ([[1.0, 0.0]], [np.inf], [[1.0]]),
+         ([[1.0, 0.0]], [0.0], [[np.nan]])],
+    )
+    def test_non_finite_entries_rejected(self, h, x_hat, p_hat):
+        with pytest.raises(NonFiniteError):
+            PartialEstimate(h, x_hat, p_hat)
 
     def test_arrays_are_frozen(self):
         est = PartialEstimate([[1.0, 0.0]], [0.0], [[1.0]])
