@@ -242,6 +242,8 @@ def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ProblemFileError("--samples", f"must be at least 1, got {args.samples}")
     problem, extras = load_problem_file(args.file)
     if args.result:
         result = _load_result_file(args.result, problem)
@@ -355,11 +357,17 @@ _SIM_PRESETS = {
 def cmd_sim(args) -> int:
     spec = None
     n = args.state_dim
+    if args.nodes < 2:
+        raise ProblemFileError("--nodes", f"need at least two nodes, got {args.nodes}")
+    if args.events < 0:
+        raise ProblemFileError("--events", f"must not be negative, got {args.events}")
     if args.preset:
         spec = _SIM_PRESETS[args.preset]
         n = 2
         if args.nodes != 2:
             raise ProblemFileError("--nodes", f"preset {args.preset} needs 2 nodes")
+    elif n < 1:
+        raise ProblemFileError("--state-dim", f"must be at least 1, got {n}")
     nodes, truth = init_network(n, args.nodes, args.seed, spec)
     schedule = make_schedule(args.topology, args.nodes, args.events, Cost(args.cost), args.seed)
     report = run_schedule(nodes, truth, schedule)

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
+    NonFiniteError,
     SingularJointError,
 )
 from .linalg import (
@@ -32,9 +33,13 @@ class JointCovariance:
     """Block covariance ``[P1 P12; P12.T P2]`` with PSD/PD classification."""
 
     def __init__(self, p1, p12, p2, tol: float = DEFAULT_TOL):
+        p12 = np.atleast_2d(np.asarray(p12, dtype=float))
+        for name, block in (("P1", p1), ("P12", p12), ("P2", p2)):
+            data = block.data if isinstance(block, PsdMatrix) else np.asarray(block, dtype=float)
+            if not np.isfinite(data).all():
+                raise NonFiniteError(f"{name} holds a NaN or an infinity")
         cert1 = p1 if isinstance(p1, PsdMatrix) else psd_certify(p1, tol)
         cert2 = p2 if isinstance(p2, PsdMatrix) else psd_certify(p2, tol)
-        p12 = np.atleast_2d(np.asarray(p12, dtype=float))
         if p12.shape != (cert1.dim, cert2.dim):
             raise DimensionMismatchError(
                 f"P12 has shape {p12.shape}, expected {(cert1.dim, cert2.dim)}"

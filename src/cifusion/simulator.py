@@ -71,28 +71,47 @@ class GroundTruth:
         return sum(self.dims[:i])
 
     def node_cov(self, i: int) -> np.ndarray:
+        """Node i's error covariance: a view of ``joint`` that a later
+        fusion into node i may overwrite."""
         o, d = self._offset(i), self.dims[i]
         return self.joint[o : o + d, o : o + d]
 
     def apply_fusion(self, a: int, b: int, k1: np.ndarray, k2: np.ndarray) -> None:
-        """Propagate the exact joint through one linear fusion into node a."""
-        n_new = k1.shape[0]
-        total_old = sum(self.dims)
-        new_dims = list(self.dims)
-        new_dims[a] = n_new
-        t = np.zeros((sum(new_dims), total_old))
-        row = 0
-        for i, d in enumerate(new_dims):
-            if i == a:
-                t[row : row + d, self._offset(a) : self._offset(a) + self.dims[a]] = k1
-                t[row : row + d, self._offset(b) : self._offset(b) + self.dims[b]] = k2
-            else:
-                o = self._offset(i)
-                t[row : row + d, o : o + self.dims[i]] = np.eye(d)
-            row += d
-        self.joint = t @ self.joint @ t.T
-        self.joint = 0.5 * (self.joint + self.joint.T)
-        self.dims = new_dims
+        """Propagate the exact joint through one linear fusion into node a.
+
+        The fused error is ``K1 e_a + K2 e_b`` and every other node keeps its
+        error, so only node a's block row and column change: the row becomes
+        ``R = K1 J[a, :] + K2 J[b, :]`` and the diagonal block
+        ``R[:, a] K1' + R[:, b] K2'``.  When node a keeps its size this is
+        written in place at O(N n^2) for a joint of N rows and a state of
+        size n; when node a grows, the joint is rebuilt with one O(N^2) copy.
+        The joint stays exactly symmetric.
+        """
+        lo = self._offset(a)
+        hi = lo + self.dims[a]
+        ob = self._offset(b)
+        rb = slice(ob, ob + self.dims[b])
+        old = self.joint
+        rows = k1 @ old[lo:hi] + k2 @ old[rb]
+        corner = rows[:, lo:hi] @ k1.T + rows[:, rb] @ k2.T
+        corner = 0.5 * (corner + corner.T)
+        d = k1.shape[0]
+        if d == self.dims[a]:
+            rows[:, lo:hi] = corner
+            joint = old
+        else:
+            rows = np.hstack([rows[:, :lo], corner, rows[:, hi:]])
+            size = old.shape[0] - self.dims[a] + d
+            joint = np.empty((size, size))
+            # the four quadrants around node a's rows and columns are kept
+            joint[:lo, :lo] = old[:lo, :lo]
+            joint[:lo, lo + d :] = old[:lo, hi:]
+            joint[lo + d :, :lo] = old[hi:, :lo]
+            joint[lo + d :, lo + d :] = old[hi:, hi:]
+        joint[lo : lo + d] = rows
+        joint[:, lo : lo + d] = rows.T
+        self.joint = joint
+        self.dims[a] = d
 
 
 @dataclass(frozen=True)
@@ -193,14 +212,15 @@ def init_network(
 
     x_true = rng.standard_normal(n)
     truth = GroundTruth(x_true, p_true)
-    chol = np.linalg.cholesky(truth.joint)
-    errors = chol @ rng.standard_normal(truth.joint.shape[0])
+    # the initial joint is block diagonal, so each node's error is drawn
+    # from its own block's Cholesky factor
+    z = rng.standard_normal(truth.joint.shape[0])
 
     node_states = []
     off = 0
     for i, h in enumerate(hs):
         p = h.shape[0]
-        e_i = errors[off : off + p]
+        e_i = np.linalg.cholesky(p_true[i]) @ z[off : off + p]
         off += p
         inflation = _random_psd_inflation(rng, p, spec.inflation_frac * np.trace(p_true[i]))
         p_hat = psd_certify(p_true[i] + inflation)

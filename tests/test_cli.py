@@ -131,6 +131,14 @@ class TestVerify:
         assert rc == 0
         assert "truth-joint" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_non_positive_samples_exit_two(self, tmp_path, capsys, samples):
+        rc = cli.main(["verify", write(tmp_path, SCALAR_PAIR), "--samples", samples])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: --samples: ")
+        assert captured.out == ""
+
     def test_round_trip_reproduces_certificates(self, tmp_path, capsys):
         problem_path = write(tmp_path, EXAMPLE2)
         fused_path = str(tmp_path / "fused.json")
@@ -231,6 +239,17 @@ class TestSim:
         assert cli.main(args + ["--out", str(a)]) == 0
         assert cli.main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--nodes", "0"), ("--nodes", "1"), ("--state-dim", "0"), ("--events", "-1")],
+    )
+    def test_bad_argument_exits_two_naming_it(self, capsys, flag, value):
+        rc = cli.main(["sim", "--topology", "chain", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert captured.out == ""
 
     def test_collinear_preset_unreachable(self, tmp_path, capsys):
         rc = cli.main([

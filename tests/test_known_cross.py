@@ -10,7 +10,7 @@ from cifusion import (
     loewner_compare,
     optimal_fusion_known_cross,
 )
-from cifusion.errors import NotPsdError, SingularJointError
+from cifusion.errors import NonFiniteError, NotPsdError, SingularJointError
 
 from conftest import random_joint, random_problem, random_spd, random_unbiased_gains
 
@@ -29,6 +29,20 @@ class TestJointCovariance:
     def test_pd_classification(self):
         assert JointCovariance([[1.0]], [[0.5]], [[1.0]]).pd
         assert not JointCovariance([[1.0]], [[1.0]], [[1.0]]).pd
+
+    @pytest.mark.parametrize(
+        "p1, p12, p2",
+        [([[np.nan]], [[0.0]], [[1.0]]),
+         ([[1.0]], [[np.inf]], [[1.0]]),
+         ([[1.0]], [[0.0]], [[-np.inf]])],
+    )
+    def test_non_finite_blocks_rejected(self, p1, p12, p2):
+        with pytest.raises(NonFiniteError):
+            JointCovariance(p1, p12, p2)
+
+    def test_non_finite_cross_parameter_rejected(self):
+        with pytest.raises(NonFiniteError):
+            JointCovariance.from_cross_parameter([[1.0]], [[np.nan]], [[1.0]])
 
 
 class TestOptimalFusionKnownCross:

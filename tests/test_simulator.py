@@ -162,3 +162,69 @@ class TestGroundTruth:
         truth.apply_fusion(0, 1, k1, k2)
         np.testing.assert_allclose(truth.joint, expected, atol=1e-12)
         assert truth.dims == [3, 3]
+
+
+def dense_fusion_oracle(joint, dims, a, b, k1, k2):
+    """The fusion into node a as one dense transform: ``T J T'``.
+
+    ``T`` is the identity on every node but a, whose rows hold ``K1`` under
+    node a's old columns and ``K2`` under node b's.
+    """
+    new_dims = list(dims)
+    new_dims[a] = k1.shape[0]
+    old_off = np.cumsum([0] + list(dims))
+    new_off = np.cumsum([0] + new_dims)
+    t = np.zeros((new_off[-1], old_off[-1]))
+    for i, d in enumerate(dims):
+        rows = slice(new_off[i], new_off[i + 1])
+        if i == a:
+            t[rows, old_off[a] : old_off[a + 1]] = k1
+            t[rows, old_off[b] : old_off[b + 1]] = k2
+        else:
+            t[rows, old_off[i] : old_off[i + 1]] = np.eye(d)
+    return t @ joint @ t.T, new_dims
+
+
+def correlated_truth(rng, dims):
+    """A ground truth whose joint has full cross-covariance between nodes."""
+    truth = GroundTruth(np.zeros(max(dims)), [np.eye(d) for d in dims])
+    g = rng.standard_normal((sum(dims), sum(dims)))
+    joint = g @ g.T / g.shape[0] + np.eye(g.shape[0])
+    truth.joint = 0.5 * (joint + joint.T)
+    return truth
+
+
+def fuse_and_compare(truth, rng, a, b, d):
+    """Apply one random fusion and check it against the dense oracle."""
+    scale = 1.0 / np.sqrt(truth.dims[a] + truth.dims[b])
+    k1 = scale * rng.standard_normal((d, truth.dims[a]))
+    k2 = scale * rng.standard_normal((d, truth.dims[b]))
+    expected, dims = dense_fusion_oracle(truth.joint, truth.dims, a, b, k1, k2)
+    truth.apply_fusion(a, b, k1, k2)
+    atol = 1e-12 * np.abs(expected).max()
+    np.testing.assert_allclose(truth.joint, expected, rtol=0.0, atol=atol)
+    assert type(truth.dims) is list and truth.dims == dims
+    assert truth.joint.shape == (sum(dims), sum(dims))
+    assert np.array_equal(truth.joint, truth.joint.T)
+
+
+class TestBlockRowUpdate:
+    DIMS = [2, 3, 1, 3, 2]
+
+    @pytest.mark.parametrize("grow", [False, True], ids=["same_size", "grown"])
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0, 3), (2, 0), (2, 4), (4, 1)],
+        ids=["a_first", "a_middle_b_before", "a_middle_b_after", "a_last"],
+    )
+    def test_matches_dense_transform(self, a, b, grow):
+        rng = np.random.default_rng(100 * a + b)
+        truth = correlated_truth(rng, self.DIMS)
+        fuse_and_compare(truth, rng, a, b, 4 if grow else self.DIMS[a])
+
+    def test_chain_of_mixed_events_on_forty_nodes(self):
+        rng = np.random.default_rng(29)
+        truth = correlated_truth(rng, [int(d) for d in rng.integers(1, 6, size=40)])
+        for _ in range(40):
+            a, b = (int(i) for i in rng.choice(40, size=2, replace=False))
+            fuse_and_compare(truth, rng, a, b, int(rng.integers(1, 6)))
