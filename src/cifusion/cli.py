@@ -28,7 +28,7 @@ from .errors import (
     UnreachableError,
 )
 from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
-from .linalg import LoewnerRelation, loewner_compare, psd_certify
+from .linalg import DEFAULT_CERT_TOL, loewner_compare, psd_certify
 from .optimizer import Cost, FusionResult, SigmaPair, extended_cost, solve_ci
 from .problem import FusionProblem, PartialEstimate
 from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
@@ -244,6 +244,8 @@ def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ProblemFileError("--samples", f"must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ProblemFileError("--seed", f"must not be negative, got {args.seed}")
     problem, extras = load_problem_file(args.file)
     if args.result:
         result = _load_result_file(args.result, problem)
@@ -290,19 +292,8 @@ def cmd_verify(args) -> int:
         joint = extras["truth"]
         k = np.hstack([result.K1, result.K2])
         fused_true = k @ joint.assembled.data @ k.T
-        rel = loewner_compare(result.P_hat.data, fused_true, 1e-8)
-        rows.append(
-            (
-                "truth-joint",
-                rel
-                in (
-                    LoewnerRelation.GREATER_EQUAL,
-                    LoewnerRelation.STRICTLY_GREATER,
-                    LoewnerRelation.EQUAL,
-                ),
-                f"relation={rel.value}",
-            )
-        )
+        rel = loewner_compare(result.P_hat.data, fused_true, DEFAULT_CERT_TOL)
+        rows.append(("truth-joint", rel.is_ge, f"relation={rel.value}"))
 
     width = max(len(r[0]) for r in rows)
     for name, ok, detail in rows:
@@ -361,6 +352,8 @@ def cmd_sim(args) -> int:
         raise ProblemFileError("--nodes", f"need at least two nodes, got {args.nodes}")
     if args.events < 0:
         raise ProblemFileError("--events", f"must not be negative, got {args.events}")
+    if args.seed < 0:
+        raise ProblemFileError("--seed", f"must not be negative, got {args.seed}")
     if args.preset:
         spec = _SIM_PRESETS[args.preset]
         n = 2

@@ -27,6 +27,7 @@ from .linalg import (
     inv_pd,
     loewner_compare,
     psd_certify,
+    tol_scale,
 )
 from .problem import FusionProblem
 
@@ -42,8 +43,8 @@ DEFAULT_INTERPOSE_GRID = 10001
 class Ellipsoid:
     """A possibly degenerate ellipsoid centered at the origin."""
 
-    def __init__(self, shape, tol: float = DEFAULT_TOL):
-        self.shape = shape if isinstance(shape, PsdMatrix) else psd_certify(shape, tol)
+    def __init__(self, shape):
+        self.shape = shape if isinstance(shape, PsdMatrix) else psd_certify(shape)
 
     @property
     def dim(self) -> int:
@@ -59,7 +60,7 @@ class Membership(enum.Enum):
     OUTSIDE = "outside"
 
 
-def contains(outer: Ellipsoid, inner: Ellipsoid, tol: float = DEFAULT_TOL) -> bool:
+def contains(outer: Ellipsoid, inner: Ellipsoid) -> bool:
     """Whether the outer ellipsoid contains the inner one.
 
     Containment reverses the shape order: ``E(A) ⊆ E(B)`` exactly when
@@ -67,18 +68,21 @@ def contains(outer: Ellipsoid, inner: Ellipsoid, tol: float = DEFAULT_TOL) -> bo
     """
     if outer.dim != inner.dim:
         raise DimensionMismatchError(f"dims {outer.dim} vs {inner.dim}")
-    return loewner_compare(inner.shape, outer.shape, tol).is_ge
+    return loewner_compare(inner.shape, outer.shape).is_ge
 
 
-def membership(x, e: Ellipsoid, tol: float = DEFAULT_TOL) -> tuple[Membership, float]:
-    """Classify a point against an ellipsoid, returning the quadratic value."""
+def membership(x, e: Ellipsoid) -> tuple[Membership, float]:
+    """Classify a point against an ellipsoid, returning the quadratic value.
+
+    Values within ``DEFAULT_TOL`` of one count as the boundary.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (e.dim,):
         raise DimensionMismatchError(f"point has shape {x.shape}, expected ({e.dim},)")
     value = float(x @ e.shape.data @ x)
-    if value < 1.0 - tol:
+    if value < 1.0 - DEFAULT_TOL:
         return Membership.INTERIOR, value
-    if value <= 1.0 + tol:
+    if value <= 1.0 + DEFAULT_TOL:
         return Membership.BOUNDARY, value
     return Membership.OUTSIDE, value
 
@@ -88,7 +92,6 @@ def kahan_interpose(
     sigma2: Ellipsoid,
     target: Ellipsoid,
     grid: int = DEFAULT_INTERPOSE_GRID,
-    tol: float = DEFAULT_TOL,
 ) -> float | None:
     """Search a uniform grid for a convex weight interposing the target.
 
@@ -109,12 +112,9 @@ def kahan_interpose(
     alphas = np.linspace(0.0, 1.0, grid)
     combos = alphas[:, None, None] * s1 + (1.0 - alphas)[:, None, None] * s2
     eigs = np.linalg.eigvalsh(combos - st)
-    scales = np.maximum(
-        1.0,
-        np.maximum(np.abs(combos).max(axis=(1, 2)), np.abs(st).max()),
-    )
+    scales = tol_scale(np.maximum(np.abs(combos).max(axis=(1, 2)), np.abs(st).max()))
     half_step_slack = 0.5 / (grid - 1) * float(np.abs(np.linalg.eigvalsh(s1 - s2)).max())
-    ok = eigs[:, 0] >= -(tol * scales + half_step_slack)
+    ok = eigs[:, 0] >= -(DEFAULT_TOL * scales + half_step_slack)
     idx = np.flatnonzero(ok)
     if idx.size == 0:
         return None
@@ -141,7 +141,7 @@ def _membership_value(problem: FusionProblem, p12: np.ndarray, x: np.ndarray) ->
     return float(z @ w @ z)
 
 
-def _covering(problem: FusionProblem, x: np.ndarray, eps: float) -> np.ndarray:
+def _covering(problem: FusionProblem, x: np.ndarray) -> np.ndarray:
     # requires p2 >= p1 so the first normalized direction can be zero-padded
     est1, est2 = problem.est1, problem.est2
     w_vec = est1.p_inv_sqrt @ (est1.h @ x)
@@ -161,21 +161,18 @@ def _covering(problem: FusionProblem, x: np.ndarray, eps: float) -> np.ndarray:
     base = est1.p_sqrt @ u1 @ est2.p_sqrt
     if abs(q1 - q2) <= EQUAL_FORMS_RTOL * max(q1, q2):
         # (near-)equal quadratic forms: the scaled construction collapses,
-        # so back off the boundary and shrink until the point is covered
-        e = eps
-        for _ in range(60):
-            p12 = (1.0 - e) * base
+        # so start from a zero cross covariance and halve the back-off from
+        # the boundary until the point is covered
+        for k in range(60):
+            p12 = (1.0 - 0.5**k) * base
             if _membership_value(problem, p12, x) < 1.0:
                 return p12
-            e *= 0.5
         raise InternalInconsistencyError("perturbed covering failed to converge")
     lam = np.sqrt(min(q1, q2) / max(q1, q2))
     return lam * base
 
 
-def covering_cross_cov(
-    x, problem: FusionProblem, eps: float = 1.0
-) -> np.ndarray:
+def covering_cross_cov(x, problem: FusionProblem) -> np.ndarray:
     """Cross covariance whose optimal fusion covers the given interior point.
 
     The returned ``P12`` makes the joint of the problem's two covariances
@@ -185,8 +182,6 @@ def covering_cross_cov(
     swaps the estimates so the second block is at least as wide as the first,
     which leaves the fused ellipsoid unchanged.
     """
-    if not (0.0 < eps <= 1.0):
-        raise OutOfRangeError("eps must lie in (0, 1]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (problem.n,):
         raise DimensionMismatchError(f"x has shape {x.shape}, expected ({problem.n},)")
@@ -197,13 +192,10 @@ def covering_cross_cov(
             f"point is not strictly interior (values {q1:.6g}, {q2:.6g})"
         )
     if problem.p2 >= problem.p1:
-        return _covering(problem, x, eps)
-    return _covering(problem.swapped(), x, eps).T
+        return _covering(problem, x)
+    return _covering(problem.swapped(), x).T
 
 
-def prior_ellipsoids(problem: FusionProblem, tol: float = DEFAULT_TOL) -> tuple[Ellipsoid, Ellipsoid]:
+def prior_ellipsoids(problem: FusionProblem) -> tuple[Ellipsoid, Ellipsoid]:
     """The two prior error ellipsoids of a fusion problem in state space."""
-    return (
-        Ellipsoid(psd_certify(problem.sigma1, tol)),
-        Ellipsoid(psd_certify(problem.sigma0, tol)),
-    )
+    return Ellipsoid(problem.sigma1), Ellipsoid(problem.sigma0)

@@ -25,6 +25,7 @@ from .linalg import (
     inv_pd,
     psd_certify,
     sym_data,
+    tol_scale,
 )
 from .problem import FusionProblem
 
@@ -32,14 +33,14 @@ from .problem import FusionProblem
 class JointCovariance:
     """Block covariance ``[P1 P12; P12.T P2]`` with PSD/PD classification."""
 
-    def __init__(self, p1, p12, p2, tol: float = DEFAULT_TOL):
+    def __init__(self, p1, p12, p2):
         p12 = np.atleast_2d(np.asarray(p12, dtype=float))
         for name, block in (("P1", p1), ("P12", p12), ("P2", p2)):
             data = block.data if isinstance(block, PsdMatrix) else np.asarray(block, dtype=float)
             if not np.isfinite(data).all():
                 raise NonFiniteError(f"{name} holds a NaN or an infinity")
-        cert1 = p1 if isinstance(p1, PsdMatrix) else psd_certify(p1, tol)
-        cert2 = p2 if isinstance(p2, PsdMatrix) else psd_certify(p2, tol)
+        cert1 = p1 if isinstance(p1, PsdMatrix) else psd_certify(p1)
+        cert2 = p2 if isinstance(p2, PsdMatrix) else psd_certify(p2)
         if p12.shape != (cert1.dim, cert2.dim):
             raise DimensionMismatchError(
                 f"P12 has shape {p12.shape}, expected {(cert1.dim, cert2.dim)}"
@@ -49,7 +50,7 @@ class JointCovariance:
         assembled[: cert1.dim, cert1.dim :] = p12
         assembled[cert1.dim :, : cert1.dim] = p12.T
         assembled[cert1.dim :, cert1.dim :] = cert2.data
-        cert = psd_certify(assembled, tol)  # raises NotPsdError on bad cross terms
+        cert = psd_certify(assembled)  # raises NotPsdError on bad cross terms
         p12.flags.writeable = False
         self.P1 = cert1
         self.P2 = cert2
@@ -58,11 +59,11 @@ class JointCovariance:
         self.assembled = cert
 
     @classmethod
-    def from_cross_parameter(cls, p1, x, p2, tol: float = DEFAULT_TOL) -> "JointCovariance":
+    def from_cross_parameter(cls, p1, x, p2) -> "JointCovariance":
         """Build a joint from the normalized cross parameter X."""
-        cert1 = p1 if isinstance(p1, PsdMatrix) else psd_certify(p1, tol)
-        cert2 = p2 if isinstance(p2, PsdMatrix) else psd_certify(p2, tol)
-        return cls(cert1, assemble_cross(cert1, x, cert2), cert2, tol)
+        cert1 = p1 if isinstance(p1, PsdMatrix) else psd_certify(p1)
+        cert2 = p2 if isinstance(p2, PsdMatrix) else psd_certify(p2)
+        return cls(cert1, assemble_cross(cert1, x, cert2), cert2)
 
     @property
     def p1_dim(self) -> int:
@@ -101,7 +102,7 @@ class KnownCrossResult:
 
 
 def _check_within_intersection(
-    p_star_inv: np.ndarray, joint: JointCovariance, problem: FusionProblem, tol: float
+    p_star_inv: np.ndarray, joint: JointCovariance, problem: FusionProblem
 ) -> None:
     """Post-hoc check that ``(P*)^{-1}`` dominates both prior informations.
 
@@ -112,12 +113,12 @@ def _check_within_intersection(
         target = est.h.T @ inv_pd(block.data) @ est.h
         diff = p_star_inv - 0.5 * (target + target.T)
         min_eig = float(np.linalg.eigvalsh(diff)[0])
-        scale = max(1.0, float(np.abs(p_star_inv).max()))
-        if min_eig < -10.0 * tol * scale:
+        scale = tol_scale(float(np.abs(p_star_inv).max()))
+        if min_eig < -10.0 * DEFAULT_TOL * scale:
             raise InternalInconsistencyError(
                 f"fused information fails the prior bound: min eig {min_eig:.3g}"
             )
-        if min_eig < -tol * scale:
+        if min_eig < -DEFAULT_TOL * scale:
             warnings.warn(
                 f"prior-information bound holds only to {min_eig:.3g} "
                 "(within 10x tolerance)",
@@ -127,7 +128,7 @@ def _check_within_intersection(
 
 
 def optimal_fusion_known_cross(
-    problem: FusionProblem, joint: JointCovariance, tol: float = DEFAULT_TOL
+    problem: FusionProblem, joint: JointCovariance
 ) -> KnownCrossResult:
     """Minimal-covariance unbiased fusion for a known PD joint covariance.
 
@@ -146,13 +147,13 @@ def optimal_fusion_known_cross(
     h = problem.h_stacked
     p_star_inv = h.T @ w @ h
     p_star_inv = 0.5 * (p_star_inv + p_star_inv.T)
-    p_star = psd_certify(inv_pd(p_star_inv), tol)
+    p_star = psd_certify(inv_pd(p_star_inv))
     k_star = p_star.data @ h.T @ w
-    _check_within_intersection(p_star_inv, joint, problem, tol)
+    _check_within_intersection(p_star_inv, joint, problem)
     return KnownCrossResult(k_star, p_star, problem.p1)
 
 
-def bar_shalom_campo(joint: JointCovariance, tol: float = DEFAULT_TOL) -> KnownCrossResult:
+def bar_shalom_campo(joint: JointCovariance) -> KnownCrossResult:
     """Two-track fusion formula for the square full-state case.
 
     Specialization of :func:`optimal_fusion_known_cross` to
@@ -173,5 +174,5 @@ def bar_shalom_campo(joint: JointCovariance, tol: float = DEFAULT_TOL) -> KnownC
     k2 = (p1 - p12) @ delta_inv
     k1 = np.eye(joint.p1_dim) - k2
     p_star = p1 - (p1 - p12) @ delta_inv @ (p1 - p12.T)
-    p_star = psd_certify(sym_data(p_star), tol)
+    p_star = psd_certify(sym_data(p_star))
     return KnownCrossResult(np.hstack([k1, k2]), p_star, joint.p1_dim)

@@ -3,8 +3,9 @@
 Everything spectral funnels through ``numpy.linalg.eigh`` so that ordering
 comparisons, PSD certification, square roots, pseudo-inverses and adjugates
 share one audited kernel.  Matrices here are small and dense (state
-dimensions of a few dozen at most).  Tolerances are relative to
-``max(1, magnitude)`` so ill-scaled covariances behave like well-scaled ones.
+dimensions of a few dozen at most).  The package's two PSD tolerances,
+``DEFAULT_TOL`` and ``DEFAULT_CERT_TOL``, are named here, and every
+magnitude they are scaled by goes through :func:`tol_scale`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,26 @@ from .errors import (
     NotPsdError,
 )
 
+#: PSD certification and the semidefinite order accept eigenvalues down to
+#: ``-DEFAULT_TOL * tol_scale(|lambda|_max)``
 DEFAULT_TOL = 1e-9
+#: absolute tolerance on largest eigenvalues in the conservativeness
+#: verdicts, scaled by the fused covariance's largest diagonal entry
+DEFAULT_CERT_TOL = 1e-8
 #: eigenvalues below PINV_RTOL * |lambda|_max count as zero in pseudo-inverses
 PINV_RTOL = 1e-12
 #: relative threshold below which a symmetric matrix counts as singular
 SINGULAR_RTOL = 1e-12
+
+
+def tol_scale(magnitude):
+    """``max(1, magnitude)``, the factor every tolerance is multiplied by.
+
+    Takes a float or, for batched checks, an array of magnitudes.
+    """
+    if isinstance(magnitude, np.ndarray):
+        return np.maximum(1.0, magnitude)
+    return max(1.0, magnitude)
 
 
 def _square(entries) -> np.ndarray:
@@ -132,7 +148,7 @@ def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
     the mirrored cases for the less variants.  Equality is spectral
     (``max |eig(A - B)| <= tol * scale``), which for symmetric matrices also
     bounds every entry of the difference.  ``scale`` is
-    ``max(1, |A|_max, |B|_max)``.
+    ``tol_scale(max(|A|_max, |B|_max))``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -141,8 +157,7 @@ def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
     if da.shape != db.shape:
         raise DimensionMismatchError(f"shape {da.shape} vs {db.shape}")
     eigs = np.linalg.eigvalsh(da - db)
-    scale = max(1.0, np.abs(da).max(), np.abs(db).max())
-    bound = tol * scale
+    bound = tol * tol_scale(max(np.abs(da).max(), np.abs(db).max()))
     lo, hi = eigs[0], eigs[-1]
     if max(abs(lo), abs(hi)) <= bound:
         return LoewnerRelation.EQUAL
@@ -157,22 +172,21 @@ def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
     return LoewnerRelation.INCOMPARABLE
 
 
-def psd_certify(a, tol: float = DEFAULT_TOL) -> PsdMatrix:
+def psd_certify(a) -> PsdMatrix:
     """Certify PSD membership, or raise :class:`NotPsdError`.
 
-    Accepts a minimum eigenvalue down to ``-tol * scale`` where
-    ``scale = max(1, |lambda|_max)``; the ``strict`` flag marks matrices with
-    the minimum eigenvalue above ``+tol * scale`` (positive definite).
+    Accepts a minimum eigenvalue down to ``-bound`` where
+    ``bound = DEFAULT_TOL * tol_scale(|lambda|_max)``; the ``strict`` flag
+    marks matrices with the minimum eigenvalue above ``+bound`` (positive
+    definite).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     sym = a if isinstance(a, SymMatrix) else SymMatrix(sym_data(a))
     eigs = np.linalg.eigvalsh(sym.data)
-    scale = max(1.0, float(np.abs(eigs).max()))
+    bound = DEFAULT_TOL * tol_scale(float(np.abs(eigs).max()))
     min_eig = float(eigs[0])
-    if min_eig < -tol * scale:
+    if min_eig < -bound:
         raise NotPsdError(min_eig)
-    return PsdMatrix(sym, min_eig, strict=min_eig > tol * scale)
+    return PsdMatrix(sym, min_eig, strict=min_eig > bound)
 
 
 def sqrt_psd(a: PsdMatrix) -> SymMatrix:
@@ -286,18 +300,22 @@ def _decided(margin: float, band: float) -> bool:
     return abs(margin) > 10.0 * band
 
 
-def block_psd_check(q, s, r, tol: float = DEFAULT_TOL) -> bool:
+def _cert_band(values) -> float:
+    """Tolerance band of a certificate verdict on these eigenvalues or entries."""
+    return DEFAULT_CERT_TOL * tol_scale(float(np.abs(values).max()))
+
+
+def block_psd_check(q, s, r) -> bool:
     """Whether the block matrix ``[Q S; S.T R]`` is PSD.
 
     The verdict is computed twice: from the eigenvalues of the assembled
     block and from the generalized Schur-complement criterion
-    ``R >= 0``, ``Q - S R^+ S.T >= 0``, ``S (I - R R^+) = 0``.  The two
+    ``R >= 0``, ``Q - S R^+ S.T >= 0``, ``S (I - R R^+) = 0``, each to
+    ``DEFAULT_CERT_TOL`` relative to its own magnitude.  The two
     routes must agree; a disagreement with both margins clearly outside
     the tolerance band raises :class:`InternalInconsistencyError`,
     borderline cases resolve to the direct eigenvalue verdict.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     qd = sym_data(q)
     rd = sym_data(r)
     sd = np.atleast_2d(np.asarray(s, dtype=float))
@@ -313,28 +331,28 @@ def block_psd_check(q, s, r, tol: float = DEFAULT_TOL) -> bool:
     block[nq:, nq:] = rd
 
     eigs = np.linalg.eigvalsh(block)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    direct = bool(eigs[0] >= -tol * scale)
+    band = _cert_band(eigs)
+    direct = bool(eigs[0] >= -band)
 
     r_eigs = np.linalg.eigvalsh(rd)
-    r_scale = max(1.0, float(np.abs(r_eigs).max()))
-    r_ok = bool(r_eigs[0] >= -tol * r_scale)
+    r_band = _cert_band(r_eigs)
+    r_ok = bool(r_eigs[0] >= -r_band)
     r_pinv = pinv_sym(rd)
     schur = qd - sd @ r_pinv @ sd.T
     s_eigs = np.linalg.eigvalsh(0.5 * (schur + schur.T))
-    s_scale = max(1.0, float(np.abs(s_eigs).max()))
-    schur_ok = bool(s_eigs[0] >= -tol * s_scale)
-    resid = sd @ (np.eye(nr) - rd @ r_pinv)
-    resid_scale = max(1.0, float(np.abs(sd).max()))
-    resid_ok = bool(np.abs(resid).max() <= tol * resid_scale)
+    s_band = _cert_band(s_eigs)
+    schur_ok = bool(s_eigs[0] >= -s_band)
+    resid = float(np.abs(sd @ (np.eye(nr) - rd @ r_pinv)).max())
+    resid_band = _cert_band(sd)
+    resid_ok = resid <= resid_band
     schur_route = r_ok and schur_ok and resid_ok
 
     if direct == schur_route:
         return direct
-    clearly = _decided(eigs[0], tol * scale) and (
-        (not r_ok and _decided(r_eigs[0], tol * r_scale))
-        or (not schur_ok and _decided(s_eigs[0], tol * s_scale))
-        or (not resid_ok and np.abs(resid).max() > 10.0 * tol * resid_scale)
+    clearly = _decided(eigs[0], band) and (
+        (not r_ok and _decided(r_eigs[0], r_band))
+        or (not schur_ok and _decided(s_eigs[0], s_band))
+        or (not resid_ok and _decided(resid, resid_band))
         or schur_route
     )
     if clearly:

@@ -47,6 +47,8 @@ from .problem import FusionProblem
 ROOT_TOL = 1e-12
 #: slope evaluations allowed in one root search (bisection alone needs 40)
 ROOT_MAX_EVALS = 200
+#: weights tried by :func:`lower_bound_witness`
+WITNESS_GRID = 1001
 
 
 class Cost(enum.Enum):
@@ -85,8 +87,8 @@ class SigmaPair:
     sigma0: PsdMatrix
 
     @classmethod
-    def from_problem(cls, problem: FusionProblem, tol: float = DEFAULT_TOL) -> "SigmaPair":
-        return cls(psd_certify(problem.sigma1, tol), psd_certify(problem.sigma0, tol))
+    def from_problem(cls, problem: FusionProblem) -> "SigmaPair":
+        return cls(psd_certify(problem.sigma1), psd_certify(problem.sigma0))
 
     @property
     def dim(self) -> int:
@@ -169,8 +171,9 @@ class JointSpectrum:
         # change sign inside the interval
         return cls(np.clip(lam, -2.0, 2.0), np.einsum("ij,ij->j", w, w))
 
-    def relation(self, tol: float = DEFAULT_TOL) -> LoewnerRelation:
+    def relation(self) -> LoewnerRelation:
         """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them."""
+        tol = DEFAULT_TOL
         lo, hi = float(self.lam[0]), float(self.lam[-1])
         if max(-lo, hi) <= tol:
             return LoewnerRelation.EQUAL
@@ -240,7 +243,6 @@ def _optimal_weight(spectrum: JointSpectrum, slope) -> tuple[float, str]:
 def ku_rule(
     problem: FusionProblem,
     alpha: float,
-    tol: float = DEFAULT_TOL,
     *,
     certified: tuple[SigmaPair, LoewnerRelation] | None = None,
 ) -> FusionResult:
@@ -256,8 +258,8 @@ def ku_rule(
     if certified is None:
         if not 0.0 <= alpha <= 1.0:
             raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
-        pair = SigmaPair.from_problem(problem, tol)
-        rel = loewner_compare(pair.sigma0, pair.sigma1, tol)
+        pair = SigmaPair.from_problem(problem)
+        rel = loewner_compare(pair.sigma0, pair.sigma1)
         if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
             raise InvalidFamilyParameterError(
                 alpha, "second information matrix strictly dominates; alpha must be 0"
@@ -274,7 +276,7 @@ def ku_rule(
     else:
         pair, rel = certified
     try:
-        p_hat = psd_certify(inv_pd(sigma_alpha(pair, alpha).data), tol)
+        p_hat = psd_certify(inv_pd(sigma_alpha(pair, alpha).data))
     except (NotPdError, NotPsdError) as exc:  # near-singular blends only
         raise SingularSigmaError(str(exc)) from exc
     if not p_hat.strict:
@@ -302,20 +304,20 @@ def ku_rule(
     )
 
 
-def _optimal_member(problem: FusionProblem, cost: Cost, tol: float) -> FusionResult:
-    pair = SigmaPair.from_problem(problem, tol)
+def _optimal_member(problem: FusionProblem, cost: Cost) -> FusionResult:
+    pair = SigmaPair.from_problem(problem)
     spectrum = JointSpectrum.of(pair)
-    rel = spectrum.relation(tol)
+    rel = spectrum.relation()
     if rel is LoewnerRelation.EQUAL:
         alpha, branch = 0.5, "equal"
     else:
         slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
         alpha, branch = _optimal_weight(spectrum, slope)
-    result = ku_rule(problem, alpha, tol, certified=(pair, rel))
+    result = ku_rule(problem, alpha, certified=(pair, rel))
     return result.with_cost(cost.of(result.P_hat.data), branch=branch, cost=cost.value)
 
 
-def solve_ci_det(problem: FusionProblem, tol: float = DEFAULT_TOL) -> FusionResult:
+def solve_ci_det(problem: FusionProblem) -> FusionResult:
     """Determinant-optimal weight from the joint spectrum.
 
     ``log det P_hat`` is convex in the weight with slope ``-sum(lam / (1 +
@@ -325,10 +327,10 @@ def solve_ci_det(problem: FusionProblem, tol: float = DEFAULT_TOL) -> FusionResu
     information matrices coincide, and otherwise the unique root of Delta
     in (0, 1), found to ``ROOT_TOL``.
     """
-    return _optimal_member(problem, Cost.DET, tol)
+    return _optimal_member(problem, Cost.DET)
 
 
-def solve_ci_trace(problem: FusionProblem, tol: float = DEFAULT_TOL) -> FusionResult:
+def solve_ci_trace(problem: FusionProblem) -> FusionResult:
     """Trace-optimal weight from the joint spectrum.
 
     ``trace P_hat = sum(c / (1 + t lam))`` is convex in the weight, and the
@@ -337,7 +339,7 @@ def solve_ci_trace(problem: FusionProblem, tol: float = DEFAULT_TOL) -> FusionRe
     interior root (a strictly dominant information matrix always takes its
     endpoint).  Diagnostics carry the gain-ratio fixed-point residual.
     """
-    result = _optimal_member(problem, Cost.TRACE, tol)
+    result = _optimal_member(problem, Cost.TRACE)
     r1 = math.sqrt(max(0.0, Cost.TRACE.of(result.K1 @ problem.est1.p_hat.data @ result.K1.T)))
     r2 = math.sqrt(max(0.0, Cost.TRACE.of(result.K2 @ problem.est2.p_hat.data @ result.K2.T)))
     residual = abs(result.alpha - r1 / (r1 + r2)) if r1 + r2 > 0.0 else math.nan
@@ -346,7 +348,7 @@ def solve_ci_trace(problem: FusionProblem, tol: float = DEFAULT_TOL) -> FusionRe
     )
 
 
-def solve_ci(problem: FusionProblem, cost: Cost, tol: float = DEFAULT_TOL) -> FusionResult:
+def solve_ci(problem: FusionProblem, cost: Cost) -> FusionResult:
     """Optimal fusion for the given cost, with the feasibility certificate.
 
     Dispatches to the determinant or trace solver; the returned weight is a
@@ -355,9 +357,9 @@ def solve_ci(problem: FusionProblem, cost: Cost, tol: float = DEFAULT_TOL) -> Fu
     recorded in the diagnostics).
     """
     if cost is Cost.DET:
-        result = solve_ci_det(problem, tol)
+        result = solve_ci_det(problem)
     elif cost is Cost.TRACE:
-        result = solve_ci_trace(problem, tol)
+        result = solve_ci_trace(problem)
     else:
         raise OutOfRangeError(f"unsupported cost {cost!r}")
     cert = verifier.lmi_certificate(result, problem, result.alpha)
@@ -369,23 +371,19 @@ def solve_ci(problem: FusionProblem, cost: Cost, tol: float = DEFAULT_TOL) -> Fu
     return result
 
 
-def lower_bound_witness(
-    problem: FusionProblem,
-    candidate_p: PsdMatrix,
-    grid: int = 1001,
-    tol: float = DEFAULT_TOL,
-) -> float | None:
+def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float | None:
     """Weight witnessing that a candidate covariance obeys the family bound.
 
-    Returns a grid weight ``a`` with the candidate dominating the blended
-    covariance ``(a*Sigma1 + (1-a)*Sigma0)^{-1}``, or ``None`` when no grid
-    point qualifies, which flags the candidate as violating the lower bound
-    every conservative unbiased rule must satisfy.
+    Returns a weight ``a`` of a ``WITNESS_GRID``-point grid with the
+    candidate dominating the blended covariance
+    ``(a*Sigma1 + (1-a)*Sigma0)^{-1}``, or ``None`` when no grid point
+    qualifies, which flags the candidate as violating the lower bound every
+    conservative unbiased rule must satisfy.
     """
     if not candidate_p.strict:
         raise NotPdError("candidate covariance must be strictly PD")
-    pair = SigmaPair.from_problem(problem, tol)
-    target = Ellipsoid(psd_certify(inv_pd(candidate_p.data), tol))
+    pair = SigmaPair.from_problem(problem)
+    target = Ellipsoid(inv_pd(candidate_p.data))
     return kahan_interpose(
-        Ellipsoid(pair.sigma1), Ellipsoid(pair.sigma0), target, grid, tol
+        Ellipsoid(pair.sigma1), Ellipsoid(pair.sigma0), target, WITNESS_GRID
     )

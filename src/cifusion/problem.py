@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotPdError, RankDeficientError
-from .linalg import DEFAULT_TOL, PsdMatrix, inv_pd, inv_sqrt_pd, psd_certify, sqrt_psd
+from .linalg import PsdMatrix, inv_pd, inv_sqrt_pd, psd_certify, sqrt_psd
 
 #: singular values below RANK_RTOL * sigma_max do not count towards rank
 RANK_RTOL = 1e-10
@@ -30,14 +30,14 @@ def matrix_rank(m: np.ndarray) -> int:
 class PartialEstimate:
     """One node's observation model, estimate and conservative covariance."""
 
-    def __init__(self, h, x_hat, p_hat, tol: float = DEFAULT_TOL):
+    def __init__(self, h, x_hat, p_hat):
         h = np.atleast_2d(np.asarray(h, dtype=float))
         x = np.atleast_1d(np.asarray(x_hat, dtype=float))
         cov = p_hat.data if isinstance(p_hat, PsdMatrix) else np.asarray(p_hat, dtype=float)
         for name, arr in (("H", h), ("x_hat", x), ("P_hat", cov)):
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"{name} holds a NaN or an infinity")
-        cert = p_hat if isinstance(p_hat, PsdMatrix) else psd_certify(cov, tol)
+        cert = p_hat if isinstance(p_hat, PsdMatrix) else psd_certify(cov)
         if not cert.strict:
             raise NotPdError("covariance estimate must be strictly PD")
         p = h.shape[0]

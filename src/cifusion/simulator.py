@@ -16,11 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScheduleError, UnreachableError
-from .linalg import LoewnerRelation, PsdMatrix, loewner_compare, psd_certify
+from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify, tol_scale
 from .optimizer import Cost, solve_ci
 from .problem import FusionProblem, PartialEstimate, matrix_rank
 
-DEFAULT_SIM_TOL = 1e-8
+#: drawn true covariances have condition number at most this
+COND_MAX = 100.0
+#: a node's reported covariance adds a PSD term of trace at most this
+#: fraction of its true covariance's trace
+INFLATION_FRAC = 0.5
 
 
 @dataclass
@@ -29,15 +33,12 @@ class NoiseSpec:
 
     ``h_list``/``p_list`` pin the observation matrices and true covariances
     explicitly (e.g. to reproduce a textbook geometry); otherwise both are
-    drawn from the seeded generator with condition number at most
-    ``cond_max`` and a PSD inflation of relative trace at most
-    ``inflation_frac``.
+    drawn from the seeded generator, the covariances with condition number
+    at most ``COND_MAX``.
     """
 
     h_list: list | None = None
     p_list: list | None = None
-    cond_max: float = 100.0
-    inflation_frac: float = 0.5
 
 
 @dataclass
@@ -126,6 +127,8 @@ class Schedule:
     events: tuple
     topology: str
     seed: int
+    #: the cost the schedule was made with, which the report names
+    cost: Cost = Cost.DET
 
 
 def make_schedule(
@@ -157,14 +160,15 @@ def make_schedule(
         events=tuple(ScheduleEvent(a, b, cost) for a, b in pairs),
         topology=topology,
         seed=seed,
+        cost=cost,
     )
 
 
-def _random_spd(rng, dim: int, cond_max: float) -> np.ndarray:
+def _random_spd(rng, dim: int) -> np.ndarray:
     gauss = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(gauss)
     q = q * np.sign(np.diag(r))
-    half_span = 0.5 * np.log10(cond_max)
+    half_span = 0.5 * np.log10(COND_MAX)
     eigs = 10.0 ** rng.uniform(-half_span, half_span, size=dim)
     return (q * eigs) @ q.T
 
@@ -183,7 +187,8 @@ def init_network(
 
     Every node observes ``H_i x_true`` plus noise drawn from the exact joint
     (initially independent across nodes); the reported covariance is the true
-    one inflated by a random PSD term, certified conservative on
+    one inflated by a random PSD term of relative trace at most
+    ``INFLATION_FRAC``, certified conservative on
     construction.  Raises when the stacked observation matrices cannot reach
     full state rank by any fusion order.
     """
@@ -208,7 +213,7 @@ def init_network(
     if spec.p_list is not None:
         p_true = [np.atleast_2d(np.asarray(p, dtype=float)) for p in spec.p_list]
     else:
-        p_true = [_random_spd(rng, h.shape[0], spec.cond_max) for h in hs]
+        p_true = [_random_spd(rng, h.shape[0]) for h in hs]
 
     x_true = rng.standard_normal(n)
     truth = GroundTruth(x_true, p_true)
@@ -222,13 +227,9 @@ def init_network(
         p = h.shape[0]
         e_i = np.linalg.cholesky(p_true[i]) @ z[off : off + p]
         off += p
-        inflation = _random_psd_inflation(rng, p, spec.inflation_frac * np.trace(p_true[i]))
+        inflation = _random_psd_inflation(rng, p, INFLATION_FRAC * np.trace(p_true[i]))
         p_hat = psd_certify(p_true[i] + inflation)
-        if loewner_compare(p_hat, p_true[i]) not in (
-            LoewnerRelation.GREATER_EQUAL,
-            LoewnerRelation.STRICTLY_GREATER,
-            LoewnerRelation.EQUAL,
-        ):
+        if not loewner_compare(p_hat, p_true[i]).is_ge:
             raise UnreachableError("inflated covariance failed conservativeness")
         node_states.append(
             NodeState(node_id=i, h=h, x_hat=h @ x_true + e_i, p_hat=p_hat)
@@ -284,7 +285,6 @@ def run_schedule(
     nodes: list[NodeState],
     truth: GroundTruth,
     schedule: Schedule,
-    tol: float = DEFAULT_SIM_TOL,
 ) -> SimReport:
     """Execute the schedule, tracking exact conservativeness margins.
 
@@ -292,15 +292,16 @@ def run_schedule(
     full-state estimate into the first node and propagates the exact joint
     through the gains.  Events whose pair cannot reach full state rank are
     skipped and logged.  The margin is the smallest eigenvalue of
-    ``P_hat - P_true`` at the fused node; a margin below ``-tol * scale``
-    counts as a conservativeness violation.
+    ``P_hat - P_true`` at the fused node; a margin below
+    ``-DEFAULT_CERT_TOL * tol_scale(|P_hat|_max)`` counts as a
+    conservativeness violation.
     """
     report = SimReport(
         n=truth.x_true.size,
         nodes=len(nodes),
         topology=schedule.topology,
         seed=schedule.seed,
-        cost=schedule.events[0].cost.value if schedule.events else "det",
+        cost=schedule.cost.value,
     )
     n = truth.x_true.size
     for event_id, ev in enumerate(schedule.events):
@@ -327,8 +328,8 @@ def run_schedule(
         p_true = truth.node_cov(ev.node_a)
         diff = result.P_hat.data - p_true
         margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
-        scale = max(1.0, float(np.abs(result.P_hat.data).max()))
-        if margin < -tol * scale:
+        scale = tol_scale(float(np.abs(result.P_hat.data).max()))
+        if margin < -DEFAULT_CERT_TOL * scale:
             report.violations += 1
         report.records.append(
             EventRecord(

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateQError
-from .linalg import LoewnerRelation, block_psd_check, loewner_compare
+from .linalg import DEFAULT_CERT_TOL, LoewnerRelation, block_psd_check, loewner_compare, tol_scale
 from .problem import FusionProblem
 
-#: absolute tolerance on largest eigenvalues, scale-adjusted by the fused
-#: covariance's largest diagonal entry
-DEFAULT_CERT_TOL = 1e-8
+#: weights scanned by :func:`lmi_feasible_alphas` and :func:`alpha_uniqueness_check`
+UNIQUENESS_GRID = 1001
+#: the scalar certificate searches eps in this range
+PETERSEN_EPS_RANGE = (1e-8, 1e8)
 #: gain blocks with max |entry| below this count as zero (degenerate cases)
 ZERO_Q_TOL = 1e-14
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -67,12 +68,8 @@ def _lmi_matrix(p_hat: np.ndarray, q1: np.ndarray, q2: np.ndarray, alpha: float)
     return m
 
 
-def _cert_scale(p_hat: np.ndarray) -> float:
-    return max(1.0, float(np.diag(p_hat).max()))
-
-
 def lmi_certificate(
-    result, problem: FusionProblem, alpha: float, tol: float = DEFAULT_CERT_TOL
+    result, problem: FusionProblem, alpha: float
 ) -> ConservativenessCertificate:
     """PSD certificate on the block ``[P, Q1, Q2; Q1', aI, 0; Q2', 0, (1-a)I]``.
 
@@ -89,40 +86,31 @@ def lmi_certificate(
     r = np.zeros((q1.shape[1] + q2.shape[1],) * 2)
     r[: q1.shape[1], : q1.shape[1]] = alpha * np.eye(q1.shape[1])
     r[q1.shape[1] :, q1.shape[1] :] = (1.0 - alpha) * np.eye(q2.shape[1])
-    passed = block_psd_check(p_hat, np.hstack([q1, q2]), r, tol)
+    passed = block_psd_check(p_hat, np.hstack([q1, q2]), r)
     tau = 1.0 / alpha - 1.0 if 0.0 < alpha < 1.0 else None
     return ConservativenessCertificate(
         alpha=float(alpha), tau=tau, lmi_min_eig=min_eig, method=Method.LMI, passed=passed
     )
 
 
-def lmi_feasible_alphas(
-    result, problem: FusionProblem, grid: int = 1001, tol: float = DEFAULT_CERT_TOL
-) -> np.ndarray:
-    """Grid weights for which the block certificate is PSD (batched scan)."""
-    if grid < 2:
-        raise ValueError("grid must have at least two points")
+def lmi_feasible_alphas(result, problem: FusionProblem) -> np.ndarray:
+    """Weights of the ``UNIQUENESS_GRID`` grid whose block certificate is PSD."""
     q1, q2 = q_pair(result, problem)
     p_hat = result.P_hat.data
-    alphas = np.linspace(0.0, 1.0, grid)
+    alphas = np.linspace(0.0, 1.0, UNIQUENESS_GRID)
     base = _lmi_matrix(p_hat, q1, q2, 0.0)
     n, p1 = q1.shape
     p2 = q2.shape[1]
-    blocks = np.broadcast_to(base, (grid,) + base.shape).copy()
+    blocks = np.broadcast_to(base, alphas.shape + base.shape).copy()
     diag_idx = np.arange(n, n + p1)
     blocks[:, diag_idx, diag_idx] = alphas[:, None]
     diag_idx2 = np.arange(n + p1, n + p1 + p2)
     blocks[:, diag_idx2, diag_idx2] = (1.0 - alphas)[:, None]
     min_eigs = np.linalg.eigvalsh(blocks)[:, 0]
-    return alphas[min_eigs >= -tol * _cert_scale(p_hat)]
+    return alphas[min_eigs >= -certificate_tolerance(result)]
 
 
-def alpha_uniqueness_check(
-    result,
-    problem: FusionProblem,
-    grid: int = 1001,
-    tol: float = DEFAULT_CERT_TOL,
-) -> bool | None:
+def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     """Whether the certificate weight is pinned down to one grid cell.
 
     Returns ``None`` (not applicable) when the two information matrices
@@ -134,12 +122,12 @@ def alpha_uniqueness_check(
     """
     if loewner_compare(problem.sigma0, problem.sigma1) is LoewnerRelation.EQUAL:
         return None
-    feasible = list(lmi_feasible_alphas(result, problem, grid, tol))
-    if lmi_certificate(result, problem, result.alpha, tol).passed:
+    feasible = list(lmi_feasible_alphas(result, problem))
+    if lmi_certificate(result, problem, result.alpha).passed:
         feasible.append(result.alpha)
     if not feasible:
         return False
-    step = 1.0 / (grid - 1)
+    step = 1.0 / (UNIQUENESS_GRID - 1)
     return bool(np.all(np.abs(np.asarray(feasible) - result.alpha) <= step + 1e-15))
 
 
@@ -200,17 +188,13 @@ def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
 
 
-def petersen_certificate(
-    result,
-    problem: FusionProblem,
-    tol: float = DEFAULT_CERT_TOL,
-    eps_range: tuple[float, float] = (1e-8, 1e8),
-) -> float | None:
+def petersen_certificate(result, problem: FusionProblem) -> float | None:
     """Scalar certificate found by golden section on the log of eps.
 
-    Returns the minimizing eps when the objective dips to tolerance, ``None``
-    when infeasible.  Zero gain blocks make the scalar form degenerate and
-    raise; those cases are covered by the direct one-sided inequalities.
+    Returns the minimizing eps in ``PETERSEN_EPS_RANGE`` when the objective
+    dips to :func:`certificate_tolerance`, ``None`` when infeasible.  Zero
+    gain blocks make the scalar form degenerate and raise; those cases are
+    covered by the direct one-sided inequalities.
     """
     q1, q2 = q_pair(result, problem)
     if np.abs(q1).max() <= ZERO_Q_TOL:
@@ -221,7 +205,7 @@ def petersen_certificate(
     def f(t: float) -> float:
         return petersen_objective(result, problem, math.exp(t))
 
-    lo, hi = math.log(eps_range[0]), math.log(eps_range[1])
+    lo, hi = map(math.log, PETERSEN_EPS_RANGE)
     c = hi - (hi - lo) / _PHI
     d = lo + (hi - lo) / _PHI
     fc, fd = f(c), f(d)
@@ -238,8 +222,7 @@ def petersen_certificate(
             fd = f(d)
     eps = math.exp(0.5 * (lo + hi))
     value = petersen_objective(result, problem, eps)
-    scale = _cert_scale(result.P_hat.data)
-    return eps if value <= tol * scale else None
+    return eps if value <= certificate_tolerance(result) else None
 
 
 def _random_contractions(rng, dim: int, count: int) -> np.ndarray:
@@ -260,34 +243,26 @@ def _batch_sqrt_psd(mats: np.ndarray) -> np.ndarray:
 
 
 def monte_carlo_joint(
-    result,
-    problem: FusionProblem,
-    truth_samples: int = 1000,
-    seed: int = 0,
-    shrink_diagonal: bool = True,
+    result, problem: FusionProblem, truth_samples: int = 1000, seed: int = 0
 ) -> float:
     """Largest sampled violation over admissible true joint covariances.
 
     Samples PD joints whose diagonal blocks stay below the reported prior
-    covariances (random PSD shrinks of each block, skipped when
-    ``shrink_diagonal`` is false) and whose cross block comes from the
-    normalized-cross inverse map with spectral norm below one.  Two aligned
-    near-extreme cross draws at the full diagonal are always included.
-    Returns the maximum largest eigenvalue of ``K P_joint K' - P_hat``.
+    covariances (random PSD shrinks of each block) and whose cross block
+    comes from the normalized-cross inverse map with spectral norm below
+    one.  Two aligned near-extreme cross draws at the full diagonal are
+    always included.  Returns the maximum largest eigenvalue of
+    ``K P_joint K' - P_hat``.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")
     rng = np.random.default_rng(seed)
     est1, est2 = problem.est1, problem.est2
     p1, p2 = problem.p1, problem.p2
-    if shrink_diagonal:
-        c1 = _random_contractions(rng, p1, truth_samples)
-        c2 = _random_contractions(rng, p2, truth_samples)
-        p1s = est1.p_sqrt @ c1 @ est1.p_sqrt
-        p2s = est2.p_sqrt @ c2 @ est2.p_sqrt
-    else:
-        p1s = np.broadcast_to(est1.p_hat.data, (truth_samples, p1, p1)).copy()
-        p2s = np.broadcast_to(est2.p_hat.data, (truth_samples, p2, p2)).copy()
+    c1 = _random_contractions(rng, p1, truth_samples)
+    c2 = _random_contractions(rng, p2, truth_samples)
+    p1s = est1.p_sqrt @ c1 @ est1.p_sqrt
+    p2s = est2.p_sqrt @ c2 @ est2.p_sqrt
     xs = rng.standard_normal((truth_samples, p1, p2))
     smax = np.linalg.svd(xs, compute_uv=False)[:, 0]
     scale = rng.uniform(size=truth_samples) * (1.0 - 1e-12) / np.maximum(smax, 1e-300)
@@ -314,4 +289,4 @@ def monte_carlo_joint(
 
 def certificate_tolerance(result) -> float:
     """Scale-adjusted absolute tolerance used by the sampling verdicts."""
-    return DEFAULT_CERT_TOL * _cert_scale(result.P_hat.data)
+    return DEFAULT_CERT_TOL * tol_scale(float(np.diag(result.P_hat.data).max()))

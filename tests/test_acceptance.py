@@ -302,7 +302,7 @@ def test_criterion_6_weight_uniqueness(solved_pool):
             # exercise non-optimal family members too
             blend = float(rng.uniform(0.2, 0.8))
             result = ku_rule(problem, blend)
-        verdict = alpha_uniqueness_check(result, problem, grid=1001)
+        verdict = alpha_uniqueness_check(result, problem)
         crit.check(verdict is True, f"instance {idx - 1}: verdict {verdict}")
         checked += 1
     crit.check(checked == 50, f"only {checked} applicable instances")

@@ -139,6 +139,15 @@ class TestVerify:
         assert captured.err.startswith("error: --samples: ")
         assert captured.out == ""
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        rc = cli.main(
+            ["verify", write(tmp_path, SCALAR_PAIR), "--samples", "10", "--seed", "-1"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: --seed: ")
+        assert captured.out == ""
+
     def test_round_trip_reproduces_certificates(self, tmp_path, capsys):
         problem_path = write(tmp_path, EXAMPLE2)
         fused_path = str(tmp_path / "fused.json")
@@ -242,7 +251,8 @@ class TestSim:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--nodes", "0"), ("--nodes", "1"), ("--state-dim", "0"), ("--events", "-1")],
+        [("--nodes", "0"), ("--nodes", "1"), ("--state-dim", "0"), ("--events", "-1"),
+         ("--seed", "-1")],
     )
     def test_bad_argument_exits_two_naming_it(self, capsys, flag, value):
         rc = cli.main(["sim", "--topology", "chain", flag, value])
@@ -250,6 +260,13 @@ class TestSim:
         assert rc == 2
         assert captured.err.startswith(f"error: {flag}: ")
         assert captured.out == ""
+
+    def test_zero_events_header_names_the_cost(self, capsys):
+        rc = cli.main(["sim", "--events", "0", "--cost", "trace"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert " cost=trace\n" in out
+        assert "# violations 0" in out
 
     def test_collinear_preset_unreachable(self, tmp_path, capsys):
         rc = cli.main([

@@ -181,7 +181,7 @@ class TestBlockPsdCheck:
                 t = random_spd(rng, nq + nr, lo=-1.0, hi=2.0)
             q, s, r = t[:nq, :nq], t[:nq, nq:], t[nq:, nq:]
             expected = bool(np.linalg.eigvalsh(t)[0] >= -tol * max(1.0, np.abs(np.linalg.eigvalsh(t)).max()))
-            assert block_psd_check(q, s, r, tol) == expected
+            assert block_psd_check(q, s, r) == expected
 
 
 class TestCrossFactor:

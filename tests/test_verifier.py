@@ -226,12 +226,8 @@ class TestMonteCarloJoint:
                 mutants.append((naive_rule(problem, shrink=0.8), problem))
         for result, problem in mutants:
             tol = certificate_tolerance(result)
-            fixed = monte_carlo_joint(
-                result, problem, truth_samples=500, seed=11, shrink_diagonal=False
-            )
-            shrunk = monte_carlo_joint(
-                result, problem, truth_samples=500, seed=11, shrink_diagonal=True
-            )
+            fixed = adversarial_x_search(result, problem, samples=500, seed=11)
+            shrunk = monte_carlo_joint(result, problem, truth_samples=500, seed=11)
             assert (fixed > tol) == (shrunk > tol)
             assert fixed > tol  # every mutant here is genuinely non-conservative
 
