@@ -122,10 +122,11 @@ def load_problem_file(path: str) -> tuple[FusionProblem, dict]:
         raise ProblemFileError(path, f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc:
         raise ProblemFileError("n", "missing state dimension")
-    try:
-        n = int(doc["n"])
-    except (TypeError, ValueError, OverflowError):
-        raise ProblemFileError("n", f"not an integer: {doc['n']!r}") from None
+    n = doc["n"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ProblemFileError("n", f"not an integer: {doc['n']!r}")
     if n < 1:
         raise ProblemFileError("n", f"state dimension must be positive, got {n}")
     est1 = _estimate(doc, "est1", n)

@@ -3,10 +3,16 @@
 Four routes cross-validate each other: the semidefinite block certificate,
 its scalar counterpart obtained from a norm-bounded-uncertainty argument,
 adversarial search over admissible normalized cross terms, and Monte Carlo
-over admissible true joint covariances.  Sampling is certification by
-search: a found violation is conclusive, absence of violations is reported
-as "no violation found" for the sampled budget, while the block certificate
-carries the actual proof.
+over admissible true joint covariances.  The two sampling routes share one
+kernel, :func:`worst_violation`: with factors ``G1``, ``G2`` and a cross
+parameter ``X`` of spectral norm at most one, the fused error covariance is
+``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2'``.  The adversarial search fixes
+``G_i = Q_i``; Monte Carlo draws a shrunken prior block per sample from the
+eigenpairs of a random contraction and passes its factor ``K_i P_i^{1/2}
+U_i diag(sqrt(e_i))``, so no sample needs a matrix square root.  Sampling is
+certification by search: a found violation is conclusive, absence of
+violations is reported as "no violation found" for the sampled budget, while
+the block certificate carries the actual proof.
 """
 
 from __future__ import annotations
@@ -131,15 +137,44 @@ def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     return bool(np.all(np.abs(np.asarray(feasible) - result.alpha) <= step + 1e-15))
 
 
-def _batch_sym_max_eig(mats: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    return np.linalg.eigvalsh(sym)[..., -1]
-
-
 def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Aligned orthogonal-factor extreme from the SVD of ``Q1.T Q2``."""
     u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
     return u @ vt
+
+
+def worst_violation(g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.ndarray) -> float:
+    """Largest eigenvalue of ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat`` over samples.
+
+    ``xs`` stacks the cross parameters X.  Each factor ``g1``, ``g2`` is one
+    matrix shared by every sample or a stack with one matrix per sample.
+    This is the fused error covariance of a joint whose diagonal blocks
+    factor as ``G G'`` and whose cross block is ``G1 X G2'``, less the
+    reported covariance.
+    """
+    cross = g1 @ xs @ np.swapaxes(g2, -1, -2)
+    mats = (
+        g1 @ np.swapaxes(g1, -1, -2)
+        + g2 @ np.swapaxes(g2, -1, -2)
+        - p_hat
+        + cross
+        + np.swapaxes(cross, -1, -2)
+    )
+    return float(np.linalg.eigvalsh(mats)[..., -1].max())
+
+
+def _draw_cross(rng, count: int, p1: int, p2: int, shrink: float) -> np.ndarray:
+    """Gaussian directions scaled to a spectral norm uniform on ``[0, shrink)``.
+
+    The spectral norm of each draw is the root of the largest eigenvalue of
+    its smaller Gram matrix, ``X X'`` or ``X' X``.
+    """
+    xs = rng.standard_normal((count, p1, p2))
+    xt = np.swapaxes(xs, -1, -2)
+    gram = xs @ xt if p1 <= p2 else xt @ xs
+    smax = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    scale = rng.uniform(size=count) * shrink / np.maximum(smax, 1e-300)
+    return xs * scale[:, None, None]
 
 
 def adversarial_x_search(
@@ -150,8 +185,7 @@ def adversarial_x_search(
     Draws random normalized cross parameters with largest singular value at
     most one (Gaussian matrices scaled to a uniform spectral radius), always
     including the zero matrix and the aligned extremes from the SVD of
-    ``Q1.T Q2``, and returns the maximum over samples of the largest
-    eigenvalue of ``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat``.
+    ``Q1.T Q2``, and returns :func:`worst_violation` with ``G = (Q1, Q2)``.
     Values at or below tolerance certify that no sampled violation exists.
     """
     if samples < 1:
@@ -159,18 +193,12 @@ def adversarial_x_search(
     rng = np.random.default_rng(seed)
     q1, q2 = q_pair(result, problem)
     p1, p2 = q1.shape[1], q2.shape[1]
-    xs = rng.standard_normal((samples, p1, p2))
-    smax = np.linalg.svd(xs, compute_uv=False)[:, 0]
-    scale = rng.uniform(size=samples) / np.maximum(smax, 1e-300)
-    xs *= scale[:, None, None]
+    xs = _draw_cross(rng, samples, p1, p2, 1.0)
     extreme = _extreme_cross_direction(q1, q2)
     xs = np.concatenate(
         [np.zeros((1, p1, p2)), extreme[None], -extreme[None], xs], axis=0
     )
-    base = q1 @ q1.T + q2 @ q2.T - result.P_hat.data
-    cross = np.einsum("ij,sjk,lk->sil", q1, xs, q2)
-    mats = base[None] + cross + np.swapaxes(cross, -1, -2)
-    return float(_batch_sym_max_eig(mats).max())
+    return worst_violation(q1, q2, xs, result.P_hat.data)
 
 
 def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
@@ -225,21 +253,18 @@ def petersen_certificate(result, problem: FusionProblem) -> float | None:
     return eps if value <= certificate_tolerance(result) else None
 
 
-def _random_contractions(rng, dim: int, count: int) -> np.ndarray:
-    """Batch of random symmetric matrices with spectrum in (0, 1]."""
+def _random_contraction_factors(rng, dim: int, count: int) -> np.ndarray:
+    """Factors ``U diag(sqrt(e))`` of random contractions ``U diag(e) U'``.
+
+    ``U`` is Haar orthogonal (sign-fixed QR of a Gaussian) and the spectrum
+    ``e`` is uniform on ``[0.05, 1)``.
+    """
     gauss = rng.standard_normal((count, dim, dim))
     q, r = np.linalg.qr(gauss)
     signs = np.sign(np.einsum("sii->si", r))
     signs[signs == 0.0] = 1.0
-    q = q * signs[:, None, :]
     eigs = rng.uniform(0.05, 1.0, size=(count, dim))
-    return np.einsum("sij,sj,skj->sik", q, eigs, q)
-
-
-def _batch_sqrt_psd(mats: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-    w = np.clip(w, 0.0, None)
-    return np.einsum("sij,sj,skj->sik", v, np.sqrt(w), v)
+    return q * (signs * np.sqrt(eigs))[:, None, :]
 
 
 def monte_carlo_joint(
@@ -247,44 +272,34 @@ def monte_carlo_joint(
 ) -> float:
     """Largest sampled violation over admissible true joint covariances.
 
-    Samples PD joints whose diagonal blocks stay below the reported prior
-    covariances (random PSD shrinks of each block) and whose cross block
-    comes from the normalized-cross inverse map with spectral norm below
-    one.  Two aligned near-extreme cross draws at the full diagonal are
-    always included.  Returns the maximum largest eigenvalue of
-    ``K P_joint K' - P_hat``.
+    Each sample shrinks both prior blocks to ``P_i^{1/2} C_i P_i^{1/2}``,
+    with a random contraction ``C_i = U_i diag(e_i) U_i'`` drawn from its
+    eigenpairs, and takes the factor ``F_i = P_i^{1/2} U_i diag(sqrt(e_i))``
+    of that block.  The joint is ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with
+    ``X`` of spectral norm below one, and its fused error less ``P_hat`` is
+    :func:`worst_violation` with ``G_i = K_i F_i``.  ``F_i`` differs from the
+    symmetric root of its block by an orthogonal factor that does not depend
+    on ``X``, and the law of ``X`` is orthogonally invariant, so the joints
+    have the same distribution as with symmetric roots; the worst value
+    differs from that of a symmetric-root sampler on the same seed, the
+    verdict does not.  Two aligned near-extreme cross draws at the full
+    diagonal are always included.  Returns the maximum largest eigenvalue
+    of ``K P_joint K' - P_hat``.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")
     rng = np.random.default_rng(seed)
-    est1, est2 = problem.est1, problem.est2
     p1, p2 = problem.p1, problem.p2
-    c1 = _random_contractions(rng, p1, truth_samples)
-    c2 = _random_contractions(rng, p2, truth_samples)
-    p1s = est1.p_sqrt @ c1 @ est1.p_sqrt
-    p2s = est2.p_sqrt @ c2 @ est2.p_sqrt
-    xs = rng.standard_normal((truth_samples, p1, p2))
-    smax = np.linalg.svd(xs, compute_uv=False)[:, 0]
-    scale = rng.uniform(size=truth_samples) * (1.0 - 1e-12) / np.maximum(smax, 1e-300)
-    xs *= scale[:, None, None]
+    r1 = _random_contraction_factors(rng, p1, truth_samples)
+    r2 = _random_contraction_factors(rng, p2, truth_samples)
+    xs = _draw_cross(rng, truth_samples, p1, p2, 1.0 - 1e-12)
 
     q1, q2 = q_pair(result, problem)
     extreme = _extreme_cross_direction(q1, q2) * (1.0 - 1e-6)
-    p1s = np.concatenate([np.broadcast_to(est1.p_hat.data, (2, p1, p1)), p1s], axis=0)
-    p2s = np.concatenate([np.broadcast_to(est2.p_hat.data, (2, p2, p2)), p2s], axis=0)
+    g1 = np.concatenate([np.broadcast_to(q1, (2,) + q1.shape), q1 @ r1], axis=0)
+    g2 = np.concatenate([np.broadcast_to(q2, (2,) + q2.shape), q2 @ r2], axis=0)
     xs = np.concatenate([extreme[None], -extreme[None], xs], axis=0)
-
-    sq1 = _batch_sqrt_psd(p1s)
-    sq2 = _batch_sqrt_psd(p2s)
-    p12s = sq1 @ xs @ sq2
-    k1, k2 = result.K1, result.K2
-    fused = (
-        k1 @ p1s @ k1.T
-        + k1 @ p12s @ k2.T
-        + k2 @ np.swapaxes(p12s, -1, -2) @ k1.T
-        + k2 @ p2s @ k2.T
-    )
-    return float(_batch_sym_max_eig(fused - result.P_hat.data).max())
+    return worst_violation(g1, g2, xs, result.P_hat.data)
 
 
 def certificate_tolerance(result) -> float:

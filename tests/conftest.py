@@ -7,6 +7,7 @@ import numpy as np
 from cifusion import FusionProblem, JointCovariance, LoewnerRelation, PartialEstimate
 from cifusion.linalg import loewner_compare
 from cifusion.optimizer import Cost, SigmaPair, delta_value
+from cifusion.verifier import q_pair
 
 
 def random_orthogonal(rng, dim: int) -> np.ndarray:
@@ -156,3 +157,61 @@ def sample_intersection_points(
     worst = np.maximum(q1, q0)  # positive: the stacked observation has rank n
     targets = rng.uniform(0.05, level, size=count)
     return ys * np.sqrt(targets / worst)[:, None]
+
+
+def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
+    """The random joints ``verifier.monte_carlo_joint`` draws for ``seed``.
+
+    Drawn here from the raw stream in the sampler's order: per side a Haar
+    orthogonal ``U`` (sign-fixed QR) and a spectrum ``e`` of the contraction
+    ``C = U diag(e) U'``, then Gaussian cross directions scaled by an SVD to
+    uniform spectral norms.  Returns the factors
+    ``F_i = P_i^{1/2} U_i diag(sqrt(e_i))``, the cross parameters and the
+    shrunken blocks ``P_i^{1/2} C_i P_i^{1/2}``.
+    """
+    rng = np.random.default_rng(seed)
+    factors, blocks = [], []
+    for est, dim in ((problem.est1, problem.p1), (problem.est2, problem.p2)):
+        q, r = np.linalg.qr(rng.standard_normal((count, dim, dim)))
+        u = q * np.sign(np.einsum("sii->si", r))[:, None, :]
+        e = rng.uniform(0.05, 1.0, size=(count, dim))
+        factors.append(est.p_sqrt @ u * np.sqrt(e)[:, None, :])
+        blocks.append(est.p_sqrt @ np.einsum("sij,sj,skj->sik", u, e, u) @ est.p_sqrt)
+    xs = rng.standard_normal((count, problem.p1, problem.p2))
+    smax = np.linalg.svd(xs, compute_uv=False)[:, 0]
+    xs *= (rng.uniform(size=count) * (1.0 - 1e-12) / smax)[:, None, None]
+    return factors[0], factors[1], xs, blocks[0], blocks[1]
+
+
+def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, seed: int) -> float:
+    """Monte Carlo over true joints built from symmetric square roots.
+
+    The sampler that ``verifier.monte_carlo_joint`` replaced, kept as its
+    oracle.  On the draws of :func:`monte_carlo_draws` it takes the
+    symmetric square roots ``S_i`` of the shrunken blocks by ``eigh``,
+    assembles the dense joint ``[[S1 S1, S1 X S2], [S2 X' S1, S2 S2]]`` and
+    returns the largest eigenvalue of ``K P_joint K' - P_hat`` over the
+    samples, including the two aligned near-extreme cross draws at the full
+    diagonal.
+    """
+    est1, est2 = problem.est1, problem.est2
+    p1, p2 = problem.p1, problem.p2
+    _, _, xs, p1s, p2s = monte_carlo_draws(problem, seed, truth_samples)
+
+    def sqrt_psd(mats):
+        w, v = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
+        return np.einsum("sij,sj,skj->sik", v, np.sqrt(np.clip(w, 0.0, None)), v)
+
+    q1, q2 = q_pair(result, problem)
+    u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
+    extreme = u @ vt * (1.0 - 1e-6)
+    p1s = np.concatenate([np.broadcast_to(est1.p_hat.data, (2, p1, p1)), p1s], axis=0)
+    p2s = np.concatenate([np.broadcast_to(est2.p_hat.data, (2, p2, p2)), p2s], axis=0)
+    xs = np.concatenate([extreme[None], -extreme[None], xs], axis=0)
+
+    sq1, sq2 = sqrt_psd(p1s), sqrt_psd(p2s)
+    p12s = sq1 @ xs @ sq2
+    joints = np.block([[p1s, p12s], [np.swapaxes(p12s, -1, -2), p2s]])
+    k = np.hstack([result.K1, result.K2])
+    fused = k @ joints @ k.T - result.P_hat.data
+    return float(np.linalg.eigvalsh(0.5 * (fused + np.swapaxes(fused, -1, -2)))[:, -1].max())

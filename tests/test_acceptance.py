@@ -42,6 +42,7 @@ from cifusion.verifier import (
 
 from conftest import (
     grid_costs,
+    monte_carlo_sqrt_oracle,
     random_joint,
     random_problem,
     random_unbiased_gains,
@@ -284,6 +285,17 @@ def test_criterion_5_conservativeness_certification(solved_pool):
             rejections += 1
         crit.check(rejections >= 2, f"mutant {j} rejected by only {rejections} methods")
     crit.conclude()
+
+
+def test_monte_carlo_agrees_with_sqrt_oracle_on_mutants(solved_pool):
+    # criterion 5's mutants draw the same verdict from the factor-based
+    # sampler and from the symmetric-root sampler it replaced
+    problems, solved = solved_pool
+    for j, (mutant, problem) in enumerate(_mutants(problems, solved)):
+        tol = certificate_tolerance(mutant)
+        worst = monte_carlo_joint(mutant, problem, truth_samples=1000, seed=j)
+        oracle = monte_carlo_sqrt_oracle(mutant, problem, truth_samples=1000, seed=j)
+        assert (worst > tol) == (oracle > tol), f"mutant {j}: {worst} against {oracle}"
 
 
 def test_criterion_6_weight_uniqueness(solved_pool):

@@ -318,6 +318,23 @@ class TestProblemFiles:
         assert f"est1.{field}: holds a NaN or an infinity" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", [2.7, "2", True, None, [2], float("inf")])
+    def test_non_integer_state_dimension_exits_two_naming_n(self, tmp_path, capsys, value):
+        doc = json.loads(json.dumps(EXAMPLE2))
+        doc["n"] = value
+        rc = cli.main(["fuse", write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "n: not an integer" in captured.err
+        assert captured.out == ""
+
+    def test_integral_float_state_dimension_accepted(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(EXAMPLE2))
+        doc["n"] = 2.0
+        rc = cli.main(["fuse", write(tmp_path, doc)])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0 and out["alpha"] == 0.0
+
     def test_ragged_observation_matrix_names_json_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(EXAMPLE2))
         doc["est1"]["H"] = [[1, 0], [0]]

@@ -23,9 +23,17 @@ from cifusion.verifier import (
     petersen_certificate,
     petersen_objective,
     q_pair,
+    worst_violation,
 )
+from cifusion import verifier
+from cifusion.verifier import _draw_cross
 
-from conftest import random_problem, well_scaled_problems
+from conftest import (
+    monte_carlo_draws,
+    monte_carlo_sqrt_oracle,
+    random_problem,
+    well_scaled_problems,
+)
 
 
 def example2_problem():
@@ -230,6 +238,104 @@ class TestMonteCarloJoint:
             shrunk = monte_carlo_joint(result, problem, truth_samples=500, seed=11)
             assert (fixed > tol) == (shrunk > tol)
             assert fixed > tol  # every mutant here is genuinely non-conservative
+
+
+    def test_agrees_with_sqrt_oracle_on_conservative_solves(self):
+        # the factor-based sampler and the symmetric-root sampler it replaced
+        # both find no violation on 20 conservative solves
+        rng = np.random.default_rng(13)
+        for i, problem in enumerate(well_scaled_problems(rng, 10)):
+            for cost in (Cost.DET, Cost.TRACE):
+                result = solve_ci(problem, cost)
+                tol = certificate_tolerance(result)
+                worst = monte_carlo_joint(result, problem, truth_samples=1000, seed=i)
+                oracle = monte_carlo_sqrt_oracle(result, problem, truth_samples=1000, seed=i)
+                assert worst <= tol and oracle <= tol
+
+
+class TestWorstViolationKernel:
+    SEEDS = (0, 1, 2, 3)
+    COUNT = 50
+
+    def cases(self):
+        for seed in self.SEEDS:
+            problem = random_problem(np.random.default_rng(100 + seed))
+            result = solve_ci(problem, Cost.TRACE)
+            yield seed, problem, result
+            yield seed, problem, shrink_result(result, 0.9)
+
+    def test_sampler_feeds_kernel_the_factored_joints(self, monkeypatch):
+        # monte_carlo_joint hands the kernel G_i = K_i F_i for the two aligned
+        # extremes at the full diagonal, then for each drawn joint
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return worst_violation(*args)
+
+        monkeypatch.setattr(verifier, "worst_violation", spy)
+        for seed, problem, result in self.cases():
+            calls.clear()
+            worst = monte_carlo_joint(result, problem, truth_samples=self.COUNT, seed=seed)
+            (g1, g2, xs, p_hat), = calls
+            assert worst == worst_violation(g1, g2, xs, p_hat)
+            assert p_hat is result.P_hat.data
+            f1, f2, x_draws, b1, b2 = monte_carlo_draws(problem, seed, self.COUNT)
+            q1, q2 = q_pair(result, problem)
+            u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
+            extreme = u @ vt * (1.0 - 1e-6)
+            np.testing.assert_array_equal(g1[:2], [q1, q1])
+            np.testing.assert_array_equal(g2[:2], [q2, q2])
+            np.testing.assert_allclose(xs[:2], [extreme, -extreme], rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(xs[2:], x_draws, rtol=1e-13, atol=0.0)
+            for g, k, f, block in ((g1, result.K1, f1, b1), (g2, result.K2, f2, b2)):
+                np.testing.assert_allclose(g[2:], k @ f, rtol=0.0, atol=1e-13 * np.abs(k @ f).max())
+                # F F' is the shrunken prior block: F differs from its
+                # symmetric root only by an orthogonal factor on the right
+                np.testing.assert_allclose(f @ np.swapaxes(f, 1, 2), block, rtol=0.0,
+                                           atol=1e-13 * np.abs(block).max())
+
+    def test_matches_dense_joint_per_sample(self):
+        for seed, problem, result in self.cases():
+            p_hat = result.P_hat.data
+            scale = np.linalg.norm(p_hat, 2)
+            k = np.hstack([result.K1, result.K2])
+            f1, f2, xs, _, _ = monte_carlo_draws(problem, seed, self.COUNT)
+            for s in range(self.COUNT):
+                p12 = f1[s] @ xs[s] @ f2[s].T
+                joint = np.block([[f1[s] @ f1[s].T, p12], [p12.T, f2[s] @ f2[s].T]])
+                dense = np.linalg.eigvalsh(k @ joint @ k.T - p_hat)[-1]
+                kernel = worst_violation(result.K1 @ f1[s], result.K2 @ f2[s], xs[s][None], p_hat)
+                assert abs(kernel - dense) <= 1e-12 * scale
+                assert np.linalg.eigvalsh(joint)[0] >= -1e-12 * np.linalg.norm(joint, 2)
+                for f, est in ((f1[s], problem.est1), (f2[s], problem.est2)):
+                    p = est.p_hat.data
+                    assert np.linalg.eigvalsh(p - f @ f.T)[0] >= -1e-12 * np.linalg.norm(p, 2)
+                assert np.linalg.svd(xs[s], compute_uv=False)[0] < 1.0
+
+    def test_shared_factor_equals_stacked_copies(self):
+        for seed, problem, result in self.cases():
+            q1, q2 = q_pair(result, problem)
+            xs = monte_carlo_draws(problem, seed, self.COUNT)[2]
+            stack = (self.COUNT,)
+            shared = worst_violation(q1, q2, xs, result.P_hat.data)
+            stacked = worst_violation(np.broadcast_to(q1, stack + q1.shape),
+                                      np.broadcast_to(q2, stack + q2.shape), xs, result.P_hat.data)
+            assert abs(shared - stacked) <= 1e-12 * np.linalg.norm(result.P_hat.data, 2)
+
+    @pytest.mark.parametrize("p1", range(1, 7))
+    @pytest.mark.parametrize("p2", range(1, 7))
+    def test_cross_spectral_norm_matches_svd(self, p1, p2):
+        # the Gram-matrix spectral norm scales each direction to its uniform draw
+        xs = _draw_cross(np.random.default_rng(p1 * 10 + p2), 200, p1, p2, 1.0)
+        rng = np.random.default_rng(p1 * 10 + p2)
+        gauss = rng.standard_normal((200, p1, p2))
+        radii = rng.uniform(size=200)
+        np.testing.assert_allclose(np.linalg.svd(xs, compute_uv=False)[:, 0], radii, rtol=1e-13)
+        np.testing.assert_allclose(
+            xs, gauss * (radii / np.linalg.svd(gauss, compute_uv=False)[:, 0])[:, None, None],
+            rtol=1e-13, atol=0.0,
+        )
 
 
 class TestCertificateEquivalence:
