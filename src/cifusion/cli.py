@@ -37,6 +37,11 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+#: a stored result's K1 H1 + K2 H2 must equal I, and its fused_x must equal
+#: K1 x_hat1 + K2 x_hat2, to this fraction of the largest entry of
+#: |K1||H1| + |K2||H2| and of |K1||x_hat1| + |K2||x_hat2|, the magnitudes
+#: that bound the rounding of the two sums
+RESULT_RTOL = 1e-8
 
 
 def fmt(x: float) -> str:
@@ -227,10 +232,20 @@ def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
         raise ProblemFileError("alpha", f"{doc['alpha']!r} is not a weight in [0, 1]")
     k1 = _matrix(doc["K1"], n, problem.p1, "K1")
     k2 = _matrix(doc["K2"], n, problem.p2, "K2")
+    h1, h2 = problem.est1.h, problem.est2.h
+    bias = np.abs(k1 @ h1 + k2 @ h2 - np.eye(n)).max()
+    if bias > RESULT_RTOL * (np.abs(k1) @ np.abs(h1) + np.abs(k2) @ np.abs(h2)).max():
+        raise ProblemFileError(
+            "K1", f"K1 H1 + K2 H2 differs from I by {fmt(bias)}: the gains are biased"
+        )
     p_hat = psd_certify(_matrix(doc["P_hat"], n, n, "P_hat"))
     fused_x = _array(doc["fused_x"], "fused_x")
     if fused_x.shape != (n,):
         raise ProblemFileError("fused_x", f"shape {fused_x.shape}, expected ({n},)")
+    x1, x2 = problem.est1.x_hat, problem.est2.x_hat
+    miss = np.abs(fused_x - (k1 @ x1 + k2 @ x2)).max()
+    if miss > RESULT_RTOL * (np.abs(k1) @ np.abs(x1) + np.abs(k2) @ np.abs(x2)).max():
+        raise ProblemFileError("fused_x", f"differs from K1 x_hat1 + K2 x_hat2 by {fmt(miss)}")
     return FusionResult(
         alpha=float(alpha),
         K1=k1,

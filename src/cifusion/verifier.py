@@ -9,10 +9,19 @@ parameter ``X`` of spectral norm at most one, the fused error covariance is
 ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2'``.  The adversarial search fixes
 ``G_i = Q_i``; Monte Carlo draws a shrunken prior block per sample from the
 eigenpairs of a random contraction and passes its factor ``K_i P_i^{1/2}
-U_i diag(sqrt(e_i))``, so no sample needs a matrix square root.  Sampling is
-certification by search: a found violation is conclusive, absence of
-violations is reported as "no violation found" for the sampled budget, while
-the block certificate carries the actual proof.
+U_i diag(sqrt(e_i))``, so no sample needs a matrix square root.  The kernel
+decomposes only the samples that can decide its answer: it takes the exact
+largest eigenvalue ``c`` of a few samples that rank highest on their
+diagonals, drops every sample that one batched LDL' factorisation of
+``(c - delta) I - M`` proves to lie below ``c``, and runs ``eigvalsh`` on
+the rest, so its value is the unscreened one bit for bit.  The scalar
+certificate is a safeguarded Newton search on the convex function
+``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)`` of the weight, which
+returns the first certifying iterate and stops early once tangent lines
+prove the minimum above tolerance.  Sampling is certification by search: a
+found violation is conclusive, absence of violations is reported as "no
+violation found" for the sampled budget, while the block certificate
+carries the actual proof.
 """
 
 from __future__ import annotations
@@ -31,9 +40,13 @@ from .problem import FusionProblem
 UNIQUENESS_GRID = 1001
 #: the scalar certificate searches eps in this range
 PETERSEN_EPS_RANGE = (1e-8, 1e8)
+#: the scalar certificate's search stops when its weight bracket is this narrow
+PETERSEN_WIDTH = 1e-12
 #: gain blocks with max |entry| below this count as zero (degenerate cases)
 ZERO_Q_TOL = 1e-14
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+#: matrices ranked by each cheap lower bound on the largest eigenvalue that
+#: :func:`stack_max_eigenvalue` decomposes to set its screening threshold
+SCREEN_CANDIDATES = 4
 
 
 class Method(enum.Enum):
@@ -143,6 +156,20 @@ def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
+def _violation_stack(
+    g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.ndarray
+) -> np.ndarray:
+    """The samples ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat``, one per ``X``."""
+    cross = g1 @ xs @ np.swapaxes(g2, -1, -2)
+    return (
+        g1 @ np.swapaxes(g1, -1, -2)
+        + g2 @ np.swapaxes(g2, -1, -2)
+        - p_hat
+        + cross
+        + np.swapaxes(cross, -1, -2)
+    )
+
+
 def worst_violation(g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.ndarray) -> float:
     """Largest eigenvalue of ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat`` over samples.
 
@@ -150,17 +177,96 @@ def worst_violation(g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.nd
     matrix shared by every sample or a stack with one matrix per sample.
     This is the fused error covariance of a joint whose diagonal blocks
     factor as ``G G'`` and whose cross block is ``G1 X G2'``, less the
-    reported covariance.
+    reported covariance.  The value is :func:`stack_max_eigenvalue` of the
+    sample stack, bitwise equal to ``eigvalsh(stack)[:, -1].max()``: the
+    screen decomposes only the few samples that can attain the maximum.
     """
-    cross = g1 @ xs @ np.swapaxes(g2, -1, -2)
-    mats = (
-        g1 @ np.swapaxes(g1, -1, -2)
-        + g2 @ np.swapaxes(g2, -1, -2)
-        - p_hat
-        + cross
-        + np.swapaxes(cross, -1, -2)
-    )
-    return float(np.linalg.eigvalsh(mats)[..., -1].max())
+    return stack_max_eigenvalue(_violation_stack(g1, g2, xs, p_hat))
+
+
+def stack_max_eigenvalue(mats: np.ndarray) -> float:
+    """``np.linalg.eigvalsh(mats)[:, -1].max()``, decomposing few of the matrices.
+
+    The largest diagonal entry and the mean diagonal entry are lower bounds
+    on a symmetric matrix's largest eigenvalue.  The ``SCREEN_CANDIDATES``
+    matrices that rank highest on each are decomposed, and the largest of
+    their largest eigenvalues is the threshold ``c``.  :func:`_screen` then
+    drops every matrix whose ``eigvalsh`` value it proves to lie below
+    ``c``, and the result is the maximum over the matrices left, which
+    always include the candidates.  So the value is the unscreened one bit
+    for bit, whatever order the matrices come in.  When many matrices tie
+    at the maximum, as identical samples do, all of them are decomposed:
+    still exact, not faster.  Only the lower triangles are read, as
+    ``eigvalsh`` reads them.
+    """
+    idx = np.arange(mats.shape[-1])
+    diag = mats.transpose(1, 2, 0)[idx, idx]
+    k = min(SCREEN_CANDIDATES, len(mats))
+    # a matrix ranked on both bounds is decomposed twice, which is harmless
+    # and cheaper than np.union1d, whose first call imports numpy.ma
+    ranked = np.concatenate([
+        np.argpartition(-diag.max(axis=0), k - 1)[:k],
+        np.argpartition(-diag.sum(axis=0), k - 1)[:k],
+    ])
+    c = float(np.linalg.eigvalsh(mats[ranked])[:, -1].max())
+    return float(np.linalg.eigvalsh(mats[_screen(mats, c)])[:, -1].max())
+
+
+def _screen(mats: np.ndarray, c: float) -> np.ndarray:
+    """Mask of the matrices whose ``eigvalsh`` largest eigenvalue may reach ``c``.
+
+    One LDL' factorisation without pivoting of ``A = (c - delta) I - M``
+    runs over the whole stack at once, a loop over the n columns that reads
+    and updates only lower triangles; a matrix whose n pivots all come out
+    positive is dropped.  (The batched ``np.linalg.cholesky`` cannot serve: it raises
+    when any one matrix is not positive definite.)  With ``u`` the unit
+    roundoff, half the machine epsilon ``eps``, and ``s = n max|M_ij|``,
+    which bounds ``|M|_2`` for every matrix of the stack, the margin
+    ``delta = 16 (n + 2)^2 eps (|c| + s)`` exceeds the sum of three errors:
+
+    - Forming ``A`` rounds ``c - delta`` and then the diagonal, by at most
+      ``2 u (|c| + delta) + u s`` in all; off the diagonal ``A`` is exact.
+    - If every pivot is positive, the computed factors satisfy
+      ``L D L' = A + E`` with ``|E| <= g |L| D |L'|`` and
+      ``g = gamma_(n+2) = (n + 2) u / (1 - (n + 2) u)``: the Cholesky bound
+      of Higham (*Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+      Thm 10.3) with one more rounding per term, from forming the
+      multiplier.  As ``D > 0``, Cauchy-Schwarz gives
+      ``(|L| D |L'|)_ij <= sqrt((A + E)_ii (A + E)_jj)``, hence
+      ``|E_ij| <= g / (1 - g) sqrt(A_ii A_jj)`` and
+      ``|E|_2 <= g / (1 - g) trace(A) <= g / (1 - g) (n (|c| + delta) + s)``.
+      ``A + E`` is positive definite, so ``lambda_max(M)`` is below
+      ``c - delta + |E|_2`` plus the rounding of the first item.
+    - ``eigvalsh`` is normwise backward stable: its largest eigenvalue lies
+      within ``p(n) u |M|_2`` of the exact one.  LAPACK states ``p(n)`` only
+      as a modestly growing function; the a-priori analysis of Householder
+      tridiagonalisation gives order ``n^2`` (Wilkinson, *The Algebraic
+      Eigenvalue Problem*, ch. 3), and the margin allows ``8 (n + 2)^2``.
+
+    The three sum to less than ``2 (n + 2)^2 u (|c| + delta) + 9 (n + 2)^2 u s``,
+    which ``delta`` exceeds whenever ``(n + 2)^2 u <= 1/4``, for n up to
+    about 4e7.  So a dropped matrix has an ``eigvalsh`` value strictly below
+    ``c``.  The Cholesky term grows like ``n^2 u |c|``: a margin only linear
+    in n in front of ``|c|`` would cover it for small n alone.
+    """
+    n = mats.shape[-1]
+    # entry (i, j) of every matrix is one contiguous row: a[i, j, sample]
+    a = np.negative(mats.transpose(1, 2, 0), order="C")
+    s = n * max(float(a.max()), -float(a.min()))
+    delta = 16.0 * (n + 2) ** 2 * np.finfo(float).eps * (abs(c) + s)
+    idx = np.arange(n)
+    a[idx, idx] += c - delta
+    positive = np.ones(len(mats), dtype=bool)
+    # an overflow can only make a later pivot infinite-negative or NaN,
+    # which keeps the matrix, so it needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            pivot = a[k, k]
+            positive &= pivot > 0.0
+            ratio = a[k + 1 :, k] / np.where(positive, pivot, 1.0)
+            for i in range(k + 1, n):
+                a[i, k + 1 : i + 1] -= a[i, k] * ratio[: i - k]
+    return ~positive
 
 
 def _draw_cross(rng, count: int, p1: int, p2: int, shrink: float) -> np.ndarray:
@@ -216,41 +322,96 @@ def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
 
 
-def petersen_certificate(result, problem: FusionProblem) -> float | None:
-    """Scalar certificate found by golden section on the log of eps.
+def _tangent_floor(lo_tangent, hi_tangent, lo: float, hi: float) -> tuple[float, float]:
+    """Where on ``[lo, hi]`` the larger of two end tangents is least, and that value.
 
-    Returns the minimizing eps in ``PETERSEN_EPS_RANGE`` when the objective
-    dips to :func:`certificate_tolerance`, ``None`` when infeasible.  Zero
-    gain blocks make the scalar form degenerate and raise; those cases are
-    covered by the direct one-sided inequalities.
+    Each tangent is ``(alpha, f, slope)`` of a convex function at ``lo`` or
+    ``hi``, or ``None`` when that end was not evaluated (at most one is);
+    the value is then a lower bound on the function over ``[lo, hi]``.
+    """
+    if hi_tangent is None:
+        a, f, g = lo_tangent
+        return hi, f + g * (hi - a)
+    if lo_tangent is None:
+        a, f, g = hi_tangent
+        return lo, f + g * (lo - a)
+    (a1, f1, g1), (a2, f2, g2) = lo_tangent, hi_tangent
+    x = min(max((f1 - f2 + g2 * a2 - g1 * a1) / (g2 - g1), lo), hi)
+    return x, max(f1 + g1 * (x - a1), f2 + g2 * (x - a2))
+
+
+def petersen_certificate(result, problem: FusionProblem) -> float | None:
+    """Scalar certificate ``eps = 1/alpha - 1`` found by a safeguarded Newton search.
+
+    The search works in the weight, on the convex function
+    ``f(alpha) = lambda_max(M)`` with ``M = S1/alpha + S2/(1 - alpha) - P_hat``
+    and ``S_i = Q_i Q_i'`` formed once; ``f`` is :func:`petersen_objective`
+    at ``eps = 1/alpha - 1``, and the search keeps to the weights that map
+    into ``PETERSEN_EPS_RANGE``.  It starts at the result's own weight,
+    clipped into that range.  The first iterate with ``f`` at most
+    :func:`certificate_tolerance` certifies, since any such eps does, and
+    its eps is returned once :func:`petersen_objective` confirms it: the
+    printed eps is that iterate, not necessarily the minimiser of ``f``.
+
+    Otherwise the sign of ``f' = v'M'v``, with ``v`` the top eigenvector and
+    ``M' = -S1/alpha^2 + S2/(1 - alpha)^2``, keeps a bracket around the
+    minimiser, and the next iterate is the Newton step on ``f'``, with
+    ``f'' = v'M''v + 2 sum_j (v_j'M'v)^2 / (lambda_max - lambda_j)`` from
+    the same ``eigh``, eigengap term included.  A step that leaves the
+    bracket falls back to the unevaluated end of the range it points past,
+    else to the point where the tangents at the two bracket ends cross,
+    which lands on a kink of ``f`` where the top eigenvalue is multiple and
+    Newton stalls; when the bracket did not halve over the last two steps,
+    the next iterate bisects it.  Returns ``None`` once the tangent lines at
+    the two bracket ends bound the minimum of ``f`` above the tolerance,
+    which by convexity proves the certificate infeasible, or once the
+    bracket is ``PETERSEN_WIDTH`` wide.  Zero gain blocks make the scalar
+    form degenerate and raise; those cases are covered by the direct
+    one-sided inequalities.
     """
     q1, q2 = q_pair(result, problem)
     if np.abs(q1).max() <= ZERO_Q_TOL:
         raise DegenerateQError("Q1 = 0; use the direct one-sided bound")
     if np.abs(q2).max() <= ZERO_Q_TOL:
         raise DegenerateQError("Q2 = 0; use the direct one-sided bound")
-
-    def f(t: float) -> float:
-        return petersen_objective(result, problem, math.exp(t))
-
-    lo, hi = map(math.log, PETERSEN_EPS_RANGE)
-    c = hi - (hi - lo) / _PHI
-    d = lo + (hi - lo) / _PHI
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if hi - lo <= 1e-10:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - (hi - lo) / _PHI
-            fc = f(c)
+    s1, s2, p_hat = q1 @ q1.T, q2 @ q2.T, result.P_hat.data
+    tol = certificate_tolerance(result)
+    lo, hi = (1.0 / (1.0 + eps) for eps in reversed(PETERSEN_EPS_RANGE))
+    lo_tangent = hi_tangent = None
+    alpha = min(max(result.alpha, lo), hi)
+    older = old = math.inf  # the bracket widths two steps and one step back
+    while True:
+        w, v = np.linalg.eigh(s1 / alpha + s2 / (1.0 - alpha) - p_hat)
+        f, top = float(w[-1]), v[:, -1]
+        if f <= tol:
+            eps = 1.0 / alpha - 1.0
+            if petersen_objective(result, problem, eps) <= tol:
+                return eps
+        d1 = s2 / (1.0 - alpha) ** 2 - s1 / alpha**2
+        slope = float(top @ d1 @ top)
+        if slope < 0.0:
+            lo, lo_tangent = alpha, (alpha, f, slope)
         else:
-            lo, c, fc = c, d, fd
-            d = lo + (hi - lo) / _PHI
-            fd = f(d)
-    eps = math.exp(0.5 * (lo + hi))
-    value = petersen_objective(result, problem, eps)
-    return eps if value <= certificate_tolerance(result) else None
+            hi, hi_tangent = alpha, (alpha, f, slope)
+        cut, floor = _tangent_floor(lo_tangent, hi_tangent, lo, hi)
+        if hi - lo <= PETERSEN_WIDTH or floor > tol:
+            return None
+        d2 = 2.0 * (s1 / alpha**3 + s2 / (1.0 - alpha) ** 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap_term = 2.0 * np.sum((v[:, :-1].T @ d1 @ top) ** 2 / (f - w[:-1]))
+            newton = alpha - slope / (float(top @ d2 @ top) + gap_term)
+        halved = hi - lo <= 0.5 * older
+        older, old = old, hi - lo
+        if lo < newton < hi and halved:
+            alpha = newton
+        elif newton >= hi and hi_tangent is None:
+            alpha = hi
+        elif newton <= lo and lo_tangent is None:
+            alpha = lo
+        elif lo < cut < hi and halved:
+            alpha = cut
+        else:
+            alpha = 0.5 * (lo + hi)
 
 
 def _random_contraction_factors(rng, dim: int, count: int) -> np.ndarray:

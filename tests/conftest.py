@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from cifusion import FusionProblem, JointCovariance, LoewnerRelation, PartialEstimate
 from cifusion.linalg import loewner_compare
 from cifusion.optimizer import Cost, SigmaPair, delta_value
-from cifusion.verifier import q_pair
+from cifusion.verifier import PETERSEN_EPS_RANGE, petersen_objective, q_pair
 
 
 def random_orthogonal(rng, dim: int) -> np.ndarray:
@@ -215,3 +217,36 @@ def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, 
     k = np.hstack([result.K1, result.K2])
     fused = k @ joints @ k.T - result.P_hat.data
     return float(np.linalg.eigvalsh(0.5 * (fused + np.swapaxes(fused, -1, -2)))[:, -1].max())
+
+
+def petersen_golden_oracle(result, problem: FusionProblem) -> tuple[float, float]:
+    """Minimiser and minimum of the scalar certificate by golden section on log eps.
+
+    The search that ``verifier.petersen_certificate`` replaced, kept as its
+    oracle.  ``petersen_objective`` is convex in ``log eps`` (``eps`` and
+    ``1/eps`` both are), so the golden section over ``PETERSEN_EPS_RANGE``
+    closes on its minimum; the certificate is feasible iff that minimum is
+    at most ``certificate_tolerance``.  Returns ``(eps, value)``.
+    """
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+
+    def f(t: float) -> float:
+        return petersen_objective(result, problem, math.exp(t))
+
+    lo, hi = map(math.log, PETERSEN_EPS_RANGE)
+    c = hi - (hi - lo) / phi
+    d = lo + (hi - lo) / phi
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if hi - lo <= 1e-10:
+            break
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - (hi - lo) / phi
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + (hi - lo) / phi
+            fd = f(d)
+    eps = math.exp(0.5 * (lo + hi))
+    return eps, petersen_objective(result, problem, eps)

@@ -43,6 +43,7 @@ from cifusion.verifier import (
 from conftest import (
     grid_costs,
     monte_carlo_sqrt_oracle,
+    petersen_golden_oracle,
     random_joint,
     random_problem,
     random_unbiased_gains,
@@ -296,6 +297,20 @@ def test_monte_carlo_agrees_with_sqrt_oracle_on_mutants(solved_pool):
         worst = monte_carlo_joint(mutant, problem, truth_samples=1000, seed=j)
         oracle = monte_carlo_sqrt_oracle(mutant, problem, truth_samples=1000, seed=j)
         assert (worst > tol) == (oracle > tol), f"mutant {j}: {worst} against {oracle}"
+
+
+def test_petersen_agrees_with_golden_oracle_on_mutants(solved_pool):
+    # criterion 5's mutants draw the same scalar-certificate verdict from
+    # the Newton search and from the golden section it replaced
+    problems, solved = solved_pool
+    for j, (mutant, problem) in enumerate(_mutants(problems, solved)):
+        tol = certificate_tolerance(mutant)
+        eps = petersen_certificate(mutant, problem)
+        _, minimum = petersen_golden_oracle(mutant, problem)
+        if eps is not None:
+            assert petersen_objective(mutant, problem, eps) <= tol
+        if abs(minimum - tol) > 1e-3 * tol:
+            assert (eps is not None) == (minimum <= tol), f"mutant {j}: {eps} against {minimum}"
 
 
 def test_criterion_6_weight_uniqueness(solved_pool):

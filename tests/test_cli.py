@@ -5,6 +5,8 @@ import pytest
 
 from cifusion import cli
 
+from conftest import well_scaled_problems
+
 
 EXAMPLE2 = {
     "n": 2,
@@ -180,6 +182,53 @@ class TestVerify:
         rc = cli.main(["verify", problem_path, "--result", write(tmp_path, doc, "r.json")])
         assert rc == 2
         assert "error: alpha:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("gain, p_hat", [(0.0, 0.0), (0.1, 1.0)])
+    def test_result_file_with_biased_gains_exits_two(self, tmp_path, capsys, gain, p_hat):
+        # K1 H1 + K2 H2 = 2 gain I, not I: without the check both results
+        # printed "all certificates pass"
+        doc = {
+            "alpha": 0.5,
+            "K1": (gain * np.eye(2)).tolist(),
+            "K2": (gain * np.eye(2)).tolist(),
+            "P_hat": (p_hat * np.eye(2)).tolist(),
+            "fused_x": (gain * np.array([1.0, -1.0])).tolist(),
+        }
+        problem_path = write(tmp_path, EXAMPLE2)
+        rc = cli.main(["verify", problem_path, "--samples", "50",
+                       "--result", write(tmp_path, doc, "r.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: K1: ")
+        assert captured.out == ""
+
+    def test_result_file_with_inconsistent_fused_x_exits_two(self, tmp_path, capsys):
+        problem_path = write(tmp_path, EXAMPLE2)
+        fused_path = tmp_path / "fused.json"
+        assert cli.main(["fuse", problem_path, "--out", str(fused_path)]) == 0
+        doc = json.loads(fused_path.read_text())
+        doc["fused_x"][0] += 1e-3
+        rc = cli.main(["verify", problem_path, "--result", write(tmp_path, doc, "r.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: fused_x: ")
+
+    def test_fuse_output_passes_through_result(self, tmp_path, capsys):
+        # the result checks accept every solve fuse writes
+        rng = np.random.default_rng(29)
+        for i, problem in enumerate(well_scaled_problems(rng, 20)):
+            doc = {"n": problem.n}
+            for key, est in (("est1", problem.est1), ("est2", problem.est2)):
+                doc[key] = {"H": est.h.tolist(), "x_hat": est.x_hat.tolist(),
+                            "P_hat": est.p_hat.data.tolist()}
+            problem_path = write(tmp_path, doc, f"p{i}.json")
+            for cost in ("det", "trace"):
+                fused_path = str(tmp_path / f"f{i}{cost}.json")
+                assert cli.main(["fuse", problem_path, "--cost", cost, "--out", fused_path]) == 0
+                rc = cli.main(["verify", problem_path, "--samples", "20", "--result", fused_path])
+                out = capsys.readouterr().out
+                assert rc == 0, out
+                assert out.endswith("verdict: all certificates pass\n")
 
 
 class TestKnown:

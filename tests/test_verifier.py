@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,12 +29,15 @@ from cifusion.verifier import (
     worst_violation,
 )
 from cifusion import verifier
-from cifusion.verifier import _draw_cross
+from cifusion.verifier import _draw_cross, _screen, _violation_stack, stack_max_eigenvalue
 
 from conftest import (
     monte_carlo_draws,
     monte_carlo_sqrt_oracle,
+    petersen_golden_oracle,
+    random_orthogonal,
     random_problem,
+    random_spd,
     well_scaled_problems,
 )
 
@@ -192,6 +198,73 @@ class TestPetersenCertificate:
         with pytest.raises(DegenerateQError):
             petersen_certificate(result, problem)
 
+    def test_agrees_with_golden_oracle(self):
+        # the Newton search and the golden section it replaced give the same
+        # verdict on 200 DET and TRACE solves, as solved and with P_hat
+        # scaled by 0.999 and 1.001, outside a band of 1e-3 tol around tol;
+        # each case also runs with its weight field moved, so that the search
+        # starts away from the feasible weights and has to find them
+        rng = np.random.default_rng(17)
+        verdicts = []
+        for problem in well_scaled_problems(rng, 100):
+            for cost in (Cost.DET, Cost.TRACE):
+                solved = solve_ci(problem, cost)
+                q1, q2 = q_pair(solved, problem)
+                if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
+                    continue
+                moved = float(rng.uniform(0.05, 0.95))
+                for factor, alpha in itertools.product((1.0, 0.999, 1.001), (None, moved)):
+                    result = shrink_result(solved, factor)
+                    if alpha is not None:
+                        result = dataclasses.replace(result, alpha=alpha)
+                    tol = certificate_tolerance(result)
+                    eps = petersen_certificate(result, problem)
+                    if eps is not None:
+                        assert petersen_objective(result, problem, eps) <= tol
+                    _, minimum = petersen_golden_oracle(result, problem)
+                    if abs(minimum - tol) <= 1e-3 * tol:
+                        continue
+                    assert (eps is not None) == (minimum <= tol), (factor, minimum, tol)
+                    verdicts.append(eps is not None)
+        assert len(verdicts) >= 800 and 0 < sum(verdicts) < len(verdicts)
+
+    def test_returns_the_first_certifying_iterate(self):
+        # a conservative interior solve certifies at its own weight, which is
+        # the first iterate, so the eps is exactly 1/alpha - 1
+        rng = np.random.default_rng(19)
+        checked = 0
+        for problem in well_scaled_problems(rng, 20):
+            for cost in (Cost.DET, Cost.TRACE):
+                result = solve_ci(problem, cost)
+                if not 1e-6 < result.alpha < 1.0 - 1e-6:
+                    continue
+                assert petersen_certificate(result, problem) == 1.0 / result.alpha - 1.0
+                checked += 1
+        assert checked >= 20
+
+    def test_tangent_bound_stops_infeasible_search_early(self, monkeypatch):
+        # on shrunk covariances the tangent lines at the bracket ends prove
+        # the minimum above tol within a few evaluations, long before the
+        # bracket narrows to PETERSEN_WIDTH
+        evals = []
+        eigh = np.linalg.eigh
+
+        def counting(m):
+            evals.append(m)
+            return eigh(m)
+
+        rng = np.random.default_rng(23)
+        problems = well_scaled_problems(rng, 20)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for problem in problems:
+            result = shrink_result(solve_ci(problem, Cost.TRACE), 0.9)
+            q1, q2 = q_pair(result, problem)
+            if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
+                continue
+            evals.clear()
+            assert petersen_certificate(result, problem) is None
+            assert 1 <= len(evals) <= 10
+
 
 class TestMonteCarloJoint:
     def test_diagonal_truth_respects_bound(self):
@@ -336,6 +409,91 @@ class TestWorstViolationKernel:
             xs, gauss * (radii / np.linalg.svd(gauss, compute_uv=False)[:, 0])[:, None, None],
             rtol=1e-13, atol=0.0,
         )
+
+
+def unscreened(mats: np.ndarray) -> float:
+    return np.linalg.eigvalsh(mats)[:, -1].max()
+
+
+def symmetric_stack(rng, count: int, n: int) -> np.ndarray:
+    a = rng.standard_normal((count, n, n))
+    return a + np.swapaxes(a, 1, 2)
+
+
+def near_tie_stack(rng, count: int, n: int) -> np.ndarray:
+    """``U diag(lambda) U'`` whose largest eigenvalues are 3 up to 1e-15 relative."""
+    u = np.array([random_orthogonal(rng, n) for _ in range(count)])
+    lam = rng.uniform(-2.0, 1.0, size=(count, n))
+    lam[:, -1] = 3.0 * (1.0 + 1e-15 * rng.standard_normal(count))
+    return (u * lam[:, None, :]) @ np.swapaxes(u, 1, 2)
+
+
+class TestScreenedKernel:
+    """The screened maximum equals ``eigvalsh(M)[:, -1].max()`` bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_bitwise_equal_to_unscreened(self, n):
+        rng = np.random.default_rng(500 + n)
+        count = 300
+        p1, p2 = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+        xs = _draw_cross(rng, count, p1, p2, 1.0)
+        shared = (rng.standard_normal((n, p1)), rng.standard_normal((n, p2)))
+        per_sample = (rng.standard_normal((count, n, p1)), rng.standard_normal((count, n, p2)))
+        p_hat = random_spd(rng, n)
+        for g1, g2 in (shared, per_sample):
+            # a small and a large P_hat: violations mostly positive, then negative
+            for scale in (0.1, 10.0 * n):
+                stack = _violation_stack(g1, g2, xs, scale * p_hat)
+                assert worst_violation(g1, g2, xs, scale * p_hat) == unscreened(stack)
+        mats = symmetric_stack(rng, count, n)
+        assert stack_max_eigenvalue(mats) == unscreened(mats)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_exact_ties(self, n):
+        rng = np.random.default_rng(600 + n)
+        mats = np.repeat(symmetric_stack(rng, 1, n), 200, axis=0)
+        assert stack_max_eigenvalue(mats) == unscreened(mats)
+        assert _screen(mats, unscreened(mats)).all()
+        # Q1 = 0 makes every adversarial sample the same matrix
+        q1, q2 = np.zeros((n, 2)), rng.standard_normal((n, 3))
+        xs = _draw_cross(rng, 200, 2, 3, 1.0)
+        p_hat = random_spd(rng, n)
+        stack = _violation_stack(q1, q2, xs, p_hat)
+        assert worst_violation(q1, q2, xs, p_hat) == unscreened(stack)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 15])
+    def test_near_ties(self, n):
+        mats = near_tie_stack(np.random.default_rng(700 + n), 300, n)
+        assert stack_max_eigenvalue(mats) == unscreened(mats)
+
+    @pytest.mark.parametrize("position", [0, 97, 199])
+    def test_maximum_outside_the_ranked_candidates(self, position):
+        # decoys have unit diagonals and largest eigenvalues near 1; the
+        # maximum has a zero diagonal, so it ranks last on both lower bounds
+        rng = np.random.default_rng(800 + position)
+        n = 4
+        mats = np.eye(n) + 0.01 * symmetric_stack(rng, 200, n)
+        hidden = np.zeros((n, n))
+        hidden[0, 1] = hidden[1, 0] = 2.0
+        mats[position] = hidden
+        diag = np.einsum("sii->si", mats)
+        others = np.delete(np.arange(200), position)
+        assert diag[position].max() < diag[others].max(axis=1).min()
+        assert diag[position].sum() < diag[others].sum(axis=1).min()
+        assert stack_max_eigenvalue(mats) == unscreened(mats) == np.linalg.eigvalsh(hidden)[-1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20])
+    def test_screen_keeps_every_sample_reaching_the_threshold(self, n):
+        # thresholds at the samples' own eigvalsh values: a sample at or
+        # above c is never dropped, one clearly below it always is
+        rng = np.random.default_rng(900 + n)
+        for mats in (symmetric_stack(rng, 400, n), near_tie_stack(rng, 400, n)):
+            tops = np.linalg.eigvalsh(mats)[:, -1]
+            scale = np.abs(tops).max() + n * np.abs(mats).max()
+            for c in np.sort(tops)[::-37]:
+                flagged = _screen(mats, c)
+                assert flagged[tops >= c].all()
+                assert not flagged[tops < c - 1e-9 * scale].any()
 
 
 class TestCertificateEquivalence:
