@@ -24,11 +24,12 @@ from . import verifier
 from .errors import (
     CiFusionError,
     InternalInconsistencyError,
+    NotPsdError,
     ProblemFileError,
     UnreachableError,
 )
 from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
-from .linalg import DEFAULT_CERT_TOL, loewner_compare, psd_certify
+from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify
 from .optimizer import Cost, FusionResult, SigmaPair, extended_cost, solve_ci
 from .problem import FusionProblem, PartialEstimate
 from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
@@ -40,7 +41,8 @@ EXIT_INTERNAL = 3
 #: a stored result's K1 H1 + K2 H2 must equal I, and its fused_x must equal
 #: K1 x_hat1 + K2 x_hat2, to this fraction of the largest entry of
 #: |K1||H1| + |K2||H2| and of |K1||x_hat1| + |K2||x_hat2|, the magnitudes
-#: that bound the rounding of the two sums
+#: that bound the rounding of the two sums; a covariance block must equal
+#: its transpose to this fraction of its largest entry
 RESULT_RTOL = 1e-8
 
 
@@ -96,6 +98,23 @@ def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
     return arr
 
 
+def _covariance(value, dim: int, path: str) -> PsdMatrix:
+    """A symmetric PSD covariance block, or an error naming its path.
+
+    Asymmetry within ``RESULT_RTOL`` of the largest entry, the rounding a
+    product leaves, is averaged away; more is an input error rather than
+    something to average silently.
+    """
+    arr = _matrix(value, dim, dim, path)
+    skew = float(np.abs(arr - arr.T).max())
+    if skew > RESULT_RTOL * np.abs(arr).max():
+        raise ProblemFileError(path, f"not symmetric: differs from its transpose by {fmt(skew)}")
+    try:
+        return psd_certify(arr)
+    except NotPsdError as exc:
+        raise ProblemFileError(path, str(exc)) from None
+
+
 def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
     block = doc.get(key)
     if not isinstance(block, dict):
@@ -109,7 +128,7 @@ def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
     x_hat = np.atleast_1d(_array(block["x_hat"], f"{key}.x_hat"))
     if x_hat.shape != (p,):
         raise ProblemFileError(f"{key}.x_hat", f"length {x_hat.size}, expected {p}")
-    p_hat = _matrix(block["P_hat"], p, p, f"{key}.P_hat")
+    p_hat = _covariance(block["P_hat"], p, f"{key}.P_hat")
     try:
         return PartialEstimate(h, x_hat, p_hat)
     except CiFusionError as exc:
@@ -148,17 +167,15 @@ def load_problem_file(path: str) -> tuple[FusionProblem, dict]:
         for field in ("P1", "P2", "P12"):
             if field not in t:
                 raise ProblemFileError(f"truth.{field}", "missing")
-        p1 = _matrix(t["P1"], problem.p1, problem.p1, "truth.P1")
-        p2 = _matrix(t["P2"], problem.p2, problem.p2, "truth.P2")
+        p1 = _covariance(t["P1"], problem.p1, "truth.P1")
+        p2 = _covariance(t["P2"], problem.p2, "truth.P2")
         p12 = _matrix(t["P12"], problem.p1, problem.p2, "truth.P12")
         try:
             extras["truth"] = JointCovariance(p1, p12, p2)
         except CiFusionError as exc:
             raise ProblemFileError("truth", str(exc)) from None
     if "P_hat_override" in doc:
-        extras["p_hat_override"] = _matrix(
-            doc["P_hat_override"], n, n, "P_hat_override"
-        )
+        extras["p_hat_override"] = _covariance(doc["P_hat_override"], n, "P_hat_override")
     return problem, extras
 
 
@@ -238,7 +255,7 @@ def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
         raise ProblemFileError(
             "K1", f"K1 H1 + K2 H2 differs from I by {fmt(bias)}: the gains are biased"
         )
-    p_hat = psd_certify(_matrix(doc["P_hat"], n, n, "P_hat"))
+    p_hat = _covariance(doc["P_hat"], n, "P_hat")
     fused_x = _array(doc["fused_x"], "fused_x")
     if fused_x.shape != (n,):
         raise ProblemFileError("fused_x", f"shape {fused_x.shape}, expected ({n},)")
@@ -272,7 +289,7 @@ def cmd_verify(args) -> int:
             alpha=result.alpha,
             K1=result.K1,
             K2=result.K2,
-            P_hat=psd_certify(extras["p_hat_override"]),
+            P_hat=extras["p_hat_override"],
             fused_x=result.fused_x,
             cost_value=result.cost_value,
             diagnostics=dict(result.diagnostics),

@@ -316,6 +316,11 @@ def block_psd_check(q, s, r) -> bool:
     the tolerance band raises :class:`InternalInconsistencyError`,
     borderline cases resolve to the direct eigenvalue verdict.
     """
+    return _block_psd_margin(q, s, r)[0]
+
+
+def _block_psd_margin(q, s, r) -> tuple[bool, float]:
+    """:func:`block_psd_check`'s verdict and the assembled block's smallest eigenvalue."""
     qd = sym_data(q)
     rd = sym_data(r)
     sd = np.atleast_2d(np.asarray(s, dtype=float))
@@ -348,7 +353,7 @@ def block_psd_check(q, s, r) -> bool:
     schur_route = r_ok and schur_ok and resid_ok
 
     if direct == schur_route:
-        return direct
+        return direct, float(eigs[0])
     clearly = _decided(eigs[0], band) and (
         (not r_ok and _decided(r_eigs[0], r_band))
         or (not schur_ok and _decided(s_eigs[0], s_band))
@@ -360,7 +365,7 @@ def block_psd_check(q, s, r) -> bool:
             "block PSD criteria disagree: "
             f"direct min eig {eigs[0]:.3g}, Schur route {'PSD' if schur_route else 'not PSD'}"
         )
-    return direct
+    return direct, float(eigs[0])
 
 
 def cross_factor(joint) -> np.ndarray:

@@ -9,7 +9,13 @@ parameter ``X`` of spectral norm at most one, the fused error covariance is
 ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2'``.  The adversarial search fixes
 ``G_i = Q_i``; Monte Carlo draws a shrunken prior block per sample from the
 eigenpairs of a random contraction and passes its factor ``K_i P_i^{1/2}
-U_i diag(sqrt(e_i))``, so no sample needs a matrix square root.  The kernel
+U_i diag(sqrt(e_i))``, so no sample needs a matrix square root.  Both
+samplers keep their draws sample-last, with the sample index on the last,
+contiguous axis: each product is a few whole-stack ``einsum`` or flat GEMM
+calls rather than one small LAPACK or BLAS call per sample, and the Haar
+factors ``U_i`` come from one Gram-Schmidt pass over the whole stack (the
+unique QR factor with a positive ``R`` diagonal).  The kernel keeps its
+sample-first signature and receives sample-first views of that memory.  It
 decomposes only the samples that can decide its answer: it takes the exact
 largest eigenvalue ``c`` of a few samples that rank highest on their
 diagonals, drops every sample that one batched LDL' factorisation of
@@ -32,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQError
-from .linalg import DEFAULT_CERT_TOL, LoewnerRelation, block_psd_check, loewner_compare, tol_scale
+from .errors import DegenerateQError, InternalInconsistencyError
+from .linalg import DEFAULT_CERT_TOL, LoewnerRelation, _block_psd_margin, loewner_compare, tol_scale
 from .problem import FusionProblem
 
 #: weights scanned by :func:`lmi_feasible_alphas` and :func:`alpha_uniqueness_check`
@@ -92,20 +98,18 @@ def lmi_certificate(
 ) -> ConservativenessCertificate:
     """PSD certificate on the block ``[P, Q1, Q2; Q1', aI, 0; Q2', 0, (1-a)I]``.
 
-    The verdict comes from the dual-evaluated block PSD check; the smallest
-    eigenvalue of the assembled block is recorded either way, so a failed
-    certificate is returned rather than raised.
+    The verdict comes from the dual-evaluated block PSD check, which also
+    returns the smallest eigenvalue of the assembled block; that value is
+    recorded either way, so a failed certificate is returned rather than
+    raised.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
     q1, q2 = q_pair(result, problem)
-    p_hat = result.P_hat.data
-    block = _lmi_matrix(p_hat, q1, q2, alpha)
-    min_eig = float(np.linalg.eigvalsh(block)[0])
     r = np.zeros((q1.shape[1] + q2.shape[1],) * 2)
     r[: q1.shape[1], : q1.shape[1]] = alpha * np.eye(q1.shape[1])
     r[q1.shape[1] :, q1.shape[1] :] = (1.0 - alpha) * np.eye(q2.shape[1])
-    passed = block_psd_check(p_hat, np.hstack([q1, q2]), r)
+    passed, min_eig = _block_psd_margin(result.P_hat, np.hstack([q1, q2]), r)
     tau = 1.0 / alpha - 1.0 if 0.0 < alpha < 1.0 else None
     return ConservativenessCertificate(
         alpha=float(alpha), tau=tau, lmi_min_eig=min_eig, method=Method.LMI, passed=passed
@@ -159,15 +163,24 @@ def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
 def _violation_stack(
     g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.ndarray
 ) -> np.ndarray:
-    """The samples ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat``, one per ``X``."""
-    cross = g1 @ xs @ np.swapaxes(g2, -1, -2)
-    return (
-        g1 @ np.swapaxes(g1, -1, -2)
-        + g2 @ np.swapaxes(g2, -1, -2)
-        - p_hat
-        + cross
-        + np.swapaxes(cross, -1, -2)
-    )
+    """The samples ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat``, one per ``X``.
+
+    Takes and returns sample-first stacks, and works sample-last: each stack
+    is viewed with its sample axis moved last, the products are ``einsum``
+    calls over whole stacks, and the result is a sample-first view of a
+    contiguous sample-last stack.  A factor given as one shared matrix stays
+    one matrix; the ellipsis subscripts broadcast it without a stride-0
+    stack.  The inputs cost no copy when they are themselves sample-first
+    views of sample-last memory, as the samplers pass them.
+    """
+    g1, g2 = (np.moveaxis(g, 0, -1) if g.ndim == 3 else g for g in (g1, g2))
+    xs = np.moveaxis(xs, 0, -1)
+    n = p_hat.shape[0]
+    gram = np.einsum("ia...,ja...->ij...", g1, g1) + np.einsum("ia...,ja...->ij...", g2, g2)
+    cross = np.einsum("ib...,jb...->ij...", np.einsum("ia...,ab...->ib...", g1, xs), g2)
+    stack = np.add(gram.reshape(n, n, -1) - p_hat[:, :, None], cross, order="C")
+    stack += cross.transpose(1, 0, 2)
+    return np.moveaxis(stack, -1, 0)
 
 
 def worst_violation(g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.ndarray) -> float:
@@ -273,14 +286,24 @@ def _draw_cross(rng, count: int, p1: int, p2: int, shrink: float) -> np.ndarray:
     """Gaussian directions scaled to a spectral norm uniform on ``[0, shrink)``.
 
     The spectral norm of each draw is the root of the largest eigenvalue of
-    its smaller Gram matrix, ``X X'`` or ``X' X``.
+    its smaller Gram matrix, ``X X'`` or ``X' X``.  The draws are returned
+    as a sample-first view of sample-last memory.
     """
     xs = rng.standard_normal((count, p1, p2))
     xt = np.swapaxes(xs, -1, -2)
     gram = xs @ xt if p1 <= p2 else xt @ xs
     smax = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
     scale = rng.uniform(size=count) * shrink / np.maximum(smax, 1e-300)
-    return xs * scale[:, None, None]
+    return np.moveaxis(np.multiply(xs.transpose(1, 2, 0), scale, order="C"), -1, 0)
+
+
+def _prepend(heads: list[np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """The matrices ``heads`` followed by the stack ``xs``, in sample-last memory.
+
+    Takes and returns sample-first stacks; the result is a view.
+    """
+    stack = np.concatenate([np.stack(heads, axis=-1), np.moveaxis(xs, 0, -1)], axis=-1)
+    return np.moveaxis(stack, -1, 0)
 
 
 def adversarial_x_search(
@@ -301,9 +324,7 @@ def adversarial_x_search(
     p1, p2 = q1.shape[1], q2.shape[1]
     xs = _draw_cross(rng, samples, p1, p2, 1.0)
     extreme = _extreme_cross_direction(q1, q2)
-    xs = np.concatenate(
-        [np.zeros((1, p1, p2)), extreme[None], -extreme[None], xs], axis=0
-    )
+    xs = _prepend([np.zeros((p1, p2)), extreme, -extreme], xs)
     return worst_violation(q1, q2, xs, result.P_hat.data)
 
 
@@ -415,17 +436,34 @@ def petersen_certificate(result, problem: FusionProblem) -> float | None:
 
 
 def _random_contraction_factors(rng, dim: int, count: int) -> np.ndarray:
-    """Factors ``U diag(sqrt(e))`` of random contractions ``U diag(e) U'``.
+    """Factors ``U diag(sqrt(e))`` of random contractions ``U diag(e) U'``, sample-last.
 
-    ``U`` is Haar orthogonal (sign-fixed QR of a Gaussian) and the spectrum
-    ``e`` is uniform on ``[0.05, 1)``.
+    Entry ``[i, j, s]`` belongs to sample ``s``.  ``U`` is Haar orthogonal:
+    the Q factor, with a positive ``R`` diagonal, of a Gaussian matrix.  A
+    full-rank matrix has exactly one such factorisation, which is the
+    sign-fixed Householder QR (Mezzadri, *How to generate random matrices
+    from the classical compact groups*, 2007).  It is computed for the
+    whole stack at once by classical Gram-Schmidt with one
+    reorthogonalisation pass, a loop over the ``dim`` columns.  The
+    spectrum ``e`` is uniform on ``[0.05, 1)``.  A column left with an
+    exactly zero residual, which a Gaussian draw cannot produce, raises
+    :class:`InternalInconsistencyError`.
     """
     gauss = rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(gauss)
-    signs = np.sign(np.einsum("sii->si", r))
-    signs[signs == 0.0] = 1.0
+    u = gauss.transpose(1, 2, 0).copy()
+    for j in range(dim):
+        col, done = u[:, j], u[:, :j]
+        for _ in range(2):
+            col -= np.einsum("iks,ks->is", done, np.einsum("iks,is->ks", done, col))
+        norm = np.sqrt(np.einsum("is,is->s", col, col))
+        if not norm.all():
+            raise InternalInconsistencyError(
+                f"Gram-Schmidt column {j} of a contraction draw has a zero residual"
+            )
+        col /= norm
     eigs = rng.uniform(0.05, 1.0, size=(count, dim))
-    return q * (signs * np.sqrt(eigs))[:, None, :]
+    u *= np.sqrt(eigs).T
+    return u
 
 
 def monte_carlo_joint(
@@ -444,23 +482,29 @@ def monte_carlo_joint(
     have the same distribution as with symmetric roots; the worst value
     differs from that of a symmetric-root sampler on the same seed, the
     verdict does not.  Two aligned near-extreme cross draws at the full
-    diagonal are always included.  Returns the maximum largest eigenvalue
-    of ``K P_joint K' - P_hat``.
+    diagonal are always included.  The products ``K_i F_i`` are one
+    ``einsum`` each, written straight into the sample-last stack the kernel
+    views.  Returns the maximum largest eigenvalue of ``K P_joint K' -
+    P_hat``.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")
     rng = np.random.default_rng(seed)
     p1, p2 = problem.p1, problem.p2
-    r1 = _random_contraction_factors(rng, p1, truth_samples)
-    r2 = _random_contraction_factors(rng, p2, truth_samples)
+    f1 = _random_contraction_factors(rng, p1, truth_samples)
+    f2 = _random_contraction_factors(rng, p2, truth_samples)
     xs = _draw_cross(rng, truth_samples, p1, p2, 1.0 - 1e-12)
 
     q1, q2 = q_pair(result, problem)
     extreme = _extreme_cross_direction(q1, q2) * (1.0 - 1e-6)
-    g1 = np.concatenate([np.broadcast_to(q1, (2,) + q1.shape), q1 @ r1], axis=0)
-    g2 = np.concatenate([np.broadcast_to(q2, (2,) + q2.shape), q2 @ r2], axis=0)
-    xs = np.concatenate([extreme[None], -extreme[None], xs], axis=0)
-    return worst_violation(g1, g2, xs, result.P_hat.data)
+    gs = []
+    for q, f in ((q1, f1), (q2, f2)):
+        g = np.empty(q.shape + (truth_samples + 2,))
+        g[..., :2] = q[..., None]
+        np.einsum("ai,ijs->ajs", q, f, out=g[..., 2:])
+        gs.append(np.moveaxis(g, -1, 0))
+    g1, g2 = gs
+    return worst_violation(g1, g2, _prepend([extreme, -extreme], xs), result.P_hat.data)
 
 
 def certificate_tolerance(result) -> float:

@@ -161,22 +161,35 @@ def sample_intersection_points(
     return ys * np.sqrt(targets / worst)[:, None]
 
 
+def haar_contraction_draws(rng, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(U, e)`` of random contractions, sample-first, by LAPACK QR.
+
+    ``U`` is the Q factor of a Gaussian matrix with its signs fixed so that
+    ``R`` has a positive diagonal, and ``e`` is uniform on ``[0.05, 1)``,
+    drawn in that order.  This is the oracle of
+    ``verifier._random_contraction_factors``, which reads the same stream and
+    finds the same ``U`` by Gram-Schmidt.
+    """
+    q, r = np.linalg.qr(rng.standard_normal((count, dim, dim)))
+    u = q * np.sign(np.einsum("sii->si", r))[:, None, :]
+    return u, rng.uniform(0.05, 1.0, size=(count, dim))
+
+
 def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
     """The random joints ``verifier.monte_carlo_joint`` draws for ``seed``.
 
     Drawn here from the raw stream in the sampler's order: per side a Haar
-    orthogonal ``U`` (sign-fixed QR) and a spectrum ``e`` of the contraction
-    ``C = U diag(e) U'``, then Gaussian cross directions scaled by an SVD to
-    uniform spectral norms.  Returns the factors
+    orthogonal ``U`` (sign-fixed LAPACK QR, :func:`haar_contraction_draws`,
+    the oracle of the sampler's Gram-Schmidt) and a spectrum ``e`` of the
+    contraction ``C = U diag(e) U'``, then Gaussian cross directions scaled
+    by an SVD to uniform spectral norms.  Returns the factors
     ``F_i = P_i^{1/2} U_i diag(sqrt(e_i))``, the cross parameters and the
-    shrunken blocks ``P_i^{1/2} C_i P_i^{1/2}``.
+    shrunken blocks ``P_i^{1/2} C_i P_i^{1/2}``, all sample-first.
     """
     rng = np.random.default_rng(seed)
     factors, blocks = [], []
     for est, dim in ((problem.est1, problem.p1), (problem.est2, problem.p2)):
-        q, r = np.linalg.qr(rng.standard_normal((count, dim, dim)))
-        u = q * np.sign(np.einsum("sii->si", r))[:, None, :]
-        e = rng.uniform(0.05, 1.0, size=(count, dim))
+        u, e = haar_contraction_draws(rng, dim, count)
         factors.append(est.p_sqrt @ u * np.sqrt(e)[:, None, :])
         blocks.append(est.p_sqrt @ np.einsum("sij,sj,skj->sik", u, e, u) @ est.p_sqrt)
     xs = rng.standard_normal((count, problem.p1, problem.p2))

@@ -231,6 +231,75 @@ class TestVerify:
                 assert out.endswith("verdict: all certificates pass\n")
 
 
+ASYMMETRIC = [[2.0, 1.0], [0.0, 2.0]]
+INDEFINITE = [[-1.0, 0.0], [0.0, 1.0]]
+COVARIANCE_PATHS = ["est1.P_hat", "est2.P_hat", "truth.P1", "truth.P2", "P_hat_override", "P_hat"]
+
+
+def verify_with_covariance(tmp_path, where, block):
+    """``verify`` arguments for EXAMPLE2 with the covariance block at ``where`` replaced.
+
+    ``P_hat`` is the stored result's covariance, the rest are problem-file paths.
+    """
+    doc = json.loads(json.dumps(EXAMPLE2))
+    doc["truth"] = {"P1": [[1, 0], [0, 1]], "P2": [[1.25, 0], [0, 0.1]], "P12": [[0, 0], [0, 0]]}
+    args = ["--samples", "10"]
+    if where == "P_hat":
+        fused_path = tmp_path / "fused.json"
+        assert cli.main(["fuse", write(tmp_path, doc, "clean.json"), "--out", str(fused_path)]) == 0
+        stored = json.loads(fused_path.read_text())
+        stored["P_hat"] = block
+        args += ["--result", write(tmp_path, stored, "r.json")]
+    elif where == "P_hat_override":
+        doc[where] = block
+    else:
+        key, field = where.split(".")
+        doc[key][field] = block
+    return ["verify", write(tmp_path, doc)] + args
+
+
+class TestCovarianceBlocks:
+    @pytest.mark.parametrize("where", COVARIANCE_PATHS)
+    def test_asymmetric_block_exits_two_naming_it(self, tmp_path, capsys, where):
+        # these blocks used to be averaged with their transposes and used
+        rc = cli.main(verify_with_covariance(tmp_path, where, ASYMMETRIC))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: {where}: not symmetric")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("where", COVARIANCE_PATHS)
+    def test_indefinite_block_exits_two_naming_it(self, tmp_path, capsys, where):
+        rc = cli.main(verify_with_covariance(tmp_path, where, INDEFINITE))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: {where}: matrix is not PSD")
+        assert captured.out == ""
+
+    def test_asymmetric_estimate_rejected_by_fuse(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(EXAMPLE2))
+        doc["est1"]["P_hat"] = ASYMMETRIC
+        rc = cli.main(["fuse", write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: est1.P_hat: not symmetric")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("where", COVARIANCE_PATHS)
+    def test_rounding_level_asymmetry_accepted(self, tmp_path, capsys, where):
+        # a product leaves asymmetry at rounding level; within RESULT_RTOL of
+        # the largest entry the block is still averaged and used
+        block = {"est1.P_hat": [[1, 0], [0, 1]], "est2.P_hat": [[1.25, 0], [0, 0.1]],
+                 "truth.P1": [[1, 0], [0, 1]], "truth.P2": [[1.25, 0], [0, 0.1]],
+                 "P_hat_override": [[2.5, 0], [0, 0.2]], "P_hat": [[1.25, 0], [0, 0.1]]}[where]
+        block = np.array(block, dtype=float)
+        block[0, 1] = 1e-3 * cli.RESULT_RTOL * np.abs(block).max()
+        rc = cli.main(verify_with_covariance(tmp_path, where, block.tolist()))
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert out.endswith("verdict: all certificates pass\n")
+
+
 class TestKnown:
     def test_example_closed_form(self, tmp_path, capsys):
         doc = dict(SCALAR_PAIR)

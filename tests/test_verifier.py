@@ -11,7 +11,7 @@ from cifusion import (
     optimal_fusion_known_cross,
     psd_certify,
 )
-from cifusion.errors import DegenerateQError
+from cifusion.errors import DegenerateQError, InternalInconsistencyError
 from cifusion.known_cross import JointCovariance
 from cifusion.optimizer import Cost, FusionResult, solve_ci
 from cifusion.verifier import (
@@ -29,9 +29,16 @@ from cifusion.verifier import (
     worst_violation,
 )
 from cifusion import verifier
-from cifusion.verifier import _draw_cross, _screen, _violation_stack, stack_max_eigenvalue
+from cifusion.verifier import (
+    _draw_cross,
+    _random_contraction_factors,
+    _screen,
+    _violation_stack,
+    stack_max_eigenvalue,
+)
 
 from conftest import (
+    haar_contraction_draws,
     monte_carlo_draws,
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,
@@ -409,6 +416,100 @@ class TestWorstViolationKernel:
             xs, gauss * (radii / np.linalg.svd(gauss, compute_uv=False)[:, 0])[:, None, None],
             rtol=1e-13, atol=0.0,
         )
+
+
+def strided(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` as a view that is contiguous along no axis."""
+    buf = np.zeros(tuple(2 * d for d in a.shape))
+    view = buf[tuple(slice(None, None, 2) for _ in a.shape)]
+    view[...] = a
+    return view
+
+
+class ZeroColumnGenerator:
+    """Gaussian stream with one column of one sample set exactly to zero."""
+
+    def __init__(self, column: int):
+        self.column = column
+        self.rng = np.random.default_rng(0)
+
+    def standard_normal(self, size):
+        gauss = self.rng.standard_normal(size)
+        gauss[3, :, self.column] = 0.0
+        return gauss
+
+    def uniform(self, low, high, size):
+        return self.rng.uniform(low, high, size)
+
+
+class TestSampleLastSampler:
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_haar_factors_match_sign_fixed_qr(self, dim):
+        # Gram-Schmidt gives R a positive diagonal, so U is the sign-fixed
+        # Householder Q up to rounding that grows with the draw's condition
+        count, seed = 300, 1000 + dim
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        factors = _random_contraction_factors(rng, dim, count)
+        assert factors.shape == (dim, dim, count) and factors.flags.c_contiguous
+        u_ref, e = haar_contraction_draws(oracle, dim, count)
+        u = np.moveaxis(factors, -1, 0) / np.sqrt(e)[:, None, :]
+        cond = np.linalg.cond(np.random.default_rng(seed).standard_normal((count, dim, dim)))
+        assert (np.abs(u - u_ref).max(axis=(1, 2)) <= 1e-12 * cond).all()
+        gram = np.einsum("sij,sik->sjk", u, u)
+        assert np.abs(gram - np.eye(dim)).max() <= 1e-14 * dim
+        # the sampler consumed exactly the oracle's draws
+        assert rng.standard_normal() == oracle.standard_normal()
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_zero_residual_column_raises(self, column):
+        with pytest.raises(InternalInconsistencyError):
+            _random_contraction_factors(ZeroColumnGenerator(column), 3, 10)
+
+    @pytest.mark.parametrize("n, p1, p2", [(1, 1, 1), (1, 2, 3), (3, 1, 2), (4, 3, 1), (5, 3, 3), (6, 4, 6)])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("layout", ["sample_first", "sample_last", "strided"])
+    def test_violation_stack_matches_per_sample_products(self, n, p1, p2, shared, layout):
+        rng = np.random.default_rng(n * 100 + p1 * 10 + p2)
+        count = 30
+        lead = () if shared else (count,)
+        g1 = rng.standard_normal(lead + (n, p1))
+        g2 = rng.standard_normal(lead + (n, p2))
+        xs = _draw_cross(rng, count, p1, p2, 1.0)
+        p_hat = random_spd(rng, n)
+        args = [np.ascontiguousarray(a) for a in (g1, g2, xs)]
+        if layout == "sample_last":
+            args = [a if a.ndim == 2 else np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
+                    for a in args]
+        elif layout == "strided":
+            args = [strided(a) for a in args]
+        stack = _violation_stack(*args, p_hat)
+        assert stack.shape == (count, n, n)
+        assert np.moveaxis(stack, 0, -1).flags.c_contiguous
+        for s in range(count):
+            a, b = (g1, g2) if shared else (g1[s], g2[s])
+            cross = a @ xs[s] @ b.T
+            ref = a @ a.T + b @ b.T - p_hat + cross + cross.T
+            scale = (np.abs(a @ a.T).max() + np.abs(b @ b.T).max() + np.abs(p_hat).max()
+                     + 2.0 * np.abs(cross).max())
+            np.testing.assert_allclose(stack[s], ref, rtol=0.0, atol=1e-13 * scale)
+
+    def test_samplers_hand_the_kernel_views_of_sample_last_memory(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return worst_violation(*args)
+
+        monkeypatch.setattr(verifier, "worst_violation", spy)
+        problem = random_problem(np.random.default_rng(31))
+        result = solve_ci(problem, Cost.TRACE)
+        adversarial_x_search(result, problem, samples=20, seed=3)
+        monte_carlo_joint(result, problem, truth_samples=20, seed=3)
+        (q1, q2, xs_adv, _), (g1, g2, xs_mc, _) = calls
+        assert q1.ndim == q2.ndim == 2
+        for stack, count in ((xs_adv, 23), (g1, 22), (g2, 22), (xs_mc, 22)):
+            assert len(stack) == count
+            assert np.moveaxis(stack, 0, -1).flags.c_contiguous
 
 
 def unscreened(mats: np.ndarray) -> float:
