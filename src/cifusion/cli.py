@@ -24,6 +24,7 @@ from . import verifier
 from .errors import (
     CiFusionError,
     InternalInconsistencyError,
+    NotPdError,
     NotPsdError,
     ProblemFileError,
     UnreachableError,
@@ -131,6 +132,8 @@ def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
     p_hat = _covariance(block["P_hat"], p, f"{key}.P_hat")
     try:
         return PartialEstimate(h, x_hat, p_hat)
+    except NotPdError as exc:  # PSD but singular: the estimate's check on P_hat
+        raise ProblemFileError(f"{key}.P_hat", str(exc)) from None
     except CiFusionError as exc:
         raise ProblemFileError(key, str(exc)) from None
 

@@ -226,15 +226,16 @@ def pinv_sym(a) -> np.ndarray:
     Eigenvalues with magnitude below ``PINV_RTOL * |lambda|_max`` are
     treated as exact zeros.
     """
-    m = sym_data(a)
-    w, v = np.linalg.eigh(m)
-    amax = np.abs(w).max()
-    if amax == 0.0:
-        return np.zeros_like(m)
-    keep = np.abs(w) > PINV_RTOL * amax
+    w, v = np.linalg.eigh(sym_data(a))
+    return (v * _pinv_eigs(w)) @ v.T
+
+
+def _pinv_eigs(w: np.ndarray) -> np.ndarray:
+    """Pseudo-inverted eigenvalues: ``1 / w``, or 0 below ``PINV_RTOL * |w|_max``."""
+    keep = np.abs(w) > PINV_RTOL * np.abs(w).max()
     winv = np.zeros_like(w)
     winv[keep] = 1.0 / w[keep]
-    return (v * winv) @ v.T
+    return winv
 
 
 def _det2(m) -> float:
@@ -314,40 +315,56 @@ def block_psd_check(q, s, r) -> bool:
     ``DEFAULT_CERT_TOL`` relative to its own magnitude.  The two
     routes must agree; a disagreement with both margins clearly outside
     the tolerance band raises :class:`InternalInconsistencyError`,
-    borderline cases resolve to the direct eigenvalue verdict.
+    borderline cases resolve to the direct eigenvalue verdict.  Both run in
+    R's eigenbasis: with ``R = V diag(w) V.T``, the block is orthogonally
+    congruent to ``[Q S V; V.T S.T diag(w)]``, which has the same spectrum
+    and the same Schur complement.
     """
-    return _block_psd_margin(q, s, r)[0]
-
-
-def _block_psd_margin(q, s, r) -> tuple[bool, float]:
-    """:func:`block_psd_check`'s verdict and the assembled block's smallest eigenvalue."""
     qd = sym_data(q)
-    rd = sym_data(r)
+    w, v = np.linalg.eigh(sym_data(r))
+    return _block_psd_margin(qd, _coupling(s, qd, w) @ v, w)[0]
+
+
+def _coupling(s, qd: np.ndarray, r_eigs: np.ndarray) -> np.ndarray:
+    """The off-diagonal block ``S`` as a 2-D array, checked against ``Q`` and ``R``."""
     sd = np.atleast_2d(np.asarray(s, dtype=float))
-    if sd.shape != (qd.shape[0], rd.shape[0]):
+    if sd.shape != (qd.shape[0], r_eigs.shape[0]):
         raise DimensionMismatchError(
-            f"S has shape {sd.shape}, expected {(qd.shape[0], rd.shape[0])}"
+            f"S has shape {sd.shape}, expected {(qd.shape[0], r_eigs.shape[0])}"
         )
-    nq, nr = qd.shape[0], rd.shape[0]
+    return sd
+
+
+def _block_psd_margin(q, s, r_eigs) -> tuple[bool, float]:
+    """:func:`block_psd_check` on ``[Q S; S.T diag(r_eigs)]``, and its smallest eigenvalue.
+
+    With R diagonal, ``R^+`` is the diagonal of :func:`_pinv_eigs`, so the
+    Schur route needs one ``eigvalsh`` (of ``Q - (S r^+) S.T``) besides the
+    one of the assembled block, which gives the returned eigenvalue.
+    """
+    qd = sym_data(q)
+    r_eigs = np.asarray(r_eigs, dtype=float)
+    sd = _coupling(s, qd, r_eigs)
+    nq, nr = qd.shape[0], r_eigs.shape[0]
     block = np.zeros((nq + nr, nq + nr))
     block[:nq, :nq] = qd
     block[:nq, nq:] = sd
     block[nq:, :nq] = sd.T
-    block[nq:, nq:] = rd
+    np.fill_diagonal(block[nq:, nq:], r_eigs)
 
     eigs = np.linalg.eigvalsh(block)
     band = _cert_band(eigs)
     direct = bool(eigs[0] >= -band)
 
-    r_eigs = np.linalg.eigvalsh(rd)
+    r_min = float(r_eigs.min())
     r_band = _cert_band(r_eigs)
-    r_ok = bool(r_eigs[0] >= -r_band)
-    r_pinv = pinv_sym(rd)
-    schur = qd - sd @ r_pinv @ sd.T
+    r_ok = r_min >= -r_band
+    r_pinv = _pinv_eigs(r_eigs)
+    schur = qd - (sd * r_pinv) @ sd.T
     s_eigs = np.linalg.eigvalsh(0.5 * (schur + schur.T))
     s_band = _cert_band(s_eigs)
     schur_ok = bool(s_eigs[0] >= -s_band)
-    resid = float(np.abs(sd @ (np.eye(nr) - rd @ r_pinv)).max())
+    resid = float(np.abs(sd * (1.0 - r_eigs * r_pinv)).max())
     resid_band = _cert_band(sd)
     resid_ok = resid <= resid_band
     schur_route = r_ok and schur_ok and resid_ok
@@ -355,7 +372,7 @@ def _block_psd_margin(q, s, r) -> tuple[bool, float]:
     if direct == schur_route:
         return direct, float(eigs[0])
     clearly = _decided(eigs[0], band) and (
-        (not r_ok and _decided(r_eigs[0], r_band))
+        (not r_ok and _decided(r_min, r_band))
         or (not schur_ok and _decided(s_eigs[0], s_band))
         or (not resid_ok and _decided(resid, resid_band))
         or schur_route

@@ -2,14 +2,19 @@
 
 The family blends the two information matrices,
 ``Sigma_alpha = alpha * Sigma1 + (1 - alpha) * Sigma0``, and fuses with
-``P_hat = Sigma_alpha^{-1}``.  Both weight searches run on one joint
-diagonalisation per solve (:class:`JointSpectrum`: a Cholesky factor of the
-mean information matrix and one ``eigh``), in which the determinant and
-trace of the fused covariance are explicit functions of ``t = alpha - 1/2``
+``P_hat = Sigma_alpha^{-1}``.  A solve runs on one joint diagonalisation
+(:class:`JointSpectrum`: a Cholesky factor of the mean information matrix,
+its inverse and one ``eigh``), in which the fused covariance, its
+determinant and its trace are explicit functions of ``t = alpha - 1/2``
 with monotone slopes.  A slope test at each nonsingular endpoint, else a
 safeguarded Newton root, gives the optimum; the determinant slope has the
 sign of ``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.
-The trace result is cross-checked against a gain-ratio fixed point.
+The same spectrum then gives the family member: its dominance table, its
+singularity test, ``P_hat`` and the cost, so the only further spectral
+call is the PSD certification of ``P_hat``.  Because ``P_hat`` is formed
+from the spectrum rather than by inverting the blend, fused outputs can
+differ in their last digits from an explicit inverse.  The trace result is
+cross-checked against a gain-ratio fixed point.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .linalg import (
     SymMatrix,
     adjugate,
     inv_pd,
-    loewner_compare,
     psd_certify,
 )
 from .problem import FusionProblem
@@ -81,14 +85,20 @@ def extended_cost(cost: Cost, sigma: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SigmaPair:
-    """The two prior information matrices of a fusion problem."""
+    """The two prior information matrices of a fusion problem.
 
-    sigma1: PsdMatrix
-    sigma0: PsdMatrix
+    ``Sigma_i = H_i.T P_i^-1 H_i`` is PSD by construction, since ``P_i`` was
+    certified PD when the estimate was built, so the pair holds them
+    uncertified; :meth:`JointSpectrum.of` checks the Cholesky factor of
+    their mean, which is what the solve relies on.
+    """
+
+    sigma1: SymMatrix
+    sigma0: SymMatrix
 
     @classmethod
     def from_problem(cls, problem: FusionProblem) -> "SigmaPair":
-        return cls(psd_certify(problem.sigma1), psd_certify(problem.sigma0))
+        return cls(SymMatrix(problem.sigma1), SymMatrix(problem.sigma0))
 
     @property
     def dim(self) -> int:
@@ -148,28 +158,62 @@ class JointSpectrum:
     With ``S = (Sigma1 + Sigma0) / 2 = L L.T`` (PD under the rank
     assumptions), ``M = L^-1 (Sigma1 - Sigma0) L^-T = V diag(lam) V.T`` and
     ``t = alpha - 1/2``, the blend is ``Sigma_alpha = L V (I + t diag(lam))
-    V.T L.T``.  So ``det`` and ``trace`` of the fused covariance are
-    ``1 / (det S prod(1 + t lam))`` and ``sum(c / (1 + t lam))`` with ``c``
-    the squared column norms of ``L^-T V``.  ``lam`` lies in [-2, 2]; its
-    sign pattern is the Loewner relation of the pair, and a ``lam`` of +2
-    (-2) makes the blend at ``alpha = 0`` (``alpha = 1``) singular.
+    V.T L.T``.  So with ``W = L^-T V`` the fused covariance is
+    ``W diag(1 / (1 + t lam)) W.T`` (:meth:`fused_cov`), and its ``det`` and
+    ``trace`` are ``exp(-log det S - sum(log(1 + t lam)))`` and
+    ``sum(c / (1 + t lam))`` with ``c`` the squared column norms of ``W``
+    (:meth:`cost`); ``log det S`` is twice the sum of the logs of
+    ``diag(L)``.  ``lam`` lies in [-2, 2]; its sign pattern is the Loewner
+    relation of the pair, and a ``lam`` of +2 (-2) makes the blend at
+    ``alpha = 0`` (``alpha = 1``) singular.  Building it takes three
+    spectral calls (``cholesky``, ``inv``, ``eigh``); nothing after that
+    does.
     """
 
     lam: np.ndarray
     c: np.ndarray
+    w: np.ndarray
+    log_det_s: float
 
     @classmethod
     def of(cls, pair: SigmaPair) -> "JointSpectrum":
         s1, s0 = pair.sigma1.data, pair.sigma0.data
         try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (s1 + s0)))
+            chol = np.linalg.cholesky(0.5 * (s1 + s0))
         except np.linalg.LinAlgError as exc:
             raise SingularSigmaError(f"mean information matrix is not PD: {exc}") from None
+        l_inv = np.linalg.inv(chol)
         lam, v = np.linalg.eigh(l_inv @ (s1 - s0) @ l_inv.T)
         w = l_inv.T @ v
         # rounding can push |lam| just past 2, where 1 + t lam would
         # change sign inside the interval
-        return cls(np.clip(lam, -2.0, 2.0), np.einsum("ij,ij->j", w, w))
+        return cls(
+            np.clip(lam, -2.0, 2.0),
+            np.einsum("ij,ij->j", w, w),
+            w,
+            2.0 * float(np.log(np.diagonal(chol)).sum()),
+        )
+
+    def fused_cov(self, t: float) -> np.ndarray:
+        """``Sigma_alpha^-1 = W diag(1 / (1 + t lam)) W.T`` at ``alpha = t + 1/2``.
+
+        The rounding of ``lam`` is absolute, so it costs about
+        ``eps / min(1 + t lam)`` relative to the largest entry: within a
+        small multiple of ``cond(Sigma_alpha) eps`` wherever some
+        ``1 + t lam`` is near 1 or above, as at every weight :func:`ku_rule`
+        admits, but more near the singular end of a dominated pair.
+        """
+        return (self.w / (1.0 + t * self.lam)) @ self.w.T
+
+    def cost(self, cost: Cost, t: float) -> float:
+        """The cost of :meth:`fused_cov` at ``t``, without forming it."""
+        mu = 1.0 + t * self.lam
+        if cost is Cost.DET:
+            try:
+                return math.exp(-self.log_det_s - float(np.log(mu).sum()))
+            except OverflowError:
+                return math.inf
+        return float((self.c / mu).sum())
 
     def relation(self) -> LoewnerRelation:
         """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them."""
@@ -241,43 +285,38 @@ def _optimal_weight(spectrum: JointSpectrum, slope) -> tuple[float, str]:
 
 
 def ku_rule(
-    problem: FusionProblem,
-    alpha: float,
-    *,
-    certified: tuple[SigmaPair, LoewnerRelation] | None = None,
+    problem: FusionProblem, alpha: float, *, spectrum: JointSpectrum | None = None
 ) -> FusionResult:
     """Apply the fusion family member with the given weight.
 
     The weight is validated against the family case table: a strictly
     dominant second (first) information matrix forces ``alpha = 0``
     (``alpha = 1``), equal matrices admit any weight, and otherwise the
-    blended information matrix must be nonsingular.  The solvers pass
-    ``certified``, the pair and Loewner relation they already computed, with
-    a weight they took from that table, and the validation is skipped.
+    blended information matrix must be nonsingular.  The table, the
+    singularity test and ``P_hat`` all come from the joint spectrum of the
+    pair; the solvers pass the ``spectrum`` they searched on, and without
+    one it is built here.  ``P_hat`` is PSD-certified and must be strictly
+    PD.
     """
-    if certified is None:
-        if not 0.0 <= alpha <= 1.0:
-            raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
-        pair = SigmaPair.from_problem(problem)
-        rel = loewner_compare(pair.sigma0, pair.sigma1)
-        if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
-            raise InvalidFamilyParameterError(
-                alpha, "second information matrix strictly dominates; alpha must be 0"
-            )
-        if rel is LoewnerRelation.STRICTLY_LESS and alpha != 1.0:
-            raise InvalidFamilyParameterError(
-                alpha, "first information matrix strictly dominates; alpha must be 1"
-            )
-        eigs = np.linalg.eigvalsh(sigma_alpha(pair, alpha).data)
-        if eigs[0] <= SINGULAR_RTOL * np.abs(eigs).max():
-            raise SingularSigmaError(
-                f"blended information matrix is singular at alpha={alpha}"
-            )
-    else:
-        pair, rel = certified
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
+    if spectrum is None:
+        spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
+    rel = spectrum.relation()
+    if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
+        raise InvalidFamilyParameterError(
+            alpha, "second information matrix strictly dominates; alpha must be 0"
+        )
+    if rel is LoewnerRelation.STRICTLY_LESS and alpha != 1.0:
+        raise InvalidFamilyParameterError(
+            alpha, "first information matrix strictly dominates; alpha must be 1"
+        )
+    t = alpha - 0.5
+    if not spectrum.regular_at(t):
+        raise SingularSigmaError(f"blended information matrix is singular at alpha={alpha}")
     try:
-        p_hat = psd_certify(inv_pd(sigma_alpha(pair, alpha).data))
-    except (NotPdError, NotPsdError) as exc:  # near-singular blends only
+        p_hat = psd_certify(spectrum.fused_cov(t))
+    except NotPsdError as exc:  # near-singular blends only
         raise SingularSigmaError(str(exc)) from exc
     if not p_hat.strict:
         raise SingularSigmaError("fused covariance is not strictly PD")
@@ -305,16 +344,14 @@ def ku_rule(
 
 
 def _optimal_member(problem: FusionProblem, cost: Cost) -> FusionResult:
-    pair = SigmaPair.from_problem(problem)
-    spectrum = JointSpectrum.of(pair)
-    rel = spectrum.relation()
-    if rel is LoewnerRelation.EQUAL:
+    spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
+    if spectrum.relation() is LoewnerRelation.EQUAL:
         alpha, branch = 0.5, "equal"
     else:
         slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
         alpha, branch = _optimal_weight(spectrum, slope)
-    result = ku_rule(problem, alpha, certified=(pair, rel))
-    return result.with_cost(cost.of(result.P_hat.data), branch=branch, cost=cost.value)
+    result = ku_rule(problem, alpha, spectrum=spectrum)
+    return result.with_cost(spectrum.cost(cost, alpha - 0.5), branch=branch, cost=cost.value)
 
 
 def solve_ci_det(problem: FusionProblem) -> FusionResult:

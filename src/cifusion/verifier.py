@@ -101,15 +101,15 @@ def lmi_certificate(
     The verdict comes from the dual-evaluated block PSD check, which also
     returns the smallest eigenvalue of the assembled block; that value is
     recorded either way, so a failed certificate is returned rather than
-    raised.
+    raised.  The lower right block is diagonal, so the check takes its
+    eigenvalues as they stand and decomposes only the assembled block and
+    the Schur complement.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
     q1, q2 = q_pair(result, problem)
-    r = np.zeros((q1.shape[1] + q2.shape[1],) * 2)
-    r[: q1.shape[1], : q1.shape[1]] = alpha * np.eye(q1.shape[1])
-    r[q1.shape[1] :, q1.shape[1] :] = (1.0 - alpha) * np.eye(q2.shape[1])
-    passed, min_eig = _block_psd_margin(result.P_hat, np.hstack([q1, q2]), r)
+    r_eigs = np.repeat([alpha, 1.0 - alpha], [q1.shape[1], q2.shape[1]])
+    passed, min_eig = _block_psd_margin(result.P_hat, np.hstack([q1, q2]), r_eigs)
     tau = 1.0 / alpha - 1.0 if 0.0 < alpha < 1.0 else None
     return ConservativenessCertificate(
         alpha=float(alpha), tau=tau, lmi_min_eig=min_eig, method=Method.LMI, passed=passed

@@ -453,6 +453,17 @@ class TestProblemFiles:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0 and out["alpha"] == 0.0
 
+    @pytest.mark.parametrize("key", ["est1", "est2"])
+    def test_singular_estimate_covariance_names_its_block(self, tmp_path, capsys, key):
+        # PSD, so it passes the block check, but an estimate needs it PD
+        doc = json.loads(json.dumps(EXAMPLE2))
+        doc[key]["P_hat"] = [[1, 0], [0, 0]]
+        rc = cli.main(["fuse", write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: {key}.P_hat: covariance estimate must be strictly PD")
+        assert captured.out == ""
+
     def test_ragged_observation_matrix_names_json_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(EXAMPLE2))
         doc["est1"]["H"] = [[1, 0], [0]]

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from cifusion.errors import DimensionMismatchError, NotPdError, NotPsdError
 from cifusion.linalg import (
+    PINV_RTOL,
     LoewnerRelation,
     SymMatrix,
+    _block_psd_margin,
+    _pinv_eigs,
     adjugate,
     assemble_cross,
     block_psd_check,
@@ -182,6 +185,69 @@ class TestBlockPsdCheck:
             q, s, r = t[:nq, :nq], t[:nq, nq:], t[nq:, nq:]
             expected = bool(np.linalg.eigvalsh(t)[0] >= -tol * max(1.0, np.abs(np.linalg.eigvalsh(t)).max()))
             assert block_psd_check(q, s, r) == expected
+
+
+    def test_verdict_matches_assembled_block_for_general_r(self):
+        # R non-diagonal PSD, singular PSD (S in its range or not) or
+        # indefinite: the verdict in R's eigenbasis is the assembled block's
+        # wherever its smallest eigenvalue is clear of the tolerance band
+        rng = np.random.default_rng(43)
+        kinds = set()
+        for k in range(600):
+            nq, nr = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            kind = ("pd", "singular", "singular_off_range", "indefinite")[k % 4]
+            g = rng.standard_normal((nq + nr, nq + nr + 1))
+            if kind != "pd":
+                g[nq:, : nr - 1] = 0.0  # R = B B.T of rank one, S = A B.T in its range ...
+                g[nq:, nr:] = 0.0
+            t = g @ g.T
+            if kind == "pd" and k % 8 == 0:
+                t[:nq, :nq] -= rng.uniform(0.0, 3.0) * np.eye(nq)  # Q may lose the block
+            elif kind == "singular_off_range":
+                t[:nq, nq:] += rng.standard_normal((nq, nr))  # ... S leaves its range
+            elif kind == "indefinite":
+                t[nq:, nq:] -= rng.uniform(0.1, 1.0) * np.eye(nr)
+            t = 0.5 * (t + t.T)
+            q, s, r = t[:nq, :nq], t[:nq, nq:], t[nq:, nq:]
+            assert np.any(r != np.diag(np.diag(r)))
+            eigs = np.linalg.eigvalsh(t)
+            band = 1e-8 * max(1.0, np.abs(eigs).max())
+            if abs(eigs[0]) <= 10.0 * band:
+                continue
+            kinds.add((kind, bool(eigs[0] > 0.0)))
+            assert block_psd_check(q, s, r) == bool(eigs[0] > 0.0), kind
+        assert kinds >= {("pd", True), ("pd", False), ("singular_off_range", False),
+                         ("indefinite", False)}
+
+    def test_diagonal_form_with_a_zero_r_block(self):
+        # the LMI at alpha = 0 or 1: one R block is zero, so the block is
+        # PSD only if the matching columns of S vanish
+        q = np.diag([2.0, 1.0])
+        s = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.3]])
+        for r_eigs, cols in (([0.0, 0.0, 1.0], slice(0, 2)), ([1.0, 0.0, 0.0], slice(1, 3))):
+            s_alpha = np.roll(s, 0 if cols.start == 0 else -2, axis=1)
+            block = np.block([[q, s_alpha], [s_alpha.T, np.diag(r_eigs)]])
+            passed, min_eig = _block_psd_margin(q, s_alpha, np.array(r_eigs))
+            assert passed is True
+            assert min_eig == np.linalg.eigvalsh(block)[0]
+            leaked = s_alpha.copy()
+            leaked[0, cols.start] = 1e-3
+            assert _block_psd_margin(q, leaked, np.array(r_eigs))[0] is False
+            assert block_psd_check(q, leaked, np.diag(r_eigs)) is False
+
+    def test_diagonal_pseudo_inverse_threshold(self):
+        r = np.array([1.0, 2.0 * PINV_RTOL, 0.5 * PINV_RTOL, 0.0, -0.5])
+        np.testing.assert_array_equal(_pinv_eigs(r), np.diag(pinv_sym(np.diag(r))))
+        np.testing.assert_array_equal(
+            _pinv_eigs(r), [1.0, 1.0 / (2.0 * PINV_RTOL), 0.0, 0.0, -2.0]
+        )
+        # an R eigenvalue below the threshold counts as zero: S must vanish
+        # on it for the Schur route, and here the two routes agree
+        q = np.eye(1)
+        for tiny in (0.5 * PINV_RTOL, 2.0 * PINV_RTOL):
+            r_eigs = np.array([1.0, tiny])
+            assert _block_psd_margin(q, np.array([[0.5, 0.0]]), r_eigs)[0] is True
+            assert _block_psd_margin(q, np.array([[0.5, 1e-3]]), r_eigs)[0] is False
 
 
 class TestCrossFactor:

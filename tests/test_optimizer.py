@@ -11,6 +11,7 @@ from cifusion import (
     psd_certify,
 )
 from cifusion.errors import InvalidFamilyParameterError, OutOfRangeError
+from cifusion.linalg import inv_pd
 from cifusion.optimizer import (
     Cost,
     JointSpectrum,
@@ -415,6 +416,111 @@ class TestJointSpectrum:
                 # d/dalpha log det P = -tr(P D) and d/dalpha tr P = -tr(P D P)
                 assert spectrum.det_slope(t)[0] == pytest.approx(-np.trace(p @ d), rel=1e-9, abs=1e-12)
                 assert spectrum.trace_slope(t)[0] == pytest.approx(-np.trace(p @ d @ p), rel=1e-9, abs=1e-12)
+
+
+def _admitted_weights(spectrum, weights=(0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0)):
+    """The weights ``ku_rule`` accepts: nonsingular, and the dominant endpoint if any."""
+    rel = spectrum.relation()
+    for alpha in weights:
+        if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
+            continue
+        if rel is LoewnerRelation.STRICTLY_LESS and alpha != 1.0:
+            continue
+        if spectrum.regular_at(alpha - 0.5):
+            yield alpha
+
+
+class TestSpectralSolvePath:
+    def test_fused_cov_matches_inverse_of_blend(self):
+        # at these weights some 1 + t lam is at least about 1, so the
+        # rounding of lam costs no more than cond(Sigma_alpha) eps
+        eps = np.finfo(float).eps
+        checked = 0
+        for problem in _metamorphic_pool(26, 60)[1]:
+            pair = SigmaPair.from_problem(problem)
+            spectrum = JointSpectrum.of(pair)
+            for alpha in _admitted_weights(spectrum):
+                blend = sigma_alpha(pair, alpha).data
+                want = inv_pd(blend)
+                got = spectrum.fused_cov(alpha - 0.5)
+                bound = 10.0 * problem.n * np.linalg.cond(blend) * eps
+                assert np.abs(got - want).max() <= bound * np.abs(want).max()
+                checked += 1
+        assert checked >= 250
+
+    def test_cost_matches_det_and_trace_of_fused_cov(self):
+        # 1e-12 relative, or the n cond(Sigma_alpha) eps that the LU
+        # determinant of a formed matrix carries where that is larger; the
+        # near-singular weights 1e-6 and 1 - 1e-6 are left out for that reason
+        eps = np.finfo(float).eps
+        for problem in _metamorphic_pool(27, 40)[1]:
+            pair = SigmaPair.from_problem(problem)
+            spectrum = JointSpectrum.of(pair)
+            optimum = solve_ci_det(problem).alpha
+            for alpha in _admitted_weights(spectrum, (0.0, 0.25, 0.5, 0.75, 1.0, optimum)):
+                t = alpha - 0.5
+                p_hat = spectrum.fused_cov(t)
+                rel = max(1e-12, problem.n * np.linalg.cond(sigma_alpha(pair, alpha).data) * eps)
+                assert spectrum.cost(Cost.DET, t) == pytest.approx(np.linalg.det(p_hat), rel=rel)
+                assert spectrum.cost(Cost.TRACE, t) == pytest.approx(np.trace(p_hat), rel=1e-12)
+
+    def test_det_cost_overflows_to_inf(self):
+        # det P_hat = 1e360 is past the largest float, as np.linalg.det finds
+        n = 30
+        est = PartialEstimate(np.eye(n), np.zeros(n), 1e12 * np.eye(n))
+        spectrum = JointSpectrum.of(SigmaPair.from_problem(FusionProblem(est, est)))
+        with np.errstate(over="ignore"):
+            assert np.linalg.det(spectrum.fused_cov(0.0)) == math.inf
+        assert spectrum.cost(Cost.DET, 0.0) == math.inf
+
+    def test_public_ku_rule_equals_spectrum_path_bitwise(self):
+        rng, pool = _metamorphic_pool(28, 40)
+        for problem in pool:
+            spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
+            rel = spectrum.relation()
+            if rel is LoewnerRelation.STRICTLY_GREATER:
+                alpha = 0.0
+            elif rel is LoewnerRelation.STRICTLY_LESS:
+                alpha = 1.0
+            else:
+                alpha = float(rng.uniform(0.05, 0.95))
+            own = ku_rule(problem, alpha)
+            given_ = ku_rule(problem, alpha, spectrum=spectrum)
+            for name in ("K1", "K2", "fused_x"):
+                assert np.array_equal(getattr(own, name), getattr(given_, name))
+            assert np.array_equal(own.P_hat.data, given_.P_hat.data)
+            assert (own.alpha, own.P_hat.min_eig, own.diagnostics) == (
+                given_.alpha, given_.P_hat.min_eig, given_.diagnostics
+            )
+
+
+#: the ``numpy.linalg`` functions that count as spectral calls
+SPECTRAL_CALLS = ("eigvalsh", "eigh", "svd", "cholesky", "inv", "det", "solve")
+
+
+class TestCallBudget:
+    def test_certified_solve_makes_at_most_six_spectral_calls(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        pool = [random_problem(rng, n=n) for n in (2, 3, 5, 8)]
+        pool += [random_problem(rng, full_state=True), dominated_problem(rng, 3, True),
+                 dominated_problem(rng, 4, False), equal_sigma_problem(), example2_problem()]
+        for problem in pool:  # warm the cached info_matrix, p_inv and p_sqrt
+            for cost in Cost:
+                solve_ci(problem, cost)
+        calls = []
+        for name in SPECTRAL_CALLS:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        for problem in pool:
+            for cost in Cost:
+                calls.clear()
+                solve_ci(problem, cost)
+                assert len(calls) <= 6, (problem, cost, calls)
 
 
 class TestDetOracle:

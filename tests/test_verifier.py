@@ -129,6 +129,25 @@ class TestLmiCertificate:
         assert cert.tau == pytest.approx(1.0 / result.alpha - 1.0, abs=1e-12)
 
 
+    def test_min_eig_is_that_of_the_assembled_block(self):
+        # the check takes R's eigenvalues as they stand, but the recorded
+        # margin is still the eigvalsh of the whole block, bit for bit
+        rng = np.random.default_rng(44)
+        pool = [example2_problem(), example2_problem().swapped(), interior_problem()]
+        pool += [random_problem(rng, n=int(rng.integers(2, 7))) for _ in range(20)]
+        alphas = set()
+        for problem in pool:
+            for cost in (Cost.DET, Cost.TRACE):
+                result = solve_ci(problem, cost)
+                q1, q2 = q_pair(result, problem)
+                for alpha in {result.alpha, 0.0, 1.0}:
+                    block = verifier._lmi_matrix(result.P_hat.data, q1, q2, alpha)
+                    cert = lmi_certificate(result, problem, alpha)
+                    assert cert.lmi_min_eig == np.linalg.eigvalsh(block)[0]
+                alphas.add(result.alpha)
+        assert {0.0, 1.0} <= alphas and any(0.0 < a < 1.0 for a in alphas)
+
+
 class TestAlphaUniqueness:
     def test_endpoint_solution_isolated(self):
         problem = example2_problem()
