@@ -37,10 +37,8 @@ from .optimizer import (
     Cost,
     FusionResult,
     SigmaPair,
-    delta_poly_coeffs,
     delta_value,
     ku_rule,
-    lower_bound_witness,
     sigma_alpha,
     solve_ci,
     solve_ci_det,
@@ -84,14 +82,12 @@ __all__ = [
     "contains",
     "covering_cross_cov",
     "cross_factor",
-    "delta_poly_coeffs",
     "delta_value",
     "init_network",
     "kahan_interpose",
     "ku_rule",
     "lmi_certificate",
     "loewner_compare",
-    "lower_bound_witness",
     "make_schedule",
     "membership",
     "monte_carlo_joint",

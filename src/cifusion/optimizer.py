@@ -26,11 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verifier
-from .ellipsoids import Ellipsoid, kahan_interpose
 from .errors import (
     InternalInconsistencyError,
     InvalidFamilyParameterError,
-    NotPdError,
     NotPsdError,
     OutOfRangeError,
     SingularSigmaError,
@@ -42,7 +40,6 @@ from .linalg import (
     PsdMatrix,
     SymMatrix,
     adjugate,
-    inv_pd,
     psd_certify,
 )
 from .problem import FusionProblem
@@ -51,8 +48,6 @@ from .problem import FusionProblem
 ROOT_TOL = 1e-12
 #: slope evaluations allowed in one root search (bisection alone needs 40)
 ROOT_MAX_EVALS = 200
-#: weights tried by :func:`lower_bound_witness`
-WITNESS_GRID = 1001
 
 
 class Cost(enum.Enum):
@@ -116,19 +111,6 @@ def delta_value(pair: SigmaPair, alpha: float) -> float:
     """``trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, defined at singular blends."""
     adj = adjugate(sigma_alpha(pair, alpha))
     return float(np.trace(adj.data @ (pair.sigma1.data - pair.sigma0.data)))
-
-
-def delta_poly_coeffs(pair: SigmaPair) -> np.ndarray:
-    """Coefficients (descending powers) of the degree <= n-1 polynomial Delta.
-
-    Recovered by interpolation on n evenly spaced weights; exact up to
-    rounding because Delta is a polynomial of the stated degree.
-    """
-    n = pair.dim
-    nodes = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])
-    values = np.array([delta_value(pair, a) for a in nodes])
-    vander = np.vander(nodes, n)  # columns: a^(n-1), ..., a, 1
-    return np.linalg.solve(vander, values) if n > 1 else values
 
 
 @dataclass(frozen=True)
@@ -406,21 +388,3 @@ def solve_ci(problem: FusionProblem, cost: Cost) -> FusionResult:
         )
     result.diagnostics["lmi_min_eig"] = cert.lmi_min_eig
     return result
-
-
-def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float | None:
-    """Weight witnessing that a candidate covariance obeys the family bound.
-
-    Returns a weight ``a`` of a ``WITNESS_GRID``-point grid with the
-    candidate dominating the blended covariance
-    ``(a*Sigma1 + (1-a)*Sigma0)^{-1}``, or ``None`` when no grid point
-    qualifies, which flags the candidate as violating the lower bound every
-    conservative unbiased rule must satisfy.
-    """
-    if not candidate_p.strict:
-        raise NotPdError("candidate covariance must be strictly PD")
-    pair = SigmaPair.from_problem(problem)
-    target = Ellipsoid(inv_pd(candidate_p.data))
-    return kahan_interpose(
-        Ellipsoid(pair.sigma1), Ellipsoid(pair.sigma0), target, WITNESS_GRID
-    )

@@ -25,6 +25,15 @@ COND_MAX = 100.0
 #: a node's reported covariance adds a PSD term of trace at most this
 #: fraction of its true covariance's trace
 INFLATION_FRAC = 0.5
+#: a new joint buffer has this many times the rows and columns the joint
+#: needs.  A reallocation copies the whole joint, so the factor makes them
+#: rare: at most one per N/8 rows added to a joint of N rows.  Its cost is
+#: an eighth more resident memory, since the joint's rows are written
+#: across the buffer's whole width.
+JOINT_HEADROOM = 1.125
+#: a move of rows after a resized node goes through a temporary of at most
+#: this many entries (256 KiB), small enough to stay in cache
+SHIFT_CHUNK_ENTRIES = 32768
 
 
 @dataclass
@@ -55,25 +64,35 @@ class NodeState:
 
 
 class GroundTruth:
-    """Exact error statistics hidden from the fusion rule."""
+    """Exact error statistics hidden from the fusion rule.
+
+    ``joint`` is the node-ordered joint covariance of all node errors.  The
+    object keeps it as the top-left block of one buffer with spare rows and
+    columns, so that a node that grows moves the rows after it within that
+    buffer instead of rebuilding the joint.
+    """
 
     def __init__(self, x_true: np.ndarray, blocks: list[np.ndarray]):
         self.x_true = x_true
         self.dims = [b.shape[0] for b in blocks]
         total = sum(self.dims)
-        joint = np.zeros((total, total))
+        self._buf = np.zeros((_capacity(total),) * 2)
+        joint = self._buf[:total, :total]
         off = 0
         for b in blocks:
             joint[off : off + b.shape[0], off : off + b.shape[0]] = b
             off += b.shape[0]
-        self.joint = joint
+        #: the joint this object last stored; any other value of ``joint``
+        #: was assigned from outside
+        self._view = self.joint = joint
 
     def _offset(self, i: int) -> int:
         return sum(self.dims[:i])
 
     def node_cov(self, i: int) -> np.ndarray:
-        """Node i's error covariance: a view of ``joint`` that a later
-        fusion into node i may overwrite."""
+        """Node i's error covariance: a view of ``joint``, valid only until
+        the next :meth:`apply_fusion` into any node, since a node that grows
+        or shrinks moves every row and column after it."""
         o, d = self._offset(i), self.dims[i]
         return self.joint[o : o + d, o : o + d]
 
@@ -83,36 +102,98 @@ class GroundTruth:
         The fused error is ``K1 e_a + K2 e_b`` and every other node keeps its
         error, so only node a's block row and column change: the row becomes
         ``R = K1 J[a, :] + K2 J[b, :]`` and the diagonal block
-        ``R[:, a] K1' + R[:, b] K2'``.  When node a keeps its size this is
-        written in place at O(N n^2) for a joint of N rows and a state of
-        size n; when node a grows, the joint is rebuilt with one O(N^2) copy.
-        The joint stays exactly symmetric.
+        ``R[:, a] K1' + R[:, b] K2'``.  For a joint of N rows and a state of
+        size n the arithmetic costs O(N n^2) and is written in place.  When
+        node a grows or shrinks, the m rows and columns after it also move
+        within the buffer: O(N m) copying and no allocation.  Only a joint
+        that outgrows the buffer is copied into a new one, ``JOINT_HEADROOM``
+        times as large, which amortises to O(N) copying per added row.  The
+        joint stays exactly symmetric.
         """
         lo = self._offset(a)
         hi = lo + self.dims[a]
         ob = self._offset(b)
         rb = slice(ob, ob + self.dims[b])
+        d = k1.shape[0]
+        n = self.joint.shape[0]
+        size = n - self.dims[a] + d
+        buf = self._reserve(size)
         old = self.joint
         rows = k1 @ old[lo:hi] + k2 @ old[rb]
         corner = rows[:, lo:hi] @ k1.T + rows[:, rb] @ k2.T
         corner = 0.5 * (corner + corner.T)
-        d = k1.shape[0]
         if d == self.dims[a]:
             rows[:, lo:hi] = corner
-            joint = old
         else:
             rows = np.hstack([rows[:, :lo], corner, rows[:, hi:]])
-            size = old.shape[0] - self.dims[a] + d
-            joint = np.empty((size, size))
-            # the four quadrants around node a's rows and columns are kept
-            joint[:lo, :lo] = old[:lo, :lo]
-            joint[:lo, lo + d :] = old[:lo, hi:]
-            joint[lo + d :, :lo] = old[hi:, :lo]
-            joint[lo + d :, lo + d :] = old[hi:, hi:]
+        _shift_tail(buf, n, lo, hi, d - self.dims[a])
+        joint = buf[:size, :size]
         joint[lo : lo + d] = rows
         joint[:, lo : lo + d] = rows.T
-        self.joint = joint
+        self._view = self.joint = joint
         self.dims[a] = d
+
+    def _reserve(self, size: int) -> np.ndarray:
+        """Bring ``joint`` into a buffer of at least ``size`` rows; return it.
+
+        Afterwards ``joint`` is this object's own view of the buffer's
+        top-left block.  A joint assigned from outside is copied into the
+        kept buffer when it fits and shares no memory with it.  Otherwise
+        the kept buffer is dropped before a larger one is allocated, so no
+        stale buffer stays alive beside the new one.
+        """
+        joint = self.joint
+        n = joint.shape[0]
+        buf = self._buf
+        if max(n, size) <= buf.shape[0]:
+            if joint is self._view:
+                return buf
+            if not np.may_share_memory(joint, buf):
+                buf[:n, :n] = joint
+                self._view = self.joint = buf[:n, :n]
+                return buf
+        # every reference to the kept buffer goes before its successor is
+        # allocated; ``joint`` keeps the old one alive only when it is needed
+        self._buf = self._view = buf = None
+        buf = np.empty((_capacity(max(n, size)),) * 2)
+        buf[:n, :n] = joint
+        self._buf = buf
+        self._view = self.joint = buf[:n, :n]
+        return buf
+
+
+def _capacity(size: int) -> int:
+    return int(np.ceil(JOINT_HEADROOM * size))
+
+
+def _shift_tail(buf: np.ndarray, n: int, lo: int, hi: int, g: int) -> None:
+    """Move rows and columns ``hi:n`` of ``buf[:n, :n]`` by ``g`` in place.
+
+    Node a holds rows and columns ``lo:hi`` and is resized by ``g``; its new
+    rows and columns ``lo:hi + g`` are left for the caller to write.  numpy
+    copies an overlapping source whole before writing it, so each chunk of
+    rows goes through one small temporary, and the chunks are taken from
+    the end the rows move towards, so no row is overwritten before it is
+    read.
+    """
+    if g == 0 or hi == n:
+        return
+    step = max(1, SHIFT_CHUNK_ENTRIES // n)
+    tmp = np.empty((step, n))
+    # rows before node a stay; their columns after it move
+    for s in range(0, lo, step):
+        e = min(s + step, lo)
+        t = tmp[: e - s, : n - hi]
+        t[...] = buf[s:e, hi:n]
+        buf[s:e, hi + g : n + g] = t
+    # rows after node a move, and so do their columns after it
+    starts = range(hi, n, step)
+    for s in reversed(starts) if g > 0 else starts:
+        e = min(s + step, n)
+        t = tmp[: e - s]
+        t[...] = buf[s:e, :n]
+        buf[s + g : e + g, :lo] = t[:, :lo]
+        buf[s + g : e + g, hi + g : n + g] = t[:, hi:]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ import math
 import numpy as np
 
 from cifusion import FusionProblem, JointCovariance, LoewnerRelation, PartialEstimate
-from cifusion.linalg import loewner_compare
+from cifusion.ellipsoids import Ellipsoid, kahan_interpose
+from cifusion.errors import NotPdError
+from cifusion.linalg import PsdMatrix, inv_pd, loewner_compare
 from cifusion.optimizer import Cost, SigmaPair, delta_value
 from cifusion.verifier import PETERSEN_EPS_RANGE, petersen_objective, q_pair
 
@@ -263,3 +265,71 @@ def petersen_golden_oracle(result, problem: FusionProblem) -> tuple[float, float
             fd = f(d)
     eps = math.exp(0.5 * (lo + hi))
     return eps, petersen_objective(result, problem, eps)
+
+
+def delta_poly_coeffs(pair: SigmaPair) -> np.ndarray:
+    """Coefficients (descending powers) of the degree <= n-1 polynomial Delta.
+
+    Recovered by interpolation on n evenly spaced weights; exact up to
+    rounding because Delta is a polynomial of the stated degree.
+    """
+    n = pair.dim
+    nodes = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])
+    values = np.array([delta_value(pair, a) for a in nodes])
+    vander = np.vander(nodes, n)  # columns: a^(n-1), ..., a, 1
+    return np.linalg.solve(vander, values) if n > 1 else values
+
+
+#: weights tried by :func:`lower_bound_witness`
+WITNESS_GRID = 1001
+
+
+def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float | None:
+    """Weight witnessing that a candidate covariance obeys the family bound.
+
+    Returns a weight ``a`` of a ``WITNESS_GRID``-point grid with the
+    candidate dominating the blended covariance
+    ``(a*Sigma1 + (1-a)*Sigma0)^{-1}``, or ``None`` when no grid point
+    qualifies, which flags the candidate as violating the lower bound every
+    conservative unbiased rule must satisfy.
+    """
+    if not candidate_p.strict:
+        raise NotPdError("candidate covariance must be strictly PD")
+    pair = SigmaPair.from_problem(problem)
+    target = Ellipsoid(inv_pd(candidate_p.data))
+    return kahan_interpose(
+        Ellipsoid(pair.sigma1), Ellipsoid(pair.sigma0), target, WITNESS_GRID
+    )
+
+
+def reallocating_fusion_oracle(joint, dims, a, b, k1, k2):
+    """The block-row fusion into node a on a joint rebuilt at every resize.
+
+    ``GroundTruth.apply_fusion`` before it kept its joint in one buffer:
+    the same arithmetic, written in place when node a keeps its size and
+    into a fresh ``(N, N)`` joint otherwise.  Returns the new joint and
+    dims; the inputs are left as they are when node a is resized.
+    """
+    dims = list(dims)
+    off = np.cumsum([0] + dims)
+    lo, hi = int(off[a]), int(off[a + 1])
+    rb = slice(int(off[b]), int(off[b + 1]))
+    rows = k1 @ joint[lo:hi] + k2 @ joint[rb]
+    corner = rows[:, lo:hi] @ k1.T + rows[:, rb] @ k2.T
+    corner = 0.5 * (corner + corner.T)
+    d = k1.shape[0]
+    if d == dims[a]:
+        rows[:, lo:hi] = corner
+        new = joint
+    else:
+        rows = np.hstack([rows[:, :lo], corner, rows[:, hi:]])
+        size = joint.shape[0] - dims[a] + d
+        new = np.empty((size, size))
+        new[:lo, :lo] = joint[:lo, :lo]
+        new[:lo, lo + d :] = joint[:lo, hi:]
+        new[lo + d :, :lo] = joint[hi:, :lo]
+        new[lo + d :, lo + d :] = joint[hi:, hi:]
+    new[lo : lo + d] = rows
+    new[:, lo : lo + d] = rows.T
+    dims[a] = d
+    return new, dims

@@ -22,7 +22,6 @@ from cifusion.optimizer import (
     Cost,
     FusionResult,
     SigmaPair,
-    delta_poly_coeffs,
     ku_rule,
     solve_ci,
 )
@@ -41,6 +40,7 @@ from cifusion.verifier import (
 )
 
 from conftest import (
+    delta_poly_coeffs,
     grid_costs,
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,

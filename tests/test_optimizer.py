@@ -16,11 +16,9 @@ from cifusion.optimizer import (
     Cost,
     JointSpectrum,
     SigmaPair,
-    delta_poly_coeffs,
     delta_value,
     extended_cost,
     ku_rule,
-    lower_bound_witness,
     sigma_alpha,
     solve_ci,
     solve_ci_det,
@@ -28,9 +26,11 @@ from cifusion.optimizer import (
 )
 
 from conftest import (
+    delta_poly_coeffs,
     det_alpha_oracle,
     dominated_problem,
     grid_costs,
+    lower_bound_witness,
     random_orthogonal,
     random_problem,
     random_spd,

@@ -1,16 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
-from cifusion import loewner_compare
+from cifusion import loewner_compare, simulator
 from cifusion.errors import ScheduleError, UnreachableError
 from cifusion.optimizer import Cost
 from cifusion.simulator import (
+    JOINT_HEADROOM,
+    SHIFT_CHUNK_ENTRIES,
     GroundTruth,
     NoiseSpec,
     init_network,
     make_schedule,
     run_schedule,
 )
+
+from conftest import reallocating_fusion_oracle
 
 EXAMPLE1_SPEC = NoiseSpec(
     h_list=[[[1.0, 0.0]], [[0.0, 1.0]]], p_list=[[[1.0]], [[1.0]]]
@@ -194,11 +200,15 @@ def correlated_truth(rng, dims):
     return truth
 
 
+def random_gains(rng, dims, a, b, d):
+    scale = 1.0 / np.sqrt(dims[a] + dims[b])
+    return (scale * rng.standard_normal((d, dims[a])),
+            scale * rng.standard_normal((d, dims[b])))
+
+
 def fuse_and_compare(truth, rng, a, b, d):
     """Apply one random fusion and check it against the dense oracle."""
-    scale = 1.0 / np.sqrt(truth.dims[a] + truth.dims[b])
-    k1 = scale * rng.standard_normal((d, truth.dims[a]))
-    k2 = scale * rng.standard_normal((d, truth.dims[b]))
+    k1, k2 = random_gains(rng, truth.dims, a, b, d)
     expected, dims = dense_fusion_oracle(truth.joint, truth.dims, a, b, k1, k2)
     truth.apply_fusion(a, b, k1, k2)
     atol = 1e-12 * np.abs(expected).max()
@@ -228,3 +238,74 @@ class TestBlockRowUpdate:
         for _ in range(40):
             a, b = (int(i) for i in rng.choice(40, size=2, replace=False))
             fuse_and_compare(truth, rng, a, b, int(rng.integers(1, 6)))
+
+
+class TestRetainedJointBuffer:
+    # the small chunk moves a few rows at a time, fewer and more than a
+    # growth adds, so the order of the chunks matters
+    @pytest.mark.parametrize("chunk", [SHIFT_CHUNK_ENTRIES, 400])
+    def test_chain_equals_reallocating_oracle_bitwise(self, monkeypatch, chunk):
+        monkeypatch.setattr(simulator, "SHIFT_CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(41)
+        nodes = 40
+        truth = correlated_truth(rng, [int(d) for d in rng.integers(1, 6, size=nodes)])
+        compact, dims0 = truth.joint.copy(), list(truth.dims)
+        joint, dims = compact.copy(), list(dims0)
+        seen = set()
+        for k in range(60):
+            if k == 20:  # the benchmark's reset between passes
+                truth.joint = compact.copy()
+                truth.dims = list(dims0)
+                joint, dims = compact.copy(), list(dims0)
+            if k == 40:  # a joint that shares the buffer's memory
+                truth.joint = truth.joint.T
+                # the joint is exactly symmetric: its transpose holds the
+                # same values, so the oracle keeps its own layout
+                assert np.array_equal(joint, joint.T)
+            a = (0, nodes - 1, int(rng.integers(1, nodes - 1)))[k % 3]
+            after = a == 0 or (a < nodes - 1 and (k // 9) % 2 == 0)
+            b = int(rng.integers(a + 1, nodes) if after else rng.integers(a))
+            change = ("grow", "same", "shrink")[(k // 3) % 3]
+            d = dims[a]
+            if change == "shrink" and d > 1:
+                d -= int(rng.integers(1, d))
+            elif change != "same":
+                change = "grow"
+                d += int(rng.integers(1, 4))
+            seen.add((("first", "last", "middle")[k % 3], b > a, change))
+            k1, k2 = random_gains(rng, dims, a, b, d)
+            joint, dims = reallocating_fusion_oracle(joint, dims, a, b, k1, k2)
+            truth.apply_fusion(a, b, k1, k2)
+            assert truth.dims == dims
+            assert truth.joint.shape == joint.shape
+            assert truth.joint.tobytes() == joint.tobytes()
+            i = int(rng.integers(nodes))
+            o = sum(dims[:i])
+            want = joint[o : o + dims[i], o : o + dims[i]]
+            assert truth.node_cov(i).tobytes() == want.tobytes()
+        for change in ("grow", "same", "shrink"):
+            assert ("first", True, change) in seen and ("last", False, change) in seen
+            assert {("middle", True, change), ("middle", False, change)} <= seen
+
+    def test_growth_reallocates_only_past_the_headroom(self):
+        rng = np.random.default_rng(5)
+        truth = GroundTruth(np.zeros(3), [np.eye(2)] * 40)
+        capacity = math.ceil(JOINT_HEADROOM * 80)
+        # one row more per event: in place up to the capacity, one new
+        # buffer past it, and in place again in that buffer
+        for a in range(capacity - 80 + 2):
+            before = truth.joint
+            truth.apply_fusion(a, a + 1, *random_gains(rng, truth.dims, a, a + 1, 3))
+            size = truth.joint.shape[0]
+            assert np.shares_memory(truth.joint, before) == (size != capacity + 1)
+
+    def test_assigned_joint_is_copied_into_the_buffer_unless_it_overlaps(self):
+        rng = np.random.default_rng(6)
+        truth = GroundTruth(np.zeros(3), [np.eye(2)] * 10)
+        kept = truth.joint
+        truth.joint = kept.copy()
+        truth.apply_fusion(0, 1, *random_gains(rng, truth.dims, 0, 1, 2))
+        assert np.shares_memory(truth.joint, kept)
+        truth.joint = truth.joint.T
+        truth.apply_fusion(0, 1, *random_gains(rng, truth.dims, 0, 1, 2))
+        assert not np.shares_memory(truth.joint, kept)
