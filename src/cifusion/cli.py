@@ -227,6 +227,8 @@ def cmd_scan(args) -> int:
         values.append(v)
         if math.isinf(v):
             rows.append(f"{fmt(a)},,0")
+        elif math.isnan(v):
+            raise ProblemFileError(f"alpha={fmt(a)}", "the cost is not a number")
         else:
             rows.append(f"{fmt(a)},{fmt(v)},1")
     argmin = int(np.argmin(values))
@@ -450,13 +452,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser every :func:`main` call shares, built by the first call rather
+#: than at import; ``parse_args`` reads it and does not mutate it, so it is
+#: safe to share across calls and threads (first calls that race each build
+#: an equivalent one, and one of them is kept)
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    parser = _PARSER
+    if parser is None:
+        parser = _PARSER = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ProblemFileError, UnreachableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except np.linalg.LinAlgError as exc:  # an input scaled beyond what LAPACK resolves
+        print(f"error: linear algebra failed on this input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)

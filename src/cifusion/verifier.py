@@ -20,8 +20,9 @@ decomposes only the samples that can decide its answer: it takes the exact
 largest eigenvalue ``c`` of a few samples that rank highest on their
 diagonals, drops every sample that one batched LDL' factorisation of
 ``(c - delta) I - M`` proves to lie below ``c``, and runs ``eigvalsh`` on
-the rest, so its value is the unscreened one bit for bit.  The scalar
-certificate is a safeguarded Newton search on the convex function
+the rest but the copies of the sample that set ``c``, so its value is the
+unscreened one bit for bit.  The scalar certificate is a safeguarded
+Newton search on the convex function
 ``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)`` of the weight, which
 returns the first certifying iterate and stops early once tangent lines
 prove the minimum above tolerance.  Sampling is certification by search: a
@@ -206,11 +207,13 @@ def stack_max_eigenvalue(mats: np.ndarray) -> float:
     their largest eigenvalues is the threshold ``c``.  :func:`_screen` then
     drops every matrix whose ``eigvalsh`` value it proves to lie below
     ``c``, and the result is the maximum over the matrices left, which
-    always include the candidates.  So the value is the unscreened one bit
-    for bit, whatever order the matrices come in.  When many matrices tie
-    at the maximum, as identical samples do, all of them are decomposed:
-    still exact, not faster.  Only the lower triangles are read, as
-    ``eigvalsh`` reads them.
+    always include the candidate that set ``c``.  Of those, every matrix
+    bitwise equal to that candidate is dropped before ``eigvalsh`` runs, as
+    its value is ``c`` itself.  So the value is the unscreened one bit for
+    bit, whatever order the matrices come in, and a stack of identical
+    samples, such as an endpoint result's adversarial samples, costs the
+    candidates' decompositions alone.  The value depends on the lower
+    triangles alone, as ``eigvalsh``'s does.
     """
     idx = np.arange(mats.shape[-1])
     diag = mats.transpose(1, 2, 0)[idx, idx]
@@ -221,8 +224,14 @@ def stack_max_eigenvalue(mats: np.ndarray) -> float:
         np.argpartition(-diag.max(axis=0), k - 1)[:k],
         np.argpartition(-diag.sum(axis=0), k - 1)[:k],
     ])
-    c = float(np.linalg.eigvalsh(mats[ranked])[:, -1].max())
-    return float(np.linalg.eigvalsh(mats[_screen(mats, c)])[:, -1].max())
+    tops = np.linalg.eigvalsh(mats[ranked])[:, -1]
+    c = float(tops.max())
+    left = mats[_screen(mats, c)]
+    # copies of the candidate that set c have c as their value: bitwise
+    # equal input, bitwise equal eigvalsh output
+    bits = mats[ranked[tops.argmax()]].view(np.int64)
+    left = left[(left.view(np.int64) != bits).any(axis=(1, 2))]
+    return float(np.append(np.linalg.eigvalsh(left)[:, -1], c).max())
 
 
 def _screen(mats: np.ndarray, c: float) -> np.ndarray:

@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +99,21 @@ class TestScan:
         assert rc == 0 and len(data_rows) == 2
         assert data_rows[0].split(",")[0] == "0"
         assert data_rows[1].split(",")[0] == "1"
+
+    def test_cost_that_is_not_a_number_exits_two_naming_the_weight(self, tmp_path, capsys):
+        # H_i' P_i^-1 H_i overflows to an infinity, and the blend at an
+        # interior weight multiplies it by zero
+        doc = {
+            "n": 2,
+            "est1": {"H": [[1e154, 0]], "x_hat": [0], "P_hat": [[1]]},
+            "est2": {"H": [[0, 1e154]], "x_hat": [0], "P_hat": [[1]]},
+        }
+        with np.errstate(all="ignore"):
+            rc = cli.main(["scan", write(tmp_path, doc), "--grid", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: alpha=0.25: the cost is not a number\n"
+        assert captured.out == ""
 
 
 class TestVerify:
@@ -471,3 +490,101 @@ class TestProblemFiles:
         err = capsys.readouterr().err
         assert rc == 2
         assert "est1.H: not numeric" in err
+
+
+#: scaled so far out that the solve's eigensolver does not converge
+OUT_OF_RANGE = {
+    "n": 3,
+    "est1": {"H": [[1e200, 2e199, 0], [0, 1e200, 3e199]], "x_hat": [1, 2],
+             "P_hat": [[1e40, 0], [0, 2e40]]},
+    "est2": {"H": [[3e199, 0, 1e200]], "x_hat": [0.5], "P_hat": [[3e40]]},
+}
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("command", ["fuse", "verify", "scan"])
+    def test_linalg_failure_exits_two_not_one(self, tmp_path, capsys, command):
+        # exit 1 means a failed certificate; an input the eigensolver cannot
+        # resolve is an input error
+        with np.errstate(all="ignore"):
+            rc = cli.main([command, write(tmp_path, OUT_OF_RANGE)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            "error: linear algebra failed on this input: Eigenvalues did not converge\n"
+        )
+        assert captured.out == ""
+
+
+def run_main(argv, capsys):
+    """(stdout, stderr, exit code) of one ``cli.main`` call, SystemExit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+class TestParserReuse:
+    def sequence(self, tmp_path):
+        problem = write(tmp_path, EXAMPLE2)
+        fused = str(tmp_path / "fused.json")
+        return [
+            ["fuse", problem, "--out", fused, "--cost", "trace"],
+            ["fuse", problem],
+            ["verify", problem, "--result", fused, "--samples", "50", "--seed", "3"],
+            ["verify", problem],
+            ["verify", problem, "--cost", "trace"],
+            ["scan", problem, "--grid", "5"],
+            ["sim"],
+            ["verify", problem, "--samples", "0"],
+            ["verify", problem, "--no-such-option"],
+            ["--help"],
+        ]
+
+    def test_in_process_calls_build_one_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real_build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in self.sequence(tmp_path) * 2:
+            run_main(argv, capsys)
+        assert len(built) == 1
+
+    def test_import_builds_no_parser_and_build_parser_stays_fresh(self, capsys):
+        # a fresh interpreter, so that no earlier call has built the parser
+        code = "import cifusion.cli as cli; raise SystemExit(cli._PARSER is not None)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+        run_main(["--help"], capsys)
+        kept = cli._PARSER
+        assert isinstance(kept, argparse.ArgumentParser)
+        assert cli.build_parser() is not kept and cli._PARSER is kept
+
+    def test_shared_parser_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        fused = tmp_path / "fused.json"
+        monkeypatch.setattr(cli, "_PARSER", None)
+        shared = []
+        for argv in self.sequence(tmp_path):
+            shared.append(run_main(argv, capsys) + (fused.read_text(),))
+        fused.unlink()
+        fresh = []
+        for argv in self.sequence(tmp_path):
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(run_main(argv, capsys) + (fused.read_text(),))
+        assert shared == fresh
+        codes = [code for _, _, code, _ in shared]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 2, ("SystemExit", 2), ("SystemExit", 0)]
+        # an option left out takes its default, whatever the call before gave
+        sequence = self.sequence(tmp_path)
+        spelled_out = {1: ["--cost", "det"],
+                       3: ["--cost", "det", "--samples", "1000", "--seed", "0"]}
+        for i, defaults in spelled_out.items():
+            assert shared[i][:3] == run_main(sequence[i] + defaults, capsys)

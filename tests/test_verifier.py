@@ -15,6 +15,7 @@ from cifusion.errors import DegenerateQError, InternalInconsistencyError
 from cifusion.known_cross import JointCovariance
 from cifusion.optimizer import Cost, FusionResult, solve_ci
 from cifusion.verifier import (
+    SCREEN_CANDIDATES,
     Method,
     ZERO_Q_TOL,
     adversarial_x_search,
@@ -38,6 +39,7 @@ from cifusion.verifier import (
 )
 
 from conftest import (
+    dominated_problem,
     haar_contraction_draws,
     monte_carlo_draws,
     monte_carlo_sqrt_oracle,
@@ -614,6 +616,80 @@ class TestScreenedKernel:
                 flagged = _screen(mats, c)
                 assert flagged[tops >= c].all()
                 assert not flagged[tops < c - 1e-9 * scale].any()
+
+
+def tied_stack(rng, mats, counts) -> np.ndarray:
+    """Each of ``mats`` repeated ``counts`` times, in random order."""
+    stack = np.repeat(mats, counts, axis=0)
+    return stack[rng.permutation(len(stack))]
+
+
+@pytest.fixture
+def kernel_batches(monkeypatch):
+    """Sizes of the batches that ``stack_max_eigenvalue`` hands to ``eigvalsh``."""
+    sizes, inside = [], []
+    eigvalsh, kernel = np.linalg.eigvalsh, verifier.stack_max_eigenvalue
+
+    def counted(a, *args, **kwargs):
+        if inside:
+            sizes.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def traced(mats):
+        inside.append(True)
+        try:
+            return kernel(mats)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(verifier, "stack_max_eigenvalue", traced)
+    return sizes
+
+
+class TestTiedStacks:
+    """Copies of the matrix that sets the threshold are decomposed once."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    def test_bitwise_equal_to_unscreened(self, n):
+        rng = np.random.default_rng(1000 + n)
+        counts = [200, 300, 250]
+        decoys = np.eye(n) + 0.01 * symmetric_stack(rng, 2, n)
+        hidden = np.zeros((1, n, n))
+        if n > 1:  # ranks last on both diagonal bounds, largest eigenvalue 2
+            hidden[0, 0, 1] = hidden[0, 1, 0] = 2.0
+        for mats in (symmetric_stack(rng, 3, n), near_tie_stack(rng, 3, n),
+                     np.concatenate([decoys, hidden])):
+            stack = tied_stack(rng, mats, counts)
+            assert stack_max_eigenvalue(stack) == unscreened(stack)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_decomposes_candidates_and_distinct_survivors(self, n, kernel_batches):
+        rng = np.random.default_rng(1100 + n)
+        shifts = np.array([0.0, 5.0, 10.0])[:, None, None] * np.eye(n)
+        mats = 0.1 * symmetric_stack(rng, 3, n) + shifts
+        # two distinct near-copies of the winner, a relative 1e-13 and 2e-13
+        # lower on the diagonal, rank below it and may survive the screen
+        nudged = np.repeat(mats[2:], 2, axis=0)
+        diag = np.einsum("sii->si", nudged)
+        diag -= np.array([[1e-13], [2e-13]]) * np.abs(diag)
+        stack = tied_stack(rng, np.concatenate([mats, nudged]), [300, 300, 300, 1, 1])
+        assert verifier.stack_max_eigenvalue(stack) == unscreened(stack)
+        first, *rest = kernel_batches
+        assert first <= 2 * SCREEN_CANDIDATES and sum(rest) <= 2
+        kernel_batches.clear()
+        stack = np.repeat(mats[:1], 500, axis=0)
+        assert verifier.stack_max_eigenvalue(stack) == unscreened(stack)
+        assert sum(kernel_batches) <= 2 * SCREEN_CANDIDATES
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_endpoint_adversarial_search_decomposes_the_candidates(self, n, kernel_batches):
+        # alpha = 1 makes K2 = 0, so every adversarial sample is Q1 Q1' - P_hat
+        problem = dominated_problem(np.random.default_rng(1200 + n), n, True)
+        result = solve_ci(problem, Cost.DET)
+        assert result.alpha == 1.0 and not result.K2.any()
+        adversarial_x_search(result, problem, samples=1000, seed=n)
+        assert sum(kernel_batches) <= 2 * SCREEN_CANDIDATES
 
 
 class TestCertificateEquivalence:
