@@ -14,6 +14,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -76,11 +77,14 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def _array(value, path: str) -> np.ndarray:
-    """A finite float array from a JSON value, or an error naming its path."""
+    """A finite float array of JSON numbers (not strings or booleans), or an error naming it."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(path, f"not numeric: {exc}") from None
+    for entry in np.asarray(value, dtype=object).flat:
+        if type(entry) not in (int, float):
+            raise ProblemFileError(path, f"not numeric: {json.dumps(entry)} is not a JSON number")
     if not np.isfinite(arr).all():
         raise ProblemFileError(path, "holds a NaN or an infinity")
     return arr
@@ -290,15 +294,7 @@ def cmd_verify(args) -> int:
     else:
         result = solve_ci(problem, Cost(args.cost))
     if "p_hat_override" in extras:
-        result = FusionResult(
-            alpha=result.alpha,
-            K1=result.K1,
-            K2=result.K2,
-            P_hat=extras["p_hat_override"],
-            fused_x=result.fused_x,
-            cost_value=result.cost_value,
-            diagnostics=dict(result.diagnostics),
-        )
+        result = dataclasses.replace(result, P_hat=extras["p_hat_override"])
     tol = verifier.certificate_tolerance(result)
     rows = []
 

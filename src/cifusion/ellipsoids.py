@@ -2,9 +2,11 @@
 
 The ellipsoid of a PSD shape matrix S is ``{x : x.T S x <= 1}``; containment
 of ellipsoids reverses the semidefinite order of their shapes.  The module
-also provides the constructive cross covariance that makes the optimal
-known-cross fusion cover a chosen interior point of the intersection of the
-two prior ellipsoids.
+finds the smallest convex weight whose blend of two shapes dominates a
+third, by the package's one search over the weight, and provides the
+constructive cross covariance that makes the optimal known-cross fusion
+cover a chosen interior point of the intersection of the two prior
+ellipsoids.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from .errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
     NotInteriorError,
-    OutOfRangeError,
 )
 from .linalg import (
     DEFAULT_TOL,
-    LoewnerRelation,
     PsdMatrix,
+    feasible_weight_interval,
     inv_pd,
     loewner_compare,
     psd_certify,
@@ -37,7 +38,6 @@ INTERIOR_MARGIN = 1e-6
 #: quadratic forms closer than this (relatively) route to the perturbed
 #: construction, keeping the joint covariance away from singularity
 EQUAL_FORMS_RTOL = 1e-6
-DEFAULT_INTERPOSE_GRID = 10001
 
 
 class Ellipsoid:
@@ -87,38 +87,21 @@ def membership(x, e: Ellipsoid) -> tuple[Membership, float]:
     return Membership.OUTSIDE, value
 
 
-def kahan_interpose(
-    sigma1: Ellipsoid,
-    sigma2: Ellipsoid,
-    target: Ellipsoid,
-    grid: int = DEFAULT_INTERPOSE_GRID,
-) -> float | None:
-    """Search a uniform grid for a convex weight interposing the target.
+def kahan_interpose(sigma1: Ellipsoid, sigma2: Ellipsoid, target: Ellipsoid) -> float | None:
+    """Smallest convex weight interposing the target, or ``None`` when none does.
 
-    Returns the smallest grid weight ``a`` with
-    ``a*S1 + (1-a)*S2`` dominating the target shape, or ``None`` when no
-    grid point qualifies.  A grid witness is all the downstream containment checks
-    need, so the acceptance threshold absorbs half a grid step of
-    blend mismatch (the resolution limit of any grid search); no analytic
-    interposition is attempted.
+    ``a`` interposes when ``lambda_max(T - a*S1 - (1-a)*S2) <= tol``, with
+    ``tol = DEFAULT_TOL * tol_scale(max |S1|, |S2|, |T|)``: that is convex
+    in ``a``, so the left end of :func:`linalg.feasible_weight_interval`
+    from ``a = 0`` is the answer, exactly 0.0 when ``a = 0`` interposes.
     """
-    if grid < 2:
-        raise OutOfRangeError("grid must have at least two points")
     if not (sigma1.dim == sigma2.dim == target.dim):
         raise DimensionMismatchError("ellipsoid dimensions differ")
-    s1 = sigma1.shape.data
-    s2 = sigma2.shape.data
-    st = target.shape.data
-    alphas = np.linspace(0.0, 1.0, grid)
-    combos = alphas[:, None, None] * s1 + (1.0 - alphas)[:, None, None] * s2
-    eigs = np.linalg.eigvalsh(combos - st)
-    scales = tol_scale(np.maximum(np.abs(combos).max(axis=(1, 2)), np.abs(st).max()))
-    half_step_slack = 0.5 / (grid - 1) * float(np.abs(np.linalg.eigvalsh(s1 - s2)).max())
-    ok = eigs[:, 0] >= -(DEFAULT_TOL * scales + half_step_slack)
-    idx = np.flatnonzero(ok)
-    if idx.size == 0:
-        return None
-    return float(alphas[idx[0]])
+    s1, s2, st = sigma1.shape.data, sigma2.shape.data, target.shape.data
+    tol = DEFAULT_TOL * tol_scale(max(np.abs(s1).max(), np.abs(s2).max(), np.abs(st).max()))
+    dm = s2 - s1, np.zeros_like(st)
+    found = feasible_weight_interval(lambda a: st - a * s1 - (1.0 - a) * s2, lambda a: dm, tol, 0.0)
+    return None if found is None else found[0]
 
 
 def _householder_to(a_unit: np.ndarray, b_unit: np.ndarray) -> np.ndarray:

@@ -5,12 +5,15 @@ comparisons, PSD certification, square roots, pseudo-inverses and adjugates
 share one audited kernel.  Matrices here are small and dense (state
 dimensions of a few dozen at most).  The package's two PSD tolerances,
 ``DEFAULT_TOL`` and ``DEFAULT_CERT_TOL``, are named here, and every
-magnitude they are scaled by goes through :func:`tol_scale`.
+magnitude they are scaled by goes through :func:`tol_scale`.  So is the
+package's one search over a convex weight function,
+:func:`first_feasible_weight`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -31,15 +34,12 @@ DEFAULT_CERT_TOL = 1e-8
 PINV_RTOL = 1e-12
 #: relative threshold below which a symmetric matrix counts as singular
 SINGULAR_RTOL = 1e-12
+#: the weight searches stop when their bracket is this narrow
+PETERSEN_WIDTH = 1e-12
 
 
-def tol_scale(magnitude):
-    """``max(1, magnitude)``, the factor every tolerance is multiplied by.
-
-    Takes a float or, for batched checks, an array of magnitudes.
-    """
-    if isinstance(magnitude, np.ndarray):
-        return np.maximum(1.0, magnitude)
+def tol_scale(magnitude: float) -> float:
+    """``max(1, magnitude)``, the factor every tolerance is multiplied by."""
     return max(1.0, magnitude)
 
 
@@ -383,6 +383,99 @@ def _block_psd_margin(q, s, r_eigs) -> tuple[bool, float]:
             f"direct min eig {eigs[0]:.3g}, Schur route {'PSD' if schur_route else 'not PSD'}"
         )
     return direct, float(eigs[0])
+
+
+def _tangent_floor(lo_tangent, hi_tangent, lo: float, hi: float) -> tuple[float, float]:
+    """Where on ``[lo, hi]`` the larger of two end tangents is least, and that value.
+
+    A tangent is ``(alpha, f, slope)`` of a convex function at ``lo`` or ``hi``, or
+    ``None`` at an unevaluated end (at most one); the value bounds it below.
+    """
+    if lo_tangent is None or hi_tangent is None:
+        a, f, g = lo_tangent or hi_tangent
+        x = lo if lo_tangent is None else hi
+        return x, f + g * (x - a)
+    (a1, f1, g1), (a2, f2, g2) = lo_tangent, hi_tangent
+    x = min(max((f1 - f2 + g2 * a2 - g1 * a1) / (g2 - g1), lo), hi)
+    return x, max(f1 + g1 * (x - a1), f2 + g2 * (x - a2))
+
+
+def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
+    """First weight of a safeguarded Newton search with ``lambda_max(M) <= tol``.
+
+    ``m(alpha)`` is a symmetric matrix on ``[0, 1]`` whose ``f = lambda_max``
+    is convex, or ``None`` at an end where M is infinite, which is never
+    evaluated but bisected towards; ``dm(alpha)`` is ``(M', M'')``.  From
+    ``start``, the sign of ``f' = v'M'v`` keeps a bracket around the
+    minimiser and the next iterate is the Newton step on ``f'``, with
+    ``f'' = v'M''v + 2 sum_j (v_j'M'v)^2 / (lambda_max - lambda_j)`` from
+    the same ``eigh``.  A step out of the bracket goes to the unevaluated
+    end it points past, else to where the end tangents cross (a kink of
+    f); a bracket that did not halve in two steps is bisected.  ``None``
+    once the end tangents bound ``min f`` above ``tol`` (by convexity, no
+    weight qualifies) or the bracket is ``PETERSEN_WIDTH`` wide.
+    """
+    lo, hi = 0.0, 1.0
+    lo_tangent = hi_tangent = None
+    alpha = start
+    older = old = math.inf  # the bracket widths two steps and one step back
+    while True:
+        value = m(alpha)
+        if value is None:  # an end where M is infinite: bisect towards it instead
+            alpha = 0.5 * (lo + hi)
+            continue
+        w, v = np.linalg.eigh(value)
+        f, top = float(w[-1]), v[:, -1]
+        if f <= tol:
+            return alpha
+        d1, d2 = dm(alpha)
+        slope = float(top @ d1 @ top)
+        if slope < 0.0:
+            lo, lo_tangent = alpha, (alpha, f, slope)
+        else:
+            hi, hi_tangent = alpha, (alpha, f, slope)
+        cut, floor = _tangent_floor(lo_tangent, hi_tangent, lo, hi)
+        if hi - lo <= PETERSEN_WIDTH or floor > tol:
+            return None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap_term = 2.0 * np.sum((v[:, :-1].T @ d1 @ top) ** 2 / (f - w[:-1]))
+            newton = alpha - slope / (float(top @ d2 @ top) + gap_term)
+        halved = hi - lo <= 0.5 * older
+        older, old = old, hi - lo
+        if lo < newton < hi and halved:
+            alpha = newton
+        elif newton >= hi and hi_tangent is None:
+            alpha = hi
+        elif newton <= lo and lo_tangent is None:
+            alpha = lo
+        elif lo < cut < hi and halved:
+            alpha = cut
+        else:
+            alpha = 0.5 * (lo + hi)
+
+
+def feasible_weight_interval(m, dm, tol: float, start: float) -> tuple[float, float] | None:
+    """The weights with ``lambda_max(M) <= tol``, one interval ``(lo, hi)``, or ``None``.
+
+    From the weight :func:`first_feasible_weight` finds, each end is bisected
+    on ``m`` to ``PETERSEN_WIDTH``; an end of ``[0, 1]`` that qualifies is exact.
+    """
+    inside = first_feasible_weight(m, dm, tol, start)
+    if inside is None:
+        return None
+
+    def qualifies(alpha: float) -> bool:
+        value = m(alpha)
+        return value is not None and float(np.linalg.eigvalsh(value)[-1]) <= tol
+
+    ends = []
+    for end in (0.0, 1.0):
+        good, bad = (end, end) if qualifies(end) else (inside, end)
+        while abs(bad - good) > PETERSEN_WIDTH:
+            mid = 0.5 * (good + bad)
+            good, bad = (mid, bad) if qualifies(mid) else (good, mid)
+        ends.append(good)
+    return ends[0], ends[1]
 
 
 def cross_factor(joint) -> np.ndarray:

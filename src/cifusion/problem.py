@@ -77,9 +77,10 @@ class PartialEstimate:
 
     @cached_property
     def info_matrix(self) -> np.ndarray:
-        """Information contribution ``H.T P_hat^{-1} H`` in state space."""
-        m = self.h.T @ self.p_inv @ self.h
-        return 0.5 * (m + m.T)
+        """Information contribution ``H.T P_hat^{-1} H`` in state space; may overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = self.h.T @ self.p_inv @ self.h
+            return 0.5 * (m + m.T)
 
     def __repr__(self) -> str:
         return f"PartialEstimate(p={self.p}, n={self.n})"
@@ -128,12 +129,12 @@ class FusionProblem:
     @cached_property
     def sigma1(self) -> np.ndarray:
         """Information matrix of the first estimate."""
-        return self.est1.info_matrix
+        return _information(self.est1, "est1")
 
     @cached_property
     def sigma0(self) -> np.ndarray:
         """Information matrix of the second estimate."""
-        return self.est2.info_matrix
+        return _information(self.est2, "est2")
 
     def swapped(self) -> "FusionProblem":
         """The same problem with the two estimates exchanged."""
@@ -141,3 +142,10 @@ class FusionProblem:
 
     def __repr__(self) -> str:
         return f"FusionProblem(n={self.n}, p1={self.p1}, p2={self.p2})"
+
+
+def _information(est: PartialEstimate, name: str) -> np.ndarray:
+    """``est.info_matrix``, or :class:`NonFiniteError` naming the estimate if it overflowed."""
+    if not np.isfinite(est.info_matrix).all():
+        raise NonFiniteError(f"{name}: information matrix H' P_hat^-1 H overflows")
+    return est.info_matrix

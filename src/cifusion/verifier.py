@@ -1,54 +1,45 @@
 """Numerical certification that a fusion output stays conservative.
 
 Four routes cross-validate each other: the semidefinite block certificate,
-its scalar counterpart obtained from a norm-bounded-uncertainty argument,
+its scalar counterpart from a norm-bounded-uncertainty argument,
 adversarial search over admissible normalized cross terms, and Monte Carlo
-over admissible true joint covariances.  The two sampling routes share one
-kernel, :func:`worst_violation`: with factors ``G1``, ``G2`` and a cross
-parameter ``X`` of spectral norm at most one, the fused error covariance is
-``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2'``.  The adversarial search fixes
-``G_i = Q_i``; Monte Carlo draws a shrunken prior block per sample from the
-eigenpairs of a random contraction and passes its factor ``K_i P_i^{1/2}
-U_i diag(sqrt(e_i))``, so no sample needs a matrix square root.  Both
-samplers keep their draws sample-last, with the sample index on the last,
-contiguous axis: each product is a few whole-stack ``einsum`` or flat GEMM
-calls rather than one small LAPACK or BLAS call per sample, and the Haar
-factors ``U_i`` come from one Gram-Schmidt pass over the whole stack (the
-unique QR factor with a positive ``R`` diagonal).  The kernel keeps its
-sample-first signature and receives sample-first views of that memory.  It
-decomposes only the samples that can decide its answer: it takes the exact
-largest eigenvalue ``c`` of a few samples that rank highest on their
-diagonals, drops every sample that one batched LDL' factorisation of
-``(c - delta) I - M`` proves to lie below ``c``, and runs ``eigvalsh`` on
-the rest but the copies of the sample that set ``c``, so its value is the
-unscreened one bit for bit.  The scalar certificate is a safeguarded
-Newton search on the convex function
-``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)`` of the weight, which
-returns the first certifying iterate and stops early once tangent lines
-prove the minimum above tolerance.  Sampling is certification by search: a
-found violation is conclusive, absence of violations is reported as "no
-violation found" for the sampled budget, while the block certificate
-carries the actual proof.
+over admissible true joint covariances.  By a Schur complement the block
+certificate holds where ``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``,
+convex in the weight, is at most zero; the scalar certificate and the exact
+interval of feasible weights both come from the package's one search over
+it, :func:`linalg.first_feasible_weight`.  The two sampling routes share one
+kernel, :func:`worst_violation`, the largest eigenvalue of
+``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat`` over cross parameters
+``X`` of spectral norm at most one: the adversarial search fixes
+``G_i = Q_i``, and Monte Carlo passes factors ``K_i P_i^{1/2} U_i
+diag(sqrt(e_i))`` of shrunken prior blocks, so no sample needs a matrix
+square root.  Draws are kept sample-last, so each product is a few
+whole-stack ``einsum`` calls, and the kernel decomposes only the samples
+that can decide its answer, with a value bit for bit that of ``eigvalsh``
+over all of them.  A found violation is conclusive; absence of violations
+is reported as "no violation found" for the sampled budget, while the
+block certificate carries the actual proof.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateQError, InternalInconsistencyError
-from .linalg import DEFAULT_CERT_TOL, LoewnerRelation, _block_psd_margin, loewner_compare, tol_scale
+from .linalg import (
+    DEFAULT_CERT_TOL,
+    LoewnerRelation,
+    _block_psd_margin,
+    feasible_weight_interval,
+    first_feasible_weight,
+    loewner_compare,
+    tol_scale,
+)
 from .problem import FusionProblem
 
-#: weights scanned by :func:`lmi_feasible_alphas` and :func:`alpha_uniqueness_check`
-UNIQUENESS_GRID = 1001
-#: the scalar certificate searches eps in this range
-PETERSEN_EPS_RANGE = (1e-8, 1e8)
-#: the scalar certificate's search stops when its weight bracket is this narrow
-PETERSEN_WIDTH = 1e-12
 #: gain blocks with max |entry| below this count as zero (degenerate cases)
 ZERO_Q_TOL = 1e-14
 #: matrices ranked by each cheap lower bound on the largest eigenvalue that
@@ -80,20 +71,6 @@ def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
-def _lmi_matrix(p_hat: np.ndarray, q1: np.ndarray, q2: np.ndarray, alpha: float) -> np.ndarray:
-    n, p1 = q1.shape
-    p2 = q2.shape[1]
-    m = np.zeros((n + p1 + p2, n + p1 + p2))
-    m[:n, :n] = p_hat
-    m[:n, n : n + p1] = q1
-    m[:n, n + p1 :] = q2
-    m[n : n + p1, :n] = q1.T
-    m[n + p1 :, :n] = q2.T
-    m[n : n + p1, n : n + p1] = alpha * np.eye(p1)
-    m[n + p1 :, n + p1 :] = (1.0 - alpha) * np.eye(p2)
-    return m
-
-
 def lmi_certificate(
     result, problem: FusionProblem, alpha: float
 ) -> ConservativenessCertificate:
@@ -101,10 +78,9 @@ def lmi_certificate(
 
     The verdict comes from the dual-evaluated block PSD check, which also
     returns the smallest eigenvalue of the assembled block; that value is
-    recorded either way, so a failed certificate is returned rather than
-    raised.  The lower right block is diagonal, so the check takes its
-    eigenvalues as they stand and decomposes only the assembled block and
-    the Schur complement.
+    recorded either way, so a failed certificate is returned, not raised.
+    The lower right block is diagonal, so only the assembled block and the
+    Schur complement are decomposed.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
@@ -117,42 +93,61 @@ def lmi_certificate(
     )
 
 
-def lmi_feasible_alphas(result, problem: FusionProblem) -> np.ndarray:
-    """Weights of the ``UNIQUENESS_GRID`` grid whose block certificate is PSD."""
-    q1, q2 = q_pair(result, problem)
-    p_hat = result.P_hat.data
-    alphas = np.linspace(0.0, 1.0, UNIQUENESS_GRID)
-    base = _lmi_matrix(p_hat, q1, q2, 0.0)
-    n, p1 = q1.shape
-    p2 = q2.shape[1]
-    blocks = np.broadcast_to(base, alphas.shape + base.shape).copy()
-    diag_idx = np.arange(n, n + p1)
-    blocks[:, diag_idx, diag_idx] = alphas[:, None]
-    diag_idx2 = np.arange(n + p1, n + p1 + p2)
-    blocks[:, diag_idx2, diag_idx2] = (1.0 - alphas)[:, None]
-    min_eigs = np.linalg.eigvalsh(blocks)[:, 0]
-    return alphas[min_eigs >= -certificate_tolerance(result)]
+def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
+    """``m`` and ``dm`` of ``M = S1/alpha + S2/(1 - alpha) - P_hat`` for the weight search.
+
+    ``S_i = Q_i Q_i'``; as in a generalized Schur complement, ``S_i/0`` is 0 when ``Q_i``
+    counts as zero (max |entry| at most ``ZERO_Q_TOL``), else M is infinite (``m`` gives ``None``).
+    """
+    zero = np.zeros(p_hat.shape)
+    s1, s2 = (q @ q.T if np.abs(q).max() > ZERO_Q_TOL else None for q in (q1, q2))
+
+    def over(s, t):
+        return zero if s is None else s / t
+
+    def m(alpha: float):
+        if (s1 is not None and alpha == 0.0) or (s2 is not None and alpha == 1.0):
+            return None
+        return over(s1, alpha) + over(s2, 1.0 - alpha) - p_hat
+
+    def dm(alpha: float):
+        a, b = alpha, 1.0 - alpha
+        return over(s2, b**2) - over(s1, a**2), 2.0 * (over(s1, a**3) + over(s2, b**3))
+
+    return m, dm
+
+
+def lmi_feasible_interval(result, problem: FusionProblem) -> tuple[float, float] | None:
+    """The weights whose block certificate holds, as one interval ``(lo, hi)``, or ``None``.
+
+    The block of :func:`lmi_certificate` is PSD exactly where its Schur
+    complement (:func:`_schur_function`) has ``lambda_max <= 0``.
+    """
+    m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
+    return feasible_weight_interval(m, dm, certificate_tolerance(result), result.alpha)
 
 
 def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
-    """Whether the certificate weight is pinned down to one grid cell.
+    """Whether :func:`lmi_feasible_interval` is nonempty and at most twice its first-order width.
 
-    Returns ``None`` (not applicable) when the two information matrices
-    coincide, since any weight is then feasible by construction.  Otherwise
-    the scan runs over the grid plus the result's own family weight (the
-    unique feasible value may fall between grid points, which would leave a
-    bare grid scan vacuously empty) and returns ``True`` iff the feasible
-    set is nonempty and contained in one grid step around the family weight.
+    ``None`` when the information matrices coincide, as any weight is then
+    feasible.  A CI family member's Schur complement M vanishes at its own
+    weight, so to first order ``lambda_max(M) <= tol`` on a width
+    ``tol (1/lambda_max(M') + 1/(-lambda_min(M')))``, ``M'`` taken there;
+    a part counts only if its eigenvalue has that sign and the weight can
+    move that way.  ``False`` when M is infinite at that weight.
     """
     if loewner_compare(problem.sigma0, problem.sigma1) is LoewnerRelation.EQUAL:
         return None
-    feasible = list(lmi_feasible_alphas(result, problem))
-    if lmi_certificate(result, problem, result.alpha).passed:
-        feasible.append(result.alpha)
-    if not feasible:
+    m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
+    tol = certificate_tolerance(result)
+    interval = feasible_weight_interval(m, dm, tol, result.alpha)
+    if interval is None or m(result.alpha) is None:
         return False
-    step = 1.0 / (UNIQUENESS_GRID - 1)
-    return bool(np.all(np.abs(np.asarray(feasible) - result.alpha) <= step + 1e-15))
+    eigs = np.linalg.eigvalsh(dm(result.alpha)[0])
+    w1 = tol / eigs[-1] if eigs[-1] > 0.0 and result.alpha < 1.0 else 0.0
+    w1 += tol / -eigs[0] if eigs[0] < 0.0 and result.alpha > 0.0 else 0.0
+    return bool(interval[1] - interval[0] <= 2.0 * w1)
 
 
 def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -191,9 +186,7 @@ def worst_violation(g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.nd
     matrix shared by every sample or a stack with one matrix per sample.
     This is the fused error covariance of a joint whose diagonal blocks
     factor as ``G G'`` and whose cross block is ``G1 X G2'``, less the
-    reported covariance.  The value is :func:`stack_max_eigenvalue` of the
-    sample stack, bitwise equal to ``eigvalsh(stack)[:, -1].max()``: the
-    screen decomposes only the few samples that can attain the maximum.
+    reported covariance; the value is :func:`stack_max_eigenvalue` of them.
     """
     return stack_max_eigenvalue(_violation_stack(g1, g2, xs, p_hat))
 
@@ -338,11 +331,10 @@ def adversarial_x_search(
 
 
 def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
-    """Largest eigenvalue of ``G + eps*Q1 Q1' + (1/eps)*Q2 Q2'``.
+    """Largest eigenvalue of ``G + eps*Q1 Q1' + (1/eps)*Q2 Q2'``, ``G = -P_hat + Q1 Q1' + Q2 Q2'``.
 
-    ``G = -P_hat + Q1 Q1' + Q2 Q2'``; nonpositive values certify
-    conservativeness through the scalar uncertainty bound, and the scalar
-    relates to the family weight by ``eps = 1/alpha - 1``.
+    Nonpositive values certify conservativeness through the scalar
+    uncertainty bound; ``eps = 1/alpha - 1`` relates it to the weight.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -352,96 +344,26 @@ def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
 
 
-def _tangent_floor(lo_tangent, hi_tangent, lo: float, hi: float) -> tuple[float, float]:
-    """Where on ``[lo, hi]`` the larger of two end tangents is least, and that value.
-
-    Each tangent is ``(alpha, f, slope)`` of a convex function at ``lo`` or
-    ``hi``, or ``None`` when that end was not evaluated (at most one is);
-    the value is then a lower bound on the function over ``[lo, hi]``.
-    """
-    if hi_tangent is None:
-        a, f, g = lo_tangent
-        return hi, f + g * (hi - a)
-    if lo_tangent is None:
-        a, f, g = hi_tangent
-        return lo, f + g * (lo - a)
-    (a1, f1, g1), (a2, f2, g2) = lo_tangent, hi_tangent
-    x = min(max((f1 - f2 + g2 * a2 - g1 * a1) / (g2 - g1), lo), hi)
-    return x, max(f1 + g1 * (x - a1), f2 + g2 * (x - a2))
-
-
 def petersen_certificate(result, problem: FusionProblem) -> float | None:
     """Scalar certificate ``eps = 1/alpha - 1`` found by a safeguarded Newton search.
 
-    The search works in the weight, on the convex function
-    ``f(alpha) = lambda_max(M)`` with ``M = S1/alpha + S2/(1 - alpha) - P_hat``
-    and ``S_i = Q_i Q_i'`` formed once; ``f`` is :func:`petersen_objective`
-    at ``eps = 1/alpha - 1``, and the search keeps to the weights that map
-    into ``PETERSEN_EPS_RANGE``.  It starts at the result's own weight,
-    clipped into that range.  The first iterate with ``f`` at most
-    :func:`certificate_tolerance` certifies, since any such eps does, and
-    its eps is returned once :func:`petersen_objective` confirms it: the
-    printed eps is that iterate, not necessarily the minimiser of ``f``.
-
-    Otherwise the sign of ``f' = v'M'v``, with ``v`` the top eigenvector and
-    ``M' = -S1/alpha^2 + S2/(1 - alpha)^2``, keeps a bracket around the
-    minimiser, and the next iterate is the Newton step on ``f'``, with
-    ``f'' = v'M''v + 2 sum_j (v_j'M'v)^2 / (lambda_max - lambda_j)`` from
-    the same ``eigh``, eigengap term included.  A step that leaves the
-    bracket falls back to the unevaluated end of the range it points past,
-    else to the point where the tangents at the two bracket ends cross,
-    which lands on a kink of ``f`` where the top eigenvalue is multiple and
-    Newton stalls; when the bracket did not halve over the last two steps,
-    the next iterate bisects it.  Returns ``None`` once the tangent lines at
-    the two bracket ends bound the minimum of ``f`` above the tolerance,
-    which by convexity proves the certificate infeasible, or once the
-    bracket is ``PETERSEN_WIDTH`` wide.  Zero gain blocks make the scalar
-    form degenerate and raise; those cases are covered by the direct
-    one-sided inequalities.
+    :func:`linalg.first_feasible_weight` searches the Schur complement M of
+    :func:`_schur_function` from the result's own weight; ``lambda_max(M)``
+    is :func:`petersen_objective` at ``eps``.  The first certifying iterate's
+    eps is returned once :func:`petersen_objective` confirms it, else
+    ``None``.  Zero gain blocks make the scalar form degenerate and raise.
     """
     q1, q2 = q_pair(result, problem)
     if np.abs(q1).max() <= ZERO_Q_TOL:
         raise DegenerateQError("Q1 = 0; use the direct one-sided bound")
     if np.abs(q2).max() <= ZERO_Q_TOL:
         raise DegenerateQError("Q2 = 0; use the direct one-sided bound")
-    s1, s2, p_hat = q1 @ q1.T, q2 @ q2.T, result.P_hat.data
     tol = certificate_tolerance(result)
-    lo, hi = (1.0 / (1.0 + eps) for eps in reversed(PETERSEN_EPS_RANGE))
-    lo_tangent = hi_tangent = None
-    alpha = min(max(result.alpha, lo), hi)
-    older = old = math.inf  # the bracket widths two steps and one step back
-    while True:
-        w, v = np.linalg.eigh(s1 / alpha + s2 / (1.0 - alpha) - p_hat)
-        f, top = float(w[-1]), v[:, -1]
-        if f <= tol:
-            eps = 1.0 / alpha - 1.0
-            if petersen_objective(result, problem, eps) <= tol:
-                return eps
-        d1 = s2 / (1.0 - alpha) ** 2 - s1 / alpha**2
-        slope = float(top @ d1 @ top)
-        if slope < 0.0:
-            lo, lo_tangent = alpha, (alpha, f, slope)
-        else:
-            hi, hi_tangent = alpha, (alpha, f, slope)
-        cut, floor = _tangent_floor(lo_tangent, hi_tangent, lo, hi)
-        if hi - lo <= PETERSEN_WIDTH or floor > tol:
-            return None
-        d2 = 2.0 * (s1 / alpha**3 + s2 / (1.0 - alpha) ** 3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap_term = 2.0 * np.sum((v[:, :-1].T @ d1 @ top) ** 2 / (f - w[:-1]))
-            newton = alpha - slope / (float(top @ d2 @ top) + gap_term)
-        halved = hi - lo <= 0.5 * older
-        older, old = old, hi - lo
-        if lo < newton < hi and halved:
-            alpha = newton
-        elif newton >= hi and hi_tangent is None:
-            alpha = hi
-        elif newton <= lo and lo_tangent is None:
-            alpha = lo
-        elif lo < cut < hi and halved:
-            alpha = cut
-        else:
-            alpha = 0.5 * (lo + hi)
+    alpha = first_feasible_weight(*_schur_function(q1, q2, result.P_hat.data), tol, result.alpha)
+    if alpha is None:
+        return None
+    eps = 1.0 / alpha - 1.0
+    return eps if petersen_objective(result, problem, eps) <= tol else None
 
 
 def _random_contraction_factors(rng, dim: int, count: int) -> np.ndarray:
@@ -491,10 +413,8 @@ def monte_carlo_joint(
     have the same distribution as with symmetric roots; the worst value
     differs from that of a symmetric-root sampler on the same seed, the
     verdict does not.  Two aligned near-extreme cross draws at the full
-    diagonal are always included.  The products ``K_i F_i`` are one
-    ``einsum`` each, written straight into the sample-last stack the kernel
-    views.  Returns the maximum largest eigenvalue of ``K P_joint K' -
-    P_hat``.
+    diagonal are always included.  Returns the maximum largest eigenvalue
+    of ``K P_joint K' - P_hat``.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")

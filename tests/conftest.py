@@ -11,7 +11,7 @@ from cifusion.ellipsoids import Ellipsoid, kahan_interpose
 from cifusion.errors import NotPdError
 from cifusion.linalg import PsdMatrix, inv_pd, loewner_compare
 from cifusion.optimizer import Cost, SigmaPair, delta_value
-from cifusion.verifier import PETERSEN_EPS_RANGE, petersen_objective, q_pair
+from cifusion.verifier import certificate_tolerance, petersen_objective, q_pair
 
 
 def random_orthogonal(rng, dim: int) -> np.ndarray:
@@ -234,12 +234,16 @@ def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, 
     return float(np.linalg.eigvalsh(0.5 * (fused + np.swapaxes(fused, -1, -2)))[:, -1].max())
 
 
+#: the range of eps that :func:`petersen_golden_oracle` searches
+GOLDEN_EPS_RANGE = (1e-8, 1e8)
+
+
 def petersen_golden_oracle(result, problem: FusionProblem) -> tuple[float, float]:
     """Minimiser and minimum of the scalar certificate by golden section on log eps.
 
     The search that ``verifier.petersen_certificate`` replaced, kept as its
     oracle.  ``petersen_objective`` is convex in ``log eps`` (``eps`` and
-    ``1/eps`` both are), so the golden section over ``PETERSEN_EPS_RANGE``
+    ``1/eps`` both are), so the golden section over ``GOLDEN_EPS_RANGE``
     closes on its minimum; the certificate is feasible iff that minimum is
     at most ``certificate_tolerance``.  Returns ``(eps, value)``.
     """
@@ -248,7 +252,7 @@ def petersen_golden_oracle(result, problem: FusionProblem) -> tuple[float, float
     def f(t: float) -> float:
         return petersen_objective(result, problem, math.exp(t))
 
-    lo, hi = map(math.log, PETERSEN_EPS_RANGE)
+    lo, hi = map(math.log, GOLDEN_EPS_RANGE)
     c = hi - (hi - lo) / phi
     d = lo + (hi - lo) / phi
     fc, fd = f(c), f(d)
@@ -280,26 +284,69 @@ def delta_poly_coeffs(pair: SigmaPair) -> np.ndarray:
     return np.linalg.solve(vander, values) if n > 1 else values
 
 
-#: weights tried by :func:`lower_bound_witness`
-WITNESS_GRID = 1001
-
-
 def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float | None:
     """Weight witnessing that a candidate covariance obeys the family bound.
 
-    Returns a weight ``a`` of a ``WITNESS_GRID``-point grid with the
-    candidate dominating the blended covariance
-    ``(a*Sigma1 + (1-a)*Sigma0)^{-1}``, or ``None`` when no grid point
-    qualifies, which flags the candidate as violating the lower bound every
-    conservative unbiased rule must satisfy.
+    Returns the smallest weight ``a`` with the candidate dominating the
+    blended covariance ``(a*Sigma1 + (1-a)*Sigma0)^{-1}``, or ``None`` when
+    no weight qualifies, which flags the candidate as violating the lower
+    bound every conservative unbiased rule must satisfy.
     """
     if not candidate_p.strict:
         raise NotPdError("candidate covariance must be strictly PD")
     pair = SigmaPair.from_problem(problem)
     target = Ellipsoid(inv_pd(candidate_p.data))
-    return kahan_interpose(
-        Ellipsoid(pair.sigma1), Ellipsoid(pair.sigma0), target, WITNESS_GRID
-    )
+    return kahan_interpose(Ellipsoid(pair.sigma1), Ellipsoid(pair.sigma0), target)
+
+
+def lmi_matrix(p_hat: np.ndarray, q1: np.ndarray, q2: np.ndarray, alpha: float) -> np.ndarray:
+    """The block ``[P_hat, Q1, Q2; Q1', alpha I, 0; Q2', 0, (1 - alpha) I]``, assembled."""
+    n, p1 = q1.shape
+    p2 = q2.shape[1]
+    m = np.zeros((n + p1 + p2, n + p1 + p2))
+    m[:n, :n] = p_hat
+    m[:n, n : n + p1] = q1
+    m[:n, n + p1 :] = q2
+    m[n : n + p1, :n] = q1.T
+    m[n + p1 :, :n] = q2.T
+    m[n : n + p1, n : n + p1] = alpha * np.eye(p1)
+    m[n + p1 :, n + p1 :] = (1.0 - alpha) * np.eye(p2)
+    return m
+
+
+def lmi_feasible_grid(result, problem: FusionProblem, grid: int = 1001) -> np.ndarray:
+    """Weights of a uniform grid whose assembled block has min eig at least ``-tol``.
+
+    The scan that ``verifier.lmi_feasible_interval`` replaced, kept as its
+    oracle: one batched ``eigvalsh`` of :func:`lmi_matrix` at every grid
+    weight, ``tol`` being ``certificate_tolerance(result)``.
+    """
+    q1, q2 = q_pair(result, problem)
+    alphas = np.linspace(0.0, 1.0, grid)
+    blocks = np.stack([lmi_matrix(result.P_hat.data, q1, q2, a) for a in alphas])
+    return alphas[np.linalg.eigvalsh(blocks)[:, 0] >= -certificate_tolerance(result)]
+
+
+def first_order_width(result, problem: FusionProblem) -> float:
+    """First-order width ``tol (1/lambda_max(D) + 1/(-lambda_min(D)))`` of the feasible weights.
+
+    ``D = S2/(1 - alpha)^2 - S1/alpha^2`` at the result's own weight, the
+    derivative of the Schur complement ``S1/alpha + S2/(1 - alpha) - P_hat``
+    that vanishes there for a CI family member; a term ``S_i/0`` with
+    ``S_i = 0`` is dropped.  Each part counts only when its eigenvalue has
+    that sign and the weight can move that way.
+    """
+    q1, q2 = q_pair(result, problem)
+    alpha = result.alpha
+    d = np.zeros((problem.n, problem.n))
+    if alpha > 0.0:
+        d -= q1 @ q1.T / alpha**2
+    if alpha < 1.0:
+        d += q2 @ q2.T / (1.0 - alpha) ** 2
+    eigs = np.linalg.eigvalsh(d)
+    tol = certificate_tolerance(result)
+    width = tol / eigs[-1] if eigs[-1] > 0.0 and alpha < 1.0 else 0.0
+    return width + (tol / -eigs[0] if eigs[0] < 0.0 and alpha > 0.0 else 0.0)
 
 
 def reallocating_fusion_oracle(joint, dims, a, b, k1, k2):

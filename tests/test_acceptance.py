@@ -32,7 +32,7 @@ from cifusion.verifier import (
     alpha_uniqueness_check,
     certificate_tolerance,
     lmi_certificate,
-    lmi_feasible_alphas,
+    lmi_feasible_interval,
     monte_carlo_joint,
     petersen_certificate,
     petersen_objective,
@@ -41,7 +41,9 @@ from cifusion.verifier import (
 
 from conftest import (
     delta_poly_coeffs,
+    first_order_width,
     grid_costs,
+    lmi_feasible_grid,
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,
     random_joint,
@@ -272,7 +274,7 @@ def test_criterion_5_conservativeness_certification(solved_pool):
         tol = certificate_tolerance(mutant)
         rejections = 0
         if not lmi_certificate(mutant, problem, mutant.alpha).passed and (
-            lmi_feasible_alphas(mutant, problem).size == 0
+            lmi_feasible_interval(mutant, problem) is None
         ):
             rejections += 1
         try:
@@ -313,27 +315,51 @@ def test_petersen_agrees_with_golden_oracle_on_mutants(solved_pool):
             assert (eps is not None) == (minimum <= tol), f"mutant {j}: {eps} against {minimum}"
 
 
-def test_criterion_6_weight_uniqueness(solved_pool):
-    crit = Criterion(6, "certificate weight isolated within one grid cell", 60.0)
+def _criterion_6_cases(solved_pool):
+    """Criterion 6's 50 results with their problems and pool indices.
+
+    The TRACE solves of the pool, skipping equal information matrices; every
+    other interior one is replaced by a non-optimal family member.
+    """
     problems, solved = solved_pool
     rng = np.random.default_rng(991)
-    checked = 0
-    idx = 0
-    while checked < 50 and idx < len(problems):
-        problem = problems[idx]
-        result = solved[Cost.TRACE][idx]
-        idx += 1
+    cases = []
+    for idx, (problem, result) in enumerate(zip(problems, solved[Cost.TRACE])):
+        if len(cases) == 50:
+            break
         if loewner_compare(problem.sigma0, problem.sigma1).value == "equal":
             continue
-        if checked % 2 == 1 and 0.0 < result.alpha < 1.0:
+        if len(cases) % 2 == 1 and 0.0 < result.alpha < 1.0:
             # exercise non-optimal family members too
             blend = float(rng.uniform(0.2, 0.8))
             result = ku_rule(problem, blend)
+        cases.append((idx, result, problem))
+    return cases
+
+
+def test_criterion_6_weight_uniqueness(solved_pool):
+    crit = Criterion(6, "feasible weights isolated to their first-order width", 60.0)
+    cases = _criterion_6_cases(solved_pool)
+    for idx, result, problem in cases:
         verdict = alpha_uniqueness_check(result, problem)
-        crit.check(verdict is True, f"instance {idx - 1}: verdict {verdict}")
-        checked += 1
-    crit.check(checked == 50, f"only {checked} applicable instances")
+        crit.check(verdict is True, f"instance {idx}: verdict {verdict}")
+        interval = lmi_feasible_interval(result, problem)
+        w1 = first_order_width(result, problem)
+        width = None if interval is None else interval[1] - interval[0]
+        crit.check(width is not None and abs(width - w1) <= 0.01 * w1,
+                   f"instance {idx}: width {width} against first-order width {w1}")
+    crit.check(len(cases) == 50, f"only {len(cases)} applicable instances")
     crit.conclude()
+
+
+def test_grid_feasible_weights_lie_in_the_interval(solved_pool):
+    # the 1001-point scan that lmi_feasible_interval replaced finds no
+    # feasible weight more than one grid step outside the interval
+    step = 1e-3
+    for idx, result, problem in _criterion_6_cases(solved_pool):
+        lo, hi = lmi_feasible_interval(result, problem)
+        grid = lmi_feasible_grid(result, problem, grid=1001)
+        assert np.all((grid >= lo - step) & (grid <= hi + step)), (idx, lo, hi, grid)
 
 
 def test_criterion_7_simulator():

@@ -100,19 +100,19 @@ class TestScan:
         assert data_rows[0].split(",")[0] == "0"
         assert data_rows[1].split(",")[0] == "1"
 
-    def test_cost_that_is_not_a_number_exits_two_naming_the_weight(self, tmp_path, capsys):
-        # H_i' P_i^-1 H_i overflows to an infinity, and the blend at an
-        # interior weight multiplies it by zero
+    def test_infinite_information_exits_two_naming_the_estimate(self, tmp_path, capsys):
+        # H_i' P_i^-1 H_i overflows to an infinity when it is symmetrized;
+        # that is now reported for the estimate, where the scan once got as
+        # far as a NaN cost at an interior weight (inf times zero)
         doc = {
             "n": 2,
             "est1": {"H": [[1e154, 0]], "x_hat": [0], "P_hat": [[1]]},
             "est2": {"H": [[0, 1e154]], "x_hat": [0], "P_hat": [[1]]},
         }
-        with np.errstate(all="ignore"):
-            rc = cli.main(["scan", write(tmp_path, doc), "--grid", "5"])
+        rc = cli.main(["scan", write(tmp_path, doc), "--grid", "5"])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == "error: alpha=0.25: the cost is not a number\n"
+        assert captured.err == "error: est1: information matrix H' P_hat^-1 H overflows\n"
         assert captured.out == ""
 
 
@@ -255,26 +255,40 @@ INDEFINITE = [[-1.0, 0.0], [0.0, 1.0]]
 COVARIANCE_PATHS = ["est1.P_hat", "est2.P_hat", "truth.P1", "truth.P2", "P_hat_override", "P_hat"]
 
 
+#: keys of a stored fuse result that ``verify --result`` reads
+RESULT_KEYS = ("alpha", "K1", "K2", "P_hat", "fused_x")
+
+
+def verify_with_block(tmp_path, where, edit):
+    """``verify`` arguments for EXAMPLE2 with a truth block and the value at ``where`` edited.
+
+    ``edit`` maps the value at ``where`` to its replacement.  The keys in
+    ``RESULT_KEYS`` are the stored result's, the rest problem-file paths;
+    ``P_hat_override`` is edited from ``[[2.5, 0], [0, 0.2]]``.
+    """
+    doc = json.loads(json.dumps(EXAMPLE2))
+    doc["truth"] = {"P1": [[1, 0], [0, 1]], "P2": [[1.25, 0], [0, 0.1]], "P12": [[0, 0], [0, 0]]}
+    args = ["--samples", "10"]
+    if where in RESULT_KEYS:
+        fused_path = tmp_path / "fused.json"
+        assert cli.main(["fuse", write(tmp_path, doc, "clean.json"), "--out", str(fused_path)]) == 0
+        stored = json.loads(fused_path.read_text())
+        stored[where] = edit(stored[where])
+        args += ["--result", write(tmp_path, stored, "r.json")]
+    elif where == "P_hat_override":
+        doc[where] = edit([[2.5, 0], [0, 0.2]])
+    else:
+        key, field = where.split(".")
+        doc[key][field] = edit(doc[key][field])
+    return ["verify", write(tmp_path, doc)] + args
+
+
 def verify_with_covariance(tmp_path, where, block):
     """``verify`` arguments for EXAMPLE2 with the covariance block at ``where`` replaced.
 
     ``P_hat`` is the stored result's covariance, the rest are problem-file paths.
     """
-    doc = json.loads(json.dumps(EXAMPLE2))
-    doc["truth"] = {"P1": [[1, 0], [0, 1]], "P2": [[1.25, 0], [0, 0.1]], "P12": [[0, 0], [0, 0]]}
-    args = ["--samples", "10"]
-    if where == "P_hat":
-        fused_path = tmp_path / "fused.json"
-        assert cli.main(["fuse", write(tmp_path, doc, "clean.json"), "--out", str(fused_path)]) == 0
-        stored = json.loads(fused_path.read_text())
-        stored["P_hat"] = block
-        args += ["--result", write(tmp_path, stored, "r.json")]
-    elif where == "P_hat_override":
-        doc[where] = block
-    else:
-        key, field = where.split(".")
-        doc[key][field] = block
-    return ["verify", write(tmp_path, doc)] + args
+    return verify_with_block(tmp_path, where, lambda _: block)
 
 
 class TestCovarianceBlocks:
@@ -492,7 +506,44 @@ class TestProblemFiles:
         assert "est1.H: not numeric" in err
 
 
-#: scaled so far out that the solve's eigensolver does not converge
+NUMBER_PATHS = ["est1.H", "est2.H", "est1.x_hat", "est2.x_hat", "est1.P_hat", "est2.P_hat",
+                "truth.P1", "truth.P2", "truth.P12", "P_hat_override", *RESULT_KEYS]
+
+
+def first_entry_replaced(value, entry):
+    """A JSON value with its first number replaced by ``entry``."""
+    if isinstance(value, list):
+        return [first_entry_replaced(value[0], entry)] + value[1:]
+    return entry
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("entry", ["1", True, None], ids=["string", "boolean", "null"])
+    @pytest.mark.parametrize("where", NUMBER_PATHS)
+    def test_non_number_exits_two_naming_its_path(self, tmp_path, capsys, where, entry):
+        # np.asarray(..., dtype=float) converts "1" and true, so these files
+        # were verified as if they held numbers (null became a NaN)
+        rc = cli.main(verify_with_block(tmp_path, where, lambda v: first_entry_replaced(v, entry)))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            f"error: {where}: not numeric: {json.dumps(entry)} is not a JSON number\n"
+        )
+        assert captured.out == ""
+
+    def test_string_and_boolean_entries_rejected_by_fuse(self, tmp_path, capsys):
+        # this file used to fuse at alpha = 0.5 and exit 0
+        doc = {"n": 2,
+               "est1": {"H": [["1", "0"]], "x_hat": ["1"], "P_hat": [["1"]]},
+               "est2": {"H": [[0, True]], "x_hat": [2], "P_hat": [[1]]}}
+        rc = cli.main(["fuse", write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == 'error: est1.H: not numeric: "1" is not a JSON number\n'
+        assert captured.out == ""
+
+
+#: scaled so far out that H' P^-1 H overflows for both estimates
 OUT_OF_RANGE = {
     "n": 3,
     "est1": {"H": [[1e200, 2e199, 0], [0, 1e200, 3e199]], "x_hat": [1, 2],
@@ -504,16 +555,33 @@ OUT_OF_RANGE = {
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["fuse", "verify", "scan"])
     def test_linalg_failure_exits_two_not_one(self, tmp_path, capsys, command):
-        # exit 1 means a failed certificate; an input the eigensolver cannot
-        # resolve is an input error
-        with np.errstate(all="ignore"):
-            rc = cli.main([command, write(tmp_path, OUT_OF_RANGE)])
+        # exit 1 means a failed certificate; an input whose information
+        # matrix overflows is an input error, reported in one line with no
+        # numpy warning before it (the overflow once reached the eigensolver,
+        # which did not converge, after three RuntimeWarnings)
+        rc = cli.main([command, write(tmp_path, OUT_OF_RANGE)])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == (
-            "error: linear algebra failed on this input: Eigenvalues did not converge\n"
-        )
+        assert captured.err == "error: est1: information matrix H' P_hat^-1 H overflows\n"
         assert captured.out == ""
+
+    def test_overflow_names_the_second_estimate(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(OUT_OF_RANGE))
+        doc["est1"]["P_hat"] = [[1e300, 0], [0, 1e300]]
+        rc = cli.main(["fuse", write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: est2: information matrix H' P_hat^-1 H overflows\n"
+        assert captured.out == ""
+
+    def test_no_warning_reaches_stderr_in_a_fresh_process(self, tmp_path):
+        # the command's whole stderr, outside the test run's warning filters
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = [sys.executable, "-m", "cifusion", "fuse", write(tmp_path, OUT_OF_RANGE)]
+        proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: est1: information matrix H' P_hat^-1 H overflows\n"
 
 
 def run_main(argv, capsys):

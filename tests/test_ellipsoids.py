@@ -23,6 +23,7 @@ from cifusion.errors import (
     DimensionMismatchError,
     NotInteriorError,
 )
+from cifusion.linalg import DEFAULT_TOL, PETERSEN_WIDTH
 from cifusion.optimizer import Cost
 
 from conftest import random_problem, random_spd, sample_intersection_points
@@ -115,22 +116,59 @@ class TestKahanInterpose:
         s1 = Ellipsoid(np.diag([1.0, 4.0]))
         s2 = Ellipsoid(np.diag([4.0, 1.0]))
         target = Ellipsoid(0.5 * (s1.shape.data + s2.shape.data))
-        assert kahan_interpose(s1, s2, target, grid=11) == pytest.approx(0.5)
+        assert kahan_interpose(s1, s2, target) == pytest.approx(0.5)
 
     def test_ci_solution_admits_witness(self):
+        # the CI optimum's own information matrix is interposed at alpha*
+        # and, by first-order perturbation of T - a S1 - (1-a) S0, nowhere
+        # farther from alpha* than w1 = tol (1/lam_max(D) + 1/(-lam_min(D)))
+        # with D = S0 - S1 (the grid search it replaced missed by up to
+        # half a grid step)
         rng = np.random.default_rng(5)
         for _ in range(10):
             problem = random_problem(rng)
             result = solve_ci(problem, Cost.DET)
             target = Ellipsoid(psd_certify(np.linalg.inv(result.P_hat.data)))
             s1, s0 = prior_ellipsoids(problem)
-            assert kahan_interpose(s1, s0, target) is not None
+            witness = kahan_interpose(s1, s0, target)
+            assert witness is not None
+            shapes = (s1.shape.data, s0.shape.data, target.shape.data)
+            tol = DEFAULT_TOL * max(1.0, max(np.abs(m).max() for m in shapes))
+            eigs = np.linalg.eigvalsh(s0.shape.data - s1.shape.data)
+            alpha = result.alpha
+            w1 = tol / eigs[-1] if eigs[-1] > 0.0 and alpha < 1.0 else 0.0
+            w1 += tol / -eigs[0] if eigs[0] < 0.0 and alpha > 0.0 else 0.0
+            assert abs(witness - alpha) <= w1, (witness, alpha, w1)
+
+    def test_left_end_is_tight(self):
+        # the witness interposes and a weight 2 PETERSEN_WIDTH to its left
+        # does not, unless it is exactly 0.0
+        rng = np.random.default_rng(6)
+        interior = 0
+        for _ in range(20):
+            problem = random_problem(rng)
+            s1, s0 = prior_ellipsoids(problem)
+            result = solve_ci(problem, Cost.TRACE)
+            target = Ellipsoid(psd_certify(0.999 * np.linalg.inv(result.P_hat.data)))
+            witness = kahan_interpose(s1, s0, target)
+            shapes = (s1.shape.data, s0.shape.data, target.shape.data)
+            tol = DEFAULT_TOL * max(1.0, max(np.abs(m).max() for m in shapes))
+
+            def gap(a):
+                m = target.shape.data - a * s1.shape.data - (1.0 - a) * s0.shape.data
+                return np.linalg.eigvalsh(m)[-1]
+
+            assert gap(witness) <= tol
+            if witness > 0.0:
+                assert gap(max(0.0, witness - 2.0 * PETERSEN_WIDTH)) > tol
+                interior += 1
+        assert interior >= 10
 
     def test_not_found_for_tiny_target(self):
         s1 = Ellipsoid(np.diag([1.0, 4.0]))
         s2 = Ellipsoid(np.diag([4.0, 1.0]))
         target = Ellipsoid(10.0 * np.eye(2))
-        assert kahan_interpose(s1, s2, target, grid=101) is None
+        assert kahan_interpose(s1, s2, target) is None
 
 
 class TestCoveringCrossCov:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cifusion.errors import DimensionMismatchError, NotPdError, NotPsdError
 from cifusion.linalg import (
+    PETERSEN_WIDTH,
     PINV_RTOL,
     LoewnerRelation,
     SymMatrix,
@@ -14,6 +15,8 @@ from cifusion.linalg import (
     assemble_cross,
     block_psd_check,
     cross_factor,
+    feasible_weight_interval,
+    first_feasible_weight,
     inv_pd,
     loewner_compare,
     pinv_sym,
@@ -294,3 +297,69 @@ class TestInverses:
     def test_pinv_on_singular_matrix(self):
         a = np.diag([2.0, 0.0])
         np.testing.assert_allclose(pinv_sym(a), np.diag([0.5, 0.0]))
+
+
+def _poles(shift: float):
+    """``M = [[1/a + 1/(1 - a) - 4 - shift]]``, infinite at both ends, least at 1/2."""
+
+    def m(a):
+        return None if a in (0.0, 1.0) else np.array([[1.0 / a + 1.0 / (1.0 - a) - 4.0 - shift]])
+
+    def dm(a):
+        return (np.array([[(1.0 - a) ** -2 - a**-2]]),
+                np.array([[2.0 * a**-3 + 2.0 * (1.0 - a) ** -3]]))
+
+    return m, dm
+
+
+class TestWeightSearch:
+    def test_interval_between_two_poles(self):
+        # 1/a + 1/(1 - a) <= 4 + tol exactly on the roots of a(1 - a) = 1/(4 + tol)
+        tol = 0.01
+        lo, hi = feasible_weight_interval(*_poles(0.0), tol, 0.1)
+        half = 0.5 * np.sqrt(1.0 - 4.0 / (4.0 + tol))
+        # each end qualifies, so it lies inside the exact end up to rounding
+        assert -1e-14 <= lo - (0.5 - half) <= PETERSEN_WIDTH
+        assert -1e-14 <= (0.5 + half) - hi <= PETERSEN_WIDTH
+
+    @pytest.mark.parametrize("start", [0.0, 1.0, 1e-9, 0.3])
+    def test_infinite_ends_are_never_evaluated(self, start):
+        seen = []
+        m, dm = _poles(0.0)
+
+        def spied(a):
+            value = m(a)
+            if value is not None:
+                seen.append(a)
+            return value
+
+        assert 0.49 < first_feasible_weight(spied, dm, 1e-3, start) < 0.51
+        assert seen and all(0.0 < a < 1.0 for a in seen)
+
+    def test_tangents_prove_an_empty_set(self):
+        # the minimum is 1 above the tolerance: two tangents prove it
+        m, dm = _poles(-1.0)
+        calls = []
+        assert first_feasible_weight(lambda a: calls.append(a) or m(a), dm, 0.0, 0.3) is None
+        assert feasible_weight_interval(m, dm, 0.0, 0.3) is None
+        assert len(calls) <= 20
+
+    def test_feasible_end_is_exact(self):
+        # M = [[a - 1/4]]: every weight up to 1/4 qualifies, so 0.0 exactly
+        zero = np.zeros((1, 1))
+        lo, hi = feasible_weight_interval(
+            lambda a: np.array([[a - 0.25]]), lambda a: (np.ones((1, 1)), zero), 0.0, 0.9
+        )
+        assert lo == 0.0 and 0.25 - PETERSEN_WIDTH <= hi <= 0.25
+
+    def test_kink_of_two_eigenvalues(self):
+        # lambda_max(diag(3/2 - 3a, 3a - 3/2)) = |3a - 3/2|: Newton's second
+        # derivative is zero, and the tangents' crossing lands on the kink
+        zero = np.zeros((2, 2))
+        tol = 1e-6
+        lo, hi = feasible_weight_interval(
+            lambda a: np.diag([1.5 - 3.0 * a, 3.0 * a - 1.5]),
+            lambda a: (np.diag([-3.0, 3.0]), zero), tol, 0.0,
+        )
+        assert abs(lo - (0.5 - tol / 3.0)) <= PETERSEN_WIDTH
+        assert abs(hi - (0.5 + tol / 3.0)) <= PETERSEN_WIDTH

@@ -13,7 +13,8 @@ from cifusion import (
 )
 from cifusion.errors import DegenerateQError, InternalInconsistencyError
 from cifusion.known_cross import JointCovariance
-from cifusion.optimizer import Cost, FusionResult, solve_ci
+from cifusion.linalg import PETERSEN_WIDTH
+from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
 from cifusion.verifier import (
     SCREEN_CANDIDATES,
     Method,
@@ -22,7 +23,7 @@ from cifusion.verifier import (
     alpha_uniqueness_check,
     certificate_tolerance,
     lmi_certificate,
-    lmi_feasible_alphas,
+    lmi_feasible_interval,
     monte_carlo_joint,
     petersen_certificate,
     petersen_objective,
@@ -41,6 +42,8 @@ from cifusion.verifier import (
 from conftest import (
     dominated_problem,
     haar_contraction_draws,
+    lmi_feasible_grid,
+    lmi_matrix,
     monte_carlo_draws,
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,
@@ -143,7 +146,7 @@ class TestLmiCertificate:
                 result = solve_ci(problem, cost)
                 q1, q2 = q_pair(result, problem)
                 for alpha in {result.alpha, 0.0, 1.0}:
-                    block = verifier._lmi_matrix(result.P_hat.data, q1, q2, alpha)
+                    block = lmi_matrix(result.P_hat.data, q1, q2, alpha)
                     cert = lmi_certificate(result, problem, alpha)
                     assert cert.lmi_min_eig == np.linalg.eigvalsh(block)[0]
                 alphas.add(result.alpha)
@@ -154,7 +157,9 @@ class TestAlphaUniqueness:
     def test_endpoint_solution_isolated(self):
         problem = example2_problem()
         result = solve_ci(problem, Cost.DET)
-        feasible = lmi_feasible_alphas(result, problem)
+        lo, hi = lmi_feasible_interval(result, problem)
+        assert lo == 0.0 and 0.0 < hi <= 1e-3
+        feasible = lmi_feasible_grid(result, problem)
         assert feasible.size >= 1 and np.all(np.abs(feasible) <= 1e-3)
         assert alpha_uniqueness_check(result, problem) is True
 
@@ -171,6 +176,79 @@ class TestAlphaUniqueness:
         for problem in well_scaled_problems(rng, 10):
             result = solve_ci(problem, Cost.TRACE)
             assert alpha_uniqueness_check(result, problem) is True
+
+
+def schur_max_eig(result, problem, alpha: float) -> float:
+    """``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``.
+
+    ``S_i/0`` is 0 when ``Q_i`` counts as zero, and the value is inf otherwise.
+    """
+    m = -result.P_hat.data
+    for q, t in zip(q_pair(result, problem), (alpha, 1.0 - alpha)):
+        if np.abs(q).max() > ZERO_Q_TOL:
+            if t == 0.0:
+                return np.inf
+            m = m + q @ q.T / t
+    return float(np.linalg.eigvalsh(m)[-1])
+
+
+class TestFeasibleInterval:
+    def pool(self):
+        """Solves, family members and shrunk results, interior and at both ends."""
+        rng = np.random.default_rng(37)
+        problems = [example2_problem(), example2_problem().swapped(), interior_problem()]
+        problems += well_scaled_problems(rng, 15)
+        problems += [dominated_problem(rng, int(rng.integers(2, 5)), first)
+                     for first in (True, False)]
+        for problem in problems:
+            for cost in (Cost.DET, Cost.TRACE):
+                result = solve_ci(problem, cost)
+                yield result, problem
+                yield shrink_result(result, 1.001), problem
+                yield shrink_result(result, 0.999), problem
+                if 0.0 < result.alpha < 1.0:
+                    yield ku_rule(problem, float(rng.uniform(0.2, 0.8))), problem
+
+    def test_ends_are_tight(self):
+        # f(lo) <= tol, and f > tol a hair outside unless the end is the
+        # end of [0, 1]; an end is exactly 0.0 or 1.0 when that end qualifies
+        ends = {0.0: 0, 1.0: 0, "inside": 0}
+        for result, problem in self.pool():
+            interval = lmi_feasible_interval(result, problem)
+            if interval is None:
+                continue
+            tol = certificate_tolerance(result)
+            for end, edge, outward in zip(interval, (0.0, 1.0), (-1.0, 1.0)):
+                assert schur_max_eig(result, problem, end) <= tol
+                if schur_max_eig(result, problem, edge) <= tol:
+                    assert end == edge
+                    ends[edge] += 1
+                else:
+                    beyond = min(max(end + outward * 2.0 * PETERSEN_WIDTH, 0.0), 1.0)
+                    assert schur_max_eig(result, problem, beyond) > tol
+                    ends["inside"] += 1
+        assert min(ends.values()) >= 5, ends
+
+    def test_shrunk_covariance_has_no_feasible_weight(self):
+        rng = np.random.default_rng(41)
+        for problem in well_scaled_problems(rng, 10) + [example2_problem()]:
+            for cost in (Cost.DET, Cost.TRACE):
+                shrunk = shrink_result(solve_ci(problem, cost), 0.999)
+                assert lmi_feasible_interval(shrunk, problem) is None
+
+    def test_matches_block_certificate_at_own_weight(self):
+        # the interval holds the result's weight exactly when the assembled
+        # block certificate passes there, outside the tolerance band
+        checked = 0
+        for result, problem in self.pool():
+            tol = certificate_tolerance(result)
+            if abs(schur_max_eig(result, problem, result.alpha) - tol) <= 1e-3 * tol:
+                continue
+            interval = lmi_feasible_interval(result, problem)
+            inside = interval is not None and interval[0] <= result.alpha <= interval[1]
+            assert inside == lmi_certificate(result, problem, result.alpha).passed
+            checked += 1
+        assert checked >= 100
 
 
 class TestAdversarialSearch:
@@ -255,6 +333,31 @@ class TestPetersenCertificate:
                     assert (eps is not None) == (minimum <= tol), (factor, minimum, tol)
                     verdicts.append(eps is not None)
         assert len(verdicts) >= 800 and 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("start", [0.0, 1.0, 1e-12])
+    def test_extreme_start_weights_agree_with_golden_oracle(self, start):
+        # with both gain blocks nonzero M is infinite at weights 0 and 1:
+        # the search starts or bisects away from them and never evaluates
+        # there, and its verdict matches the golden section's
+        rng = np.random.default_rng(31)
+        verdicts = []
+        for problem in well_scaled_problems(rng, 30):
+            for cost in (Cost.DET, Cost.TRACE):
+                solved = solve_ci(problem, cost)
+                q1, q2 = q_pair(solved, problem)
+                if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
+                    continue
+                for factor in (1.0, 0.999, 1.001, 0.9):
+                    result = dataclasses.replace(shrink_result(solved, factor), alpha=start)
+                    tol = certificate_tolerance(result)
+                    eps = petersen_certificate(result, problem)
+                    if eps is not None:
+                        assert petersen_objective(result, problem, eps) <= tol
+                    _, minimum = petersen_golden_oracle(result, problem)
+                    if abs(minimum - tol) > 1e-3 * tol:
+                        assert (eps is not None) == (minimum <= tol), (factor, minimum, tol)
+                        verdicts.append(eps is not None)
+        assert len(verdicts) >= 150 and 0 < sum(verdicts) < len(verdicts)
 
     def test_returns_the_first_certifying_iterate(self):
         # a conservative interior solve certifies at its own weight, which is
