@@ -24,7 +24,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     PsdMatrix,
-    feasible_weight_interval,
+    feasible_weight_end,
+    first_feasible_weight,
     inv_pd,
     loewner_compare,
     psd_certify,
@@ -92,16 +93,21 @@ def kahan_interpose(sigma1: Ellipsoid, sigma2: Ellipsoid, target: Ellipsoid) -> 
 
     ``a`` interposes when ``lambda_max(T - a*S1 - (1-a)*S2) <= tol``, with
     ``tol = DEFAULT_TOL * tol_scale(max |S1|, |S2|, |T|)``: that is convex
-    in ``a``, so the left end of :func:`linalg.feasible_weight_interval`
-    from ``a = 0`` is the answer, exactly 0.0 when ``a = 0`` interposes.
+    in ``a``, so from the weight :func:`linalg.first_feasible_weight` finds
+    from ``a = 0``, the answer is :func:`linalg.feasible_weight_end` towards
+    0, exactly 0.0 when ``a = 0`` interposes.
     """
     if not (sigma1.dim == sigma2.dim == target.dim):
         raise DimensionMismatchError("ellipsoid dimensions differ")
     s1, s2, st = sigma1.shape.data, sigma2.shape.data, target.shape.data
     tol = DEFAULT_TOL * tol_scale(max(np.abs(s1).max(), np.abs(s2).max(), np.abs(st).max()))
     dm = s2 - s1, np.zeros_like(st)
-    found = feasible_weight_interval(lambda a: st - a * s1 - (1.0 - a) * s2, lambda a: dm, tol, 0.0)
-    return None if found is None else found[0]
+
+    def m(a: float) -> np.ndarray:
+        return st - a * s1 - (1.0 - a) * s2
+
+    inside = first_feasible_weight(m, lambda a: dm, tol, 0.0)
+    return None if inside is None else feasible_weight_end(m, tol, inside, 0.0)
 
 
 def _householder_to(a_unit: np.ndarray, b_unit: np.ndarray) -> np.ndarray:

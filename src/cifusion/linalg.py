@@ -454,28 +454,35 @@ def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
             alpha = 0.5 * (lo + hi)
 
 
-def feasible_weight_interval(m, dm, tol: float, start: float) -> tuple[float, float] | None:
-    """The weights with ``lambda_max(M) <= tol``, one interval ``(lo, hi)``, or ``None``.
+def feasible_weight_end(m, tol: float, inside: float, end: float) -> float:
+    """The end towards ``end`` (0.0 or 1.0) of the weights with ``lambda_max(M) <= tol``.
 
-    From the weight :func:`first_feasible_weight` finds, each end is bisected
-    on ``m`` to ``PETERSEN_WIDTH``; an end of ``[0, 1]`` that qualifies is exact.
+    ``inside`` is a weight that qualifies.  ``end`` is returned exactly when
+    it qualifies; else the end is bisected on ``m`` between the two to
+    ``PETERSEN_WIDTH``.
     """
-    inside = first_feasible_weight(m, dm, tol, start)
-    if inside is None:
-        return None
 
     def qualifies(alpha: float) -> bool:
         value = m(alpha)
         return value is not None and float(np.linalg.eigvalsh(value)[-1]) <= tol
 
-    ends = []
-    for end in (0.0, 1.0):
-        good, bad = (end, end) if qualifies(end) else (inside, end)
-        while abs(bad - good) > PETERSEN_WIDTH:
-            mid = 0.5 * (good + bad)
-            good, bad = (mid, bad) if qualifies(mid) else (good, mid)
-        ends.append(good)
-    return ends[0], ends[1]
+    good, bad = (end, end) if qualifies(end) else (inside, end)
+    while abs(bad - good) > PETERSEN_WIDTH:
+        mid = 0.5 * (good + bad)
+        good, bad = (mid, bad) if qualifies(mid) else (good, mid)
+    return good
+
+
+def feasible_weight_interval(m, dm, tol: float, start: float) -> tuple[float, float] | None:
+    """The weights with ``lambda_max(M) <= tol``, one interval ``(lo, hi)``, or ``None``.
+
+    Each end is :func:`feasible_weight_end` from the weight
+    :func:`first_feasible_weight` finds.
+    """
+    inside = first_feasible_weight(m, dm, tol, start)
+    if inside is None:
+        return None
+    return feasible_weight_end(m, tol, inside, 0.0), feasible_weight_end(m, tol, inside, 1.0)
 
 
 def cross_factor(joint) -> np.ndarray:

@@ -16,14 +16,22 @@ diag(sqrt(e_i))`` of shrunken prior blocks, so no sample needs a matrix
 square root.  Draws are kept sample-last, so each product is a few
 whole-stack ``einsum`` calls, and the kernel decomposes only the samples
 that can decide its answer, with a value bit for bit that of ``eigvalsh``
-over all of them.  A found violation is conclusive; absence of violations
-is reported as "no violation found" for the sampled budget, while the
-block certificate carries the actual proof.
+over all of them.  The two samplers are pure functions of their arguments,
+each with its own generator, so :func:`sampled_violations` runs Monte
+Carlo on a second thread while the calling thread runs the adversarial
+search, and ``cifusion verify`` prints what running them one after the
+other prints.  numpy releases the GIL in the batched products and
+eigensolves, so on two CPUs the two overlap; on one CPU the worker gains
+nothing and loses nothing measurable.  A found violation is conclusive;
+absence of violations is reported as "no violation found" for the sampled
+budget, while the block certificate carries the actual proof.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -434,6 +442,42 @@ def monte_carlo_joint(
         gs.append(np.moveaxis(g, -1, 0))
     g1, g2 = gs
     return worst_violation(g1, g2, _prepend([extreme, -extreme], xs), result.P_hat.data)
+
+
+def sampled_violations(
+    result, problem: FusionProblem, samples: int = 1000, seed: int = 0
+) -> tuple[float, float]:
+    """``(adversarial_x_search(...), monte_carlo_joint(...))``, the two run at once.
+
+    One worker thread, started per call, runs :func:`monte_carlo_joint`
+    inside a copy of the caller's context: numpy 2 keeps ``np.errstate``
+    in a context variable, and a new thread would otherwise start from the
+    defaults.  The calling thread meanwhile runs
+    :func:`adversarial_x_search` and then joins the worker, also when the
+    search raises, so no thread outlives the call.  An exception of the
+    search propagates as it would with the two run in that order; else one
+    the worker raised is raised here.  Both values are bitwise those of the
+    two calls.
+    """
+    outcome = {}
+
+    def sample_joints():
+        try:
+            outcome["value"] = monte_carlo_joint(result, problem, samples, seed)
+        except BaseException as exc:  # handed to the calling thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(
+        target=contextvars.copy_context().run, args=(sample_joints,), name="monte-carlo"
+    )
+    worker.start()
+    try:
+        worst_x = adversarial_x_search(result, problem, samples, seed)
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return worst_x, outcome["value"]
 
 
 def certificate_tolerance(result) -> float:

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from cifusion import cli
+from cifusion import cli, verifier
+from cifusion.errors import InternalInconsistencyError
 
 from conftest import well_scaled_problems
 
@@ -656,3 +659,48 @@ class TestParserReuse:
                        3: ["--cost", "det", "--samples", "1000", "--seed", "0"]}
         for i, defaults in spelled_out.items():
             assert shared[i][:3] == run_main(sequence[i] + defaults, capsys)
+
+
+class TestConcurrentSamplers:
+    """``verify`` runs Monte Carlo on a worker thread during the adversarial search."""
+
+    @pytest.mark.parametrize("broken", [
+        ("monte_carlo_joint",),
+        ("adversarial_x_search",),
+        # the adversarial search ran first, so its error is the one reported
+        ("adversarial_x_search", "monte_carlo_joint"),
+    ])
+    def test_sampler_failure_exits_internal_and_joins(self, tmp_path, capsys, monkeypatch, broken):
+        problem = write(tmp_path, EXAMPLE2)
+        monte_carlo = verifier.monte_carlo_joint
+
+        def slow(*args):  # still running when a failed search returns
+            time.sleep(0.2)
+            return monte_carlo(*args)
+
+        monkeypatch.setattr(verifier, "monte_carlo_joint", slow)
+        for name in broken:
+            def fail(*args, name=name):
+                raise InternalInconsistencyError(f"{name} broke")
+
+            monkeypatch.setattr(verifier, name, fail)
+        before = threading.active_count()
+        out, err, code = run_main(["verify", problem, "--samples", "50"], capsys)
+        assert (out, err, code) == ("", f"internal inconsistency: {broken[0]} broke\n",
+                                    cli.EXIT_INTERNAL)
+        assert threading.active_count() == before
+
+    def test_passing_verify_leaves_no_thread(self, tmp_path, capsys):
+        problem = write(tmp_path, EXAMPLE2)
+        before = threading.active_count()
+        out, _, code = run_main(["verify", problem, "--samples", "50"], capsys)
+        assert code == cli.EXIT_OK and "monte-carlo" in out
+        assert threading.active_count() == before
+
+    def test_import_starts_no_thread(self):
+        # a fresh interpreter, so that no earlier call has run a verifier
+        code = ("import threading, cifusion, cifusion.cli, cifusion.verifier; "
+                "raise SystemExit(threading.enumerate() != [threading.main_thread()])")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -140,6 +140,28 @@ class TestKahanInterpose:
             w1 += tol / -eigs[0] if eigs[0] < 0.0 and alpha > 0.0 else 0.0
             assert abs(witness - alpha) <= w1, (witness, alpha, w1)
 
+    def test_searches_the_left_end_alone(self, monkeypatch):
+        # the first feasible weight plus one bisection towards 0: at most
+        # 42 eigvalsh calls, where bisecting the right end as well took 80-81
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(1)
+            return eigvalsh(a, *args, **kwargs)
+
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            problem = random_problem(rng)
+            result = solve_ci(problem, Cost.DET)
+            target = Ellipsoid(psd_certify(np.linalg.inv(result.P_hat.data)))
+            s1, s0 = prior_ellipsoids(problem)
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            assert kahan_interpose(s1, s0, target) is not None
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            assert len(calls) <= 42
+
     def test_left_end_is_tight(self):
         # the witness interposes and a weight 2 PETERSEN_WIDTH to its left
         # does not, unless it is exactly 0.0

@@ -1,5 +1,7 @@
 import dataclasses
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from cifusion.verifier import (
     petersen_certificate,
     petersen_objective,
     q_pair,
+    sampled_violations,
     worst_violation,
 )
 from cifusion import verifier
@@ -47,6 +50,7 @@ from conftest import (
     monte_carlo_draws,
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,
+    random_joint,
     random_orthogonal,
     random_problem,
     random_spd,
@@ -455,6 +459,107 @@ class TestMonteCarloJoint:
                 worst = monte_carlo_joint(result, problem, truth_samples=1000, seed=i)
                 oracle = monte_carlo_sqrt_oracle(result, problem, truth_samples=1000, seed=i)
                 assert worst <= tol and oracle <= tol
+
+
+def truth_result(rng, problem) -> FusionResult:
+    """The optimal known-cross fusion under a random admissible joint."""
+    kc = optimal_fusion_known_cross(problem, random_joint(rng, problem.p1, problem.p2))
+    return FusionResult(
+        alpha=0.5,
+        K1=kc.K1,
+        K2=kc.K2,
+        P_hat=kc.P_star,
+        fused_x=kc.fuse(problem.est1.x_hat, problem.est2.x_hat),
+    )
+
+
+def sampled_cases(n: int):
+    """Solved, endpoint, truth and shrunk results of state dimension ``n``."""
+    rng = np.random.default_rng(1300 + n)
+    problem = random_problem(rng, n)
+    solved = solve_ci(problem, Cost.DET)
+    cases = [(solved, problem), (solve_ci(problem, Cost.TRACE), problem),
+             (shrink_result(solved, 0.9), problem), (truth_result(rng, problem), problem)]
+    for dominant_first in (True, False):
+        dominated = dominated_problem(rng, n, dominant_first)
+        cases.append((solve_ci(dominated, Cost.DET), dominated))
+    return cases
+
+
+def sequential(result, problem, samples: int, seed: int) -> tuple[float, float]:
+    return (adversarial_x_search(result, problem, samples, seed),
+            monte_carlo_joint(result, problem, samples, seed))
+
+
+def bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def outcome(call):
+    """``call()``'s value, or the type of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc)
+
+
+class TestSampledViolations:
+    """Monte Carlo on a worker thread while the caller runs the adversarial search."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bitwise_equal_to_sequential_calls(self, n):
+        cases = sampled_cases(n)
+        assert {result.alpha for result, _ in cases[-2:]} == {0.0, 1.0}
+        for seed, (result, problem) in enumerate(cases):
+            expected = sequential(result, problem, 300, seed)
+            assert bits(sampled_violations(result, problem, 300, seed)) == bits(expected)
+        # the shrunk result is non-conservative, so both samplers flag it
+        tol = certificate_tolerance(cases[2][0])
+        assert min(sampled_violations(*cases[2], 300, 2)) > tol
+
+    def test_concurrent_callers_get_their_sequential_values(self):
+        # more callers than CPUs, each with its worker, switching often
+        calls = [(*sampled_cases(n)[k], 400, 10 + n) for n, k in ((2, 0), (3, 2), (5, 3), (6, 4))]
+        expected = [bits(sequential(*call)) for call in calls]
+        before = threading.active_count()
+        start = threading.Barrier(len(calls))
+        got = [None] * len(calls)
+
+        def caller(i):
+            start.wait(timeout=60)
+            got[i] = bits(sampled_violations(*calls[i]))
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(calls))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("divide", ["raise", "ignore"])
+    def test_worker_takes_the_callers_errstate(self, monkeypatch, divide):
+        # numpy keeps np.errstate per context: a thread started without the
+        # caller's context would warn (an error under this suite's filter)
+        result, problem = sampled_cases(3)[0]
+
+        def dividing(*args):
+            return float(np.divide(1.0, np.zeros(1))[0])
+
+        monkeypatch.setattr(verifier, "monte_carlo_joint", dividing)
+        with np.errstate(divide=divide):
+            on_caller = outcome(lambda: dividing(result, problem, 50, 0))
+            concurrent = outcome(lambda: sampled_violations(result, problem, 50, 0))
+        assert on_caller == (FloatingPointError if divide == "raise" else np.inf)
+        if on_caller is not FloatingPointError:
+            on_caller = (adversarial_x_search(result, problem, 50, 0), on_caller)
+        assert concurrent == on_caller
 
 
 class TestWorstViolationKernel:
