@@ -33,6 +33,10 @@ class RankDeficientError(CiFusionError):
     """Observation matrices violate the full-rank validity assumptions."""
 
 
+class StackedRankDeficientError(RankDeficientError):
+    """The stacked observation matrix of a pair does not reach full state rank."""
+
+
 class SingularJointError(CiFusionError):
     """The joint covariance block matrix is not positive definite."""
 

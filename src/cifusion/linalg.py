@@ -208,16 +208,24 @@ def inv_sqrt_pd(a: PsdMatrix) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
-def inv_pd(a) -> np.ndarray:
-    """Inverse of a PD matrix through its Cholesky factor."""
-    m = sym_data(a)
+def cholesky_pd(a) -> np.ndarray:
+    """Lower Cholesky factor ``L`` of a PD matrix, ``L L' = A``, or :class:`NotPdError`."""
     try:
-        chol = np.linalg.cholesky(m)
+        return np.linalg.cholesky(sym_data(a))
     except np.linalg.LinAlgError as exc:
         raise NotPdError(f"Cholesky failed: {exc}") from exc
-    linv = np.linalg.solve(chol, np.eye(m.shape[0]))
+
+
+def inv_from_cholesky(chol: np.ndarray) -> np.ndarray:
+    """Inverse ``L^-T L^-1`` of the PD matrix whose lower Cholesky factor is ``chol``."""
+    linv = np.linalg.solve(chol, np.eye(chol.shape[0]))
     out = linv.T @ linv
     return 0.5 * (out + out.T)
+
+
+def inv_pd(a) -> np.ndarray:
+    """Inverse of a PD matrix through its Cholesky factor."""
+    return inv_from_cholesky(cholesky_pd(a))
 
 
 def pinv_sym(a) -> np.ndarray:

@@ -3,7 +3,9 @@
 A partial estimate observes ``H x`` for a full-row-rank H; a fusion problem
 is an ordered pair of such estimates whose stacked observation matrix has
 full column rank.  Rank validation happens once here so the solvers can
-assume it.
+assume it: one batched SVD gives the ranks of H1, H2 and the stack.  Each
+estimate is factored once, by the Cholesky factor ``L`` of its covariance,
+which gives ``P_hat^-1`` and the certificate's scaled gain blocks ``K L``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError, NotPdError, RankDeficientError
-from .linalg import PsdMatrix, inv_pd, inv_sqrt_pd, psd_certify, sqrt_psd
+from .errors import (
+    DimensionMismatchError,
+    NonFiniteError,
+    NotPdError,
+    RankDeficientError,
+    StackedRankDeficientError,
+)
+from .linalg import PsdMatrix, cholesky_pd, inv_from_cholesky, inv_sqrt_pd, psd_certify, sqrt_psd
 
 #: singular values below RANK_RTOL * sigma_max do not count towards rank
 RANK_RTOL = 1e-10
@@ -21,10 +29,31 @@ RANK_RTOL = 1e-10
 
 def matrix_rank(m: np.ndarray) -> int:
     """Numerical rank with the package-wide singular-value threshold."""
-    svals = np.linalg.svd(m, compute_uv=False)
+    return _rank_of(np.linalg.svd(m, compute_uv=False))
+
+
+def _rank_of(svals: np.ndarray) -> int:
+    """Singular values above ``RANK_RTOL`` times the largest, which comes first."""
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > RANK_RTOL * svals[0]))
+
+
+def _pair_ranks(h1: np.ndarray, h2: np.ndarray) -> tuple[tuple[int, int, int], np.ndarray]:
+    """:func:`matrix_rank` of H1, H2 and ``[H1; H2]`` from one batched SVD, and the stack.
+
+    The three sit in one stack of the stacked shape, H1 and H2 zero-padded;
+    zero rows add only zero singular values, so each count is that of the
+    unpadded matrix.  The stacked matrix is returned as a read-only view.
+    """
+    p1 = h1.shape[0]
+    stack = np.zeros((3, p1 + h2.shape[0], h1.shape[1]))
+    stack[0, :p1] = stack[2, :p1] = h1
+    stack[1, p1:] = stack[2, p1:] = h2
+    ranks = tuple(_rank_of(s) for s in np.linalg.svd(stack, compute_uv=False))
+    h = stack[2]
+    h.flags.writeable = False
+    return ranks, h
 
 
 class PartialEstimate:
@@ -64,11 +93,17 @@ class PartialEstimate:
         return self.h.shape[1]
 
     @cached_property
+    def p_chol(self) -> np.ndarray:
+        """Lower Cholesky factor ``L`` of ``P_hat``; :class:`NotPdError` if it fails."""
+        return cholesky_pd(self.p_hat)
+
+    @cached_property
     def p_inv(self) -> np.ndarray:
-        return inv_pd(self.p_hat.data)
+        return inv_from_cholesky(self.p_chol)
 
     @cached_property
     def p_sqrt(self) -> np.ndarray:
+        """Symmetric root of ``P_hat``, for the ellipsoid constructions alone."""
         return sqrt_psd(self.p_hat).data
 
     @cached_property
@@ -91,7 +126,9 @@ class FusionProblem:
 
     Construction enforces the rank assumptions ``rank(H1) = p1``,
     ``rank(H2) = p2`` and ``rank([H1; H2]) = n`` by singular values
-    (threshold ``RANK_RTOL * sigma_max``); there is no automatic
+    (threshold ``RANK_RTOL * sigma_max``), all three from one batched SVD,
+    and checks them in that order; a stacked rank below n raises
+    :class:`StackedRankDeficientError`.  There is no automatic
     rank-reduction preprocessing.
     """
 
@@ -100,16 +137,15 @@ class FusionProblem:
             raise DimensionMismatchError(
                 f"state dimensions differ: {est1.n} vs {est2.n}"
             )
-        if matrix_rank(est1.h) != est1.p:
+        (rank1, rank2, rank), h = _pair_ranks(est1.h, est2.h)
+        if rank1 != est1.p:
             raise RankDeficientError("H1 does not have full row rank")
-        if matrix_rank(est2.h) != est2.p:
+        if rank2 != est2.p:
             raise RankDeficientError("H2 does not have full row rank")
-        h = np.vstack([est1.h, est2.h])
-        if matrix_rank(h) != est1.n:
-            raise RankDeficientError(
-                f"stacked observation matrix has rank {matrix_rank(h)} < n = {est1.n}"
+        if rank != est1.n:
+            raise StackedRankDeficientError(
+                f"stacked observation matrix has rank {rank} < n = {est1.n}"
             )
-        h.flags.writeable = False
         self.est1 = est1
         self.est2 = est2
         self.h_stacked = h

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScheduleError, UnreachableError
+from .errors import ScheduleError, StackedRankDeficientError, UnreachableError
 from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify, tol_scale
 from .optimizer import Cost, solve_ci
 from .problem import FusionProblem, PartialEstimate, matrix_rank
@@ -371,9 +371,12 @@ def run_schedule(
 
     Each event fuses the pair with the optimal-weight rule, writes the fused
     full-state estimate into the first node and propagates the exact joint
-    through the gains.  Events whose pair cannot reach full state rank are
-    skipped and logged.  The margin is the smallest eigenvalue of
-    ``P_hat - P_true`` at the fused node; a margin below
+    through the gains.  Events whose pair cannot reach full state rank
+    (:class:`FusionProblem` raises :class:`StackedRankDeficientError`) are
+    skipped and logged; a node whose own H lacks full row rank raises
+    :class:`RankDeficientError`, which that check comes before.  The
+    margin is the smallest eigenvalue of ``P_hat - P_true`` at the fused
+    node; a margin below
     ``-DEFAULT_CERT_TOL * tol_scale(|P_hat|_max)`` counts as a
     conservativeness violation.
     """
@@ -391,15 +394,16 @@ def run_schedule(
         if ev.node_a == ev.node_b:
             raise ScheduleError(event_id, "a node cannot fuse with itself")
         node_a, node_b = nodes[ev.node_a], nodes[ev.node_b]
-        if matrix_rank(np.vstack([node_a.h, node_b.h])) < n:
+        try:
+            problem = FusionProblem(
+                PartialEstimate(node_a.h, node_a.x_hat, node_a.p_hat),
+                PartialEstimate(node_b.h, node_b.x_hat, node_b.p_hat),
+            )
+        except StackedRankDeficientError:
             report.skipped.append(
                 (event_id, ev.node_a, ev.node_b, "pair does not reach state rank")
             )
             continue
-        problem = FusionProblem(
-            PartialEstimate(node_a.h, node_a.x_hat, node_a.p_hat),
-            PartialEstimate(node_b.h, node_b.x_hat, node_b.p_hat),
-        )
         result = solve_ci(problem, ev.cost)
         truth.apply_fusion(ev.node_a, ev.node_b, result.K1, result.K2)
         node_a.h = np.eye(n)

@@ -11,12 +11,12 @@ it, :func:`linalg.first_feasible_weight`.  The two sampling routes share one
 kernel, :func:`worst_violation`, the largest eigenvalue of
 ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat`` over cross parameters
 ``X`` of spectral norm at most one: the adversarial search fixes
-``G_i = Q_i``, and Monte Carlo passes factors ``K_i P_i^{1/2} U_i
-diag(sqrt(e_i))`` of shrunken prior blocks, so no sample needs a matrix
-square root.  Draws are kept sample-last, so each product is a few
-whole-stack ``einsum`` calls, and the kernel decomposes only the samples
-that can decide its answer, with a value bit for bit that of ``eigvalsh``
-over all of them.  The two samplers are pure functions of their arguments,
+``G_i = Q_i``, and Monte Carlo passes factors ``K_i L_i U_i
+diag(sqrt(e_i))`` of shrunken prior blocks, ``L_i`` the Cholesky factor of
+``P_i``, so no sample needs a matrix square root.  Draws are kept
+sample-last, so each product is a few whole-stack ``einsum`` calls, and
+the kernel decomposes only the samples that can decide its answer, with a
+value bit for bit that of ``eigvalsh`` over all of them.  The two samplers are pure functions of their arguments,
 each with its own generator, so :func:`sampled_violations` runs Monte
 Carlo on a second thread while the calling thread runs the adversarial
 search, and ``cifusion verify`` prints what running them one after the
@@ -73,9 +73,19 @@ class ConservativenessCertificate:
 
 
 def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled gain blocks ``Q1 = K1 P1^{1/2}`` and ``Q2 = K2 P2^{1/2}``."""
-    q1 = result.K1 @ problem.est1.p_sqrt
-    q2 = result.K2 @ problem.est2.p_sqrt
+    """Scaled gain blocks ``Q1 = K1 L1`` and ``Q2 = K2 L2``, ``L_i`` the Cholesky factor of ``P_i``.
+
+    The certificates depend on ``P_i`` only through ``Q_i Q_i' = K_i P_i K_i'``,
+    so any factor ``F_i F_i' = P_i`` serves.  ``L_i = P_i^{1/2} U_i`` for an
+    orthogonal ``U_i``, so the block of :func:`lmi_certificate` is
+    orthogonally congruent to the one built on the symmetric roots: the same
+    spectrum up to rounding, and the same Schur complement.  The sampling
+    verifiers see ``X`` through ``Q1 X Q2'``, and the law of ``X`` is
+    invariant under ``X -> U1 X U2'``, so their verdicts do not depend on the
+    factor either; their ``worst=`` values on a given seed do.
+    """
+    q1 = result.K1 @ problem.est1.p_chol
+    q2 = result.K2 @ problem.est2.p_chol
     return q1, q2
 
 
@@ -410,10 +420,10 @@ def monte_carlo_joint(
 ) -> float:
     """Largest sampled violation over admissible true joint covariances.
 
-    Each sample shrinks both prior blocks to ``P_i^{1/2} C_i P_i^{1/2}``,
-    with a random contraction ``C_i = U_i diag(e_i) U_i'`` drawn from its
-    eigenpairs, and takes the factor ``F_i = P_i^{1/2} U_i diag(sqrt(e_i))``
-    of that block.  The joint is ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with
+    Each sample shrinks both prior blocks to ``L_i C_i L_i'``, ``L_i`` the
+    Cholesky factor of ``P_i``, with a random contraction
+    ``C_i = U_i diag(e_i) U_i'`` drawn from its eigenpairs, and takes the
+    factor ``F_i = L_i U_i diag(sqrt(e_i))`` of that block.  The joint is ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with
     ``X`` of spectral norm below one, and its fused error less ``P_hat`` is
     :func:`worst_violation` with ``G_i = K_i F_i``.  ``F_i`` differs from the
     symmetric root of its block by an orthogonal factor that does not depend

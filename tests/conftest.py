@@ -185,19 +185,29 @@ def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
     the oracle of the sampler's Gram-Schmidt) and a spectrum ``e`` of the
     contraction ``C = U diag(e) U'``, then Gaussian cross directions scaled
     by an SVD to uniform spectral norms.  Returns the factors
-    ``F_i = P_i^{1/2} U_i diag(sqrt(e_i))``, the cross parameters and the
-    shrunken blocks ``P_i^{1/2} C_i P_i^{1/2}``, all sample-first.
+    ``F_i = L_i U_i diag(sqrt(e_i))``, ``L_i`` the Cholesky factor of
+    ``P_i``, the cross parameters and the shrunken blocks ``L_i C_i L_i'``,
+    all sample-first.
     """
     rng = np.random.default_rng(seed)
     factors, blocks = [], []
     for est, dim in ((problem.est1, problem.p1), (problem.est2, problem.p2)):
         u, e = haar_contraction_draws(rng, dim, count)
-        factors.append(est.p_sqrt @ u * np.sqrt(e)[:, None, :])
-        blocks.append(est.p_sqrt @ np.einsum("sij,sj,skj->sik", u, e, u) @ est.p_sqrt)
+        factors.append(est.p_chol @ u * np.sqrt(e)[:, None, :])
+        blocks.append(est.p_chol @ np.einsum("sij,sj,skj->sik", u, e, u) @ est.p_chol.T)
     xs = rng.standard_normal((count, problem.p1, problem.p2))
     smax = np.linalg.svd(xs, compute_uv=False)[:, 0]
     xs *= (rng.uniform(size=count) * (1.0 - 1e-12) / smax)[:, None, None]
     return factors[0], factors[1], xs, blocks[0], blocks[1]
+
+
+def sqrt_q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled gain blocks ``K_i P_i^{1/2}`` on the symmetric roots.
+
+    What ``verifier.q_pair`` returned before it took the Cholesky factors,
+    kept as its oracle: the two differ by an orthogonal factor on the right.
+    """
+    return result.K1 @ problem.est1.p_sqrt, result.K2 @ problem.est2.p_sqrt
 
 
 def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, seed: int) -> float:
@@ -209,7 +219,7 @@ def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, 
     assembles the dense joint ``[[S1 S1, S1 X S2], [S2 X' S1, S2 S2]]`` and
     returns the largest eigenvalue of ``K P_joint K' - P_hat`` over the
     samples, including the two aligned near-extreme cross draws at the full
-    diagonal.
+    diagonal, aligned on the blocks of :func:`sqrt_q_pair`.
     """
     est1, est2 = problem.est1, problem.est2
     p1, p2 = problem.p1, problem.p2
@@ -219,7 +229,7 @@ def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, 
         w, v = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
         return np.einsum("sij,sj,skj->sik", v, np.sqrt(np.clip(w, 0.0, None)), v)
 
-    q1, q2 = q_pair(result, problem)
+    q1, q2 = sqrt_q_pair(result, problem)
     u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
     extreme = u @ vt * (1.0 - 1e-6)
     p1s = np.concatenate([np.broadcast_to(est1.p_hat.data, (2, p1, p1)), p1s], axis=0)

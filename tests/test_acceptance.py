@@ -25,6 +25,7 @@ from cifusion.optimizer import (
     ku_rule,
     solve_ci,
 )
+from cifusion import verifier
 from cifusion.simulator import init_network, make_schedule, run_schedule
 from cifusion.verifier import (
     ZERO_Q_TOL,
@@ -44,11 +45,13 @@ from conftest import (
     first_order_width,
     grid_costs,
     lmi_feasible_grid,
+    lmi_matrix,
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,
     random_joint,
     random_problem,
     random_unbiased_gains,
+    sqrt_q_pair,
     well_scaled_problems,
 )
 
@@ -288,6 +291,26 @@ def test_criterion_5_conservativeness_certification(solved_pool):
             rejections += 1
         crit.check(rejections >= 2, f"mutant {j} rejected by only {rejections} methods")
     crit.conclude()
+
+
+def test_lmi_certificate_agrees_with_symmetric_root_blocks(solved_pool, monkeypatch):
+    # the block on Q = K L is orthogonally congruent to the one on the
+    # oracle's Q = K P^{1/2}: the same verdict, the same smallest eigenvalue
+    # up to rounding, on the solved pool and on criterion 5's mutants
+    problems, solved = solved_pool
+    cases = [(r, p) for cost in (Cost.DET, Cost.TRACE) for p, r in zip(problems, solved[cost])]
+    cases += _mutants(problems, solved)
+    chol = [lmi_certificate(r, p, r.alpha) for r, p in cases]
+    monkeypatch.setattr(verifier, "q_pair", sqrt_q_pair)
+    verdicts = set()
+    for (result, problem), got in zip(cases, chol):
+        want = lmi_certificate(result, problem, result.alpha)
+        block = lmi_matrix(result.P_hat.data, *sqrt_q_pair(result, problem), result.alpha)
+        scale = np.linalg.norm(block, 2)
+        assert got.passed == want.passed
+        assert abs(got.lmi_min_eig - want.lmi_min_eig) <= 1e-12 * scale
+        verdicts.add(got.passed)
+    assert verdicts == {True, False}
 
 
 def test_monte_carlo_agrees_with_sqrt_oracle_on_mutants(solved_pool):

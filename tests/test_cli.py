@@ -66,6 +66,21 @@ class TestFuse:
         assert rc == 2
         assert "(A1)" in err
 
+    @pytest.mark.parametrize("h1, h2, reason", [
+        ([[1, 0], [2, 0]], [[0, 1]], "H1 does not have full row rank"),
+        ([[0, 1]], [[1, 0], [2, 0]], "H2 does not have full row rank"),
+        ([[1, 0]], [[2, 0]], "stacked observation matrix has rank 1 < n = 2"),
+    ])
+    def test_each_rank_error_exits_two_with_its_message(self, tmp_path, capsys, h1, h2, reason):
+        doc = {"n": 2}
+        for key, h in (("est1", h1), ("est2", h2)):
+            doc[key] = {"H": h, "x_hat": [0] * len(h), "P_hat": np.eye(len(h)).tolist()}
+        rc = cli.main(["fuse", write(tmp_path, doc)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: est1/est2: Assumption (A1) validation failed: {reason}\n"
+        )
+
     def test_output_is_deterministic(self, tmp_path):
         path = write(tmp_path, EXAMPLE2)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -24,6 +24,7 @@ from cifusion.optimizer import (
     solve_ci_det,
     solve_ci_trace,
 )
+from cifusion.simulator import Schedule, init_network, make_schedule, run_schedule
 
 from conftest import (
     delta_poly_coeffs,
@@ -498,29 +499,78 @@ class TestSpectralSolvePath:
 SPECTRAL_CALLS = ("eigvalsh", "eigh", "svd", "cholesky", "inv", "det", "solve")
 
 
+def count_spectral_calls(monkeypatch) -> list[str]:
+    """Patch every ``SPECTRAL_CALLS`` function to log its name into the returned list."""
+    calls = []
+    for name in SPECTRAL_CALLS:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _budget_pool():
+    rng = np.random.default_rng(30)
+    pool = [random_problem(rng, n=n) for n in (2, 3, 5, 8)]
+    pool += [random_problem(rng, full_state=True), dominated_problem(rng, 3, True),
+             dominated_problem(rng, 4, False), equal_sigma_problem(), example2_problem()]
+    return pool
+
+
+def _fresh(problem: FusionProblem) -> tuple[PartialEstimate, PartialEstimate]:
+    """New estimates on the same data, with no cached factor; ``P_hat`` is already certified."""
+    return tuple(PartialEstimate(est.h, est.x_hat, est.p_hat) for est in (problem.est1, problem.est2))
+
+
 class TestCallBudget:
     def test_certified_solve_makes_at_most_six_spectral_calls(self, monkeypatch):
-        rng = np.random.default_rng(30)
-        pool = [random_problem(rng, n=n) for n in (2, 3, 5, 8)]
-        pool += [random_problem(rng, full_state=True), dominated_problem(rng, 3, True),
-                 dominated_problem(rng, 4, False), equal_sigma_problem(), example2_problem()]
-        for problem in pool:  # warm the cached info_matrix, p_inv and p_sqrt
+        pool = _budget_pool()
+        for problem in pool:  # warm the cached info_matrix, p_chol and p_inv
             for cost in Cost:
                 solve_ci(problem, cost)
-        calls = []
-        for name in SPECTRAL_CALLS:
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_spectral_calls(monkeypatch)
         for problem in pool:
             for cost in Cost:
                 calls.clear()
                 solve_ci(problem, cost)
                 assert len(calls) <= 6, (problem, cost, calls)
+
+    def test_fresh_problem_and_solve_make_at_most_eleven_calls(self, monkeypatch):
+        # one rank SVD, a Cholesky factor and a solve per estimate, the solve's six
+        pool = _budget_pool()
+        calls = count_spectral_calls(monkeypatch)
+        for problem in pool:
+            for cost in Cost:
+                est1, est2 = _fresh(problem)
+                calls.clear()
+                solve_ci(FusionProblem(est1, est2), cost)
+                assert len(calls) <= 11, (problem, cost, calls)
+
+    def test_building_a_problem_makes_one_svd(self, monkeypatch):
+        pool = _budget_pool()
+        calls = count_spectral_calls(monkeypatch)
+        for problem in pool:
+            est1, est2 = _fresh(problem)
+            calls.clear()
+            FusionProblem(est1, est2)
+            assert calls == ["svd"], (problem, calls)
+
+    def test_sim_event_makes_at_most_twelve_calls(self, monkeypatch):
+        # the solve's eleven and the margin's eigvalsh, on every event
+        nodes, truth = init_network(6, 200, seed=2)
+        schedule = make_schedule("random", 200, 400, Cost.DET, seed=2)
+        calls = count_spectral_calls(monkeypatch)
+        fused = 0
+        for ev in schedule.events:
+            calls.clear()
+            one = Schedule(events=(ev,), topology=schedule.topology, seed=schedule.seed)
+            fused += len(run_schedule(nodes, truth, one).records)
+            assert len(calls) <= 12, (ev, calls)
+        assert fused == 400
 
 
 class TestDetOracle:

@@ -7,8 +7,10 @@ from cifusion.errors import (
     NonFiniteError,
     NotPdError,
     RankDeficientError,
+    StackedRankDeficientError,
 )
 from cifusion.linalg import LoewnerRelation
+from cifusion.problem import _pair_ranks, matrix_rank
 
 
 class TestPartialEstimate:
@@ -77,6 +79,94 @@ class TestFusionProblemValidation:
         est2 = PartialEstimate([[0.0, 1.0]], [0.7], [[2.0]])
         swapped = FusionProblem(est1, est2).swapped()
         assert swapped.est1 is est2 and swapped.est2 is est1
+
+
+def _with_singular_values(rng, rows: int, cols: int, svals) -> np.ndarray:
+    """A random ``rows x cols`` matrix with the given singular values, largest first."""
+    u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+    k = len(svals)
+    return (u[:, :k] * svals) @ v[:, :k].T
+
+
+def _rank_pool(seed: int, count: int):
+    """Pairs ``(H1, H2)`` around the rank threshold.
+
+    Each case makes one of H1, H2 or the stacked matrix nearly rank
+    deficient (smallest to largest singular value log-uniform on
+    ``[1e-11, 1e-9]``, about the threshold ``RANK_RTOL = 1e-10``) or exactly
+    so (a zero singular value).  H1 and H2 are wide or tall, the stack tall
+    or square or wide.
+    """
+    rng = np.random.default_rng(seed)
+    pool = []
+    for i in range(count):
+        n = int(rng.integers(2, 7))
+        p1, p2 = (int(p) for p in rng.integers(1, n + 2, size=2))
+        kind = i % 3
+        ratio = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-11.0, -9.0)
+        if kind == 2:
+            rows = p1 + p2
+            k = min(rows, n)
+            svals = np.append(np.logspace(0.0, -1.0, k - 1), ratio)
+            h = _with_singular_values(rng, rows, n, svals)
+            pool.append((h[:p1], h[p1:]))
+            continue
+        p = p1 if kind == 0 else p2
+        k = min(p, n)
+        svals = np.append(np.logspace(0.0, -1.0, k - 1), ratio)
+        near = _with_singular_values(rng, p, n, svals)
+        other = rng.standard_normal((p2 if kind == 0 else p1, n))
+        pool.append((near, other) if kind == 0 else (other, near))
+    return pool
+
+
+class TestBatchedRanks:
+    POOL = _rank_pool(40, 240)
+
+    def test_same_ranks_as_three_matrix_rank_calls(self):
+        for h1, h2 in self.POOL:
+            want = (matrix_rank(h1), matrix_rank(h2), matrix_rank(np.vstack([h1, h2])))
+            ranks, stacked = _pair_ranks(h1, h2)
+            assert ranks == want
+            np.testing.assert_array_equal(stacked, np.vstack([h1, h2]))
+
+    def test_same_decision_and_message_as_three_matrix_rank_calls(self):
+        outcomes = set()
+        for h1, h2 in self.POOL:
+            n = h1.shape[1]
+            est1 = PartialEstimate(h1, np.zeros(h1.shape[0]), np.eye(h1.shape[0]))
+            est2 = PartialEstimate(h2, np.zeros(h2.shape[0]), np.eye(h2.shape[0]))
+            rank = matrix_rank(np.vstack([h1, h2]))
+            if matrix_rank(h1) != h1.shape[0]:
+                want = (RankDeficientError, "H1 does not have full row rank")
+            elif matrix_rank(h2) != h2.shape[0]:
+                want = (RankDeficientError, "H2 does not have full row rank")
+            elif rank != n:
+                want = (StackedRankDeficientError,
+                        f"stacked observation matrix has rank {rank} < n = {n}")
+            else:
+                want = None
+            try:
+                FusionProblem(est1, est2)
+                got = None
+            except RankDeficientError as exc:
+                got = (type(exc), str(exc))
+            assert got == want
+            outcomes.add(want and want[1][:2])
+        # accepted pairs, and each of the three rejections
+        assert outcomes == {None, "H1", "H2", "st"}
+
+    def test_pool_straddles_the_threshold(self):
+        # near-deficient cases on both sides of RANK_RTOL, not only exact zeros
+        full = deficient = 0
+        for h1, h2 in self.POOL:
+            for h in (h1, h2, np.vstack([h1, h2])):
+                svals = np.linalg.svd(h, compute_uv=False)
+                if svals[0] > 0.0 and 1e-11 <= svals[-1] / svals[0] <= 1e-9:
+                    full += matrix_rank(h) == min(h.shape)
+                    deficient += matrix_rank(h) < min(h.shape)
+        assert full >= 20 and deficient >= 20
 
 
 class TestLoewnerRelationSemantics:

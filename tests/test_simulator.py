@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from cifusion import loewner_compare, simulator
-from cifusion.errors import ScheduleError, UnreachableError
+from cifusion.errors import (
+    RankDeficientError,
+    ScheduleError,
+    StackedRankDeficientError,
+    UnreachableError,
+)
 from cifusion.optimizer import Cost
 from cifusion.simulator import (
     JOINT_HEADROOM,
@@ -127,6 +132,25 @@ class TestRunSchedule:
         # scalar pairs cannot reach rank 3, so both events are skipped
         assert len(report.skipped) == 2 and not report.records
         assert "# skipped" in report.to_text()
+
+    def test_unreachable_pair_skipped_with_its_reason(self):
+        # nodes 0 and 1 see the same direction; node 2 makes the network reachable
+        spec = NoiseSpec(h_list=[[[1.0, 0.0]], [[2.0, 0.0]], [[0.0, 1.0]]])
+        nodes, truth = init_network(2, 3, seed=0, noise_spec=spec)
+        schedule = make_schedule("chain", 3, 2, Cost.DET)
+        report = run_schedule(nodes, truth, schedule)
+        assert report.skipped == [(0, 0, 1, "pair does not reach state rank")]
+        assert [(r.event_id, r.node_a, r.node_b) for r in report.records] == [(1, 1, 2)]
+        assert "# skipped 0 (0,1): pair does not reach state rank\n" in report.to_text()
+
+    def test_row_rank_deficient_node_raises(self):
+        # node 0's two rows are collinear, though its pair reaches state rank
+        spec = NoiseSpec(h_list=[[[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0]]])
+        nodes, truth = init_network(2, 2, seed=0, noise_spec=spec)
+        schedule = make_schedule("chain", 2, 1, Cost.DET)
+        with pytest.raises(RankDeficientError, match="H1 does not have full row rank") as info:
+            run_schedule(nodes, truth, schedule)
+        assert not isinstance(info.value, StackedRankDeficientError)
 
     def test_determinant_never_increases_at_full_state_nodes(self):
         # once a node is full-state, a further det-cost fusion it hosts

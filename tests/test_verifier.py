@@ -102,8 +102,9 @@ class TestQPair:
         for problem in well_scaled_problems(rng, 10):
             result = solve_ci(problem, Cost.TRACE)
             q1, q2 = q_pair(result, problem)
-            k1 = q1 @ problem.est1.p_inv_sqrt
-            k2 = q2 @ problem.est2.p_inv_sqrt
+            # Q = K L, so K' = L^-T Q'
+            k1 = np.linalg.solve(problem.est1.p_chol.T, q1.T).T
+            k2 = np.linalg.solve(problem.est2.p_chol.T, q2.T).T
             assert np.abs(k1 - result.K1).max() <= 1e-10
             assert np.abs(k2 - result.K2).max() <= 1e-10
 
