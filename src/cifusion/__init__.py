@@ -14,21 +14,12 @@ from .known_cross import (
     bar_shalom_campo,
     optimal_fusion_known_cross,
 )
-from .ellipsoids import (
-    Ellipsoid,
-    Membership,
-    contains,
-    covering_cross_cov,
-    kahan_interpose,
-    membership,
-)
 from .linalg import (
     LoewnerRelation,
     PsdMatrix,
     SymMatrix,
     adjugate,
     block_psd_check,
-    cross_factor,
     loewner_compare,
     psd_certify,
     sqrt_psd,
@@ -61,13 +52,11 @@ __all__ = [
     "CiFusionError",
     "ConservativenessCertificate",
     "Cost",
-    "Ellipsoid",
     "FusionProblem",
     "FusionResult",
     "JointCovariance",
     "KnownCrossResult",
     "LoewnerRelation",
-    "Membership",
     "NoiseSpec",
     "PartialEstimate",
     "PsdMatrix",
@@ -79,17 +68,12 @@ __all__ = [
     "alpha_uniqueness_check",
     "bar_shalom_campo",
     "block_psd_check",
-    "contains",
-    "covering_cross_cov",
-    "cross_factor",
     "delta_value",
     "init_network",
-    "kahan_interpose",
     "ku_rule",
     "lmi_certificate",
     "loewner_compare",
     "make_schedule",
-    "membership",
     "monte_carlo_joint",
     "optimal_fusion_known_cross",
     "petersen_certificate",

@@ -58,14 +58,6 @@ class SingularSigmaError(CiFusionError):
     """The blended information matrix is singular at the requested weight."""
 
 
-class NotInteriorError(CiFusionError):
-    """The query point is not strictly interior to the prior intersection."""
-
-
-class DegenerateDirectionError(CiFusionError):
-    """The query point projects to zero under the second observation map."""
-
-
 class DegenerateQError(CiFusionError):
     """A scaled-gain block is zero, so the scalar certificate degenerates."""
 

@@ -1,13 +1,14 @@
 """Dense symmetric-matrix primitives.
 
-Everything spectral funnels through ``numpy.linalg.eigh`` so that ordering
-comparisons, PSD certification, square roots, pseudo-inverses and adjugates
-share one audited kernel.  Matrices here are small and dense (state
-dimensions of a few dozen at most).  The package's two PSD tolerances,
-``DEFAULT_TOL`` and ``DEFAULT_CERT_TOL``, are named here, and every
-magnitude they are scaled by goes through :func:`tol_scale`.  So is the
-package's one search over a convex weight function,
-:func:`first_feasible_weight`.
+The symmetric eigensolver (``eigh``/``eigvalsh``) decides the semidefinite
+order, PSD certification and the block certificate, and gives the square
+root and the pseudo-inverse; inverses of PD matrices go through a Cholesky
+factor, and the adjugate through cofactors up to dimension four.  Matrices
+here are small and dense (state dimensions of a few dozen at most).  The
+package's two PSD tolerances, ``DEFAULT_TOL`` and ``DEFAULT_CERT_TOL``, are
+named here, and every magnitude they are scaled by goes through
+:func:`tol_scale`.  So is the package's one search over a convex weight
+function, :func:`first_feasible_weight`.
 """
 
 from __future__ import annotations
@@ -198,14 +199,6 @@ def sqrt_psd(a: PsdMatrix) -> SymMatrix:
     w, v = np.linalg.eigh(a.data)
     w = np.clip(w, 0.0, None)
     return SymMatrix((v * np.sqrt(w)) @ v.T)
-
-
-def inv_sqrt_pd(a: PsdMatrix) -> np.ndarray:
-    """Inverse symmetric square root of a strictly PD matrix."""
-    if not a.strict:
-        raise NotPdError("inverse square root needs a strictly PD matrix")
-    w, v = np.linalg.eigh(a.data)
-    return (v / np.sqrt(w)) @ v.T
 
 
 def cholesky_pd(a) -> np.ndarray:
@@ -493,19 +486,6 @@ def feasible_weight_interval(m, dm, tol: float, start: float) -> tuple[float, fl
     return feasible_weight_end(m, tol, inside, 0.0), feasible_weight_end(m, tol, inside, 1.0)
 
 
-def cross_factor(joint) -> np.ndarray:
-    """Normalized cross block ``X = P1^{-1/2} P12 P2^{-1/2}`` of a joint.
-
-    For PSD joints the largest singular value of X is at most one, strictly
-    below one for PD joints; reassembling ``P1^{1/2} X P2^{1/2}`` recovers
-    the cross block exactly.
-    """
-    p1, p2 = joint.P1, joint.P2
-    if not (p1.strict and p2.strict):
-        raise NotPdError("cross factorization needs strictly PD diagonal blocks")
-    return inv_sqrt_pd(p1) @ np.asarray(joint.P12, dtype=float) @ inv_sqrt_pd(p2)
-
-
 def assemble_cross(p1: PsdMatrix, x, p2: PsdMatrix) -> np.ndarray:
-    """Inverse of :func:`cross_factor`: ``P12 = P1^{1/2} X P2^{1/2}``."""
+    """Cross block ``P12 = P1^{1/2} X P2^{1/2}`` of the normalized cross parameter ``X``."""
     return sqrt_psd(p1).data @ np.asarray(x, dtype=float) @ sqrt_psd(p2).data

@@ -4,8 +4,9 @@ A partial estimate observes ``H x`` for a full-row-rank H; a fusion problem
 is an ordered pair of such estimates whose stacked observation matrix has
 full column rank.  Rank validation happens once here so the solvers can
 assume it: one batched SVD gives the ranks of H1, H2 and the stack.  Each
-estimate is factored once, by the Cholesky factor ``L`` of its covariance,
-which gives ``P_hat^-1`` and the certificate's scaled gain blocks ``K L``.
+estimate has one factor, the Cholesky factor ``L`` of its covariance, which
+gives ``P_hat^-1`` and the certificate's scaled gain blocks ``K L``; no
+symmetric root of a covariance is taken here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     RankDeficientError,
     StackedRankDeficientError,
 )
-from .linalg import PsdMatrix, cholesky_pd, inv_from_cholesky, inv_sqrt_pd, psd_certify, sqrt_psd
+from .linalg import PsdMatrix, cholesky_pd, inv_from_cholesky, psd_certify
 
 #: singular values below RANK_RTOL * sigma_max do not count towards rank
 RANK_RTOL = 1e-10
@@ -100,15 +101,6 @@ class PartialEstimate:
     @cached_property
     def p_inv(self) -> np.ndarray:
         return inv_from_cholesky(self.p_chol)
-
-    @cached_property
-    def p_sqrt(self) -> np.ndarray:
-        """Symmetric root of ``P_hat``, for the ellipsoid constructions alone."""
-        return sqrt_psd(self.p_hat).data
-
-    @cached_property
-    def p_inv_sqrt(self) -> np.ndarray:
-        return inv_sqrt_pd(self.p_hat)
 
     @cached_property
     def info_matrix(self) -> np.ndarray:

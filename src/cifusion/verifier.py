@@ -43,7 +43,6 @@ from .linalg import (
     _block_psd_margin,
     feasible_weight_interval,
     first_feasible_weight,
-    loewner_compare,
     tol_scale,
 )
 from .problem import FusionProblem
@@ -149,13 +148,17 @@ def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     """Whether :func:`lmi_feasible_interval` is nonempty and at most twice its first-order width.
 
     ``None`` when the information matrices coincide, as any weight is then
-    feasible.  A CI family member's Schur complement M vanishes at its own
-    weight, so to first order ``lambda_max(M) <= tol`` on a width
+    feasible; the solver's :meth:`JointSpectrum.relation` decides that, so
+    the two classify a pair alike at every scale.  A CI family member's
+    Schur complement M vanishes at its own weight, so to first order
+    ``lambda_max(M) <= tol`` on a width
     ``tol (1/lambda_max(M') + 1/(-lambda_min(M')))``, ``M'`` taken there;
     a part counts only if its eigenvalue has that sign and the weight can
     move that way.  ``False`` when M is infinite at that weight.
     """
-    if loewner_compare(problem.sigma0, problem.sigma1) is LoewnerRelation.EQUAL:
+    from .optimizer import JointSpectrum, SigmaPair  # the optimizer imports this module
+
+    if JointSpectrum.of(SigmaPair.from_problem(problem)).relation() is LoewnerRelation.EQUAL:
         return None
     m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
     tol = certificate_tolerance(result)

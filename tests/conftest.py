@@ -7,9 +7,17 @@ import math
 import numpy as np
 
 from cifusion import FusionProblem, JointCovariance, LoewnerRelation, PartialEstimate
-from cifusion.ellipsoids import Ellipsoid, kahan_interpose
 from cifusion.errors import NotPdError
-from cifusion.linalg import PsdMatrix, inv_pd, loewner_compare
+from cifusion.linalg import (
+    DEFAULT_TOL,
+    PsdMatrix,
+    feasible_weight_end,
+    first_feasible_weight,
+    inv_pd,
+    loewner_compare,
+    sqrt_psd,
+    tol_scale,
+)
 from cifusion.optimizer import Cost, SigmaPair, delta_value
 from cifusion.verifier import certificate_tolerance, petersen_objective, q_pair
 
@@ -207,7 +215,8 @@ def sqrt_q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]
     What ``verifier.q_pair`` returned before it took the Cholesky factors,
     kept as its oracle: the two differ by an orthogonal factor on the right.
     """
-    return result.K1 @ problem.est1.p_sqrt, result.K2 @ problem.est2.p_sqrt
+    return (result.K1 @ sqrt_psd(problem.est1.p_hat).data,
+            result.K2 @ sqrt_psd(problem.est2.p_hat).data)
 
 
 def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, seed: int) -> float:
@@ -300,13 +309,108 @@ def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float
     Returns the smallest weight ``a`` with the candidate dominating the
     blended covariance ``(a*Sigma1 + (1-a)*Sigma0)^{-1}``, or ``None`` when
     no weight qualifies, which flags the candidate as violating the lower
-    bound every conservative unbiased rule must satisfy.
+    bound every conservative unbiased rule must satisfy.  With ``T`` the
+    candidate's inverse, ``a`` qualifies when ``lambda_max(T - a*Sigma1 -
+    (1-a)*Sigma0) <= tol``, ``tol = DEFAULT_TOL * tol_scale`` of the three
+    matrices' largest entry: that is convex in ``a``, so from the weight
+    ``linalg.first_feasible_weight`` finds from ``a = 0`` the answer is
+    ``linalg.feasible_weight_end`` towards 0, exactly 0.0 when ``a = 0``
+    qualifies.
     """
     if not candidate_p.strict:
         raise NotPdError("candidate covariance must be strictly PD")
-    pair = SigmaPair.from_problem(problem)
-    target = Ellipsoid(inv_pd(candidate_p.data))
-    return kahan_interpose(Ellipsoid(pair.sigma1), Ellipsoid(pair.sigma0), target)
+    s1, s0, target = problem.sigma1, problem.sigma0, inv_pd(candidate_p.data)
+    tol = DEFAULT_TOL * tol_scale(max(np.abs(s1).max(), np.abs(s0).max(), np.abs(target).max()))
+    dm = s0 - s1, np.zeros_like(target)
+
+    def m(a: float) -> np.ndarray:
+        return target - a * s1 - (1.0 - a) * s0
+
+    inside = first_feasible_weight(m, lambda a: dm, tol, 0.0)
+    return None if inside is None else feasible_weight_end(m, tol, inside, 0.0)
+
+
+#: both prior quadratic forms must stay below 1 - INTERIOR_MARGIN for the
+#: covering construction; the corners of the intersection are uncoverable
+INTERIOR_MARGIN = 1e-6
+#: quadratic forms closer than this (relatively) take the perturbed
+#: construction, keeping the joint covariance away from singularity
+EQUAL_FORMS_RTOL = 1e-6
+
+
+def covering_cross_cov(x, problem: FusionProblem) -> np.ndarray:
+    """Cross covariance whose optimal known-cross fusion covers an interior point.
+
+    The paper's covering argument: for every point strictly inside both
+    prior error ellipsoids ``{x : x' Sigma_i x <= 1}`` (margin
+    ``INTERIOR_MARGIN``) the returned ``P12`` makes the joint strictly PD
+    and puts ``x`` inside the ellipsoid of the fused information, so every
+    conservative rule's ellipsoid contains the intersection.  The
+    construction swaps the estimates so the second block is at least as
+    wide as the first, which leaves the fused ellipsoid unchanged.  Raises
+    ``ValueError`` for a point that is not strictly interior, or that the
+    second observation map sends to zero while the first does not.
+    """
+    x = np.asarray(x, dtype=float)
+    q1 = float(x @ problem.sigma1 @ x)
+    q2 = float(x @ problem.sigma0 @ x)
+    if q1 > 1.0 - INTERIOR_MARGIN or q2 > 1.0 - INTERIOR_MARGIN:
+        raise ValueError(f"point is not strictly interior (values {q1:.6g}, {q2:.6g})")
+    if problem.p2 >= problem.p1:
+        return _covering(problem, x)
+    return _covering(problem.swapped(), x).T
+
+
+def _covering(problem: FusionProblem, x: np.ndarray) -> np.ndarray:
+    """:func:`covering_cross_cov` for ``p2 >= p1``, so the first direction can be zero-padded."""
+    (root1, inv_root1), (root2, inv_root2) = (
+        _sym_roots(est.p_hat.data) for est in (problem.est1, problem.est2)
+    )
+    w_vec = inv_root1 @ (problem.est1.h @ x)
+    v_vec = inv_root2 @ (problem.est2.h @ x)
+    q1 = float(w_vec @ w_vec)
+    q2 = float(v_vec @ v_vec)
+    if q1 == 0.0:
+        return np.zeros((problem.p1, problem.p2))
+    if q2 == 0.0:
+        raise ValueError("second observation of x vanishes")
+    w_pad = np.zeros(problem.p2)
+    w_pad[: problem.p1] = w_vec
+    u = _householder_to(v_vec / np.sqrt(q2), w_pad / np.sqrt(q1))
+    base = root1 @ u[: problem.p1, :] @ root2
+    if abs(q1 - q2) <= EQUAL_FORMS_RTOL * max(q1, q2):
+        # (near-)equal quadratic forms: the scaled construction collapses,
+        # so start from a zero cross covariance and halve the back-off from
+        # the boundary until the point is covered
+        for k in range(60):
+            p12 = (1.0 - 0.5**k) * base
+            if _fused_form(problem, p12, x) < 1.0:
+                return p12
+        raise ValueError("perturbed covering failed to converge")
+    return np.sqrt(min(q1, q2) / max(q1, q2)) * base
+
+
+def _sym_roots(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric square root of a PD matrix and its inverse, from one ``eigh``."""
+    w, v = np.linalg.eigh(p)
+    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+
+
+def _householder_to(a_unit: np.ndarray, b_unit: np.ndarray) -> np.ndarray:
+    """Deterministic orthogonal map sending one unit vector onto another."""
+    diff = a_unit - b_unit
+    nrm = np.linalg.norm(diff)
+    if nrm < 1e-14:
+        return np.eye(a_unit.size)
+    u = diff / nrm
+    return np.eye(a_unit.size) - 2.0 * np.outer(u, u)
+
+
+def _fused_form(problem: FusionProblem, p12: np.ndarray, x: np.ndarray) -> float:
+    """Quadratic form of x under the optimal fused information for this cross."""
+    joint = np.block([[problem.est1.p_hat.data, p12], [p12.T, problem.est2.p_hat.data]])
+    z = problem.h_stacked @ x
+    return float(z @ inv_pd(joint) @ z)
 
 
 def lmi_matrix(p_hat: np.ndarray, q1: np.ndarray, q2: np.ndarray, alpha: float) -> np.ndarray:

@@ -403,3 +403,118 @@ def test_criterion_7_simulator():
 
     crit.check(run_text(7) == run_text(7), "report not bit-identical under fixed seed")
     crit.conclude()
+
+
+def _rule_bounds(problem, gains, alphas):
+    """Conservative bounds ``Q1 Q1' / alpha + Q2 Q2' / (1 - alpha)`` of stacked rules.
+
+    Each pair ``(K, alpha)`` of the two stacks gives ``Q_i = K_i L_i``, ``L_i``
+    the Cholesky factor of ``P_i``; no admissible cross covariance makes the
+    rule's error covariance exceed the bound (Petersen's inequality).  A term
+    over a zero weight is 0 when its ``Q_i`` is zero (0/0); the returned mask
+    flags the pairs where it is not, whose bound is infinite.
+    """
+    p1 = problem.p1
+    bound = np.zeros((len(alphas), problem.n, problem.n))
+    infinite = np.zeros(len(alphas), dtype=bool)
+    for q, w in ((gains[:, :, :p1] @ problem.est1.p_chol, alphas),
+                 (gains[:, :, p1:] @ problem.est2.p_chol, 1.0 - alphas)):
+        live = w > 0.0
+        bound[live] += q[live] @ np.swapaxes(q[live], 1, 2) / w[live, None, None]
+        infinite |= ~live & (np.abs(q).max(axis=(1, 2)) > 0.0)
+    return bound, infinite
+
+
+def _bound_margins(problem, cost, gains, alphas, reference):
+    """Relative cost margins of :func:`_rule_bounds` over the CI optimum's ``reference``.
+
+    ``log det P - reference`` for DET (``reference`` the CI log det) and
+    ``trace P / reference - 1`` for TRACE: the theorem says neither is ever
+    negative.  An infinite bound has an infinite margin.
+    """
+    bound, infinite = _rule_bounds(problem, gains, alphas)
+    if cost is Cost.DET:
+        sign, logdet = np.linalg.slogdet(bound)
+        margin = np.where(sign > 0.0, logdet - reference, -np.inf)
+    else:
+        margin = np.trace(bound, axis1=1, axis2=2) / reference - 1.0
+    return np.where(infinite, np.inf, margin)
+
+
+def _ci_member_gains(problem, weights):
+    """Gains ``[a P H1' P1^-1, (1 - a) P H2' P2^-1]``, ``P = (a Sigma1 + (1 - a) Sigma0)^-1``.
+
+    Built by ``numpy.linalg.inv`` of the blend, independent of ``ku_rule``.
+    """
+    est1, est2 = problem.est1, problem.est2
+    w = weights[:, None, None]
+    fused = np.linalg.inv(w * problem.sigma1 + (1.0 - w) * problem.sigma0)
+    return np.concatenate([w * fused @ (est1.h.T @ est1.p_inv),
+                           (1.0 - w) * fused @ (est2.h.T @ est2.p_inv)], axis=2)
+
+
+def test_criterion_8_no_conservative_rule_beats_ci():
+    crit = Criterion(8, "no conservative unbiased linear rule beats CI", 5.0)
+    rng = np.random.default_rng(123)
+    grid = np.linspace(0.0, 1.0, 35)[1:-1]
+    members = np.linspace(0.0, 1.0, 18)[1:-1]
+    tol = 1e-9
+    perturbed = stationary = 0
+    for i in range(40):
+        problem = random_problem(rng, full_state=i % 4 == 0)
+        h = problem.h_stacked
+        nullspace = np.eye(h.shape[0]) - h @ np.linalg.pinv(h)
+        for cost in (Cost.DET, Cost.TRACE):
+            tag = f"{cost.value} instance {i}"
+            result = solve_ci(problem, cost)
+            p_ci = result.P_hat.data
+            reference = (np.linalg.slogdet(p_ci)[1] if cost is Cost.DET
+                         else float(np.trace(p_ci)))
+            k_ci = np.hstack([result.K1, result.K2])
+            alpha = result.alpha
+            # the solver's own rule reproduces its cost
+            own = _bound_margins(problem, cost, k_ci[None], np.array([alpha]), reference)
+            crit.check(abs(own[0]) <= tol, f"{tag}: own rule margin {own[0]:.3g}")
+            # random unbiased gains, known-cross optimal gains of random
+            # joints and CI members at other weights, each over the grid
+            known = [optimal_fusion_known_cross(problem, random_joint(rng, problem.p1, problem.p2))
+                     for _ in range(10)]
+            gains = np.concatenate([
+                random_unbiased_gains(rng, problem, 20),
+                np.stack([np.hstack([kc.K1, kc.K2]) for kc in known]),
+                _ci_member_gains(problem, members),
+            ])
+            margins = _bound_margins(problem, cost, np.repeat(gains, grid.size, axis=0),
+                                     np.tile(grid, len(gains)), reference)
+            crit.check(margins.min() >= -tol, f"{tag}: a rule beats CI by {-margins.min():.3g}")
+            if h.shape[0] == problem.n:
+                continue  # square H: the CI gain is the only unbiased one
+            # the sharp test: K_CI + eps N with N H = 0, at weights near alpha*
+            dirs = rng.standard_normal((20, problem.n, h.shape[0])) @ nullspace
+            dirs *= np.linalg.norm(k_ci) / np.linalg.norm(dirs, axis=(1, 2))[:, None, None]
+            near = alpha + np.array([-1e-3, -1e-4, 0.0, 1e-4, 1e-3])
+            near = near[(near > 0.0) & (near < 1.0)]
+            if alpha in (0.0, 1.0):
+                near = np.append(near, np.abs(alpha - np.array([1e-6, 1e-5, 1e-2])))
+            for eps in (1e-2, 1e-3):
+                cand = k_ci + eps * dirs
+                margins = _bound_margins(problem, cost, np.repeat(cand, near.size, axis=0),
+                                         np.tile(near, len(cand)), reference)
+                crit.check(margins.min() >= -tol,
+                           f"{tag}: a perturbed gain beats CI by {-margins.min():.3g} (eps {eps})")
+            perturbed += 1
+            if 0.0 < alpha < 1.0:
+                # stationarity: the bound is quadratic in K, so its central
+                # difference along N is the first-order change, which the CI
+                # gains' K_i P_i / w_i = P H_i' make vanish
+                plus, _ = _rule_bounds(problem, k_ci + dirs[:5], np.full(5, alpha))
+                minus, _ = _rule_bounds(problem, k_ci - dirs[:5], np.full(5, alpha))
+                change = np.abs(plus - minus).max() / 2.0
+                scale = max(np.abs(plus).max(), np.abs(minus).max())
+                crit.check(change <= 1e-12 * scale,
+                           f"{tag}: first-order change {change / scale:.3g} of the bound")
+                stationary += 1
+    crit.check(perturbed >= 40 and stationary >= 20,
+               f"only {perturbed} perturbed and {stationary} stationarity solves")
+    crit.conclude()
+

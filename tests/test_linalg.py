@@ -12,9 +12,7 @@ from cifusion.linalg import (
     _block_psd_margin,
     _pinv_eigs,
     adjugate,
-    assemble_cross,
     block_psd_check,
-    cross_factor,
     feasible_weight_interval,
     first_feasible_weight,
     inv_pd,
@@ -253,35 +251,39 @@ class TestBlockPsdCheck:
             assert _block_psd_margin(q, np.array([[0.5, 1e-3]]), r_eigs)[0] is False
 
 
-class TestCrossFactor:
+def normalized_cross(joint) -> np.ndarray:
+    """``X = P1^{-1/2} P12 P2^{-1/2}``, the inverse roots taken by ``eigh``."""
+    def inv_root(p):
+        w, v = np.linalg.eigh(p.data)
+        return (v / np.sqrt(w)) @ v.T
+
+    return inv_root(joint.P1) @ joint.P12 @ inv_root(joint.P2)
+
+
+class TestCrossParameter:
     def test_zero_cross(self):
-        joint = JointCovariance(np.eye(2), np.zeros((2, 2)), np.eye(2))
-        np.testing.assert_allclose(cross_factor(joint), np.zeros((2, 2)))
+        joint = JointCovariance.from_cross_parameter(np.eye(2), np.zeros((2, 2)), np.eye(2))
+        np.testing.assert_allclose(joint.P12, np.zeros((2, 2)))
 
     def test_scalar_case(self):
-        joint = JointCovariance([[1.0]], [[0.5]], [[1.0]])
-        np.testing.assert_allclose(cross_factor(joint), [[0.5]])
+        joint = JointCovariance.from_cross_parameter([[4.0]], [[0.5]], [[1.0]])
+        np.testing.assert_allclose(joint.P12, [[1.0]])
 
     def test_pd_joint_has_contractive_factor(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             joint = random_joint(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             assert joint.pd
-            x = cross_factor(joint)
-            assert np.linalg.svd(x, compute_uv=False)[0] < 1.0
+            assert np.linalg.svd(normalized_cross(joint), compute_uv=False)[0] < 1.0
 
     def test_inverse_map_roundtrip(self):
         rng = np.random.default_rng(37)
         for _ in range(50):
             joint = random_joint(rng, 3, 2)
-            x = cross_factor(joint)
-            rebuilt = assemble_cross(joint.P1, x, joint.P2)
+            rebuilt = JointCovariance.from_cross_parameter(
+                joint.P1, normalized_cross(joint), joint.P2
+            ).P12
             assert np.abs(rebuilt - joint.P12).max() <= 1e-10 * max(1.0, np.abs(joint.P12).max())
-
-    def test_singular_block_rejected(self):
-        joint = JointCovariance(np.diag([1.0, 0.0]), np.zeros((2, 2)), np.eye(2))
-        with pytest.raises(NotPdError):
-            cross_factor(joint)
 
 
 class TestInverses:

@@ -182,6 +182,25 @@ class TestAlphaUniqueness:
             result = solve_ci(problem, Cost.TRACE)
             assert alpha_uniqueness_check(result, problem) is True
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e9, 1e12])
+    def test_verdict_does_not_depend_on_units(self, scale):
+        # the solver finds the interior root alpha = 0.5 at every scale, and
+        # the check classifies the pair as the solver does: distinct pairs
+        # are isolated, equal ones not applicable (an absolute floor on the
+        # information matrices called every pair below ~1e-9 equal)
+        def problem_of(p2):
+            return FusionProblem(
+                PartialEstimate(np.eye(2), [0.0, 0.0], scale * np.diag([1.0, 2.0])),
+                PartialEstimate(np.eye(2), [0.0, 0.0], scale * np.diag(p2)),
+            )
+
+        problem = problem_of([2.0, 1.0])
+        result = solve_ci(problem, Cost.DET)
+        assert result.alpha == 0.5 and result.diagnostics["branch"] == "interior_root"
+        assert alpha_uniqueness_check(result, problem) is True
+        equal = problem_of([1.0, 2.0])
+        assert alpha_uniqueness_check(solve_ci(equal, Cost.DET), equal) is None
+
 
 def schur_max_eig(result, problem, alpha: float) -> float:
     """``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``.
