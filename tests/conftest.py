@@ -185,14 +185,29 @@ def haar_contraction_draws(rng, dim: int, count: int) -> tuple[np.ndarray, np.nd
     return u, rng.uniform(0.05, 1.0, size=(count, dim))
 
 
+def rank_one_draws(rng, count: int, p1: int, p2: int) -> np.ndarray:
+    """Unit-norm rank-one cross parameters ``a b'``, sample-first.
+
+    ``a`` and ``b`` are Gaussian vectors of lengths ``p1`` and ``p2``, drawn
+    in that order and normalised.  This is the oracle of
+    ``verifier._draw_cross``, which reads the same stream.
+    """
+    a = rng.standard_normal((count, p1))
+    b = rng.standard_normal((count, p2))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    return a[:, :, None] * b[:, None, :]
+
+
 def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
     """The random joints ``verifier.monte_carlo_joint`` draws for ``seed``.
 
     Drawn here from the raw stream in the sampler's order: per side a Haar
     orthogonal ``U`` (sign-fixed LAPACK QR, :func:`haar_contraction_draws`,
     the oracle of the sampler's Gram-Schmidt) and a spectrum ``e`` of the
-    contraction ``C = U diag(e) U'``, then Gaussian cross directions scaled
-    by an SVD to uniform spectral norms.  Returns the factors
+    contraction ``C = U diag(e) U'``, then rank-one cross parameters
+    ``r a b'``: unit Gaussian directions ``a`` then ``b``, then radii ``r``
+    uniform on ``[0, 1 - 1e-12)``.  Returns the factors
     ``F_i = L_i U_i diag(sqrt(e_i))``, ``L_i`` the Cholesky factor of
     ``P_i``, the cross parameters and the shrunken blocks ``L_i C_i L_i'``,
     all sample-first.
@@ -203,9 +218,8 @@ def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
         u, e = haar_contraction_draws(rng, dim, count)
         factors.append(est.p_chol @ u * np.sqrt(e)[:, None, :])
         blocks.append(est.p_chol @ np.einsum("sij,sj,skj->sik", u, e, u) @ est.p_chol.T)
-    xs = rng.standard_normal((count, problem.p1, problem.p2))
-    smax = np.linalg.svd(xs, compute_uv=False)[:, 0]
-    xs *= (rng.uniform(size=count) * (1.0 - 1e-12) / smax)[:, None, None]
+    xs = rank_one_draws(rng, count, problem.p1, problem.p2)
+    xs *= (rng.uniform(size=count) * (1.0 - 1e-12))[:, None, None]
     return factors[0], factors[1], xs, blocks[0], blocks[1]
 
 

@@ -54,6 +54,7 @@ from conftest import (
     random_orthogonal,
     random_problem,
     random_spd,
+    rank_one_draws,
     well_scaled_problems,
 )
 
@@ -523,6 +524,45 @@ def outcome(call):
         return type(exc)
 
 
+class TestSamplerStrength:
+    """Rank-one cross draws on CI solves shrunk to ``(1 - 1e-2) P_hat``."""
+
+    SHRINK = 1.0 - 1e-2
+    SOLVES = 40
+
+    def shrunk_solves(self):
+        # DET and TRACE solves with both gain blocks nonzero, so the cross
+        # term matters and the scalar certificate is not degenerate
+        rng = np.random.default_rng(2024)
+        cases = []
+        while len(cases) < self.SOLVES:
+            problem = random_problem(rng)
+            for cost in (Cost.DET, Cost.TRACE):
+                result = solve_ci(problem, cost)
+                q1, q2 = q_pair(result, problem)
+                if np.abs(q1).max() > ZERO_Q_TOL and np.abs(q2).max() > ZERO_Q_TOL:
+                    cases.append((shrink_result(result, self.SHRINK), problem))
+        return cases
+
+    def test_adversarial_search_flags_every_shrunk_solve(self):
+        # sup over |X| <= 1 is attained at a rank-one X of norm one
+        # (Petersen), so 1000 such draws find every 1% shrink here
+        cases = self.shrunk_solves()
+        for seed, (result, problem) in enumerate(cases):
+            worst = adversarial_x_search(result, problem, 1000, seed)
+            assert worst > certificate_tolerance(result), (seed, worst)
+
+    def test_samplers_stay_below_the_scalar_bound(self):
+        # every value of the scalar certificate bounds the supremum from
+        # above, so a sampled value above the golden minimum would mean a
+        # draw that is not a contraction
+        for seed, (result, problem) in enumerate(self.shrunk_solves()):
+            _, minimum = petersen_golden_oracle(result, problem)
+            slack = 1e-12 * np.linalg.norm(result.P_hat.data, 2)
+            for value in sequential(result, problem, 1000, seed):
+                assert value <= minimum + slack, (seed, value, minimum)
+
+
 class TestSampledViolations:
     """Monte Carlo on a worker thread while the caller runs the adversarial search."""
 
@@ -654,17 +694,37 @@ class TestWorstViolationKernel:
 
     @pytest.mark.parametrize("p1", range(1, 7))
     @pytest.mark.parametrize("p2", range(1, 7))
-    def test_cross_spectral_norm_matches_svd(self, p1, p2):
-        # the Gram-matrix spectral norm scales each direction to its uniform draw
-        xs = _draw_cross(np.random.default_rng(p1 * 10 + p2), 200, p1, p2, 1.0)
-        rng = np.random.default_rng(p1 * 10 + p2)
-        gauss = rng.standard_normal((200, p1, p2))
-        radii = rng.uniform(size=200)
-        np.testing.assert_allclose(np.linalg.svd(xs, compute_uv=False)[:, 0], radii, rtol=1e-13)
-        np.testing.assert_allclose(
-            xs, gauss * (radii / np.linalg.svd(gauss, compute_uv=False)[:, 0])[:, None, None],
-            rtol=1e-13, atol=0.0,
-        )
+    def test_cross_draws_are_rank_one_contractions(self, monkeypatch, p1, p2):
+        # both samplers draw X = a b' from unit Gaussian directions, rebuilt
+        # here from the raw stream: spectral norm one for the adversarial
+        # search, and Monte Carlo's radius, drawn after the two directions
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return worst_violation(*args)
+
+        monkeypatch.setattr(verifier, "worst_violation", spy)
+        eps, count, seed = np.finfo(float).eps, 200, p1 * 10 + p2
+        problem = random_problem(np.random.default_rng(seed), max(p1, p2), p1, p2)
+        result = solve_ci(problem, Cost.TRACE)
+        adversarial_x_search(result, problem, samples=count, seed=seed)
+        monte_carlo_joint(result, problem, truth_samples=count, seed=seed)
+        (_, _, xs_adv, _), (_, _, xs_mc, _) = calls
+        xs_adv, xs_mc = xs_adv[3:], xs_mc[2:]
+        unit = rank_one_draws(np.random.default_rng(seed), count, p1, p2)
+        np.testing.assert_allclose(xs_adv, unit, rtol=1e-13, atol=0.0)
+        rng = np.random.default_rng(seed)
+        haar_contraction_draws(rng, p1, count)
+        haar_contraction_draws(rng, p2, count)
+        unit = rank_one_draws(rng, count, p1, p2)
+        radii = rng.uniform(size=count) * (1.0 - 1e-12)
+        np.testing.assert_allclose(xs_mc, unit * radii[:, None, None], rtol=1e-13, atol=0.0)
+        for xs, norms in ((xs_adv, np.ones(count)), (xs_mc, radii)):
+            sv = np.linalg.svd(xs, compute_uv=False)
+            assert (sv[:, 1:] <= 1e-15 * sv[:, :1]).all()
+            assert (np.abs(sv[:, 0] - norms) <= 4.0 * eps * norms).all()
+        assert (np.linalg.svd(xs_mc, compute_uv=False)[:, 0] < 1.0).all()
 
 
 def strided(a: np.ndarray) -> np.ndarray:
@@ -723,7 +783,7 @@ class TestSampleLastSampler:
         lead = () if shared else (count,)
         g1 = rng.standard_normal(lead + (n, p1))
         g2 = rng.standard_normal(lead + (n, p2))
-        xs = _draw_cross(rng, count, p1, p2, 1.0)
+        xs = _draw_cross(rng, count, p1, p2)
         p_hat = random_spd(rng, n)
         args = [np.ascontiguousarray(a) for a in (g1, g2, xs)]
         if layout == "sample_last":
@@ -786,7 +846,7 @@ class TestScreenedKernel:
         rng = np.random.default_rng(500 + n)
         count = 300
         p1, p2 = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
-        xs = _draw_cross(rng, count, p1, p2, 1.0)
+        xs = _draw_cross(rng, count, p1, p2)
         shared = (rng.standard_normal((n, p1)), rng.standard_normal((n, p2)))
         per_sample = (rng.standard_normal((count, n, p1)), rng.standard_normal((count, n, p2)))
         p_hat = random_spd(rng, n)
@@ -806,7 +866,7 @@ class TestScreenedKernel:
         assert _screen(mats, unscreened(mats)).all()
         # Q1 = 0 makes every adversarial sample the same matrix
         q1, q2 = np.zeros((n, 2)), rng.standard_normal((n, 3))
-        xs = _draw_cross(rng, 200, 2, 3, 1.0)
+        xs = _draw_cross(rng, 200, 2, 3)
         p_hat = random_spd(rng, n)
         stack = _violation_stack(q1, q2, xs, p_hat)
         assert worst_violation(q1, q2, xs, p_hat) == unscreened(stack)
