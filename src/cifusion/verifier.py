@@ -19,27 +19,20 @@ cross parameters ``X = a b'`` from unit Gaussian directions
 1987) the supremum over ``|X| <= 1`` is attained at such an ``X`` of norm
 one, and the norm is ``|a| |b|``, so no draw is decomposed.  Rounding
 can put that norm at ``1 + O(eps)``, far inside the certificate tolerance.
-Draws are kept sample-last, so each product is a few whole-stack
-``einsum`` calls, and the kernel decomposes only the samples that can
-decide its answer, with a value bit for bit that of ``eigvalsh`` over all
-of them.  The two samplers are pure functions of their arguments, each
-with its own generator, so :func:`sampled_violations` runs Monte Carlo on
-a second thread while the calling thread runs the adversarial search, and
-``cifusion verify`` prints what running them one after the other prints.
-numpy releases the GIL in the batched products and eigensolves, so on two
-CPUs the two can overlap.  Measured on a 2-vCPU x86 host with one BLAS
-thread, over the 20 benchmark ``verify`` files at 1000 samples, the
-worker made a call 0.35-0.6 ms slower than the two calls in sequence
-(about 4 ms), pinned to one CPU or not.  A found violation is
+The kernel takes each ``X`` as factors ``A B'`` and never forms it: the
+cross term is ``C + C'`` with ``C = (G1 A)(G2 B)'``, one outer product per
+rank-one draw.  Draws are kept sample-last, so each product is a few
+whole-stack ``einsum`` calls, and the kernel decomposes only the samples
+that can decide its answer, with a value bit for bit that of ``eigvalsh``
+over all of them.  Each sampler is a pure function of its arguments with
+its own generator, and runs on the calling thread.  A found violation is
 conclusive; absence of violations is reported as "no violation found" for
 the sampled budget, while the block certificate carries the actual proof.
 """
 
 from __future__ import annotations
 
-import contextvars
 import enum
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,45 +172,61 @@ def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     return bool(interval[1] - interval[0] <= 2.0 * w1)
 
 
-def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Aligned orthogonal-factor extreme from the SVD of ``Q1.T Q2``."""
+def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(U, V)`` of the aligned orthogonal-factor extreme ``U V'``.
+
+    ``U S V'`` is the thin SVD of ``Q1.T Q2``, so each factor has
+    ``min(p1, p2)`` columns.
+    """
     u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
-    return u @ vt
+    return u, vt.T
 
 
 def _violation_stack(
-    g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.ndarray
+    g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, p_hat: np.ndarray
 ) -> np.ndarray:
-    """The samples ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat``, one per ``X``.
+    """The samples ``G1 G1' + G2 G2' - P_hat + C + C'``, ``C = (G1 A)(G2 B)'``, per ``X = A B'``.
 
-    Takes and returns sample-first stacks, and works sample-last: each stack
-    is viewed with its sample axis moved last, the products are ``einsum``
-    calls over whole stacks, and the result is a sample-first view of a
-    contiguous sample-last stack.  A factor given as one shared matrix stays
-    one matrix; the ellipsis subscripts broadcast it without a stride-0
-    stack.  The inputs cost no copy when they are themselves sample-first
-    views of sample-last memory, as the samplers pass them.
+    ``a`` and ``b`` stack the factors of the cross parameters, ``p1 x k``
+    and ``p2 x k`` with ``k`` fixed per call, so ``C = G1 X G2'`` and no
+    ``X`` is formed; a rank-one draw has ``k = 1``, and ``C`` is one outer
+    product.  ``G G' - P_hat`` is the one expression of every call, so
+    samples that differ only in a zero cross term are bitwise equal.
+    Takes and returns sample-first stacks, and works sample-last: each
+    stack is viewed with its sample axis moved last, the products are
+    ``einsum`` calls over whole stacks, and the result is a sample-first
+    view of a contiguous sample-last stack.  A factor ``g1``, ``g2`` given
+    as one shared matrix stays one matrix; the ellipsis subscripts
+    broadcast it without a stride-0 stack.  The inputs cost no copy when
+    they are themselves sample-first views of sample-last memory, as the
+    samplers pass them.
     """
     g1, g2 = (np.moveaxis(g, 0, -1) if g.ndim == 3 else g for g in (g1, g2))
-    xs = np.moveaxis(xs, 0, -1)
+    a, b = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
     n = p_hat.shape[0]
     gram = np.einsum("ia...,ja...->ij...", g1, g1) + np.einsum("ia...,ja...->ij...", g2, g2)
-    cross = np.einsum("ib...,jb...->ij...", np.einsum("ia...,ab...->ib...", g1, xs), g2)
+    ga = np.einsum("ia...,ak...->ik...", g1, a)
+    gb = np.einsum("ia...,ak...->ik...", g2, b)
+    cross = np.einsum("ik...,jk...->ij...", ga, gb)
     stack = np.add(gram.reshape(n, n, -1) - p_hat[:, :, None], cross, order="C")
     stack += cross.transpose(1, 0, 2)
     return np.moveaxis(stack, -1, 0)
 
 
-def worst_violation(g1: np.ndarray, g2: np.ndarray, xs: np.ndarray, p_hat: np.ndarray) -> float:
+def worst_violation(
+    g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, p_hat: np.ndarray
+) -> float:
     """Largest eigenvalue of ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat`` over samples.
 
-    ``xs`` stacks the cross parameters X.  Each factor ``g1``, ``g2`` is one
-    matrix shared by every sample or a stack with one matrix per sample.
-    This is the fused error covariance of a joint whose diagonal blocks
-    factor as ``G G'`` and whose cross block is ``G1 X G2'``, less the
-    reported covariance; the value is :func:`stack_max_eigenvalue` of them.
+    ``a`` and ``b`` stack the factors of the cross parameters ``X = A B'``,
+    as :func:`_violation_stack` takes them.  Each factor ``g1``, ``g2`` is
+    one matrix shared by every sample or a stack with one matrix per
+    sample.  This is the fused error covariance of a joint whose diagonal
+    blocks factor as ``G G'`` and whose cross block is ``G1 X G2'``, less
+    the reported covariance; the value is :func:`stack_max_eigenvalue` of
+    them.
     """
-    return stack_max_eigenvalue(_violation_stack(g1, g2, xs, p_hat))
+    return stack_max_eigenvalue(_violation_stack(g1, g2, a, b, p_hat))
 
 
 def stack_max_eigenvalue(mats: np.ndarray) -> float:
@@ -313,8 +322,8 @@ def _screen(mats: np.ndarray, c: float) -> np.ndarray:
     return ~positive
 
 
-def _draw_cross(rng, count: int, p1: int, p2: int) -> np.ndarray:
-    """Rank-one cross parameters ``X = a b'`` with ``a``, ``b`` unit Gaussian directions.
+def _draw_cross(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(a, b)`` of rank-one cross parameters ``X = a b'``, unit Gaussian directions.
 
     ``a`` and ``b`` are Gaussian vectors of lengths ``p1`` and ``p2``,
     ``count`` each, drawn in that order and normalised.  The spectral norm
@@ -325,23 +334,15 @@ def _draw_cross(rng, count: int, p1: int, p2: int) -> np.ndarray:
     over ``|X| <= 1`` is attained at such an ``X``, with ``a`` and ``b``
     along ``Q1' v`` and ``Q2' v`` for the top eigenvector ``v`` of the
     maximising matrix.  The law is invariant under ``X -> U1 X U2'`` for
-    orthogonal ``U_i``.  The draws are returned as a sample-first view of
+    orthogonal ``U_i``.  Each stack is returned as :func:`_violation_stack`
+    takes it with ``k = 1``: a sample-first view, ``count x p x 1``, of
     sample-last memory.
     """
-    a = rng.standard_normal((count, p1)).T
-    b = rng.standard_normal((count, p2)).T
+    a = rng.standard_normal((count, p1)).T.copy()
+    b = rng.standard_normal((count, p2)).T.copy()
     a /= np.sqrt(np.einsum("is,is->s", a, a))
     b /= np.sqrt(np.einsum("is,is->s", b, b))
-    return np.moveaxis(a[:, None, :] * b[None, :, :], -1, 0)
-
-
-def _prepend(heads: list[np.ndarray], xs: np.ndarray) -> np.ndarray:
-    """The matrices ``heads`` followed by the stack ``xs``, in sample-last memory.
-
-    Takes and returns sample-first stacks; the result is a view.
-    """
-    stack = np.concatenate([np.stack(heads, axis=-1), np.moveaxis(xs, 0, -1)], axis=-1)
-    return np.moveaxis(stack, -1, 0)
+    return np.moveaxis(a[:, None, :], -1, 0), np.moveaxis(b[:, None, :], -1, 0)
 
 
 def adversarial_x_search(
@@ -351,9 +352,12 @@ def adversarial_x_search(
 
     Draws random rank-one cross parameters ``X = a b'`` of spectral norm
     one (:func:`_draw_cross`), always including the zero matrix and the
-    aligned extremes from the SVD of ``Q1.T Q2``, and returns
-    :func:`worst_violation` with ``G = (Q1, Q2)``.  The largest eigenvalue
-    is convex in ``X`` and the stack holds ``X = 0``, so
+    aligned extremes ``+-U V'`` from the SVD of ``Q1.T Q2``, and returns
+    the largest eigenvalue over the :func:`_violation_stack` samples with
+    ``G = (Q1, Q2)``, as :func:`worst_violation` would.  The three fixed
+    heads come first, as factors ``(0, V)`` and ``(+-U, V)`` with
+    ``k = min(p1, p2)``; the draws follow with ``k = 1``.  The largest
+    eigenvalue is convex in ``X`` and the stack holds ``X = 0``, so
     ``f(t X) <= max(f(0), f(X))`` for ``0 <= t <= 1``: drawing at norm one
     loses nothing against smaller radii, and by Petersen's lemma the
     supremum over ``|X| <= 1`` is attained at a rank-one ``X`` of norm
@@ -365,11 +369,12 @@ def adversarial_x_search(
         raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     q1, q2 = q_pair(result, problem)
-    p1, p2 = q1.shape[1], q2.shape[1]
-    xs = _draw_cross(rng, samples, p1, p2)
-    extreme = _extreme_cross_direction(q1, q2)
-    xs = _prepend([np.zeros((p1, p2)), extreme, -extreme], xs)
-    return worst_violation(q1, q2, xs, result.P_hat.data)
+    a, b = _draw_cross(rng, samples, q1.shape[1], q2.shape[1])
+    u, v = _extreme_cross_direction(q1, q2)
+    p_hat = result.P_hat.data
+    heads = _violation_stack(q1, q2, np.stack([np.zeros_like(u), u, -u]), np.stack([v] * 3), p_hat)
+    draws = _violation_stack(q1, q2, a, b, p_hat)
+    return stack_max_eigenvalue(np.concatenate([heads, draws]))
 
 
 def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
@@ -450,16 +455,18 @@ def monte_carlo_joint(
     factor ``F_i = L_i U_i diag(sqrt(e_i))`` of that block.  The joint is
     ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with ``X = r a b'`` rank one: unit
     directions from :func:`_draw_cross`, then a radius ``r`` uniform on
-    ``[0, 1 - 1e-12)``, so ``|X| = r (1 + O(eps)) < 1`` and the joint is
-    positive definite.  Its fused error less ``P_hat`` is
-    :func:`worst_violation` with ``G_i = K_i F_i``.  ``F_i`` differs from the
-    symmetric root of its block by an orthogonal factor that does not depend
-    on ``X``, and the law of ``X`` is orthogonally invariant, so the joints
-    have the same distribution as with symmetric roots; the worst value
-    differs from that of a symmetric-root sampler on the same seed, the
-    verdict does not.  Two aligned near-extreme cross draws at the full
-    diagonal are always included.  Returns the maximum largest eigenvalue
-    of ``K P_joint K' - P_hat``.
+    ``[0, 1 - 1e-12)``, folded into ``a``, so ``|X| = r (1 + O(eps)) < 1``
+    and the joint is positive definite.  Its fused error less ``P_hat`` is
+    the :func:`_violation_stack` sample with ``G_i = K_i F_i``.  ``F_i``
+    differs from the symmetric root of its block by an orthogonal factor
+    that does not depend on ``X``, and the law of ``X`` is orthogonally
+    invariant, so the joints have the same distribution as with symmetric
+    roots; the worst value differs from that of a symmetric-root sampler on
+    the same seed, the verdict does not.  Two aligned near-extreme cross
+    parameters ``+-(1 - 1e-6) U V'`` at the full diagonal, ``G = (Q1, Q2)``
+    and factors of ``k = min(p1, p2)`` columns, always come first.  Returns
+    the maximum largest eigenvalue of ``K P_joint K' - P_hat``, as
+    :func:`worst_violation` would over the two stacks.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")
@@ -467,55 +474,17 @@ def monte_carlo_joint(
     p1, p2 = problem.p1, problem.p2
     f1 = _random_contraction_factors(rng, p1, truth_samples)
     f2 = _random_contraction_factors(rng, p2, truth_samples)
-    xs = _draw_cross(rng, truth_samples, p1, p2)
-    xs *= (rng.uniform(size=truth_samples) * (1.0 - 1e-12))[:, None, None]
+    a, b = _draw_cross(rng, truth_samples, p1, p2)
+    a *= (rng.uniform(size=truth_samples) * (1.0 - 1e-12))[:, None, None]
 
     q1, q2 = q_pair(result, problem)
-    extreme = _extreme_cross_direction(q1, q2) * (1.0 - 1e-6)
-    gs = []
-    for q, f in ((q1, f1), (q2, f2)):
-        g = np.empty(q.shape + (truth_samples + 2,))
-        g[..., :2] = q[..., None]
-        np.einsum("ai,ijs->ajs", q, f, out=g[..., 2:])
-        gs.append(np.moveaxis(g, -1, 0))
-    g1, g2 = gs
-    return worst_violation(g1, g2, _prepend([extreme, -extreme], xs), result.P_hat.data)
-
-
-def sampled_violations(
-    result, problem: FusionProblem, samples: int = 1000, seed: int = 0
-) -> tuple[float, float]:
-    """``(adversarial_x_search(...), monte_carlo_joint(...))``, the two run at once.
-
-    One worker thread, started per call, runs :func:`monte_carlo_joint`
-    inside a copy of the caller's context: numpy 2 keeps ``np.errstate``
-    in a context variable, and a new thread would otherwise start from the
-    defaults.  The calling thread meanwhile runs
-    :func:`adversarial_x_search` and then joins the worker, also when the
-    search raises, so no thread outlives the call.  An exception of the
-    search propagates as it would with the two run in that order; else one
-    the worker raised is raised here.  Both values are bitwise those of the
-    two calls.
-    """
-    outcome = {}
-
-    def sample_joints():
-        try:
-            outcome["value"] = monte_carlo_joint(result, problem, samples, seed)
-        except BaseException as exc:  # handed to the calling thread
-            outcome["error"] = exc
-
-    worker = threading.Thread(
-        target=contextvars.copy_context().run, args=(sample_joints,), name="monte-carlo"
-    )
-    worker.start()
-    try:
-        worst_x = adversarial_x_search(result, problem, samples, seed)
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return worst_x, outcome["value"]
+    u, v = _extreme_cross_direction(q1, q2)
+    u = u * (1.0 - 1e-6)
+    p_hat = result.P_hat.data
+    heads = _violation_stack(q1, q2, np.stack([u, -u]), np.stack([v, v]), p_hat)
+    g1, g2 = (np.moveaxis(np.einsum("ai,ijs->ajs", q, f), -1, 0) for q, f in ((q1, f1), (q2, f2)))
+    draws = _violation_stack(g1, g2, a, b, p_hat)
+    return stack_max_eigenvalue(np.concatenate([heads, draws]))
 
 
 def certificate_tolerance(result) -> float:

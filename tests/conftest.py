@@ -185,8 +185,8 @@ def haar_contraction_draws(rng, dim: int, count: int) -> tuple[np.ndarray, np.nd
     return u, rng.uniform(0.05, 1.0, size=(count, dim))
 
 
-def rank_one_draws(rng, count: int, p1: int, p2: int) -> np.ndarray:
-    """Unit-norm rank-one cross parameters ``a b'``, sample-first.
+def rank_one_draws(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(a, b)`` of unit-norm rank-one cross parameters ``a b'``, sample-first.
 
     ``a`` and ``b`` are Gaussian vectors of lengths ``p1`` and ``p2``, drawn
     in that order and normalised.  This is the oracle of
@@ -196,7 +196,7 @@ def rank_one_draws(rng, count: int, p1: int, p2: int) -> np.ndarray:
     b = rng.standard_normal((count, p2))
     a /= np.linalg.norm(a, axis=1)[:, None]
     b /= np.linalg.norm(b, axis=1)[:, None]
-    return a[:, :, None] * b[:, None, :]
+    return a, b
 
 
 def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
@@ -209,8 +209,8 @@ def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
     ``r a b'``: unit Gaussian directions ``a`` then ``b``, then radii ``r``
     uniform on ``[0, 1 - 1e-12)``.  Returns the factors
     ``F_i = L_i U_i diag(sqrt(e_i))``, ``L_i`` the Cholesky factor of
-    ``P_i``, the cross parameters and the shrunken blocks ``L_i C_i L_i'``,
-    all sample-first.
+    ``P_i``, the cross factors ``r a`` and ``b``, and the shrunken blocks
+    ``L_i C_i L_i'``, all sample-first.
     """
     rng = np.random.default_rng(seed)
     factors, blocks = [], []
@@ -218,9 +218,9 @@ def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
         u, e = haar_contraction_draws(rng, dim, count)
         factors.append(est.p_chol @ u * np.sqrt(e)[:, None, :])
         blocks.append(est.p_chol @ np.einsum("sij,sj,skj->sik", u, e, u) @ est.p_chol.T)
-    xs = rank_one_draws(rng, count, problem.p1, problem.p2)
-    xs *= (rng.uniform(size=count) * (1.0 - 1e-12))[:, None, None]
-    return factors[0], factors[1], xs, blocks[0], blocks[1]
+    a, b = rank_one_draws(rng, count, problem.p1, problem.p2)
+    a *= (rng.uniform(size=count) * (1.0 - 1e-12))[:, None]
+    return factors[0], factors[1], a, b, blocks[0], blocks[1]
 
 
 def sqrt_q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +246,8 @@ def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, 
     """
     est1, est2 = problem.est1, problem.est2
     p1, p2 = problem.p1, problem.p2
-    _, _, xs, p1s, p2s = monte_carlo_draws(problem, seed, truth_samples)
+    _, _, a, b, p1s, p2s = monte_carlo_draws(problem, seed, truth_samples)
+    xs = a[:, :, None] * b[:, None, :]
 
     def sqrt_psd(mats):
         w, v = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))

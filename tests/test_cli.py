@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -676,24 +675,17 @@ class TestParserReuse:
             assert shared[i][:3] == run_main(sequence[i] + defaults, capsys)
 
 
-class TestConcurrentSamplers:
-    """``verify`` runs Monte Carlo on a worker thread during the adversarial search."""
+class TestSamplerFailures:
+    """``verify`` runs the adversarial search, then Monte Carlo, on the calling thread."""
 
     @pytest.mark.parametrize("broken", [
         ("monte_carlo_joint",),
         ("adversarial_x_search",),
-        # the adversarial search ran first, so its error is the one reported
+        # the adversarial search runs first, so its error is the one reported
         ("adversarial_x_search", "monte_carlo_joint"),
     ])
-    def test_sampler_failure_exits_internal_and_joins(self, tmp_path, capsys, monkeypatch, broken):
+    def test_sampler_failure_exits_internal(self, tmp_path, capsys, monkeypatch, broken):
         problem = write(tmp_path, EXAMPLE2)
-        monte_carlo = verifier.monte_carlo_joint
-
-        def slow(*args):  # still running when a failed search returns
-            time.sleep(0.2)
-            return monte_carlo(*args)
-
-        monkeypatch.setattr(verifier, "monte_carlo_joint", slow)
         for name in broken:
             def fail(*args, name=name):
                 raise InternalInconsistencyError(f"{name} broke")
@@ -704,6 +696,15 @@ class TestConcurrentSamplers:
         assert (out, err, code) == ("", f"internal inconsistency: {broken[0]} broke\n",
                                     cli.EXIT_INTERNAL)
         assert threading.active_count() == before
+
+    def test_verify_starts_no_thread(self, tmp_path, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"verify started thread {self.name!r}")
+
+        problem = write(tmp_path, EXAMPLE2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out, _, code = run_main(["verify", problem, "--samples", "50"], capsys)
+        assert code == cli.EXIT_OK and "monte-carlo" in out
 
     def test_passing_verify_leaves_no_thread(self, tmp_path, capsys):
         problem = write(tmp_path, EXAMPLE2)

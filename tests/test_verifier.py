@@ -30,7 +30,6 @@ from cifusion.verifier import (
     petersen_certificate,
     petersen_objective,
     q_pair,
-    sampled_violations,
     worst_violation,
 )
 from cifusion import verifier
@@ -516,14 +515,6 @@ def bits(values) -> list[int]:
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
-def outcome(call):
-    """``call()``'s value, or the type of the exception it raised."""
-    try:
-        return call()
-    except Exception as exc:
-        return type(exc)
-
-
 class TestSamplerStrength:
     """Rank-one cross draws on CI solves shrunk to ``(1 - 1e-2) P_hat``."""
 
@@ -563,22 +554,11 @@ class TestSamplerStrength:
                 assert value <= minimum + slack, (seed, value, minimum)
 
 
-class TestSampledViolations:
-    """Monte Carlo on a worker thread while the caller runs the adversarial search."""
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_bitwise_equal_to_sequential_calls(self, n):
-        cases = sampled_cases(n)
-        assert {result.alpha for result, _ in cases[-2:]} == {0.0, 1.0}
-        for seed, (result, problem) in enumerate(cases):
-            expected = sequential(result, problem, 300, seed)
-            assert bits(sampled_violations(result, problem, 300, seed)) == bits(expected)
-        # the shrunk result is non-conservative, so both samplers flag it
-        tol = certificate_tolerance(cases[2][0])
-        assert min(sampled_violations(*cases[2], 300, 2)) > tol
+class TestConcurrentCallers:
+    """The samplers are pure functions: threads that share them get their sequential values."""
 
     def test_concurrent_callers_get_their_sequential_values(self):
-        # more callers than CPUs, each with its worker, switching often
+        # more callers than CPUs, each running both samplers, switching often
         calls = [(*sampled_cases(n)[k], 400, 10 + n) for n, k in ((2, 0), (3, 2), (5, 3), (6, 4))]
         expected = [bits(sequential(*call)) for call in calls]
         before = threading.active_count()
@@ -587,7 +567,7 @@ class TestSampledViolations:
 
         def caller(i):
             start.wait(timeout=60)
-            got[i] = bits(sampled_violations(*calls[i]))
+            got[i] = bits(sequential(*calls[i]))
 
         threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(calls))]
         interval = sys.getswitchinterval()
@@ -603,24 +583,6 @@ class TestSampledViolations:
         assert got == expected
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("divide", ["raise", "ignore"])
-    def test_worker_takes_the_callers_errstate(self, monkeypatch, divide):
-        # numpy keeps np.errstate per context: a thread started without the
-        # caller's context would warn (an error under this suite's filter)
-        result, problem = sampled_cases(3)[0]
-
-        def dividing(*args):
-            return float(np.divide(1.0, np.zeros(1))[0])
-
-        monkeypatch.setattr(verifier, "monte_carlo_joint", dividing)
-        with np.errstate(divide=divide):
-            on_caller = outcome(lambda: dividing(result, problem, 50, 0))
-            concurrent = outcome(lambda: sampled_violations(result, problem, 50, 0))
-        assert on_caller == (FloatingPointError if divide == "raise" else np.inf)
-        if on_caller is not FloatingPointError:
-            on_caller = (adversarial_x_search(result, problem, 50, 0), on_caller)
-        assert concurrent == on_caller
-
 
 class TestWorstViolationKernel:
     SEEDS = (0, 1, 2, 3)
@@ -634,31 +596,37 @@ class TestWorstViolationKernel:
             yield seed, problem, shrink_result(result, 0.9)
 
     def test_sampler_feeds_kernel_the_factored_joints(self, monkeypatch):
-        # monte_carlo_joint hands the kernel G_i = K_i F_i for the two aligned
-        # extremes at the full diagonal, then for each drawn joint
+        # monte_carlo_joint hands the kernel the two aligned extremes at the
+        # full diagonal as factors (U, V), then G_i = K_i F_i and the cross
+        # factors (r a, b) of each drawn joint
         calls = []
 
         def spy(*args):
             calls.append(args)
-            return worst_violation(*args)
+            return _violation_stack(*args)
 
-        monkeypatch.setattr(verifier, "worst_violation", spy)
+        monkeypatch.setattr(verifier, "_violation_stack", spy)
         for seed, problem, result in self.cases():
             calls.clear()
             worst = monte_carlo_joint(result, problem, truth_samples=self.COUNT, seed=seed)
-            (g1, g2, xs, p_hat), = calls
-            assert worst == worst_violation(g1, g2, xs, p_hat)
-            assert p_hat is result.P_hat.data
-            f1, f2, x_draws, b1, b2 = monte_carlo_draws(problem, seed, self.COUNT)
+            heads, draws = calls
+            assert worst == max(worst_violation(*heads), worst_violation(*draws))
+            assert heads[-1] is draws[-1] is result.P_hat.data
+            f1, f2, a_draws, b_draws, b1, b2 = monte_carlo_draws(problem, seed, self.COUNT)
             q1, q2 = q_pair(result, problem)
             u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
             extreme = u @ vt * (1.0 - 1e-6)
-            np.testing.assert_array_equal(g1[:2], [q1, q1])
-            np.testing.assert_array_equal(g2[:2], [q2, q2])
-            np.testing.assert_allclose(xs[:2], [extreme, -extreme], rtol=0.0, atol=1e-14)
-            np.testing.assert_allclose(xs[2:], x_draws, rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(heads[0], q1)
+            np.testing.assert_array_equal(heads[1], q2)
+            assert heads[2].shape == (2, problem.p1, min(problem.p1, problem.p2))
+            np.testing.assert_allclose(heads[2] @ np.swapaxes(heads[3], 1, 2),
+                                       [extreme, -extreme], rtol=0.0, atol=1e-14)
+            g1, g2, a, b, _ = draws
+            assert a.shape == (self.COUNT, problem.p1, 1) and b.shape == (self.COUNT, problem.p2, 1)
+            np.testing.assert_allclose(a[..., 0], a_draws, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(b[..., 0], b_draws, rtol=1e-13, atol=0.0)
             for g, k, f, block in ((g1, result.K1, f1, b1), (g2, result.K2, f2, b2)):
-                np.testing.assert_allclose(g[2:], k @ f, rtol=0.0, atol=1e-13 * np.abs(k @ f).max())
+                np.testing.assert_allclose(g, k @ f, rtol=0.0, atol=1e-13 * np.abs(k @ f).max())
                 # F F' is the shrunken prior block: F differs from its
                 # symmetric root only by an orthogonal factor on the right
                 np.testing.assert_allclose(f @ np.swapaxes(f, 1, 2), block, rtol=0.0,
@@ -669,27 +637,30 @@ class TestWorstViolationKernel:
             p_hat = result.P_hat.data
             scale = np.linalg.norm(p_hat, 2)
             k = np.hstack([result.K1, result.K2])
-            f1, f2, xs, _, _ = monte_carlo_draws(problem, seed, self.COUNT)
+            f1, f2, a, b, _, _ = monte_carlo_draws(problem, seed, self.COUNT)
             for s in range(self.COUNT):
-                p12 = f1[s] @ xs[s] @ f2[s].T
+                x = np.outer(a[s], b[s])
+                p12 = f1[s] @ x @ f2[s].T
                 joint = np.block([[f1[s] @ f1[s].T, p12], [p12.T, f2[s] @ f2[s].T]])
                 dense = np.linalg.eigvalsh(k @ joint @ k.T - p_hat)[-1]
-                kernel = worst_violation(result.K1 @ f1[s], result.K2 @ f2[s], xs[s][None], p_hat)
+                kernel = worst_violation(result.K1 @ f1[s], result.K2 @ f2[s],
+                                         a[s][None, :, None], b[s][None, :, None], p_hat)
                 assert abs(kernel - dense) <= 1e-12 * scale
                 assert np.linalg.eigvalsh(joint)[0] >= -1e-12 * np.linalg.norm(joint, 2)
                 for f, est in ((f1[s], problem.est1), (f2[s], problem.est2)):
                     p = est.p_hat.data
                     assert np.linalg.eigvalsh(p - f @ f.T)[0] >= -1e-12 * np.linalg.norm(p, 2)
-                assert np.linalg.svd(xs[s], compute_uv=False)[0] < 1.0
+                assert np.linalg.svd(x, compute_uv=False)[0] < 1.0
 
     def test_shared_factor_equals_stacked_copies(self):
         for seed, problem, result in self.cases():
             q1, q2 = q_pair(result, problem)
-            xs = monte_carlo_draws(problem, seed, self.COUNT)[2]
+            a, b = (f[:, :, None] for f in monte_carlo_draws(problem, seed, self.COUNT)[2:4])
             stack = (self.COUNT,)
-            shared = worst_violation(q1, q2, xs, result.P_hat.data)
+            shared = worst_violation(q1, q2, a, b, result.P_hat.data)
             stacked = worst_violation(np.broadcast_to(q1, stack + q1.shape),
-                                      np.broadcast_to(q2, stack + q2.shape), xs, result.P_hat.data)
+                                      np.broadcast_to(q2, stack + q2.shape), a, b,
+                                      result.P_hat.data)
             assert abs(shared - stacked) <= 1e-12 * np.linalg.norm(result.P_hat.data, 2)
 
     @pytest.mark.parametrize("p1", range(1, 7))
@@ -698,33 +669,42 @@ class TestWorstViolationKernel:
         # both samplers draw X = a b' from unit Gaussian directions, rebuilt
         # here from the raw stream: spectral norm one for the adversarial
         # search, and Monte Carlo's radius, drawn after the two directions
+        # and folded into a
         calls = []
 
         def spy(*args):
             calls.append(args)
-            return worst_violation(*args)
+            return _violation_stack(*args)
 
-        monkeypatch.setattr(verifier, "worst_violation", spy)
+        monkeypatch.setattr(verifier, "_violation_stack", spy)
         eps, count, seed = np.finfo(float).eps, 200, p1 * 10 + p2
         problem = random_problem(np.random.default_rng(seed), max(p1, p2), p1, p2)
         result = solve_ci(problem, Cost.TRACE)
         adversarial_x_search(result, problem, samples=count, seed=seed)
         monte_carlo_joint(result, problem, truth_samples=count, seed=seed)
-        (_, _, xs_adv, _), (_, _, xs_mc, _) = calls
-        xs_adv, xs_mc = xs_adv[3:], xs_mc[2:]
-        unit = rank_one_draws(np.random.default_rng(seed), count, p1, p2)
-        np.testing.assert_allclose(xs_adv, unit, rtol=1e-13, atol=0.0)
+        adv_heads, adv_draws, mc_heads, mc_draws = calls
+        k = min(p1, p2)
+        for heads, count_heads in ((adv_heads, 3), (mc_heads, 2)):
+            assert heads[2].shape == (count_heads, p1, k) and heads[3].shape == (count_heads, p2, k)
+        a_adv, b_adv = (f[..., 0] for f in adv_draws[2:4])
+        a_mc, b_mc = (f[..., 0] for f in mc_draws[2:4])
+        for f, p in ((a_adv, p1), (b_adv, p2), (a_mc, p1), (b_mc, p2)):
+            assert f.shape == (count, p)
+        unit_a, unit_b = rank_one_draws(np.random.default_rng(seed), count, p1, p2)
+        np.testing.assert_allclose(a_adv, unit_a, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(b_adv, unit_b, rtol=1e-13, atol=0.0)
         rng = np.random.default_rng(seed)
         haar_contraction_draws(rng, p1, count)
         haar_contraction_draws(rng, p2, count)
-        unit = rank_one_draws(rng, count, p1, p2)
+        unit_a, unit_b = rank_one_draws(rng, count, p1, p2)
         radii = rng.uniform(size=count) * (1.0 - 1e-12)
-        np.testing.assert_allclose(xs_mc, unit * radii[:, None, None], rtol=1e-13, atol=0.0)
-        for xs, norms in ((xs_adv, np.ones(count)), (xs_mc, radii)):
-            sv = np.linalg.svd(xs, compute_uv=False)
-            assert (sv[:, 1:] <= 1e-15 * sv[:, :1]).all()
-            assert (np.abs(sv[:, 0] - norms) <= 4.0 * eps * norms).all()
-        assert (np.linalg.svd(xs_mc, compute_uv=False)[:, 0] < 1.0).all()
+        np.testing.assert_allclose(a_mc, unit_a * radii[:, None], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(b_mc, unit_b, rtol=1e-13, atol=0.0)
+        for f, norms in ((a_adv, np.ones(count)), (b_adv, np.ones(count)),
+                         (a_mc, radii), (b_mc, np.ones(count))):
+            assert (np.abs(np.linalg.norm(f, axis=1) - norms) <= 4.0 * eps * norms).all()
+        # |X| = |r a| |b| < 1, so every sampled joint is positive definite
+        assert (np.linalg.norm(a_mc, axis=1) * np.linalg.norm(b_mc, axis=1) < 1.0).all()
 
 
 def strided(a: np.ndarray) -> np.ndarray:
@@ -778,46 +758,53 @@ class TestSampleLastSampler:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("layout", ["sample_first", "sample_last", "strided"])
     def test_violation_stack_matches_per_sample_products(self, n, p1, p2, shared, layout):
+        # the cross parameters as rank-one draws (k = 1) and as factors of
+        # k = min(p1, p2) columns, the samplers' fixed heads; the reference
+        # forms each X = A B' densely
         rng = np.random.default_rng(n * 100 + p1 * 10 + p2)
         count = 30
         lead = () if shared else (count,)
         g1 = rng.standard_normal(lead + (n, p1))
         g2 = rng.standard_normal(lead + (n, p2))
-        xs = _draw_cross(rng, count, p1, p2)
+        k = min(p1, p2)
+        cross_factors = (_draw_cross(rng, count, p1, p2),
+                         (rng.standard_normal((count, p1, k)), rng.standard_normal((count, p2, k))))
         p_hat = random_spd(rng, n)
-        args = [np.ascontiguousarray(a) for a in (g1, g2, xs)]
-        if layout == "sample_last":
-            args = [a if a.ndim == 2 else np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
-                    for a in args]
-        elif layout == "strided":
-            args = [strided(a) for a in args]
-        stack = _violation_stack(*args, p_hat)
-        assert stack.shape == (count, n, n)
-        assert np.moveaxis(stack, 0, -1).flags.c_contiguous
-        for s in range(count):
-            a, b = (g1, g2) if shared else (g1[s], g2[s])
-            cross = a @ xs[s] @ b.T
-            ref = a @ a.T + b @ b.T - p_hat + cross + cross.T
-            scale = (np.abs(a @ a.T).max() + np.abs(b @ b.T).max() + np.abs(p_hat).max()
-                     + 2.0 * np.abs(cross).max())
-            np.testing.assert_allclose(stack[s], ref, rtol=0.0, atol=1e-13 * scale)
+        for a, b in cross_factors:
+            args = [np.ascontiguousarray(m) for m in (g1, g2, a, b)]
+            if layout == "sample_last":
+                args = [m if m.ndim == 2 else np.moveaxis(np.moveaxis(m, 0, -1).copy(), -1, 0)
+                        for m in args]
+            elif layout == "strided":
+                args = [strided(m) for m in args]
+            stack = _violation_stack(*args, p_hat)
+            assert stack.shape == (count, n, n)
+            assert np.moveaxis(stack, 0, -1).flags.c_contiguous
+            for s in range(count):
+                g, h = (g1, g2) if shared else (g1[s], g2[s])
+                cross = g @ (a[s] @ b[s].T) @ h.T
+                ref = g @ g.T + h @ h.T - p_hat + cross + cross.T
+                scale = (np.abs(g @ g.T).max() + np.abs(h @ h.T).max() + np.abs(p_hat).max()
+                         + 2.0 * np.abs(cross).max())
+                np.testing.assert_allclose(stack[s], ref, rtol=0.0, atol=1e-13 * scale)
 
     def test_samplers_hand_the_kernel_views_of_sample_last_memory(self, monkeypatch):
         calls = []
 
         def spy(*args):
             calls.append(args)
-            return worst_violation(*args)
+            return _violation_stack(*args)
 
-        monkeypatch.setattr(verifier, "worst_violation", spy)
+        monkeypatch.setattr(verifier, "_violation_stack", spy)
         problem = random_problem(np.random.default_rng(31))
         result = solve_ci(problem, Cost.TRACE)
         adversarial_x_search(result, problem, samples=20, seed=3)
         monte_carlo_joint(result, problem, truth_samples=20, seed=3)
-        (q1, q2, xs_adv, _), (g1, g2, xs_mc, _) = calls
-        assert q1.ndim == q2.ndim == 2
-        for stack, count in ((xs_adv, 23), (g1, 22), (g2, 22), (xs_mc, 22)):
-            assert len(stack) == count
+        adv_heads, (q1, q2, *adv_draws, _), mc_heads, (g1, g2, *mc_draws, _) = calls
+        assert len(adv_heads[2]) == 3 and len(mc_heads[2]) == 2
+        assert all(m.ndim == 2 for m in (q1, q2, *adv_heads[:2], *mc_heads[:2]))
+        for stack in (*adv_draws, g1, g2, *mc_draws):
+            assert len(stack) == 20
             assert np.moveaxis(stack, 0, -1).flags.c_contiguous
 
 
@@ -846,15 +833,15 @@ class TestScreenedKernel:
         rng = np.random.default_rng(500 + n)
         count = 300
         p1, p2 = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
-        xs = _draw_cross(rng, count, p1, p2)
+        a, b = _draw_cross(rng, count, p1, p2)
         shared = (rng.standard_normal((n, p1)), rng.standard_normal((n, p2)))
         per_sample = (rng.standard_normal((count, n, p1)), rng.standard_normal((count, n, p2)))
         p_hat = random_spd(rng, n)
         for g1, g2 in (shared, per_sample):
             # a small and a large P_hat: violations mostly positive, then negative
             for scale in (0.1, 10.0 * n):
-                stack = _violation_stack(g1, g2, xs, scale * p_hat)
-                assert worst_violation(g1, g2, xs, scale * p_hat) == unscreened(stack)
+                stack = _violation_stack(g1, g2, a, b, scale * p_hat)
+                assert worst_violation(g1, g2, a, b, scale * p_hat) == unscreened(stack)
         mats = symmetric_stack(rng, count, n)
         assert stack_max_eigenvalue(mats) == unscreened(mats)
 
@@ -866,10 +853,10 @@ class TestScreenedKernel:
         assert _screen(mats, unscreened(mats)).all()
         # Q1 = 0 makes every adversarial sample the same matrix
         q1, q2 = np.zeros((n, 2)), rng.standard_normal((n, 3))
-        xs = _draw_cross(rng, 200, 2, 3)
+        a, b = _draw_cross(rng, 200, 2, 3)
         p_hat = random_spd(rng, n)
-        stack = _violation_stack(q1, q2, xs, p_hat)
-        assert worst_violation(q1, q2, xs, p_hat) == unscreened(stack)
+        stack = _violation_stack(q1, q2, a, b, p_hat)
+        assert worst_violation(q1, q2, a, b, p_hat) == unscreened(stack)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 15])
     def test_near_ties(self, n):
