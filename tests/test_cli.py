@@ -697,6 +697,28 @@ class TestSamplerFailures:
                                     cli.EXIT_INTERNAL)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("divide", ["raise", "ignore"])
+    def test_samplers_take_the_callers_errstate(self, tmp_path, capsys, monkeypatch, divide):
+        # numpy keeps np.errstate per context: a sampler run outside the
+        # caller's context would warn (an error under this suite's filter)
+        problem = write(tmp_path, EXAMPLE2)
+
+        def dividing(*args):
+            return float(np.divide(1.0, np.zeros(1))[0])
+
+        monkeypatch.setattr(verifier, "monte_carlo_joint", dividing)
+        argv = ["verify", problem, "--samples", "50"]
+        with np.errstate(divide=divide):
+            if divide == "raise":
+                with pytest.raises(FloatingPointError):
+                    cli.main(argv)
+                return
+            out, _, code = run_main(argv, capsys)
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+        assert rows["adversarial-x"][0] == "PASS"
+        assert rows["monte-carlo"] == ["FAIL", f"worst={cli.fmt(np.inf)}"]
+        assert code == cli.EXIT_CERT_FAIL
+
     def test_verify_starts_no_thread(self, tmp_path, capsys, monkeypatch):
         def refuse(self):
             raise AssertionError(f"verify started thread {self.name!r}")

@@ -557,6 +557,22 @@ class TestSamplerStrength:
 class TestConcurrentCallers:
     """The samplers are pure functions: threads that share them get their sequential values."""
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bitwise_equal_to_sequential_calls(self, n):
+        # no stream or buffer outlives a call: the cases run again in reverse,
+        # Monte Carlo before the adversarial search, give the same bits
+        cases = sampled_cases(n)
+        assert {result.alpha for result, _ in cases[-2:]} == {0.0, 1.0}
+        expected = [bits(sequential(result, problem, 300, seed))
+                    for seed, (result, problem) in enumerate(cases)]
+        for seed in reversed(range(len(cases))):
+            worst_mc = monte_carlo_joint(*cases[seed], 300, seed)
+            worst_x = adversarial_x_search(*cases[seed], 300, seed)
+            assert bits((worst_x, worst_mc)) == expected[seed]
+        # the shrunk result is non-conservative, so both samplers flag it
+        tol = certificate_tolerance(cases[2][0])
+        assert min(sequential(*cases[2], 300, 2)) > tol
+
     def test_concurrent_callers_get_their_sequential_values(self):
         # more callers than CPUs, each running both samplers, switching often
         calls = [(*sampled_cases(n)[k], 400, 10 + n) for n, k in ((2, 0), (3, 2), (5, 3), (6, 4))]
