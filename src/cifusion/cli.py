@@ -412,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument("file")
     p_fuse.add_argument("--cost", choices=["det", "trace"], default="det")
     p_fuse.add_argument("--out", default=None)
-    p_fuse.set_defaults(func=cmd_fuse)
+    p_fuse.set_defaults(func="cmd_fuse")
 
     p_scan = sub.add_parser("scan", help="tabulate the cost over a weight grid")
     p_scan.add_argument("file")
     p_scan.add_argument("--cost", choices=["det", "trace"], default="det")
     p_scan.add_argument("--grid", type=int, default=101)
     p_scan.add_argument("--out", default=None)
-    p_scan.set_defaults(func=cmd_scan)
+    p_scan.set_defaults(func="cmd_scan")
 
     p_verify = sub.add_parser("verify", help="run the conservativeness certificates")
     p_verify.add_argument("file")
@@ -427,12 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--result", default=None, help="verify a stored fuse output")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func="cmd_verify")
 
     p_known = sub.add_parser("known", help="optimal fusion with known cross covariance")
     p_known.add_argument("file")
     p_known.add_argument("--out", default=None)
-    p_known.set_defaults(func=cmd_known)
+    p_known.set_defaults(func="cmd_known")
 
     p_sim = sub.add_parser("sim", help="run a distributed fusion simulation")
     p_sim.add_argument("--nodes", type=int, default=5)
@@ -443,14 +443,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--state-dim", type=int, default=4)
     p_sim.add_argument("--preset", choices=sorted(_SIM_PRESETS), default=None)
     p_sim.add_argument("--out", default=None)
-    p_sim.set_defaults(func=cmd_sim)
+    p_sim.set_defaults(func="cmd_sim")
     return parser
 
 
 #: the parser every :func:`main` call shares, built by the first call rather
 #: than at import; ``parse_args`` reads it and does not mutate it, so it is
 #: safe to share across calls and threads (first calls that race each build
-#: an equivalent one, and one of them is kept)
+#: an equivalent one, and one of them is kept).  It names each subcommand's
+#: handler, and :func:`main` looks the name up in this module per call, so a
+#: handler replaced after the first call is the one that runs.
 _PARSER: argparse.ArgumentParser | None = None
 
 
@@ -461,7 +463,7 @@ def main(argv=None) -> int:
         parser = _PARSER = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (ProblemFileError, UnreachableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

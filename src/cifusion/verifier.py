@@ -8,26 +8,27 @@ certificate holds where ``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``,
 convex in the weight, is at most zero; the scalar certificate and the exact
 interval of feasible weights both come from the package's one search over
 it, :func:`linalg.first_feasible_weight`.  The two sampling routes share one
-kernel, :func:`worst_violation`, the largest eigenvalue of
-``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat`` over cross parameters
-``X`` of spectral norm at most one: the adversarial search fixes
-``G_i = Q_i``, and Monte Carlo passes factors ``K_i L_i U_i
-diag(sqrt(e_i))`` of shrunken prior blocks, ``L_i`` the Cholesky factor of
-``P_i``, so no sample needs a matrix square root.  Both draw rank-one
-cross parameters ``X = a b'`` from unit Gaussian directions
-(:func:`_draw_cross`): by Petersen's lemma (Systems & Control Letters 8,
-1987) the supremum over ``|X| <= 1`` is attained at such an ``X`` of norm
-one, and the norm is ``|a| |b|``, so no draw is decomposed.  Rounding
-can put that norm at ``1 + O(eps)``, far inside the certificate tolerance.
-The kernel takes each ``X`` as factors ``A B'`` and never forms it: the
-cross term is ``C + C'`` with ``C = (G1 A)(G2 B)'``, one outer product per
-rank-one draw.  Draws are kept sample-last, so each product is a few
-whole-stack ``einsum`` calls, and the kernel decomposes only the samples
-that can decide its answer, with a value bit for bit that of ``eigvalsh``
-over all of them.  Each sampler is a pure function of its arguments with
-its own generator, and runs on the calling thread.  A found violation is
-conclusive; absence of violations is reported as "no violation found" for
-the sampled budget, while the block certificate carries the actual proof.
+kernel, :func:`_violation_stack`: the samples
+``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat`` on the one pair
+``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``, over cross
+parameters ``X`` of spectral norm at most one.  The kernel takes each ``X``
+as factors ``A B'`` and never forms it: the cross term is ``C + C'`` with
+``C = (Q1 A)(Q2 B)'``.  Both samplers draw rank-one cross parameters
+``X = a b'`` from unit Gaussian directions (:func:`_draw_cross`): by
+Petersen's lemma (Systems & Control Letters 8, 1987) the supremum over
+``|X| <= 1`` is attained at such an ``X`` of norm one, and the norm is
+``|a| |b|``, so no draw is decomposed.  Rounding can put that norm at
+``1 + O(eps)``, far inside the certificate tolerance.  Monte Carlo shrinks
+each prior block by a rank-one downdate, which enters as a change of the
+cross factors and two rank-one terms it subtracts from the kernel's stack
+(:func:`monte_carlo_joint`).  Draws are kept sample-last, so each product
+is a few whole-stack ``einsum`` calls, and :func:`stack_max_eigenvalue`
+decomposes only the samples that can decide the largest eigenvalue, with a
+value bit for bit that of ``eigvalsh`` over all of them.  Each sampler is
+a pure function of its arguments with its own generator, and runs on the
+calling thread.  A found violation is conclusive; absence of violations is
+reported as "no violation found" for the sampled budget, while the block
+certificate carries the actual proof.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQError, InternalInconsistencyError
+from .errors import DegenerateQError
 from .linalg import (
     DEFAULT_CERT_TOL,
     LoewnerRelation,
@@ -183,50 +184,31 @@ def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray
 
 
 def _violation_stack(
-    g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, p_hat: np.ndarray
+    q1: np.ndarray, q2: np.ndarray, a: np.ndarray, b: np.ndarray, p_hat: np.ndarray
 ) -> np.ndarray:
-    """The samples ``G1 G1' + G2 G2' - P_hat + C + C'``, ``C = (G1 A)(G2 B)'``, per ``X = A B'``.
+    """The samples ``Q1 Q1' + Q2 Q2' - P_hat + C + C'``, ``C = (Q1 A)(Q2 B)'``, per ``X = A B'``.
 
-    ``a`` and ``b`` stack the factors of the cross parameters, ``p1 x k``
-    and ``p2 x k`` with ``k`` fixed per call, so ``C = G1 X G2'`` and no
-    ``X`` is formed; a rank-one draw has ``k = 1``, and ``C`` is one outer
-    product.  ``G G' - P_hat`` is the one expression of every call, so
-    samples that differ only in a zero cross term are bitwise equal.
-    Takes and returns sample-first stacks, and works sample-last: each
-    stack is viewed with its sample axis moved last, the products are
-    ``einsum`` calls over whole stacks, and the result is a sample-first
-    view of a contiguous sample-last stack.  A factor ``g1``, ``g2`` given
-    as one shared matrix stays one matrix; the ellipsis subscripts
-    broadcast it without a stride-0 stack.  The inputs cost no copy when
-    they are themselves sample-first views of sample-last memory, as the
-    samplers pass them.
+    This is the fused error covariance, less ``P_hat``, of the joint whose
+    diagonal blocks factor as ``Q Q'`` and whose cross block is
+    ``Q1 X Q2'``.  ``a`` and ``b`` stack the factors of the cross
+    parameters, ``p1 x k`` and ``p2 x k`` with ``k`` fixed per call, so
+    ``C = Q1 X Q2'`` and no ``X`` is formed; a rank-one draw has ``k = 1``,
+    and ``C`` is one outer product.  ``Q1 Q1' + Q2 Q2' - P_hat`` is formed
+    once per call, so samples that differ only in a zero cross term are
+    bitwise equal.  Takes and returns sample-first stacks, and works
+    sample-last: ``a`` and ``b`` are viewed with their sample axis moved
+    last, the products are ``einsum`` calls over whole stacks, and the
+    result is a sample-first view of a contiguous sample-last stack.  The
+    inputs cost no copy when they are themselves sample-first views of
+    sample-last memory, as the samplers pass them.
     """
-    g1, g2 = (np.moveaxis(g, 0, -1) if g.ndim == 3 else g for g in (g1, g2))
     a, b = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
-    n = p_hat.shape[0]
-    gram = np.einsum("ia...,ja...->ij...", g1, g1) + np.einsum("ia...,ja...->ij...", g2, g2)
-    ga = np.einsum("ia...,ak...->ik...", g1, a)
-    gb = np.einsum("ia...,ak...->ik...", g2, b)
-    cross = np.einsum("ik...,jk...->ij...", ga, gb)
-    stack = np.add(gram.reshape(n, n, -1) - p_hat[:, :, None], cross, order="C")
+    base = np.einsum("ia,ja->ij", q1, q1) + np.einsum("ia,ja->ij", q2, q2) - p_hat
+    cross = np.einsum("iks,jks->ijs", np.einsum("ia,aks->iks", q1, a),
+                      np.einsum("ia,aks->iks", q2, b))
+    stack = np.add(base[:, :, None], cross, order="C")
     stack += cross.transpose(1, 0, 2)
     return np.moveaxis(stack, -1, 0)
-
-
-def worst_violation(
-    g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, p_hat: np.ndarray
-) -> float:
-    """Largest eigenvalue of ``G1 G1' + G1 X G2' + G2 X' G1' + G2 G2' - P_hat`` over samples.
-
-    ``a`` and ``b`` stack the factors of the cross parameters ``X = A B'``,
-    as :func:`_violation_stack` takes them.  Each factor ``g1``, ``g2`` is
-    one matrix shared by every sample or a stack with one matrix per
-    sample.  This is the fused error covariance of a joint whose diagonal
-    blocks factor as ``G G'`` and whose cross block is ``G1 X G2'``, less
-    the reported covariance; the value is :func:`stack_max_eigenvalue` of
-    them.
-    """
-    return stack_max_eigenvalue(_violation_stack(g1, g2, a, b, p_hat))
 
 
 def stack_max_eigenvalue(mats: np.ndarray) -> float:
@@ -334,7 +316,8 @@ def _draw_cross(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarr
     over ``|X| <= 1`` is attained at such an ``X``, with ``a`` and ``b``
     along ``Q1' v`` and ``Q2' v`` for the top eigenvector ``v`` of the
     maximising matrix.  The law is invariant under ``X -> U1 X U2'`` for
-    orthogonal ``U_i``.  Each stack is returned as :func:`_violation_stack`
+    orthogonal ``U_i``.  Monte Carlo draws the directions of its two shrink
+    downdates with it too.  Each stack is returned as :func:`_violation_stack`
     takes it with ``k = 1``: a sample-first view, ``count x p x 1``, of
     sample-last memory.
     """
@@ -353,8 +336,8 @@ def adversarial_x_search(
     Draws random rank-one cross parameters ``X = a b'`` of spectral norm
     one (:func:`_draw_cross`), always including the zero matrix and the
     aligned extremes ``+-U V'`` from the SVD of ``Q1.T Q2``, and returns
-    the largest eigenvalue over the :func:`_violation_stack` samples with
-    ``G = (Q1, Q2)``, as :func:`worst_violation` would.  The three fixed
+    :func:`stack_max_eigenvalue` of their :func:`_violation_stack`
+    samples.  The three fixed
     heads come first, as factors ``(0, V)`` and ``(+-U, V)`` with
     ``k = min(p1, p2)``; the draws follow with ``k = 1``.  The largest
     eigenvalue is convex in ``X`` and the stack holds ``X = 0``, so
@@ -413,68 +396,42 @@ def petersen_certificate(result, problem: FusionProblem) -> float | None:
     return eps if petersen_objective(result, problem, eps) <= tol else None
 
 
-def _random_contraction_factors(rng, dim: int, count: int) -> np.ndarray:
-    """Factors ``U diag(sqrt(e))`` of random contractions ``U diag(e) U'``, sample-last.
-
-    Entry ``[i, j, s]`` belongs to sample ``s``.  ``U`` is Haar orthogonal:
-    the Q factor, with a positive ``R`` diagonal, of a Gaussian matrix.  A
-    full-rank matrix has exactly one such factorisation, which is the
-    sign-fixed Householder QR (Mezzadri, *How to generate random matrices
-    from the classical compact groups*, 2007).  It is computed for the
-    whole stack at once by classical Gram-Schmidt with one
-    reorthogonalisation pass, a loop over the ``dim`` columns.  The
-    spectrum ``e`` is uniform on ``[0.05, 1)``.  A column left with an
-    exactly zero residual, which a Gaussian draw cannot produce, raises
-    :class:`InternalInconsistencyError`.
-    """
-    gauss = rng.standard_normal((count, dim, dim))
-    u = gauss.transpose(1, 2, 0).copy()
-    for j in range(dim):
-        col, done = u[:, j], u[:, :j]
-        for _ in range(2):
-            col -= np.einsum("iks,ks->is", done, np.einsum("iks,is->ks", done, col))
-        norm = np.sqrt(np.einsum("is,is->s", col, col))
-        if not norm.all():
-            raise InternalInconsistencyError(
-                f"Gram-Schmidt column {j} of a contraction draw has a zero residual"
-            )
-        col /= norm
-    eigs = rng.uniform(0.05, 1.0, size=(count, dim))
-    u *= np.sqrt(eigs).T
-    return u
-
-
 def monte_carlo_joint(
     result, problem: FusionProblem, truth_samples: int = 1000, seed: int = 0
 ) -> float:
     """Largest sampled violation over admissible true joint covariances.
 
-    Each sample shrinks both prior blocks to ``L_i C_i L_i'``, ``L_i`` the
-    Cholesky factor of ``P_i``, with a random contraction
-    ``C_i = U_i diag(e_i) U_i'`` drawn from its eigenpairs, and takes the
-    factor ``F_i = L_i U_i diag(sqrt(e_i))`` of that block.  The joint is
-    ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with ``X = r a b'`` rank one: unit
-    directions from :func:`_draw_cross`, then a radius ``r`` uniform on
-    ``[0, 1 - 1e-12)``, folded into ``a``, so ``|X| = r (1 + O(eps)) < 1``
-    and the joint is positive definite.  Its fused error less ``P_hat`` is
-    the :func:`_violation_stack` sample with ``G_i = K_i F_i``.  ``F_i``
-    differs from the symmetric root of its block by an orthogonal factor
-    that does not depend on ``X``, and the law of ``X`` is orthogonally
-    invariant, so the joints have the same distribution as with symmetric
-    roots; the worst value differs from that of a symmetric-root sampler on
-    the same seed, the verdict does not.  Two aligned near-extreme cross
-    parameters ``+-(1 - 1e-6) U V'`` at the full diagonal, ``G = (Q1, Q2)``
-    and factors of ``k = min(p1, p2)`` columns, always come first.  Returns
-    the maximum largest eigenvalue of ``K P_joint K' - P_hat``, as
-    :func:`worst_violation` would over the two stacks.
+    Each sample shrinks both prior blocks by a rank-one downdate to
+    ``L_i (I - (1 - e_i) w_i w_i') L_i'``, ``L_i`` the Cholesky factor of
+    ``P_i``, with factor ``F_i = L_i W_i``,
+    ``W_i = I - (1 - sqrt(e_i)) w_i w_i'``.  The joint is
+    ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with ``X = r a b'`` rank one.  The
+    stream is read in this order: unit directions ``w1``, ``w2`` from
+    :func:`_draw_cross`; ``e1``, ``e2`` uniform on ``[0.05, 1)``; unit
+    directions ``a``, ``b`` from :func:`_draw_cross`; a radius ``r``
+    uniform on ``[0, 1 - 1e-12)``, folded into ``a``.  As ``e_i >= 0.05``
+    and ``|X| = r (1 + O(eps)) < 1``, every joint is positive definite.
+    ``K_i F_i = Q_i W_i``, so its fused error less ``P_hat`` is the
+    :func:`_violation_stack` sample on ``(Q1, Q2)`` with cross factors
+    ``(W1 r a, W2 b)``, less the downdates ``(1 - e_i) u_i u_i'``,
+    ``u_i = Q_i w_i``.  Two aligned near-extreme cross parameters
+    ``+-(1 - 1e-6) U V'`` at the full diagonal, as factors of
+    ``k = min(p1, p2)`` columns, always come first.  Returns the largest
+    eigenvalue of ``K P_joint K' - P_hat`` over both stacks.
+
+    Every sampled joint lies below the joint with full diagonal blocks and
+    cross parameter ``W1 X W2'``, of norm below one: the difference is
+    ``blkdiag(L_i (I - W_i^2) L_i')``, positive semidefinite (Petersen's
+    domination argument).  So no value exceeds the supremum that
+    :func:`adversarial_x_search` samples, whatever the law of the shrink;
+    the law only decides which joints below it are visited.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")
     rng = np.random.default_rng(seed)
-    p1, p2 = problem.p1, problem.p2
-    f1 = _random_contraction_factors(rng, p1, truth_samples)
-    f2 = _random_contraction_factors(rng, p2, truth_samples)
-    a, b = _draw_cross(rng, truth_samples, p1, p2)
+    w1, w2 = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
+    shrink = rng.uniform(0.05, 1.0, size=(2, truth_samples))
+    a, b = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
     a *= (rng.uniform(size=truth_samples) * (1.0 - 1e-12))[:, None, None]
 
     q1, q2 = q_pair(result, problem)
@@ -482,8 +439,13 @@ def monte_carlo_joint(
     u = u * (1.0 - 1e-6)
     p_hat = result.P_hat.data
     heads = _violation_stack(q1, q2, np.stack([u, -u]), np.stack([v, v]), p_hat)
-    g1, g2 = (np.moveaxis(np.einsum("ai,ijs->ajs", q, f), -1, 0) for q, f in ((q1, f1), (q2, f2)))
-    draws = _violation_stack(g1, g2, a, b, p_hat)
+    downdates = []
+    for q, w, f, e in ((q1, w1, a, shrink[0]), (q2, w2, b, shrink[1])):
+        f -= ((1.0 - np.sqrt(e)) * np.einsum("sak,sak->s", w, f))[:, None, None] * w
+        downdates.append(np.einsum("ia,sak->is", q, w) * np.sqrt(1.0 - e))
+    d = np.stack(downdates, axis=1)
+    draws = _violation_stack(q1, q2, a, b, p_hat)
+    draws -= np.moveaxis(np.einsum("iks,jks->ijs", d, d), -1, 0)
     return stack_max_eigenvalue(np.concatenate([heads, draws]))
 
 

@@ -171,20 +171,6 @@ def sample_intersection_points(
     return ys * np.sqrt(targets / worst)[:, None]
 
 
-def haar_contraction_draws(rng, dim: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs ``(U, e)`` of random contractions, sample-first, by LAPACK QR.
-
-    ``U`` is the Q factor of a Gaussian matrix with its signs fixed so that
-    ``R`` has a positive diagonal, and ``e`` is uniform on ``[0.05, 1)``,
-    drawn in that order.  This is the oracle of
-    ``verifier._random_contraction_factors``, which reads the same stream and
-    finds the same ``U`` by Gram-Schmidt.
-    """
-    q, r = np.linalg.qr(rng.standard_normal((count, dim, dim)))
-    u = q * np.sign(np.einsum("sii->si", r))[:, None, :]
-    return u, rng.uniform(0.05, 1.0, size=(count, dim))
-
-
 def rank_one_draws(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``(a, b)`` of unit-norm rank-one cross parameters ``a b'``, sample-first.
 
@@ -202,22 +188,23 @@ def rank_one_draws(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.nd
 def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
     """The random joints ``verifier.monte_carlo_joint`` draws for ``seed``.
 
-    Drawn here from the raw stream in the sampler's order: per side a Haar
-    orthogonal ``U`` (sign-fixed LAPACK QR, :func:`haar_contraction_draws`,
-    the oracle of the sampler's Gram-Schmidt) and a spectrum ``e`` of the
-    contraction ``C = U diag(e) U'``, then rank-one cross parameters
-    ``r a b'``: unit Gaussian directions ``a`` then ``b``, then radii ``r``
-    uniform on ``[0, 1 - 1e-12)``.  Returns the factors
-    ``F_i = L_i U_i diag(sqrt(e_i))``, ``L_i`` the Cholesky factor of
-    ``P_i``, the cross factors ``r a`` and ``b``, and the shrunken blocks
-    ``L_i C_i L_i'``, all sample-first.
+    Drawn here from the raw stream in the sampler's order: unit Gaussian
+    shrink directions ``w1`` then ``w2`` (:func:`rank_one_draws`), shrink
+    factors ``e1`` then ``e2`` uniform on ``[0.05, 1)``, then rank-one cross
+    parameters ``r a b'``: unit Gaussian directions ``a`` then ``b``, then
+    radii ``r`` uniform on ``[0, 1 - 1e-12)``.  Returns the factors
+    ``F_i = L_i (I - (1 - sqrt(e_i)) w_i w_i')``, ``L_i`` the Cholesky
+    factor of ``P_i``, the cross factors ``r a`` and ``b``, and the shrunken
+    blocks ``L_i (I - (1 - e_i) w_i w_i') L_i'``, all sample-first.
     """
     rng = np.random.default_rng(seed)
+    w1, w2 = rank_one_draws(rng, count, problem.p1, problem.p2)
+    e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
     factors, blocks = [], []
-    for est, dim in ((problem.est1, problem.p1), (problem.est2, problem.p2)):
-        u, e = haar_contraction_draws(rng, dim, count)
-        factors.append(est.p_chol @ u * np.sqrt(e)[:, None, :])
-        blocks.append(est.p_chol @ np.einsum("sij,sj,skj->sik", u, e, u) @ est.p_chol.T)
+    for est, w, e in ((problem.est1, w1, e1), (problem.est2, w2, e2)):
+        eye, outer = np.eye(w.shape[1]), w[:, :, None] * w[:, None, :]
+        factors.append(est.p_chol @ (eye - (1.0 - np.sqrt(e))[:, None, None] * outer))
+        blocks.append(est.p_chol @ (eye - (1.0 - e)[:, None, None] * outer) @ est.p_chol.T)
     a, b = rank_one_draws(rng, count, problem.p1, problem.p2)
     a *= (rng.uniform(size=count) * (1.0 - 1e-12))[:, None]
     return factors[0], factors[1], a, b, blocks[0], blocks[1]

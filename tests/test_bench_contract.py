@@ -73,3 +73,21 @@ def test_every_per_layer_metric_is_finite(traced_runs):
     assert len(metrics) == 21
     bad = {k: v for k, v in metrics.items() if not math.isfinite(v)}
     assert not bad, bad
+
+
+def test_handlers_wrapped_after_the_first_cli_call_are_traced(tmp_path):
+    # cli.main keeps the parser of its first call; a tracer installed after
+    # that call must still see cli.cmd_verify and the spans beneath it
+    from cifusion import cli
+
+    code = cli.main(["sim", "--nodes", "2", "--events", "1", "--out", str(tmp_path / "sim.txt")])
+    assert code == cli.EXIT_OK
+    runner = run.Runner(WORKLOADS["verify"](2, str(tmp_path)), tracing.Tracer())
+    try:
+        runner.measure(1, 1, 0.0)
+    finally:
+        runner.tracer.uninstall()
+    assert runner.check_errors == []
+    metrics = tracing.per_layer_metrics("verify", tracing.SpanTable(runner.tracer))
+    bad = {k: v for k, v in metrics.items() if not math.isfinite(v)}
+    assert not bad, bad

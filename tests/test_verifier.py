@@ -13,7 +13,7 @@ from cifusion import (
     optimal_fusion_known_cross,
     psd_certify,
 )
-from cifusion.errors import DegenerateQError, InternalInconsistencyError
+from cifusion.errors import DegenerateQError
 from cifusion.known_cross import JointCovariance
 from cifusion.linalg import PETERSEN_WIDTH
 from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
@@ -30,12 +30,10 @@ from cifusion.verifier import (
     petersen_certificate,
     petersen_objective,
     q_pair,
-    worst_violation,
 )
 from cifusion import verifier
 from cifusion.verifier import (
     _draw_cross,
-    _random_contraction_factors,
     _screen,
     _violation_stack,
     stack_max_eigenvalue,
@@ -43,7 +41,6 @@ from cifusion.verifier import (
 
 from conftest import (
     dominated_problem,
-    haar_contraction_draws,
     lmi_feasible_grid,
     lmi_matrix,
     monte_carlo_draws,
@@ -613,43 +610,69 @@ class TestWorstViolationKernel:
 
     def test_sampler_feeds_kernel_the_factored_joints(self, monkeypatch):
         # monte_carlo_joint hands the kernel the two aligned extremes at the
-        # full diagonal as factors (U, V), then G_i = K_i F_i and the cross
-        # factors (r a, b) of each drawn joint
-        calls = []
+        # full diagonal as factors (U, V), then (Q1, Q2) with the cross
+        # factors of each drawn joint, and subtracts the two downdates
+        # K_i (P_i - F_i F_i') K_i' from the draws' stack
+        calls, stacks = [], []
 
         def spy(*args):
             calls.append(args)
             return _violation_stack(*args)
 
+        def top(mats):
+            stacks.append(mats)
+            return stack_max_eigenvalue(mats)
+
         monkeypatch.setattr(verifier, "_violation_stack", spy)
+        monkeypatch.setattr(verifier, "stack_max_eigenvalue", top)
         for seed, problem, result in self.cases():
             calls.clear()
+            stacks.clear()
             worst = monte_carlo_joint(result, problem, truth_samples=self.COUNT, seed=seed)
-            heads, draws = calls
-            assert worst == max(worst_violation(*heads), worst_violation(*draws))
+            (heads, draws), (mats,) = calls, stacks
+            assert worst == stack_max_eigenvalue(mats)
             assert heads[-1] is draws[-1] is result.P_hat.data
             f1, f2, a_draws, b_draws, b1, b2 = monte_carlo_draws(problem, seed, self.COUNT)
             q1, q2 = q_pair(result, problem)
             u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
             extreme = u @ vt * (1.0 - 1e-6)
-            np.testing.assert_array_equal(heads[0], q1)
-            np.testing.assert_array_equal(heads[1], q2)
+            for args in (heads, draws):
+                np.testing.assert_array_equal(args[0], q1)
+                np.testing.assert_array_equal(args[1], q2)
             assert heads[2].shape == (2, problem.p1, min(problem.p1, problem.p2))
             np.testing.assert_allclose(heads[2] @ np.swapaxes(heads[3], 1, 2),
                                        [extreme, -extreme], rtol=0.0, atol=1e-14)
-            g1, g2, a, b, _ = draws
+            np.testing.assert_array_equal(mats[:2], _violation_stack(*heads))
+            _, _, a, b, _ = draws
             assert a.shape == (self.COUNT, problem.p1, 1) and b.shape == (self.COUNT, problem.p2, 1)
-            np.testing.assert_allclose(a[..., 0], a_draws, rtol=1e-13, atol=0.0)
-            np.testing.assert_allclose(b[..., 0], b_draws, rtol=1e-13, atol=0.0)
-            for g, k, f, block in ((g1, result.K1, f1, b1), (g2, result.K2, f2, b2)):
-                np.testing.assert_allclose(g, k @ f, rtol=0.0, atol=1e-13 * np.abs(k @ f).max())
-                # F F' is the shrunken prior block: F differs from its
-                # symmetric root only by an orthogonal factor on the right
+            for q, x, k, f, x_draws in ((q1, a, result.K1, f1, a_draws), (q2, b, result.K2, f2, b_draws)):
+                # Q W x = K F x: the shrink enters through the cross factor
+                np.testing.assert_allclose(q @ x, k @ f @ x_draws[:, :, None], rtol=0.0,
+                                           atol=1e-13 * np.abs(k @ f).max())
+            for f, block in ((f1, b1), (f2, b2)):
+                # F F' is the shrunken prior block
                 np.testing.assert_allclose(f @ np.swapaxes(f, 1, 2), block, rtol=0.0,
                                            atol=1e-13 * np.abs(block).max())
+            full = [k @ est.p_hat.data @ k.T for k, est in ((result.K1, problem.est1),
+                                                            (result.K2, problem.est2))]
+            downdates = (full[0] - result.K1 @ b1 @ result.K1.T
+                         + full[1] - result.K2 @ b2 @ result.K2.T)
+            scale = sum(np.abs(t).max() for t in full) + np.abs(result.P_hat.data).max()
+            np.testing.assert_allclose(mats[2:], _violation_stack(*draws) - downdates,
+                                       rtol=0.0, atol=1e-13 * scale)
 
-    def test_matches_dense_joint_per_sample(self):
+    def test_matches_dense_joint_per_sample(self, monkeypatch):
+        stacks = []
+
+        def top(mats):
+            stacks.append(mats)
+            return stack_max_eigenvalue(mats)
+
+        monkeypatch.setattr(verifier, "stack_max_eigenvalue", top)
         for seed, problem, result in self.cases():
+            stacks.clear()
+            monte_carlo_joint(result, problem, truth_samples=self.COUNT, seed=seed)
+            (mats,) = stacks
             p_hat = result.P_hat.data
             scale = np.linalg.norm(p_hat, 2)
             k = np.hstack([result.K1, result.K2])
@@ -659,8 +682,7 @@ class TestWorstViolationKernel:
                 p12 = f1[s] @ x @ f2[s].T
                 joint = np.block([[f1[s] @ f1[s].T, p12], [p12.T, f2[s] @ f2[s].T]])
                 dense = np.linalg.eigvalsh(k @ joint @ k.T - p_hat)[-1]
-                kernel = worst_violation(result.K1 @ f1[s], result.K2 @ f2[s],
-                                         a[s][None, :, None], b[s][None, :, None], p_hat)
+                kernel = np.linalg.eigvalsh(mats[2 + s])[-1]
                 assert abs(kernel - dense) <= 1e-12 * scale
                 assert np.linalg.eigvalsh(joint)[0] >= -1e-12 * np.linalg.norm(joint, 2)
                 for f, est in ((f1[s], problem.est1), (f2[s], problem.est2)):
@@ -668,24 +690,14 @@ class TestWorstViolationKernel:
                     assert np.linalg.eigvalsh(p - f @ f.T)[0] >= -1e-12 * np.linalg.norm(p, 2)
                 assert np.linalg.svd(x, compute_uv=False)[0] < 1.0
 
-    def test_shared_factor_equals_stacked_copies(self):
-        for seed, problem, result in self.cases():
-            q1, q2 = q_pair(result, problem)
-            a, b = (f[:, :, None] for f in monte_carlo_draws(problem, seed, self.COUNT)[2:4])
-            stack = (self.COUNT,)
-            shared = worst_violation(q1, q2, a, b, result.P_hat.data)
-            stacked = worst_violation(np.broadcast_to(q1, stack + q1.shape),
-                                      np.broadcast_to(q2, stack + q2.shape), a, b,
-                                      result.P_hat.data)
-            assert abs(shared - stacked) <= 1e-12 * np.linalg.norm(result.P_hat.data, 2)
-
     @pytest.mark.parametrize("p1", range(1, 7))
     @pytest.mark.parametrize("p2", range(1, 7))
     def test_cross_draws_are_rank_one_contractions(self, monkeypatch, p1, p2):
         # both samplers draw X = a b' from unit Gaussian directions, rebuilt
         # here from the raw stream: spectral norm one for the adversarial
-        # search, and Monte Carlo's radius, drawn after the two directions
-        # and folded into a
+        # search; Monte Carlo reads its shrink directions w1, w2 and factors
+        # e1, e2 first, folds its radius, drawn after a and b, into a, and
+        # hands the kernel (W1 r a, W2 b), W = I - (1 - sqrt(e)) w w'
         calls = []
 
         def spy(*args):
@@ -710,16 +722,25 @@ class TestWorstViolationKernel:
         np.testing.assert_allclose(a_adv, unit_a, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(b_adv, unit_b, rtol=1e-13, atol=0.0)
         rng = np.random.default_rng(seed)
-        haar_contraction_draws(rng, p1, count)
-        haar_contraction_draws(rng, p2, count)
+        w1, w2 = rank_one_draws(rng, count, p1, p2)
+        e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
         unit_a, unit_b = rank_one_draws(rng, count, p1, p2)
         radii = rng.uniform(size=count) * (1.0 - 1e-12)
-        np.testing.assert_allclose(a_mc, unit_a * radii[:, None], rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(b_mc, unit_b, rtol=1e-13, atol=0.0)
-        for f, norms in ((a_adv, np.ones(count)), (b_adv, np.ones(count)),
-                         (a_mc, radii), (b_mc, np.ones(count))):
-            assert (np.abs(np.linalg.norm(f, axis=1) - norms) <= 4.0 * eps * norms).all()
-        # |X| = |r a| |b| < 1, so every sampled joint is positive definite
+
+        def shrunk(w, e, f):
+            return f - ((1.0 - np.sqrt(e)) * np.einsum("si,si->s", w, f))[:, None] * w
+
+        # the shrink cancels in some entries, so each draw is held to 1e-13
+        # of its norm before the shrink, r for a and 1 for b
+        for f, want, norms in ((a_mc, shrunk(w1, e1, unit_a * radii[:, None]), radii),
+                               (b_mc, shrunk(w2, e2, unit_b), np.ones(count))):
+            assert (np.abs(f - want).max(axis=1) <= 1e-13 * norms).all()
+            # W is a contraction, so |W1 r a| <= r and |W2 b| <= 1
+            assert (np.linalg.norm(f, axis=1) <= norms * (1.0 + 4.0 * eps)).all()
+        for f in (a_adv, b_adv):
+            assert (np.abs(np.linalg.norm(f, axis=1) - 1.0) <= 4.0 * eps).all()
+        # |W1 X W2| <= |W1 r a| |W2 b| < 1: the dominating joint's cross
+        # parameter, so every sampled joint is positive definite
         assert (np.linalg.norm(a_mc, axis=1) * np.linalg.norm(b_mc, axis=1) < 1.0).all()
 
 
@@ -731,57 +752,17 @@ def strided(a: np.ndarray) -> np.ndarray:
     return view
 
 
-class ZeroColumnGenerator:
-    """Gaussian stream with one column of one sample set exactly to zero."""
-
-    def __init__(self, column: int):
-        self.column = column
-        self.rng = np.random.default_rng(0)
-
-    def standard_normal(self, size):
-        gauss = self.rng.standard_normal(size)
-        gauss[3, :, self.column] = 0.0
-        return gauss
-
-    def uniform(self, low, high, size):
-        return self.rng.uniform(low, high, size)
-
-
 class TestSampleLastSampler:
-    @pytest.mark.parametrize("dim", range(1, 13))
-    def test_haar_factors_match_sign_fixed_qr(self, dim):
-        # Gram-Schmidt gives R a positive diagonal, so U is the sign-fixed
-        # Householder Q up to rounding that grows with the draw's condition
-        count, seed = 300, 1000 + dim
-        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
-        factors = _random_contraction_factors(rng, dim, count)
-        assert factors.shape == (dim, dim, count) and factors.flags.c_contiguous
-        u_ref, e = haar_contraction_draws(oracle, dim, count)
-        u = np.moveaxis(factors, -1, 0) / np.sqrt(e)[:, None, :]
-        cond = np.linalg.cond(np.random.default_rng(seed).standard_normal((count, dim, dim)))
-        assert (np.abs(u - u_ref).max(axis=(1, 2)) <= 1e-12 * cond).all()
-        gram = np.einsum("sij,sik->sjk", u, u)
-        assert np.abs(gram - np.eye(dim)).max() <= 1e-14 * dim
-        # the sampler consumed exactly the oracle's draws
-        assert rng.standard_normal() == oracle.standard_normal()
-
-    @pytest.mark.parametrize("column", [0, 1, 2])
-    def test_zero_residual_column_raises(self, column):
-        with pytest.raises(InternalInconsistencyError):
-            _random_contraction_factors(ZeroColumnGenerator(column), 3, 10)
-
     @pytest.mark.parametrize("n, p1, p2", [(1, 1, 1), (1, 2, 3), (3, 1, 2), (4, 3, 1), (5, 3, 3), (6, 4, 6)])
-    @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("layout", ["sample_first", "sample_last", "strided"])
-    def test_violation_stack_matches_per_sample_products(self, n, p1, p2, shared, layout):
+    def test_violation_stack_matches_per_sample_products(self, n, p1, p2, layout):
         # the cross parameters as rank-one draws (k = 1) and as factors of
         # k = min(p1, p2) columns, the samplers' fixed heads; the reference
         # forms each X = A B' densely
         rng = np.random.default_rng(n * 100 + p1 * 10 + p2)
         count = 30
-        lead = () if shared else (count,)
-        g1 = rng.standard_normal(lead + (n, p1))
-        g2 = rng.standard_normal(lead + (n, p2))
+        g1 = rng.standard_normal((n, p1))
+        g2 = rng.standard_normal((n, p2))
         k = min(p1, p2)
         cross_factors = (_draw_cross(rng, count, p1, p2),
                          (rng.standard_normal((count, p1, k)), rng.standard_normal((count, p2, k))))
@@ -797,10 +778,9 @@ class TestSampleLastSampler:
             assert stack.shape == (count, n, n)
             assert np.moveaxis(stack, 0, -1).flags.c_contiguous
             for s in range(count):
-                g, h = (g1, g2) if shared else (g1[s], g2[s])
-                cross = g @ (a[s] @ b[s].T) @ h.T
-                ref = g @ g.T + h @ h.T - p_hat + cross + cross.T
-                scale = (np.abs(g @ g.T).max() + np.abs(h @ h.T).max() + np.abs(p_hat).max()
+                cross = g1 @ (a[s] @ b[s].T) @ g2.T
+                ref = g1 @ g1.T + g2 @ g2.T - p_hat + cross + cross.T
+                scale = (np.abs(g1 @ g1.T).max() + np.abs(g2 @ g2.T).max() + np.abs(p_hat).max()
                          + 2.0 * np.abs(cross).max())
                 np.testing.assert_allclose(stack[s], ref, rtol=0.0, atol=1e-13 * scale)
 
@@ -818,8 +798,8 @@ class TestSampleLastSampler:
         monte_carlo_joint(result, problem, truth_samples=20, seed=3)
         adv_heads, (q1, q2, *adv_draws, _), mc_heads, (g1, g2, *mc_draws, _) = calls
         assert len(adv_heads[2]) == 3 and len(mc_heads[2]) == 2
-        assert all(m.ndim == 2 for m in (q1, q2, *adv_heads[:2], *mc_heads[:2]))
-        for stack in (*adv_draws, g1, g2, *mc_draws):
+        assert all(m.ndim == 2 for m in (q1, q2, g1, g2, *adv_heads[:2], *mc_heads[:2]))
+        for stack in (*adv_draws, *mc_draws):
             assert len(stack) == 20
             assert np.moveaxis(stack, 0, -1).flags.c_contiguous
 
@@ -850,14 +830,12 @@ class TestScreenedKernel:
         count = 300
         p1, p2 = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
         a, b = _draw_cross(rng, count, p1, p2)
-        shared = (rng.standard_normal((n, p1)), rng.standard_normal((n, p2)))
-        per_sample = (rng.standard_normal((count, n, p1)), rng.standard_normal((count, n, p2)))
+        g1, g2 = rng.standard_normal((n, p1)), rng.standard_normal((n, p2))
         p_hat = random_spd(rng, n)
-        for g1, g2 in (shared, per_sample):
-            # a small and a large P_hat: violations mostly positive, then negative
-            for scale in (0.1, 10.0 * n):
-                stack = _violation_stack(g1, g2, a, b, scale * p_hat)
-                assert worst_violation(g1, g2, a, b, scale * p_hat) == unscreened(stack)
+        # a small and a large P_hat: violations mostly positive, then negative
+        for scale in (0.1, 10.0 * n):
+            stack = _violation_stack(g1, g2, a, b, scale * p_hat)
+            assert stack_max_eigenvalue(stack) == unscreened(stack)
         mats = symmetric_stack(rng, count, n)
         assert stack_max_eigenvalue(mats) == unscreened(mats)
 
@@ -872,7 +850,7 @@ class TestScreenedKernel:
         a, b = _draw_cross(rng, 200, 2, 3)
         p_hat = random_spd(rng, n)
         stack = _violation_stack(q1, q2, a, b, p_hat)
-        assert worst_violation(q1, q2, a, b, p_hat) == unscreened(stack)
+        assert stack_max_eigenvalue(stack) == unscreened(stack)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 15])
     def test_near_ties(self, n):
