@@ -743,6 +743,52 @@ class TestWorstViolationKernel:
         # parameter, so every sampled joint is positive definite
         assert (np.linalg.norm(a_mc, axis=1) * np.linalg.norm(b_mc, axis=1) < 1.0).all()
 
+    @pytest.mark.parametrize("p1", range(1, 7))
+    @pytest.mark.parametrize("p2", range(1, 7))
+    def test_sampled_joints_lie_below_their_dominating_joints(self, monkeypatch, p1, p2):
+        # each Monte Carlo sample is the kernel's sample on (Q1, Q2) with the
+        # same cross factors (W1 r a, W2 b), less the two downdates: a
+        # positive semidefinite difference of rank at most two, whose trace
+        # is (1 - e1)|Q1 w1|^2 + (1 - e2)|Q2 w2|^2, so no sample exceeds
+        # the one of its dominating joint
+        calls, stacks = [], []
+
+        def spy(*args):
+            calls.append(args)
+            return _violation_stack(*args)
+
+        def top(mats):
+            stacks.append(mats)
+            return stack_max_eigenvalue(mats)
+
+        monkeypatch.setattr(verifier, "_violation_stack", spy)
+        monkeypatch.setattr(verifier, "stack_max_eigenvalue", top)
+        count, seed = 200, 500 + p1 * 10 + p2
+        n = max(p1, p2)
+        problem = random_problem(np.random.default_rng(seed), n, p1, p2)
+        result = solve_ci(problem, Cost.TRACE)
+        worst = monte_carlo_joint(result, problem, truth_samples=count, seed=seed)
+        (heads, draws), (mats,) = calls, stacks
+        assert worst == stack_max_eigenvalue(mats)
+        dominating = _violation_stack(*draws)
+        diff = dominating - mats[2:]
+        q1, q2 = q_pair(result, problem)
+        scale = (np.abs(q1 @ q1.T).max() + np.abs(q2 @ q2.T).max()
+                 + np.abs(result.P_hat.data).max())
+        eigs = np.linalg.eigvalsh(diff)
+        assert eigs[:, 0].min() >= -1e-13 * scale
+        assert ((eigs > 1e-13 * scale).sum(axis=1) <= min(2, n)).all()
+        rng = np.random.default_rng(seed)
+        w1, w2 = rank_one_draws(rng, count, p1, p2)
+        e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
+        shrink = ((1.0 - e1) * np.sum((w1 @ q1.T) ** 2, axis=1)
+                  + (1.0 - e2) * np.sum((w2 @ q2.T) ** 2, axis=1))
+        np.testing.assert_allclose(np.einsum("sii->s", diff), shrink, rtol=0.0,
+                                   atol=1e-13 * n * scale)
+        # the optimum sits at zero violation, so the two differ by rounding
+        bound = stack_max_eigenvalue(np.concatenate([_violation_stack(*heads), dominating]))
+        assert worst <= bound + 1e-13 * scale
+
 
 def strided(a: np.ndarray) -> np.ndarray:
     """A copy of ``a`` as a view that is contiguous along no axis."""
