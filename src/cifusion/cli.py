@@ -289,6 +289,11 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ProblemFileError("--seed", f"must not be negative, got {args.seed}")
     problem, extras = load_problem_file(args.file)
+    # the samplers hold a few n x samples arrays and an n x n matrix per
+    # sample they cannot screen out; a count whose arrays numpy cannot
+    # address exits here, before anything is allocated
+    if args.samples > np.iinfo(np.intp).max // (8 * (problem.n + 4) ** 2):
+        raise ProblemFileError("--samples", f"{args.samples} samples exceed the addressable memory")
     if args.result:
         result = _load_result_file(args.result, problem)
     else:
@@ -316,8 +321,11 @@ def cmd_verify(args) -> int:
         else:
             rows.append(("petersen", True, f"eps={fmt(eps)}"))
 
-    worst_x = verifier.adversarial_x_search(result, problem, args.samples, args.seed)
-    worst_mc = verifier.monte_carlo_joint(result, problem, args.samples, args.seed)
+    try:
+        worst_x = verifier.adversarial_x_search(result, problem, args.samples, args.seed)
+        worst_mc = verifier.monte_carlo_joint(result, problem, args.samples, args.seed)
+    except MemoryError as exc:
+        raise ProblemFileError("--samples", f"{args.samples} samples do not fit in memory") from exc
     rows.append(("adversarial-x", worst_x <= tol, f"worst={fmt(worst_x)}"))
     rows.append(("monte-carlo", worst_mc <= tol, f"worst={fmt(worst_mc)}"))
 

@@ -8,7 +8,7 @@ certificate holds where ``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``,
 convex in the weight, is at most zero; the scalar certificate and the exact
 interval of feasible weights both come from the package's one search over
 it, :func:`linalg.first_feasible_weight`.  The two sampling routes share one
-kernel, :func:`_violation_stack`: the samples
+kernel, :func:`_worst_violation`: the samples
 ``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat`` on the one pair
 ``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``, over cross
 parameters ``X`` of spectral norm at most one.  The kernel takes each ``X``
@@ -20,11 +20,15 @@ Petersen's lemma (Systems & Control Letters 8, 1987) the supremum over
 ``|a| |b|``, so no draw is decomposed.  Rounding can put that norm at
 ``1 + O(eps)``, far inside the certificate tolerance.  Monte Carlo shrinks
 each prior block by a rank-one downdate, which enters as a change of the
-cross factors and two rank-one terms it subtracts from the kernel's stack
-(:func:`monte_carlo_joint`).  Draws are kept sample-last, so each product
-is a few whole-stack ``einsum`` calls, and :func:`stack_max_eigenvalue`
-decomposes only the samples that can decide the largest eigenvalue, with a
-value bit for bit that of ``eigvalsh`` over all of them.  Each sampler is
+cross factors and two rank-one terms subtracted from each sample
+(:func:`monte_carlo_joint`).  So every drawn sample is a rank-two update
+``B + c d' + d c'`` of one matrix ``B = Q1 Q1' + Q2 Q2' - P_hat``, less
+those downdates, and the draws are kept as ``n x samples`` factor arrays.
+:func:`_worst_sample` decides most samples from their factors by one
+Cholesky factorisation and a closed-form test per sample
+(:func:`_undecided`), and forms and decomposes only the few it cannot
+drop, with a value bit for bit that of ``eigvalsh`` over all of them.
+Each sampler is
 a pure function of its arguments with its own generator, and runs on the
 calling thread.  A found violation is conclusive; absence of violations is
 reported as "no violation found" for the sampled budget, while the block
@@ -51,8 +55,8 @@ from .problem import FusionProblem
 
 #: gain blocks with max |entry| below this count as zero (degenerate cases)
 ZERO_Q_TOL = 1e-14
-#: matrices ranked by each cheap lower bound on the largest eigenvalue that
-#: :func:`stack_max_eigenvalue` decomposes to set its screening threshold
+#: samples ranked by each cheap lower bound on the largest eigenvalue that
+#: :func:`_worst_sample` decomposes with the heads to set its threshold
 SCREEN_CANDIDATES = 4
 
 
@@ -183,149 +187,247 @@ def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray
     return u, vt.T
 
 
-def _violation_stack(
-    q1: np.ndarray, q2: np.ndarray, a: np.ndarray, b: np.ndarray, p_hat: np.ndarray
-) -> np.ndarray:
-    """The samples ``Q1 Q1' + Q2 Q2' - P_hat + C + C'``, ``C = (Q1 A)(Q2 B)'``, per ``X = A B'``.
+def _worst_violation(
+    q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray,
+    head_a: np.ndarray, head_b: np.ndarray, a: np.ndarray, b: np.ndarray, g=(),
+) -> float:
+    """Largest eigenvalue of ``Q1 Q1' + Q2 Q2' - P_hat + C + C' - G G'`` over heads and draws.
 
     This is the fused error covariance, less ``P_hat``, of the joint whose
     diagonal blocks factor as ``Q Q'`` and whose cross block is
-    ``Q1 X Q2'``.  ``a`` and ``b`` stack the factors of the cross
-    parameters, ``p1 x k`` and ``p2 x k`` with ``k`` fixed per call, so
-    ``C = Q1 X Q2'`` and no ``X`` is formed; a rank-one draw has ``k = 1``,
-    and ``C`` is one outer product.  ``Q1 Q1' + Q2 Q2' - P_hat`` is formed
-    once per call, so samples that differ only in a zero cross term are
-    bitwise equal.  Takes and returns sample-first stacks, and works
-    sample-last: ``a`` and ``b`` are viewed with their sample axis moved
-    last, the products are ``einsum`` calls over whole stacks, and the
-    result is a sample-first view of a contiguous sample-last stack.  The
-    inputs cost no copy when they are themselves sample-first views of
-    sample-last memory, as the samplers pass them.
+    ``Q1 X Q2'``, ``X = A B'``, less the downdates ``G G'`` that Monte
+    Carlo subtracts; ``C = (Q1 A)(Q2 B)'``, so no ``X`` is formed.  The
+    heads stack their factors ``h x p x k`` with ``k`` fixed, and are
+    formed as matrices.  The draws are rank one, ``a`` and ``b`` of shape
+    ``p x S``, so each draw is the rank-two update ``base + c d' + d c'``
+    of one matrix ``base = Q1 Q1' + Q2 Q2' - P_hat``, with ``c = Q1 a``
+    and ``d = Q2 b``, less ``g1 g1' + g2 g2'`` for the zero or two
+    ``n x S`` arrays ``g``; :func:`_worst_sample` decides them from these
+    factors.  ``base`` is formed once, so draws that differ only in a zero
+    cross term are bitwise equal.
     """
-    a, b = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
     base = np.einsum("ia,ja->ij", q1, q1) + np.einsum("ia,ja->ij", q2, q2) - p_hat
-    cross = np.einsum("iks,jks->ijs", np.einsum("ia,aks->iks", q1, a),
-                      np.einsum("ia,aks->iks", q2, b))
-    stack = np.add(base[:, :, None], cross, order="C")
-    stack += cross.transpose(1, 0, 2)
-    return np.moveaxis(stack, -1, 0)
+    cross = np.einsum("hik,hjk->hij", np.einsum("ia,hak->hik", q1, head_a),
+                      np.einsum("ia,hak->hik", q2, head_b))
+    heads = base + cross
+    heads += np.swapaxes(cross, 1, 2)
+    c, d = np.einsum("ia,as->is", q1, a), np.einsum("ia,as->is", q2, b)
+    return _worst_sample(base, heads, c, d, g)
 
 
-def stack_max_eigenvalue(mats: np.ndarray) -> float:
-    """``np.linalg.eigvalsh(mats)[:, -1].max()``, decomposing few of the matrices.
+def _sample_stack(base: np.ndarray, c: np.ndarray, d: np.ndarray, g=()) -> np.ndarray:
+    """The samples ``base + c d' + d c' - g1 g1' - g2 g2'``, one per column of the factors.
 
-    The largest diagonal entry and the mean diagonal entry are lower bounds
-    on a symmetric matrix's largest eigenvalue.  The ``SCREEN_CANDIDATES``
-    matrices that rank highest on each are decomposed, and the largest of
-    their largest eigenvalues is the threshold ``c``.  :func:`_screen` then
-    drops every matrix whose ``eigvalsh`` value it proves to lie below
-    ``c``, and the result is the maximum over the matrices left, which
-    always include the candidate that set ``c``.  Of those, every matrix
-    bitwise equal to that candidate is dropped before ``eigvalsh`` runs, as
-    its value is ``c`` itself.  So the value is the unscreened one bit for
-    bit, whatever order the matrices come in, and a stack of identical
-    samples, such as an endpoint result's adversarial samples, costs the
-    candidates' decompositions alone.  The value depends on the lower
+    ``c``, ``d`` and each of the zero or two arrays ``g`` are ``n x S``;
+    the stack is ``S x n x n``.  Entry ``(i, j)`` of sample ``s`` is
+    ``(base_ij + c_is d_js) + c_js d_is``, less
+    ``g1_is g1_js + g2_is g2_js``, each formed elementwise in that order,
+    so a sample's matrix has the same bits whichever other columns are
+    formed with it.
+    """
+    cross = c.T[:, :, None] * d.T[:, None, :]
+    stack = base + cross
+    stack += np.swapaxes(cross, 1, 2)
+    if g:
+        g1, g2 = (x.T for x in g)
+        stack -= g1[:, :, None] * g1[:, None, :] + g2[:, :, None] * g2[:, None, :]
+    return stack
+
+
+def _worst_sample(base: np.ndarray, heads: np.ndarray, c: np.ndarray, d: np.ndarray, g=()) -> float:
+    """``eigvalsh`` largest eigenvalue over ``heads`` and the samples of :func:`_sample_stack`.
+
+    The value is bit for bit the largest over every head and every formed
+    sample, yet few samples are formed.  Each sample's diagonal,
+    ``diag(base) + 2 c d - g1^2 - g2^2``, costs ``O(n)``; its largest and
+    its summed entries are lower bounds on the sample's largest
+    eigenvalue.  The ``SCREEN_CANDIDATES`` samples that rank highest on
+    each are formed and decomposed with the heads, and the largest of
+    those values is the threshold ``level``.  :func:`_undecided` proves
+    most samples to lie below ``level`` from their factors, and only the
+    rest are formed.  Of those, every matrix bitwise equal to the one that
+    set ``level`` is dropped before ``eigvalsh`` runs, as its value is
+    ``level`` itself.  So the value does not depend on the order of the
+    samples, and a stack of identical samples, such as an endpoint
+    result's adversarial samples, costs the heads' and the candidates'
+    decompositions and one formed stack.  The value depends on the lower
     triangles alone, as ``eigvalsh``'s does.
     """
-    idx = np.arange(mats.shape[-1])
-    diag = mats.transpose(1, 2, 0)[idx, idx]
-    k = min(SCREEN_CANDIDATES, len(mats))
-    # a matrix ranked on both bounds is decomposed twice, which is harmless
+    diag = np.diagonal(base)[:, None] + 2.0 * c * d
+    if g:
+        diag -= g[0] * g[0] + g[1] * g[1]
+    k = min(SCREEN_CANDIDATES, c.shape[1])
+    # a sample ranked on both bounds is decomposed twice, which is harmless
     # and cheaper than np.union1d, whose first call imports numpy.ma
     ranked = np.concatenate([
         np.argpartition(-diag.max(axis=0), k - 1)[:k],
         np.argpartition(-diag.sum(axis=0), k - 1)[:k],
     ])
-    tops = np.linalg.eigvalsh(mats[ranked])[:, -1]
-    c = float(tops.max())
-    left = mats[_screen(mats, c)]
-    # copies of the candidate that set c have c as their value: bitwise
-    # equal input, bitwise equal eigvalsh output
-    bits = mats[ranked[tops.argmax()]].view(np.int64)
+    mats = np.concatenate([heads, _sample_stack(base, c[:, ranked], d[:, ranked],
+                                                [x[:, ranked] for x in g])])
+    tops = np.linalg.eigvalsh(mats)[:, -1]
+    level = float(tops.max())
+    keep = _undecided(base, level, c, d, g)
+    keep[ranked] = False
+    if not keep.any():
+        return level
+    left = _sample_stack(base, c[:, keep], d[:, keep], [x[:, keep] for x in g])
+    # copies of the matrix that set the threshold have it as their value:
+    # bitwise equal input, bitwise equal eigvalsh output
+    bits = mats[tops.argmax()].view(np.int64)
     left = left[(left.view(np.int64) != bits).any(axis=(1, 2))]
-    return float(np.append(np.linalg.eigvalsh(left)[:, -1], c).max())
+    return float(np.append(np.linalg.eigvalsh(left)[:, -1], level).max())
 
 
-def _screen(mats: np.ndarray, c: float) -> np.ndarray:
-    """Mask of the matrices whose ``eigvalsh`` largest eigenvalue may reach ``c``.
+def _undecided(base: np.ndarray, level: float, c: np.ndarray, d: np.ndarray, g=()) -> np.ndarray:
+    """Mask of the samples of :func:`_sample_stack` whose ``eigvalsh`` value may reach ``level``.
 
-    One LDL' factorisation without pivoting of ``A = (c - delta) I - M``
-    runs over the whole stack at once, a loop over the n columns that reads
-    and updates only lower triangles; a matrix whose n pivots all come out
-    positive is dropped.  (The batched ``np.linalg.cholesky`` cannot serve: it raises
-    when any one matrix is not positive definite.)  With ``u`` the unit
-    roundoff, half the machine epsilon ``eps``, and ``s = n max|M_ij|``,
-    which bounds ``|M|_2`` for every matrix of the stack, the margin
-    ``delta = 16 (n + 2)^2 eps (|c| + s)`` exceeds the sum of three errors:
+    A sample is ``M = base + c d' + d c' - G G'``, ``G = [g1 g2]`` or
+    empty.  One Cholesky factorisation ``L L'`` of
+    ``A = (level - delta) I - base`` serves every sample.  With ``W`` the
+    inverse of ``L`` by forward substitution, the whitened vectors
+    ``c^ = W c``, ``d^``, ``G^ = W G`` and ``N = I + G^ G^'``, in exact
+    arithmetic ``(level - delta) I - M = L (N - c^ d^' - d^ c^') L'``.  The
+    largest eigenvalue of ``N^-1/2 (c^ d^' + d^ c^') N^-1/2`` is at most
+    ``t = sqrt(q_cc q_dd) + q_cd`` with ``q_xy = x' N^-1 y``, so the sample
+    lies below ``level - delta`` when ``t < 1``.  As ``N >= I``, the same
+    test with ``q_xy = x'y`` suffices too: this test of the sample's
+    dominating joint runs first, on dot products alone.  The Monte Carlo
+    samples it keeps take the exact test, where by Woodbury
+    ``q_xy = x'y - (G^'x)' (I + G^'G^)^-1 (G^'y)``, the 2 x 2 inverse in
+    closed form.  Either way a sample is dropped when ``t < 1 - eta``,
+    ``eta = 8 (n + 3) eps (1 + h)^3``, ``h = 2 |c^| |d^| + |g1^|^2 + |g2^|^2``
+    (no ``g`` terms in the first test).  A NaN or infinite ``t``, as from
+    a rounded ``q_cc`` below zero, keeps the sample, and every sample is
+    kept when the factorisation fails or ``kappa``, the Frobenius norm of
+    ``|L| |W|``, exceeds ``16 (n + 2)``.
 
-    - Forming ``A`` rounds ``c - delta`` and then the diagonal, by at most
-      ``2 u (|c| + delta) + u s`` in all; off the diagonal ``A`` is exact.
-    - If every pivot is positive, the computed factors satisfy
-      ``L D L' = A + E`` with ``|E| <= g |L| D |L'|`` and
-      ``g = gamma_(n+2) = (n + 2) u / (1 - (n + 2) u)``: the Cholesky bound
-      of Higham (*Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-      Thm 10.3) with one more rounding per term, from forming the
-      multiplier.  As ``D > 0``, Cauchy-Schwarz gives
-      ``(|L| D |L'|)_ij <= sqrt((A + E)_ii (A + E)_jj)``, hence
-      ``|E_ij| <= g / (1 - g) sqrt(A_ii A_jj)`` and
-      ``|E|_2 <= g / (1 - g) trace(A) <= g / (1 - g) (n (|c| + delta) + s)``.
-      ``A + E`` is positive definite, so ``lambda_max(M)`` is below
-      ``c - delta + |E|_2`` plus the rounding of the first item.
+    With ``u`` the unit roundoff, half the machine epsilon ``eps``,
+    ``gamma_k = k u / (1 - k u)``,
+    ``s = n (max|base| + 2 max|c| max|d| + max|g1|^2 + max|g2|^2)``, which
+    bounds ``|base|_2 + 2 |c| |d| + |g1|^2 + |g2|^2``, hence every
+    ``|M|_2``, and ``T = n (|level| + delta) + s``, which bounds
+    ``trace(A)``, the margin ``delta = 64 (n + 2)^2 eps (|level| + s)``
+    exceeds the sum of five errors, so a dropped sample's ``eigvalsh``
+    value lies strictly below ``level``:
+
+    - Each entry of a formed sample sums five terms, each rounded at most
+      four times, so the matrix that ``eigvalsh`` sees is within
+      ``gamma_4 s`` of ``M``.
     - ``eigvalsh`` is normwise backward stable: its largest eigenvalue lies
       within ``p(n) u |M|_2`` of the exact one.  LAPACK states ``p(n)`` only
       as a modestly growing function; the a-priori analysis of Householder
       tridiagonalisation gives order ``n^2`` (Wilkinson, *The Algebraic
       Eigenvalue Problem*, ch. 3), and the margin allows ``8 (n + 2)^2``.
+    - Forming ``A`` rounds each diagonal entry, by at most
+      ``2 u (|level| + delta) + u s``; off the diagonal ``A`` is exact.
+    - If the Cholesky factorisation runs to completion,
+      ``L L' = A + E`` with ``|E| <= gamma_(n+1) |L| |L'|`` (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+      Thm 10.3).  By Cauchy-Schwarz
+      ``(|L| |L'|)_ij <= sqrt((L L')_ii (L L')_jj)``, so
+      ``|E|_2 <= gamma_(n+1) / (1 - gamma_(n+1)) trace(A)``.
+    - Each column of ``W`` is exact for a perturbed factor,
+      ``(L + F_j) w_j = e_j`` with ``|F_j| <= gamma_n |L|`` (Higham
+      Thm 8.5), so ``|I - L W| <= gamma_n |L| |W|``, and the product errs
+      by ``|x^ - W x| <= gamma_n |W| |x|``.  So ``x = L x^ + r`` with
+      ``|r| <= 2 gamma_n kappa |x|``.  For a unit ``z`` and ``y = L' z``,
+      ``x'z = x^'y + r'z``; putting this in
+      ``z' (L L' - c d' - d c' + G G') z`` gives
+      ``y' (N - c^ d^' - d^ c^') y`` up to
+      ``4 gamma_n kappa (1 + gamma_n kappa) (2 |c| |d| + |g1|^2 + |g2|^2)``,
+      less than ``4.1 gamma_n kappa s``, and adding ``G G'`` to the
+      dominating joint's form only raises it.
 
-    The three sum to less than ``2 (n + 2)^2 u (|c| + delta) + 9 (n + 2)^2 u s``,
-    which ``delta`` exceeds whenever ``(n + 2)^2 u <= 1/4``, for n up to
-    about 4e7.  So a dropped matrix has an ``eigvalsh`` value strictly below
-    ``c``.  The Cholesky term grows like ``n^2 u |c|``: a margin only linear
-    in n in front of ``|c|`` would cover it for small n alone.
+    With ``kappa <= 16 (n + 2)`` these sum to less than
+    ``(n + 2)^2 u (76.4 (|level| + s) + 1.01 delta)``, which ``delta``
+    exceeds while ``(n + 2)^2 u < 1e-3``, for n up to about 3e6; rounding
+    in ``s`` and ``kappa`` is covered by the slack.  A margin only linear in n in front of
+    ``|level|`` would not do: the Cholesky term grows like
+    ``n^2 u |level|``.  Last, ``t`` itself is rounded.  Each dot product of
+    whitened vectors errs by at most ``gamma_n |x^| |y^|`` (Higham (3.5)).
+    With ``phi = 1 + |g1^|^2 + |g2^|^2``, the 2 x 2 determinant is at least
+    ``phi``, the Woodbury term is at most ``|x^| |y^|`` in size, and each
+    computed ``q_xy`` errs by at most ``3 gamma_(3n+6) phi |x^| |y^|``.  As
+    ``N <= phi I``, ``q_cc >= |c^|^2 / phi``, so the square root keeps
+    that error relative, and the computed ``t`` errs by at most
+    ``3 gamma_(3n+6) (1 + h)^3 + u (2 + |t|)``, which ``eta`` exceeds: a
+    dropped sample has ``t < 1`` for its computed whitened vectors.
     """
-    n = mats.shape[-1]
-    # entry (i, j) of every matrix is one contiguous row: a[i, j, sample]
-    a = np.negative(mats.transpose(1, 2, 0), order="C")
-    s = n * max(float(a.max()), -float(a.min()))
-    delta = 16.0 * (n + 2) ** 2 * np.finfo(float).eps * (abs(c) + s)
-    idx = np.arange(n)
-    a[idx, idx] += c - delta
-    positive = np.ones(len(mats), dtype=bool)
-    # an overflow can only make a later pivot infinite-negative or NaN,
-    # which keeps the matrix, so it needs no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            pivot = a[k, k]
-            positive &= pivot > 0.0
-            ratio = a[k + 1 :, k] / np.where(positive, pivot, 1.0)
-            for i in range(k + 1, n):
-                a[i, k + 1 : i + 1] -= a[i, k] * ratio[: i - k]
-    return ~positive
+    n, count = c.shape
+    keep = np.ones(count, dtype=bool)
+    # an overflow or NaN can only give a NaN or infinite t, or a failed
+    # factorisation, each of which keeps samples, so it needs no warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = n * (np.abs(base).max() + 2.0 * np.abs(c).max() * np.abs(d).max()
+                 + sum(np.abs(x).max() ** 2 for x in g))
+        delta = 64.0 * (n + 2) ** 2 * np.finfo(float).eps * (abs(level) + s)
+        a = np.negative(base)
+        a[np.diag_indices(n)] += level - delta
+        try:
+            chol = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return keep
+        w = np.eye(n)
+        for i in range(n):
+            w[i] -= chol[i, :i] @ w[:i]
+            w[i] /= chol[i, i]
+        if not np.linalg.norm(np.abs(chol) @ np.abs(w)) <= 16.0 * (n + 2):
+            return keep
+        ch, dh = w @ c, w @ d
+        cc, dd, cd = _dots(ch, dh)
+        h = 2.0 * np.sqrt(cc) * np.sqrt(dd)
+        keep = ~_proved_below(cc, dd, cd, h, n)
+        if g and keep.any():
+            idx = np.flatnonzero(keep)
+            ch, dh, cc, dd, cd, h = ch[:, idx], dh[:, idx], cc[idx], dd[idx], cd[idx], h[idx]
+            g1, g2 = (w @ x[:, idx] for x in g)
+            (a1, a2, a12), (c1, c2), (d1, d2) = _dots(g1, g2), _dots(g1, g2, ch), _dots(g1, g2, dh)
+            s11, s22, det = 1.0 + a1, 1.0 + a2, (1.0 + a1) * (1.0 + a2) - a12 * a12
+
+            def woodbury(xy, x1, x2, y1, y2):
+                return xy - (s22 * x1 * y1 - a12 * (x1 * y2 + x2 * y1) + s11 * x2 * y2) / det
+
+            keep[idx] = ~_proved_below(woodbury(cc, c1, c2, c1, c2), woodbury(dd, d1, d2, d1, d2),
+                                       woodbury(cd, c1, c2, d1, d2), h + a1 + a2, n)
+    return keep
+
+
+def _dots(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Column dot products: ``(x'x, y'y, x'y)``, or ``(x'z, y'z)`` given ``z``."""
+    pairs = ((x, x), (y, y), (x, y)) if z is None else ((x, z), (y, z))
+    return tuple(np.einsum("is,is->s", u, v) for u, v in pairs)
+
+
+def _proved_below(cc, dd, cd, h, n: int) -> np.ndarray:
+    """Where ``t = sqrt(cc dd) + cd`` lies below ``1 - eta`` (see :func:`_undecided`)."""
+    t = np.sqrt(cc) * np.sqrt(dd) + cd
+    grow = 1.0 + h
+    eta = 8.0 * (n + 3) * np.finfo(float).eps * grow * grow * grow
+    return np.isfinite(t) & (t < 1.0 - eta)
 
 
 def _draw_cross(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarray]:
     """Factors ``(a, b)`` of rank-one cross parameters ``X = a b'``, unit Gaussian directions.
 
     ``a`` and ``b`` are Gaussian vectors of lengths ``p1`` and ``p2``,
-    ``count`` each, drawn in that order and normalised.  The spectral norm
-    of ``a b'`` is ``|a| |b| = 1``, so no draw is decomposed; rounding can
-    put it at ``1 + O(eps)``, which moves a violation by
-    ``O(eps |Q1| |Q2|)``, far below the certificate tolerance.  By
-    Petersen's lemma the supremum of ``lambda_max(A + Q1 X Q2' + Q2 X' Q1')``
-    over ``|X| <= 1`` is attained at such an ``X``, with ``a`` and ``b``
-    along ``Q1' v`` and ``Q2' v`` for the top eigenvector ``v`` of the
-    maximising matrix.  The law is invariant under ``X -> U1 X U2'`` for
-    orthogonal ``U_i``.  Monte Carlo draws the directions of its two shrink
-    downdates with it too.  Each stack is returned as :func:`_violation_stack`
-    takes it with ``k = 1``: a sample-first view, ``count x p x 1``, of
-    sample-last memory.
+    ``count`` each, drawn in that order and normalised, and returned as
+    ``p1 x count`` and ``p2 x count`` arrays, one draw per column.  The
+    spectral norm of ``a b'`` is ``|a| |b| = 1``, so no draw is
+    decomposed; rounding can put it at ``1 + O(eps)``, which moves a
+    violation by ``O(eps |Q1| |Q2|)``, far below the certificate
+    tolerance.  By Petersen's lemma the supremum of
+    ``lambda_max(A + Q1 X Q2' + Q2 X' Q1')`` over ``|X| <= 1`` is attained
+    at such an ``X``, with ``a`` and ``b`` along ``Q1' v`` and ``Q2' v`` for
+    the top eigenvector ``v`` of the maximising matrix.  The law is
+    invariant under ``X -> U1 X U2'`` for orthogonal ``U_i``.  Monte Carlo
+    draws the directions of its two shrink downdates with it too.
     """
     a = rng.standard_normal((count, p1)).T.copy()
     b = rng.standard_normal((count, p2)).T.copy()
     a /= np.sqrt(np.einsum("is,is->s", a, a))
     b /= np.sqrt(np.einsum("is,is->s", b, b))
-    return np.moveaxis(a[:, None, :], -1, 0), np.moveaxis(b[:, None, :], -1, 0)
+    return a, b
 
 
 def adversarial_x_search(
@@ -336,17 +438,15 @@ def adversarial_x_search(
     Draws random rank-one cross parameters ``X = a b'`` of spectral norm
     one (:func:`_draw_cross`), always including the zero matrix and the
     aligned extremes ``+-U V'`` from the SVD of ``Q1.T Q2``, and returns
-    :func:`stack_max_eigenvalue` of their :func:`_violation_stack`
-    samples.  The three fixed
-    heads come first, as factors ``(0, V)`` and ``(+-U, V)`` with
-    ``k = min(p1, p2)``; the draws follow with ``k = 1``.  The largest
-    eigenvalue is convex in ``X`` and the stack holds ``X = 0``, so
-    ``f(t X) <= max(f(0), f(X))`` for ``0 <= t <= 1``: drawing at norm one
-    loses nothing against smaller radii, and by Petersen's lemma the
-    supremum over ``|X| <= 1`` is attained at a rank-one ``X`` of norm
-    one.  Rounding can put a draw's norm at ``1 + O(eps)``, far inside the
-    certificate tolerance.  Values at or below tolerance certify that no
-    sampled violation exists.
+    the largest eigenvalue of their :func:`_worst_violation` samples.  The
+    three fixed heads come first, as factors ``(0, V)`` and ``(+-U, V)``
+    with ``k = min(p1, p2)``.  The largest eigenvalue is convex in ``X``
+    and the heads hold ``X = 0``, so ``f(t X) <= max(f(0), f(X))`` for
+    ``0 <= t <= 1``: drawing at norm one loses nothing against smaller
+    radii, and by Petersen's lemma the supremum over ``|X| <= 1`` is
+    attained at a rank-one ``X`` of norm one.  Rounding can put a draw's
+    norm at ``1 + O(eps)``, far inside the certificate tolerance.  Values
+    at or below tolerance certify that no sampled violation exists.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -354,10 +454,8 @@ def adversarial_x_search(
     q1, q2 = q_pair(result, problem)
     a, b = _draw_cross(rng, samples, q1.shape[1], q2.shape[1])
     u, v = _extreme_cross_direction(q1, q2)
-    p_hat = result.P_hat.data
-    heads = _violation_stack(q1, q2, np.stack([np.zeros_like(u), u, -u]), np.stack([v] * 3), p_hat)
-    draws = _violation_stack(q1, q2, a, b, p_hat)
-    return stack_max_eigenvalue(np.concatenate([heads, draws]))
+    return _worst_violation(q1, q2, result.P_hat.data,
+                            np.stack([np.zeros_like(u), u, -u]), np.stack([v] * 3), a, b)
 
 
 def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
@@ -412,12 +510,12 @@ def monte_carlo_joint(
     uniform on ``[0, 1 - 1e-12)``, folded into ``a``.  As ``e_i >= 0.05``
     and ``|X| = r (1 + O(eps)) < 1``, every joint is positive definite.
     ``K_i F_i = Q_i W_i``, so its fused error less ``P_hat`` is the
-    :func:`_violation_stack` sample on ``(Q1, Q2)`` with cross factors
-    ``(W1 r a, W2 b)``, less the downdates ``(1 - e_i) u_i u_i'``,
-    ``u_i = Q_i w_i``.  Two aligned near-extreme cross parameters
-    ``+-(1 - 1e-6) U V'`` at the full diagonal, as factors of
-    ``k = min(p1, p2)`` columns, always come first.  Returns the largest
-    eigenvalue of ``K P_joint K' - P_hat`` over both stacks.
+    :func:`_worst_violation` sample on ``(Q1, Q2)`` with cross factors
+    ``(W1 r a, W2 b)``, less the downdates ``g_i g_i'``,
+    ``g_i = sqrt(1 - e_i) Q_i w_i``.  Two aligned near-extreme cross
+    parameters ``+-(1 - 1e-6) U V'`` at the full diagonal, as factors of
+    ``k = min(p1, p2)`` columns, are the heads.  Returns the largest
+    eigenvalue of ``K P_joint K' - P_hat`` over heads and draws.
 
     Every sampled joint lies below the joint with full diagonal blocks and
     cross parameter ``W1 X W2'``, of norm below one: the difference is
@@ -432,21 +530,16 @@ def monte_carlo_joint(
     w1, w2 = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
     shrink = rng.uniform(0.05, 1.0, size=(2, truth_samples))
     a, b = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
-    a *= (rng.uniform(size=truth_samples) * (1.0 - 1e-12))[:, None, None]
+    a *= rng.uniform(size=truth_samples) * (1.0 - 1e-12)
 
     q1, q2 = q_pair(result, problem)
     u, v = _extreme_cross_direction(q1, q2)
     u = u * (1.0 - 1e-6)
-    p_hat = result.P_hat.data
-    heads = _violation_stack(q1, q2, np.stack([u, -u]), np.stack([v, v]), p_hat)
-    downdates = []
+    g = []
     for q, w, f, e in ((q1, w1, a, shrink[0]), (q2, w2, b, shrink[1])):
-        f -= ((1.0 - np.sqrt(e)) * np.einsum("sak,sak->s", w, f))[:, None, None] * w
-        downdates.append(np.einsum("ia,sak->is", q, w) * np.sqrt(1.0 - e))
-    d = np.stack(downdates, axis=1)
-    draws = _violation_stack(q1, q2, a, b, p_hat)
-    draws -= np.moveaxis(np.einsum("iks,jks->ijs", d, d), -1, 0)
-    return stack_max_eigenvalue(np.concatenate([heads, draws]))
+        f -= ((1.0 - np.sqrt(e)) * np.einsum("as,as->s", w, f)) * w
+        g.append(np.einsum("ia,as->is", q, w) * np.sqrt(1.0 - e))
+    return _worst_violation(q1, q2, result.P_hat.data, np.stack([u, -u]), np.stack([v, v]), a, b, g)
 
 
 def certificate_tolerance(result) -> float:

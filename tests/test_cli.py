@@ -719,6 +719,32 @@ class TestSamplerFailures:
         assert rows["monte-carlo"] == ["FAIL", f"worst={cli.fmt(np.inf)}"]
         assert code == cli.EXIT_CERT_FAIL
 
+    def test_unaddressable_sample_count_exits_two_before_sampling(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # 2**62 samples: the count is refused before a sampler allocates anything
+        problem = write(tmp_path, EXAMPLE2)
+        for name in ("adversarial_x_search", "monte_carlo_joint"):
+            def unreachable(*args, name=name):
+                raise AssertionError(f"{name} ran")
+
+            monkeypatch.setattr(verifier, name, unreachable)
+        out, err, code = run_main(["verify", problem, "--samples", str(2**62)], capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == f"error: --samples: {2**62} samples exceed the addressable memory\n"
+
+    @pytest.mark.parametrize("name", ["adversarial_x_search", "monte_carlo_joint"])
+    def test_sampler_out_of_memory_exits_two_naming_samples(self, tmp_path, capsys, monkeypatch,
+                                                            name):
+        problem = write(tmp_path, EXAMPLE2)
+
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(verifier, name, exhausted)
+        out, err, code = run_main(["verify", problem, "--samples", "50"], capsys)
+        assert (out, err, code) == ("", "error: --samples: 50 samples do not fit in memory\n",
+                                    cli.EXIT_INPUT)
+
     def test_verify_starts_no_thread(self, tmp_path, capsys, monkeypatch):
         def refuse(self):
             raise AssertionError(f"verify started thread {self.name!r}")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import sys
 import threading
 
@@ -31,12 +32,12 @@ from cifusion.verifier import (
     petersen_objective,
     q_pair,
 )
-from cifusion import verifier
+from cifusion import cli, verifier
 from cifusion.verifier import (
     _draw_cross,
-    _screen,
-    _violation_stack,
-    stack_max_eigenvalue,
+    _sample_stack,
+    _undecided,
+    _worst_sample,
 )
 
 from conftest import (
@@ -47,7 +48,6 @@ from conftest import (
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,
     random_joint,
-    random_orthogonal,
     random_problem,
     random_spd,
     rank_one_draws,
@@ -597,6 +597,57 @@ class TestConcurrentCallers:
         assert threading.active_count() == before
 
 
+def dense_samples(q1, q2, p_hat, a, b) -> np.ndarray:
+    """``Q1 Q1' + Q2 Q2' - P_hat + C + C'``, ``C = Q1 a_s b_s' Q2'``, per column, densely."""
+    stack = []
+    for a_s, b_s in zip(a.T, b.T):
+        cross = q1 @ np.outer(a_s, b_s) @ q2.T
+        stack.append(q1 @ q1.T + q2 @ q2.T - p_hat + cross + cross.T)
+    return np.array(stack)
+
+
+def dense_worst(base, heads, c, d, g=()) -> float:
+    """The kernel's value without its screen: ``eigvalsh`` over every head and sample."""
+    stack = np.concatenate([heads, _sample_stack(base, c, d, g)])
+    return float(np.linalg.eigvalsh(stack)[:, -1].max())
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Arguments and results of each call of the three kernel functions."""
+    calls = {"violation": [], "sample": [], "undecided": []}
+    violation, sample = verifier._worst_violation, verifier._worst_sample
+    undecided = verifier._undecided
+
+    def spy_violation(*args):
+        calls["violation"].append(args if len(args) == 8 else (*args, ()))
+        return violation(*args)
+
+    def spy_sample(*args):
+        value = sample(*args)
+        calls["sample"].append((args, value))
+        return value
+
+    def spy_undecided(*args):
+        keep = undecided(*args)
+        calls["undecided"].append((args, keep.copy()))
+        return keep
+
+    monkeypatch.setattr(verifier, "_worst_violation", spy_violation)
+    monkeypatch.setattr(verifier, "_worst_sample", spy_sample)
+    monkeypatch.setattr(verifier, "_undecided", spy_undecided)
+    return calls
+
+
+def assert_dense_oracle(calls) -> None:
+    """Each kernel value is the dense one bit for bit; no dropped sample reaches its threshold."""
+    for args, value in calls["sample"]:
+        assert bits([value]) == bits([dense_worst(*args)])
+    for (base, level, c, d, g), keep in calls["undecided"]:
+        tops = np.linalg.eigvalsh(_sample_stack(base, c, d, g))[:, -1]
+        assert (tops[~keep] < level).all()
+
+
 class TestWorstViolationKernel:
     SEEDS = (0, 1, 2, 3)
     COUNT = 50
@@ -608,71 +659,63 @@ class TestWorstViolationKernel:
             yield seed, problem, result
             yield seed, problem, shrink_result(result, 0.9)
 
-    def test_sampler_feeds_kernel_the_factored_joints(self, monkeypatch):
+    def test_sampler_feeds_kernel_the_factored_joints(self, kernel_calls):
         # monte_carlo_joint hands the kernel the two aligned extremes at the
         # full diagonal as factors (U, V), then (Q1, Q2) with the cross
-        # factors of each drawn joint, and subtracts the two downdates
-        # K_i (P_i - F_i F_i') K_i' from the draws' stack
-        calls, stacks = [], []
-
-        def spy(*args):
-            calls.append(args)
-            return _violation_stack(*args)
-
-        def top(mats):
-            stacks.append(mats)
-            return stack_max_eigenvalue(mats)
-
-        monkeypatch.setattr(verifier, "_violation_stack", spy)
-        monkeypatch.setattr(verifier, "stack_max_eigenvalue", top)
+        # factors of each drawn joint and the factors g_i of its two
+        # downdates K_i (P_i - F_i F_i') K_i' = g_i g_i'
         for seed, problem, result in self.cases():
-            calls.clear()
-            stacks.clear()
+            for calls in kernel_calls.values():
+                calls.clear()
             worst = monte_carlo_joint(result, problem, truth_samples=self.COUNT, seed=seed)
-            (heads, draws), (mats,) = calls, stacks
-            assert worst == stack_max_eigenvalue(mats)
-            assert heads[-1] is draws[-1] is result.P_hat.data
+            (args,), ((sample_args, value),) = kernel_calls["violation"], kernel_calls["sample"]
+            assert worst == value == dense_worst(*sample_args)
+            q1k, q2k, p_hat, head_a, head_b, a, b, g = args
+            assert p_hat is result.P_hat.data
             f1, f2, a_draws, b_draws, b1, b2 = monte_carlo_draws(problem, seed, self.COUNT)
             q1, q2 = q_pair(result, problem)
             u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
             extreme = u @ vt * (1.0 - 1e-6)
-            for args in (heads, draws):
-                np.testing.assert_array_equal(args[0], q1)
-                np.testing.assert_array_equal(args[1], q2)
-            assert heads[2].shape == (2, problem.p1, min(problem.p1, problem.p2))
-            np.testing.assert_allclose(heads[2] @ np.swapaxes(heads[3], 1, 2),
+            np.testing.assert_array_equal(q1k, q1)
+            np.testing.assert_array_equal(q2k, q2)
+            assert head_a.shape == (2, problem.p1, min(problem.p1, problem.p2))
+            np.testing.assert_allclose(head_a @ np.swapaxes(head_b, 1, 2),
                                        [extreme, -extreme], rtol=0.0, atol=1e-14)
-            np.testing.assert_array_equal(mats[:2], _violation_stack(*heads))
-            _, _, a, b, _ = draws
-            assert a.shape == (self.COUNT, problem.p1, 1) and b.shape == (self.COUNT, problem.p2, 1)
-            for q, x, k, f, x_draws in ((q1, a, result.K1, f1, a_draws), (q2, b, result.K2, f2, b_draws)):
+            assert a.shape == (problem.p1, self.COUNT) and b.shape == (problem.p2, self.COUNT)
+            for q, x, k, f, x_draws in ((q1, a, result.K1, f1, a_draws),
+                                        (q2, b, result.K2, f2, b_draws)):
                 # Q W x = K F x: the shrink enters through the cross factor
-                np.testing.assert_allclose(q @ x, k @ f @ x_draws[:, :, None], rtol=0.0,
-                                           atol=1e-13 * np.abs(k @ f).max())
+                np.testing.assert_allclose((q @ x).T, (k @ f @ x_draws[:, :, None])[..., 0],
+                                           rtol=0.0, atol=1e-13 * np.abs(k @ f).max())
             for f, block in ((f1, b1), (f2, b2)):
                 # F F' is the shrunken prior block
                 np.testing.assert_allclose(f @ np.swapaxes(f, 1, 2), block, rtol=0.0,
                                            atol=1e-13 * np.abs(block).max())
             full = [k @ est.p_hat.data @ k.T for k, est in ((result.K1, problem.est1),
                                                             (result.K2, problem.est2))]
-            downdates = (full[0] - result.K1 @ b1 @ result.K1.T
-                         + full[1] - result.K2 @ b2 @ result.K2.T)
-            scale = sum(np.abs(t).max() for t in full) + np.abs(result.P_hat.data).max()
-            np.testing.assert_allclose(mats[2:], _violation_stack(*draws) - downdates,
+            scale = sum(np.abs(t).max() for t in full) + np.abs(p_hat).max()
+            downdates = 0.0
+            for gi, full_i, k, block in ((g[0], full[0], result.K1, b1),
+                                         (g[1], full[1], result.K2, b2)):
+                downdate = full_i - k @ block @ k.T
+                np.testing.assert_allclose(gi.T[:, :, None] * gi.T[:, None, :], downdate,
+                                           rtol=0.0, atol=1e-13 * scale)
+                downdates = downdates + downdate
+            base, heads, c, d, gs = sample_args
+            cross = q1 @ extreme @ q2.T
+            dense_heads = [q1 @ q1.T + q2 @ q2.T - p_hat + t * (cross + cross.T)
+                           for t in (1.0, -1.0)]
+            np.testing.assert_allclose(heads, dense_heads, rtol=0.0, atol=1e-13 * scale)
+            np.testing.assert_allclose(_sample_stack(base, c, d, gs),
+                                       dense_samples(q1, q2, p_hat, a, b) - downdates,
                                        rtol=0.0, atol=1e-13 * scale)
 
-    def test_matches_dense_joint_per_sample(self, monkeypatch):
-        stacks = []
-
-        def top(mats):
-            stacks.append(mats)
-            return stack_max_eigenvalue(mats)
-
-        monkeypatch.setattr(verifier, "stack_max_eigenvalue", top)
+    def test_matches_dense_joint_per_sample(self, kernel_calls):
         for seed, problem, result in self.cases():
-            stacks.clear()
+            kernel_calls["sample"].clear()
             monte_carlo_joint(result, problem, truth_samples=self.COUNT, seed=seed)
-            (mats,) = stacks
+            ((args, _),) = kernel_calls["sample"]
+            mats = _sample_stack(*args[:1], *args[2:])
             p_hat = result.P_hat.data
             scale = np.linalg.norm(p_hat, 2)
             k = np.hstack([result.K1, result.K2])
@@ -682,7 +725,7 @@ class TestWorstViolationKernel:
                 p12 = f1[s] @ x @ f2[s].T
                 joint = np.block([[f1[s] @ f1[s].T, p12], [p12.T, f2[s] @ f2[s].T]])
                 dense = np.linalg.eigvalsh(k @ joint @ k.T - p_hat)[-1]
-                kernel = np.linalg.eigvalsh(mats[2 + s])[-1]
+                kernel = np.linalg.eigvalsh(mats[s])[-1]
                 assert abs(kernel - dense) <= 1e-12 * scale
                 assert np.linalg.eigvalsh(joint)[0] >= -1e-12 * np.linalg.norm(joint, 2)
                 for f, est in ((f1[s], problem.est1), (f2[s], problem.est2)):
@@ -692,30 +735,23 @@ class TestWorstViolationKernel:
 
     @pytest.mark.parametrize("p1", range(1, 7))
     @pytest.mark.parametrize("p2", range(1, 7))
-    def test_cross_draws_are_rank_one_contractions(self, monkeypatch, p1, p2):
+    def test_cross_draws_are_rank_one_contractions(self, kernel_calls, p1, p2):
         # both samplers draw X = a b' from unit Gaussian directions, rebuilt
         # here from the raw stream: spectral norm one for the adversarial
         # search; Monte Carlo reads its shrink directions w1, w2 and factors
         # e1, e2 first, folds its radius, drawn after a and b, into a, and
         # hands the kernel (W1 r a, W2 b), W = I - (1 - sqrt(e)) w w'
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return _violation_stack(*args)
-
-        monkeypatch.setattr(verifier, "_violation_stack", spy)
         eps, count, seed = np.finfo(float).eps, 200, p1 * 10 + p2
         problem = random_problem(np.random.default_rng(seed), max(p1, p2), p1, p2)
         result = solve_ci(problem, Cost.TRACE)
         adversarial_x_search(result, problem, samples=count, seed=seed)
         monte_carlo_joint(result, problem, truth_samples=count, seed=seed)
-        adv_heads, adv_draws, mc_heads, mc_draws = calls
+        adv, mc = kernel_calls["violation"]
         k = min(p1, p2)
-        for heads, count_heads in ((adv_heads, 3), (mc_heads, 2)):
-            assert heads[2].shape == (count_heads, p1, k) and heads[3].shape == (count_heads, p2, k)
-        a_adv, b_adv = (f[..., 0] for f in adv_draws[2:4])
-        a_mc, b_mc = (f[..., 0] for f in mc_draws[2:4])
+        for args, count_heads in ((adv, 3), (mc, 2)):
+            assert args[3].shape == (count_heads, p1, k) and args[4].shape == (count_heads, p2, k)
+        a_adv, b_adv = adv[5].T, adv[6].T
+        a_mc, b_mc = mc[5].T, mc[6].T
         for f, p in ((a_adv, p1), (b_adv, p2), (a_mc, p1), (b_mc, p2)):
             assert f.shape == (count, p)
         unit_a, unit_b = rank_one_draws(np.random.default_rng(seed), count, p1, p2)
@@ -745,33 +781,21 @@ class TestWorstViolationKernel:
 
     @pytest.mark.parametrize("p1", range(1, 7))
     @pytest.mark.parametrize("p2", range(1, 7))
-    def test_sampled_joints_lie_below_their_dominating_joints(self, monkeypatch, p1, p2):
+    def test_sampled_joints_lie_below_their_dominating_joints(self, kernel_calls, p1, p2):
         # each Monte Carlo sample is the kernel's sample on (Q1, Q2) with the
         # same cross factors (W1 r a, W2 b), less the two downdates: a
         # positive semidefinite difference of rank at most two, whose trace
         # is (1 - e1)|Q1 w1|^2 + (1 - e2)|Q2 w2|^2, so no sample exceeds
         # the one of its dominating joint
-        calls, stacks = [], []
-
-        def spy(*args):
-            calls.append(args)
-            return _violation_stack(*args)
-
-        def top(mats):
-            stacks.append(mats)
-            return stack_max_eigenvalue(mats)
-
-        monkeypatch.setattr(verifier, "_violation_stack", spy)
-        monkeypatch.setattr(verifier, "stack_max_eigenvalue", top)
         count, seed = 200, 500 + p1 * 10 + p2
         n = max(p1, p2)
         problem = random_problem(np.random.default_rng(seed), n, p1, p2)
         result = solve_ci(problem, Cost.TRACE)
         worst = monte_carlo_joint(result, problem, truth_samples=count, seed=seed)
-        (heads, draws), (mats,) = calls, stacks
-        assert worst == stack_max_eigenvalue(mats)
-        dominating = _violation_stack(*draws)
-        diff = dominating - mats[2:]
+        (((base, heads, c, d, g), value),) = kernel_calls["sample"]
+        assert worst == value == dense_worst(base, heads, c, d, g)
+        dominating = _sample_stack(base, c, d)
+        diff = dominating - _sample_stack(base, c, d, g)
         q1, q2 = q_pair(result, problem)
         scale = (np.abs(q1 @ q1.T).max() + np.abs(q2 @ q2.T).max()
                  + np.abs(result.P_hat.data).max())
@@ -786,7 +810,7 @@ class TestWorstViolationKernel:
         np.testing.assert_allclose(np.einsum("sii->s", diff), shrink, rtol=0.0,
                                    atol=1e-13 * n * scale)
         # the optimum sits at zero violation, so the two differ by rounding
-        bound = stack_max_eigenvalue(np.concatenate([_violation_stack(*heads), dominating]))
+        bound = dense_worst(base, heads, c, d)
         assert worst <= bound + 1e-13 * scale
 
 
@@ -800,58 +824,71 @@ def strided(a: np.ndarray) -> np.ndarray:
 
 class TestSampleLastSampler:
     @pytest.mark.parametrize("n, p1, p2", [(1, 1, 1), (1, 2, 3), (3, 1, 2), (4, 3, 1), (5, 3, 3), (6, 4, 6)])
-    @pytest.mark.parametrize("layout", ["sample_first", "sample_last", "strided"])
-    def test_violation_stack_matches_per_sample_products(self, n, p1, p2, layout):
-        # the cross parameters as rank-one draws (k = 1) and as factors of
-        # k = min(p1, p2) columns, the samplers' fixed heads; the reference
-        # forms each X = A B' densely
+    @pytest.mark.parametrize("layout", ["c_order", "f_order", "strided"])
+    def test_sample_stack_matches_per_sample_products(self, n, p1, p2, layout):
+        # the drawn samples from their n x S factor columns, against dense
+        # products per sample; in any memory layout, and for any subset of
+        # the columns, each sample is the same bits
         rng = np.random.default_rng(n * 100 + p1 * 10 + p2)
         count = 30
         g1 = rng.standard_normal((n, p1))
         g2 = rng.standard_normal((n, p2))
-        k = min(p1, p2)
-        cross_factors = (_draw_cross(rng, count, p1, p2),
-                         (rng.standard_normal((count, p1, k)), rng.standard_normal((count, p2, k))))
+        a, b = _draw_cross(rng, count, p1, p2)
+        downdates = [rng.standard_normal((n, count)) for _ in range(2)]
         p_hat = random_spd(rng, n)
-        for a, b in cross_factors:
-            args = [np.ascontiguousarray(m) for m in (g1, g2, a, b)]
-            if layout == "sample_last":
-                args = [m if m.ndim == 2 else np.moveaxis(np.moveaxis(m, 0, -1).copy(), -1, 0)
-                        for m in args]
-            elif layout == "strided":
-                args = [strided(m) for m in args]
-            stack = _violation_stack(*args, p_hat)
+        base = g1 @ g1.T + g2 @ g2.T - p_hat
+        c, d = g1 @ a, g2 @ b
+        relayout = {"c_order": np.ascontiguousarray, "f_order": np.asfortranarray,
+                    "strided": strided}[layout]
+        for g in ((), downdates):
+            want = _sample_stack(base, c, d, g)
+            stack = _sample_stack(base, relayout(c), relayout(d), [relayout(x) for x in g])
             assert stack.shape == (count, n, n)
-            assert np.moveaxis(stack, 0, -1).flags.c_contiguous
+            assert bits(stack.ravel()) == bits(want.ravel())
+            subset = rng.permutation(count)[: count // 3]
+            part = _sample_stack(base, c[:, subset], d[:, subset], [x[:, subset] for x in g])
+            assert bits(part.ravel()) == bits(want[subset].ravel())
+            dense = dense_samples(g1, g2, p_hat, a, b)
+            for x in g:
+                dense = dense - x.T[:, :, None] * x.T[:, None, :]
             for s in range(count):
-                cross = g1 @ (a[s] @ b[s].T) @ g2.T
-                ref = g1 @ g1.T + g2 @ g2.T - p_hat + cross + cross.T
+                cross = g1 @ np.outer(a[:, s], b[:, s]) @ g2.T
                 scale = (np.abs(g1 @ g1.T).max() + np.abs(g2 @ g2.T).max() + np.abs(p_hat).max()
-                         + 2.0 * np.abs(cross).max())
-                np.testing.assert_allclose(stack[s], ref, rtol=0.0, atol=1e-13 * scale)
+                         + 2.0 * np.abs(cross).max() + sum(np.abs(x[:, s]).max() ** 2 for x in g))
+                np.testing.assert_allclose(stack[s], dense[s], rtol=0.0, atol=1e-13 * scale)
 
-    def test_samplers_hand_the_kernel_views_of_sample_last_memory(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("n, p1, p2", [(1, 1, 1), (3, 1, 2), (4, 3, 3), (6, 4, 6)])
+    def test_heads_match_dense_products(self, kernel_calls, n, p1, p2):
+        # the fixed heads take cross factors of k = min(p1, p2) columns
+        rng = np.random.default_rng(n * 100 + p1 * 10 + p2)
+        q1, q2 = rng.standard_normal((n, p1)), rng.standard_normal((n, p2))
+        p_hat = random_spd(rng, n)
+        k = min(p1, p2)
+        head_a, head_b = rng.standard_normal((4, p1, k)), rng.standard_normal((4, p2, k))
+        a, b = _draw_cross(rng, 20, p1, p2)
+        value = verifier._worst_violation(q1, q2, p_hat, head_a, head_b, a, b)
+        ((args, got),) = kernel_calls["sample"]
+        assert value == got == dense_worst(*args)
+        for head, x_a, x_b in zip(args[1], head_a, head_b):
+            cross = q1 @ x_a @ x_b.T @ q2.T
+            want = q1 @ q1.T + q2 @ q2.T - p_hat + cross + cross.T
+            np.testing.assert_allclose(head, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
-        def spy(*args):
-            calls.append(args)
-            return _violation_stack(*args)
-
-        monkeypatch.setattr(verifier, "_violation_stack", spy)
+    def test_samplers_hand_the_kernel_sample_last_factor_arrays(self, kernel_calls):
         problem = random_problem(np.random.default_rng(31))
         result = solve_ci(problem, Cost.TRACE)
         adversarial_x_search(result, problem, samples=20, seed=3)
         monte_carlo_joint(result, problem, truth_samples=20, seed=3)
-        adv_heads, (q1, q2, *adv_draws, _), mc_heads, (g1, g2, *mc_draws, _) = calls
-        assert len(adv_heads[2]) == 3 and len(mc_heads[2]) == 2
-        assert all(m.ndim == 2 for m in (q1, q2, g1, g2, *adv_heads[:2], *mc_heads[:2]))
-        for stack in (*adv_draws, *mc_draws):
-            assert len(stack) == 20
-            assert np.moveaxis(stack, 0, -1).flags.c_contiguous
-
-
-def unscreened(mats: np.ndarray) -> float:
-    return np.linalg.eigvalsh(mats)[:, -1].max()
+        adv, mc = kernel_calls["violation"]
+        assert len(adv[3]) == 3 and len(mc[3]) == 2 and adv[7] == () and len(mc[7]) == 2
+        for args in (adv, mc):
+            assert all(m.ndim == 2 for m in args[:3]) and args[3].ndim == args[4].ndim == 3
+            rows = (problem.p1, problem.p2, problem.n, problem.n)
+            for factor, rows in zip((*args[5:7], *args[7]), rows):
+                assert factor.shape == (rows, 20)
+        for (_, _, c, d, g), _ in kernel_calls["sample"]:
+            for factor in (c, d, *g):
+                assert factor.shape == (problem.n, 20) and factor.flags.c_contiguous
 
 
 def symmetric_stack(rng, count: int, n: int) -> np.ndarray:
@@ -859,16 +896,24 @@ def symmetric_stack(rng, count: int, n: int) -> np.ndarray:
     return a + np.swapaxes(a, 1, 2)
 
 
-def near_tie_stack(rng, count: int, n: int) -> np.ndarray:
-    """``U diag(lambda) U'`` whose largest eigenvalues are 3 up to 1e-15 relative."""
-    u = np.array([random_orthogonal(rng, n) for _ in range(count)])
-    lam = rng.uniform(-2.0, 1.0, size=(count, n))
-    lam[:, -1] = 3.0 * (1.0 + 1e-15 * rng.standard_normal(count))
-    return (u * lam[:, None, :]) @ np.swapaxes(u, 1, 2)
+def random_factors(rng, n: int, count: int, downdates: bool):
+    """``base``, ``c``, ``d`` and ``g`` (two downdate factors or none) of random samples."""
+    base = -random_spd(rng, n)
+    c, d = rng.standard_normal((2, n, count))
+    g = list(0.5 * rng.standard_normal((2, n, count))) if downdates else []
+    return base, c, d, g
+
+
+def near_tie_factors(rng, n: int, count: int):
+    """Samples ``-I + (1 + 2 e) v v'``, unit ``v``: largest eigenvalues 0 up to 1e-15."""
+    v = rng.standard_normal((n, count))
+    v /= np.linalg.norm(v, axis=0)
+    c = v * np.sqrt(0.5 * (1.0 + 1e-15 * rng.standard_normal(count)))
+    return -np.eye(n), c, c.copy()
 
 
 class TestScreenedKernel:
-    """The screened maximum equals ``eigvalsh(M)[:, -1].max()`` bit for bit."""
+    """The screened maximum equals the dense ``eigvalsh`` maximum bit for bit."""
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_bitwise_equal_to_unscreened(self, n):
@@ -876,89 +921,115 @@ class TestScreenedKernel:
         count = 300
         p1, p2 = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
         a, b = _draw_cross(rng, count, p1, p2)
-        g1, g2 = rng.standard_normal((n, p1)), rng.standard_normal((n, p2))
+        q1, q2 = rng.standard_normal((n, p1)), rng.standard_normal((n, p2))
         p_hat = random_spd(rng, n)
+        heads = symmetric_stack(rng, 3, n)
         # a small and a large P_hat: violations mostly positive, then negative
         for scale in (0.1, 10.0 * n):
-            stack = _violation_stack(g1, g2, a, b, scale * p_hat)
-            assert stack_max_eigenvalue(stack) == unscreened(stack)
-        mats = symmetric_stack(rng, count, n)
-        assert stack_max_eigenvalue(mats) == unscreened(mats)
+            base = q1 @ q1.T + q2 @ q2.T - scale * p_hat
+            for g in ((), list(0.3 * rng.standard_normal((2, n, count)))):
+                args = (base, heads, q1 @ a, q2 @ b, g)
+                assert _worst_sample(*args) == dense_worst(*args)
+        for downdates in (False, True):
+            base, c, d, g = random_factors(rng, n, count, downdates)
+            assert _worst_sample(base, heads, c, d, g) == dense_worst(base, heads, c, d, g)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_exact_ties(self, n):
         rng = np.random.default_rng(600 + n)
-        mats = np.repeat(symmetric_stack(rng, 1, n), 200, axis=0)
-        assert stack_max_eigenvalue(mats) == unscreened(mats)
-        assert _screen(mats, unscreened(mats)).all()
+        base, c, d, _ = random_factors(rng, n, 1, False)
+        c, d = np.repeat(c, 200, axis=1), np.repeat(d, 200, axis=1)
+        heads = base[None]
+        value = _worst_sample(base, heads, c, d)
+        assert value == dense_worst(base, heads, c, d)
+        assert _undecided(base, value, c, d).all()
         # Q1 = 0 makes every adversarial sample the same matrix
-        q1, q2 = np.zeros((n, 2)), rng.standard_normal((n, 3))
-        a, b = _draw_cross(rng, 200, 2, 3)
-        p_hat = random_spd(rng, n)
-        stack = _violation_stack(q1, q2, a, b, p_hat)
-        assert stack_max_eigenvalue(stack) == unscreened(stack)
+        q2 = rng.standard_normal((n, 3))
+        _, b = _draw_cross(rng, 200, 2, 3)
+        base = q2 @ q2.T - random_spd(rng, n)
+        c, d = np.zeros((n, 200)), q2 @ b
+        assert _worst_sample(base, heads, c, d) == dense_worst(base, heads, c, d)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 15])
     def test_near_ties(self, n):
-        mats = near_tie_stack(np.random.default_rng(700 + n), 300, n)
-        assert stack_max_eigenvalue(mats) == unscreened(mats)
+        base, c, d = near_tie_factors(np.random.default_rng(700 + n), n, 300)
+        heads = np.empty((0, n, n))
+        assert _worst_sample(base, heads, c, d) == dense_worst(base, heads, c, d)
 
     @pytest.mark.parametrize("position", [0, 97, 199])
     def test_maximum_outside_the_ranked_candidates(self, position):
-        # decoys have unit diagonals and largest eigenvalues near 1; the
-        # maximum has a zero diagonal, so it ranks last on both lower bounds
+        # decoys are I + 2 c c', with every diagonal entry above one; the
+        # maximum I + 2 (e1 e2' + e2 e1') has a unit diagonal, so it ranks
+        # last on both lower bounds
         rng = np.random.default_rng(800 + position)
         n = 4
-        mats = np.eye(n) + 0.01 * symmetric_stack(rng, 200, n)
-        hidden = np.zeros((n, n))
-        hidden[0, 1] = hidden[1, 0] = 2.0
-        mats[position] = hidden
-        diag = np.einsum("sii->si", mats)
+        c = 0.1 * rng.standard_normal((n, 200))
+        d = c.copy()
+        c[:, position], d[:, position] = 2.0 * np.eye(n)[0], np.eye(n)[1]
+        base = np.eye(n)
+        diag = (np.diagonal(base)[:, None] + 2.0 * c * d).T
         others = np.delete(np.arange(200), position)
         assert diag[position].max() < diag[others].max(axis=1).min()
         assert diag[position].sum() < diag[others].sum(axis=1).min()
-        assert stack_max_eigenvalue(mats) == unscreened(mats) == np.linalg.eigvalsh(hidden)[-1]
+        heads = base[None]
+        hidden = _sample_stack(base, c[:, [position]], d[:, [position]])[0]
+        value = _worst_sample(base, heads, c, d)
+        assert value == dense_worst(base, heads, c, d) == np.linalg.eigvalsh(hidden)[-1]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20])
     def test_screen_keeps_every_sample_reaching_the_threshold(self, n):
         # thresholds at the samples' own eigvalsh values: a sample at or
-        # above c is never dropped, one clearly below it always is
+        # above the threshold is never dropped; one clearly below it always
+        # is once the threshold clears base's largest eigenvalue
         rng = np.random.default_rng(900 + n)
-        for mats in (symmetric_stack(rng, 400, n), near_tie_stack(rng, 400, n)):
-            tops = np.linalg.eigvalsh(mats)[:, -1]
-            scale = np.abs(tops).max() + n * np.abs(mats).max()
-            for c in np.sort(tops)[::-37]:
-                flagged = _screen(mats, c)
-                assert flagged[tops >= c].all()
-                assert not flagged[tops < c - 1e-9 * scale].any()
+        for downdates in (False, True):
+            for base, c, d, g in (random_factors(rng, n, 400, downdates),
+                                  (*near_tie_factors(rng, n, 400), [])):
+                tops = np.linalg.eigvalsh(_sample_stack(base, c, d, g))[:, -1]
+                scale = np.abs(tops).max() + n * np.abs(base).max()
+                top_base = np.linalg.eigvalsh(base)[-1]
+                for level in np.sort(tops)[::-37]:
+                    keep = _undecided(base, level, c, d, g)
+                    assert keep[tops >= level].all()
+                    if level > top_base + 0.05 * scale:
+                        assert not keep[tops < level - 1e-9 * scale].any()
+
+    def test_nan_or_infinite_test_value_keeps_its_sample(self):
+        cc = np.array([1e-2, np.nan, np.inf, 1e-2, 1e-2, 1e-2])
+        dd = np.array([1e-2, 1e-2, 1e-2, 1e-2, np.nan, 1e-2])
+        cd = np.array([0.0, 0.0, 0.0, -np.inf, 0.0, np.inf])
+        h = 2.0 * np.sqrt(cc) * np.sqrt(dd)
+        assert verifier._proved_below(cc, dd, cd, h, 3).tolist() == [True] + [False] * 5
 
 
-def tied_stack(rng, mats, counts) -> np.ndarray:
-    """Each of ``mats`` repeated ``counts`` times, in random order."""
-    stack = np.repeat(mats, counts, axis=0)
-    return stack[rng.permutation(len(stack))]
+def tied_factors(rng, factors, counts):
+    """The columns of each ``(c, d)`` pair repeated ``counts`` times, in random order."""
+    c = np.repeat(np.concatenate([f[0] for f in factors], axis=1), counts, axis=1)
+    d = np.repeat(np.concatenate([f[1] for f in factors], axis=1), counts, axis=1)
+    order = rng.permutation(c.shape[1])
+    return c[:, order], d[:, order]
 
 
 @pytest.fixture
 def kernel_batches(monkeypatch):
-    """Sizes of the batches that ``stack_max_eigenvalue`` hands to ``eigvalsh``."""
+    """Sizes of the batches that ``_worst_sample`` hands to ``eigvalsh``."""
     sizes, inside = [], []
-    eigvalsh, kernel = np.linalg.eigvalsh, verifier.stack_max_eigenvalue
+    eigvalsh, kernel = np.linalg.eigvalsh, verifier._worst_sample
 
     def counted(a, *args, **kwargs):
         if inside:
             sizes.append(len(a))
         return eigvalsh(a, *args, **kwargs)
 
-    def traced(mats):
+    def traced(*args):
         inside.append(True)
         try:
-            return kernel(mats)
+            return kernel(*args)
         finally:
             inside.clear()
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    monkeypatch.setattr(verifier, "stack_max_eigenvalue", traced)
+    monkeypatch.setattr(verifier, "_worst_sample", traced)
     return sizes
 
 
@@ -969,33 +1040,37 @@ class TestTiedStacks:
     def test_bitwise_equal_to_unscreened(self, n):
         rng = np.random.default_rng(1000 + n)
         counts = [200, 300, 250]
-        decoys = np.eye(n) + 0.01 * symmetric_stack(rng, 2, n)
-        hidden = np.zeros((1, n, n))
-        if n > 1:  # ranks last on both diagonal bounds, largest eigenvalue 2
-            hidden[0, 0, 1] = hidden[0, 1, 0] = 2.0
-        for mats in (symmetric_stack(rng, 3, n), near_tie_stack(rng, 3, n),
-                     np.concatenate([decoys, hidden])):
-            stack = tied_stack(rng, mats, counts)
-            assert stack_max_eigenvalue(stack) == unscreened(stack)
+        base, c, d, _ = random_factors(rng, n, 3, False)
+        heads = base[None]
+        tie_base, tie_c, tie_d = near_tie_factors(rng, n, 3)
+        for b, factors in ((base, (c, d)), (tie_base, (tie_c, tie_d))):
+            cs, ds = tied_factors(rng, [factors], counts)
+            assert _worst_sample(b, heads, cs, ds) == dense_worst(b, heads, cs, ds)
+        # a hidden maximum, last on both diagonal bounds, among two decoys
+        decoys = 0.1 * rng.standard_normal((n, 2))
+        hidden_c = 2.0 * np.eye(n)[:, :1]
+        hidden_d = np.eye(n)[:, 1:2] if n > 1 else np.zeros((1, 1))
+        cs, ds = tied_factors(rng, [(decoys, decoys), (hidden_c, hidden_d)], counts)
+        base = np.eye(n)
+        assert _worst_sample(base, heads, cs, ds) == dense_worst(base, heads, cs, ds)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_decomposes_candidates_and_distinct_survivors(self, n, kernel_batches):
         rng = np.random.default_rng(1100 + n)
-        shifts = np.array([0.0, 5.0, 10.0])[:, None, None] * np.eye(n)
-        mats = 0.1 * symmetric_stack(rng, 3, n) + shifts
-        # two distinct near-copies of the winner, a relative 1e-13 and 2e-13
-        # lower on the diagonal, rank below it and may survive the screen
-        nudged = np.repeat(mats[2:], 2, axis=0)
-        diag = np.einsum("sii->si", nudged)
-        diag -= np.array([[1e-13], [2e-13]]) * np.abs(diag)
-        stack = tied_stack(rng, np.concatenate([mats, nudged]), [300, 300, 300, 1, 1])
-        assert verifier.stack_max_eigenvalue(stack) == unscreened(stack)
+        base = 0.1 * symmetric_stack(rng, 1, n)[0]
+        heads = base[None]
+        u = np.eye(n)[:, :1]
+        # shifts 0, 5 and 10 along e1; two distinct near-copies of the
+        # winner, a relative 1e-13 and 2e-13 lower, may survive the screen
+        shift = np.sqrt(np.array([0.0, 2.5, 5.0, 5.0 * (1 - 1e-13), 5.0 * (1 - 2e-13)]))
+        c, d = tied_factors(rng, [(u * shift, u * shift)], [300, 300, 300, 1, 1])
+        assert verifier._worst_sample(base, heads, c, d) == dense_worst(base, heads, c, d)
         first, *rest = kernel_batches
-        assert first <= 2 * SCREEN_CANDIDATES and sum(rest) <= 2
+        assert first <= 1 + 2 * SCREEN_CANDIDATES and sum(rest) <= 2
         kernel_batches.clear()
-        stack = np.repeat(mats[:1], 500, axis=0)
-        assert verifier.stack_max_eigenvalue(stack) == unscreened(stack)
-        assert sum(kernel_batches) <= 2 * SCREEN_CANDIDATES
+        c, d = np.repeat(c[:, :1], 500, axis=1), np.repeat(d[:, :1], 500, axis=1)
+        assert verifier._worst_sample(base, heads, c, d) == dense_worst(base, heads, c, d)
+        assert sum(kernel_batches) <= 1 + 2 * SCREEN_CANDIDATES
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_endpoint_adversarial_search_decomposes_the_candidates(self, n, kernel_batches):
@@ -1004,7 +1079,97 @@ class TestTiedStacks:
         result = solve_ci(problem, Cost.DET)
         assert result.alpha == 1.0 and not result.K2.any()
         adversarial_x_search(result, problem, samples=1000, seed=n)
-        assert sum(kernel_batches) <= 2 * SCREEN_CANDIDATES
+        assert sum(kernel_batches) <= 3 + 2 * SCREEN_CANDIDATES
+
+
+class TestDenseOracle:
+    """Both samplers against the unscreened kernel, n = 1..8."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_samplers_match_the_dense_oracle(self, n, kernel_calls):
+        # solved, shrunk, truth and endpoint results, and a square pair
+        # (p1 + p2 = n at the CI weight), where every adversarial sample
+        # ties with the others up to rounding
+        cases = sampled_cases(n)
+        if n > 1:
+            square = random_problem(np.random.default_rng(1400 + n), n, n // 2, n - n // 2)
+            cases.append((solve_ci(square, Cost.DET), square))
+        for seed, (result, problem) in enumerate(cases):
+            sequential(result, problem, 300, seed)
+        assert len(kernel_calls["sample"]) == 2 * len(cases)
+        assert_dense_oracle(kernel_calls)
+
+
+def problem_doc(problem) -> dict:
+    return {"n": problem.n, **{key: {"H": est.h.tolist(), "x_hat": est.x_hat.tolist(),
+                                     "P_hat": est.p_hat.data.tolist()}
+                               for key, est in (("est1", problem.est1), ("est2", problem.est2))}}
+
+
+class TestSquarePair:
+    """p1 + p2 = n at an interior CI weight: every adversarial sample is at zero violation.
+
+    With ``Q = [Q1 Q2]`` square and invertible, ``base = -Q diag((1-a)/a I, a/(1-a) I) Q'``
+    and each rank-one draw adds a term that makes the middle block singular
+    and negative semidefinite, so its largest eigenvalue is zero for every
+    unit ``a``, ``b``: the screen cannot drop any, and the adversarial
+    search decomposes every sample.
+    """
+
+    def cases(self):
+        # the paper's Example 1: H1 = [1, 0], H2 = [0, 1], unit covariances
+        yield interior_problem()
+        yield random_problem(np.random.default_rng(2023), 6, 3, 3)
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_every_adversarial_sample_sits_at_zero(self, case, kernel_calls, tmp_path, capsys):
+        problem = list(self.cases())[case]
+        result = solve_ci(problem, Cost.DET)
+        assert 0.0 < result.alpha < 1.0 and problem.p1 + problem.p2 == problem.n
+        band = 1e-13 * np.linalg.norm(result.P_hat.data, 2)
+        worst_x, worst_mc = sequential(result, problem, 1000, case)
+        adv, _ = kernel_calls["violation"]
+        q1, q2, p_hat, _, _, a, b, _ = adv
+        tops = np.linalg.eigvalsh(dense_samples(q1, q2, p_hat, a, b))[:, -1]
+        assert np.abs(tops).max() <= band
+        assert abs(worst_x) <= band
+        # Monte Carlo's joints lie below the adversarial ones: at most zero
+        assert -1e-5 * np.linalg.norm(result.P_hat.data, 2) <= worst_mc <= band
+        (_, keep), _ = kernel_calls["undecided"]
+        assert keep.all()
+        assert_dense_oracle(kernel_calls)
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(problem_doc(problem)))
+        assert cli.main(["verify", str(path), "--samples", "1000", "--seed", str(case)]) == 0
+        assert capsys.readouterr().out.endswith("verdict: all certificates pass\n")
+
+
+class TestExtremeScales:
+    """A CI result and its problem in state units that scale ``P_hat`` by 1e+-150.
+
+    ``H_i -> t H_i`` maps a result to ``K_i / t`` and ``P_hat / t^2`` (the
+    prior covariances cannot carry the scale: below unit magnitude their
+    strictness test is absolute, ROADMAP item 3).
+    """
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_samplers_match_the_dense_oracle(self, scale, kernel_calls):
+        rng = np.random.default_rng(1500)
+        t = scale ** -0.5
+        for _ in range(4):
+            problem = random_problem(rng, 5)
+            result = solve_ci(problem, Cost.DET)
+            scaled = FusionProblem(*(PartialEstimate(t * est.h, est.x_hat, est.p_hat)
+                                     for est in (problem.est1, problem.est2)))
+            for shrink in (1.0, 0.9):
+                scaled_result = FusionResult(
+                    alpha=result.alpha, K1=result.K1 / t, K2=result.K2 / t,
+                    P_hat=psd_certify(shrink * scale * result.P_hat.data),
+                    fused_x=result.fused_x / t)
+                # pytest turns any RuntimeWarning into an error here
+                sequential(scaled_result, scaled, 300, 7)
+        assert_dense_oracle(kernel_calls)
+        assert all(np.isfinite(value) for _, value in kernel_calls["sample"])
 
 
 class TestCertificateEquivalence:
