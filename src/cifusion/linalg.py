@@ -45,7 +45,7 @@ def tol_scale(magnitude: float) -> float:
 
 
 def _square(entries) -> np.ndarray:
-    a = np.array(entries, dtype=float)
+    a = np.asarray(entries, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -177,14 +177,16 @@ def psd_certify(a) -> PsdMatrix:
     """Certify PSD membership, or raise :class:`NotPsdError`.
 
     Accepts a minimum eigenvalue down to ``-bound`` where
-    ``bound = DEFAULT_TOL * tol_scale(|lambda|_max)``; the ``strict`` flag
-    marks matrices with the minimum eigenvalue above ``+bound`` (positive
-    definite).
+    ``bound = DEFAULT_TOL * tol_scale(|lambda|_max)``, ``|lambda|_max`` read
+    off the ends of the spectrum; the ``strict`` flag marks matrices with
+    the minimum eigenvalue above ``+bound`` (positive definite).  A
+    :class:`SymMatrix`, or a :class:`PsdMatrix`'s base, is used as it is;
+    any other input is symmetrised once, to ``0.5 * (a + a.T)``.
     """
-    sym = a if isinstance(a, SymMatrix) else SymMatrix(sym_data(a))
+    sym = a if isinstance(a, SymMatrix) else a.base if isinstance(a, PsdMatrix) else SymMatrix(a)
     eigs = np.linalg.eigvalsh(sym.data)
-    bound = DEFAULT_TOL * tol_scale(float(np.abs(eigs).max()))
     min_eig = float(eigs[0])
+    bound = DEFAULT_TOL * tol_scale(max(-min_eig, float(eigs[-1])))
     if min_eig < -bound:
         raise NotPsdError(min_eig)
     return PsdMatrix(sym, min_eig, strict=min_eig > bound)
@@ -233,10 +235,8 @@ def pinv_sym(a) -> np.ndarray:
 
 def _pinv_eigs(w: np.ndarray) -> np.ndarray:
     """Pseudo-inverted eigenvalues: ``1 / w``, or 0 below ``PINV_RTOL * |w|_max``."""
-    keep = np.abs(w) > PINV_RTOL * np.abs(w).max()
-    winv = np.zeros_like(w)
-    winv[keep] = 1.0 / w[keep]
-    return winv
+    w_abs = np.abs(w)
+    return np.divide(1.0, w, out=np.zeros_like(w), where=w_abs > PINV_RTOL * w_abs.max())
 
 
 def _det2(m) -> float:
@@ -302,11 +302,6 @@ def _decided(margin: float, band: float) -> bool:
     return abs(margin) > 10.0 * band
 
 
-def _cert_band(values) -> float:
-    """Tolerance band of a certificate verdict on these eigenvalues or entries."""
-    return DEFAULT_CERT_TOL * tol_scale(float(np.abs(values).max()))
-
-
 def block_psd_check(q, s, r) -> bool:
     """Whether the block matrix ``[Q S; S.T R]`` is PSD.
 
@@ -323,67 +318,63 @@ def block_psd_check(q, s, r) -> bool:
     """
     qd = sym_data(q)
     w, v = np.linalg.eigh(sym_data(r))
-    return _block_psd_margin(qd, _coupling(s, qd, w) @ v, w)[0]
-
-
-def _coupling(s, qd: np.ndarray, r_eigs: np.ndarray) -> np.ndarray:
-    """The off-diagonal block ``S`` as a 2-D array, checked against ``Q`` and ``R``."""
     sd = np.atleast_2d(np.asarray(s, dtype=float))
-    if sd.shape != (qd.shape[0], r_eigs.shape[0]):
-        raise DimensionMismatchError(
-            f"S has shape {sd.shape}, expected {(qd.shape[0], r_eigs.shape[0])}"
-        )
-    return sd
+    if sd.shape != (qd.shape[0], w.shape[0]):
+        raise DimensionMismatchError(f"S has shape {sd.shape}, expected {(len(qd), len(w))}")
+    return _block_psd_margin(qd, sd @ v, w)[0]
 
 
-def _block_psd_margin(q, s, r_eigs) -> tuple[bool, float]:
+def _block_psd_margin(q: np.ndarray, s: np.ndarray, r_eigs: np.ndarray) -> tuple[bool, float]:
     """:func:`block_psd_check` on ``[Q S; S.T diag(r_eigs)]``, and its smallest eigenvalue.
 
-    With R diagonal, ``R^+`` is the diagonal of :func:`_pinv_eigs`, so the
-    Schur route needs one ``eigvalsh`` (of ``Q - (S r^+) S.T``) besides the
-    one of the assembled block, which gives the returned eigenvalue.
+    ``q`` (symmetric) and ``s`` are float arrays of matching shapes, used as
+    given.  With R diagonal, ``R^+`` is the diagonal of :func:`_pinv_eigs`,
+    so the Schur route needs one ``eigvalsh`` (of ``Q - (S r^+) S.T``)
+    besides the one of the assembled block, which gives the returned
+    eigenvalue.  Each band scales with the largest magnitude it judges, for
+    R and the two ascending spectra ``max(-min, max)``.
     """
-    qd = sym_data(q)
-    r_eigs = np.asarray(r_eigs, dtype=float)
-    sd = _coupling(s, qd, r_eigs)
-    nq, nr = qd.shape[0], r_eigs.shape[0]
-    block = np.zeros((nq + nr, nq + nr))
-    block[:nq, :nq] = qd
-    block[:nq, nq:] = sd
-    block[nq:, :nq] = sd.T
-    np.fill_diagonal(block[nq:, nq:], r_eigs)
+    nq = q.shape[0]
+    size = nq + r_eigs.shape[0]
+    block = np.zeros((size, size))
+    block[:nq, :nq] = q
+    block[:nq, nq:] = s
+    block[nq:, :nq] = s.T
+    block.reshape(-1)[nq * (size + 1)::size + 1] = r_eigs  # the diagonal from (nq, nq) on
 
     eigs = np.linalg.eigvalsh(block)
-    band = _cert_band(eigs)
-    direct = bool(eigs[0] >= -band)
+    lowest = float(eigs[0])
+    band = DEFAULT_CERT_TOL * tol_scale(max(-lowest, float(eigs[-1])))
+    direct = lowest >= -band
 
     r_min = float(r_eigs.min())
-    r_band = _cert_band(r_eigs)
+    r_band = DEFAULT_CERT_TOL * tol_scale(max(-r_min, float(r_eigs.max())))
     r_ok = r_min >= -r_band
     r_pinv = _pinv_eigs(r_eigs)
-    schur = qd - (sd * r_pinv) @ sd.T
+    schur = q - (s * r_pinv) @ s.T
     s_eigs = np.linalg.eigvalsh(0.5 * (schur + schur.T))
-    s_band = _cert_band(s_eigs)
-    schur_ok = bool(s_eigs[0] >= -s_band)
-    resid = float(np.abs(sd * (1.0 - r_eigs * r_pinv)).max())
-    resid_band = _cert_band(sd)
+    s_min = float(s_eigs[0])
+    s_band = DEFAULT_CERT_TOL * tol_scale(max(-s_min, float(s_eigs[-1])))
+    schur_ok = s_min >= -s_band
+    resid = float(np.abs(s * (1.0 - r_eigs * r_pinv)).max())
+    resid_band = DEFAULT_CERT_TOL * tol_scale(float(np.abs(s).max()))
     resid_ok = resid <= resid_band
     schur_route = r_ok and schur_ok and resid_ok
 
     if direct == schur_route:
-        return direct, float(eigs[0])
-    clearly = _decided(eigs[0], band) and (
+        return direct, lowest
+    clearly = _decided(lowest, band) and (
         (not r_ok and _decided(r_min, r_band))
-        or (not schur_ok and _decided(s_eigs[0], s_band))
+        or (not schur_ok and _decided(s_min, s_band))
         or (not resid_ok and _decided(resid, resid_band))
         or schur_route
     )
     if clearly:
         raise InternalInconsistencyError(
             "block PSD criteria disagree: "
-            f"direct min eig {eigs[0]:.3g}, Schur route {'PSD' if schur_route else 'not PSD'}"
+            f"direct min eig {lowest:.3g}, Schur route {'PSD' if schur_route else 'not PSD'}"
         )
-    return direct, float(eigs[0])
+    return direct, lowest
 
 
 def _tangent_floor(lo_tangent, hi_tangent, lo: float, hi: float) -> tuple[float, float]:

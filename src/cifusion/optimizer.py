@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,7 +116,7 @@ def delta_value(pair: SigmaPair, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class FusionResult:
-    """Weights, fused covariance and diagnostics of one fusion."""
+    """Weights, fused covariance and diagnostics of one fusion; a solve builds one."""
 
     alpha: float
     K1: np.ndarray
@@ -124,13 +125,6 @@ class FusionResult:
     fused_x: np.ndarray
     cost_value: float | None = None
     diagnostics: dict = field(default_factory=dict)
-
-    def with_cost(self, cost_value: float, **extra_diagnostics) -> "FusionResult":
-        diag = dict(self.diagnostics)
-        diag.update(extra_diagnostics)
-        return FusionResult(
-            self.alpha, self.K1, self.K2, self.P_hat, self.fused_x, cost_value, diag
-        )
 
 
 @dataclass(frozen=True)
@@ -146,10 +140,10 @@ class JointSpectrum:
     ``sum(c / (1 + t lam))`` with ``c`` the squared column norms of ``W``
     (:meth:`cost`); ``log det S`` is twice the sum of the logs of
     ``diag(L)``.  ``lam`` lies in [-2, 2]; its sign pattern is the Loewner
-    relation of the pair, and a ``lam`` of +2 (-2) makes the blend at
-    ``alpha = 0`` (``alpha = 1``) singular.  Building it takes three
-    spectral calls (``cholesky``, ``inv``, ``eigh``); nothing after that
-    does.
+    relation of the pair (:attr:`relation`, classified once), and a ``lam``
+    of +2 (-2) makes the blend at ``alpha = 0`` (``alpha = 1``) singular.
+    Building it takes three spectral calls (``cholesky``, ``inv``,
+    ``eigh``); nothing after that does.
     """
 
     lam: np.ndarray
@@ -159,7 +153,15 @@ class JointSpectrum:
 
     @classmethod
     def of(cls, pair: SigmaPair) -> "JointSpectrum":
-        s1, s0 = pair.sigma1.data, pair.sigma0.data
+        return cls._of_matrices(pair.sigma1.data, pair.sigma0.data)
+
+    @classmethod
+    def from_problem(cls, problem: FusionProblem) -> "JointSpectrum":
+        """:meth:`of` on the problem's cached arrays, exactly symmetric, so read uncopied."""
+        return cls._of_matrices(problem.sigma1, problem.sigma0)
+
+    @classmethod
+    def _of_matrices(cls, s1: np.ndarray, s0: np.ndarray) -> "JointSpectrum":
         try:
             chol = np.linalg.cholesky(0.5 * (s1 + s0))
         except np.linalg.LinAlgError as exc:
@@ -170,7 +172,7 @@ class JointSpectrum:
         # rounding can push |lam| just past 2, where 1 + t lam would
         # change sign inside the interval
         return cls(
-            np.clip(lam, -2.0, 2.0),
+            np.minimum(np.maximum(lam, -2.0), 2.0),
             np.einsum("ij,ij->j", w, w),
             w,
             2.0 * float(np.log(np.diagonal(chol)).sum()),
@@ -197,6 +199,7 @@ class JointSpectrum:
                 return math.inf
         return float((self.c / mu).sum())
 
+    @cached_property
     def relation(self) -> LoewnerRelation:
         """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them."""
         tol = DEFAULT_TOL
@@ -267,7 +270,8 @@ def _optimal_weight(spectrum: JointSpectrum, slope) -> tuple[float, str]:
 
 
 def ku_rule(
-    problem: FusionProblem, alpha: float, *, spectrum: JointSpectrum | None = None
+    problem: FusionProblem, alpha: float, *, spectrum: JointSpectrum | None = None,
+    cost: Cost | None = None,
 ) -> FusionResult:
     """Apply the fusion family member with the given weight.
 
@@ -278,13 +282,13 @@ def ku_rule(
     singularity test and ``P_hat`` all come from the joint spectrum of the
     pair; the solvers pass the ``spectrum`` they searched on, and without
     one it is built here.  ``P_hat`` is PSD-certified and must be strictly
-    PD.
+    PD.  Given a ``cost``, the result carries its value from the spectrum.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
     if spectrum is None:
-        spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
-    rel = spectrum.relation()
+        spectrum = JointSpectrum.from_problem(problem)
+    rel = spectrum.relation
     if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
         raise InvalidFamilyParameterError(
             alpha, "second information matrix strictly dominates; alpha must be 0"
@@ -318,6 +322,7 @@ def ku_rule(
         K2=k2,
         P_hat=p_hat,
         fused_x=fused_x,
+        cost_value=None if cost is None else spectrum.cost(cost, t),
         diagnostics={
             "corner_case": corner,
             "unbias_residual": float(np.abs(unbias).max()),
@@ -326,14 +331,15 @@ def ku_rule(
 
 
 def _optimal_member(problem: FusionProblem, cost: Cost) -> FusionResult:
-    spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
-    if spectrum.relation() is LoewnerRelation.EQUAL:
+    spectrum = JointSpectrum.from_problem(problem)
+    if spectrum.relation is LoewnerRelation.EQUAL:
         alpha, branch = 0.5, "equal"
     else:
         slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
         alpha, branch = _optimal_weight(spectrum, slope)
-    result = ku_rule(problem, alpha, spectrum=spectrum)
-    return result.with_cost(spectrum.cost(cost, alpha - 0.5), branch=branch, cost=cost.value)
+    result = ku_rule(problem, alpha, spectrum=spectrum, cost=cost)
+    result.diagnostics.update(branch=branch, cost=cost.value)
+    return result
 
 
 def solve_ci_det(problem: FusionProblem) -> FusionResult:
@@ -362,9 +368,8 @@ def solve_ci_trace(problem: FusionProblem) -> FusionResult:
     r1 = math.sqrt(max(0.0, Cost.TRACE.of(result.K1 @ problem.est1.p_hat.data @ result.K1.T)))
     r2 = math.sqrt(max(0.0, Cost.TRACE.of(result.K2 @ problem.est2.p_hat.data @ result.K2.T)))
     residual = abs(result.alpha - r1 / (r1 + r2)) if r1 + r2 > 0.0 else math.nan
-    return result.with_cost(
-        result.cost_value, fixed_point_residual=residual, gain_norms=(r1, r2)
-    )
+    result.diagnostics.update(fixed_point_residual=residual, gain_norms=(r1, r2))
+    return result
 
 
 def solve_ci(problem: FusionProblem, cost: Cost) -> FusionResult:

@@ -28,9 +28,8 @@ those downdates, and the draws are kept as ``n x samples`` factor arrays.
 Cholesky factorisation and a closed-form test per sample
 (:func:`_undecided`), and forms and decomposes only the few it cannot
 drop, with a value bit for bit that of ``eigvalsh`` over all of them.
-Each sampler is
-a pure function of its arguments with its own generator, and runs on the
-calling thread.  A found violation is conclusive; absence of violations is
+Each sampler is a pure function of its arguments and runs on the calling
+thread.  A found violation is conclusive; absence of violations is
 reported as "no violation found" for the sampled budget, while the block
 certificate carries the actual proof.
 """
@@ -108,8 +107,9 @@ def lmi_certificate(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
     q1, q2 = q_pair(result, problem)
-    r_eigs = np.repeat([alpha, 1.0 - alpha], [q1.shape[1], q2.shape[1]])
-    passed, min_eig = _block_psd_margin(result.P_hat, np.hstack([q1, q2]), r_eigs)
+    r_eigs = np.full(q1.shape[1] + q2.shape[1], 1.0 - alpha)
+    r_eigs[: q1.shape[1]] = alpha
+    passed, min_eig = _block_psd_margin(result.P_hat.data, np.concatenate((q1, q2), axis=1), r_eigs)
     tau = 1.0 / alpha - 1.0 if 0.0 < alpha < 1.0 else None
     return ConservativenessCertificate(
         alpha=float(alpha), tau=tau, lmi_min_eig=min_eig, method=Method.LMI, passed=passed
@@ -154,7 +154,7 @@ def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     """Whether :func:`lmi_feasible_interval` is nonempty and at most twice its first-order width.
 
     ``None`` when the information matrices coincide, as any weight is then
-    feasible; the solver's :meth:`JointSpectrum.relation` decides that, so
+    feasible; the solver's ``JointSpectrum.relation`` decides that, so
     the two classify a pair alike at every scale.  A CI family member's
     Schur complement M vanishes at its own weight, so to first order
     ``lambda_max(M) <= tol`` on a width
@@ -162,9 +162,9 @@ def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     a part counts only if its eigenvalue has that sign and the weight can
     move that way.  ``False`` when M is infinite at that weight.
     """
-    from .optimizer import JointSpectrum, SigmaPair  # the optimizer imports this module
+    from .optimizer import JointSpectrum  # the optimizer imports this module
 
-    if JointSpectrum.of(SigmaPair.from_problem(problem)).relation() is LoewnerRelation.EQUAL:
+    if JointSpectrum.from_problem(problem).relation is LoewnerRelation.EQUAL:
         return None
     m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
     tol = certificate_tolerance(result)
@@ -504,11 +504,14 @@ def monte_carlo_joint(
     ``P_i``, with factor ``F_i = L_i W_i``,
     ``W_i = I - (1 - sqrt(e_i)) w_i w_i'``.  The joint is
     ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with ``X = r a b'`` rank one.  The
-    stream is read in this order: unit directions ``w1``, ``w2`` from
-    :func:`_draw_cross`; ``e1``, ``e2`` uniform on ``[0.05, 1)``; unit
-    directions ``a``, ``b`` from :func:`_draw_cross`; a radius ``r``
-    uniform on ``[0, 1 - 1e-12)``, folded into ``a``.  As ``e_i >= 0.05``
-    and ``|X| = r (1 + O(eps)) < 1``, every joint is positive definite.
+    generator is seeded from ``SeedSequence(seed, spawn_key=(1,))``, a
+    child of the sequence :func:`adversarial_x_search` reads, so the two
+    draw independently at one seed.  The stream is read in this order:
+    unit directions ``w1``, ``w2`` from :func:`_draw_cross`; ``e1``, ``e2``
+    uniform on ``[0.05, 1)``; unit directions ``a``, ``b`` from
+    :func:`_draw_cross`; a radius ``r`` uniform on ``[0, 1 - 1e-12)``,
+    folded into ``a``.  As ``e_i >= 0.05`` and ``|X| = r (1 + O(eps)) < 1``,
+    every joint is positive definite.
     ``K_i F_i = Q_i W_i``, so its fused error less ``P_hat`` is the
     :func:`_worst_violation` sample on ``(Q1, Q2)`` with cross factors
     ``(W1 r a, W2 b)``, less the downdates ``g_i g_i'``,
@@ -526,7 +529,7 @@ def monte_carlo_joint(
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     w1, w2 = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
     shrink = rng.uniform(0.05, 1.0, size=(2, truth_samples))
     a, b = _draw_cross(rng, truth_samples, problem.p1, problem.p2)

@@ -7,15 +7,18 @@ import math
 import numpy as np
 
 from cifusion import FusionProblem, JointCovariance, LoewnerRelation, PartialEstimate
-from cifusion.errors import NotPdError
+from cifusion.errors import DimensionMismatchError, InternalInconsistencyError, NotPdError
 from cifusion.linalg import (
+    DEFAULT_CERT_TOL,
     DEFAULT_TOL,
+    PINV_RTOL,
     PsdMatrix,
     feasible_weight_end,
     first_feasible_weight,
     inv_pd,
     loewner_compare,
     sqrt_psd,
+    sym_data,
     tol_scale,
 )
 from cifusion.optimizer import Cost, SigmaPair, delta_value
@@ -185,19 +188,30 @@ def rank_one_draws(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.nd
     return a, b
 
 
+def monte_carlo_rng(seed: int) -> np.random.Generator:
+    """The generator ``verifier.monte_carlo_joint`` reads for ``seed``.
+
+    It is seeded from the second child of ``SeedSequence(seed)``, spawn key
+    ``(1,)``, so its stream is independent of ``default_rng(seed)``, which
+    the adversarial search reads.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+
+
 def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
     """The random joints ``verifier.monte_carlo_joint`` draws for ``seed``.
 
-    Drawn here from the raw stream in the sampler's order: unit Gaussian
-    shrink directions ``w1`` then ``w2`` (:func:`rank_one_draws`), shrink
-    factors ``e1`` then ``e2`` uniform on ``[0.05, 1)``, then rank-one cross
-    parameters ``r a b'``: unit Gaussian directions ``a`` then ``b``, then
-    radii ``r`` uniform on ``[0, 1 - 1e-12)``.  Returns the factors
+    Drawn here from the stream of :func:`monte_carlo_rng` in the sampler's
+    order: unit Gaussian shrink directions ``w1`` then ``w2``
+    (:func:`rank_one_draws`), shrink factors ``e1`` then ``e2`` uniform on
+    ``[0.05, 1)``, then rank-one cross parameters ``r a b'``: unit Gaussian
+    directions ``a`` then ``b``, then radii ``r`` uniform on
+    ``[0, 1 - 1e-12)``.  Returns the factors
     ``F_i = L_i (I - (1 - sqrt(e_i)) w_i w_i')``, ``L_i`` the Cholesky
     factor of ``P_i``, the cross factors ``r a`` and ``b``, and the shrunken
     blocks ``L_i (I - (1 - e_i) w_i w_i') L_i'``, all sample-first.
     """
-    rng = np.random.default_rng(seed)
+    rng = monte_carlo_rng(seed)
     w1, w2 = rank_one_draws(rng, count, problem.p1, problem.p2)
     e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
     factors, blocks = [], []
@@ -496,3 +510,60 @@ def reallocating_fusion_oracle(joint, dims, a, b, k1, k2):
     new[:, lo : lo + d] = rows.T
     dims[a] = d
     return new, dims
+
+
+def block_psd_margin_reference(q, s, r_eigs) -> tuple[bool, float]:
+    """``(verdict, smallest eigenvalue)`` of ``[Q S; S.T diag(r_eigs)]``, as first written.
+
+    The form ``linalg._block_psd_margin`` had before it took its arrays as
+    given and its bands from the ends of the sorted spectra, kept as its
+    oracle: it symmetrises ``Q``, checks the shape of ``S``, takes every
+    band as ``DEFAULT_CERT_TOL * tol_scale(max |values|)`` and masks the
+    pseudo-inverse.  A disagreement of the direct and the Schur route with
+    both margins clearly outside their bands raises
+    :class:`InternalInconsistencyError`.
+    """
+    qd = sym_data(q)
+    r_eigs = np.asarray(r_eigs, dtype=float)
+    sd = np.atleast_2d(np.asarray(s, dtype=float))
+    if sd.shape != (qd.shape[0], r_eigs.shape[0]):
+        raise DimensionMismatchError(f"S has shape {sd.shape}")
+
+    def band_of(values) -> float:
+        return DEFAULT_CERT_TOL * tol_scale(float(np.abs(values).max()))
+
+    def decided(margin, band) -> bool:
+        return abs(margin) > 10.0 * band
+
+    nq, nr = qd.shape[0], r_eigs.shape[0]
+    block = np.zeros((nq + nr, nq + nr))
+    block[:nq, :nq] = qd
+    block[:nq, nq:] = sd
+    block[nq:, :nq] = sd.T
+    np.fill_diagonal(block[nq:, nq:], r_eigs)
+    eigs = np.linalg.eigvalsh(block)
+    band = band_of(eigs)
+    direct = bool(eigs[0] >= -band)
+
+    r_min = float(r_eigs.min())
+    r_band = band_of(r_eigs)
+    r_ok = r_min >= -r_band
+    keep = np.abs(r_eigs) > PINV_RTOL * np.abs(r_eigs).max()
+    r_pinv = np.zeros_like(r_eigs)
+    r_pinv[keep] = 1.0 / r_eigs[keep]
+    schur = qd - (sd * r_pinv) @ sd.T
+    s_eigs = np.linalg.eigvalsh(0.5 * (schur + schur.T))
+    s_band = band_of(s_eigs)
+    schur_ok = bool(s_eigs[0] >= -s_band)
+    resid = float(np.abs(sd * (1.0 - r_eigs * r_pinv)).max())
+    resid_band = band_of(sd)
+    resid_ok = resid <= resid_band
+    schur_route = r_ok and schur_ok and resid_ok
+    if direct != schur_route and decided(eigs[0], band) and (
+        (not r_ok and decided(r_min, r_band))
+        or (not schur_ok and decided(s_eigs[0], s_band))
+        or (not resid_ok and decided(resid, resid_band))
+        or schur_route
+    ):
+        raise InternalInconsistencyError("block PSD criteria disagree")
+    return direct, float(eigs[0])

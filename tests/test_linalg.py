@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cifusion.errors import DimensionMismatchError, NotPdError, NotPsdError
+from cifusion.errors import (
+    DimensionMismatchError,
+    InternalInconsistencyError,
+    NotPdError,
+    NotPsdError,
+)
 from cifusion.linalg import (
+    DEFAULT_TOL,
     PETERSEN_WIDTH,
     PINV_RTOL,
     LoewnerRelation,
@@ -22,8 +28,10 @@ from cifusion.linalg import (
     sqrt_psd,
 )
 from cifusion.known_cross import JointCovariance
+from cifusion.optimizer import Cost, solve_ci
+from cifusion.verifier import q_pair
 
-from conftest import random_joint, random_spd
+from conftest import block_psd_margin_reference, random_joint, random_problem, random_spd
 
 
 class TestSymMatrix:
@@ -100,6 +108,46 @@ class TestPsdCertify:
         with pytest.raises(NotPsdError) as err:
             psd_certify(np.diag([1.0, -0.5]))
         assert err.value.min_eig == pytest.approx(-0.5)
+
+    def test_symmetrises_an_array_once(self):
+        # an input asymmetric within rounding is averaged with its transpose
+        # once: symmetrising the average again would give the same bits,
+        # so the data must be exactly 0.5 * (a + a.T)
+        a = random_spd(np.random.default_rng(11), 4)
+        a[0, 1] = np.nextafter(a[0, 1], np.inf)
+        a[3, 2] *= 1.0 + 4.0 * np.finfo(float).eps
+        assert (a != a.T).any()
+        cert = psd_certify(a)
+        assert cert.data.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert not np.shares_memory(cert.data, a)
+        assert not cert.data.flags.writeable
+
+    def test_symmetric_input_is_used_without_a_copy(self):
+        sym = SymMatrix(random_spd(np.random.default_rng(12), 3))
+        cert = psd_certify(sym)
+        assert cert.base is sym and cert.data is sym.data
+        assert psd_certify(cert).base is sym
+
+    @pytest.mark.parametrize("top", [3e-9, 0.5, 2.0, 1e6])
+    def test_strictness_and_rejection_exactly_at_the_bound(self, top):
+        # bound = DEFAULT_TOL * max(1, |lambda|_max); a smallest eigenvalue
+        # of exactly -bound is accepted and one of exactly +bound is not
+        # strict, the next doubles beyond each are rejected and strict
+        bound = DEFAULT_TOL * max(1.0, top)
+
+        def spectrum(low):
+            m = np.diag([top, low])
+            assert np.linalg.eigvalsh(m).tolist() == [low, top]
+            return m
+
+        on_lower = psd_certify(spectrum(-bound))
+        assert on_lower.min_eig == -bound and not on_lower.strict
+        below = np.nextafter(-bound, -np.inf)
+        with pytest.raises(NotPsdError) as err:
+            psd_certify(spectrum(below))
+        assert err.value.min_eig == below
+        assert not psd_certify(spectrum(bound)).strict
+        assert psd_certify(spectrum(np.nextafter(bound, np.inf))).strict
 
 
 class TestSqrtPsd:
@@ -249,6 +297,93 @@ class TestBlockPsdCheck:
             r_eigs = np.array([1.0, tiny])
             assert _block_psd_margin(q, np.array([[0.5, 0.0]]), r_eigs)[0] is True
             assert _block_psd_margin(q, np.array([[0.5, 1e-3]]), r_eigs)[0] is False
+
+    def test_margin_matches_its_reference_bit_for_bit(self):
+        # random blocks at scales 1e-8 to 1e8, with Q losing the block, R
+        # slightly indefinite or below the pseudo-inverse threshold, zero
+        # coupling, the certificate's blocks at alpha = 0, 1 and the
+        # optimum, and the leaked coupling of a zero R block.  An R
+        # eigenvalue slightly below zero yet above the pseudo-inverse
+        # threshold, with S coupled to it, turns the Schur route's verdict
+        # and raises in both
+        verdicts = set()
+        for q, s, r_eigs in margin_cases():
+            want = margin_outcome(block_psd_margin_reference, q, s, r_eigs)
+            assert margin_outcome(_block_psd_margin, q, s, r_eigs) == want
+            verdicts.add(want if want == "raised" else want[0])
+        assert verdicts == {True, False, "raised"}
+
+    @pytest.mark.parametrize("size, below, expected", [
+        (5, 5.0, "raised"),   # the block's spectrum clearly below zero
+        (5, 1e-7, False),     # past its band (3e-8), inside ten: the direct verdict
+        (2, 5.0, "raised"),   # the Schur complement's clearly below zero
+        (2, 5e-8, True),      # past its band (1e-8), inside ten: the direct verdict
+        (3, 5.0, True),       # neither spectrum moved
+    ])
+    def test_disagreement_raises_where_the_reference_raises(self, monkeypatch, size, below,
+                                                           expected):
+        # the two routes cannot disagree in exact arithmetic on a PSD R, so
+        # an eigvalsh that lowers the spectrum of one size to ``below``
+        # under zero makes them: of the 5 x 5 block or of the 2 x 2 Schur
+        # complement
+        q = np.diag([3.0, 2.0])
+        s = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        r_eigs = np.array([1.0, 1.0, 0.5])
+        real = np.linalg.eigvalsh
+        lowest = {5: real(np.block([[q, s], [s.T, np.diag(r_eigs)]]))[0],
+                  2: real(q - s @ s.T)[0], 3: 0.0}[size]
+        assert lowest >= 0.0
+
+        def lowered(m):
+            eigs = real(m)
+            return eigs - (lowest + below) if m.shape[-1] == size else eigs
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lowered)
+        want = margin_outcome(block_psd_margin_reference, q, s, r_eigs)
+        got = margin_outcome(_block_psd_margin, q, s, r_eigs)
+        assert got == want
+        assert (got if got == "raised" else got[0]) == expected
+
+
+def margin_outcome(fn, q, s, r_eigs):
+    """``fn(q, s, r_eigs)``, or ``"raised"`` if it raised :class:`InternalInconsistencyError`."""
+    try:
+        verdict, min_eig = fn(q, s, r_eigs)
+    except InternalInconsistencyError:
+        return "raised"
+    assert type(verdict) is bool and type(min_eig) is float
+    return verdict, np.float64(min_eig).tobytes()
+
+
+def margin_cases():
+    """``(q, s, r_eigs)`` blocks for the block margin against its reference."""
+    rng = np.random.default_rng(2301)
+    for k in range(400):
+        nq, nr = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        g = rng.standard_normal((nq + nr, nq + nr + 1)) * 10.0 ** rng.uniform(-4.0, 4.0)
+        t = g @ g.T
+        if k % 4 == 1:
+            t[:nq, :nq] -= rng.uniform(0.0, 3.0) * np.abs(t).max() * np.eye(nq)
+        q = 0.5 * (t[:nq, :nq] + t[:nq, :nq].T)
+        r_eigs = np.diagonal(t)[nq:].copy()
+        if k % 4 == 2:
+            r_eigs[0] = -rng.uniform(0.0, 1e-7) * np.abs(t).max()
+        elif k % 4 == 3:
+            r_eigs[0] *= rng.choice([0.0, 0.5 * PINV_RTOL, 2.0 * PINV_RTOL])
+        yield q, t[:nq, nq:].copy(), r_eigs
+        yield q, np.zeros((nq, nr)), r_eigs
+    # the certificate's blocks at the singular ends alpha = 0 and 1
+    for seed in range(30):
+        problem = random_problem(np.random.default_rng(seed))
+        result = solve_ci(problem, Cost.DET if seed % 2 else Cost.TRACE)
+        q1, q2 = q_pair(result, problem)
+        for alpha in (0.0, 1.0, result.alpha):
+            r_eigs = np.array([alpha] * problem.p1 + [1.0 - alpha] * problem.p2)
+            yield result.P_hat.data, np.hstack([q1, q2]), r_eigs
+    # the zero-R block of the LMI at an end, and its leaked coupling
+    q = np.diag([2.0, 1.0])
+    for s in ([[0.0, 0.0, 0.5], [0.0, 0.0, 0.3]], [[1e-3, 0.0, 0.5], [0.0, 0.0, 0.3]]):
+        yield q, np.array(s), np.array([0.0, 0.0, 1.0])
 
 
 def normalized_cross(joint) -> np.ndarray:

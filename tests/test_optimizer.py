@@ -16,6 +16,7 @@ from cifusion.optimizer import (
     Cost,
     JointSpectrum,
     SigmaPair,
+    _optimal_weight,
     delta_value,
     extended_cost,
     ku_rule,
@@ -25,6 +26,7 @@ from cifusion.optimizer import (
     solve_ci_trace,
 )
 from cifusion.simulator import Schedule, init_network, make_schedule, run_schedule
+from cifusion.verifier import lmi_certificate
 
 from conftest import (
     delta_poly_coeffs,
@@ -397,7 +399,7 @@ class TestJointSpectrum:
         seen = set()
         for problem in pool:
             pair = SigmaPair.from_problem(problem)
-            rel = JointSpectrum.of(pair).relation()
+            rel = JointSpectrum.of(pair).relation
             assert rel is loewner_compare(pair.sigma0, pair.sigma1)
             seen.add(rel)
         assert len(seen) >= 4
@@ -421,7 +423,7 @@ class TestJointSpectrum:
 
 def _admitted_weights(spectrum, weights=(0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0)):
     """The weights ``ku_rule`` accepts: nonsingular, and the dominant endpoint if any."""
-    rel = spectrum.relation()
+    rel = spectrum.relation
     for alpha in weights:
         if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
             continue
@@ -478,7 +480,7 @@ class TestSpectralSolvePath:
         rng, pool = _metamorphic_pool(28, 40)
         for problem in pool:
             spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
-            rel = spectrum.relation()
+            rel = spectrum.relation
             if rel is LoewnerRelation.STRICTLY_GREATER:
                 alpha = 0.0
             elif rel is LoewnerRelation.STRICTLY_LESS:
@@ -493,6 +495,45 @@ class TestSpectralSolvePath:
             assert (own.alpha, own.P_hat.min_eig, own.diagnostics) == (
                 given_.alpha, given_.P_hat.min_eig, given_.diagnostics
             )
+
+    def test_solve_ci_equals_its_public_steps_bitwise(self):
+        # solve_ci reads the problem's information matrices as they are;
+        # the public steps on the pair's symmetrised copies must give the
+        # same bits: the weight search on JointSpectrum.of, ku_rule on that
+        # spectrum, its cost, then lmi_certificate
+        rng, pool = _metamorphic_pool(29, 32)
+        pool += [equal_sigma_problem(rng), example2_problem()]
+        branches = set()
+        for problem in pool:
+            spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
+            fields = ("lam", "c", "w", "log_det_s", "relation")
+            got_spectrum = JointSpectrum.from_problem(problem)
+            for name in fields:
+                assert np.array_equal(getattr(got_spectrum, name), getattr(spectrum, name))
+            for cost in Cost:
+                result = solve_ci(problem, cost)
+                if spectrum.relation is LoewnerRelation.EQUAL:
+                    alpha, branch = 0.5, "equal"
+                else:
+                    slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
+                    alpha, branch = _optimal_weight(spectrum, slope)
+                steps = ku_rule(problem, alpha, spectrum=spectrum)
+                cert = lmi_certificate(steps, problem, alpha)
+                assert result.alpha == alpha and result.diagnostics["branch"] == branch
+                for name in ("K1", "K2", "fused_x"):
+                    assert getattr(result, name).tobytes() == getattr(steps, name).tobytes()
+                assert result.P_hat.data.tobytes() == steps.P_hat.data.tobytes()
+                assert (result.P_hat.min_eig, result.P_hat.strict) == (
+                    steps.P_hat.min_eig, steps.P_hat.strict)
+                assert result.cost_value == spectrum.cost(cost, alpha - 0.5)
+                assert cert.passed and result.diagnostics["lmi_min_eig"] == cert.lmi_min_eig
+                for key, value in steps.diagnostics.items():
+                    assert result.diagnostics[key] == value
+                branches.add((branch, steps.diagnostics["corner_case"]))
+        assert {b for b, _ in branches} == {"endpoint_zero", "endpoint_one", "interior_root",
+                                            "equal"}
+        assert {c for _, c in branches} == {"sigma0_dominant", "sigma1_dominant", "sigma_equal",
+                                            "general"}
 
 
 #: the ``numpy.linalg`` functions that count as spectral calls

@@ -45,6 +45,7 @@ from conftest import (
     lmi_feasible_grid,
     lmi_matrix,
     monte_carlo_draws,
+    monte_carlo_rng,
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,
     random_joint,
@@ -757,7 +758,7 @@ class TestWorstViolationKernel:
         unit_a, unit_b = rank_one_draws(np.random.default_rng(seed), count, p1, p2)
         np.testing.assert_allclose(a_adv, unit_a, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(b_adv, unit_b, rtol=1e-13, atol=0.0)
-        rng = np.random.default_rng(seed)
+        rng = monte_carlo_rng(seed)
         w1, w2 = rank_one_draws(rng, count, p1, p2)
         e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
         unit_a, unit_b = rank_one_draws(rng, count, p1, p2)
@@ -778,6 +779,32 @@ class TestWorstViolationKernel:
         # |W1 X W2| <= |W1 r a| |W2 b| < 1: the dominating joint's cross
         # parameter, so every sampled joint is positive definite
         assert (np.linalg.norm(a_mc, axis=1) * np.linalg.norm(b_mc, axis=1) < 1.0).all()
+
+    def test_samplers_first_draws_differ_for_one_seed(self, monkeypatch):
+        # the two sampling routes are reported side by side as independent:
+        # Monte Carlo's first draws, its shrink directions w1 and w2, must
+        # not repeat the adversarial search's cross directions a and b
+        draws = []
+
+        def recorded(rng, count, p1, p2, _draw=verifier._draw_cross):
+            draws.append(_draw(rng, count, p1, p2))
+            return draws[-1]
+
+        monkeypatch.setattr(verifier, "_draw_cross", recorded)
+        problem = random_problem(np.random.default_rng(31), 4, 2, 3)
+        result = solve_ci(problem, Cost.DET)
+        for seed in (0, 1, 7, 2**40):
+            draws.clear()
+            adversarial_x_search(result, problem, samples=50, seed=seed)
+            monte_carlo_joint(result, problem, truth_samples=50, seed=seed)
+            (a, b), (w1, w2), _ = draws
+            assert a.shape == w1.shape and b.shape == w2.shape
+            assert (a != w1).all() and (b != w2).all()
+            # each stream is the one its sampler documents
+            want_a, want_b = rank_one_draws(np.random.default_rng(seed), 50, 2, 3)
+            want_w1, want_w2 = rank_one_draws(monte_carlo_rng(seed), 50, 2, 3)
+            for got, want in ((a, want_a), (b, want_b), (w1, want_w1), (w2, want_w2)):
+                np.testing.assert_allclose(got.T, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("p1", range(1, 7))
     @pytest.mark.parametrize("p2", range(1, 7))
@@ -802,7 +829,7 @@ class TestWorstViolationKernel:
         eigs = np.linalg.eigvalsh(diff)
         assert eigs[:, 0].min() >= -1e-13 * scale
         assert ((eigs > 1e-13 * scale).sum(axis=1) <= min(2, n)).all()
-        rng = np.random.default_rng(seed)
+        rng = monte_carlo_rng(seed)
         w1, w2 = rank_one_draws(rng, count, p1, p2)
         e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
         shrink = ((1.0 - e1) * np.sum((w1 @ q1.T) ** 2, axis=1)
