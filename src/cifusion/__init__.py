@@ -19,7 +19,6 @@ from .linalg import (
     PsdMatrix,
     SymMatrix,
     adjugate,
-    block_psd_check,
     loewner_compare,
     psd_certify,
     sqrt_psd,
@@ -27,7 +26,6 @@ from .linalg import (
 from .optimizer import (
     Cost,
     FusionResult,
-    SigmaPair,
     delta_value,
     ku_rule,
     sigma_alpha,
@@ -61,13 +59,11 @@ __all__ = [
     "PartialEstimate",
     "PsdMatrix",
     "Schedule",
-    "SigmaPair",
     "SymMatrix",
     "adjugate",
     "adversarial_x_search",
     "alpha_uniqueness_check",
     "bar_shalom_campo",
-    "block_psd_check",
     "delta_value",
     "init_network",
     "ku_rule",

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
 from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify
-from .optimizer import Cost, FusionResult, SigmaPair, extended_cost, solve_ci
+from .optimizer import Cost, FusionResult, extended_cost, solve_ci
 from .problem import FusionProblem, PartialEstimate
 from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
 
@@ -221,13 +221,12 @@ def cmd_scan(args) -> int:
     if args.grid < 2:
         raise ProblemFileError("--grid", "needs at least two points")
     problem, _ = load_problem_file(args.file)
-    pair = SigmaPair.from_problem(problem)
     cost = Cost(args.cost)
     alphas = np.linspace(0.0, 1.0, args.grid)
     rows = ["alpha,cost,finite"]
     values = []
     for a in alphas:
-        v = extended_cost(cost, a * pair.sigma1.data + (1.0 - a) * pair.sigma0.data)
+        v = extended_cost(cost, a * problem.sigma1 + (1.0 - a) * problem.sigma0)
         values.append(v)
         if math.isinf(v):
             rows.append(f"{fmt(a)},,0")
@@ -306,14 +305,9 @@ def cmd_verify(args) -> int:
     cert = verifier.lmi_certificate(result, problem, result.alpha)
     rows.append(("lmi", cert.passed, f"min_eig={fmt(cert.lmi_min_eig)}"))
 
-    q1, q2 = verifier.q_pair(result, problem)
-    if np.abs(q1).max() <= verifier.ZERO_Q_TOL or np.abs(q2).max() <= verifier.ZERO_Q_TOL:
-        live = q2 if np.abs(q1).max() <= verifier.ZERO_Q_TOL else q1
-        direct = result.P_hat.data - live @ live.T
-        min_eig = float(np.linalg.eigvalsh(0.5 * (direct + direct.T))[0])
-        rows.append(
-            ("petersen(direct)", min_eig >= -tol, f"min_eig={fmt(min_eig)}")
-        )
+    min_eig = verifier.one_sided_bound(result, problem)
+    if min_eig is not None:
+        rows.append(("petersen(direct)", min_eig >= -tol, f"min_eig={fmt(min_eig)}"))
     else:
         eps = verifier.petersen_certificate(result, problem)
         if eps is None:

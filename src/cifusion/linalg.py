@@ -1,9 +1,11 @@
 """Dense symmetric-matrix primitives.
 
 The symmetric eigensolver (``eigh``/``eigvalsh``) decides the semidefinite
-order, PSD certification and the block certificate, and gives the square
-root and the pseudo-inverse; inverses of PD matrices go through a Cholesky
-factor, and the adjugate through cofactors up to dimension four.  Matrices
+order and PSD certification, and gives the square root; inverses of PD
+matrices go through a Cholesky factor, and the adjugate through cofactors
+up to dimension four.  One classification,
+:meth:`LoewnerRelation.from_extremes`, turns the ends of a difference's
+spectrum into a semidefinite order.  Matrices
 here are small and dense (state dimensions of a few dozen at most).  The
 package's two PSD tolerances, ``DEFAULT_TOL`` and ``DEFAULT_CERT_TOL``, are
 named here, and every magnitude they are scaled by goes through
@@ -18,12 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InternalInconsistencyError,
-    NotPdError,
-    NotPsdError,
-)
+from .errors import DimensionMismatchError, NotPdError, NotPsdError
 
 #: PSD certification and the semidefinite order accept eigenvalues down to
 #: ``-DEFAULT_TOL * tol_scale(|lambda|_max)``
@@ -31,8 +28,6 @@ DEFAULT_TOL = 1e-9
 #: absolute tolerance on largest eigenvalues in the conservativeness
 #: verdicts, scaled by the fused covariance's largest diagonal entry
 DEFAULT_CERT_TOL = 1e-8
-#: eigenvalues below PINV_RTOL * |lambda|_max count as zero in pseudo-inverses
-PINV_RTOL = 1e-12
 #: relative threshold below which a symmetric matrix counts as singular
 SINGULAR_RTOL = 1e-12
 #: the weight searches stop when their bracket is this narrow
@@ -129,6 +124,27 @@ class LoewnerRelation(enum.Enum):
             LoewnerRelation.EQUAL,
         )
 
+    @classmethod
+    def from_extremes(cls, lo: float, hi: float, bound: float) -> "LoewnerRelation":
+        """A versus B from the smallest and largest eigenvalues of ``A - B``.
+
+        Both ends within ``bound`` of zero mean equal; ``lo`` above ``bound``
+        strictly greater, ``hi`` below ``-bound`` strictly less; else ``lo``
+        at least ``-bound`` greater-or-equal, ``hi`` at most ``bound``
+        less-or-equal, and otherwise incomparable.
+        """
+        if max(abs(lo), abs(hi)) <= bound:
+            return cls.EQUAL
+        if lo > bound:
+            return cls.STRICTLY_GREATER
+        if hi < -bound:
+            return cls.STRICTLY_LESS
+        if lo >= -bound:
+            return cls.GREATER_EQUAL
+        if hi <= bound:
+            return cls.LESS_EQUAL
+        return cls.INCOMPARABLE
+
 
 def sym_data(m) -> np.ndarray:
     """Raw symmetric ndarray from a SymMatrix, PsdMatrix or array-like."""
@@ -143,13 +159,11 @@ def sym_data(m) -> np.ndarray:
 def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
     """Classify A versus B in the semidefinite matrix order.
 
-    The spectrum of ``A - B`` decides the variant: all eigenvalues above
-    ``tol * scale`` mean strictly greater, all above ``-tol * scale`` mean
-    greater-or-equal, mixed signs beyond tolerance mean incomparable, with
-    the mirrored cases for the less variants.  Equality is spectral
-    (``max |eig(A - B)| <= tol * scale``), which for symmetric matrices also
-    bounds every entry of the difference.  ``scale`` is
-    ``tol_scale(max(|A|_max, |B|_max))``.
+    The ends of the spectrum of ``A - B`` decide the variant
+    (:meth:`LoewnerRelation.from_extremes`, bound ``tol * scale``).
+    Equality is spectral (``max |eig(A - B)| <= tol * scale``), which for
+    symmetric matrices also bounds every entry of the difference.
+    ``scale`` is ``tol_scale(max(|A|_max, |B|_max))``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -159,18 +173,7 @@ def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
         raise DimensionMismatchError(f"shape {da.shape} vs {db.shape}")
     eigs = np.linalg.eigvalsh(da - db)
     bound = tol * tol_scale(max(np.abs(da).max(), np.abs(db).max()))
-    lo, hi = eigs[0], eigs[-1]
-    if max(abs(lo), abs(hi)) <= bound:
-        return LoewnerRelation.EQUAL
-    if lo > bound:
-        return LoewnerRelation.STRICTLY_GREATER
-    if hi < -bound:
-        return LoewnerRelation.STRICTLY_LESS
-    if lo >= -bound:
-        return LoewnerRelation.GREATER_EQUAL
-    if hi <= bound:
-        return LoewnerRelation.LESS_EQUAL
-    return LoewnerRelation.INCOMPARABLE
+    return LoewnerRelation.from_extremes(eigs[0], eigs[-1], bound)
 
 
 def psd_certify(a) -> PsdMatrix:
@@ -221,22 +224,6 @@ def inv_from_cholesky(chol: np.ndarray) -> np.ndarray:
 def inv_pd(a) -> np.ndarray:
     """Inverse of a PD matrix through its Cholesky factor."""
     return inv_from_cholesky(cholesky_pd(a))
-
-
-def pinv_sym(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric matrix.
-
-    Eigenvalues with magnitude below ``PINV_RTOL * |lambda|_max`` are
-    treated as exact zeros.
-    """
-    w, v = np.linalg.eigh(sym_data(a))
-    return (v * _pinv_eigs(w)) @ v.T
-
-
-def _pinv_eigs(w: np.ndarray) -> np.ndarray:
-    """Pseudo-inverted eigenvalues: ``1 / w``, or 0 below ``PINV_RTOL * |w|_max``."""
-    w_abs = np.abs(w)
-    return np.divide(1.0, w, out=np.zeros_like(w), where=w_abs > PINV_RTOL * w_abs.max())
 
 
 def _det2(m) -> float:
@@ -295,86 +282,6 @@ def adjugate(a) -> SymMatrix:
     for i in range(d):
         adj_w[i] = np.prod(np.delete(w, i))
     return SymMatrix((v * adj_w) @ v.T)
-
-
-def _decided(margin: float, band: float) -> bool:
-    """Whether a signed PSD margin is clearly away from the tolerance band."""
-    return abs(margin) > 10.0 * band
-
-
-def block_psd_check(q, s, r) -> bool:
-    """Whether the block matrix ``[Q S; S.T R]`` is PSD.
-
-    The verdict is computed twice: from the eigenvalues of the assembled
-    block and from the generalized Schur-complement criterion
-    ``R >= 0``, ``Q - S R^+ S.T >= 0``, ``S (I - R R^+) = 0``, each to
-    ``DEFAULT_CERT_TOL`` relative to its own magnitude.  The two
-    routes must agree; a disagreement with both margins clearly outside
-    the tolerance band raises :class:`InternalInconsistencyError`,
-    borderline cases resolve to the direct eigenvalue verdict.  Both run in
-    R's eigenbasis: with ``R = V diag(w) V.T``, the block is orthogonally
-    congruent to ``[Q S V; V.T S.T diag(w)]``, which has the same spectrum
-    and the same Schur complement.
-    """
-    qd = sym_data(q)
-    w, v = np.linalg.eigh(sym_data(r))
-    sd = np.atleast_2d(np.asarray(s, dtype=float))
-    if sd.shape != (qd.shape[0], w.shape[0]):
-        raise DimensionMismatchError(f"S has shape {sd.shape}, expected {(len(qd), len(w))}")
-    return _block_psd_margin(qd, sd @ v, w)[0]
-
-
-def _block_psd_margin(q: np.ndarray, s: np.ndarray, r_eigs: np.ndarray) -> tuple[bool, float]:
-    """:func:`block_psd_check` on ``[Q S; S.T diag(r_eigs)]``, and its smallest eigenvalue.
-
-    ``q`` (symmetric) and ``s`` are float arrays of matching shapes, used as
-    given.  With R diagonal, ``R^+`` is the diagonal of :func:`_pinv_eigs`,
-    so the Schur route needs one ``eigvalsh`` (of ``Q - (S r^+) S.T``)
-    besides the one of the assembled block, which gives the returned
-    eigenvalue.  Each band scales with the largest magnitude it judges, for
-    R and the two ascending spectra ``max(-min, max)``.
-    """
-    nq = q.shape[0]
-    size = nq + r_eigs.shape[0]
-    block = np.zeros((size, size))
-    block[:nq, :nq] = q
-    block[:nq, nq:] = s
-    block[nq:, :nq] = s.T
-    block.reshape(-1)[nq * (size + 1)::size + 1] = r_eigs  # the diagonal from (nq, nq) on
-
-    eigs = np.linalg.eigvalsh(block)
-    lowest = float(eigs[0])
-    band = DEFAULT_CERT_TOL * tol_scale(max(-lowest, float(eigs[-1])))
-    direct = lowest >= -band
-
-    r_min = float(r_eigs.min())
-    r_band = DEFAULT_CERT_TOL * tol_scale(max(-r_min, float(r_eigs.max())))
-    r_ok = r_min >= -r_band
-    r_pinv = _pinv_eigs(r_eigs)
-    schur = q - (s * r_pinv) @ s.T
-    s_eigs = np.linalg.eigvalsh(0.5 * (schur + schur.T))
-    s_min = float(s_eigs[0])
-    s_band = DEFAULT_CERT_TOL * tol_scale(max(-s_min, float(s_eigs[-1])))
-    schur_ok = s_min >= -s_band
-    resid = float(np.abs(s * (1.0 - r_eigs * r_pinv)).max())
-    resid_band = DEFAULT_CERT_TOL * tol_scale(float(np.abs(s).max()))
-    resid_ok = resid <= resid_band
-    schur_route = r_ok and schur_ok and resid_ok
-
-    if direct == schur_route:
-        return direct, lowest
-    clearly = _decided(lowest, band) and (
-        (not r_ok and _decided(r_min, r_band))
-        or (not schur_ok and _decided(s_min, s_band))
-        or (not resid_ok and _decided(resid, resid_band))
-        or schur_route
-    )
-    if clearly:
-        raise InternalInconsistencyError(
-            "block PSD criteria disagree: "
-            f"direct min eig {lowest:.3g}, Schur route {'PSD' if schur_route else 'not PSD'}"
-        )
-    return direct, lowest
 
 
 def _tangent_floor(lo_tangent, hi_tangent, lo: float, hi: float) -> tuple[float, float]:

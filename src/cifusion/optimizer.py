@@ -79,39 +79,17 @@ def extended_cost(cost: Cost, sigma: np.ndarray) -> float:
     return float(np.sum(1.0 / eigs))
 
 
-@dataclass(frozen=True)
-class SigmaPair:
-    """The two prior information matrices of a fusion problem.
-
-    ``Sigma_i = H_i.T P_i^-1 H_i`` is PSD by construction, since ``P_i`` was
-    certified PD when the estimate was built, so the pair holds them
-    uncertified; :meth:`JointSpectrum.of` checks the Cholesky factor of
-    their mean, which is what the solve relies on.
-    """
-
-    sigma1: SymMatrix
-    sigma0: SymMatrix
-
-    @classmethod
-    def from_problem(cls, problem: FusionProblem) -> "SigmaPair":
-        return cls(SymMatrix(problem.sigma1), SymMatrix(problem.sigma0))
-
-    @property
-    def dim(self) -> int:
-        return self.sigma1.dim
-
-
-def sigma_alpha(pair: SigmaPair, alpha: float) -> SymMatrix:
-    """Convex blend ``alpha * Sigma1 + (1 - alpha) * Sigma0``."""
+def sigma_alpha(problem: FusionProblem, alpha: float) -> SymMatrix:
+    """Convex blend ``alpha * Sigma1 + (1 - alpha) * Sigma0`` of the problem's information matrices."""
     if not 0.0 <= alpha <= 1.0:
         raise OutOfRangeError(f"alpha={alpha} outside [0, 1]")
-    return SymMatrix(alpha * pair.sigma1.data + (1.0 - alpha) * pair.sigma0.data)
+    return SymMatrix(alpha * problem.sigma1 + (1.0 - alpha) * problem.sigma0)
 
 
-def delta_value(pair: SigmaPair, alpha: float) -> float:
+def delta_value(problem: FusionProblem, alpha: float) -> float:
     """``trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, defined at singular blends."""
-    adj = adjugate(sigma_alpha(pair, alpha))
-    return float(np.trace(adj.data @ (pair.sigma1.data - pair.sigma0.data)))
+    adj = adjugate(sigma_alpha(problem, alpha))
+    return float(np.trace(adj.data @ (problem.sigma1 - problem.sigma0)))
 
 
 @dataclass(frozen=True)
@@ -152,16 +130,9 @@ class JointSpectrum:
     log_det_s: float
 
     @classmethod
-    def of(cls, pair: SigmaPair) -> "JointSpectrum":
-        return cls._of_matrices(pair.sigma1.data, pair.sigma0.data)
-
-    @classmethod
     def from_problem(cls, problem: FusionProblem) -> "JointSpectrum":
-        """:meth:`of` on the problem's cached arrays, exactly symmetric, so read uncopied."""
-        return cls._of_matrices(problem.sigma1, problem.sigma0)
-
-    @classmethod
-    def _of_matrices(cls, s1: np.ndarray, s0: np.ndarray) -> "JointSpectrum":
+        """The pair's joint spectrum, read from the problem's cached information matrices."""
+        s1, s0 = problem.sigma1, problem.sigma0
         try:
             chol = np.linalg.cholesky(0.5 * (s1 + s0))
         except np.linalg.LinAlgError as exc:
@@ -202,24 +173,17 @@ class JointSpectrum:
     @cached_property
     def relation(self) -> LoewnerRelation:
         """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them."""
-        tol = DEFAULT_TOL
-        lo, hi = float(self.lam[0]), float(self.lam[-1])
-        if max(-lo, hi) <= tol:
-            return LoewnerRelation.EQUAL
-        if hi < -tol:
-            return LoewnerRelation.STRICTLY_GREATER
-        if lo > tol:
-            return LoewnerRelation.STRICTLY_LESS
-        if hi <= tol:
-            return LoewnerRelation.GREATER_EQUAL
-        if lo >= -tol:
-            return LoewnerRelation.LESS_EQUAL
-        return LoewnerRelation.INCOMPARABLE
+        # Sigma0 - Sigma1 is congruent to diag(-lam)
+        return LoewnerRelation.from_extremes(-float(self.lam[-1]), -float(self.lam[0]), DEFAULT_TOL)
 
     def regular_at(self, t: float) -> bool:
-        """Whether the blend at ``alpha = t + 1/2`` is nonsingular."""
-        mu = 1.0 + t * self.lam
-        return float(mu.min()) > SINGULAR_RTOL * float(mu.max())
+        """Whether the blend at ``alpha = t + 1/2`` is nonsingular.
+
+        ``lam`` is sorted and rounding is monotone, so the extremes of
+        ``1 + t lam`` are its two ends.
+        """
+        ends = 1.0 + t * float(self.lam[0]), 1.0 + t * float(self.lam[-1])
+        return min(ends) > SINGULAR_RTOL * max(ends)
 
     def det_slope(self, t: float) -> tuple[float, float]:
         """Slope of ``log det P_hat`` in ``t`` and its (positive) derivative."""

@@ -5,10 +5,15 @@ its scalar counterpart from a norm-bounded-uncertainty argument,
 adversarial search over admissible normalized cross terms, and Monte Carlo
 over admissible true joint covariances.  By a Schur complement the block
 certificate holds where ``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``,
-convex in the weight, is at most zero; the scalar certificate and the exact
-interval of feasible weights both come from the package's one search over
-it, :func:`linalg.first_feasible_weight`.  The two sampling routes share one
-kernel, :func:`_worst_violation`: the samples
+convex in the weight, is at most zero (:func:`_schur_function`; a gain
+block counts as zero throughout this module when its max |entry| is at most
+``ZERO_Q_TOL``).  The block certificate takes its
+verdict from the assembled block and cross-checks it on that Schur
+complement; the scalar certificate and the exact interval of feasible
+weights both come from the package's one search over it,
+:func:`linalg.first_feasible_weight`.  With a zero gain block the scalar
+form degenerates to the one-sided bound of :func:`one_sided_bound`.  The
+two sampling routes share one kernel, :func:`_worst_violation`: the samples
 ``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat`` on the one pair
 ``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``, over cross
 parameters ``X`` of spectral norm at most one.  The kernel takes each ``X``
@@ -41,11 +46,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQError
+from .errors import DegenerateQError, InternalInconsistencyError
 from .linalg import (
     DEFAULT_CERT_TOL,
     LoewnerRelation,
-    _block_psd_margin,
     feasible_weight_interval,
     first_feasible_weight,
     tol_scale,
@@ -93,26 +97,80 @@ def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
+def one_sided_bound(result, problem: FusionProblem) -> float | None:
+    """Smallest eigenvalue of ``P_hat - Q Q'`` when one gain block counts as zero, else ``None``.
+
+    ``Q`` is the other block of :func:`q_pair`.  A block counts as zero when
+    its max |entry| is at most ``ZERO_Q_TOL``; the scalar certificate is
+    then degenerate (:func:`petersen_certificate` raises), and
+    conservativeness is this one-sided bound being nonnegative.
+    """
+    q1, q2 = q_pair(result, problem)
+    zero1, zero2 = (np.abs(q).max() <= ZERO_Q_TOL for q in (q1, q2))
+    if not (zero1 or zero2):
+        return None
+    live = q2 if zero1 else q1
+    direct = result.P_hat.data - live @ live.T
+    return float(np.linalg.eigvalsh(0.5 * (direct + direct.T))[0])
+
+
+def _decided(margin: float, band: float) -> bool:
+    """Whether a signed PSD margin is clearly away from the tolerance band."""
+    return abs(margin) > 10.0 * band
+
+
 def lmi_certificate(
     result, problem: FusionProblem, alpha: float
 ) -> ConservativenessCertificate:
     """PSD certificate on the block ``[P, Q1, Q2; Q1', aI, 0; Q2', 0, (1-a)I]``.
 
-    The verdict comes from the dual-evaluated block PSD check, which also
-    returns the smallest eigenvalue of the assembled block; that value is
-    recorded either way, so a failed certificate is returned, not raised.
-    The lower right block is diagonal, so only the assembled block and the
-    Schur complement are decomposed.
+    The verdict and the recorded smallest eigenvalue come from one
+    ``eigvalsh`` of the assembled block: it passes when that eigenvalue is
+    at least ``-DEFAULT_CERT_TOL * tol_scale`` of the larger end of the
+    spectrum, and a failed certificate is returned, not raised.  The Schur
+    complement ``M`` of :func:`_schur_function` cross-checks the verdict:
+    the block is PSD exactly where ``lambda_max(M) <= 0``, judged to the
+    same relative band.  Where M is infinite, a gain block that does not
+    count as zero at its zero weight, that route fails without a test: the
+    block then has a zero diagonal entry with a nonzero coupling, so its
+    smallest eigenvalue is at most zero and the direct route cannot clearly
+    pass.  A disagreement with both margins clearly outside their bands
+    raises :class:`InternalInconsistencyError`; otherwise the direct
+    verdict stands.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
     q1, q2 = q_pair(result, problem)
-    r_eigs = np.full(q1.shape[1] + q2.shape[1], 1.0 - alpha)
-    r_eigs[: q1.shape[1]] = alpha
-    passed, min_eig = _block_psd_margin(result.P_hat.data, np.concatenate((q1, q2), axis=1), r_eigs)
+    p_hat = result.P_hat.data
+    n, p1 = q1.shape
+    size = n + p1 + q2.shape[1]
+    block = np.zeros((size, size))
+    block[:n, :n] = p_hat
+    block[:n, n:n + p1] = q1
+    block[:n, n + p1:] = q2
+    block[n:, :n] = block[:n, n:].T
+    weights = block.reshape(-1)[n * (size + 1)::size + 1]  # the diagonal from (n, n) on
+    weights[:p1] = alpha
+    weights[p1:] = 1.0 - alpha
+    eigs = np.linalg.eigvalsh(block)
+    lowest = float(eigs[0])
+    band = DEFAULT_CERT_TOL * tol_scale(max(-lowest, float(eigs[-1])))
+    passed = lowest >= -band
+
+    m = _schur_function(q1, q2, p_hat)[0](alpha)
+    if m is not None:
+        m_eigs = np.linalg.eigvalsh(m)
+        top = float(m_eigs[-1])
+        m_band = DEFAULT_CERT_TOL * tol_scale(max(top, -float(m_eigs[0])))
+        schur = top <= m_band
+        if schur != passed and _decided(lowest, band) and (schur or _decided(top, m_band)):
+            raise InternalInconsistencyError(
+                f"LMI routes disagree: block min eig {lowest:.3g}, "
+                f"Schur complement max eig {top:.3g}"
+            )
     tau = 1.0 / alpha - 1.0 if 0.0 < alpha < 1.0 else None
     return ConservativenessCertificate(
-        alpha=float(alpha), tau=tau, lmi_min_eig=min_eig, method=Method.LMI, passed=passed
+        alpha=float(alpha), tau=tau, lmi_min_eig=lowest, method=Method.LMI, passed=passed
     )
 
 

@@ -11,7 +11,6 @@ from cifusion.errors import DimensionMismatchError, InternalInconsistencyError, 
 from cifusion.linalg import (
     DEFAULT_CERT_TOL,
     DEFAULT_TOL,
-    PINV_RTOL,
     PsdMatrix,
     feasible_weight_end,
     first_feasible_weight,
@@ -21,7 +20,7 @@ from cifusion.linalg import (
     sym_data,
     tol_scale,
 )
-from cifusion.optimizer import Cost, SigmaPair, delta_value
+from cifusion.optimizer import Cost, delta_value
 from cifusion.verifier import certificate_tolerance, petersen_objective, q_pair
 
 
@@ -89,11 +88,10 @@ def random_unbiased_gains(rng, problem: FusionProblem, count: int) -> np.ndarray
 
 def grid_costs(problem: FusionProblem, cost: Cost, grid: int = 1001):
     """Brute-force extended cost on a uniform weight grid (batched)."""
-    pair = SigmaPair.from_problem(problem)
     alphas = np.linspace(0.0, 1.0, grid)
     combos = (
-        alphas[:, None, None] * pair.sigma1.data
-        + (1.0 - alphas)[:, None, None] * pair.sigma0.data
+        alphas[:, None, None] * problem.sigma1
+        + (1.0 - alphas)[:, None, None] * problem.sigma0
     )
     eigs = np.linalg.eigvalsh(combos)
     scale = np.abs(eigs).max(axis=1)
@@ -116,22 +114,21 @@ def det_alpha_oracle(problem: FusionProblem) -> float:
     ``Delta(alpha) = trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, which is
     positive left of the optimum and negative right of it.
     """
-    pair = SigmaPair.from_problem(problem)
-    if loewner_compare(pair.sigma0, pair.sigma1) is LoewnerRelation.EQUAL:
+    if loewner_compare(problem.sigma0, problem.sigma1) is LoewnerRelation.EQUAL:
         return 0.5
 
     def regular(sigma) -> bool:
-        eigs = np.linalg.eigvalsh(sigma.data)
+        eigs = np.linalg.eigvalsh(sigma)
         return eigs[0] > 1e-12 * np.abs(eigs).max()
 
-    if regular(pair.sigma0) and delta_value(pair, 0.0) <= 0.0:
+    if regular(problem.sigma0) and delta_value(problem, 0.0) <= 0.0:
         return 0.0
-    if regular(pair.sigma1) and delta_value(pair, 1.0) >= 0.0:
+    if regular(problem.sigma1) and delta_value(problem, 1.0) >= 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        d_mid = delta_value(pair, mid)
+        d_mid = delta_value(problem, mid)
         if d_mid == 0.0:
             return mid
         if d_mid > 0.0:
@@ -306,15 +303,15 @@ def petersen_golden_oracle(result, problem: FusionProblem) -> tuple[float, float
     return eps, petersen_objective(result, problem, eps)
 
 
-def delta_poly_coeffs(pair: SigmaPair) -> np.ndarray:
+def delta_poly_coeffs(problem: FusionProblem) -> np.ndarray:
     """Coefficients (descending powers) of the degree <= n-1 polynomial Delta.
 
     Recovered by interpolation on n evenly spaced weights; exact up to
     rounding because Delta is a polynomial of the stated degree.
     """
-    n = pair.dim
+    n = problem.n
     nodes = np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.0])
-    values = np.array([delta_value(pair, a) for a in nodes])
+    values = np.array([delta_value(problem, a) for a in nodes])
     vander = np.vander(nodes, n)  # columns: a^(n-1), ..., a, 1
     return np.linalg.solve(vander, values) if n > 1 else values
 
@@ -512,16 +509,23 @@ def reallocating_fusion_oracle(joint, dims, a, b, k1, k2):
     return new, dims
 
 
-def block_psd_margin_reference(q, s, r_eigs) -> tuple[bool, float]:
-    """``(verdict, smallest eigenvalue)`` of ``[Q S; S.T diag(r_eigs)]``, as first written.
+#: R eigenvalues below this fraction of the largest count as zero in the
+#: reference's pseudo-inverse
+PINV_RTOL = 1e-12
 
-    The form ``linalg._block_psd_margin`` had before it took its arrays as
-    given and its bands from the ends of the sorted spectra, kept as its
-    oracle: it symmetrises ``Q``, checks the shape of ``S``, takes every
-    band as ``DEFAULT_CERT_TOL * tol_scale(max |values|)`` and masks the
-    pseudo-inverse.  A disagreement of the direct and the Schur route with
-    both margins clearly outside their bands raises
-    :class:`InternalInconsistencyError`.
+
+def block_psd_margin_reference(q, s, r_eigs) -> tuple[bool, float]:
+    """``(verdict, smallest eigenvalue)`` of ``[Q S; S.T diag(r_eigs)]``, by two routes.
+
+    The generic block check the block certificate was first written on,
+    kept as its oracle: the direct route reads the smallest eigenvalue of
+    the assembled block; the generalized Schur route asks for ``R >= 0``,
+    ``Q - S R^+ S.T >= 0`` and ``S (I - R R^+) = 0`` with a masked
+    pseudo-inverse.  It symmetrises ``Q``, checks the shape of ``S`` and
+    takes every band as ``DEFAULT_CERT_TOL * tol_scale(max |values|)``.  A
+    disagreement of the two routes with both margins clearly outside their
+    bands raises :class:`InternalInconsistencyError`; otherwise the direct
+    verdict stands.
     """
     qd = sym_data(q)
     r_eigs = np.asarray(r_eigs, dtype=float)

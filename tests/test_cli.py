@@ -141,6 +141,24 @@ class TestVerify:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
+    def test_zero_gain_block_prints_the_one_sided_bound(self, tmp_path, capsys):
+        # the determinant optimum of EXAMPLE2 is alpha = 0 with K1 = 0, so
+        # the scalar row is the one-sided bound lambda_min(P_hat - Q2 Q2')
+        from cifusion import FusionProblem, PartialEstimate, solve_ci
+        from cifusion.optimizer import Cost
+
+        problem = FusionProblem(*(
+            PartialEstimate(EXAMPLE2[k]["H"], EXAMPLE2[k]["x_hat"], EXAMPLE2[k]["P_hat"])
+            for k in ("est1", "est2")
+        ))
+        result = solve_ci(problem, Cost.DET)
+        q2 = verifier.q_pair(result, problem)[1]
+        min_eig = np.linalg.eigvalsh(result.P_hat.data - q2 @ q2.T)[0]
+        rc = cli.main(["verify", write(tmp_path, EXAMPLE2), "--samples", "50"])
+        rows = [r for r in capsys.readouterr().out.splitlines() if r.startswith("petersen")]
+        assert rc == 0
+        assert rows == [f"petersen(direct)  PASS  min_eig={cli.fmt(min_eig)}"]
+
     def test_override_exposed_by_adversarial_search(self, tmp_path, capsys):
         from cifusion import FusionProblem, PartialEstimate, solve_ci
         from cifusion.optimizer import Cost

@@ -3,35 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cifusion.errors import (
-    DimensionMismatchError,
-    InternalInconsistencyError,
-    NotPdError,
-    NotPsdError,
-)
+from cifusion.errors import DimensionMismatchError, NotPdError, NotPsdError
 from cifusion.linalg import (
     DEFAULT_TOL,
     PETERSEN_WIDTH,
-    PINV_RTOL,
     LoewnerRelation,
     SymMatrix,
-    _block_psd_margin,
-    _pinv_eigs,
     adjugate,
-    block_psd_check,
     feasible_weight_interval,
     first_feasible_weight,
     inv_pd,
     loewner_compare,
-    pinv_sym,
     psd_certify,
     sqrt_psd,
 )
 from cifusion.known_cross import JointCovariance
-from cifusion.optimizer import Cost, solve_ci
-from cifusion.verifier import q_pair
 
-from conftest import block_psd_margin_reference, random_joint, random_problem, random_spd
+from conftest import random_joint, random_spd
 
 
 class TestSymMatrix:
@@ -209,183 +197,6 @@ class TestAdjugate:
             assert np.abs(a @ adj - det * np.eye(d)).max() <= 1e-9 * scale
 
 
-class TestBlockPsdCheck:
-    def test_diagonal_identity(self):
-        assert block_psd_check(np.eye(2), np.zeros((2, 2)), np.eye(2)) is True
-
-    def test_failing_schur_complement(self):
-        assert block_psd_check([[1.0]], [[2.0]], [[1.0]]) is False
-
-    def test_rank_one_boundary(self):
-        assert block_psd_check([[1.0]], [[1.0]], [[1.0]]) is True
-
-    def test_agrees_with_direct_eigenvalues(self):
-        # 1000 randomized blocks, PSD and non-PSD mixed, zero inconsistencies
-        rng = np.random.default_rng(29)
-        tol = 1e-8
-        for _ in range(1000):
-            nq = int(rng.integers(1, 4))
-            nr = int(rng.integers(1, 4))
-            if rng.uniform() < 0.5:
-                g = rng.standard_normal((nq + nr, nq + nr + 1))
-                t = g @ g.T
-            else:
-                t = random_spd(rng, nq + nr, lo=-1.0, hi=2.0)
-            q, s, r = t[:nq, :nq], t[:nq, nq:], t[nq:, nq:]
-            expected = bool(np.linalg.eigvalsh(t)[0] >= -tol * max(1.0, np.abs(np.linalg.eigvalsh(t)).max()))
-            assert block_psd_check(q, s, r) == expected
-
-
-    def test_verdict_matches_assembled_block_for_general_r(self):
-        # R non-diagonal PSD, singular PSD (S in its range or not) or
-        # indefinite: the verdict in R's eigenbasis is the assembled block's
-        # wherever its smallest eigenvalue is clear of the tolerance band
-        rng = np.random.default_rng(43)
-        kinds = set()
-        for k in range(600):
-            nq, nr = int(rng.integers(1, 4)), int(rng.integers(2, 5))
-            kind = ("pd", "singular", "singular_off_range", "indefinite")[k % 4]
-            g = rng.standard_normal((nq + nr, nq + nr + 1))
-            if kind != "pd":
-                g[nq:, : nr - 1] = 0.0  # R = B B.T of rank one, S = A B.T in its range ...
-                g[nq:, nr:] = 0.0
-            t = g @ g.T
-            if kind == "pd" and k % 8 == 0:
-                t[:nq, :nq] -= rng.uniform(0.0, 3.0) * np.eye(nq)  # Q may lose the block
-            elif kind == "singular_off_range":
-                t[:nq, nq:] += rng.standard_normal((nq, nr))  # ... S leaves its range
-            elif kind == "indefinite":
-                t[nq:, nq:] -= rng.uniform(0.1, 1.0) * np.eye(nr)
-            t = 0.5 * (t + t.T)
-            q, s, r = t[:nq, :nq], t[:nq, nq:], t[nq:, nq:]
-            assert np.any(r != np.diag(np.diag(r)))
-            eigs = np.linalg.eigvalsh(t)
-            band = 1e-8 * max(1.0, np.abs(eigs).max())
-            if abs(eigs[0]) <= 10.0 * band:
-                continue
-            kinds.add((kind, bool(eigs[0] > 0.0)))
-            assert block_psd_check(q, s, r) == bool(eigs[0] > 0.0), kind
-        assert kinds >= {("pd", True), ("pd", False), ("singular_off_range", False),
-                         ("indefinite", False)}
-
-    def test_diagonal_form_with_a_zero_r_block(self):
-        # the LMI at alpha = 0 or 1: one R block is zero, so the block is
-        # PSD only if the matching columns of S vanish
-        q = np.diag([2.0, 1.0])
-        s = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.3]])
-        for r_eigs, cols in (([0.0, 0.0, 1.0], slice(0, 2)), ([1.0, 0.0, 0.0], slice(1, 3))):
-            s_alpha = np.roll(s, 0 if cols.start == 0 else -2, axis=1)
-            block = np.block([[q, s_alpha], [s_alpha.T, np.diag(r_eigs)]])
-            passed, min_eig = _block_psd_margin(q, s_alpha, np.array(r_eigs))
-            assert passed is True
-            assert min_eig == np.linalg.eigvalsh(block)[0]
-            leaked = s_alpha.copy()
-            leaked[0, cols.start] = 1e-3
-            assert _block_psd_margin(q, leaked, np.array(r_eigs))[0] is False
-            assert block_psd_check(q, leaked, np.diag(r_eigs)) is False
-
-    def test_diagonal_pseudo_inverse_threshold(self):
-        r = np.array([1.0, 2.0 * PINV_RTOL, 0.5 * PINV_RTOL, 0.0, -0.5])
-        np.testing.assert_array_equal(_pinv_eigs(r), np.diag(pinv_sym(np.diag(r))))
-        np.testing.assert_array_equal(
-            _pinv_eigs(r), [1.0, 1.0 / (2.0 * PINV_RTOL), 0.0, 0.0, -2.0]
-        )
-        # an R eigenvalue below the threshold counts as zero: S must vanish
-        # on it for the Schur route, and here the two routes agree
-        q = np.eye(1)
-        for tiny in (0.5 * PINV_RTOL, 2.0 * PINV_RTOL):
-            r_eigs = np.array([1.0, tiny])
-            assert _block_psd_margin(q, np.array([[0.5, 0.0]]), r_eigs)[0] is True
-            assert _block_psd_margin(q, np.array([[0.5, 1e-3]]), r_eigs)[0] is False
-
-    def test_margin_matches_its_reference_bit_for_bit(self):
-        # random blocks at scales 1e-8 to 1e8, with Q losing the block, R
-        # slightly indefinite or below the pseudo-inverse threshold, zero
-        # coupling, the certificate's blocks at alpha = 0, 1 and the
-        # optimum, and the leaked coupling of a zero R block.  An R
-        # eigenvalue slightly below zero yet above the pseudo-inverse
-        # threshold, with S coupled to it, turns the Schur route's verdict
-        # and raises in both
-        verdicts = set()
-        for q, s, r_eigs in margin_cases():
-            want = margin_outcome(block_psd_margin_reference, q, s, r_eigs)
-            assert margin_outcome(_block_psd_margin, q, s, r_eigs) == want
-            verdicts.add(want if want == "raised" else want[0])
-        assert verdicts == {True, False, "raised"}
-
-    @pytest.mark.parametrize("size, below, expected", [
-        (5, 5.0, "raised"),   # the block's spectrum clearly below zero
-        (5, 1e-7, False),     # past its band (3e-8), inside ten: the direct verdict
-        (2, 5.0, "raised"),   # the Schur complement's clearly below zero
-        (2, 5e-8, True),      # past its band (1e-8), inside ten: the direct verdict
-        (3, 5.0, True),       # neither spectrum moved
-    ])
-    def test_disagreement_raises_where_the_reference_raises(self, monkeypatch, size, below,
-                                                           expected):
-        # the two routes cannot disagree in exact arithmetic on a PSD R, so
-        # an eigvalsh that lowers the spectrum of one size to ``below``
-        # under zero makes them: of the 5 x 5 block or of the 2 x 2 Schur
-        # complement
-        q = np.diag([3.0, 2.0])
-        s = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        r_eigs = np.array([1.0, 1.0, 0.5])
-        real = np.linalg.eigvalsh
-        lowest = {5: real(np.block([[q, s], [s.T, np.diag(r_eigs)]]))[0],
-                  2: real(q - s @ s.T)[0], 3: 0.0}[size]
-        assert lowest >= 0.0
-
-        def lowered(m):
-            eigs = real(m)
-            return eigs - (lowest + below) if m.shape[-1] == size else eigs
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", lowered)
-        want = margin_outcome(block_psd_margin_reference, q, s, r_eigs)
-        got = margin_outcome(_block_psd_margin, q, s, r_eigs)
-        assert got == want
-        assert (got if got == "raised" else got[0]) == expected
-
-
-def margin_outcome(fn, q, s, r_eigs):
-    """``fn(q, s, r_eigs)``, or ``"raised"`` if it raised :class:`InternalInconsistencyError`."""
-    try:
-        verdict, min_eig = fn(q, s, r_eigs)
-    except InternalInconsistencyError:
-        return "raised"
-    assert type(verdict) is bool and type(min_eig) is float
-    return verdict, np.float64(min_eig).tobytes()
-
-
-def margin_cases():
-    """``(q, s, r_eigs)`` blocks for the block margin against its reference."""
-    rng = np.random.default_rng(2301)
-    for k in range(400):
-        nq, nr = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        g = rng.standard_normal((nq + nr, nq + nr + 1)) * 10.0 ** rng.uniform(-4.0, 4.0)
-        t = g @ g.T
-        if k % 4 == 1:
-            t[:nq, :nq] -= rng.uniform(0.0, 3.0) * np.abs(t).max() * np.eye(nq)
-        q = 0.5 * (t[:nq, :nq] + t[:nq, :nq].T)
-        r_eigs = np.diagonal(t)[nq:].copy()
-        if k % 4 == 2:
-            r_eigs[0] = -rng.uniform(0.0, 1e-7) * np.abs(t).max()
-        elif k % 4 == 3:
-            r_eigs[0] *= rng.choice([0.0, 0.5 * PINV_RTOL, 2.0 * PINV_RTOL])
-        yield q, t[:nq, nq:].copy(), r_eigs
-        yield q, np.zeros((nq, nr)), r_eigs
-    # the certificate's blocks at the singular ends alpha = 0 and 1
-    for seed in range(30):
-        problem = random_problem(np.random.default_rng(seed))
-        result = solve_ci(problem, Cost.DET if seed % 2 else Cost.TRACE)
-        q1, q2 = q_pair(result, problem)
-        for alpha in (0.0, 1.0, result.alpha):
-            r_eigs = np.array([alpha] * problem.p1 + [1.0 - alpha] * problem.p2)
-            yield result.P_hat.data, np.hstack([q1, q2]), r_eigs
-    # the zero-R block of the LMI at an end, and its leaked coupling
-    q = np.diag([2.0, 1.0])
-    for s in ([[0.0, 0.0, 0.5], [0.0, 0.0, 0.3]], [[1e-3, 0.0, 0.5], [0.0, 0.0, 0.3]]):
-        yield q, np.array(s), np.array([0.0, 0.0, 1.0])
-
-
 def normalized_cross(joint) -> np.ndarray:
     """``X = P1^{-1/2} P12 P2^{-1/2}``, the inverse roots taken by ``eigh``."""
     def inv_root(p):
@@ -430,10 +241,6 @@ class TestInverses:
     def test_inv_pd_rejects_indefinite(self):
         with pytest.raises(NotPdError):
             inv_pd(np.diag([1.0, -1.0]))
-
-    def test_pinv_on_singular_matrix(self):
-        a = np.diag([2.0, 0.0])
-        np.testing.assert_allclose(pinv_sym(a), np.diag([0.5, 0.0]))
 
 
 def _poles(shift: float):

@@ -11,11 +11,10 @@ from cifusion import (
     psd_certify,
 )
 from cifusion.errors import InvalidFamilyParameterError, OutOfRangeError
-from cifusion.linalg import inv_pd
+from cifusion.linalg import SINGULAR_RTOL, inv_pd
 from cifusion.optimizer import (
     Cost,
     JointSpectrum,
-    SigmaPair,
     _optimal_weight,
     delta_value,
     extended_cost,
@@ -75,18 +74,18 @@ class TestCostFunctions:
 
 class TestSigmaAlpha:
     def test_endpoints_recover_information_matrices(self):
-        pair = SigmaPair.from_problem(example2_problem())
-        np.testing.assert_allclose(sigma_alpha(pair, 0.0).data, np.diag([0.8, 10.0]), atol=1e-12)
-        np.testing.assert_allclose(sigma_alpha(pair, 1.0).data, np.eye(2), atol=1e-12)
+        problem = example2_problem()
+        np.testing.assert_allclose(sigma_alpha(problem, 0.0).data, np.diag([0.8, 10.0]), atol=1e-12)
+        np.testing.assert_allclose(sigma_alpha(problem, 1.0).data, np.eye(2), atol=1e-12)
 
     def test_midpoint(self):
-        pair = SigmaPair.from_problem(example2_problem())
-        np.testing.assert_allclose(sigma_alpha(pair, 0.5).data, np.diag([0.9, 5.5]), atol=1e-12)
+        problem = example2_problem()
+        np.testing.assert_allclose(sigma_alpha(problem, 0.5).data, np.diag([0.9, 5.5]), atol=1e-12)
 
     def test_out_of_range(self):
-        pair = SigmaPair.from_problem(example2_problem())
+        problem = example2_problem()
         with pytest.raises(OutOfRangeError):
-            sigma_alpha(pair, 1.5)
+            sigma_alpha(problem, 1.5)
 
 
 class TestKuRule:
@@ -130,8 +129,7 @@ class TestKuRule:
             result = ku_rule(problem, alpha)
             unbias = result.K1 @ problem.est1.h + result.K2 @ problem.est2.h - np.eye(problem.n)
             assert np.abs(unbias).max() <= 1e-10
-            pair = SigmaPair.from_problem(problem)
-            info = sigma_alpha(pair, alpha).data
+            info = sigma_alpha(problem, alpha).data
             resid = np.linalg.inv(result.P_hat.data) - info
             assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(info).max())
             np.testing.assert_allclose(
@@ -144,8 +142,7 @@ class TestKuRule:
         count = 0
         while count < 100:
             problem = random_problem(rng)
-            pair = SigmaPair.from_problem(problem)
-            if loewner_compare(pair.sigma0, pair.sigma1) is not LoewnerRelation.INCOMPARABLE:
+            if loewner_compare(problem.sigma0, problem.sigma1) is not LoewnerRelation.INCOMPARABLE:
                 continue
             count += 1
             alphas = rng.uniform(0.05, 0.95, size=2)
@@ -179,8 +176,7 @@ class TestKuRule:
 class TestSolveCiDet:
     def test_example_coefficients_and_endpoint(self):
         problem = example2_problem()
-        pair = SigmaPair.from_problem(problem)
-        np.testing.assert_allclose(delta_poly_coeffs(pair), [-3.6, -5.2], atol=1e-12)
+        np.testing.assert_allclose(delta_poly_coeffs(problem), [-3.6, -5.2], atol=1e-12)
         result = solve_ci_det(problem)
         assert result.alpha == 0.0
         assert result.diagnostics["branch"] == "endpoint_zero"
@@ -216,11 +212,10 @@ class TestSolveCiDet:
         checked = 0
         while checked < 20:
             problem = random_problem(rng)
-            pair = SigmaPair.from_problem(problem)
             h = 1e-6
             for endpoint in (0.0, 1.0):
                 sig = (
-                    endpoint * pair.sigma1.data + (1.0 - endpoint) * pair.sigma0.data
+                    endpoint * problem.sigma1 + (1.0 - endpoint) * problem.sigma0
                 )
                 if np.linalg.eigvalsh(sig)[0] <= 1e-9:
                     continue
@@ -228,12 +223,12 @@ class TestSolveCiDet:
                 g = lambda a: float(
                     np.linalg.det(
                         np.linalg.inv(
-                            a * pair.sigma1.data + (1.0 - a) * pair.sigma0.data
+                            a * problem.sigma1 + (1.0 - a) * problem.sigma0
                         )
                     )
                 )
                 slope = (g(a0 + h) - g(a0 - h)) / (2.0 * h)
-                d = delta_value(pair, endpoint)
+                d = delta_value(problem, endpoint)
                 if abs(slope) > 1e-6:
                     assert np.sign(slope) == -np.sign(d)
                     checked += 1
@@ -242,11 +237,10 @@ class TestSolveCiDet:
         # finite differences of the determinant objective against the
         # closed-form derivative 10(9a+13)/((9a-10)^2 (a+4)^2)
         problem = example2_problem()
-        pair = SigmaPair.from_problem(problem)
         h = 1e-5
 
         def g(a):
-            sig = a * pair.sigma1.data + (1.0 - a) * pair.sigma0.data
+            sig = a * problem.sigma1 + (1.0 - a) * problem.sigma0
             return float(np.linalg.det(np.linalg.inv(sig)))
 
         for a in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -299,8 +293,7 @@ class TestSolveCiTrace:
         est1 = PartialEstimate([[1.0, 0.0]], [0.0], [[1.0]])
         est2 = PartialEstimate([[0.0, 1.0]], [0.0], [[2.0]])
         problem = FusionProblem(est1, est2)
-        pair = SigmaPair.from_problem(problem)
-        assert extended_cost(Cost.TRACE, pair.sigma0.data) == math.inf
+        assert extended_cost(Cost.TRACE, problem.sigma0) == math.inf
         result = solve_ci_trace(problem)
         assert 0.0 < result.alpha < 1.0
 
@@ -398,22 +391,46 @@ class TestJointSpectrum:
         ))
         seen = set()
         for problem in pool:
-            pair = SigmaPair.from_problem(problem)
-            rel = JointSpectrum.of(pair).relation
-            assert rel is loewner_compare(pair.sigma0, pair.sigma1)
+            rel = JointSpectrum.from_problem(problem).relation
+            assert rel is loewner_compare(problem.sigma0, problem.sigma1)
             seen.add(rel)
         assert len(seen) >= 4
+
+    def test_regular_at_reads_the_ends_of_the_sorted_spectrum(self):
+        # rounding of 1 + t lam is monotone in lam, so the ends of the
+        # sorted spectrum are bit for bit the extremes of the whole of it;
+        # spectra with ties, with +-2 (a singular end) and with values
+        # within 1e-14 of +-2 put the test on both sides of its threshold
+        rng = np.random.default_rng(23)
+        verdicts = set()
+        for k in range(600):
+            n = int(rng.integers(1, 8))
+            lam = rng.uniform(-2.0, 2.0, n)
+            if k % 3 == 1:
+                lam[0] = rng.choice([-1.0, 1.0]) * (2.0 - 10.0 ** -rng.uniform(1.0, 14.0))
+            elif k % 3 == 2:
+                lam[0] = rng.choice([-2.0, 2.0])
+            if k % 4 == 0 and n > 1:
+                lam[1] = lam[0]
+            lam.sort()
+            spectrum = JointSpectrum(lam, np.ones(n), np.eye(n), 0.0)
+            for t in (-0.5, 0.5, rng.uniform(-0.5, 0.5)):
+                mu = 1.0 + t * lam
+                want = float(mu.min()) > SINGULAR_RTOL * float(mu.max())
+                assert spectrum.regular_at(t) is want
+                verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_cost_forms_match_blended_inverse(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            pair = SigmaPair.from_problem(random_problem(rng))
-            spectrum = JointSpectrum.of(pair)
+            problem = random_problem(rng)
+            spectrum = JointSpectrum.from_problem(problem)
             assert np.all(np.abs(spectrum.lam) <= 2.0)
-            d = pair.sigma1.data - pair.sigma0.data
+            d = problem.sigma1 - problem.sigma0
             for alpha in (0.1, 0.5, 0.9):
                 t = alpha - 0.5
-                p = np.linalg.inv(sigma_alpha(pair, alpha).data)
+                p = np.linalg.inv(sigma_alpha(problem, alpha).data)
                 trace = float(np.sum(spectrum.c / (1.0 + t * spectrum.lam)))
                 assert trace == pytest.approx(np.trace(p), rel=1e-10)
                 # d/dalpha log det P = -tr(P D) and d/dalpha tr P = -tr(P D P)
@@ -440,10 +457,9 @@ class TestSpectralSolvePath:
         eps = np.finfo(float).eps
         checked = 0
         for problem in _metamorphic_pool(26, 60)[1]:
-            pair = SigmaPair.from_problem(problem)
-            spectrum = JointSpectrum.of(pair)
+            spectrum = JointSpectrum.from_problem(problem)
             for alpha in _admitted_weights(spectrum):
-                blend = sigma_alpha(pair, alpha).data
+                blend = sigma_alpha(problem, alpha).data
                 want = inv_pd(blend)
                 got = spectrum.fused_cov(alpha - 0.5)
                 bound = 10.0 * problem.n * np.linalg.cond(blend) * eps
@@ -457,13 +473,12 @@ class TestSpectralSolvePath:
         # near-singular weights 1e-6 and 1 - 1e-6 are left out for that reason
         eps = np.finfo(float).eps
         for problem in _metamorphic_pool(27, 40)[1]:
-            pair = SigmaPair.from_problem(problem)
-            spectrum = JointSpectrum.of(pair)
+            spectrum = JointSpectrum.from_problem(problem)
             optimum = solve_ci_det(problem).alpha
             for alpha in _admitted_weights(spectrum, (0.0, 0.25, 0.5, 0.75, 1.0, optimum)):
                 t = alpha - 0.5
                 p_hat = spectrum.fused_cov(t)
-                rel = max(1e-12, problem.n * np.linalg.cond(sigma_alpha(pair, alpha).data) * eps)
+                rel = max(1e-12, problem.n * np.linalg.cond(sigma_alpha(problem, alpha).data) * eps)
                 assert spectrum.cost(Cost.DET, t) == pytest.approx(np.linalg.det(p_hat), rel=rel)
                 assert spectrum.cost(Cost.TRACE, t) == pytest.approx(np.trace(p_hat), rel=1e-12)
 
@@ -471,7 +486,7 @@ class TestSpectralSolvePath:
         # det P_hat = 1e360 is past the largest float, as np.linalg.det finds
         n = 30
         est = PartialEstimate(np.eye(n), np.zeros(n), 1e12 * np.eye(n))
-        spectrum = JointSpectrum.of(SigmaPair.from_problem(FusionProblem(est, est)))
+        spectrum = JointSpectrum.from_problem(FusionProblem(est, est))
         with np.errstate(over="ignore"):
             assert np.linalg.det(spectrum.fused_cov(0.0)) == math.inf
         assert spectrum.cost(Cost.DET, 0.0) == math.inf
@@ -479,7 +494,7 @@ class TestSpectralSolvePath:
     def test_public_ku_rule_equals_spectrum_path_bitwise(self):
         rng, pool = _metamorphic_pool(28, 40)
         for problem in pool:
-            spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
+            spectrum = JointSpectrum.from_problem(problem)
             rel = spectrum.relation
             if rel is LoewnerRelation.STRICTLY_GREATER:
                 alpha = 0.0
@@ -497,19 +512,14 @@ class TestSpectralSolvePath:
             )
 
     def test_solve_ci_equals_its_public_steps_bitwise(self):
-        # solve_ci reads the problem's information matrices as they are;
-        # the public steps on the pair's symmetrised copies must give the
-        # same bits: the weight search on JointSpectrum.of, ku_rule on that
-        # spectrum, its cost, then lmi_certificate
+        # the public steps must give solve_ci's bits: the weight search on
+        # JointSpectrum.from_problem, ku_rule on that spectrum, its cost,
+        # then lmi_certificate
         rng, pool = _metamorphic_pool(29, 32)
         pool += [equal_sigma_problem(rng), example2_problem()]
         branches = set()
         for problem in pool:
-            spectrum = JointSpectrum.of(SigmaPair.from_problem(problem))
-            fields = ("lam", "c", "w", "log_det_s", "relation")
-            got_spectrum = JointSpectrum.from_problem(problem)
-            for name in fields:
-                assert np.array_equal(getattr(got_spectrum, name), getattr(spectrum, name))
+            spectrum = JointSpectrum.from_problem(problem)
             for cost in Cost:
                 result = solve_ci(problem, cost)
                 if spectrum.relation is LoewnerRelation.EQUAL:

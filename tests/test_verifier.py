@@ -14,9 +14,9 @@ from cifusion import (
     optimal_fusion_known_cross,
     psd_certify,
 )
-from cifusion.errors import DegenerateQError
+from cifusion.errors import DegenerateQError, InternalInconsistencyError
 from cifusion.known_cross import JointCovariance
-from cifusion.linalg import PETERSEN_WIDTH
+from cifusion.linalg import PETERSEN_WIDTH, SymMatrix
 from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
 from cifusion.verifier import (
     SCREEN_CANDIDATES,
@@ -41,6 +41,7 @@ from cifusion.verifier import (
 )
 
 from conftest import (
+    block_psd_margin_reference,
     dominated_problem,
     lmi_feasible_grid,
     lmi_matrix,
@@ -138,8 +139,7 @@ class TestLmiCertificate:
 
 
     def test_min_eig_is_that_of_the_assembled_block(self):
-        # the check takes R's eigenvalues as they stand, but the recorded
-        # margin is still the eigvalsh of the whole block, bit for bit
+        # the recorded margin is the eigvalsh of the whole block, bit for bit
         rng = np.random.default_rng(44)
         pool = [example2_problem(), example2_problem().swapped(), interior_problem()]
         pool += [random_problem(rng, n=int(rng.integers(2, 7))) for _ in range(20)]
@@ -154,6 +154,96 @@ class TestLmiCertificate:
                     assert cert.lmi_min_eig == np.linalg.eigvalsh(block)[0]
                 alphas.add(result.alpha)
         assert {0.0, 1.0} <= alphas and any(0.0 < a < 1.0 for a in alphas)
+
+    def test_matches_the_generic_block_reference_bit_for_bit(self):
+        # solved pools at the optimum and both ends, P_hat scaled around
+        # its own boundary: the verdict, the margin's bits and where it
+        # raises are those of the generic block check on the same block
+        rng = np.random.default_rng(2301)
+        pool = [random_problem(rng) for _ in range(24)]
+        pool += well_scaled_problems(rng, 6) + [example2_problem(), interior_problem()]
+        verdicts = set()
+        for k, problem in enumerate(pool):
+            result = solve_ci(problem, Cost.DET if k % 2 else Cost.TRACE)
+            s = np.hstack(q_pair(result, problem))
+            for scale in (1.0, 0.9, 0.999, 1.001, 1.0 - 1e-12, 1.5):
+                p_hat = SymMatrix(scale * result.P_hat.data)
+                scaled = dataclasses.replace(result, P_hat=p_hat)
+                for alpha in (result.alpha, 0.0, 1.0, 1e-13, 1.0 - 1e-13):
+                    r_eigs = np.array([alpha] * problem.p1 + [1.0 - alpha] * problem.p2)
+                    want = lmi_outcome(block_psd_margin_reference, p_hat.data, s, r_eigs)
+                    assert lmi_outcome(lmi_certificate, scaled, problem, alpha) == want
+                    verdicts.add(want[0])
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("size, shift, expected", [
+        (5, 5.0, "raised"),   # the block's spectrum clearly below zero
+        (5, 1e-7, False),     # past its band (4e-8), inside ten: the direct verdict
+        (2, 5.0, "raised"),   # the Schur complement's clearly above zero
+        (2, 5e-8, True),      # past its band (1e-8), inside ten: the direct verdict
+        (3, 5.0, True),       # neither spectrum moved
+    ])
+    def test_disagreement_raises_only_when_both_margins_are_clear(
+        self, monkeypatch, size, shift, expected
+    ):
+        # the two routes cannot disagree in exact arithmetic, so an eigvalsh
+        # that moves one spectrum past zero by ``shift`` makes them: the 5 x 5
+        # block's down, or the 2 x 2 Schur complement's up
+        problem, result = lmi_case(np.diag([4.0, 3.0]), np.eye(2), np.zeros((2, 1)))
+        real = np.linalg.eigvalsh
+        block = lmi_matrix(result.P_hat.data, result.K1, result.K2, 0.5)
+        m = result.K1 @ result.K1.T / 0.5 - result.P_hat.data
+        move = {5: -(real(block)[0] + shift), 2: shift - real(m)[-1], 3: 0.0}[size]
+        assert real(block)[0] > 0.1 and real(m)[-1] < -0.9
+
+        def moved(a):
+            eigs = real(a)
+            return eigs + move if a.shape[-1] == size else eigs
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", moved)
+        got = lmi_outcome(lmi_certificate, result, problem, 0.5)
+        assert (got if got == "raised" else got[0]) == expected
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_zero_weight_block_with_a_leaked_coupling_fails(self, alpha):
+        # at alpha = 0 (1) the first (second) weight block is zero, so the
+        # block is PSD only if that gain block vanishes
+        p_hat = np.diag([2.0, 1.0])
+        live, dead = np.array([[0.5], [0.3]]), np.zeros((2, 2))
+        blocks = (dead, live) if alpha == 0.0 else (live, dead)
+        problem, result = lmi_case(p_hat, *blocks)
+        cert = lmi_certificate(result, problem, alpha)
+        assert cert.passed is True
+        assert cert.lmi_min_eig == np.linalg.eigvalsh(lmi_matrix(p_hat, *blocks, alpha))[0]
+        dead[0, 0] = 1e-3
+        problem, result = lmi_case(p_hat, *blocks)
+        assert lmi_certificate(result, problem, alpha).passed is False
+
+
+def lmi_case(p_hat: np.ndarray, q1: np.ndarray, q2: np.ndarray):
+    """A problem and result whose certificate block has ``P_hat`` and gain blocks ``(Q1, Q2)``.
+
+    Both priors are identity covariances, whose Cholesky factors are exact,
+    so ``Q_i = K_i``; the gains need not be unbiased for the certificate.
+    """
+    n = p_hat.shape[0]
+    ests = [PartialEstimate(np.eye(p, n), np.zeros(p), np.eye(p)) for p in (q1.shape[1], q2.shape[1])]
+    result = FusionResult(alpha=0.5, K1=q1, K2=q2, P_hat=psd_certify(p_hat), fused_x=np.zeros(n))
+    return FusionProblem(*ests), result
+
+
+def lmi_outcome(fn, *args):
+    """``(passed, margin bytes)`` of ``fn(*args)``, or ``"raised"`` on an inconsistency.
+
+    ``fn`` is :func:`lmi_certificate` or the generic block reference.
+    """
+    try:
+        out = fn(*args)
+    except InternalInconsistencyError:
+        return "raised"
+    passed, margin = (out.passed, out.lmi_min_eig) if fn is lmi_certificate else out
+    assert type(passed) is bool and type(margin) is float
+    return passed, np.float64(margin).tobytes()
 
 
 class TestAlphaUniqueness:
