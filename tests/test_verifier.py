@@ -219,6 +219,48 @@ class TestLmiCertificate:
         problem, result = lmi_case(p_hat, *blocks)
         assert lmi_certificate(result, problem, alpha).passed is False
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+    def test_zero_gains_pass_with_the_smallest_weight_as_margin(self, alpha):
+        # Q1 = Q2 = 0: the block is diag(I, alpha I, (1 - alpha) I)
+        problem, result = lmi_case(np.eye(2), np.zeros((2, 1)), np.zeros((2, 2)))
+        cert = lmi_certificate(result, problem, alpha)
+        assert cert.passed is True
+        assert cert.lmi_min_eig == min(alpha, 1.0 - alpha)
+
+    def test_rank_one_boundary_passes_and_a_hair_inside_fails(self):
+        # P_hat = Q1Q1'/alpha + Q2Q2'/(1 - alpha) exactly: M(alpha) = 0, the
+        # block is singular and PSD; a slightly smaller P_hat is not
+        q1, q2 = np.array([[1.0], [0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])
+        problem, result = lmi_case(np.diag([2.0, 2.0]), q1, q2)
+        cert = lmi_certificate(result, problem, 0.5)
+        assert cert.passed is True and abs(cert.lmi_min_eig) <= 1e-12
+        problem, result = lmi_case(np.diag([2.0, 2.0 - 1e-6]), q1, q2)
+        cert = lmi_certificate(result, problem, 0.5)
+        assert cert.passed is False and cert.lmi_min_eig < -1e-8
+
+    def test_verdict_agrees_with_both_routes_on_random_blocks(self):
+        # random P_hat and gains, not solved: wherever the block's smallest
+        # eigenvalue and M's largest lie clear of their bands, the verdict
+        # is both of theirs, and no block raises
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(500):
+            n = int(rng.integers(1, 5))
+            p1, p2 = int(rng.integers(1, n + 1)), n  # the stacked H's keep rank n
+            q1, q2 = rng.standard_normal((n, p1)), rng.standard_normal((n, p2))
+            alpha = float(rng.uniform(0.05, 0.95))
+            s = q1 @ q1.T / alpha + q2 @ q2.T / (1.0 - alpha)
+            p_hat = rng.uniform(0.5, 1.5) * s + rng.uniform(0.01, 0.5) * np.eye(n)
+            problem, result = lmi_case(p_hat, q1, q2)
+            cert = lmi_certificate(result, problem, alpha)
+            lowest = np.linalg.eigvalsh(lmi_matrix(p_hat, q1, q2, alpha))[0]
+            top = np.linalg.eigvalsh(s - p_hat)[-1]
+            if abs(lowest) <= 1e-6 or abs(top) <= 1e-6:
+                continue
+            assert cert.passed is bool(lowest > 0.0) is bool(top < 0.0)
+            seen.add(cert.passed)
+        assert seen == {True, False}
+
 
 def lmi_case(p_hat: np.ndarray, q1: np.ndarray, q2: np.ndarray):
     """A problem and result whose certificate block has ``P_hat`` and gain blocks ``(Q1, Q2)``.
