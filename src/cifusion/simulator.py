@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScheduleError, StackedRankDeficientError, UnreachableError
+from .errors import (
+    DimensionMismatchError,
+    NotPdError,
+    ScheduleError,
+    StackedRankDeficientError,
+    UnreachableError,
+)
 from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify, tol_scale
 from .optimizer import Cost, solve_ci
 from .problem import FusionProblem, PartialEstimate, matrix_rank
@@ -26,13 +32,15 @@ COND_MAX = 100.0
 #: fraction of its true covariance's trace
 INFLATION_FRAC = 0.5
 #: a new joint buffer has this many times the rows and columns the joint
-#: needs.  A reallocation copies the whole joint, so the factor makes them
-#: rare: at most one per N/8 rows added to a joint of N rows.  Its cost is
-#: an eighth more resident memory, since the joint's rows are written
-#: across the buffer's whole width.
+#: needs, the spare split evenly before and after the joint.  A reallocation
+#: copies the whole joint, so the factor makes them rare: about one per N/8
+#: rows added to a joint of N rows.  Its cost is an eighth more resident
+#: memory, since the joint's rows are written across the buffer's whole
+#: width.
 JOINT_HEADROOM = 1.125
-#: a move of rows after a resized node goes through a temporary of at most
-#: this many entries (256 KiB), small enough to stay in cache
+#: a move of the rows on one side of a resized node goes through a
+#: temporary of at most this many entries (256 KiB), small enough to stay
+#: in cache
 SHIFT_CHUNK_ENTRIES = 32768
 
 
@@ -67,9 +75,10 @@ class GroundTruth:
     """Exact error statistics hidden from the fusion rule.
 
     ``joint`` is the node-ordered joint covariance of all node errors.  The
-    object keeps it as the top-left block of one buffer with spare rows and
-    columns, so that a node that grows moves the rows after it within that
-    buffer instead of rebuilding the joint.
+    object keeps it as a square block in the middle of one buffer, with
+    spare rows and columns before and after it, so that a node that grows
+    moves the rows and columns on its shorter side within that buffer
+    instead of rebuilding the joint.
     """
 
     def __init__(self, x_true: np.ndarray, blocks: list[np.ndarray]):
@@ -77,7 +86,9 @@ class GroundTruth:
         self.dims = [b.shape[0] for b in blocks]
         total = sum(self.dims)
         self._buf = np.zeros((_capacity(total),) * 2)
-        joint = self._buf[:total, :total]
+        #: the buffer row and column of the joint's first entry
+        self._start = s = (self._buf.shape[0] - total) // 2
+        joint = self._buf[s : s + total, s : s + total]
         off = 0
         for b in blocks:
             joint[off : off + b.shape[0], off : off + b.shape[0]] = b
@@ -92,7 +103,7 @@ class GroundTruth:
     def node_cov(self, i: int) -> np.ndarray:
         """Node i's error covariance: a view of ``joint``, valid only until
         the next :meth:`apply_fusion` into any node, since a node that grows
-        or shrinks moves every row and column after it."""
+        or shrinks moves every row and column on one side of it."""
         o, d = self._offset(i), self.dims[i]
         return self.joint[o : o + d, o : o + d]
 
@@ -104,21 +115,20 @@ class GroundTruth:
         ``R = K1 J[a, :] + K2 J[b, :]`` and the diagonal block
         ``R[:, a] K1' + R[:, b] K2'``.  For a joint of N rows and a state of
         size n the arithmetic costs O(N n^2) and is written in place.  When
-        node a grows or shrinks, the m rows and columns after it also move
-        within the buffer: O(N m) copying and no allocation.  Only a joint
-        that outgrows the buffer is copied into a new one, ``JOINT_HEADROOM``
-        times as large, which amortises to O(N) copying per added row.  The
-        joint stays exactly symmetric.
+        node a grows or shrinks, the rows and columns on one side of it also
+        move within the buffer, with no allocation: those before it, of
+        which there are l, at a cost of l (2N - l) entries, or the m after
+        it at m (2N - m), whichever is cheaper and has room.  Only a joint
+        that fits at neither end is copied into a new buffer,
+        ``JOINT_HEADROOM`` times as large, which amortises to O(N) copying
+        per added row.  The joint stays exactly symmetric.
         """
         lo = self._offset(a)
         hi = lo + self.dims[a]
         ob = self._offset(b)
         rb = slice(ob, ob + self.dims[b])
         d = k1.shape[0]
-        n = self.joint.shape[0]
-        size = n - self.dims[a] + d
-        buf = self._reserve(size)
-        old = self.joint
+        old = self._adopt(self.joint.shape[0] - self.dims[a] + d)
         rows = k1 @ old[lo:hi] + k2 @ old[rb]
         corner = rows[:, lo:hi] @ k1.T + rows[:, rb] @ k2.T
         corner = 0.5 * (corner + corner.T)
@@ -126,74 +136,115 @@ class GroundTruth:
             rows[:, lo:hi] = corner
         else:
             rows = np.hstack([rows[:, :lo], corner, rows[:, hi:]])
-        _shift_tail(buf, n, lo, hi, d - self.dims[a])
-        joint = buf[:size, :size]
+        joint = self._resize(lo, hi, d - self.dims[a])
         joint[lo : lo + d] = rows
         joint[:, lo : lo + d] = rows.T
-        self._view = self.joint = joint
         self.dims[a] = d
 
-    def _reserve(self, size: int) -> np.ndarray:
-        """Bring ``joint`` into a buffer of at least ``size`` rows; return it.
+    def _adopt(self, size: int) -> np.ndarray:
+        """Bring ``joint`` into the kept buffer; return it.
 
-        Afterwards ``joint`` is this object's own view of the buffer's
-        top-left block.  A joint assigned from outside is copied into the
-        kept buffer when it fits and shares no memory with it.  Otherwise
-        the kept buffer is dropped before a larger one is allocated, so no
-        stale buffer stays alive beside the new one.
+        Afterwards ``joint`` is this object's own view of the buffer.  A
+        joint assigned from outside is copied into the middle of the kept
+        buffer when a joint of ``size`` rows fits there and it shares no
+        memory with the buffer, and into a new buffer otherwise; either way
+        it can then be resized to ``size`` rows in place.
         """
         joint = self.joint
+        if joint is not self._view:
+            n = max(joint.shape[0], size)
+            if n > self._buf.shape[0] or np.may_share_memory(joint, self._buf):
+                self._reallocate(n)
+            else:
+                self._place(self._buf, joint, n)
+        return self.joint
+
+    def _resize(self, lo: int, hi: int, g: int) -> np.ndarray:
+        """Resize rows and columns ``lo:hi`` of ``joint`` by ``g``; return the new joint.
+
+        The rows and columns on the side of them that costs fewer moved
+        entries shift by ``g`` away from them: l (2N - l) before, m (2N - m)
+        after, so simply the side with fewer rows.  The other side moves
+        when the cheaper one has no room in the buffer, and the joint goes
+        to a new buffer, centred, when neither has.  The new rows and
+        columns ``lo:hi + g`` are left for the caller to write.
+        """
+        if g == 0:
+            return self.joint
+        n, s = self.joint.shape[0], self._start
+        head_fits = g <= s
+        tail_fits = s + n + g <= self._buf.shape[0]
+        if head_fits and (lo < n - hi or not tail_fits):
+            _shift_side(self._buf, (s, s + lo), (s + hi, s + n), -g)
+            s -= g
+        else:
+            if not tail_fits:
+                self._reallocate(n + g)
+                s = self._start
+            _shift_side(self._buf, (s + hi, s + n), (s, s + lo), g)
+        self._start = s
+        self._view = self.joint = self._buf[s : s + n + g, s : s + n + g]
+        return self.joint
+
+    def _reallocate(self, size: int) -> None:
+        """Copy ``joint`` into a new buffer, centred for a joint of ``size`` rows.
+
+        Every reference to the kept buffer goes before its successor is
+        allocated; ``joint`` keeps the old one alive only when it is needed.
+        """
+        self._buf = self._view = None
+        self._place(np.empty((_capacity(size),) * 2), self.joint, size)
+
+    def _place(self, buf: np.ndarray, joint: np.ndarray, size: int) -> None:
+        """Copy ``joint`` into ``buf`` where a joint of ``size`` rows is
+        centred, and keep ``buf`` with the copy as this object's view."""
         n = joint.shape[0]
-        buf = self._buf
-        if max(n, size) <= buf.shape[0]:
-            if joint is self._view:
-                return buf
-            if not np.may_share_memory(joint, buf):
-                buf[:n, :n] = joint
-                self._view = self.joint = buf[:n, :n]
-                return buf
-        # every reference to the kept buffer goes before its successor is
-        # allocated; ``joint`` keeps the old one alive only when it is needed
-        self._buf = self._view = buf = None
-        buf = np.empty((_capacity(max(n, size)),) * 2)
-        buf[:n, :n] = joint
-        self._buf = buf
-        self._view = self.joint = buf[:n, :n]
-        return buf
+        s = (buf.shape[0] - size) // 2
+        buf[s : s + n, s : s + n] = joint
+        self._buf, self._start = buf, s
+        self._view = self.joint = buf[s : s + n, s : s + n]
 
 
 def _capacity(size: int) -> int:
     return int(np.ceil(JOINT_HEADROOM * size))
 
 
-def _shift_tail(buf: np.ndarray, n: int, lo: int, hi: int, g: int) -> None:
-    """Move rows and columns ``hi:n`` of ``buf[:n, :n]`` by ``g`` in place.
+def _shift_side(buf: np.ndarray, moving: tuple, staying: tuple, shift: int) -> None:
+    """Move the rows and columns ``moving`` of a joint in ``buf`` by ``shift``.
 
-    Node a holds rows and columns ``lo:hi`` and is resized by ``g``; its new
-    rows and columns ``lo:hi + g`` are left for the caller to write.  numpy
-    copies an overlapping source whole before writing it, so each chunk of
-    rows goes through one small temporary, and the chunks are taken from
-    the end the rows move towards, so no row is overwritten before it is
-    read.
+    ``moving`` and ``staying`` are the ``(start, stop)`` buffer rows of the
+    joint on the two sides of a resized node; the rows and columns of the
+    node itself are left for the caller to write.
     """
-    if g == 0 or hi == n:
+    # rows on the staying side stay; their columns on the moving side move
+    _move_rows(buf, *staying, 0, [(*moving, shift)])
+    # rows on the moving side move, and so do their columns on that side
+    _move_rows(buf, *moving, shift, [(*staying, 0), (*moving, shift)])
+
+
+def _move_rows(buf: np.ndarray, r0: int, r1: int, dr: int, spans: list) -> None:
+    """Copy rows ``r0:r1`` of ``buf`` ``dr`` rows on; within them, copy each
+    column span ``(c0, c1, dc)`` ``dc`` columns on.
+
+    numpy copies an overlapping source whole before writing it, so each
+    chunk of rows goes through one small temporary, and the chunks are
+    taken from the end the rows move towards, so no row is overwritten
+    before it is read.  Every chunk is copied forwards, row by row: a move
+    through a reversed view of the buffer was slower.
+    """
+    c_lo = min(c0 for c0, _, _ in spans)
+    width = max(c1 for _, c1, _ in spans) - c_lo
+    if r1 <= r0 or width <= 0:
         return
-    step = max(1, SHIFT_CHUNK_ENTRIES // n)
-    tmp = np.empty((step, n))
-    # rows before node a stay; their columns after it move
-    for s in range(0, lo, step):
-        e = min(s + step, lo)
-        t = tmp[: e - s, : n - hi]
-        t[...] = buf[s:e, hi:n]
-        buf[s:e, hi + g : n + g] = t
-    # rows after node a move, and so do their columns after it
-    starts = range(hi, n, step)
-    for s in reversed(starts) if g > 0 else starts:
-        e = min(s + step, n)
+    step = max(1, SHIFT_CHUNK_ENTRIES // width)
+    tmp = np.empty((min(step, r1 - r0), width))
+    starts = range(r0, r1, step)
+    for s in reversed(starts) if dr > 0 else starts:
+        e = min(s + step, r1)
         t = tmp[: e - s]
-        t[...] = buf[s:e, :n]
-        buf[s + g : e + g, :lo] = t[:, :lo]
-        buf[s + g : e + g, hi + g : n + g] = t[:, hi:]
+        t[...] = buf[s:e, c_lo : c_lo + width]
+        for c0, c1, dc in spans:
+            buf[s + dr : e + dr, c0 + dc : c1 + dc] = t[:, c0 - c_lo : c1 - c_lo]
 
 
 @dataclass(frozen=True)
@@ -270,15 +321,23 @@ def init_network(
     (initially independent across nodes); the reported covariance is the true
     one inflated by a random PSD term of relative trace at most
     ``INFLATION_FRAC``, certified conservative on
-    construction.  Raises when the stacked observation matrices cannot reach
-    full state rank by any fusion order.
+    construction.  Raises :class:`UnreachableError` when the stacked
+    observation matrices cannot reach full state rank by any fusion order,
+    :class:`DimensionMismatchError` when a list of ``noise_spec`` has the
+    wrong length or an entry the wrong shape, and :class:`NotPdError` when
+    a true covariance is not positive definite; each message names the
+    entry.
     """
     spec = noise_spec or NoiseSpec()
     rng = np.random.default_rng(seed)
     if spec.h_list is not None:
         hs = [np.atleast_2d(np.asarray(h, dtype=float)) for h in spec.h_list]
         if len(hs) != nodes:
-            raise UnreachableError(f"h_list has {len(hs)} entries for {nodes} nodes")
+            raise DimensionMismatchError(f"h_list has {len(hs)} entries for {nodes} nodes")
+        for i, h in enumerate(hs):
+            if h.ndim != 2 or h.shape[1] != n:
+                raise DimensionMismatchError(
+                    f"h_list[{i}] has shape {h.shape}; it needs {n} columns")
     else:
         hs = []
         low = max(1, (n + 1) // 2)
@@ -293,8 +352,21 @@ def init_network(
 
     if spec.p_list is not None:
         p_true = [np.atleast_2d(np.asarray(p, dtype=float)) for p in spec.p_list]
+        if len(p_true) != nodes:
+            raise DimensionMismatchError(
+                f"p_list has {len(p_true)} entries for {nodes} nodes")
+        for i, (h, p) in enumerate(zip(hs, p_true)):
+            if p.shape != (h.shape[0],) * 2:
+                raise DimensionMismatchError(
+                    f"p_list[{i}] has shape {p.shape}, not {(h.shape[0],) * 2}")
     else:
         p_true = [_random_spd(rng, h.shape[0]) for h in hs]
+    factors = []
+    for i, p in enumerate(p_true):
+        try:
+            factors.append(np.linalg.cholesky(p))
+        except np.linalg.LinAlgError:
+            raise NotPdError(f"p_list[{i}] is not positive definite") from None
 
     x_true = rng.standard_normal(n)
     truth = GroundTruth(x_true, p_true)
@@ -306,7 +378,7 @@ def init_network(
     off = 0
     for i, h in enumerate(hs):
         p = h.shape[0]
-        e_i = np.linalg.cholesky(p_true[i]) @ z[off : off + p]
+        e_i = factors[i] @ z[off : off + p]
         off += p
         inflation = _random_psd_inflation(rng, p, INFLATION_FRAC * np.trace(p_true[i]))
         p_hat = psd_certify(p_true[i] + inflation)

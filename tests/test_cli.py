@@ -141,6 +141,26 @@ class TestVerify:
         assert out.count("PASS") == 4
         assert "FAIL" not in out
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: tol_scale floors at 1, so the "
+                              "1e-8 certificate band is absolute at small units")
+    def test_halved_covariance_at_small_units_fails(self, tmp_path, capsys):
+        # the determinant optimum at alpha = 0 takes est2 whole; halving its
+        # covariance makes the result plainly not conservative
+        doc = {
+            "n": 2,
+            "est1": {"H": [[1, 0], [0, 1]], "x_hat": [0, 0], "P_hat": [[1e-8, 0], [0, 1e-8]]},
+            "est2": {"H": [[1, 0], [0, 1]], "x_hat": [0, 0],
+                     "P_hat": [[1.25e-8, 0], [0, 0.5e-8]]},
+        }
+        result = {"alpha": 0.0, "K1": [[0, 0], [0, 0]], "K2": [[1, 0], [0, 1]],
+                  "fused_x": [0, 0], "P_hat": [[6.25e-9, 0], [0, 2.5e-9]]}
+        rc = cli.main(["verify", write(tmp_path, doc), "--samples", "1000",
+                       "--result", write(tmp_path, result, "r.json")])
+        out = capsys.readouterr().out
+        assert "verdict: all certificates pass" not in out
+        assert rc == 1
+
     def test_zero_gain_block_prints_the_one_sided_bound(self, tmp_path, capsys):
         # the determinant optimum of EXAMPLE2 is alpha = 0 with K1 = 0, so
         # the scalar row is the one-sided bound lambda_min(P_hat - Q2 Q2')

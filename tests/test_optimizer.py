@@ -10,7 +10,7 @@ from cifusion import (
     loewner_compare,
     psd_certify,
 )
-from cifusion.errors import InvalidFamilyParameterError, OutOfRangeError
+from cifusion.errors import InvalidFamilyParameterError, NotPdError, OutOfRangeError
 from cifusion.linalg import SINGULAR_RTOL, inv_pd
 from cifusion.optimizer import (
     Cost,
@@ -666,6 +666,16 @@ class TestMetamorphic:
                 for factor in (1e-6, 1e6):
                     moved = solver(_rebuilt(problem, scale=factor)).alpha
                     assert moved == pytest.approx(base, abs=self.TOL)
+
+    @pytest.mark.xfail(strict=True, raises=NotPdError,
+                       reason="ROADMAP item 3: tol_scale floors at 1, so a "
+                              "covariance below 1e-9 counts as singular")
+    def test_power_of_two_rescaling_to_small_units_keeps_the_weight_bitwise(self):
+        # the README quick-start problem; a power of two scales exactly
+        for cost, alpha in ((Cost.DET, 0.0), (Cost.TRACE, 0.44803691693189157)):
+            assert solve_ci(example2_problem(), cost).alpha == alpha
+            scaled = _rebuilt(example2_problem(), scale=2.0**-34)
+            assert solve_ci(scaled, cost).alpha == alpha
 
 
 class TestLowerBoundWitness:

@@ -5,6 +5,8 @@ import pytest
 
 from cifusion import loewner_compare, simulator
 from cifusion.errors import (
+    DimensionMismatchError,
+    NotPdError,
     RankDeficientError,
     ScheduleError,
     StackedRankDeficientError,
@@ -50,6 +52,28 @@ class TestInitNetwork:
     def test_unreachable_rank(self):
         spec = NoiseSpec(h_list=[[[1.0, 0.0]], [[1.0, 0.0]]])
         with pytest.raises(UnreachableError):
+            init_network(2, 2, seed=0, noise_spec=spec)
+
+    @pytest.mark.parametrize("field", ["h_list", "p_list"])
+    def test_short_list_names_its_length(self, field):
+        spec = NoiseSpec(h_list=EXAMPLE1_SPEC.h_list, p_list=EXAMPLE1_SPEC.p_list)
+        setattr(spec, field, getattr(spec, field)[:1])
+        with pytest.raises(DimensionMismatchError, match=rf"^{field} has 1 entries for 2 nodes$"):
+            init_network(2, 2, seed=0, noise_spec=spec)
+
+    def test_p_list_block_of_the_wrong_shape_is_named(self):
+        spec = NoiseSpec(h_list=EXAMPLE1_SPEC.h_list, p_list=[[[1.0]], np.eye(2)])
+        with pytest.raises(DimensionMismatchError, match=r"^p_list\[1\] has shape \(2, 2\)"):
+            init_network(2, 2, seed=0, noise_spec=spec)
+
+    def test_p_list_block_that_is_not_positive_definite_is_named(self):
+        spec = NoiseSpec(h_list=EXAMPLE1_SPEC.h_list, p_list=[[[1.0]], [[-1.0]]])
+        with pytest.raises(NotPdError, match=r"^p_list\[1\] is not positive definite$"):
+            init_network(2, 2, seed=0, noise_spec=spec)
+
+    def test_observation_matrix_needs_a_column_per_state(self):
+        spec = NoiseSpec(h_list=[[[1.0, 0.0]], [[0.0, 1.0, 0.0]]])
+        with pytest.raises(DimensionMismatchError, match=r"^h_list\[1\] has shape \(1, 3\)"):
             init_network(2, 2, seed=0, noise_spec=spec)
 
 
@@ -264,6 +288,21 @@ class TestBlockRowUpdate:
             fuse_and_compare(truth, rng, a, b, int(rng.integers(1, 6)))
 
 
+def address(array):
+    return array.__array_interface__["data"][0]
+
+
+def moved_side(before, after):
+    """Which rows a resize of one node moved within the buffer: "head" for
+    those before the node, "tail" for those after it, None for a new buffer.
+
+    A head move starts the joint at another row of the same buffer.
+    """
+    if not np.shares_memory(before, after):
+        return None
+    return "tail" if address(after) == address(before) else "head"
+
+
 class TestRetainedJointBuffer:
     # the small chunk moves a few rows at a time, fewer and more than a
     # growth adds, so the order of the chunks matters
@@ -275,7 +314,7 @@ class TestRetainedJointBuffer:
         truth = correlated_truth(rng, [int(d) for d in rng.integers(1, 6, size=nodes)])
         compact, dims0 = truth.joint.copy(), list(truth.dims)
         joint, dims = compact.copy(), list(dims0)
-        seen = set()
+        seen, moves = set(), set()
         for k in range(60):
             if k == 20:  # the benchmark's reset between passes
                 truth.joint = compact.copy()
@@ -299,7 +338,10 @@ class TestRetainedJointBuffer:
             seen.add((("first", "last", "middle")[k % 3], b > a, change))
             k1, k2 = random_gains(rng, dims, a, b, d)
             joint, dims = reallocating_fusion_oracle(joint, dims, a, b, k1, k2)
+            before = truth.joint
             truth.apply_fusion(a, b, k1, k2)
+            if change != "same" and k not in (20, 40):
+                moves.add((moved_side(before, truth.joint), change))
             assert truth.dims == dims
             assert truth.joint.shape == joint.shape
             assert truth.joint.tobytes() == joint.tobytes()
@@ -310,18 +352,71 @@ class TestRetainedJointBuffer:
         for change in ("grow", "same", "shrink"):
             assert ("first", True, change) in seen and ("last", False, change) in seen
             assert {("middle", True, change), ("middle", False, change)} <= seen
+        for change in ("grow", "shrink"):
+            assert {("head", change), ("tail", change)} <= moves
 
-    def test_growth_reallocates_only_past_the_headroom(self):
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_growing_an_end_node_leaves_the_other_rows_in_place(self, first):
+        rng = np.random.default_rng(8)
+        truth = correlated_truth(rng, [2] * 10)
+        # a same-size fusion brings the assigned joint into the buffer
+        truth.apply_fusion(4, 5, *random_gains(rng, truth.dims, 4, 5, 2))
+        a, b = (0, 1) if first else (9, 8)
+        before = truth.joint[2:, 2:] if first else truth.joint[:-2, :-2]
+        values = before.copy()
+        truth.apply_fusion(a, b, *random_gains(rng, truth.dims, a, b, 3))
+        after = truth.joint[3:, 3:] if first else truth.joint[:-3, :-3]
+        assert address(after) == address(before) and after.strides == before.strides
+        assert after.tobytes() == values.tobytes()
+
+    @staticmethod
+    def grow_one_row_per_event(order):
+        """Grow 2-row nodes to 3 in ``order`` past the first buffer's capacity;
+        check that only the event past it reallocates, and return the sides
+        the in-place events moved."""
         rng = np.random.default_rng(5)
         truth = GroundTruth(np.zeros(3), [np.eye(2)] * 40)
         capacity = math.ceil(JOINT_HEADROOM * 80)
         # one row more per event: in place up to the capacity, one new
         # buffer past it, and in place again in that buffer
-        for a in range(capacity - 80 + 2):
+        sides = []
+        for a in order[: capacity - 80 + 2]:
+            b = a + 1 if a < 39 else a - 1
             before = truth.joint
-            truth.apply_fusion(a, a + 1, *random_gains(rng, truth.dims, a, a + 1, 3))
+            truth.apply_fusion(a, b, *random_gains(rng, truth.dims, a, b, 3))
             size = truth.joint.shape[0]
             assert np.shares_memory(truth.joint, before) == (size != capacity + 1)
+            sides.append(moved_side(before, truth.joint))
+        return sides
+
+    def test_growth_reallocates_only_past_the_headroom(self):
+        sides = self.grow_one_row_per_event(range(40))
+        # the first nodes grow into the spare rows before the joint until
+        # they are used up, then into those after it
+        assert sides[:10] == ["head"] * 5 + ["tail"] * 5
+        assert sides[10] is None
+
+    def test_backward_growth_reallocates_only_past_the_headroom(self):
+        sides = self.grow_one_row_per_event(range(39, -1, -1))
+        assert sides[:10] == ["tail"] * 5 + ["head"] * 5
+        assert sides[10] is None
+
+    def test_assigned_joint_that_does_not_fit_gets_one_buffer(self, monkeypatch):
+        sizes = []
+        capacity = simulator._capacity
+
+        def counted(size):
+            sizes.append(size)
+            return capacity(size)
+
+        monkeypatch.setattr(simulator, "_capacity", counted)
+        rng = np.random.default_rng(7)
+        truth = GroundTruth(np.zeros(6), [np.eye(2)] * 10)
+        truth.joint, truth.dims = np.eye(24), [2] * 12
+        # three rows more than the spare at either end of a 24-row joint's buffer
+        truth.apply_fusion(6, 7, *random_gains(rng, truth.dims, 6, 7, 5))
+        assert sizes == [20, 27]
+        assert truth.joint.shape == (27, 27)
 
     def test_assigned_joint_is_copied_into_the_buffer_unless_it_overlaps(self):
         rng = np.random.default_rng(6)
