@@ -31,7 +31,14 @@ from .errors import (
     UnreachableError,
 )
 from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
-from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify
+from .linalg import (
+    DEFAULT_CERT_TOL,
+    RESULT_RTOL,
+    PsdMatrix,
+    excess_skew,
+    loewner_compare,
+    psd_certify,
+)
 from .optimizer import Cost, FusionResult, extended_cost, solve_ci
 from .problem import FusionProblem, PartialEstimate
 from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
@@ -40,12 +47,6 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-#: a stored result's K1 H1 + K2 H2 must equal I, and its fused_x must equal
-#: K1 x_hat1 + K2 x_hat2, to this fraction of the largest entry of
-#: |K1||H1| + |K2||H2| and of |K1||x_hat1| + |K2||x_hat2|, the magnitudes
-#: that bound the rounding of the two sums; a covariance block must equal
-#: its transpose to this fraction of its largest entry
-RESULT_RTOL = 1e-8
 
 
 def fmt(x: float) -> str:
@@ -111,8 +112,8 @@ def _covariance(value, dim: int, path: str) -> PsdMatrix:
     something to average silently.
     """
     arr = _matrix(value, dim, dim, path)
-    skew = float(np.abs(arr - arr.T).max())
-    if skew > RESULT_RTOL * np.abs(arr).max():
+    skew = excess_skew(arr)
+    if skew is not None:
         raise ProblemFileError(path, f"not symmetric: differs from its transpose by {fmt(skew)}")
     try:
         return psd_certify(arr)

@@ -22,7 +22,7 @@ class NotPsdError(CiFusionError):
 
 
 class NotPdError(CiFusionError):
-    """A matrix that must be positive definite is singular or indefinite."""
+    """A matrix that must be positive definite is singular, indefinite or not symmetric."""
 
 
 class InternalInconsistencyError(CiFusionError):

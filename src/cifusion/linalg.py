@@ -32,11 +32,26 @@ DEFAULT_CERT_TOL = 1e-8
 SINGULAR_RTOL = 1e-12
 #: the weight searches stop when their bracket is this narrow
 PETERSEN_WIDTH = 1e-12
+#: a stored result's K1 H1 + K2 H2 must equal I, and its fused_x must equal
+#: K1 x_hat1 + K2 x_hat2, to this fraction of the largest entry of
+#: |K1||H1| + |K2||H2| and of |K1||x_hat1| + |K2||x_hat2|, the magnitudes
+#: that bound the rounding of the two sums; an input covariance block must
+#: equal its transpose to this fraction of its largest entry
+RESULT_RTOL = 1e-8
 
 
 def tol_scale(magnitude: float) -> float:
     """``max(1, magnitude)``, the factor every tolerance is multiplied by."""
     return max(1.0, magnitude)
+
+
+def excess_skew(a: np.ndarray) -> float | None:
+    """``max |a - a'|`` when it exceeds ``RESULT_RTOL`` of ``max |a|``, else ``None``.
+
+    Asymmetry within that bound is the rounding a product leaves.
+    """
+    skew = float(np.abs(a - a.T).max())
+    return skew if skew > RESULT_RTOL * np.abs(a).max() else None
 
 
 def _square(entries) -> np.ndarray:

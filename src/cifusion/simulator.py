@@ -22,7 +22,14 @@ from .errors import (
     StackedRankDeficientError,
     UnreachableError,
 )
-from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify, tol_scale
+from .linalg import (
+    DEFAULT_CERT_TOL,
+    PsdMatrix,
+    excess_skew,
+    loewner_compare,
+    psd_certify,
+    tol_scale,
+)
 from .optimizer import Cost, solve_ci
 from .problem import FusionProblem, PartialEstimate, matrix_rank
 
@@ -325,8 +332,9 @@ def init_network(
     observation matrices cannot reach full state rank by any fusion order,
     :class:`DimensionMismatchError` when a list of ``noise_spec`` has the
     wrong length or an entry the wrong shape, and :class:`NotPdError` when
-    a true covariance is not positive definite; each message names the
-    entry.
+    a true covariance is not positive definite or differs from its
+    transpose by more than ``RESULT_RTOL`` of its largest entry; each
+    message names the entry.
     """
     spec = noise_spec or NoiseSpec()
     rng = np.random.default_rng(seed)
@@ -359,6 +367,12 @@ def init_network(
             if p.shape != (h.shape[0],) * 2:
                 raise DimensionMismatchError(
                     f"p_list[{i}] has shape {p.shape}, not {(h.shape[0],) * 2}")
+            # the ground truth keeps the block as given, while the node's
+            # error is drawn from the Cholesky factor of its lower triangle
+            skew = excess_skew(p)
+            if skew is not None:
+                raise NotPdError(f"p_list[{i}] is not symmetric: differs from its "
+                                 f"transpose by {skew:.6g}")
     else:
         p_true = [_random_spd(rng, h.shape[0]) for h in hs]
     factors = []

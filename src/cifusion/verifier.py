@@ -32,7 +32,9 @@ those downdates, and the draws are kept as ``n x samples`` factor arrays.
 :func:`_worst_sample` decides most samples from their factors by one
 Cholesky factorisation and a closed-form test per sample
 (:func:`_undecided`), and forms and decomposes only the few it cannot
-drop, with a value bit for bit that of ``eigvalsh`` over all of them.
+drop.  Its value lies less than a proven rounding-level margin below the
+largest ``eigvalsh`` value over all of them, and it lies at or below the
+certificate tolerance exactly when that largest value does.
 Each sampler is a pure function of its arguments and runs on the calling
 thread.  A found violation is conclusive; absence of violations is
 reported as "no violation found" for the sampled budget, while the block
@@ -248,6 +250,7 @@ def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray
 def _worst_violation(
     q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray,
     head_a: np.ndarray, head_b: np.ndarray, a: np.ndarray, b: np.ndarray, g=(),
+    tol: float = np.inf,
 ) -> float:
     """Largest eigenvalue of ``Q1 Q1' + Q2 Q2' - P_hat + C + C' - G G'`` over heads and draws.
 
@@ -261,8 +264,9 @@ def _worst_violation(
     of one matrix ``base = Q1 Q1' + Q2 Q2' - P_hat``, with ``c = Q1 a``
     and ``d = Q2 b``, less ``g1 g1' + g2 g2'`` for the zero or two
     ``n x S`` arrays ``g``; :func:`_worst_sample` decides them from these
-    factors.  ``base`` is formed once, so draws that differ only in a zero
-    cross term are bitwise equal.
+    factors, exactly against the decision level ``tol``.  ``base`` is
+    formed once, so draws that differ only in a zero cross term are bitwise
+    equal.
     """
     base = np.einsum("ia,ja->ij", q1, q1) + np.einsum("ia,ja->ij", q2, q2) - p_hat
     cross = np.einsum("hik,hjk->hij", np.einsum("ia,hak->hik", q1, head_a),
@@ -270,7 +274,7 @@ def _worst_violation(
     heads = base + cross
     heads += np.swapaxes(cross, 1, 2)
     c, d = np.einsum("ia,as->is", q1, a), np.einsum("ia,as->is", q2, b)
-    return _worst_sample(base, heads, c, d, g)
+    return _worst_sample(base, heads, c, d, g, tol)
 
 
 def _sample_stack(base: np.ndarray, c: np.ndarray, d: np.ndarray, g=()) -> np.ndarray:
@@ -292,23 +296,39 @@ def _sample_stack(base: np.ndarray, c: np.ndarray, d: np.ndarray, g=()) -> np.nd
     return stack
 
 
-def _worst_sample(base: np.ndarray, heads: np.ndarray, c: np.ndarray, d: np.ndarray, g=()) -> float:
-    """``eigvalsh`` largest eigenvalue over ``heads`` and the samples of :func:`_sample_stack`.
+def _worst_sample(
+    base: np.ndarray, heads: np.ndarray, c: np.ndarray, d: np.ndarray, g=(), tol: float = np.inf,
+) -> float:
+    """Largest ``eigvalsh`` eigenvalue over ``heads`` and the samples of :func:`_sample_stack`.
 
-    The value is bit for bit the largest over every head and every formed
-    sample, yet few samples are formed.  Each sample's diagonal,
+    Few samples are formed, so the value may lie below the dense maximum,
+    the largest ``eigvalsh`` value over every head and sample, but by less
+    than a proven margin ``rho``, and it is at most the decision level
+    ``tol`` exactly when the dense maximum is.  Each sample's diagonal,
     ``diag(base) + 2 c d - g1^2 - g2^2``, costs ``O(n)``; its largest and
     its summed entries are lower bounds on the sample's largest
     eigenvalue.  The ``SCREEN_CANDIDATES`` samples that rank highest on
     each are formed and decomposed with the heads, and the largest of
-    those values is the threshold ``level``.  :func:`_undecided` proves
-    most samples to lie below ``level`` from their factors, and only the
-    rest are formed.  Of those, every matrix bitwise equal to the one that
-    set ``level`` is dropped before ``eigvalsh`` runs, as its value is
-    ``level`` itself.  So the value does not depend on the order of the
-    samples, and a stack of identical samples, such as an endpoint
-    result's adversarial samples, costs the heads' and the candidates'
-    decompositions and one formed stack.  The value depends on the lower
+    those values is ``v``.  With ``rho = 2 delta``, ``delta`` the margin of
+    :func:`_undecided` at ``v``, that function proves most samples to lie
+    below the ceiling ``v + rho``, or below ``min(v + rho, tol)`` when
+    ``v <= tol``, and only the rest are formed.  Of those, every matrix
+    bitwise equal to the one that set ``v`` is dropped before ``eigvalsh``
+    runs, as its value is ``v`` itself.  The value returned is the largest
+    ``eigvalsh`` value over the heads and the formed samples, so:
+
+    - It is at most the dense maximum, and as no dropped sample reaches
+      the ceiling, the dense maximum lies below ``v + rho``, hence below
+      the value plus ``rho``.
+    - It is at most ``tol`` exactly when the dense maximum is: with
+      ``v <= tol`` no sample above ``tol`` is dropped.
+
+    Samples tied with ``v`` at rounding level, as every adversarial sample
+    of a square pair (``p1 + p2 = n``) at an interior weight and every
+    Monte Carlo sample at an endpoint weight are, lie about ``delta`` below
+    the ceiling, so they cost no decomposition beyond the candidates'.
+    ``rho = 128 (n + 2)^2 eps (|v| + s)``, with ``s`` of :func:`_undecided`,
+    is about ``2e-12 s`` at n = 6.  The value depends on the lower
     triangles alone, as ``eigvalsh``'s does.
     """
     diag = np.diagonal(base)[:, None] + 2.0 * c * d
@@ -325,7 +345,13 @@ def _worst_sample(base: np.ndarray, heads: np.ndarray, c: np.ndarray, d: np.ndar
                                                 [x[:, ranked] for x in g])])
     tops = np.linalg.eigvalsh(mats)[:, -1]
     level = float(tops.max())
-    keep = _undecided(base, level, c, d, g)
+    # an overflow can only give an infinite ceiling, which keeps samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _sample_scale(base, c, d, g)
+        ceiling = level + 2.0 * _margin(base.shape[0], level, s)
+    if level <= tol:
+        ceiling = min(ceiling, tol)
+    keep = _undecided(base, ceiling, c, d, g, s)
     keep[ranked] = False
     if not keep.any():
         return level
@@ -337,7 +363,20 @@ def _worst_sample(base: np.ndarray, heads: np.ndarray, c: np.ndarray, d: np.ndar
     return float(np.append(np.linalg.eigvalsh(left)[:, -1], level).max())
 
 
-def _undecided(base: np.ndarray, level: float, c: np.ndarray, d: np.ndarray, g=()) -> np.ndarray:
+def _sample_scale(base: np.ndarray, c: np.ndarray, d: np.ndarray, g=()) -> float:
+    """``n (max|base| + 2 max|c| max|d| + max|g1|^2 + max|g2|^2)``, above every sample's norm."""
+    return base.shape[0] * (np.abs(base).max() + 2.0 * np.abs(c).max() * np.abs(d).max()
+                            + sum(np.abs(x).max() ** 2 for x in g))
+
+
+def _margin(n: int, level: float, s: float) -> float:
+    """The screening margin ``delta = 64 (n + 2)^2 eps (|level| + s)`` of :func:`_undecided`."""
+    return 64.0 * (n + 2) ** 2 * np.finfo(float).eps * (abs(level) + s)
+
+
+def _undecided(
+    base: np.ndarray, level: float, c: np.ndarray, d: np.ndarray, g=(), s: float | None = None,
+) -> np.ndarray:
     """Mask of the samples of :func:`_sample_stack` whose ``eigvalsh`` value may reach ``level``.
 
     A sample is ``M = base + c d' + d c' - G G'``, ``G = [g1 g2]`` or
@@ -358,7 +397,10 @@ def _undecided(base: np.ndarray, level: float, c: np.ndarray, d: np.ndarray, g=(
     (no ``g`` terms in the first test).  A NaN or infinite ``t``, as from
     a rounded ``q_cc`` below zero, keeps the sample, and every sample is
     kept when the factorisation fails or ``kappa``, the Frobenius norm of
-    ``|L| |W|``, exceeds ``16 (n + 2)``.
+    ``|L| |W|``, exceeds ``16 (n + 2)``.  :func:`_worst_sample` passes
+    ``level = v + 2 delta(v)``, one margin above its threshold ``v``, so
+    the factored matrix is about ``(v + delta) I - base``; it passes ``s``
+    too, which is otherwise computed here by :func:`_sample_scale`.
 
     With ``u`` the unit roundoff, half the machine epsilon ``eps``,
     ``gamma_k = k u / (1 - k u)``,
@@ -417,9 +459,9 @@ def _undecided(base: np.ndarray, level: float, c: np.ndarray, d: np.ndarray, g=(
     # an overflow or NaN can only give a NaN or infinite t, or a failed
     # factorisation, each of which keeps samples, so it needs no warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = n * (np.abs(base).max() + 2.0 * np.abs(c).max() * np.abs(d).max()
-                 + sum(np.abs(x).max() ** 2 for x in g))
-        delta = 64.0 * (n + 2) ** 2 * np.finfo(float).eps * (abs(level) + s)
+        if s is None:
+            s = _sample_scale(base, c, d, g)
+        delta = _margin(n, level, s)
         a = np.negative(base)
         a[np.diag_indices(n)] += level - delta
         try:
@@ -504,7 +546,11 @@ def adversarial_x_search(
     radii, and by Petersen's lemma the supremum over ``|X| <= 1`` is
     attained at a rank-one ``X`` of norm one.  Rounding can put a draw's
     norm at ``1 + O(eps)``, far inside the certificate tolerance.  Values
-    at or below tolerance certify that no sampled violation exists.
+    at or below tolerance certify that no sampled violation exists.  The
+    value is :func:`_worst_sample`'s, judged against
+    :func:`certificate_tolerance`: at or below it exactly when the largest
+    sampled eigenvalue is, and less than a rounding-level margin below that
+    eigenvalue.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -512,8 +558,8 @@ def adversarial_x_search(
     q1, q2 = q_pair(result, problem)
     a, b = _draw_cross(rng, samples, q1.shape[1], q2.shape[1])
     u, v = _extreme_cross_direction(q1, q2)
-    return _worst_violation(q1, q2, result.P_hat.data,
-                            np.stack([np.zeros_like(u), u, -u]), np.stack([v] * 3), a, b)
+    return _worst_violation(q1, q2, result.P_hat.data, np.stack([np.zeros_like(u), u, -u]),
+                            np.stack([v] * 3), a, b, (), certificate_tolerance(result))
 
 
 def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
@@ -576,7 +622,9 @@ def monte_carlo_joint(
     ``g_i = sqrt(1 - e_i) Q_i w_i``.  Two aligned near-extreme cross
     parameters ``+-(1 - 1e-6) U V'`` at the full diagonal, as factors of
     ``k = min(p1, p2)`` columns, are the heads.  Returns the largest
-    eigenvalue of ``K P_joint K' - P_hat`` over heads and draws.
+    eigenvalue of ``K P_joint K' - P_hat`` over heads and draws, to
+    :func:`_worst_sample`'s margin and exactly against
+    :func:`certificate_tolerance`, as :func:`adversarial_x_search` does.
 
     Every sampled joint lies below the joint with full diagonal blocks and
     cross parameter ``W1 X W2'``, of norm below one: the difference is
@@ -600,7 +648,8 @@ def monte_carlo_joint(
     for q, w, f, e in ((q1, w1, a, shrink[0]), (q2, w2, b, shrink[1])):
         f -= ((1.0 - np.sqrt(e)) * np.einsum("as,as->s", w, f)) * w
         g.append(np.einsum("ia,as->is", q, w) * np.sqrt(1.0 - e))
-    return _worst_violation(q1, q2, result.P_hat.data, np.stack([u, -u]), np.stack([v, v]), a, b, g)
+    return _worst_violation(q1, q2, result.P_hat.data, np.stack([u, -u]), np.stack([v, v]), a, b, g,
+                            certificate_tolerance(result))
 
 
 def certificate_tolerance(result) -> float:

@@ -12,6 +12,7 @@ from cifusion.errors import (
     StackedRankDeficientError,
     UnreachableError,
 )
+from cifusion.linalg import RESULT_RTOL
 from cifusion.optimizer import Cost
 from cifusion.simulator import (
     JOINT_HEADROOM,
@@ -69,6 +70,27 @@ class TestInitNetwork:
     def test_p_list_block_that_is_not_positive_definite_is_named(self):
         spec = NoiseSpec(h_list=EXAMPLE1_SPEC.h_list, p_list=[[[1.0]], [[-1.0]]])
         with pytest.raises(NotPdError, match=r"^p_list\[1\] is not positive definite$"):
+            init_network(2, 2, seed=0, noise_spec=spec)
+
+    def test_p_list_block_that_is_not_symmetric_is_named(self):
+        # the ground truth would keep [[2, 1], [0, 2]] while the node's error
+        # is drawn from the Cholesky factor of its lower triangle, diag(2, 2)
+        spec = NoiseSpec(h_list=[np.eye(2), np.eye(2)],
+                         p_list=[[[2.0, 1.0], [0.0, 2.0]], np.eye(2)])
+        with pytest.raises(NotPdError, match=r"^p_list\[0\] is not symmetric: differs from its "
+                                             r"transpose by 1$"):
+            init_network(2, 2, seed=0, noise_spec=spec)
+
+    def test_p_list_block_symmetric_to_rounding_is_kept_as_given(self):
+        # the asymmetry a product leaves, within RESULT_RTOL of the largest
+        # entry, is accepted, and the block is not averaged
+        block = np.array([[2.0, 1.0], [1.0, 2.0]])
+        block[0, 1] += 0.5 * RESULT_RTOL * 2.0
+        spec = NoiseSpec(h_list=[np.eye(2), np.eye(2)], p_list=[block, np.eye(2)])
+        _, truth = init_network(2, 2, seed=0, noise_spec=spec)
+        np.testing.assert_array_equal(truth.node_cov(0), block)
+        block[0, 1] = 1.0 + 2.0 * RESULT_RTOL * 2.0
+        with pytest.raises(NotPdError, match=r"^p_list\[0\] is not symmetric"):
             init_network(2, 2, seed=0, noise_spec=spec)
 
     def test_observation_matrix_needs_a_column_per_state(self):
