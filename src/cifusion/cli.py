@@ -3,12 +3,13 @@
 Subcommands: ``fuse``, ``scan``, ``verify``, ``known``, ``sim``.
 Problem files are JSON documents with keys ``n``, ``est1``/``est2`` (each
 ``H`` p x n, ``x_hat`` length p, ``P_hat`` p x p) and optional ``truth``
-(``P1``, ``P2``, ``P12``) and ``P_hat_override`` blocks.
+(``P1``, ``P2``, ``P12``) and ``P_hat_override`` blocks; each covariance
+block goes through :func:`~cifusion.problem.covariance`.
 
 Exit codes: 0 success, 1 certificate failure, 2 input or validation
 failure, 3 internal inconsistency.  Diagnostics go to standard error; every
-number is serialized with 17 significant digits so identical inputs give
-byte-identical outputs.
+number is serialized with 17 significant digits (one that is not finite as
+``null``), so identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -26,21 +27,13 @@ from .errors import (
     CiFusionError,
     InternalInconsistencyError,
     NotPdError,
-    NotPsdError,
     ProblemFileError,
     UnreachableError,
 )
 from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
-from .linalg import (
-    DEFAULT_CERT_TOL,
-    RESULT_RTOL,
-    PsdMatrix,
-    excess_skew,
-    loewner_compare,
-    psd_certify,
-)
+from .linalg import DEFAULT_CERT_TOL, RESULT_RTOL, PsdMatrix, loewner_compare
 from .optimizer import Cost, FusionResult, extended_cost, solve_ci
-from .problem import FusionProblem, PartialEstimate
+from .problem import FusionProblem, PartialEstimate, covariance
 from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
 
 EXIT_OK = 0
@@ -72,8 +65,8 @@ def dumps(obj, indent: int = 0) -> str:
         return pad + "null"
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return pad + fmt(obj)
+    if isinstance(obj, (float, np.floating)):  # JSON has no infinity: an overflow is null
+        return pad + (fmt(obj) if math.isfinite(obj) else "null")
     return pad + json.dumps(obj)
 
 
@@ -105,20 +98,12 @@ def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
 
 
 def _covariance(value, dim: int, path: str) -> PsdMatrix:
-    """A symmetric PSD covariance block, or an error naming its path.
-
-    Asymmetry within ``RESULT_RTOL`` of the largest entry, the rounding a
-    product leaves, is averaged away; more is an input error rather than
-    something to average silently.
-    """
+    """The block at ``path`` through :func:`covariance`, or an error naming the path."""
     arr = _matrix(value, dim, dim, path)
-    skew = excess_skew(arr)
-    if skew is not None:
-        raise ProblemFileError(path, f"not symmetric: differs from its transpose by {fmt(skew)}")
     try:
-        return psd_certify(arr)
-    except NotPsdError as exc:
-        raise ProblemFileError(path, str(exc)) from None
+        return covariance(arr, dim, path)
+    except CiFusionError as exc:  # its message starts with the path
+        raise ProblemFileError(path, str(exc).removeprefix(f"{path}: ")) from None
 
 
 def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
@@ -138,7 +123,7 @@ def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
     try:
         return PartialEstimate(h, x_hat, p_hat)
     except NotPdError as exc:  # PSD but singular: the estimate's check on P_hat
-        raise ProblemFileError(f"{key}.P_hat", str(exc)) from None
+        raise ProblemFileError(f"{key}.P_hat", str(exc).removeprefix("P_hat: ")) from None
     except CiFusionError as exc:
         raise ProblemFileError(key, str(exc)) from None
 
@@ -221,20 +206,26 @@ def cmd_fuse(args) -> int:
 def cmd_scan(args) -> int:
     if args.grid < 2:
         raise ProblemFileError("--grid", "needs at least two points")
+    # a grid whose weights numpy cannot address exits before anything is allocated
+    if args.grid > np.iinfo(np.intp).max // 8:
+        raise ProblemFileError("--grid", f"{args.grid} points exceed the addressable memory")
     problem, _ = load_problem_file(args.file)
     cost = Cost(args.cost)
-    alphas = np.linspace(0.0, 1.0, args.grid)
     rows = ["alpha,cost,finite"]
     values = []
-    for a in alphas:
-        v = extended_cost(cost, a * problem.sigma1 + (1.0 - a) * problem.sigma0)
-        values.append(v)
-        if math.isinf(v):
-            rows.append(f"{fmt(a)},,0")
-        elif math.isnan(v):
-            raise ProblemFileError(f"alpha={fmt(a)}", "the cost is not a number")
-        else:
-            rows.append(f"{fmt(a)},{fmt(v)},1")
+    try:
+        alphas = np.linspace(0.0, 1.0, args.grid)
+        for a in alphas:
+            v = extended_cost(cost, a * problem.sigma1 + (1.0 - a) * problem.sigma0)
+            values.append(v)
+            if math.isinf(v):
+                rows.append(f"{fmt(a)},,0")
+            elif math.isnan(v):
+                raise ProblemFileError(f"alpha={fmt(a)}", "the cost is not a number")
+            else:
+                rows.append(f"{fmt(a)},{fmt(v)},1")
+    except MemoryError as exc:
+        raise ProblemFileError("--grid", f"{args.grid} points do not fit in memory") from exc
     argmin = int(np.argmin(values))
     rows.append(f"# argmin,{fmt(alphas[argmin])},{fmt(values[argmin])}")
     _write_out("\n".join(rows) + "\n", args.out)

@@ -27,24 +27,18 @@ from .linalg import (
     sym_data,
     tol_scale,
 )
-from .problem import FusionProblem
+from .problem import FusionProblem, covariance
 
 
 class JointCovariance:
-    """Block covariance ``[P1 P12; P12.T P2]`` with PSD/PD classification."""
+    """Block covariance ``[P1 P12; P12.T P2]``, certified PSD, with PD classification."""
 
     def __init__(self, p1, p12, p2):
         p12 = np.atleast_2d(np.asarray(p12, dtype=float))
-        for name, block in (("P1", p1), ("P12", p12), ("P2", p2)):
-            data = block.data if isinstance(block, PsdMatrix) else np.asarray(block, dtype=float)
-            if not np.isfinite(data).all():
-                raise NonFiniteError(f"{name} holds a NaN or an infinity")
-        cert1 = p1 if isinstance(p1, PsdMatrix) else psd_certify(p1)
-        cert2 = p2 if isinstance(p2, PsdMatrix) else psd_certify(p2)
-        if p12.shape != (cert1.dim, cert2.dim):
-            raise DimensionMismatchError(
-                f"P12 has shape {p12.shape}, expected {(cert1.dim, cert2.dim)}"
-            )
+        if not np.isfinite(p12).all():
+            raise NonFiniteError("P12: holds a NaN or an infinity")
+        cert1 = covariance(p1, p12.shape[0], "P1")
+        cert2 = covariance(p2, p12.shape[1], "P2")
         assembled = np.zeros((cert1.dim + cert2.dim,) * 2)
         assembled[: cert1.dim, : cert1.dim] = cert1.data
         assembled[: cert1.dim, cert1.dim :] = p12
@@ -61,8 +55,9 @@ class JointCovariance:
     @classmethod
     def from_cross_parameter(cls, p1, x, p2) -> "JointCovariance":
         """Build a joint from the normalized cross parameter X."""
-        cert1 = p1 if isinstance(p1, PsdMatrix) else psd_certify(p1)
-        cert2 = p2 if isinstance(p2, PsdMatrix) else psd_certify(p2)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        cert1 = covariance(p1, x.shape[0], "P1")
+        cert2 = covariance(p2, x.shape[1], "P2")
         return cls(cert1, assemble_cross(cert1, x, cert2), cert2)
 
     @property

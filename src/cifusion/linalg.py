@@ -45,15 +45,6 @@ def tol_scale(magnitude: float) -> float:
     return max(1.0, magnitude)
 
 
-def excess_skew(a: np.ndarray) -> float | None:
-    """``max |a - a'|`` when it exceeds ``RESULT_RTOL`` of ``max |a|``, else ``None``.
-
-    Asymmetry within that bound is the rounding a product leaves.
-    """
-    skew = float(np.abs(a - a.T).max())
-    return skew if skew > RESULT_RTOL * np.abs(a).max() else None
-
-
 def _square(entries) -> np.ndarray:
     a = np.asarray(entries, dtype=float)
     if a.ndim == 0:

@@ -74,9 +74,10 @@ def extended_cost(cost: Cost, sigma: np.ndarray) -> float:
     scale = float(np.abs(eigs).max())
     if scale == 0.0 or eigs[0] <= SINGULAR_RTOL * scale:
         return math.inf
-    if cost is Cost.DET:
-        return float(np.prod(1.0 / eigs))
-    return float(np.sum(1.0 / eigs))
+    with np.errstate(over="ignore"):  # an overflow is the exact infinity
+        if cost is Cost.DET:
+            return float(np.prod(1.0 / eigs))
+        return float(np.sum(1.0 / eigs))
 
 
 def sigma_alpha(problem: FusionProblem, alpha: float) -> SymMatrix:

@@ -1,12 +1,14 @@
 """Validated inputs for the two-estimate fusion problem.
 
-A partial estimate observes ``H x`` for a full-row-rank H; a fusion problem
-is an ordered pair of such estimates whose stacked observation matrix has
-full column rank.  Rank validation happens once here so the solvers can
-assume it: one batched SVD gives the ranks of H1, H2 and the stack.  Each
-estimate has one factor, the Cholesky factor ``L`` of its covariance, which
-gives ``P_hat^-1`` and the certificate's scaled gain blocks ``K L``; no
-symmetric root of a covariance is taken here.
+:func:`covariance` certifies every covariance block that enters the package
+from outside: an estimate's, a known joint's, the simulator's true ones and
+those the CLI reads.  A partial estimate observes ``H x`` for a full-row-rank
+H; a fusion problem is an ordered pair of such estimates whose stacked
+observation matrix has full column rank.  Rank validation happens once here
+so the solvers can assume it: one batched SVD gives the ranks of H1, H2 and
+the stack.  Each estimate has one factor, the Cholesky factor ``L`` of its
+covariance, which gives ``P_hat^-1`` and the certificate's scaled gain
+blocks ``K L``; no symmetric root of a covariance is taken here.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotPdError,
+    NotPsdError,
     RankDeficientError,
     StackedRankDeficientError,
 )
-from .linalg import PsdMatrix, cholesky_pd, inv_from_cholesky, psd_certify
+from .linalg import RESULT_RTOL, PsdMatrix, cholesky_pd, inv_from_cholesky, psd_certify
 
 #: singular values below RANK_RTOL * sigma_max do not count towards rank
 RANK_RTOL = 1e-10
@@ -57,28 +60,53 @@ def _pair_ranks(h1: np.ndarray, h2: np.ndarray) -> tuple[tuple[int, int, int], n
     return ranks, h
 
 
+def covariance(value, dim: int, name: str) -> PsdMatrix:
+    """A ``dim x dim`` block certified PSD, or an error whose message starts with ``name``.
+
+    In order: finite entries (:class:`NonFiniteError`), the shape
+    (:class:`DimensionMismatchError`), the transpose to ``RESULT_RTOL`` of the
+    largest entry (:class:`NotPdError`), then :func:`psd_certify`
+    (:class:`NotPsdError`).  A :class:`PsdMatrix` passes after the shape
+    check.  A caller that needs the block strictly PD tests that itself.
+    """
+    if isinstance(value, PsdMatrix):
+        shape = (value.dim,) * 2
+    else:
+        value = np.atleast_2d(np.asarray(value, dtype=float))
+        if not np.isfinite(value).all():
+            raise NonFiniteError(f"{name}: holds a NaN or an infinity")
+        shape = value.shape
+    if shape != (dim, dim):
+        raise DimensionMismatchError(f"{name}: shape {shape}, expected {(dim, dim)}")
+    if isinstance(value, PsdMatrix):
+        return value
+    skew = float(np.abs(value - value.T).max())
+    if skew > RESULT_RTOL * np.abs(value).max():
+        raise NotPdError(f"{name}: not symmetric: differs from its transpose by {skew:.17g}")
+    try:
+        return psd_certify(value)
+    except NotPsdError as exc:
+        raise NotPsdError(exc.min_eig, f"{name}: {exc}") from None
+
+
 class PartialEstimate:
-    """One node's observation model, estimate and conservative covariance."""
+    """One node's observation model, estimate and strictly PD covariance."""
 
     def __init__(self, h, x_hat, p_hat):
         h = np.atleast_2d(np.asarray(h, dtype=float))
         x = np.atleast_1d(np.asarray(x_hat, dtype=float))
-        cov = p_hat.data if isinstance(p_hat, PsdMatrix) else np.asarray(p_hat, dtype=float)
-        for name, arr in (("H", h), ("x_hat", x), ("P_hat", cov)):
+        for name, arr in (("H", h), ("x_hat", x)):
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"{name} holds a NaN or an infinity")
-        cert = p_hat if isinstance(p_hat, PsdMatrix) else psd_certify(cov)
-        if not cert.strict:
-            raise NotPdError("covariance estimate must be strictly PD")
         p = h.shape[0]
         if h.ndim != 2 or p < 1:
             raise DimensionMismatchError(f"H must be a p x n matrix, got {h.shape}")
         if x.shape != (p,):
             raise DimensionMismatchError(f"x_hat has shape {x.shape}, expected ({p},)")
-        if cert.dim != p:
-            raise DimensionMismatchError(
-                f"P_hat is {cert.dim} x {cert.dim}, expected {p} x {p}"
-            )
+        cert = covariance(p_hat, p, "P_hat")
+        if not cert.strict:
+            raise NotPdError(f"P_hat: covariance estimate must be strictly PD "
+                             f"(min eigenvalue {cert.min_eig:.6g})")
         h.flags.writeable = False
         x.flags.writeable = False
         self.h = h

@@ -22,16 +22,9 @@ from .errors import (
     StackedRankDeficientError,
     UnreachableError,
 )
-from .linalg import (
-    DEFAULT_CERT_TOL,
-    PsdMatrix,
-    excess_skew,
-    loewner_compare,
-    psd_certify,
-    tol_scale,
-)
+from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify, tol_scale
 from .optimizer import Cost, solve_ci
-from .problem import FusionProblem, PartialEstimate, matrix_rank
+from .problem import FusionProblem, PartialEstimate, covariance, matrix_rank
 
 #: drawn true covariances have condition number at most this
 COND_MAX = 100.0
@@ -331,10 +324,10 @@ def init_network(
     construction.  Raises :class:`UnreachableError` when the stacked
     observation matrices cannot reach full state rank by any fusion order,
     :class:`DimensionMismatchError` when a list of ``noise_spec`` has the
-    wrong length or an entry the wrong shape, and :class:`NotPdError` when
-    a true covariance is not positive definite or differs from its
-    transpose by more than ``RESULT_RTOL`` of its largest entry; each
-    message names the entry.
+    wrong length or an ``h_list`` entry the wrong shape, any error of
+    :func:`~cifusion.problem.covariance` for a ``p_list`` block, and
+    :class:`NotPdError` when a block has no Cholesky factor; each message
+    names the entry.
     """
     spec = noise_spec or NoiseSpec()
     rng = np.random.default_rng(seed)
@@ -363,16 +356,11 @@ def init_network(
         if len(p_true) != nodes:
             raise DimensionMismatchError(
                 f"p_list has {len(p_true)} entries for {nodes} nodes")
+        # the ground truth keeps each block as given, and the node's error is
+        # drawn from the Cholesky factor of its lower triangle, so a block is
+        # only checked here, not replaced by the certified copy
         for i, (h, p) in enumerate(zip(hs, p_true)):
-            if p.shape != (h.shape[0],) * 2:
-                raise DimensionMismatchError(
-                    f"p_list[{i}] has shape {p.shape}, not {(h.shape[0],) * 2}")
-            # the ground truth keeps the block as given, while the node's
-            # error is drawn from the Cholesky factor of its lower triangle
-            skew = excess_skew(p)
-            if skew is not None:
-                raise NotPdError(f"p_list[{i}] is not symmetric: differs from its "
-                                 f"transpose by {skew:.6g}")
+            covariance(p, h.shape[0], f"p_list[{i}]")
     else:
         p_true = [_random_spd(rng, h.shape[0]) for h in hs]
     factors = []
@@ -380,7 +368,7 @@ def init_network(
         try:
             factors.append(np.linalg.cholesky(p))
         except np.linalg.LinAlgError:
-            raise NotPdError(f"p_list[{i}] is not positive definite") from None
+            raise NotPdError(f"p_list[{i}]: not positive definite") from None
 
     x_true = rng.standard_normal(n)
     truth = GroundTruth(x_true, p_true)

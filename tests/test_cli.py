@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,7 +89,64 @@ class TestFuse:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+#: full state, P1 = 1e110 I and P2 = 1e110 diag(2, 0.5, 1): every fused
+#: determinant is near 1e330, beyond the largest float
+DET_OVERFLOW = {
+    "n": 3,
+    "est1": {"H": np.eye(3).tolist(), "x_hat": [0, 0, 0], "P_hat": (1e110 * np.eye(3)).tolist()},
+    "est2": {"H": np.eye(3).tolist(), "x_hat": [1, 0, 0],
+             "P_hat": np.diag([2e110, 0.5e110, 1e110]).tolist()},
+}
+
+
+class TestOverflowingCost:
+    def test_fuse_writes_null_and_the_result_verifies(self, tmp_path, capsys):
+        problem = write(tmp_path, DET_OVERFLOW)
+        fused = tmp_path / "fused.json"
+        assert cli.main(["fuse", problem, "--out", str(fused)]) == 0
+        stored = json.loads(fused.read_text())
+        assert stored["cost_value"] is None
+        assert np.isfinite(stored["P_hat"]).all()
+        rc = cli.main(["verify", problem, "--result", str(fused), "--samples", "20"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.endswith("verdict: all certificates pass\n")
+
+    def test_scan_reports_the_overflow_without_a_warning(self, tmp_path, capsys):
+        # this suite turns a numpy RuntimeWarning into an error
+        rc = cli.main(["scan", write(tmp_path, DET_OVERFLOW), "--grid", "3"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.splitlines()[1:4] == ["0,,0", "0.5,,0", "1,,0"]
+
+    def test_dumps_writes_every_non_finite_float_as_null(self):
+        text = cli.dumps({"a": math.inf, "b": [1.0, -math.inf, math.nan], "c": np.float64(2.0)})
+        assert json.loads(text) == {"a": None, "b": [1.0, None, None], "c": 2.0}
+
+
 class TestScan:
+    def test_unaddressable_grid_exits_two_before_allocating(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", unreachable)
+        grid = np.iinfo(np.intp).max // 8 + 1
+        out, err, code = run_main(["scan", write(tmp_path, EXAMPLE2), "--grid", str(grid)],
+                                  capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == f"error: --grid: {grid} points exceed the addressable memory\n"
+
+    def test_grid_out_of_memory_exits_two_naming_grid(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(np, "linspace", exhausted)
+        out, err, code = run_main(["scan", write(tmp_path, EXAMPLE2), "--grid", "10000000000000"],
+                                  capsys)
+        assert (out, err, code) == (
+            "", "error: --grid: 10000000000000 points do not fit in memory\n", cli.EXIT_INPUT)
+
     def test_grid_rows_and_monotone_cost(self, tmp_path, capsys):
         rc = cli.main(["scan", write(tmp_path, EXAMPLE2), "--grid", "11"])
         lines = capsys.readouterr().out.strip().splitlines()

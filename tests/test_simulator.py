@@ -64,12 +64,14 @@ class TestInitNetwork:
 
     def test_p_list_block_of_the_wrong_shape_is_named(self):
         spec = NoiseSpec(h_list=EXAMPLE1_SPEC.h_list, p_list=[[[1.0]], np.eye(2)])
-        with pytest.raises(DimensionMismatchError, match=r"^p_list\[1\] has shape \(2, 2\)"):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^p_list\[1\]: shape \(2, 2\), expected \(1, 1\)$"):
             init_network(2, 2, seed=0, noise_spec=spec)
 
     def test_p_list_block_that_is_not_positive_definite_is_named(self):
-        spec = NoiseSpec(h_list=EXAMPLE1_SPEC.h_list, p_list=[[[1.0]], [[-1.0]]])
-        with pytest.raises(NotPdError, match=r"^p_list\[1\] is not positive definite$"):
+        # PSD, so it passes the intake, but it has no Cholesky factor
+        spec = NoiseSpec(h_list=EXAMPLE1_SPEC.h_list, p_list=[[[1.0]], [[0.0]]])
+        with pytest.raises(NotPdError, match=r"^p_list\[1\]: not positive definite$"):
             init_network(2, 2, seed=0, noise_spec=spec)
 
     def test_p_list_block_that_is_not_symmetric_is_named(self):
@@ -77,7 +79,7 @@ class TestInitNetwork:
         # is drawn from the Cholesky factor of its lower triangle, diag(2, 2)
         spec = NoiseSpec(h_list=[np.eye(2), np.eye(2)],
                          p_list=[[[2.0, 1.0], [0.0, 2.0]], np.eye(2)])
-        with pytest.raises(NotPdError, match=r"^p_list\[0\] is not symmetric: differs from its "
+        with pytest.raises(NotPdError, match=r"^p_list\[0\]: not symmetric: differs from its "
                                              r"transpose by 1$"):
             init_network(2, 2, seed=0, noise_spec=spec)
 
@@ -90,7 +92,7 @@ class TestInitNetwork:
         _, truth = init_network(2, 2, seed=0, noise_spec=spec)
         np.testing.assert_array_equal(truth.node_cov(0), block)
         block[0, 1] = 1.0 + 2.0 * RESULT_RTOL * 2.0
-        with pytest.raises(NotPdError, match=r"^p_list\[0\] is not symmetric"):
+        with pytest.raises(NotPdError, match=r"^p_list\[0\]: not symmetric"):
             init_network(2, 2, seed=0, noise_spec=spec)
 
     def test_observation_matrix_needs_a_column_per_state(self):
