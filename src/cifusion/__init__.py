@@ -17,7 +17,6 @@ from .known_cross import (
 from .linalg import (
     LoewnerRelation,
     PsdMatrix,
-    SymMatrix,
     adjugate,
     loewner_compare,
     psd_certify,
@@ -59,7 +58,6 @@ __all__ = [
     "PartialEstimate",
     "PsdMatrix",
     "Schedule",
-    "SymMatrix",
     "adjugate",
     "adversarial_x_search",
     "alpha_uniqueness_check",

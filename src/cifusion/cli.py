@@ -227,7 +227,9 @@ def cmd_scan(args) -> int:
     except MemoryError as exc:
         raise ProblemFileError("--grid", f"{args.grid} points do not fit in memory") from exc
     argmin = int(np.argmin(values))
-    rows.append(f"# argmin,{fmt(alphas[argmin])},{fmt(values[argmin])}")
+    # with no finite cost on the grid, both fields are empty, as a row prints such a cost
+    best = f"{fmt(alphas[argmin])},{fmt(values[argmin])}" if math.isfinite(values[argmin]) else ","
+    rows.append(f"# argmin,{best}")
     _write_out("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 

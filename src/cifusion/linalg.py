@@ -2,8 +2,8 @@
 
 The symmetric eigensolver (``eigh``/``eigvalsh``) decides the semidefinite
 order and PSD certification, and gives the square root; inverses of PD
-matrices go through a Cholesky factor, and the adjugate through cofactors
-up to dimension four.  One classification,
+matrices go through a Cholesky factor, and the adjugate through its
+cofactors, all taken in one batched determinant.  One classification,
 :meth:`LoewnerRelation.from_extremes`, turns the ends of a difference's
 spectrum into a semidefinite order.  Matrices
 here are small and dense (state dimensions of a few dozen at most).  The
@@ -45,60 +45,25 @@ def tol_scale(magnitude: float) -> float:
     return max(1.0, magnitude)
 
 
-def _square(entries) -> np.ndarray:
-    a = np.asarray(entries, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-class SymMatrix:
-    """A real symmetric matrix.
-
-    ``(A + A.T) / 2`` is applied on construction, silently healing the
-    floating-point asymmetry that matrix products accumulate.  The backing
-    array is frozen, so instances are safe to share between threads.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, entries):
-        a = _square(entries)
-        a = 0.5 * (a + a.T)
-        a.flags.writeable = False
-        self.data = a
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def __repr__(self) -> str:
-        return f"SymMatrix(dim={self.dim})"
-
-
 class PsdMatrix:
-    """A symmetric matrix with a certified smallest eigenvalue.
+    """A real symmetric matrix with a certified smallest eigenvalue.
 
-    Build instances through :func:`psd_certify`; ``strict`` records whether
-    the certificate established positive definiteness.
+    Build instances through :func:`psd_certify`.  ``data`` is the symmetric
+    array, frozen, so instances are safe to share between threads;
+    ``strict`` records whether the certificate established positive
+    definiteness.
     """
 
-    __slots__ = ("base", "min_eig", "strict")
+    __slots__ = ("data", "min_eig", "strict")
 
-    def __init__(self, base: SymMatrix, min_eig: float, strict: bool):
-        self.base = base
+    def __init__(self, data: np.ndarray, min_eig: float, strict: bool):
+        self.data = data
         self.min_eig = float(min_eig)
         self.strict = bool(strict)
 
     @property
-    def data(self) -> np.ndarray:
-        return self.base.data
-
-    @property
     def dim(self) -> int:
-        return self.base.dim
+        return self.data.shape[0]
 
     def __repr__(self) -> str:
         kind = "PD" if self.strict else "PSD"
@@ -153,12 +118,21 @@ class LoewnerRelation(enum.Enum):
 
 
 def sym_data(m) -> np.ndarray:
-    """Raw symmetric ndarray from a SymMatrix, PsdMatrix or array-like."""
+    """Raw symmetric ndarray from a PsdMatrix or a square array-like.
+
+    A :class:`PsdMatrix` gives its frozen array as it is.  Any other input
+    is averaged with its transpose once, to ``0.5 * (a + a.T)``, silently
+    healing the floating-point asymmetry that matrix products accumulate;
+    a scalar counts as 1x1, and any other shape that is not square raises
+    :class:`DimensionMismatchError`.
+    """
     if isinstance(m, PsdMatrix):
-        return m.base.data
-    if isinstance(m, SymMatrix):
         return m.data
-    a = _square(m)
+    a = np.asarray(m, dtype=float)
+    if a.ndim == 0:
+        a = a.reshape(1, 1)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     return 0.5 * (a + a.T)
 
 
@@ -189,19 +163,22 @@ def psd_certify(a) -> PsdMatrix:
     ``bound = DEFAULT_TOL * tol_scale(|lambda|_max)``, ``|lambda|_max`` read
     off the ends of the spectrum; the ``strict`` flag marks matrices with
     the minimum eigenvalue above ``+bound`` (positive definite).  A
-    :class:`SymMatrix`, or a :class:`PsdMatrix`'s base, is used as it is;
-    any other input is symmetrised once, to ``0.5 * (a + a.T)``.
+    spectrum that is not finite (a NaN, or an infinite eigenvalue, which
+    makes ``bound`` infinite) is rejected.  A :class:`PsdMatrix`'s array is
+    used as it is; any other input goes through :func:`sym_data` once and
+    is frozen.
     """
-    sym = a if isinstance(a, SymMatrix) else a.base if isinstance(a, PsdMatrix) else SymMatrix(a)
-    eigs = np.linalg.eigvalsh(sym.data)
+    data = sym_data(a)
+    data.flags.writeable = False
+    eigs = np.linalg.eigvalsh(data)
     min_eig = float(eigs[0])
     bound = DEFAULT_TOL * tol_scale(max(-min_eig, float(eigs[-1])))
-    if min_eig < -bound:
+    if not min_eig >= -bound or bound == math.inf:
         raise NotPsdError(min_eig)
-    return PsdMatrix(sym, min_eig, strict=min_eig > bound)
+    return PsdMatrix(data, min_eig, strict=min_eig > bound)
 
 
-def sqrt_psd(a: PsdMatrix) -> SymMatrix:
+def sqrt_psd(a: PsdMatrix) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Negative eigenvalues inside the certification tolerance are clamped to
@@ -209,7 +186,7 @@ def sqrt_psd(a: PsdMatrix) -> SymMatrix:
     """
     w, v = np.linalg.eigh(a.data)
     w = np.clip(w, 0.0, None)
-    return SymMatrix((v * np.sqrt(w)) @ v.T)
+    return sym_data((v * np.sqrt(w)) @ v.T)
 
 
 def cholesky_pd(a) -> np.ndarray:
@@ -232,62 +209,22 @@ def inv_pd(a) -> np.ndarray:
     return inv_from_cholesky(cholesky_pd(a))
 
 
-def _det2(m) -> float:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def _det3(m) -> float:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def _det_small(m) -> float:
-    d = m.shape[0]
-    if d == 0:
-        return 1.0
-    if d == 1:
-        return m[0, 0]
-    if d == 2:
-        return _det2(m)
-    return _det3(m)
-
-
-def _adjugate_cofactor(a: np.ndarray) -> np.ndarray:
-    d = a.shape[0]
-    out = np.empty_like(a)
-    for i in range(d):
-        rows = np.delete(a, i, axis=0)
-        for j in range(d):
-            minor = np.delete(rows, j, axis=1)
-            out[j, i] = (-1) ** (i + j) * _det_small(minor)
-    return out
-
-
-def adjugate(a) -> SymMatrix:
+def adjugate(a) -> np.ndarray:
     """Adjugate satisfying ``A @ adj(A) = det(A) * I``, defined at singular A.
 
-    Dimensions up to four use exact cofactor expansion (a polynomial in the
-    entries, so singular inputs are fine).  Larger matrices use
-    ``det(A) * inv(A)`` when well conditioned and fall back to the spectral
-    formula ``V diag(prod_{j != i} w_j) V.T`` near singularity.
+    Every entry is a cofactor ``(-1)^(i+j) det(M_ij)``: the d*d minors are
+    stacked and take one batched ``np.linalg.det`` (the empty minor of a
+    1x1 matrix has determinant 1).  The result is a polynomial in the
+    entries, so singular inputs are fine, and it is symmetrised like its
+    input.
     """
     m = sym_data(a)
     d = m.shape[0]
-    if d == 1:
-        return SymMatrix([[1.0]])
-    if d <= 4:
-        return SymMatrix(_adjugate_cofactor(m))
-    w, v = np.linalg.eigh(m)
-    amax = np.abs(w).max()
-    if amax > 0.0 and np.abs(w).min() > 1e-8 * amax:
-        return SymMatrix(np.linalg.det(m) * np.linalg.inv(m))
-    adj_w = np.empty_like(w)
-    for i in range(d):
-        adj_w[i] = np.prod(np.delete(w, i))
-    return SymMatrix((v * adj_w) @ v.T)
+    i, k = np.arange(d), np.arange(d - 1)
+    rest = k + (k >= i[:, None])  # rest[i]: every index but i
+    minors = m[rest[:, None, :, None], rest[None, :, None, :]]  # [i, j]: drop row i, column j
+    # adj is the transposed cofactor matrix; symmetrising makes the transpose moot
+    return sym_data((-1.0) ** np.add.outer(i, i) * np.linalg.det(minors))
 
 
 def _tangent_floor(lo_tangent, hi_tangent, lo: float, hi: float) -> tuple[float, float]:
@@ -392,4 +329,4 @@ def feasible_weight_interval(m, dm, tol: float, start: float) -> tuple[float, fl
 
 def assemble_cross(p1: PsdMatrix, x, p2: PsdMatrix) -> np.ndarray:
     """Cross block ``P12 = P1^{1/2} X P2^{1/2}`` of the normalized cross parameter ``X``."""
-    return sqrt_psd(p1).data @ np.asarray(x, dtype=float) @ sqrt_psd(p2).data
+    return sqrt_psd(p1) @ np.asarray(x, dtype=float) @ sqrt_psd(p2)

@@ -39,9 +39,9 @@ from .linalg import (
     SINGULAR_RTOL,
     LoewnerRelation,
     PsdMatrix,
-    SymMatrix,
     adjugate,
     psd_certify,
+    sym_data,
 )
 from .problem import FusionProblem
 
@@ -80,17 +80,17 @@ def extended_cost(cost: Cost, sigma: np.ndarray) -> float:
         return float(np.sum(1.0 / eigs))
 
 
-def sigma_alpha(problem: FusionProblem, alpha: float) -> SymMatrix:
+def sigma_alpha(problem: FusionProblem, alpha: float) -> np.ndarray:
     """Convex blend ``alpha * Sigma1 + (1 - alpha) * Sigma0`` of the problem's information matrices."""
     if not 0.0 <= alpha <= 1.0:
         raise OutOfRangeError(f"alpha={alpha} outside [0, 1]")
-    return SymMatrix(alpha * problem.sigma1 + (1.0 - alpha) * problem.sigma0)
+    return sym_data(alpha * problem.sigma1 + (1.0 - alpha) * problem.sigma0)
 
 
 def delta_value(problem: FusionProblem, alpha: float) -> float:
     """``trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, defined at singular blends."""
     adj = adjugate(sigma_alpha(problem, alpha))
-    return float(np.trace(adj.data @ (problem.sigma1 - problem.sigma0)))
+    return float(np.trace(adj @ (problem.sigma1 - problem.sigma0)))
 
 
 @dataclass(frozen=True)

@@ -227,8 +227,8 @@ def sqrt_q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]
     What ``verifier.q_pair`` returned before it took the Cholesky factors,
     kept as its oracle: the two differ by an orthogonal factor on the right.
     """
-    return (result.K1 @ sqrt_psd(problem.est1.p_hat).data,
-            result.K2 @ sqrt_psd(problem.est2.p_hat).data)
+    return (result.K1 @ sqrt_psd(problem.est1.p_hat),
+            result.K2 @ sqrt_psd(problem.est2.p_hat))
 
 
 def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, seed: int) -> float:

@@ -119,6 +119,13 @@ class TestOverflowingCost:
         assert rc == 0 and captured.err == ""
         assert captured.out.splitlines()[1:4] == ["0,,0", "0.5,,0", "1,,0"]
 
+    def test_scan_names_no_argmin_when_no_cost_is_finite(self, tmp_path, capsys):
+        # every grid cost overflows, so no grid weight is the minimiser:
+        # both fields are empty, as the rows print such a cost
+        rc = cli.main(["scan", write(tmp_path, DET_OVERFLOW), "--grid", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "# argmin,,"
+
     def test_dumps_writes_every_non_finite_float_as_null(self):
         text = cli.dumps({"a": math.inf, "b": [1.0, -math.inf, math.nan], "c": np.float64(2.0)})
         assert json.loads(text) == {"a": None, "b": [1.0, None, None], "c": 2.0}
@@ -166,6 +173,9 @@ class TestScan:
         last = [l for l in lines if not l.startswith("#")][-1].split(",")
         assert first == ["0", "", "0"]  # singular blend: empty cost, finite=0
         assert last == ["1", "", "0"]
+        # the argmin names a finite cost, never a singular end
+        _, alpha, value = lines[-1].split(",")
+        assert alpha == "0.5" and math.isfinite(float(value))
 
     def test_two_point_grid(self, tmp_path, capsys):
         rc = cli.main(["scan", write(tmp_path, EXAMPLE2), "--grid", "2"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from cifusion.linalg import (
     DEFAULT_TOL,
     PETERSEN_WIDTH,
     LoewnerRelation,
-    SymMatrix,
     adjugate,
     feasible_weight_interval,
     first_feasible_weight,
@@ -16,25 +17,27 @@ from cifusion.linalg import (
     loewner_compare,
     psd_certify,
     sqrt_psd,
+    sym_data,
 )
 from cifusion.known_cross import JointCovariance
 
 from conftest import random_joint, random_spd
 
 
-class TestSymMatrix:
-    def test_symmetrizes_on_construction(self):
-        m = SymMatrix([[1.0, 2.0], [0.0, 3.0]])
-        np.testing.assert_allclose(m.data, [[1.0, 1.0], [1.0, 3.0]])
+class TestSymData:
+    def test_symmetrizes_an_array(self):
+        np.testing.assert_allclose(sym_data([[1.0, 2.0], [0.0, 3.0]]), [[1.0, 1.0], [1.0, 3.0]])
 
-    def test_backing_array_is_frozen(self):
-        m = SymMatrix(np.eye(2))
+    def test_certified_array_is_frozen(self):
+        m = psd_certify(np.eye(2))
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
-            SymMatrix(np.ones((2, 3)))
+            sym_data(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatchError):
+            psd_certify(np.ones((2, 3)))
 
 
 class TestLoewnerCompare:
@@ -111,10 +114,22 @@ class TestPsdCertify:
         assert not cert.data.flags.writeable
 
     def test_symmetric_input_is_used_without_a_copy(self):
-        sym = SymMatrix(random_spd(np.random.default_rng(12), 3))
-        cert = psd_certify(sym)
-        assert cert.base is sym and cert.data is sym.data
-        assert psd_certify(cert).base is sym
+        cert = psd_certify(random_spd(np.random.default_rng(12), 3))
+        assert psd_certify(cert).data is cert.data
+        assert sym_data(cert) is cert.data
+
+    @pytest.mark.parametrize("entries", [
+        [[np.nan]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[-np.inf]],
+        [[np.inf]],
+    ])
+    def test_matrix_that_is_not_finite_is_rejected(self, entries):
+        # its spectrum holds a NaN, which no comparison with the bound
+        # accepts, or an infinity, which makes the bound infinite
+        with pytest.raises(NotPsdError):
+            psd_certify(entries)
 
     @pytest.mark.parametrize("top", [3e-9, 0.5, 2.0, 1e6])
     def test_strictness_and_rejection_exactly_at_the_bound(self, top):
@@ -141,17 +156,17 @@ class TestPsdCertify:
 class TestSqrtPsd:
     def test_diagonal(self):
         s = sqrt_psd(psd_certify(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(s.data, np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(s, np.diag([2.0, 3.0]))
 
     def test_identity(self):
-        np.testing.assert_allclose(sqrt_psd(psd_certify(np.eye(3))).data, np.eye(3))
+        np.testing.assert_allclose(sqrt_psd(psd_certify(np.eye(3))), np.eye(3))
 
     def test_roundtrip_rebuilds_input(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 4))
         a = m @ m.T
         s = sqrt_psd(psd_certify(a))
-        assert np.abs(s.data @ s.data - a).max() <= 1e-10 * max(1.0, np.abs(a).max())
+        assert np.abs(s @ s - a).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
     def test_roundtrip_property(self):
         # 500 seeded PSD matrices across dims 1..6, relative error <= 1e-9
@@ -160,7 +175,7 @@ class TestSqrtPsd:
             d = int(rng.integers(1, 7))
             m = rng.standard_normal((d, d))
             a = m @ m.T
-            s = sqrt_psd(psd_certify(a)).data
+            s = sqrt_psd(psd_certify(a))
             scale = max(1.0, np.abs(a).max())
             assert np.abs(s @ s - a).max() <= 1e-9 * scale
 
@@ -168,21 +183,21 @@ class TestSqrtPsd:
 class TestAdjugate:
     def test_two_by_two_swaps_diagonal(self):
         np.testing.assert_allclose(
-            adjugate(np.diag([0.9, 5.5])).data, np.diag([5.5, 0.9])
+            adjugate(np.diag([0.9, 5.5])), np.diag([5.5, 0.9])
         )
 
     def test_identity_three(self):
-        np.testing.assert_allclose(adjugate(np.eye(3)).data, np.eye(3))
+        np.testing.assert_allclose(adjugate(np.eye(3)), np.eye(3))
 
     def test_singular_input(self):
-        np.testing.assert_allclose(adjugate(np.diag([1.0, 0.0])).data, np.diag([0.0, 1.0]))
+        np.testing.assert_allclose(adjugate(np.diag([1.0, 0.0])), np.diag([0.0, 1.0]))
 
     def test_dim_one_convention(self):
-        np.testing.assert_allclose(adjugate([[7.0]]).data, [[1.0]])
+        np.testing.assert_allclose(adjugate([[7.0]]), [[1.0]])
 
     def test_identity_property(self):
         # A @ adj(A) = det(A) I on 500 seeded symmetric matrices, dims 1..6,
-        # including singular projections to exercise the fallback paths
+        # including singular projections
         rng = np.random.default_rng(23)
         for k in range(500):
             d = int(rng.integers(1, 7))
@@ -191,10 +206,56 @@ class TestAdjugate:
                 w, v = np.linalg.eigh(a)
                 w[0] = 0.0
                 a = (v * w) @ v.T
-            adj = adjugate(a).data
+            adj = adjugate(a)
             det = np.linalg.det(a)
             scale = max(1.0, abs(det), np.abs(a).max() * np.abs(adj).max())
             assert np.abs(a @ adj - det * np.eye(d)).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_exact_integer_cofactors(self, d):
+        # symmetric integer matrices of full rank, of rank d - 1 and d - 2,
+        # and zero, against cofactors computed exactly over the rationals
+        rng = np.random.default_rng(2800 + d)
+        cases = [np.zeros((d, d))]
+        for _ in range(4):
+            b = rng.integers(-4, 5, size=(d, d))
+            cases.append(b + b.T)
+            for rank in range(max(d - 2, 1), d):
+                c = rng.integers(-3, 4, size=(d, rank))
+                cases.append(c @ c.T)
+        for a in cases:
+            exact = exact_adjugate(a)
+            scale = max(1.0, np.linalg.norm(a, axis=1).max() ** (d - 1))
+            assert np.abs(adjugate(a) - exact).max() <= 1e-12 * scale
+
+
+def exact_det(rows) -> Fraction:
+    """Determinant of an integer matrix by Gaussian elimination over the rationals."""
+    m = [[Fraction(int(x)) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def exact_adjugate(a) -> np.ndarray:
+    """``adj(A)[j, i] = (-1)^(i+j) det(A without row i and column j)``, exactly."""
+    d = len(a)
+    out = np.empty((d, d))
+    for i in range(d):
+        for j in range(d):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            out[j, i] = (-1) ** (i + j) * exact_det(minor)
+    return out
 
 
 def normalized_cross(joint) -> np.ndarray:

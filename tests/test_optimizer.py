@@ -75,12 +75,12 @@ class TestCostFunctions:
 class TestSigmaAlpha:
     def test_endpoints_recover_information_matrices(self):
         problem = example2_problem()
-        np.testing.assert_allclose(sigma_alpha(problem, 0.0).data, np.diag([0.8, 10.0]), atol=1e-12)
-        np.testing.assert_allclose(sigma_alpha(problem, 1.0).data, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(sigma_alpha(problem, 0.0), np.diag([0.8, 10.0]), atol=1e-12)
+        np.testing.assert_allclose(sigma_alpha(problem, 1.0), np.eye(2), atol=1e-12)
 
     def test_midpoint(self):
         problem = example2_problem()
-        np.testing.assert_allclose(sigma_alpha(problem, 0.5).data, np.diag([0.9, 5.5]), atol=1e-12)
+        np.testing.assert_allclose(sigma_alpha(problem, 0.5), np.diag([0.9, 5.5]), atol=1e-12)
 
     def test_out_of_range(self):
         problem = example2_problem()
@@ -129,7 +129,7 @@ class TestKuRule:
             result = ku_rule(problem, alpha)
             unbias = result.K1 @ problem.est1.h + result.K2 @ problem.est2.h - np.eye(problem.n)
             assert np.abs(unbias).max() <= 1e-10
-            info = sigma_alpha(problem, alpha).data
+            info = sigma_alpha(problem, alpha)
             resid = np.linalg.inv(result.P_hat.data) - info
             assert np.abs(resid).max() <= 1e-9 * max(1.0, np.abs(info).max())
             np.testing.assert_allclose(
@@ -430,7 +430,7 @@ class TestJointSpectrum:
             d = problem.sigma1 - problem.sigma0
             for alpha in (0.1, 0.5, 0.9):
                 t = alpha - 0.5
-                p = np.linalg.inv(sigma_alpha(problem, alpha).data)
+                p = np.linalg.inv(sigma_alpha(problem, alpha))
                 trace = float(np.sum(spectrum.c / (1.0 + t * spectrum.lam)))
                 assert trace == pytest.approx(np.trace(p), rel=1e-10)
                 # d/dalpha log det P = -tr(P D) and d/dalpha tr P = -tr(P D P)
@@ -459,7 +459,7 @@ class TestSpectralSolvePath:
         for problem in _metamorphic_pool(26, 60)[1]:
             spectrum = JointSpectrum.from_problem(problem)
             for alpha in _admitted_weights(spectrum):
-                blend = sigma_alpha(problem, alpha).data
+                blend = sigma_alpha(problem, alpha)
                 want = inv_pd(blend)
                 got = spectrum.fused_cov(alpha - 0.5)
                 bound = 10.0 * problem.n * np.linalg.cond(blend) * eps
@@ -478,7 +478,7 @@ class TestSpectralSolvePath:
             for alpha in _admitted_weights(spectrum, (0.0, 0.25, 0.5, 0.75, 1.0, optimum)):
                 t = alpha - 0.5
                 p_hat = spectrum.fused_cov(t)
-                rel = max(1e-12, problem.n * np.linalg.cond(sigma_alpha(problem, alpha).data) * eps)
+                rel = max(1e-12, problem.n * np.linalg.cond(sigma_alpha(problem, alpha)) * eps)
                 assert spectrum.cost(Cost.DET, t) == pytest.approx(np.linalg.det(p_hat), rel=rel)
                 assert spectrum.cost(Cost.TRACE, t) == pytest.approx(np.trace(p_hat), rel=1e-12)
 

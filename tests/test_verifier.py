@@ -16,7 +16,7 @@ from cifusion import (
 )
 from cifusion.errors import DegenerateQError, InternalInconsistencyError
 from cifusion.known_cross import JointCovariance
-from cifusion.linalg import PETERSEN_WIDTH, SymMatrix
+from cifusion.linalg import PETERSEN_WIDTH
 from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
 from cifusion.verifier import (
     SCREEN_CANDIDATES,
@@ -167,7 +167,7 @@ class TestLmiCertificate:
             result = solve_ci(problem, Cost.DET if k % 2 else Cost.TRACE)
             s = np.hstack(q_pair(result, problem))
             for scale in (1.0, 0.9, 0.999, 1.001, 1.0 - 1e-12, 1.5):
-                p_hat = SymMatrix(scale * result.P_hat.data)
+                p_hat = psd_certify(scale * result.P_hat.data)
                 scaled = dataclasses.replace(result, P_hat=p_hat)
                 for alpha in (result.alpha, 0.0, 1.0, 1e-13, 1.0 - 1e-13):
                     r_eigs = np.array([alpha] * problem.p1 + [1.0 - alpha] * problem.p2)
