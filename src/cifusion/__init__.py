@@ -20,14 +20,12 @@ from .linalg import (
     adjugate,
     loewner_compare,
     psd_certify,
-    sqrt_psd,
 )
 from .optimizer import (
     Cost,
     FusionResult,
     delta_value,
     ku_rule,
-    sigma_alpha,
     solve_ci,
     solve_ci_det,
     solve_ci_trace,
@@ -37,7 +35,6 @@ from .simulator import NoiseSpec, Schedule, init_network, make_schedule, run_sch
 from .verifier import (
     ConservativenessCertificate,
     adversarial_x_search,
-    alpha_uniqueness_check,
     lmi_certificate,
     monte_carlo_joint,
     petersen_certificate,
@@ -60,7 +57,6 @@ __all__ = [
     "Schedule",
     "adjugate",
     "adversarial_x_search",
-    "alpha_uniqueness_check",
     "bar_shalom_campo",
     "delta_value",
     "init_network",
@@ -73,8 +69,6 @@ __all__ = [
     "petersen_certificate",
     "psd_certify",
     "run_schedule",
-    "sigma_alpha",
-    "sqrt_psd",
     "solve_ci",
     "solve_ci_det",
     "solve_ci_trace",

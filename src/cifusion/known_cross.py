@@ -18,14 +18,7 @@ from .errors import (
     NonFiniteError,
     SingularJointError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    PsdMatrix,
-    assemble_cross,
-    inv_pd,
-    psd_certify,
-    tol_scale,
-)
+from .linalg import DEFAULT_TOL, PsdMatrix, inv_pd, psd_certify, tol_scale
 from .problem import FusionProblem, covariance
 
 
@@ -50,14 +43,6 @@ class JointCovariance:
         self.P12 = p12
         self.pd = cert.strict
         self.assembled = cert
-
-    @classmethod
-    def from_cross_parameter(cls, p1, x, p2) -> "JointCovariance":
-        """Build a joint from the normalized cross parameter X."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        cert1 = covariance(p1, x.shape[0], "P1")
-        cert2 = covariance(p2, x.shape[1], "P2")
-        return cls(cert1, assemble_cross(cert1, x, cert2), cert2)
 
     @property
     def p1_dim(self) -> int:

@@ -1,16 +1,15 @@
 """Dense symmetric-matrix primitives.
 
-The symmetric eigensolver (``eigh``/``eigvalsh``) decides the semidefinite
-order and PSD certification, and gives the square root; inverses of PD
-matrices go through a Cholesky factor, and the adjugate through its
-cofactors, all taken in one batched determinant.  One classification,
-:meth:`LoewnerRelation.from_extremes`, turns the ends of a difference's
-spectrum into a semidefinite order.  Matrices
-here are small and dense (state dimensions of a few dozen at most).  The
-package's two PSD tolerances, ``DEFAULT_TOL`` and ``DEFAULT_CERT_TOL``, are
-named here, and every magnitude they are scaled by goes through
-:func:`tol_scale`.  So is the package's one search over a convex weight
-function, :func:`first_feasible_weight`.
+The symmetric eigensolver (``eigvalsh``) decides the semidefinite order and
+PSD certification; inverses of PD matrices go through a Cholesky factor,
+and the adjugate through its cofactors, all taken in one batched
+determinant.  One classification, :meth:`LoewnerRelation.from_extremes`,
+turns the ends of a difference's spectrum into a semidefinite order.
+Matrices here are small and dense (state dimensions of a few dozen at
+most).  The package's two PSD tolerances, ``DEFAULT_TOL`` and
+``DEFAULT_CERT_TOL``, are named here, and every magnitude they are scaled
+by goes through :func:`tol_scale`.  So is the package's one search over a
+convex weight function, :func:`first_feasible_weight`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotPdError, NotPsdError
+from .errors import DimensionMismatchError, NonFiniteError, NotPdError, NotPsdError
 
 #: PSD certification and the semidefinite order accept eigenvalues down to
 #: ``-DEFAULT_TOL * tol_scale(|lambda|_max)``
@@ -121,10 +120,12 @@ def sym_data(m) -> np.ndarray:
     """Raw symmetric ndarray from a PsdMatrix or a square array-like.
 
     A :class:`PsdMatrix` gives its frozen array as it is.  Any other input
-    is averaged with its transpose once, to ``0.5 * (a + a.T)``, silently
-    healing the floating-point asymmetry that matrix products accumulate;
-    a scalar counts as 1x1, and any other shape that is not square raises
-    :class:`DimensionMismatchError`.
+    is averaged with its transpose once, to ``0.5 * a + 0.5 * a.T``,
+    silently healing the floating-point asymmetry that matrix products
+    accumulate; halving first keeps a finite matrix finite at any
+    magnitude, and gives the bits of ``0.5 * (a + a.T)`` wherever that sum
+    neither overflows nor underflows.  A scalar counts as 1x1, and any
+    other shape that is not square raises :class:`DimensionMismatchError`.
     """
     if isinstance(m, PsdMatrix):
         return m.data
@@ -133,7 +134,8 @@ def sym_data(m) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    half = 0.5 * a
+    return half + half.T
 
 
 def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
@@ -143,7 +145,9 @@ def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
     (:meth:`LoewnerRelation.from_extremes`, bound ``tol * scale``).
     Equality is spectral (``max |eig(A - B)| <= tol * scale``), which for
     symmetric matrices also bounds every entry of the difference.
-    ``scale`` is ``tol_scale(max(|A|_max, |B|_max))``.
+    ``scale`` is ``tol_scale(max(|A|_max, |B|_max))``.  An operand that
+    holds a NaN or an infinity raises :class:`NonFiniteError`, as no order
+    can be read off its spectrum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -151,6 +155,8 @@ def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
     db = sym_data(b)
     if da.shape != db.shape:
         raise DimensionMismatchError(f"shape {da.shape} vs {db.shape}")
+    if not (np.isfinite(da).all() and np.isfinite(db).all()):
+        raise NonFiniteError("loewner_compare: an operand holds a NaN or an infinity")
     eigs = np.linalg.eigvalsh(da - db)
     bound = tol * tol_scale(max(np.abs(da).max(), np.abs(db).max()))
     return LoewnerRelation.from_extremes(eigs[0], eigs[-1], bound)
@@ -176,17 +182,6 @@ def psd_certify(a) -> PsdMatrix:
     if not min_eig >= -bound or bound == math.inf:
         raise NotPsdError(min_eig)
     return PsdMatrix(data, min_eig, strict=min_eig > bound)
-
-
-def sqrt_psd(a: PsdMatrix) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Negative eigenvalues inside the certification tolerance are clamped to
-    zero before taking the root.
-    """
-    w, v = np.linalg.eigh(a.data)
-    w = np.clip(w, 0.0, None)
-    return sym_data((v * np.sqrt(w)) @ v.T)
 
 
 def cholesky_pd(a) -> np.ndarray:
@@ -294,39 +289,3 @@ def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
             alpha = cut
         else:
             alpha = 0.5 * (lo + hi)
-
-
-def feasible_weight_end(m, tol: float, inside: float, end: float) -> float:
-    """The end towards ``end`` (0.0 or 1.0) of the weights with ``lambda_max(M) <= tol``.
-
-    ``inside`` is a weight that qualifies.  ``end`` is returned exactly when
-    it qualifies; else the end is bisected on ``m`` between the two to
-    ``PETERSEN_WIDTH``.
-    """
-
-    def qualifies(alpha: float) -> bool:
-        value = m(alpha)
-        return value is not None and float(np.linalg.eigvalsh(value)[-1]) <= tol
-
-    good, bad = (end, end) if qualifies(end) else (inside, end)
-    while abs(bad - good) > PETERSEN_WIDTH:
-        mid = 0.5 * (good + bad)
-        good, bad = (mid, bad) if qualifies(mid) else (good, mid)
-    return good
-
-
-def feasible_weight_interval(m, dm, tol: float, start: float) -> tuple[float, float] | None:
-    """The weights with ``lambda_max(M) <= tol``, one interval ``(lo, hi)``, or ``None``.
-
-    Each end is :func:`feasible_weight_end` from the weight
-    :func:`first_feasible_weight` finds.
-    """
-    inside = first_feasible_weight(m, dm, tol, start)
-    if inside is None:
-        return None
-    return feasible_weight_end(m, tol, inside, 0.0), feasible_weight_end(m, tol, inside, 1.0)
-
-
-def assemble_cross(p1: PsdMatrix, x, p2: PsdMatrix) -> np.ndarray:
-    """Cross block ``P12 = P1^{1/2} X P2^{1/2}`` of the normalized cross parameter ``X``."""
-    return sqrt_psd(p1) @ np.asarray(x, dtype=float) @ sqrt_psd(p2)

@@ -41,7 +41,6 @@ from .linalg import (
     PsdMatrix,
     adjugate,
     psd_certify,
-    sym_data,
 )
 from .problem import FusionProblem
 
@@ -80,16 +79,15 @@ def extended_cost(cost: Cost, sigma: np.ndarray) -> float:
         return float(np.sum(1.0 / eigs))
 
 
-def sigma_alpha(problem: FusionProblem, alpha: float) -> np.ndarray:
-    """Convex blend ``alpha * Sigma1 + (1 - alpha) * Sigma0`` of the problem's information matrices."""
+def delta_value(problem: FusionProblem, alpha: float) -> float:
+    """``trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, defined at singular blends.
+
+    ``Sigma_alpha = alpha * Sigma1 + (1 - alpha) * Sigma0``; a weight outside
+    [0, 1] raises :class:`OutOfRangeError`.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise OutOfRangeError(f"alpha={alpha} outside [0, 1]")
-    return sym_data(alpha * problem.sigma1 + (1.0 - alpha) * problem.sigma0)
-
-
-def delta_value(problem: FusionProblem, alpha: float) -> float:
-    """``trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, defined at singular blends."""
-    adj = adjugate(sigma_alpha(problem, alpha))
+    adj = adjugate(alpha * problem.sigma1 + (1.0 - alpha) * problem.sigma0)
     return float(np.trace(adj @ (problem.sigma1 - problem.sigma0)))
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NotPdError,
+    OutOfRangeError,
     ScheduleError,
     StackedRankDeficientError,
     UnreachableError,
@@ -266,9 +267,15 @@ class Schedule:
 def make_schedule(
     topology: str, nodes: int, events: int, cost: Cost, seed: int = 0
 ) -> Schedule:
-    """Build a pairwise fusion schedule over the given topology."""
+    """Build a pairwise fusion schedule over the given topology.
+
+    Raises :class:`ScheduleError` for fewer than two nodes, a negative
+    ``events`` or an unknown topology.
+    """
     if nodes < 2:
         raise ScheduleError(0, "need at least two nodes")
+    if events < 0:
+        raise ScheduleError(0, f"events must not be negative, got {events}")
     pairs: list[tuple[int, int]] = []
     if topology == "chain":
         cycle = [(i, i + 1) for i in range(nodes - 1)]
@@ -321,7 +328,8 @@ def init_network(
     (initially independent across nodes); the reported covariance is the true
     one inflated by a random PSD term of relative trace at most
     ``INFLATION_FRAC``, certified conservative on
-    construction.  Raises :class:`UnreachableError` when the stacked
+    construction.  Raises :class:`OutOfRangeError` when ``n`` or ``nodes``
+    is below 1, :class:`UnreachableError` when the stacked
     observation matrices cannot reach full state rank by any fusion order,
     :class:`DimensionMismatchError` when a list of ``noise_spec`` has the
     wrong length or an ``h_list`` entry the wrong shape, any error of
@@ -329,6 +337,9 @@ def init_network(
     :class:`NotPdError` when a block has no Cholesky factor; each message
     names the entry.
     """
+    for name, value in (("n", n), ("nodes", nodes)):
+        if value < 1:
+            raise OutOfRangeError(f"{name} must be at least 1, got {value}")
     spec = noise_spec or NoiseSpec()
     rng = np.random.default_rng(seed)
     if spec.h_list is not None:

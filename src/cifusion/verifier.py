@@ -7,10 +7,9 @@ over admissible true joint covariances.  By a Schur complement the block
 certificate holds where ``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``,
 convex in the weight, is at most zero (:func:`_schur_function`; a gain
 block counts as zero throughout this module when its max |entry| is at most
-``ZERO_Q_TOL``).  The block certificate takes its
-verdict from the assembled block and cross-checks it on that Schur
-complement; the scalar certificate and the exact interval of feasible
-weights both come from the package's one search over it,
+``ZERO_Q_TOL``).  The block certificate takes its verdict from the
+assembled block and cross-checks it on that Schur complement; the scalar
+certificate comes from the package's one search over it,
 :func:`linalg.first_feasible_weight`.  With a zero gain block the scalar
 form degenerates to the one-sided bound of :func:`one_sided_bound`.  The
 two sampling routes share one kernel, :func:`_worst_violation`: the samples
@@ -49,13 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateQError, InternalInconsistencyError
-from .linalg import (
-    DEFAULT_CERT_TOL,
-    LoewnerRelation,
-    feasible_weight_interval,
-    first_feasible_weight,
-    tol_scale,
-)
+from .linalg import DEFAULT_CERT_TOL, first_feasible_weight, tol_scale
 from .problem import FusionProblem
 
 #: gain blocks with max |entry| below this count as zero (degenerate cases)
@@ -198,43 +191,6 @@ def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
         return over(s2, b**2) - over(s1, a**2), 2.0 * (over(s1, a**3) + over(s2, b**3))
 
     return m, dm
-
-
-def lmi_feasible_interval(result, problem: FusionProblem) -> tuple[float, float] | None:
-    """The weights whose block certificate holds, as one interval ``(lo, hi)``, or ``None``.
-
-    The block of :func:`lmi_certificate` is PSD exactly where its Schur
-    complement (:func:`_schur_function`) has ``lambda_max <= 0``.
-    """
-    m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
-    return feasible_weight_interval(m, dm, certificate_tolerance(result), result.alpha)
-
-
-def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
-    """Whether :func:`lmi_feasible_interval` is nonempty and at most twice its first-order width.
-
-    ``None`` when the information matrices coincide, as any weight is then
-    feasible; the solver's ``JointSpectrum.relation`` decides that, so
-    the two classify a pair alike at every scale.  A CI family member's
-    Schur complement M vanishes at its own weight, so to first order
-    ``lambda_max(M) <= tol`` on a width
-    ``tol (1/lambda_max(M') + 1/(-lambda_min(M')))``, ``M'`` taken there;
-    a part counts only if its eigenvalue has that sign and the weight can
-    move that way.  ``False`` when M is infinite at that weight.
-    """
-    from .optimizer import JointSpectrum  # the optimizer imports this module
-
-    if JointSpectrum.from_problem(problem).relation is LoewnerRelation.EQUAL:
-        return None
-    m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
-    tol = certificate_tolerance(result)
-    interval = feasible_weight_interval(m, dm, tol, result.alpha)
-    if interval is None or m(result.alpha) is None:
-        return False
-    eigs = np.linalg.eigvalsh(dm(result.alpha)[0])
-    w1 = tol / eigs[-1] if eigs[-1] > 0.0 and result.alpha < 1.0 else 0.0
-    w1 += tol / -eigs[0] if eigs[0] < 0.0 and result.alpha > 0.0 else 0.0
-    return bool(interval[1] - interval[0] <= 2.0 * w1)
 
 
 def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

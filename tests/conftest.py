@@ -11,17 +11,17 @@ from cifusion.errors import DimensionMismatchError, InternalInconsistencyError, 
 from cifusion.linalg import (
     DEFAULT_CERT_TOL,
     DEFAULT_TOL,
+    PETERSEN_WIDTH,
     PsdMatrix,
-    feasible_weight_end,
     first_feasible_weight,
     inv_pd,
     loewner_compare,
-    sqrt_psd,
     sym_data,
     tol_scale,
 )
-from cifusion.optimizer import Cost, delta_value
-from cifusion.verifier import certificate_tolerance, petersen_objective, q_pair
+from cifusion.optimizer import Cost, JointSpectrum, delta_value
+from cifusion.problem import covariance
+from cifusion.verifier import _schur_function, certificate_tolerance, petersen_objective, q_pair
 
 
 def random_orthogonal(rng, dim: int) -> np.ndarray:
@@ -67,14 +67,45 @@ def dominated_problem(rng, n: int, dominant_first: bool = True) -> FusionProblem
     return FusionProblem(strong, weak) if dominant_first else FusionProblem(weak, strong)
 
 
+def sqrt_psd(a: PsdMatrix) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition.
+
+    Negative eigenvalues inside the certification tolerance are clamped to
+    zero before taking the root.
+    """
+    w, v = np.linalg.eigh(a.data)
+    w = np.clip(w, 0.0, None)
+    return sym_data((v * np.sqrt(w)) @ v.T)
+
+
+def assemble_cross(p1: PsdMatrix, x, p2: PsdMatrix) -> np.ndarray:
+    """Cross block ``P12 = P1^{1/2} X P2^{1/2}`` of the normalized cross parameter ``X``."""
+    return sqrt_psd(p1) @ np.asarray(x, dtype=float) @ sqrt_psd(p2)
+
+
+def joint_from_cross_parameter(p1, x, p2) -> JointCovariance:
+    """Joint covariance whose cross block is :func:`assemble_cross` of ``X``.
+
+    ``P1`` and ``P2`` pass ``problem.covariance`` with the dimensions of
+    ``X``, as the joint's own blocks do.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    cert1 = covariance(p1, x.shape[0], "P1")
+    cert2 = covariance(p2, x.shape[1], "P2")
+    return JointCovariance(cert1, assemble_cross(cert1, x, cert2), cert2)
+
+
 def random_joint(rng, p1: int, p2: int, pd: bool = True) -> JointCovariance:
     """Random joint covariance via the normalized-cross parameterization."""
     x = rng.standard_normal((p1, p2))
     smax = np.linalg.svd(x, compute_uv=False)[0]
     x *= rng.uniform(0.0, 0.95 if pd else 1.0) / max(smax, 1e-300)
-    return JointCovariance.from_cross_parameter(
-        random_spd(rng, p1), x, random_spd(rng, p2)
-    )
+    return joint_from_cross_parameter(random_spd(rng, p1), x, random_spd(rng, p2))
+
+
+def sigma_alpha(problem: FusionProblem, alpha: float) -> np.ndarray:
+    """Convex blend ``alpha * Sigma1 + (1 - alpha) * Sigma0`` of the problem's information matrices."""
+    return sym_data(alpha * problem.sigma1 + (1.0 - alpha) * problem.sigma0)
 
 
 def random_unbiased_gains(rng, problem: FusionProblem, count: int) -> np.ndarray:
@@ -247,7 +278,7 @@ def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, 
     _, _, a, b, p1s, p2s = monte_carlo_draws(problem, seed, truth_samples)
     xs = a[:, :, None] * b[:, None, :]
 
-    def sqrt_psd(mats):
+    def batched_sqrt(mats):
         w, v = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
         return np.einsum("sij,sj,skj->sik", v, np.sqrt(np.clip(w, 0.0, None)), v)
 
@@ -258,7 +289,7 @@ def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, 
     p2s = np.concatenate([np.broadcast_to(est2.p_hat.data, (2, p2, p2)), p2s], axis=0)
     xs = np.concatenate([extreme[None], -extreme[None], xs], axis=0)
 
-    sq1, sq2 = sqrt_psd(p1s), sqrt_psd(p2s)
+    sq1, sq2 = batched_sqrt(p1s), batched_sqrt(p2s)
     p12s = sq1 @ xs @ sq2
     joints = np.block([[p1s, p12s], [np.swapaxes(p12s, -1, -2), p2s]])
     k = np.hstack([result.K1, result.K2])
@@ -316,6 +347,72 @@ def delta_poly_coeffs(problem: FusionProblem) -> np.ndarray:
     return np.linalg.solve(vander, values) if n > 1 else values
 
 
+def feasible_weight_end(m, tol: float, inside: float, end: float) -> float:
+    """The end towards ``end`` (0.0 or 1.0) of the weights with ``lambda_max(M) <= tol``.
+
+    ``inside`` is a weight that qualifies.  ``end`` is returned exactly when
+    it qualifies; else the end is bisected on ``m`` between the two to
+    ``PETERSEN_WIDTH``.
+    """
+
+    def qualifies(alpha: float) -> bool:
+        value = m(alpha)
+        return value is not None and float(np.linalg.eigvalsh(value)[-1]) <= tol
+
+    good, bad = (end, end) if qualifies(end) else (inside, end)
+    while abs(bad - good) > PETERSEN_WIDTH:
+        mid = 0.5 * (good + bad)
+        good, bad = (mid, bad) if qualifies(mid) else (good, mid)
+    return good
+
+
+def feasible_weight_interval(m, dm, tol: float, start: float) -> tuple[float, float] | None:
+    """The weights with ``lambda_max(M) <= tol``, one interval ``(lo, hi)``, or ``None``.
+
+    Each end is :func:`feasible_weight_end` from the weight
+    ``linalg.first_feasible_weight`` finds; ``m`` and ``dm`` are as there.
+    """
+    inside = first_feasible_weight(m, dm, tol, start)
+    if inside is None:
+        return None
+    return feasible_weight_end(m, tol, inside, 0.0), feasible_weight_end(m, tol, inside, 1.0)
+
+
+def lmi_feasible_interval(result, problem: FusionProblem) -> tuple[float, float] | None:
+    """The weights whose block certificate holds, as one interval ``(lo, hi)``, or ``None``.
+
+    The block of ``verifier.lmi_certificate`` is PSD exactly where its Schur
+    complement (``verifier._schur_function``) has ``lambda_max <= 0``.
+    """
+    m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
+    return feasible_weight_interval(m, dm, certificate_tolerance(result), result.alpha)
+
+
+def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
+    """Whether :func:`lmi_feasible_interval` is nonempty and at most twice its first-order width.
+
+    ``None`` when the information matrices coincide, as any weight is then
+    feasible; the solver's ``JointSpectrum.relation`` decides that, so
+    the two classify a pair alike at every scale.  A CI family member's
+    Schur complement M vanishes at its own weight, so to first order
+    ``lambda_max(M) <= tol`` on a width
+    ``tol (1/lambda_max(M') + 1/(-lambda_min(M')))``, ``M'`` taken there;
+    a part counts only if its eigenvalue has that sign and the weight can
+    move that way.  ``False`` when M is infinite at that weight.
+    """
+    if JointSpectrum.from_problem(problem).relation is LoewnerRelation.EQUAL:
+        return None
+    m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
+    tol = certificate_tolerance(result)
+    interval = feasible_weight_interval(m, dm, tol, result.alpha)
+    if interval is None or m(result.alpha) is None:
+        return False
+    eigs = np.linalg.eigvalsh(dm(result.alpha)[0])
+    w1 = tol / eigs[-1] if eigs[-1] > 0.0 and result.alpha < 1.0 else 0.0
+    w1 += tol / -eigs[0] if eigs[0] < 0.0 and result.alpha > 0.0 else 0.0
+    return bool(interval[1] - interval[0] <= 2.0 * w1)
+
+
 def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float | None:
     """Weight witnessing that a candidate covariance obeys the family bound.
 
@@ -327,7 +424,7 @@ def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float
     (1-a)*Sigma0) <= tol``, ``tol = DEFAULT_TOL * tol_scale`` of the three
     matrices' largest entry: that is convex in ``a``, so from the weight
     ``linalg.first_feasible_weight`` finds from ``a = 0`` the answer is
-    ``linalg.feasible_weight_end`` towards 0, exactly 0.0 when ``a = 0``
+    :func:`feasible_weight_end` towards 0, exactly 0.0 when ``a = 0``
     qualifies.
     """
     if not candidate_p.strict:
@@ -444,7 +541,7 @@ def lmi_matrix(p_hat: np.ndarray, q1: np.ndarray, q2: np.ndarray, alpha: float) 
 def lmi_feasible_grid(result, problem: FusionProblem, grid: int = 1001) -> np.ndarray:
     """Weights of a uniform grid whose assembled block has min eig at least ``-tol``.
 
-    The scan that ``verifier.lmi_feasible_interval`` replaced, kept as its
+    The scan that :func:`lmi_feasible_interval` replaced, kept as its
     oracle: one batched ``eigvalsh`` of :func:`lmi_matrix` at every grid
     weight, ``tol`` being ``certificate_tolerance(result)``.
     """

@@ -28,10 +28,8 @@ from cifusion import verifier
 from cifusion.simulator import init_network, make_schedule, run_schedule
 from cifusion.verifier import (
     adversarial_x_search,
-    alpha_uniqueness_check,
     certificate_tolerance,
     lmi_certificate,
-    lmi_feasible_interval,
     monte_carlo_joint,
     one_sided_bound,
     petersen_certificate,
@@ -39,10 +37,12 @@ from cifusion.verifier import (
 )
 
 from conftest import (
+    alpha_uniqueness_check,
     delta_poly_coeffs,
     first_order_width,
     grid_costs,
     lmi_feasible_grid,
+    lmi_feasible_interval,
     lmi_matrix,
     monte_carlo_sqrt_oracle,
     petersen_golden_oracle,

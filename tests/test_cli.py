@@ -131,6 +131,37 @@ class TestOverflowingCost:
         assert json.loads(text) == {"a": None, "b": [1.0, None, None], "c": 2.0}
 
 
+#: a finite, symmetric, PD covariance whose entries doubled would overflow
+NEAR_FLOAT_MAX = {
+    "n": 2,
+    "est1": {"H": [[1, 0], [0, 1]], "x_hat": [0, 0], "P_hat": (1e308 * np.eye(2)).tolist()},
+    "est2": {"H": [[1, 0], [0, 1]], "x_hat": [1, -1], "P_hat": [[1, 0], [0, 2]]},
+}
+
+
+class TestCovarianceNearFloatMax:
+    # symmetrising such a block must not overflow; this suite turns a numpy
+    # RuntimeWarning into an error
+    def test_fuse_takes_the_finite_estimate(self, tmp_path, capsys):
+        rc = cli.main(["fuse", write(tmp_path, NEAR_FLOAT_MAX)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["alpha"] == 0.0 and out["branch"] == "endpoint_zero"
+
+    def test_verify_passes_every_row(self, tmp_path, capsys):
+        rc = cli.main(["verify", write(tmp_path, NEAR_FLOAT_MAX), "--samples", "20"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.endswith("verdict: all certificates pass\n")
+
+    def test_scan_prints_every_row(self, tmp_path, capsys):
+        rc = cli.main(["scan", write(tmp_path, NEAR_FLOAT_MAX), "--grid", "3"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.splitlines()[-1].startswith("# argmin,0,")
+
+
 class TestScan:
     def test_unaddressable_grid_exits_two_before_allocating(self, tmp_path, capsys,
                                                             monkeypatch):

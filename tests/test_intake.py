@@ -42,10 +42,6 @@ def _joint(block):
     JointCovariance(block, np.zeros((2, 2)), np.eye(2))
 
 
-def _joint_from_cross_parameter(block):
-    JointCovariance.from_cross_parameter(np.eye(2), np.zeros((2, 2)), block)
-
-
 def _p_list(block):
     spec = NoiseSpec(h_list=[np.eye(2), np.eye(2)], p_list=[block, np.eye(2)])
     _, truth = init_network(2, 2, seed=0, noise_spec=spec)
@@ -57,7 +53,6 @@ def _p_list(block):
 LIBRARY = {
     "PartialEstimate": (_partial_estimate, "P_hat", STRICT),
     "JointCovariance": (_joint, "P1", None),
-    "from_cross_parameter": (_joint_from_cross_parameter, "P2", None),
     "init_network": (_p_list, "p_list[0]", "not positive definite"),
 }
 

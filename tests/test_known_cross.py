@@ -12,7 +12,13 @@ from cifusion import (
 )
 from cifusion.errors import NonFiniteError, NotPsdError, SingularJointError
 
-from conftest import random_joint, random_problem, random_spd, random_unbiased_gains
+from conftest import (
+    joint_from_cross_parameter,
+    random_joint,
+    random_problem,
+    random_spd,
+    random_unbiased_gains,
+)
 
 
 def example1_problem():
@@ -42,7 +48,7 @@ class TestJointCovariance:
 
     def test_non_finite_cross_parameter_rejected(self):
         with pytest.raises(NonFiniteError):
-            JointCovariance.from_cross_parameter([[1.0]], [[np.nan]], [[1.0]])
+            joint_from_cross_parameter([[1.0]], [[np.nan]], [[1.0]])
 
 
 class TestOptimalFusionKnownCross:

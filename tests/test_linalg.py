@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cifusion.errors import DimensionMismatchError, NotPdError, NotPsdError
+from cifusion.errors import DimensionMismatchError, NonFiniteError, NotPdError, NotPsdError
 from cifusion.linalg import (
     DEFAULT_TOL,
     PETERSEN_WIDTH,
     LoewnerRelation,
     adjugate,
-    feasible_weight_interval,
     first_feasible_weight,
     inv_pd,
     loewner_compare,
     psd_certify,
-    sqrt_psd,
     sym_data,
 )
-from cifusion.known_cross import JointCovariance
 
-from conftest import random_joint, random_spd
+from conftest import (
+    feasible_weight_interval,
+    joint_from_cross_parameter,
+    random_joint,
+    random_spd,
+    sqrt_psd,
+)
 
 
 class TestSymData:
@@ -32,6 +35,13 @@ class TestSymData:
         m = psd_certify(np.eye(2))
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
+
+    def test_halves_before_adding(self):
+        # finite at the float limit, and the bits of 0.5 * (a + a.T) where that sum is finite
+        huge = np.array([[1e308, -1e308], [-1e308, 1.7e308]])
+        np.testing.assert_array_equal(sym_data(huge), huge)
+        a = np.random.default_rng(2).standard_normal((5, 5))
+        assert sym_data(a).tobytes() == (0.5 * (a + a.T)).tobytes()
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
@@ -56,6 +66,14 @@ class TestLoewnerCompare:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             loewner_compare(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_operand_raises(self, bad, first):
+        # no order can be read off a spectrum that is not finite
+        a, b = np.diag([bad, 1.0]), np.eye(2)
+        with pytest.raises(NonFiniteError):
+            loewner_compare(*((a, b) if first else (b, a)))
 
     def test_antisymmetry_randomized(self):
         rng = np.random.default_rng(11)
@@ -269,11 +287,11 @@ def normalized_cross(joint) -> np.ndarray:
 
 class TestCrossParameter:
     def test_zero_cross(self):
-        joint = JointCovariance.from_cross_parameter(np.eye(2), np.zeros((2, 2)), np.eye(2))
+        joint = joint_from_cross_parameter(np.eye(2), np.zeros((2, 2)), np.eye(2))
         np.testing.assert_allclose(joint.P12, np.zeros((2, 2)))
 
     def test_scalar_case(self):
-        joint = JointCovariance.from_cross_parameter([[4.0]], [[0.5]], [[1.0]])
+        joint = joint_from_cross_parameter([[4.0]], [[0.5]], [[1.0]])
         np.testing.assert_allclose(joint.P12, [[1.0]])
 
     def test_pd_joint_has_contractive_factor(self):
@@ -287,9 +305,7 @@ class TestCrossParameter:
         rng = np.random.default_rng(37)
         for _ in range(50):
             joint = random_joint(rng, 3, 2)
-            rebuilt = JointCovariance.from_cross_parameter(
-                joint.P1, normalized_cross(joint), joint.P2
-            ).P12
+            rebuilt = joint_from_cross_parameter(joint.P1, normalized_cross(joint), joint.P2).P12
             assert np.abs(rebuilt - joint.P12).max() <= 1e-10 * max(1.0, np.abs(joint.P12).max())
 
 

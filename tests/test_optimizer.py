@@ -19,7 +19,6 @@ from cifusion.optimizer import (
     delta_value,
     extended_cost,
     ku_rule,
-    sigma_alpha,
     solve_ci,
     solve_ci_det,
     solve_ci_trace,
@@ -36,6 +35,7 @@ from conftest import (
     random_orthogonal,
     random_problem,
     random_spd,
+    sigma_alpha,
     well_scaled_problems,
 )
 
@@ -85,7 +85,7 @@ class TestSigmaAlpha:
     def test_out_of_range(self):
         problem = example2_problem()
         with pytest.raises(OutOfRangeError):
-            sigma_alpha(problem, 1.5)
+            delta_value(problem, 1.5)
 
 
 class TestKuRule:

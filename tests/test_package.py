@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import cifusion
 
 
@@ -11,3 +14,28 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from cifusion import *", namespace)
     assert set(cifusion.__all__) <= set(namespace)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads (``from __future__`` aside)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports only to re-export
+    unused = {}
+    for path in sorted(Path(cifusion.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            names = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+            if names:
+                unused[path.name] = names
+    assert unused == {}

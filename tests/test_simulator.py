@@ -7,6 +7,7 @@ from cifusion import loewner_compare, simulator
 from cifusion.errors import (
     DimensionMismatchError,
     NotPdError,
+    OutOfRangeError,
     RankDeficientError,
     ScheduleError,
     StackedRankDeficientError,
@@ -100,6 +101,11 @@ class TestInitNetwork:
         with pytest.raises(DimensionMismatchError, match=r"^h_list\[1\] has shape \(1, 3\)"):
             init_network(2, 2, seed=0, noise_spec=spec)
 
+    @pytest.mark.parametrize("n, nodes, name", [(0, 3, "n"), (2, 0, "nodes")])
+    def test_count_below_one_is_named(self, n, nodes, name):
+        with pytest.raises(OutOfRangeError, match=rf"^{name} must be at least 1, got 0$"):
+            init_network(n, nodes, seed=0)
+
 
 class TestSchedules:
     def test_chain_and_ring_patterns(self):
@@ -116,6 +122,10 @@ class TestSchedules:
     def test_unknown_topology(self):
         with pytest.raises(ScheduleError):
             make_schedule("star", 3, 4, Cost.DET)
+
+    def test_negative_event_count_is_named(self):
+        with pytest.raises(ScheduleError, match=r"^event 0: events must not be negative, got -5$"):
+            make_schedule("ring", 3, -5, Cost.DET)
 
 
 class TestRunSchedule:

@@ -23,10 +23,8 @@ from cifusion.verifier import (
     Method,
     ZERO_Q_TOL,
     adversarial_x_search,
-    alpha_uniqueness_check,
     certificate_tolerance,
     lmi_certificate,
-    lmi_feasible_interval,
     monte_carlo_joint,
     petersen_certificate,
     petersen_objective,
@@ -41,9 +39,11 @@ from cifusion.verifier import (
 )
 
 from conftest import (
+    alpha_uniqueness_check,
     block_psd_margin_reference,
     dominated_problem,
     lmi_feasible_grid,
+    lmi_feasible_interval,
     lmi_matrix,
     monte_carlo_draws,
     monte_carlo_rng,
