@@ -22,7 +22,6 @@ from .linalg import (
     psd_certify,
 )
 from .optimizer import (
-    Cost,
     FusionResult,
     delta_value,
     ku_rule,
@@ -30,7 +29,7 @@ from .optimizer import (
     solve_ci_det,
     solve_ci_trace,
 )
-from .problem import FusionProblem, PartialEstimate
+from .problem import Cost, FusionProblem, PartialEstimate
 from .simulator import NoiseSpec, Schedule, init_network, make_schedule, run_schedule
 from .verifier import (
     ConservativenessCertificate,

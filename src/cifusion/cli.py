@@ -292,12 +292,20 @@ def cmd_verify(args) -> int:
     else:
         result = solve_ci(problem, Cost(args.cost))
     if "p_hat_override" in extras:
-        result = dataclasses.replace(result, P_hat=extras["p_hat_override"])
+        # the solved cost and certificate margin describe the solved P_hat
+        diagnostics = {k: v for k, v in result.diagnostics.items() if k != "lmi_min_eig"}
+        result = dataclasses.replace(result, P_hat=extras["p_hat_override"], cost_value=None,
+                                     diagnostics=diagnostics)
     tol = verifier.certificate_tolerance(result)
     rows = []
 
-    cert = verifier.lmi_certificate(result, problem, result.alpha)
-    rows.append(("lmi", cert.passed, f"min_eig={fmt(cert.lmi_min_eig)}"))
+    # solve_ci raises unless its certificate passed, and keeps its margin;
+    # a loaded or overridden result is certified here
+    passed, lmi_min_eig = True, result.diagnostics.get("lmi_min_eig")
+    if lmi_min_eig is None:
+        cert = verifier.lmi_certificate(result, problem, result.alpha)
+        passed, lmi_min_eig = cert.passed, cert.lmi_min_eig
+    rows.append(("lmi", passed, f"min_eig={fmt(lmi_min_eig)}"))
 
     min_eig = verifier.one_sided_bound(result, problem)
     if min_eig is not None:

@@ -3,26 +3,32 @@
 The family blends the two information matrices,
 ``Sigma_alpha = alpha * Sigma1 + (1 - alpha) * Sigma0``, and fuses with
 ``P_hat = Sigma_alpha^{-1}``.  A solve runs on one joint diagonalisation
-(:class:`JointSpectrum`: a Cholesky factor of the mean information matrix,
-its inverse and one ``eigh``), in which the fused covariance, its
-determinant and its trace are explicit functions of ``t = alpha - 1/2``
-with monotone slopes.  A slope test at each nonsingular endpoint, else a
-safeguarded Newton root, gives the optimum; the determinant slope has the
-sign of ``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.
-The same spectrum then gives the family member: its dominance table, its
+(:class:`~cifusion.problem.JointSpectrum`: a Cholesky factor of the mean
+information matrix, its inverse and one ``eigh``), in which the fused
+covariance, its determinant and its trace are explicit functions of
+``t = alpha - 1/2`` with monotone slopes.  A slope test at each
+nonsingular endpoint, else a safeguarded Newton root, gives the optimum;
+the determinant slope has the sign of
+``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.  The same
+spectrum then gives the family member: its dominance table, its
 singularity test, ``P_hat`` and the cost, so the only further spectral
 call is the PSD certification of ``P_hat``.  Because ``P_hat`` is formed
 from the spectrum rather than by inverting the blend, fused outputs can
 differ in their last digits from an explicit inverse.  The trace result is
 cross-checked against a gain-ratio fixed point.
+
+The spectrum belongs to the pair, not to the cost, so the problem builds it
+once and keeps it (:attr:`FusionProblem.spectrum`), and it lives in
+:mod:`cifusion.problem` with :class:`Cost`, whose values it evaluates.  A
+caller that solves a problem again, under either cost, or applies several
+family members to it gains from that; a single solve of a new problem, as
+one ``cifusion fuse`` makes, builds it as part of that solve.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -34,33 +40,13 @@ from .errors import (
     OutOfRangeError,
     SingularSigmaError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    SINGULAR_RTOL,
-    LoewnerRelation,
-    PsdMatrix,
-    adjugate,
-    psd_certify,
-)
-from .problem import FusionProblem
+from .linalg import SINGULAR_RTOL, LoewnerRelation, PsdMatrix, adjugate, psd_certify
+from .problem import Cost, FusionProblem, JointSpectrum
 
 #: the interior optimum is located to this width in alpha
 ROOT_TOL = 1e-12
 #: slope evaluations allowed in one root search (bisection alone needs 40)
 ROOT_MAX_EVALS = 200
-
-
-class Cost(enum.Enum):
-    """Strictly isotone cost of the fused covariance."""
-
-    DET = "det"
-    TRACE = "trace"
-
-    def of(self, matrix) -> float:
-        m = np.asarray(matrix, dtype=float)
-        if self is Cost.DET:
-            return float(np.linalg.det(m))
-        return float(np.trace(m))
 
 
 def extended_cost(cost: Cost, sigma: np.ndarray) -> float:
@@ -104,99 +90,6 @@ class FusionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class JointSpectrum:
-    """Joint diagonalisation of the two information matrices.
-
-    With ``S = (Sigma1 + Sigma0) / 2 = L L.T`` (PD under the rank
-    assumptions), ``M = L^-1 (Sigma1 - Sigma0) L^-T = V diag(lam) V.T`` and
-    ``t = alpha - 1/2``, the blend is ``Sigma_alpha = L V (I + t diag(lam))
-    V.T L.T``.  So with ``W = L^-T V`` the fused covariance is
-    ``W diag(1 / (1 + t lam)) W.T`` (:meth:`fused_cov`), and its ``det`` and
-    ``trace`` are ``exp(-log det S - sum(log(1 + t lam)))`` and
-    ``sum(c / (1 + t lam))`` with ``c`` the squared column norms of ``W``
-    (:meth:`cost`); ``log det S`` is twice the sum of the logs of
-    ``diag(L)``.  ``lam`` lies in [-2, 2]; its sign pattern is the Loewner
-    relation of the pair (:attr:`relation`, classified once), and a ``lam``
-    of +2 (-2) makes the blend at ``alpha = 0`` (``alpha = 1``) singular.
-    Building it takes three spectral calls (``cholesky``, ``inv``,
-    ``eigh``); nothing after that does.
-    """
-
-    lam: np.ndarray
-    c: np.ndarray
-    w: np.ndarray
-    log_det_s: float
-
-    @classmethod
-    def from_problem(cls, problem: FusionProblem) -> "JointSpectrum":
-        """The pair's joint spectrum, read from the problem's cached information matrices."""
-        s1, s0 = problem.sigma1, problem.sigma0
-        try:
-            chol = np.linalg.cholesky(0.5 * (s1 + s0))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSigmaError(f"mean information matrix is not PD: {exc}") from None
-        l_inv = np.linalg.inv(chol)
-        lam, v = np.linalg.eigh(l_inv @ (s1 - s0) @ l_inv.T)
-        w = l_inv.T @ v
-        # rounding can push |lam| just past 2, where 1 + t lam would
-        # change sign inside the interval
-        return cls(
-            np.minimum(np.maximum(lam, -2.0), 2.0),
-            np.einsum("ij,ij->j", w, w),
-            w,
-            2.0 * float(np.log(np.diagonal(chol)).sum()),
-        )
-
-    def fused_cov(self, t: float) -> np.ndarray:
-        """``Sigma_alpha^-1 = W diag(1 / (1 + t lam)) W.T`` at ``alpha = t + 1/2``.
-
-        The rounding of ``lam`` is absolute, so it costs about
-        ``eps / min(1 + t lam)`` relative to the largest entry: within a
-        small multiple of ``cond(Sigma_alpha) eps`` wherever some
-        ``1 + t lam`` is near 1 or above, as at every weight :func:`ku_rule`
-        admits, but more near the singular end of a dominated pair.
-        """
-        return (self.w / (1.0 + t * self.lam)) @ self.w.T
-
-    def cost(self, cost: Cost, t: float) -> float:
-        """The cost of :meth:`fused_cov` at ``t``, without forming it."""
-        mu = 1.0 + t * self.lam
-        if cost is Cost.DET:
-            try:
-                return math.exp(-self.log_det_s - float(np.log(mu).sum()))
-            except OverflowError:
-                return math.inf
-        return float((self.c / mu).sum())
-
-    @cached_property
-    def relation(self) -> LoewnerRelation:
-        """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them."""
-        # Sigma0 - Sigma1 is congruent to diag(-lam)
-        return LoewnerRelation.from_extremes(-float(self.lam[-1]), -float(self.lam[0]), DEFAULT_TOL)
-
-    def regular_at(self, t: float) -> bool:
-        """Whether the blend at ``alpha = t + 1/2`` is nonsingular.
-
-        ``lam`` is sorted and rounding is monotone, so the extremes of
-        ``1 + t lam`` are its two ends.
-        """
-        ends = 1.0 + t * float(self.lam[0]), 1.0 + t * float(self.lam[-1])
-        return min(ends) > SINGULAR_RTOL * max(ends)
-
-    def det_slope(self, t: float) -> tuple[float, float]:
-        """Slope of ``log det P_hat`` in ``t`` and its (positive) derivative."""
-        u = self.lam / (1.0 + t * self.lam)
-        return -float(u.sum()), float(u @ u)
-
-    def trace_slope(self, t: float) -> tuple[float, float]:
-        """Slope of ``trace P_hat`` in ``t`` and its (positive) derivative."""
-        u = 1.0 / (1.0 + t * self.lam)
-        lu = self.lam * u
-        clu2 = self.c * lu * u
-        return -float(clu2.sum()), 2.0 * float(clu2 @ lu)
-
-
 def _optimal_weight(spectrum: JointSpectrum, slope) -> tuple[float, str]:
     """Minimiser of a convex cost in alpha, from its increasing slope in t.
 
@@ -232,25 +125,21 @@ def _optimal_weight(spectrum: JointSpectrum, slope) -> tuple[float, str]:
     return 0.5 + t, "interior_root"
 
 
-def ku_rule(
-    problem: FusionProblem, alpha: float, *, spectrum: JointSpectrum | None = None,
-    cost: Cost | None = None,
-) -> FusionResult:
+def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -> FusionResult:
     """Apply the fusion family member with the given weight.
 
     The weight is validated against the family case table: a strictly
     dominant second (first) information matrix forces ``alpha = 0``
     (``alpha = 1``), equal matrices admit any weight, and otherwise the
     blended information matrix must be nonsingular.  The table, the
-    singularity test and ``P_hat`` all come from the joint spectrum of the
-    pair; the solvers pass the ``spectrum`` they searched on, and without
-    one it is built here.  ``P_hat`` is PSD-certified and must be strictly
-    PD.  Given a ``cost``, the result carries its value from the spectrum.
+    singularity test and ``P_hat`` all come from the problem's joint
+    spectrum (:attr:`FusionProblem.spectrum`), the one the solvers search
+    on.  ``P_hat`` is PSD-certified and must be strictly PD.  Given a
+    ``cost``, the result carries its value from the spectrum.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
-    if spectrum is None:
-        spectrum = JointSpectrum.from_problem(problem)
+    spectrum = problem.spectrum
     rel = spectrum.relation
     if rel is LoewnerRelation.STRICTLY_GREATER and alpha != 0.0:
         raise InvalidFamilyParameterError(
@@ -294,13 +183,13 @@ def ku_rule(
 
 
 def _optimal_member(problem: FusionProblem, cost: Cost) -> FusionResult:
-    spectrum = JointSpectrum.from_problem(problem)
+    spectrum = problem.spectrum
     if spectrum.relation is LoewnerRelation.EQUAL:
         alpha, branch = 0.5, "equal"
     else:
         slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
         alpha, branch = _optimal_weight(spectrum, slope)
-    result = ku_rule(problem, alpha, spectrum=spectrum, cost=cost)
+    result = ku_rule(problem, alpha, cost=cost)
     result.diagnostics.update(branch=branch, cost=cost.value)
     return result
 

@@ -8,11 +8,19 @@ observation matrix has full column rank.  Rank validation happens once here
 so the solvers can assume it: one batched SVD gives the ranks of H1, H2 and
 the stack.  Each estimate has one factor, the Cholesky factor ``L`` of its
 covariance, which gives ``P_hat^-1`` and the certificate's scaled gain
-blocks ``K L``; no symmetric root of a covariance is taken here.
+blocks ``K L``; no symmetric root of a covariance is taken here.  A problem
+is preprocessed once: its information matrices and their joint
+diagonalisation (:class:`JointSpectrum`), which every solve under either
+:class:`Cost` reads, are built on first use and kept.  Every array an
+estimate or a problem keeps is read-only, so a kept value cannot drift
+from the data it was computed from.
 """
 
 from __future__ import annotations
 
+import enum
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,9 +31,19 @@ from .errors import (
     NotPdError,
     NotPsdError,
     RankDeficientError,
+    SingularSigmaError,
     StackedRankDeficientError,
 )
-from .linalg import RESULT_RTOL, PsdMatrix, cholesky_pd, inv_from_cholesky, psd_certify
+from .linalg import (
+    DEFAULT_TOL,
+    RESULT_RTOL,
+    SINGULAR_RTOL,
+    LoewnerRelation,
+    PsdMatrix,
+    cholesky_pd,
+    inv_from_cholesky,
+    psd_certify,
+)
 
 #: singular values below RANK_RTOL * sigma_max do not count towards rank
 RANK_RTOL = 1e-10
@@ -124,18 +142,18 @@ class PartialEstimate:
     @cached_property
     def p_chol(self) -> np.ndarray:
         """Lower Cholesky factor ``L`` of ``P_hat``; :class:`NotPdError` if it fails."""
-        return cholesky_pd(self.p_hat)
+        return _frozen(cholesky_pd(self.p_hat))
 
     @cached_property
     def p_inv(self) -> np.ndarray:
-        return inv_from_cholesky(self.p_chol)
+        return _frozen(inv_from_cholesky(self.p_chol))
 
     @cached_property
     def info_matrix(self) -> np.ndarray:
         """Information contribution ``H.T P_hat^{-1} H`` in state space; may overflow."""
         with np.errstate(over="ignore", invalid="ignore"):
             m = self.h.T @ self.p_inv @ self.h
-            return 0.5 * (m + m.T)
+            return _frozen(0.5 * (m + m.T))
 
     def __repr__(self) -> str:
         return f"PartialEstimate(p={self.p}, n={self.n})"
@@ -192,12 +210,140 @@ class FusionProblem:
         """Information matrix of the second estimate."""
         return _information(self.est2, "est2")
 
+    @cached_property
+    def spectrum(self) -> JointSpectrum:
+        """The joint diagonalisation of ``(sigma1, sigma0)`` that every solve reads.
+
+        It depends on the pair and not on the cost, so it is built on first
+        use and kept: a problem solved again, under either cost, pays for
+        it once.  A pair whose mean information matrix is not PD raises
+        :class:`SingularSigmaError` on every use; a failure is not kept.
+        """
+        return JointSpectrum.from_problem(self)
+
     def swapped(self) -> "FusionProblem":
-        """The same problem with the two estimates exchanged."""
+        """The same problem with the two estimates exchanged; it builds its own spectrum."""
         return FusionProblem(self.est2, self.est1)
 
     def __repr__(self) -> str:
         return f"FusionProblem(n={self.n}, p1={self.p1}, p2={self.p2})"
+
+
+class Cost(enum.Enum):
+    """Strictly isotone cost of the fused covariance."""
+
+    DET = "det"
+    TRACE = "trace"
+
+    def of(self, matrix) -> float:
+        m = np.asarray(matrix, dtype=float)
+        if self is Cost.DET:
+            return float(np.linalg.det(m))
+        return float(np.trace(m))
+
+
+@dataclass(frozen=True)
+class JointSpectrum:
+    """Joint diagonalisation of the two information matrices.
+
+    With ``S = (Sigma1 + Sigma0) / 2 = L L.T`` (PD under the rank
+    assumptions), ``M = L^-1 (Sigma1 - Sigma0) L^-T = V diag(lam) V.T`` and
+    ``t = alpha - 1/2``, the blend is ``Sigma_alpha = L V (I + t diag(lam))
+    V.T L.T``.  So with ``W = L^-T V`` the fused covariance is
+    ``W diag(1 / (1 + t lam)) W.T`` (:meth:`fused_cov`), and its ``det`` and
+    ``trace`` are ``exp(-log det S - sum(log(1 + t lam)))`` and
+    ``sum(c / (1 + t lam))`` with ``c`` the squared column norms of ``W``
+    (:meth:`cost`); ``log det S`` is twice the sum of the logs of
+    ``diag(L)``.  ``lam`` lies in [-2, 2]; its sign pattern is the Loewner
+    relation of the pair (:attr:`relation`, classified once), and a ``lam``
+    of +2 (-2) makes the blend at ``alpha = 0`` (``alpha = 1``) singular.
+    Building it takes three spectral calls (``cholesky``, ``inv``,
+    ``eigh``); nothing after that does.  A problem keeps the one it built
+    (:attr:`FusionProblem.spectrum`), with ``lam``, ``c`` and ``w``
+    read-only.
+    """
+
+    lam: np.ndarray
+    c: np.ndarray
+    w: np.ndarray
+    log_det_s: float
+
+    @classmethod
+    def from_problem(cls, problem: FusionProblem) -> "JointSpectrum":
+        """A new joint spectrum of the pair, from the problem's cached information matrices.
+
+        Solvers read the problem's own, :attr:`FusionProblem.spectrum`,
+        which this builds once.
+        """
+        s1, s0 = problem.sigma1, problem.sigma0
+        try:
+            chol = np.linalg.cholesky(0.5 * (s1 + s0))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSigmaError(f"mean information matrix is not PD: {exc}") from None
+        l_inv = np.linalg.inv(chol)
+        lam, v = np.linalg.eigh(l_inv @ (s1 - s0) @ l_inv.T)
+        w = _frozen(l_inv.T @ v)
+        # rounding can push |lam| just past 2, where 1 + t lam would
+        # change sign inside the interval
+        return cls(
+            _frozen(np.minimum(np.maximum(lam, -2.0), 2.0)),
+            _frozen(np.einsum("ij,ij->j", w, w)),
+            w,
+            2.0 * float(np.log(np.diagonal(chol)).sum()),
+        )
+
+    def fused_cov(self, t: float) -> np.ndarray:
+        """``Sigma_alpha^-1 = W diag(1 / (1 + t lam)) W.T`` at ``alpha = t + 1/2``.
+
+        The rounding of ``lam`` is absolute, so it costs about
+        ``eps / min(1 + t lam)`` relative to the largest entry: within a
+        small multiple of ``cond(Sigma_alpha) eps`` wherever some
+        ``1 + t lam`` is near 1 or above, as at every weight
+        :func:`~cifusion.optimizer.ku_rule` admits, but more near the singular end of a dominated pair.
+        """
+        return (self.w / (1.0 + t * self.lam)) @ self.w.T
+
+    def cost(self, cost: Cost, t: float) -> float:
+        """The cost of :meth:`fused_cov` at ``t``, without forming it."""
+        mu = 1.0 + t * self.lam
+        if cost is Cost.DET:
+            try:
+                return math.exp(-self.log_det_s - float(np.log(mu).sum()))
+            except OverflowError:
+                return math.inf
+        return float((self.c / mu).sum())
+
+    @cached_property
+    def relation(self) -> LoewnerRelation:
+        """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them."""
+        # Sigma0 - Sigma1 is congruent to diag(-lam)
+        return LoewnerRelation.from_extremes(-float(self.lam[-1]), -float(self.lam[0]), DEFAULT_TOL)
+
+    def regular_at(self, t: float) -> bool:
+        """Whether the blend at ``alpha = t + 1/2`` is nonsingular.
+
+        ``lam`` is sorted and rounding is monotone, so the extremes of
+        ``1 + t lam`` are its two ends.
+        """
+        ends = 1.0 + t * float(self.lam[0]), 1.0 + t * float(self.lam[-1])
+        return min(ends) > SINGULAR_RTOL * max(ends)
+
+    def det_slope(self, t: float) -> tuple[float, float]:
+        """Slope of ``log det P_hat`` in ``t`` and its (positive) derivative."""
+        u = self.lam / (1.0 + t * self.lam)
+        return -float(u.sum()), float(u @ u)
+
+    def trace_slope(self, t: float) -> tuple[float, float]:
+        """Slope of ``trace P_hat`` in ``t`` and its (positive) derivative."""
+        u = 1.0 / (1.0 + t * self.lam)
+        lu = self.lam * u
+        clu2 = self.c * lu * u
+        return -float(clu2.sum()), 2.0 * float(clu2 @ lu)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _information(est: PartialEstimate, name: str) -> np.ndarray:

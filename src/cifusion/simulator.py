@@ -12,6 +12,7 @@ information exactly the way the fusion rule is built to survive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,15 +62,33 @@ class NoiseSpec:
 
 @dataclass
 class NodeState:
+    """One node's estimate.
+
+    :attr:`estimate` is built from ``h``, ``x_hat`` and ``p_hat`` on first
+    use and kept, with its factors, until one of the three is assigned; a
+    node that did not change since its last fusion is not validated or
+    factored again.  Changing one of those arrays in place is not
+    supported: it would leave the kept estimate stale.
+    """
+
     node_id: int
     h: np.ndarray
     x_hat: np.ndarray
     p_hat: PsdMatrix
     lineage: list = field(default_factory=list)
 
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("h", "x_hat", "p_hat"):
+            self.__dict__.pop("estimate", None)
+        super().__setattr__(name, value)
+
     @property
     def p(self) -> int:
         return self.h.shape[0]
+
+    @cached_property
+    def estimate(self) -> PartialEstimate:
+        return PartialEstimate(self.h, self.x_hat, self.p_hat)
 
 
 class GroundTruth:
@@ -454,9 +473,10 @@ def run_schedule(
 ) -> SimReport:
     """Execute the schedule, tracking exact conservativeness margins.
 
-    Each event fuses the pair with the optimal-weight rule, writes the fused
-    full-state estimate into the first node and propagates the exact joint
-    through the gains.  Events whose pair cannot reach full state rank
+    Each event fuses the pair's kept estimates (:attr:`NodeState.estimate`)
+    with the optimal-weight rule, writes the fused full-state estimate into
+    the first node and propagates the exact joint through the gains.
+    Events whose pair cannot reach full state rank
     (:class:`FusionProblem` raises :class:`StackedRankDeficientError`) are
     skipped and logged; a node whose own H lacks full row rank raises
     :class:`RankDeficientError`, which that check comes before.  The
@@ -480,10 +500,7 @@ def run_schedule(
             raise ScheduleError(event_id, "a node cannot fuse with itself")
         node_a, node_b = nodes[ev.node_a], nodes[ev.node_b]
         try:
-            problem = FusionProblem(
-                PartialEstimate(node_a.h, node_a.x_hat, node_a.p_hat),
-                PartialEstimate(node_b.h, node_b.x_hat, node_b.p_hat),
-            )
+            problem = FusionProblem(node_a.estimate, node_b.estimate)
         except StackedRankDeficientError:
             report.skipped.append(
                 (event_id, ev.node_a, ev.node_b, "pair does not reach state rank")

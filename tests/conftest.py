@@ -19,7 +19,7 @@ from cifusion.linalg import (
     sym_data,
     tol_scale,
 )
-from cifusion.optimizer import Cost, JointSpectrum, delta_value
+from cifusion.optimizer import Cost, delta_value
 from cifusion.problem import covariance
 from cifusion.verifier import _schur_function, certificate_tolerance, petersen_objective, q_pair
 
@@ -392,7 +392,7 @@ def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     """Whether :func:`lmi_feasible_interval` is nonempty and at most twice its first-order width.
 
     ``None`` when the information matrices coincide, as any weight is then
-    feasible; the solver's ``JointSpectrum.relation`` decides that, so
+    feasible; the solver's ``problem.spectrum.relation`` decides that, so
     the two classify a pair alike at every scale.  A CI family member's
     Schur complement M vanishes at its own weight, so to first order
     ``lambda_max(M) <= tol`` on a width
@@ -400,7 +400,7 @@ def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     a part counts only if its eigenvalue has that sign and the weight can
     move that way.  ``False`` when M is infinite at that weight.
     """
-    if JointSpectrum.from_problem(problem).relation is LoewnerRelation.EQUAL:
+    if problem.spectrum.relation is LoewnerRelation.EQUAL:
         return None
     m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
     tol = certificate_tolerance(result)

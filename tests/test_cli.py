@@ -294,6 +294,55 @@ class TestVerify:
         assert rc == 1
         assert "adversarial-x" in out and "FAIL" in out
 
+    @staticmethod
+    def _certified(monkeypatch) -> list:
+        """Record the result of every ``lmi_certificate`` call, solve_ci's included."""
+        seen, original = [], verifier.lmi_certificate
+
+        def recorded(result, *args, **kwargs):
+            seen.append(result)
+            return original(result, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "lmi_certificate", recorded)
+        return seen
+
+    @pytest.mark.parametrize("doc", [EXAMPLE2, SCALAR_PAIR])
+    def test_lmi_row_reuses_the_solve_certificate(self, tmp_path, capsys, monkeypatch, doc):
+        from cifusion.optimizer import Cost, solve_ci
+
+        path = write(tmp_path, doc)
+        seen = self._certified(monkeypatch)
+        assert cli.main(["verify", path, "--samples", "50"]) == 0
+        rows = [r for r in capsys.readouterr().out.splitlines() if r.startswith("lmi")]
+        assert len(seen) == 1  # solve_ci's own certificate, not a second one
+        problem, _ = cli.load_problem_file(path)
+        cert = verifier.lmi_certificate(solve_ci(problem, Cost.DET), problem, seen[0].alpha)
+        assert [r.split() for r in rows] == [
+            ["lmi", "PASS", f"min_eig={cli.fmt(cert.lmi_min_eig)}"]]
+
+    def test_result_file_recomputes_the_certificate(self, tmp_path, capsys, monkeypatch):
+        problem_path = write(tmp_path, EXAMPLE2)
+        fused_path = str(tmp_path / "fused.json")
+        assert cli.main(["fuse", problem_path, "--out", fused_path]) == 0
+        seen = self._certified(monkeypatch)
+        assert cli.main(["verify", problem_path, "--result", fused_path, "--samples", "50"]) == 0
+        assert len(seen) == 1 and "lmi_min_eig" not in seen[0].diagnostics
+
+    def test_overridden_result_drops_the_solved_fields(self, tmp_path, capsys, monkeypatch):
+        # the copy with the file's P_hat keeps neither the solved P_hat's
+        # cost nor its certificate margin, and does not share its diagnostics
+        doc = dict(EXAMPLE2, P_hat_override=[[2.5, 0], [0, 0.2]])
+        seen = self._certified(monkeypatch)
+        assert cli.main(["verify", write(tmp_path, doc), "--samples", "50"]) == 0
+        solved, overridden = seen
+        assert np.array_equal(overridden.P_hat.data, [[2.5, 0], [0, 0.2]])
+        assert solved.cost_value is not None and overridden.cost_value is None
+        assert "lmi_min_eig" in solved.diagnostics
+        assert "lmi_min_eig" not in overridden.diagnostics
+        assert overridden.diagnostics is not solved.diagnostics
+        assert overridden.diagnostics == {k: v for k, v in solved.diagnostics.items()
+                                          if k != "lmi_min_eig"}
+
     def test_truth_block_adds_joint_check(self, tmp_path, capsys):
         doc = dict(EXAMPLE2)
         doc["truth"] = {

@@ -491,35 +491,38 @@ class TestSpectralSolvePath:
             assert np.linalg.det(spectrum.fused_cov(0.0)) == math.inf
         assert spectrum.cost(Cost.DET, 0.0) == math.inf
 
-    def test_public_ku_rule_equals_spectrum_path_bitwise(self):
+    def test_ku_rule_on_a_kept_spectrum_equals_a_fresh_one_bitwise(self):
+        # a member taken on the spectrum the problem kept (built here by
+        # reading its relation) has the bits of one on a new, equal problem
         rng, pool = _metamorphic_pool(28, 40)
         for problem in pool:
-            spectrum = JointSpectrum.from_problem(problem)
-            rel = spectrum.relation
+            rel = problem.spectrum.relation
             if rel is LoewnerRelation.STRICTLY_GREATER:
                 alpha = 0.0
             elif rel is LoewnerRelation.STRICTLY_LESS:
                 alpha = 1.0
             else:
                 alpha = float(rng.uniform(0.05, 0.95))
-            own = ku_rule(problem, alpha)
-            given_ = ku_rule(problem, alpha, spectrum=spectrum)
+            kept = ku_rule(problem, alpha)
+            fresh = FusionProblem(*_fresh(problem))
+            assert "spectrum" not in vars(fresh)
+            given_ = ku_rule(fresh, alpha)
             for name in ("K1", "K2", "fused_x"):
-                assert np.array_equal(getattr(own, name), getattr(given_, name))
-            assert np.array_equal(own.P_hat.data, given_.P_hat.data)
-            assert (own.alpha, own.P_hat.min_eig, own.diagnostics) == (
+                assert np.array_equal(getattr(kept, name), getattr(given_, name))
+            assert np.array_equal(kept.P_hat.data, given_.P_hat.data)
+            assert (kept.alpha, kept.P_hat.min_eig, kept.diagnostics) == (
                 given_.alpha, given_.P_hat.min_eig, given_.diagnostics
             )
 
     def test_solve_ci_equals_its_public_steps_bitwise(self):
         # the public steps must give solve_ci's bits: the weight search on
-        # JointSpectrum.from_problem, ku_rule on that spectrum, its cost,
-        # then lmi_certificate
+        # the problem's spectrum, ku_rule, the spectrum's cost, then
+        # lmi_certificate
         rng, pool = _metamorphic_pool(29, 32)
         pool += [equal_sigma_problem(rng), example2_problem()]
         branches = set()
         for problem in pool:
-            spectrum = JointSpectrum.from_problem(problem)
+            spectrum = problem.spectrum
             for cost in Cost:
                 result = solve_ci(problem, cost)
                 if spectrum.relation is LoewnerRelation.EQUAL:
@@ -527,7 +530,7 @@ class TestSpectralSolvePath:
                 else:
                     slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
                     alpha, branch = _optimal_weight(spectrum, slope)
-                steps = ku_rule(problem, alpha, spectrum=spectrum)
+                steps = ku_rule(problem, alpha)
                 cert = lmi_certificate(steps, problem, alpha)
                 assert result.alpha == alpha and result.diagnostics["branch"] == branch
                 for name in ("K1", "K2", "fused_x"):
@@ -579,16 +582,32 @@ def _fresh(problem: FusionProblem) -> tuple[PartialEstimate, PartialEstimate]:
 
 class TestCallBudget:
     def test_certified_solve_makes_at_most_six_spectral_calls(self, monkeypatch):
+        # the first solve of a problem on factored estimates: the spectrum's
+        # three, P_hat's certification and the LMI certificate's two
         pool = _budget_pool()
         for problem in pool:  # warm the cached info_matrix, p_chol and p_inv
+            solve_ci(problem, Cost.DET)
+        calls = count_spectral_calls(monkeypatch)
+        for problem in pool:
             for cost in Cost:
-                solve_ci(problem, cost)
+                unsolved = FusionProblem(problem.est1, problem.est2)
+                calls.clear()
+                solve_ci(unsolved, cost)
+                assert len(calls) <= 6, (problem, cost, calls)
+
+    def test_solving_a_problem_again_makes_at_most_three_spectral_calls(self, monkeypatch):
+        # the problem keeps its spectrum, so a later solve under either cost
+        # makes only P_hat's certification and the LMI certificate's two
+        pool = _budget_pool()
+        for problem in pool:
+            solve_ci(problem, Cost.DET)
         calls = count_spectral_calls(monkeypatch)
         for problem in pool:
             for cost in Cost:
                 calls.clear()
                 solve_ci(problem, cost)
-                assert len(calls) <= 6, (problem, cost, calls)
+                assert len(calls) <= 3 and not {"cholesky", "inv", "eigh"} & set(calls), \
+                    (problem, cost, calls)
 
     def test_fresh_problem_and_solve_make_at_most_eleven_calls(self, monkeypatch):
         # one rank SVD, a Cholesky factor and a solve per estimate, the solve's six
@@ -622,6 +641,67 @@ class TestCallBudget:
             fused += len(run_schedule(nodes, truth, one).records)
             assert len(calls) <= 12, (ev, calls)
         assert fused == 400
+
+
+class TestKeptSpectrum:
+    """``FusionProblem.spectrum`` is built once per problem and never changes."""
+
+    def test_one_factorisation_per_problem(self, monkeypatch):
+        # a DET solve, a TRACE solve and several members of the family on
+        # one problem: one cholesky, one inv and one eigh between them
+        pool = _budget_pool()
+        calls = count_spectral_calls(monkeypatch)
+        for problem in pool:
+            problem = FusionProblem(*_fresh(problem))
+            problem.sigma1, problem.sigma0  # the estimates' own factors, not counted
+            calls.clear()
+            solve_ci(problem, Cost.DET)
+            solve_ci(problem, Cost.TRACE)
+            for alpha in _admitted_weights(problem.spectrum, (0.0, 0.25, 0.5, 0.75, 1.0)):
+                ku_rule(problem, alpha, cost=Cost.DET)
+            assert [calls.count(name) for name in ("cholesky", "inv", "eigh")] == [1, 1, 1], \
+                (problem, calls)
+
+    @pytest.mark.parametrize("order", [(Cost.DET, Cost.TRACE), (Cost.TRACE, Cost.DET)])
+    def test_solves_match_a_fresh_problem_bitwise(self, order):
+        # each solve after the first reads the kept spectrum; it must give
+        # the bits of the same solve on a new problem with equal estimates
+        _, pool = _metamorphic_pool(31, 40)
+        pool += [equal_sigma_problem(), example2_problem()]
+        for problem in pool:
+            problem = FusionProblem(*_fresh(problem))
+            for cost in order:
+                kept = solve_ci(problem, cost)
+                fresh = solve_ci(FusionProblem(*_fresh(problem)), cost)
+                assert kept.alpha == fresh.alpha and kept.cost_value == fresh.cost_value
+                for name in ("K1", "K2", "fused_x"):
+                    assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
+                assert kept.P_hat.data.tobytes() == fresh.P_hat.data.tobytes()
+                assert kept.diagnostics == fresh.diagnostics
+
+    def test_swapped_problem_builds_its_own_spectrum(self):
+        rng = np.random.default_rng(32)
+        for problem in [random_problem(rng) for _ in range(10)] + [example2_problem()]:
+            spectrum = problem.spectrum
+            swapped = problem.swapped()
+            assert "spectrum" not in vars(swapped)
+            assert swapped.spectrum is not spectrum
+            assert swapped.spectrum is swapped.spectrum
+            # exchanging the estimates negates M, so its spectrum reverses
+            np.testing.assert_allclose(swapped.spectrum.lam, -spectrum.lam[::-1],
+                                       rtol=0.0, atol=1e-12)
+            assert problem.spectrum is spectrum
+
+    def test_kept_arrays_are_read_only(self):
+        problem = example2_problem()
+        solve_ci(problem, Cost.TRACE)
+        spectrum, est = problem.spectrum, problem.est1
+        for array in (spectrum.lam, spectrum.c, spectrum.w,
+                      est.p_chol, est.p_inv, est.info_matrix, est.h, est.x_hat, est.p_hat.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(AttributeError):
+            spectrum.lam = np.zeros(2)
 
 
 class TestDetOracle:

@@ -238,6 +238,50 @@ class TestRunSchedule:
             run_schedule(nodes, truth, bad)
 
 
+class TestKeptNodeEstimate:
+    def test_assigning_an_input_drops_the_estimate(self):
+        nodes, _ = init_network(3, 2, seed=5)
+        node = nodes[0]
+        est = node.estimate
+        assert node.estimate is est
+        node.lineage = [(0, 1, 0.5)]  # not an input of the estimate
+        assert node.estimate is est
+        for name in ("h", "x_hat", "p_hat"):
+            setattr(node, name, getattr(node, name))
+            assert node.estimate is not est
+            est = node.estimate
+        assert (est.h, est.x_hat, est.p_hat) == (node.h, node.x_hat, node.p_hat)
+
+    def test_event_keeps_the_second_node_estimate(self):
+        # the fused node gets new arrays, so its estimate is rebuilt; the
+        # second node keeps its prior and the estimate built from it
+        nodes, truth = init_network(4, 5, seed=3)
+        schedule = make_schedule("ring", 5, 20, Cost.DET, seed=3)
+        for ev in schedule.events:
+            before_a, before_b = nodes[ev.node_a].estimate, nodes[ev.node_b].estimate
+            one = type(schedule)(events=(ev,), topology=schedule.topology, seed=schedule.seed)
+            assert run_schedule(nodes, truth, one).records
+            assert nodes[ev.node_b].estimate is before_b
+            assert nodes[ev.node_a].estimate is not before_a
+
+    def test_reports_match_rebuilt_estimates_bitwise(self):
+        # a run that drops every kept estimate before each event builds
+        # every estimate anew, as run_schedule once did
+        def run(fresh: bool) -> str:
+            nodes, truth = init_network(5, 12, seed=2)
+            schedule = make_schedule("random", 12, 150, Cost.DET, seed=2)
+            lines = []
+            for ev in schedule.events:
+                if fresh:
+                    for node in nodes:
+                        node.p_hat = node.p_hat
+                one = type(schedule)(events=(ev,), topology=schedule.topology, seed=schedule.seed)
+                lines.append(run_schedule(nodes, truth, one).to_text())
+            return "".join(lines)
+
+        assert run(fresh=False) == run(fresh=True)
+
+
 class TestGroundTruth:
     def test_fusion_update_matches_direct_propagation(self):
         rng = np.random.default_rng(17)
