@@ -26,7 +26,8 @@ class JointCovariance:
     """Block covariance ``[P1 P12; P12.T P2]``, certified PSD, with PD classification."""
 
     def __init__(self, p1, p12, p2):
-        p12 = np.atleast_2d(np.asarray(p12, dtype=float))
+        # a copy, so that freezing it leaves the caller's array writable
+        p12 = np.atleast_2d(np.array(p12, dtype=float))
         if not np.isfinite(p12).all():
             raise NonFiniteError("P12: holds a NaN or an infinity")
         cert1 = covariance(p1, p12.shape[0], "P1")
@@ -52,9 +53,6 @@ class JointCovariance:
     def p2_dim(self) -> int:
         return self.P2.dim
 
-    def swapped(self) -> "JointCovariance":
-        return JointCovariance(self.P2, self.P12.T, self.P1)
-
     def __repr__(self) -> str:
         kind = "PD" if self.pd else "PSD"
         return f"JointCovariance(p1={self.p1_dim}, p2={self.p2_dim}, {kind})"
@@ -75,9 +73,6 @@ class KnownCrossResult:
     @property
     def K2(self) -> np.ndarray:
         return self.K_star[:, self._p1 :]
-
-    def fuse(self, x1, x2) -> np.ndarray:
-        return self.K1 @ np.asarray(x1, float) + self.K2 @ np.asarray(x2, float)
 
 
 def _check_within_intersection(

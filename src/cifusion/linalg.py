@@ -86,14 +86,6 @@ class LoewnerRelation(enum.Enum):
             LoewnerRelation.EQUAL,
         )
 
-    @property
-    def is_le(self) -> bool:
-        return self in (
-            LoewnerRelation.STRICTLY_LESS,
-            LoewnerRelation.LESS_EQUAL,
-            LoewnerRelation.EQUAL,
-        )
-
     @classmethod
     def from_extremes(cls, lo: float, hi: float, bound: float) -> "LoewnerRelation":
         """A versus B from the smallest and largest eigenvalues of ``A - B``.

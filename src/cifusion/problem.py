@@ -111,8 +111,9 @@ class PartialEstimate:
     """One node's observation model, estimate and strictly PD covariance."""
 
     def __init__(self, h, x_hat, p_hat):
-        h = np.atleast_2d(np.asarray(h, dtype=float))
-        x = np.atleast_1d(np.asarray(x_hat, dtype=float))
+        # copies, so that freezing them leaves the caller's arrays writable
+        h = np.atleast_2d(np.array(h, dtype=float))
+        x = np.atleast_1d(np.array(x_hat, dtype=float))
         for name, arr in (("H", h), ("x_hat", x)):
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"{name} holds a NaN or an infinity")
@@ -220,10 +221,6 @@ class FusionProblem:
         :class:`SingularSigmaError` on every use; a failure is not kept.
         """
         return JointSpectrum.from_problem(self)
-
-    def swapped(self) -> "FusionProblem":
-        """The same problem with the two estimates exchanged; it builds its own spectrum."""
-        return FusionProblem(self.est2, self.est1)
 
     def __repr__(self) -> str:
         return f"FusionProblem(n={self.n}, p1={self.p1}, p2={self.p2})"

@@ -31,7 +31,9 @@ those downdates, and the draws are kept as ``n x samples`` factor arrays.
 :func:`_worst_sample` decides most samples from their factors by one
 Cholesky factorisation and a closed-form test per sample
 (:func:`_undecided`), and forms and decomposes only the few it cannot
-drop.  Its value lies less than a proven rounding-level margin below the
+drop.  The test is made on each draw's dominating joint, without the
+downdates, which is sound for Monte Carlo draws too, as each lies below
+it.  Its value lies less than a proven rounding-level margin below the
 largest ``eigvalsh`` value over all of them, and it lies at or below the
 certificate tolerance exactly when that largest value does.
 Each sampler is a pure function of its arguments and runs on the calling
@@ -42,7 +44,6 @@ certificate carries the actual proof.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +59,10 @@ ZERO_Q_TOL = 1e-14
 SCREEN_CANDIDATES = 4
 
 
-class Method(enum.Enum):
-    LMI = "lmi"
-    TAU = "tau"
-    PETERSEN = "petersen"
-    ADVERSARIAL = "adversarial"
-    MONTE_CARLO = "monte_carlo"
-
-
 @dataclass(frozen=True)
 class ConservativenessCertificate:
     alpha: float
-    tau: float | None
     lmi_min_eig: float
-    method: Method
     passed: bool
 
 
@@ -163,10 +154,7 @@ def lmi_certificate(
                 f"LMI routes disagree: block min eig {lowest:.3g}, "
                 f"Schur complement max eig {top:.3g}"
             )
-    tau = 1.0 / alpha - 1.0 if 0.0 < alpha < 1.0 else None
-    return ConservativenessCertificate(
-        alpha=float(alpha), tau=tau, lmi_min_eig=lowest, method=Method.LMI, passed=passed
-    )
+    return ConservativenessCertificate(alpha=float(alpha), lmi_min_eig=lowest, passed=passed)
 
 
 def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
@@ -268,7 +256,8 @@ def _worst_sample(
     those values is ``v``.  With ``rho = 2 delta``, ``delta`` the margin of
     :func:`_undecided` at ``v``, that function proves most samples to lie
     below the ceiling ``v + rho``, or below ``min(v + rho, tol)`` when
-    ``v <= tol``, and only the rest are formed.  Of those, every matrix
+    ``v <= tol``, by testing their dominating joints without ``g``, and
+    only the rest are formed, downdates included.  Of those, every matrix
     bitwise equal to the one that set ``v`` is dropped before ``eigvalsh``
     runs, as its value is ``v`` itself.  The value returned is the largest
     ``eigvalsh`` value over the heads and the formed samples, so:
@@ -307,7 +296,7 @@ def _worst_sample(
         ceiling = level + 2.0 * _margin(base.shape[0], level, s)
     if level <= tol:
         ceiling = min(ceiling, tol)
-    keep = _undecided(base, ceiling, c, d, g, s)
+    keep = _undecided(base, ceiling, c, d, s)
     keep[ranked] = False
     if not keep.any():
         return level
@@ -331,32 +320,30 @@ def _margin(n: int, level: float, s: float) -> float:
 
 
 def _undecided(
-    base: np.ndarray, level: float, c: np.ndarray, d: np.ndarray, g=(), s: float | None = None,
+    base: np.ndarray, level: float, c: np.ndarray, d: np.ndarray, s: float | None = None,
 ) -> np.ndarray:
     """Mask of the samples of :func:`_sample_stack` whose ``eigvalsh`` value may reach ``level``.
 
-    A sample is ``M = base + c d' + d c' - G G'``, ``G = [g1 g2]`` or
-    empty.  One Cholesky factorisation ``L L'`` of
-    ``A = (level - delta) I - base`` serves every sample.  With ``W`` the
-    inverse of ``L`` by forward substitution, the whitened vectors
-    ``c^ = W c``, ``d^``, ``G^ = W G`` and ``N = I + G^ G^'``, in exact
-    arithmetic ``(level - delta) I - M = L (N - c^ d^' - d^ c^') L'``.  The
-    largest eigenvalue of ``N^-1/2 (c^ d^' + d^ c^') N^-1/2`` is at most
-    ``t = sqrt(q_cc q_dd) + q_cd`` with ``q_xy = x' N^-1 y``, so the sample
-    lies below ``level - delta`` when ``t < 1``.  As ``N >= I``, the same
-    test with ``q_xy = x'y`` suffices too: this test of the sample's
-    dominating joint runs first, on dot products alone.  The Monte Carlo
-    samples it keeps take the exact test, where by Woodbury
-    ``q_xy = x'y - (G^'x)' (I + G^'G^)^-1 (G^'y)``, the 2 x 2 inverse in
-    closed form.  Either way a sample is dropped when ``t < 1 - eta``,
-    ``eta = 8 (n + 3) eps (1 + h)^3``, ``h = 2 |c^| |d^| + |g1^|^2 + |g2^|^2``
-    (no ``g`` terms in the first test).  A NaN or infinite ``t``, as from
-    a rounded ``q_cc`` below zero, keeps the sample, and every sample is
-    kept when the factorisation fails or ``kappa``, the Frobenius norm of
-    ``|L| |W|``, exceeds ``16 (n + 2)``.  :func:`_worst_sample` passes
-    ``level = v + 2 delta(v)``, one margin above its threshold ``v``, so
-    the factored matrix is about ``(v + delta) I - base``; it passes ``s``
-    too, which is otherwise computed here by :func:`_sample_scale`.
+    The test is made on each sample's dominating joint
+    ``D = base + c d' + d c'``.  A Monte Carlo sample ``M = D - G G'``,
+    ``G = [g1 g2]``, lies below it, so ``lambda_max(M) <= lambda_max(D)``
+    and the test screens it too, as long as ``s``, which
+    :func:`_worst_sample` passes and which is otherwise
+    :func:`_sample_scale` of ``base``, ``c`` and ``d``, bounds ``|M|_2``.
+    One Cholesky factorisation ``L L'`` of ``A = (level - delta) I - base``
+    serves every sample.  With ``W`` the inverse of ``L`` by forward
+    substitution and the whitened vectors ``c^ = W c`` and ``d^ = W d``, in
+    exact arithmetic ``(level - delta) I - D = L (I - c^ d^' - d^ c^') L'``.
+    The largest eigenvalue of ``c^ d^' + d^ c^'`` is
+    ``t = sqrt(q_cc q_dd) + q_cd`` with ``q_xy = x'y``, so ``D`` lies below
+    ``level - delta`` when ``t < 1``.  A sample is dropped when
+    ``t < 1 - eta``, ``eta = 8 (n + 3) eps (1 + h)^3``,
+    ``h = 2 |c^| |d^|``.  A NaN or infinite ``t``, as from an overflow,
+    keeps the sample, and every sample is kept when the factorisation fails
+    or ``kappa``, the Frobenius norm of ``|L| |W|``, exceeds ``16 (n + 2)``.
+    :func:`_worst_sample` passes ``level = v + 2 delta(v)``, one margin
+    above its threshold ``v``, so the factored matrix is about
+    ``(v + delta) I - base``.
 
     With ``u`` the unit roundoff, half the machine epsilon ``eps``,
     ``gamma_k = k u / (1 - k u)``,
@@ -389,11 +376,9 @@ def _undecided(
       by ``|x^ - W x| <= gamma_n |W| |x|``.  So ``x = L x^ + r`` with
       ``|r| <= 2 gamma_n kappa |x|``.  For a unit ``z`` and ``y = L' z``,
       ``x'z = x^'y + r'z``; putting this in
-      ``z' (L L' - c d' - d c' + G G') z`` gives
-      ``y' (N - c^ d^' - d^ c^') y`` up to
-      ``4 gamma_n kappa (1 + gamma_n kappa) (2 |c| |d| + |g1|^2 + |g2|^2)``,
-      less than ``4.1 gamma_n kappa s``, and adding ``G G'`` to the
-      dominating joint's form only raises it.
+      ``z' (L L' - c d' - d c') z`` gives ``y' (I - c^ d^' - d^ c^') y`` up
+      to ``8 gamma_n kappa (1 + gamma_n kappa) |c| |d|``, less than
+      ``4.1 gamma_n kappa s``.
 
     With ``kappa <= 16 (n + 2)`` these sum to less than
     ``(n + 2)^2 u (76.4 (|level| + s) + 1.01 delta)``, which ``delta``
@@ -401,14 +386,11 @@ def _undecided(
     in ``s`` and ``kappa`` is covered by the slack.  A margin only linear in n in front of
     ``|level|`` would not do: the Cholesky term grows like
     ``n^2 u |level|``.  Last, ``t`` itself is rounded.  Each dot product of
-    whitened vectors errs by at most ``gamma_n |x^| |y^|`` (Higham (3.5)).
-    With ``phi = 1 + |g1^|^2 + |g2^|^2``, the 2 x 2 determinant is at least
-    ``phi``, the Woodbury term is at most ``|x^| |y^|`` in size, and each
-    computed ``q_xy`` errs by at most ``3 gamma_(3n+6) phi |x^| |y^|``.  As
-    ``N <= phi I``, ``q_cc >= |c^|^2 / phi``, so the square root keeps
-    that error relative, and the computed ``t`` errs by at most
-    ``3 gamma_(3n+6) (1 + h)^3 + u (2 + |t|)``, which ``eta`` exceeds: a
-    dropped sample has ``t < 1`` for its computed whitened vectors.
+    whitened vectors errs by at most ``gamma_n |x^| |y^|`` (Higham (3.5)),
+    and ``q_cc`` and ``q_dd`` sum nonnegative terms, so their error is
+    relative.  As ``0 <= t <= h``, the computed ``t`` errs by at most
+    ``gamma_(n+3) h + u |t|``, which ``eta`` exceeds: a dropped sample has
+    ``t < 1`` for its computed whitened vectors.
     """
     n, count = c.shape
     keep = np.ones(count, dtype=bool)
@@ -416,7 +398,7 @@ def _undecided(
     # factorisation, each of which keeps samples, so it needs no warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if s is None:
-            s = _sample_scale(base, c, d, g)
+            s = _sample_scale(base, c, d)
         delta = _margin(n, level, s)
         a = np.negative(base)
         a[np.diag_indices(n)] += level - delta
@@ -431,28 +413,8 @@ def _undecided(
         if not np.linalg.norm(np.abs(chol) @ np.abs(w)) <= 16.0 * (n + 2):
             return keep
         ch, dh = w @ c, w @ d
-        cc, dd, cd = _dots(ch, dh)
-        h = 2.0 * np.sqrt(cc) * np.sqrt(dd)
-        keep = ~_proved_below(cc, dd, cd, h, n)
-        if g and keep.any():
-            idx = np.flatnonzero(keep)
-            ch, dh, cc, dd, cd, h = ch[:, idx], dh[:, idx], cc[idx], dd[idx], cd[idx], h[idx]
-            g1, g2 = (w @ x[:, idx] for x in g)
-            (a1, a2, a12), (c1, c2), (d1, d2) = _dots(g1, g2), _dots(g1, g2, ch), _dots(g1, g2, dh)
-            s11, s22, det = 1.0 + a1, 1.0 + a2, (1.0 + a1) * (1.0 + a2) - a12 * a12
-
-            def woodbury(xy, x1, x2, y1, y2):
-                return xy - (s22 * x1 * y1 - a12 * (x1 * y2 + x2 * y1) + s11 * x2 * y2) / det
-
-            keep[idx] = ~_proved_below(woodbury(cc, c1, c2, c1, c2), woodbury(dd, d1, d2, d1, d2),
-                                       woodbury(cd, c1, c2, d1, d2), h + a1 + a2, n)
-    return keep
-
-
-def _dots(x: np.ndarray, y: np.ndarray, z: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Column dot products: ``(x'x, y'y, x'y)``, or ``(x'z, y'z)`` given ``z``."""
-    pairs = ((x, x), (y, y), (x, y)) if z is None else ((x, z), (y, z))
-    return tuple(np.einsum("is,is->s", u, v) for u, v in pairs)
+        cc, dd, cd = (np.einsum("is,is->s", x, y) for x, y in ((ch, ch), (dh, dh), (ch, dh)))
+        return ~_proved_below(cc, dd, cd, 2.0 * np.sqrt(cc) * np.sqrt(dd), n)
 
 
 def _proved_below(cc, dd, cd, h, n: int) -> np.ndarray:
@@ -587,7 +549,9 @@ def monte_carlo_joint(
     ``blkdiag(L_i (I - W_i^2) L_i')``, positive semidefinite (Petersen's
     domination argument).  So no value exceeds the supremum that
     :func:`adversarial_x_search` samples, whatever the law of the shrink;
-    the law only decides which joints below it are visited.
+    the law only decides which joints below it are visited.  For the same
+    reason :func:`_undecided` screens each draw on its dominating joint,
+    without the downdates; the draws it keeps are formed in full.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")

@@ -468,7 +468,7 @@ def covering_cross_cov(x, problem: FusionProblem) -> np.ndarray:
         raise ValueError(f"point is not strictly interior (values {q1:.6g}, {q2:.6g})")
     if problem.p2 >= problem.p1:
         return _covering(problem, x)
-    return _covering(problem.swapped(), x).T
+    return _covering(FusionProblem(problem.est2, problem.est1), x).T
 
 
 def _covering(problem: FusionProblem, x: np.ndarray) -> np.ndarray:

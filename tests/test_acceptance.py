@@ -232,7 +232,7 @@ def _mutants(problems, solved):
                     K1=kc.K1,
                     K2=kc.K2,
                     P_hat=psd_certify(0.8 * kc.P_star.data),
-                    fused_x=kc.fuse(problem.est1.x_hat, problem.est2.x_hat),
+                    fused_x=kc.K1 @ problem.est1.x_hat + kc.K2 @ problem.est2.x_hat,
                 ),
                 problem,
             )

@@ -50,6 +50,15 @@ class TestJointCovariance:
         with pytest.raises(NonFiniteError):
             joint_from_cross_parameter([[1.0]], [[np.nan]], [[1.0]])
 
+    def test_caller_cross_block_stays_writable(self):
+        # the joint freezes its own copy, not the array it was given
+        p12 = np.zeros((2, 2))
+        joint = JointCovariance(np.eye(2), p12, np.eye(2))
+        p12[0, 0] = 0.5
+        assert joint.P12[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            joint.P12[0, 0] = 0.5
+
 
 class TestOptimalFusionKnownCross:
     def test_example_scalar_pair_closed_form(self):
@@ -125,7 +134,8 @@ class TestOptimalFusionKnownCross:
             problem = random_problem(rng)
             joint = random_joint(rng, problem.p1, problem.p2)
             left = optimal_fusion_known_cross(problem, joint)
-            right = optimal_fusion_known_cross(problem.swapped(), joint.swapped())
+            right = optimal_fusion_known_cross(FusionProblem(problem.est2, problem.est1),
+                                               JointCovariance(joint.P2, joint.P12.T, joint.P1))
             assert np.abs(left.P_star.data - right.P_star.data).max() <= 1e-10
 
 

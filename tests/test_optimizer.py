@@ -683,7 +683,7 @@ class TestKeptSpectrum:
         rng = np.random.default_rng(32)
         for problem in [random_problem(rng) for _ in range(10)] + [example2_problem()]:
             spectrum = problem.spectrum
-            swapped = problem.swapped()
+            swapped = FusionProblem(problem.est2, problem.est1)
             assert "spectrum" not in vars(swapped)
             assert swapped.spectrum is not spectrum
             assert swapped.spectrum is swapped.spectrum
@@ -728,7 +728,7 @@ class TestMetamorphic:
         for problem in pool:
             for solver in (solve_ci_det, solve_ci_trace):
                 a = solver(problem).alpha
-                assert 1.0 - solver(problem.swapped()).alpha == pytest.approx(a, abs=self.TOL)
+                assert 1.0 - solver(FusionProblem(problem.est2, problem.est1)).alpha == pytest.approx(a, abs=self.TOL)
 
     def test_orthogonal_change_of_state_basis(self):
         rng, pool = _metamorphic_pool(24, 134)
