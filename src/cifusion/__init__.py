@@ -34,6 +34,7 @@ from .simulator import NoiseSpec, Schedule, init_network, make_schedule, run_sch
 from .verifier import (
     ConservativenessCertificate,
     adversarial_x_search,
+    certify,
     lmi_certificate,
     monte_carlo_joint,
     petersen_certificate,
@@ -57,6 +58,7 @@ __all__ = [
     "adjugate",
     "adversarial_x_search",
     "bar_shalom_campo",
+    "certify",
     "delta_value",
     "init_network",
     "ku_rule",

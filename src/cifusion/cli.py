@@ -31,7 +31,7 @@ from .errors import (
     UnreachableError,
 )
 from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
-from .linalg import DEFAULT_CERT_TOL, RESULT_RTOL, PsdMatrix, loewner_compare
+from .linalg import RESULT_RTOL, PsdMatrix
 from .optimizer import Cost, FusionResult, extended_cost, solve_ci
 from .problem import FusionProblem, PartialEstimate, covariance
 from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
@@ -296,46 +296,16 @@ def cmd_verify(args) -> int:
         diagnostics = {k: v for k, v in result.diagnostics.items() if k != "lmi_min_eig"}
         result = dataclasses.replace(result, P_hat=extras["p_hat_override"], cost_value=None,
                                      diagnostics=diagnostics)
-    tol = verifier.certificate_tolerance(result)
-    rows = []
-
-    # solve_ci raises unless its certificate passed, and keeps its margin;
-    # a loaded or overridden result is certified here
-    passed, lmi_min_eig = True, result.diagnostics.get("lmi_min_eig")
-    if lmi_min_eig is None:
-        cert = verifier.lmi_certificate(result, problem, result.alpha)
-        passed, lmi_min_eig = cert.passed, cert.lmi_min_eig
-    rows.append(("lmi", passed, f"min_eig={fmt(lmi_min_eig)}"))
-
-    min_eig = verifier.one_sided_bound(result, problem)
-    if min_eig is not None:
-        rows.append(("petersen(direct)", min_eig >= -tol, f"min_eig={fmt(min_eig)}"))
-    else:
-        eps = verifier.petersen_certificate(result, problem)
-        if eps is None:
-            rows.append(("petersen", False, "infeasible"))
-        else:
-            rows.append(("petersen", True, f"eps={fmt(eps)}"))
-
     try:
-        worst_x = verifier.adversarial_x_search(result, problem, args.samples, args.seed)
-        worst_mc = verifier.monte_carlo_joint(result, problem, args.samples, args.seed)
+        rows = verifier.certify(result, problem, args.samples, args.seed, extras.get("truth"))
     except MemoryError as exc:
         raise ProblemFileError("--samples", f"{args.samples} samples do not fit in memory") from exc
-    rows.append(("adversarial-x", worst_x <= tol, f"worst={fmt(worst_x)}"))
-    rows.append(("monte-carlo", worst_mc <= tol, f"worst={fmt(worst_mc)}"))
-
-    if "truth" in extras:
-        joint = extras["truth"]
-        k = np.hstack([result.K1, result.K2])
-        fused_true = k @ joint.assembled.data @ k.T
-        rel = loewner_compare(result.P_hat.data, fused_true, DEFAULT_CERT_TOL)
-        rows.append(("truth-joint", rel.is_ge, f"relation={rel.value}"))
-
-    width = max(len(r[0]) for r in rows)
-    for name, ok, detail in rows:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
-    all_pass = all(ok for _, ok, _ in rows)
+    width = max(len(row.name) for row in rows)
+    for row in rows:
+        value = row.value if row.value is None or isinstance(row.value, str) else fmt(row.value)
+        detail = "infeasible" if value is None else f"{row.measure}={value}"
+        print(f"{row.name:<{width}}  {'PASS' if row.passed else 'FAIL'}  {detail}")
+    all_pass = all(row.passed for row in rows)
     print(f"verdict: {'all certificates pass' if all_pass else 'certificate failure'}")
     return EXIT_OK if all_pass else EXIT_CERT_FAIL
 

@@ -14,8 +14,7 @@ spectrum then gives the family member: its dominance table, its
 singularity test, ``P_hat`` and the cost, so the only further spectral
 call is the PSD certification of ``P_hat``.  Because ``P_hat`` is formed
 from the spectrum rather than by inverting the blend, fused outputs can
-differ in their last digits from an explicit inverse.  The trace result is
-cross-checked against a gain-ratio fixed point.
+differ in their last digits from an explicit inverse.
 
 The spectrum belongs to the pair, not to the cost, so the problem builds it
 once and keeps it (:attr:`FusionProblem.spectrum`), and it lives in
@@ -163,11 +162,6 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
     k2 = (1.0 - alpha) * (p_hat.data @ est2.h.T @ est2.p_inv)
     fused_x = k1 @ est1.x_hat + k2 @ est2.x_hat
     unbias = k1 @ est1.h + k2 @ est2.h - np.eye(problem.n)
-    corner = {
-        LoewnerRelation.STRICTLY_GREATER: "sigma0_dominant",
-        LoewnerRelation.STRICTLY_LESS: "sigma1_dominant",
-        LoewnerRelation.EQUAL: "sigma_equal",
-    }.get(rel, "general")
     return FusionResult(
         alpha=float(alpha),
         K1=k1,
@@ -175,10 +169,7 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
         P_hat=p_hat,
         fused_x=fused_x,
         cost_value=None if cost is None else spectrum.cost(cost, t),
-        diagnostics={
-            "corner_case": corner,
-            "unbias_residual": float(np.abs(unbias).max()),
-        },
+        diagnostics={"unbias_residual": float(np.abs(unbias).max())},
     )
 
 
@@ -214,14 +205,9 @@ def solve_ci_trace(problem: FusionProblem) -> FusionResult:
     determinant's case table applies to its slope ``-sum(c lam / (1 + t
     lam)^2)``: a nonsingular endpoint whose slope points outwards, else the
     interior root (a strictly dominant information matrix always takes its
-    endpoint).  Diagnostics carry the gain-ratio fixed-point residual.
+    endpoint).
     """
-    result = _optimal_member(problem, Cost.TRACE)
-    r1 = math.sqrt(max(0.0, Cost.TRACE.of(result.K1 @ problem.est1.p_hat.data @ result.K1.T)))
-    r2 = math.sqrt(max(0.0, Cost.TRACE.of(result.K2 @ problem.est2.p_hat.data @ result.K2.T)))
-    residual = abs(result.alpha - r1 / (r1 + r2)) if r1 + r2 > 0.0 else math.nan
-    result.diagnostics.update(fixed_point_residual=residual, gain_norms=(r1, r2))
-    return result
+    return _optimal_member(problem, Cost.TRACE)
 
 
 def solve_ci(problem: FusionProblem, cost: Cost) -> FusionResult:

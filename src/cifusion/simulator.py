@@ -24,9 +24,10 @@ from .errors import (
     StackedRankDeficientError,
     UnreachableError,
 )
-from .linalg import DEFAULT_CERT_TOL, PsdMatrix, loewner_compare, psd_certify, tol_scale
+from .linalg import PsdMatrix, loewner_compare, psd_certify
 from .optimizer import Cost, solve_ci
 from .problem import FusionProblem, PartialEstimate, covariance, matrix_rank
+from .verifier import certificate_tolerance
 
 #: drawn true covariances have condition number at most this
 COND_MAX = 100.0
@@ -481,9 +482,8 @@ def run_schedule(
     skipped and logged; a node whose own H lacks full row rank raises
     :class:`RankDeficientError`, which that check comes before.  The
     margin is the smallest eigenvalue of ``P_hat - P_true`` at the fused
-    node; a margin below
-    ``-DEFAULT_CERT_TOL * tol_scale(|P_hat|_max)`` counts as a
-    conservativeness violation.
+    node; a margin below ``-certificate_tolerance``, the band the sampling
+    verifiers judge by, counts as a conservativeness violation.
     """
     report = SimReport(
         n=truth.x_true.size,
@@ -515,8 +515,7 @@ def run_schedule(
         p_true = truth.node_cov(ev.node_a)
         diff = result.P_hat.data - p_true
         margin = float(np.linalg.eigvalsh(0.5 * (diff + diff.T))[0])
-        scale = tol_scale(float(np.abs(result.P_hat.data).max()))
-        if margin < -DEFAULT_CERT_TOL * scale:
+        if margin < -certificate_tolerance(result):
             report.violations += 1
         report.records.append(
             EventRecord(

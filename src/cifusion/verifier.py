@@ -39,7 +39,8 @@ certificate tolerance exactly when that largest value does.
 Each sampler is a pure function of its arguments and runs on the calling
 thread.  A found violation is conclusive; absence of violations is
 reported as "no violation found" for the sampled budget, while the block
-certificate carries the actual proof.
+certificate carries the actual proof.  :func:`certify` runs and judges
+the routes for ``cifusion verify``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateQError, InternalInconsistencyError
-from .linalg import DEFAULT_CERT_TOL, first_feasible_weight, tol_scale
+from .linalg import DEFAULT_CERT_TOL, first_feasible_weight, loewner_compare, tol_scale
 from .problem import FusionProblem
 
 #: gain blocks with max |entry| below this count as zero (degenerate cases)
@@ -64,6 +65,16 @@ class ConservativenessCertificate:
     alpha: float
     lmi_min_eig: float
     passed: bool
+
+
+@dataclass(frozen=True)
+class CertificateRow:
+    """One route's verdict in :func:`certify`, and the ``measure`` and value it was judged by."""
+
+    name: str
+    passed: bool
+    measure: str
+    value: float | str | None  # a Loewner relation's name, or None: scalar certificate infeasible
 
 
 def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -575,3 +586,35 @@ def monte_carlo_joint(
 def certificate_tolerance(result) -> float:
     """Scale-adjusted absolute tolerance used by the sampling verdicts."""
     return DEFAULT_CERT_TOL * tol_scale(float(np.diag(result.P_hat.data).max()))
+
+
+def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
+            truth=None) -> tuple[CertificateRow, ...]:
+    """The rows ``cifusion verify`` prints for ``result``, in that order.
+
+    ``lmi`` reuses a solve's ``lmi_min_eig`` (``solve_ci`` raises unless it
+    passed) and certifies any other result; ``petersen(direct)`` replaces
+    ``petersen`` where a gain block counts as zero; ``truth`` adds
+    ``truth-joint``.  Routes are looked up in this module at each call.
+    """
+    tol = certificate_tolerance(result)
+    passed, min_eig = True, result.diagnostics.get("lmi_min_eig")
+    if min_eig is None:
+        cert = lmi_certificate(result, problem, result.alpha)
+        passed, min_eig = cert.passed, cert.lmi_min_eig
+    rows = [CertificateRow("lmi", passed, "min_eig", min_eig)]
+    direct = one_sided_bound(result, problem)
+    if direct is not None:
+        rows.append(CertificateRow("petersen(direct)", direct >= -tol, "min_eig", direct))
+    else:
+        eps = petersen_certificate(result, problem)
+        rows.append(CertificateRow("petersen", eps is not None, "eps", eps))
+    worst_x = adversarial_x_search(result, problem, samples, seed)
+    worst_mc = monte_carlo_joint(result, problem, samples, seed)
+    rows.append(CertificateRow("adversarial-x", worst_x <= tol, "worst", worst_x))
+    rows.append(CertificateRow("monte-carlo", worst_mc <= tol, "worst", worst_mc))
+    if truth is not None:
+        k = np.hstack([result.K1, result.K2])
+        rel = loewner_compare(result.P_hat.data, k @ truth.assembled.data @ k.T, DEFAULT_CERT_TOL)
+        rows.append(CertificateRow("truth-joint", rel.is_ge, "relation", rel.value))
+    return tuple(rows)

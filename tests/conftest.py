@@ -136,6 +136,24 @@ def grid_costs(problem: FusionProblem, cost: Cost, grid: int = 1001):
     return alphas, vals
 
 
+def gain_norms(result, problem: FusionProblem) -> tuple[float, float]:
+    """``r_i = sqrt(trace(K_i P_i K_i'))`` of a result's two gains."""
+    return tuple(
+        math.sqrt(max(0.0, float(np.trace(k @ est.p_hat.data @ k.T))))
+        for k, est in ((result.K1, problem.est1), (result.K2, problem.est2))
+    )
+
+
+def fixed_point_residual(result, problem: FusionProblem) -> float:
+    """``|alpha - r1 / (r1 + r2)|`` of :func:`gain_norms`: the trace optimum's gain-ratio fixed point.
+
+    An interior trace-optimal weight satisfies ``alpha = r1 / (r1 + r2)``;
+    NaN when both gains vanish.
+    """
+    r1, r2 = gain_norms(result, problem)
+    return abs(result.alpha - r1 / (r1 + r2)) if r1 + r2 > 0.0 else math.nan
+
+
 def det_alpha_oracle(problem: FusionProblem) -> float:
     """Determinant-optimal weight by bisection on the adjugate polynomial Delta.
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,9 @@ import threading
 import numpy as np
 import pytest
 
-from cifusion import cli, verifier
+from cifusion import cli, solve_ci, verifier
 from cifusion.errors import InternalInconsistencyError
+from cifusion.problem import Cost
 
 from conftest import well_scaled_problems
 
@@ -451,6 +453,81 @@ class TestVerify:
                 out = capsys.readouterr().out
                 assert rc == 0, out
                 assert out.endswith("verdict: all certificates pass\n")
+
+
+class TestCertify:
+    """``verifier.certify`` decides the rows; ``verify`` prints them and nothing else."""
+
+    ROUTES = ["lmi", "petersen", "adversarial-x", "monte-carlo"]
+    DIRECT = ["lmi", "petersen(direct)", "adversarial-x", "monte-carlo"]
+    # an interior weight at which both samplers' worst values depend on the seed
+    SEEDED = dict(EXAMPLE2, est2={"H": [[1, 0], [0, 1]], "x_hat": [1, -1],
+                                  "P_hat": [[2, 0.5], [0.5, 0.5]]})
+
+    @staticmethod
+    def inputs(tmp_path, doc, stored):
+        """``verify`` arguments for ``doc`` and the result that command certifies."""
+        path = write(tmp_path, doc)
+        argv = ["verify", path, "--samples", "100", "--seed", "4"]
+        problem, extras = cli.load_problem_file(path)
+        result = solve_ci(problem, Cost.DET)
+        if stored:
+            fused = str(tmp_path / "fused.json")
+            assert cli.main(["fuse", path, "--out", fused]) == 0
+            argv += ["--result", fused]
+            result = cli._load_result_file(fused, problem)
+        if "p_hat_override" in extras:
+            result = dataclasses.replace(result, P_hat=extras["p_hat_override"], diagnostics={})
+        return argv, result, problem, extras.get("truth")
+
+    @pytest.mark.parametrize("doc, stored, names, code", [
+        (SEEDED, False, ROUTES, 0),
+        (dict(SCALAR_PAIR, truth={"P1": [[1.0]], "P2": [[1.0]], "P12": [[0.5]]}), False,
+         ROUTES + ["truth-joint"], 0),
+        (dict(SCALAR_PAIR, P_hat_override=[[0.9, 0.0], [0.0, 0.9]]), False, ROUTES, 1),
+        (SEEDED, True, ROUTES, 0),
+        # the determinant optimum of EXAMPLE2 is alpha = 0 with K1 = 0
+        (EXAMPLE2, False, DIRECT, 0),
+    ], ids=["accepted", "truth", "override", "result", "zero-gain-block"])
+    def test_rows_are_what_verify_prints(self, tmp_path, capsys, doc, stored, names, code):
+        argv, result, problem, truth = self.inputs(tmp_path, doc, stored)
+        rows = verifier.certify(result, problem, 100, 4, truth)
+        capsys.readouterr()
+        assert cli.main(argv) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert [row.name for row in rows] == names
+        assert [line.split() for line in lines[:-1]] == [
+            [row.name, "PASS" if row.passed else "FAIL",
+             "infeasible" if row.value is None else
+             f"{row.measure}={row.value if isinstance(row.value, str) else cli.fmt(row.value)}"]
+            for row in rows
+        ]
+        verdict = "all certificates pass" if code == 0 else "certificate failure"
+        assert lines[-1] == f"verdict: {verdict}"
+        assert all(row.passed for row in rows) == (code == 0)
+
+    @pytest.mark.parametrize("doc, stored, calls", [
+        (SCALAR_PAIR, False, 0),
+        (SCALAR_PAIR, True, 1),
+        (dict(SCALAR_PAIR, P_hat_override=[[2.0, 0.0], [0.0, 2.0]]), False, 1),
+    ], ids=["solved", "loaded", "overridden"])
+    def test_lmi_certificate_runs_only_without_a_solved_margin(self, tmp_path, monkeypatch,
+                                                               doc, stored, calls):
+        _, result, problem, _ = self.inputs(tmp_path, doc, stored)
+        seen, original = [], verifier.lmi_certificate
+
+        def recorded(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verifier, "lmi_certificate", recorded)
+        lmi = verifier.certify(result, problem, 20)[0]
+        assert len(seen) == calls
+        if calls == 0:
+            assert lmi.passed and lmi.value == result.diagnostics["lmi_min_eig"]
+        else:
+            cert = original(result, problem, result.alpha)
+            assert (lmi.passed, lmi.value) == (cert.passed, cert.lmi_min_eig)
 
 
 ASYMMETRIC = [[2.0, 1.0], [0.0, 2.0]]
@@ -918,9 +995,11 @@ class TestSamplerFailures:
         assert (out, code) == ("", cli.EXIT_INPUT)
         assert err == f"error: --samples: {2**62} samples exceed the addressable memory\n"
 
-    @pytest.mark.parametrize("name", ["adversarial_x_search", "monte_carlo_joint"])
-    def test_sampler_out_of_memory_exits_two_naming_samples(self, tmp_path, capsys, monkeypatch,
-                                                            name):
+    # any route that certify runs, the one-sided bound as well as the samplers
+    @pytest.mark.parametrize("name", ["one_sided_bound", "adversarial_x_search",
+                                      "monte_carlo_joint"])
+    def test_out_of_memory_in_certify_exits_two_naming_samples(self, tmp_path, capsys,
+                                                               monkeypatch, name):
         problem = write(tmp_path, EXAMPLE2)
 
         def exhausted(*args):

@@ -30,6 +30,8 @@ from conftest import (
     delta_poly_coeffs,
     det_alpha_oracle,
     dominated_problem,
+    fixed_point_residual,
+    gain_norms,
     grid_costs,
     lower_bound_witness,
     random_orthogonal,
@@ -254,14 +256,14 @@ class TestSolveCiTrace:
         problem = equal_sigma_problem()
         result = solve_ci_trace(problem)
         assert result.alpha == 0.5
-        assert result.diagnostics["fixed_point_residual"] <= 1e-12
+        assert fixed_point_residual(result, problem) <= 1e-12
 
     def test_example_grid_agreement_and_fixed_point(self):
         problem = example2_problem()
         result = solve_ci_trace(problem)
         alphas, vals = grid_costs(problem, Cost.TRACE, grid=100001)
         assert abs(result.alpha - alphas[np.argmin(vals)]) <= 1e-4
-        assert result.diagnostics["fixed_point_residual"] <= 1e-6
+        assert fixed_point_residual(result, problem) <= 1e-6
 
     def test_scalar_case_takes_better_estimate(self):
         est1 = PartialEstimate([[1.0]], [0.0], [[1.0]])
@@ -280,13 +282,13 @@ class TestSolveCiTrace:
             _, vals = grid_costs(problem, Cost.TRACE)
             assert result.cost_value <= vals.min() + 1e-9
             if 0.0 < result.alpha < 1.0:
-                assert result.diagnostics["fixed_point_residual"] <= 1e-6
+                assert fixed_point_residual(result, problem) <= 1e-6
 
     def test_endpoint_gain_ratios(self):
         problem = dominated_problem(np.random.default_rng(8), 3, dominant_first=False)
         result = solve_ci_trace(problem)
         assert result.alpha == 0.0
-        r1, r2 = result.diagnostics["gain_norms"]
+        r1, r2 = gain_norms(result, problem)
         assert r1 == 0.0 and r2 > 0.0
 
     def test_singular_endpoints_get_infinite_cost(self):
@@ -542,11 +544,12 @@ class TestSpectralSolvePath:
                 assert cert.passed and result.diagnostics["lmi_min_eig"] == cert.lmi_min_eig
                 for key, value in steps.diagnostics.items():
                     assert result.diagnostics[key] == value
-                branches.add((branch, steps.diagnostics["corner_case"]))
+                branches.add((branch, spectrum.relation))
         assert {b for b, _ in branches} == {"endpoint_zero", "endpoint_one", "interior_root",
                                             "equal"}
-        assert {c for _, c in branches} == {"sigma0_dominant", "sigma1_dominant", "sigma_equal",
-                                            "general"}
+        assert {r for _, r in branches} == {
+            LoewnerRelation.STRICTLY_GREATER, LoewnerRelation.STRICTLY_LESS,
+            LoewnerRelation.EQUAL, LoewnerRelation.INCOMPARABLE}
 
 
 #: the ``numpy.linalg`` functions that count as spectral calls

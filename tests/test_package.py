@@ -39,3 +39,16 @@ def test_no_module_imports_a_name_it_never_uses():
             if names:
                 unused[path.name] = names
     assert unused == {}
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """The package, its tests and the benchmark use no grammar newer than 3.10.
+
+    This checks syntax only (``requires-python = ">=3.10"``), not the
+    standard-library API: a call to a function added after 3.10 still passes.
+    """
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
