@@ -32,7 +32,7 @@ from .errors import (
 )
 from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
 from .linalg import RESULT_RTOL, PsdMatrix
-from .optimizer import Cost, FusionResult, extended_cost, solve_ci
+from .optimizer import Cost, FusionResult, solve_ci
 from .problem import FusionProblem, PartialEstimate, covariance
 from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
 
@@ -210,13 +210,15 @@ def cmd_scan(args) -> int:
     if args.grid > np.iinfo(np.intp).max // 8:
         raise ProblemFileError("--grid", f"{args.grid} points exceed the addressable memory")
     problem, _ = load_problem_file(args.file)
-    cost = Cost(args.cost)
+    cost, spectrum = Cost(args.cost), problem.spectrum
     rows = ["alpha,cost,finite"]
     values = []
     try:
         alphas = np.linspace(0.0, 1.0, args.grid)
         for a in alphas:
-            v = extended_cost(cost, a * problem.sigma1 + (1.0 - a) * problem.sigma0)
+            # the solver's own cost, so the row at fuse's weight prints its cost_value
+            t = a - 0.5
+            v = spectrum.cost(cost, t) if spectrum.regular_at(t) else math.inf
             values.append(v)
             if math.isinf(v):
                 rows.append(f"{fmt(a)},,0")

@@ -52,7 +52,10 @@ def extended_cost(cost: Cost, sigma: np.ndarray) -> float:
     """Extended cost ``J((Sigma)^{-1})``, ``+inf`` when Sigma is singular.
 
     The infinity is an exact ``math.inf``, never a large float, so endpoint
-    branch logic stays exact.
+    branch logic stays exact.  No command calls it: ``cifusion scan``
+    tabulates :meth:`JointSpectrum.cost`, the solver's own cost.  It stays
+    because ``bench/tracing.py`` wraps it by name and the tests use it as an
+    oracle of that cost.
     """
     eigs = np.linalg.eigvalsh(sigma)
     scale = float(np.abs(eigs).max())

@@ -232,12 +232,6 @@ class Cost(enum.Enum):
     DET = "det"
     TRACE = "trace"
 
-    def of(self, matrix) -> float:
-        m = np.asarray(matrix, dtype=float)
-        if self is Cost.DET:
-            return float(np.linalg.det(m))
-        return float(np.trace(m))
-
 
 @dataclass(frozen=True)
 class JointSpectrum:

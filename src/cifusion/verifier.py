@@ -28,8 +28,9 @@ cross factors and two rank-one terms subtracted from each sample
 (:func:`monte_carlo_joint`).  So every drawn sample is a rank-two update
 ``B + c d' + d c'`` of one matrix ``B = Q1 Q1' + Q2 Q2' - P_hat``, less
 those downdates, and the draws are kept as ``n x samples`` factor arrays.
-:func:`_worst_sample` decides most samples from their factors by one
-Cholesky factorisation and a closed-form test per sample
+:func:`_worst_sample` takes its threshold from the heads, the fixed
+extremes each sampler passes.  It decides most samples from their factors
+by one Cholesky factorisation and a closed-form test per sample
 (:func:`_undecided`), and forms and decomposes only the few it cannot
 drop.  The test is made on each draw's dominating joint, without the
 downdates, which is sound for Monte Carlo draws too, as each lies below
@@ -55,9 +56,6 @@ from .problem import FusionProblem
 
 #: gain blocks with max |entry| below this count as zero (degenerate cases)
 ZERO_Q_TOL = 1e-14
-#: samples ranked by each cheap lower bound on the largest eigenvalue that
-#: :func:`_worst_sample` decomposes with the heads to set its threshold
-SCREEN_CANDIDATES = 4
 
 
 @dataclass(frozen=True)
@@ -259,19 +257,20 @@ def _worst_sample(
     Few samples are formed, so the value may lie below the dense maximum,
     the largest ``eigvalsh`` value over every head and sample, but by less
     than a proven margin ``rho``, and it is at most the decision level
-    ``tol`` exactly when the dense maximum is.  Each sample's diagonal,
-    ``diag(base) + 2 c d - g1^2 - g2^2``, costs ``O(n)``; its largest and
-    its summed entries are lower bounds on the sample's largest
-    eigenvalue.  The ``SCREEN_CANDIDATES`` samples that rank highest on
-    each are formed and decomposed with the heads, and the largest of
-    those values is ``v``.  With ``rho = 2 delta``, ``delta`` the margin of
+    ``tol`` exactly when the dense maximum is.  The heads, of which there
+    must be at least one, are decomposed first, and their largest value is
+    the threshold ``v``; both samplers pass heads (three and two) at the
+    extremes that Petersen's lemma points to, so ``v`` lies close to the
+    sampled maximum.  With ``rho = 2 delta``, ``delta`` the margin of
     :func:`_undecided` at ``v``, that function proves most samples to lie
     below the ceiling ``v + rho``, or below ``min(v + rho, tol)`` when
     ``v <= tol``, by testing their dominating joints without ``g``, and
     only the rest are formed, downdates included.  Of those, every matrix
-    bitwise equal to the one that set ``v`` is dropped before ``eigvalsh``
-    runs, as its value is ``v`` itself.  The value returned is the largest
-    ``eigvalsh`` value over the heads and the formed samples, so:
+    bitwise equal to the head that set ``v`` is dropped before ``eigvalsh``
+    runs, as its value is ``v`` itself: at an endpoint weight with a zero
+    gain block, every adversarial sample is such a copy of the ``X = 0``
+    head.  The value returned is the largest ``eigvalsh`` value over the
+    heads and the formed samples, so:
 
     - It is at most the dense maximum, and as no dropped sample reaches
       the ceiling, the dense maximum lies below ``v + rho``, hence below
@@ -282,24 +281,12 @@ def _worst_sample(
     Samples tied with ``v`` at rounding level, as every adversarial sample
     of a square pair (``p1 + p2 = n``) at an interior weight and every
     Monte Carlo sample at an endpoint weight are, lie about ``delta`` below
-    the ceiling, so they cost no decomposition beyond the candidates'.
+    the ceiling, so they cost no decomposition beyond the heads'.
     ``rho = 128 (n + 2)^2 eps (|v| + s)``, with ``s`` of :func:`_undecided`,
     is about ``2e-12 s`` at n = 6.  The value depends on the lower
     triangles alone, as ``eigvalsh``'s does.
     """
-    diag = np.diagonal(base)[:, None] + 2.0 * c * d
-    if g:
-        diag -= g[0] * g[0] + g[1] * g[1]
-    k = min(SCREEN_CANDIDATES, c.shape[1])
-    # a sample ranked on both bounds is decomposed twice, which is harmless
-    # and cheaper than np.union1d, whose first call imports numpy.ma
-    ranked = np.concatenate([
-        np.argpartition(-diag.max(axis=0), k - 1)[:k],
-        np.argpartition(-diag.sum(axis=0), k - 1)[:k],
-    ])
-    mats = np.concatenate([heads, _sample_stack(base, c[:, ranked], d[:, ranked],
-                                                [x[:, ranked] for x in g])])
-    tops = np.linalg.eigvalsh(mats)[:, -1]
+    tops = np.linalg.eigvalsh(heads)[:, -1]
     level = float(tops.max())
     # an overflow can only give an infinite ceiling, which keeps samples
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,13 +295,12 @@ def _worst_sample(
     if level <= tol:
         ceiling = min(ceiling, tol)
     keep = _undecided(base, ceiling, c, d, s)
-    keep[ranked] = False
     if not keep.any():
         return level
     left = _sample_stack(base, c[:, keep], d[:, keep], [x[:, keep] for x in g])
-    # copies of the matrix that set the threshold have it as their value:
+    # copies of the head that set the threshold have it as their value:
     # bitwise equal input, bitwise equal eigvalsh output
-    bits = mats[tops.argmax()].view(np.int64)
+    bits = heads[tops.argmax()].view(np.int64)
     left = left[(left.view(np.int64) != bits).any(axis=(1, 2))]
     return float(np.append(np.linalg.eigvalsh(left)[:, -1], level).max())
 

@@ -210,6 +210,18 @@ class TestScan:
         _, alpha, value = lines[-1].split(",")
         assert alpha == "0.5" and math.isfinite(float(value))
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_row_at_the_fused_endpoint_prints_the_fused_cost(self, tmp_path, capsys, swap):
+        # Example 2 fuses at alpha = 0 under det, and at alpha = 1 swapped
+        doc = dict(EXAMPLE2, est1=EXAMPLE2["est2"], est2=EXAMPLE2["est1"]) if swap else EXAMPLE2
+        path = write(tmp_path, doc)
+        assert cli.main(["fuse", path]) == 0
+        fused = json.loads(capsys.readouterr().out)
+        assert fused["alpha"] == float(swap)
+        assert cli.main(["scan", path, "--grid", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:4]
+        assert rows[2 if swap else 0] == f"{int(swap)},{cli.fmt(fused['cost_value'])},1"
+
     def test_two_point_grid(self, tmp_path, capsys):
         rc = cli.main(["scan", write(tmp_path, EXAMPLE2), "--grid", "2"])
         lines = capsys.readouterr().out.strip().splitlines()

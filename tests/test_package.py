@@ -52,3 +52,28 @@ def test_every_source_file_parses_as_python_3_10():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _constants(tree: ast.Module) -> list[str]:
+    """Module-level UPPER_CASE names the module assigns."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and name.id.isupper()]
+    return names
+
+
+def test_every_constant_is_read_in_the_package():
+    # a deleted stage must not leave its constant behind; a read is a name
+    # or an attribute load in any module, importing it alone is not one
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(Path(cifusion.__file__).parent.glob("*.py"))]
+    constants = [name for tree in trees for name in _constants(tree)]
+    assert len(constants) > 10
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [name for name in constants if name not in read] == []

@@ -19,7 +19,6 @@ from cifusion.known_cross import JointCovariance
 from cifusion.linalg import PETERSEN_WIDTH
 from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
 from cifusion.verifier import (
-    SCREEN_CANDIDATES,
     ZERO_Q_TOL,
     adversarial_x_search,
     certificate_tolerance,
@@ -1135,24 +1134,19 @@ class TestScreenedKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 15])
     def test_near_ties(self, n):
         base, c, d = near_tie_factors(np.random.default_rng(700 + n), n, 300)
-        heads = np.empty((0, n, n))
+        heads = _sample_stack(base, c[:, :1], d[:, :1])
         assert_within_margin(_worst_sample(base, heads, c, d), base, heads, c, d)
 
     @pytest.mark.parametrize("position", [0, 97, 199])
     def test_maximum_outside_the_ranked_candidates(self, position):
-        # decoys are I + 2 c c', with every diagonal entry above one; the
-        # maximum I + 2 (e1 e2' + e2 e1') has a unit diagonal, so it ranks
-        # last on both lower bounds
+        # decoys are I + 2 c c'; the maximum I + 2 (e1 e2' + e2 e1'), with
+        # a unit diagonal, lies far above the head I and every decoy
         rng = np.random.default_rng(800 + position)
         n = 4
         c = 0.1 * rng.standard_normal((n, 200))
         d = c.copy()
         c[:, position], d[:, position] = 2.0 * np.eye(n)[0], np.eye(n)[1]
         base = np.eye(n)
-        diag = (np.diagonal(base)[:, None] + 2.0 * c * d).T
-        others = np.delete(np.arange(200), position)
-        assert diag[position].max() < diag[others].max(axis=1).min()
-        assert diag[position].sum() < diag[others].sum(axis=1).min()
         heads = base[None]
         hidden = _sample_stack(base, c[:, [position]], d[:, [position]])[0]
         value = _worst_sample(base, heads, c, d)
@@ -1223,60 +1217,65 @@ def kernel_batches(monkeypatch):
 
 
 class TestTiedStacks:
-    """Copies of the matrix that sets the threshold are decomposed once."""
+    """Copies of the head that sets the threshold are not decomposed again."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
     def test_within_the_margin_of_unscreened(self, n):
         rng = np.random.default_rng(1000 + n)
         counts = [200, 300, 250]
         base, c, d, _ = random_factors(rng, n, 3, False)
-        heads = base[None]
         tie_base, tie_c, tie_d = near_tie_factors(rng, n, 3)
+        # the head is the first tied matrix, which need not set the maximum
         for b, factors in ((base, (c, d)), (tie_base, (tie_c, tie_d))):
+            heads = _sample_stack(b, *(x[:, :1] for x in factors))
             cs, ds = tied_factors(rng, [factors], counts)
             assert_within_margin(_worst_sample(b, heads, cs, ds), b, heads, cs, ds)
-        # a hidden maximum, last on both diagonal bounds, among two decoys
+        # a hidden maximum among two decoys, with the first decoy as the head
         decoys = 0.1 * rng.standard_normal((n, 2))
         hidden_c = 2.0 * np.eye(n)[:, :1]
         hidden_d = np.eye(n)[:, 1:2] if n > 1 else np.zeros((1, 1))
         cs, ds = tied_factors(rng, [(decoys, decoys), (hidden_c, hidden_d)], counts)
         base = np.eye(n)
+        heads = _sample_stack(base, decoys[:, :1], decoys[:, :1])
         assert_within_margin(_worst_sample(base, heads, cs, ds), base, heads, cs, ds)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
-    def test_decomposes_candidates_and_distinct_survivors(self, n, kernel_batches):
+    def test_decomposes_only_the_head_among_its_copies(self, n, kernel_batches):
         rng = np.random.default_rng(1100 + n)
         base = 0.1 * symmetric_stack(rng, 1, n)[0]
-        heads = base[None]
         u = np.eye(n)[:, :1]
-        # shifts 0, 5 and 10 along e1; two distinct near-copies of the
-        # winner, a relative 1e-13 and 2e-13 lower, lie within the margin
-        # below the threshold, so the screen drops them with the copies
+        # shifts 0, 5 and 10 along e1, the head at shift 10; two distinct
+        # near-copies of the head, a relative 1e-13 and 2e-13 lower, lie
+        # within the margin below the threshold, so the screen drops them
+        # with the copies
         shift = np.sqrt(np.array([0.0, 2.5, 5.0, 5.0 * (1 - 1e-13), 5.0 * (1 - 2e-13)]))
+        heads = _sample_stack(base, u * shift[2], u * shift[2])
         c, d = tied_factors(rng, [(u * shift, u * shift)], [300, 300, 300, 1, 1])
         assert_within_margin(verifier._worst_sample(base, heads, c, d), base, heads, c, d)
-        first, *rest = kernel_batches
-        assert first <= 1 + 2 * SCREEN_CANDIDATES and not rest
+        assert kernel_batches == [1]
+        # 500 copies of one sample, its own matrix as the head
         kernel_batches.clear()
         c, d = np.repeat(c[:, :1], 500, axis=1), np.repeat(d[:, :1], 500, axis=1)
-        assert_within_margin(verifier._worst_sample(base, heads, c, d), base, heads, c, d)
-        assert sum(kernel_batches) <= 1 + 2 * SCREEN_CANDIDATES
+        heads = _sample_stack(base, c[:, :1], d[:, :1])
+        assert verifier._worst_sample(base, heads, c, d) == dense_worst(base, heads, c, d)
+        assert sum(kernel_batches) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
-    def test_endpoint_adversarial_search_decomposes_the_candidates(self, n, kernel_batches):
-        # alpha = 1 makes K2 = 0, so every adversarial sample is Q1 Q1' - P_hat
+    def test_endpoint_adversarial_search_decomposes_only_the_heads(self, n, kernel_batches):
+        # alpha = 1 makes K2 = 0, so every adversarial sample is Q1 Q1' - P_hat,
+        # bitwise the X = 0 head
         problem = dominated_problem(np.random.default_rng(1200 + n), n, True)
         result = solve_ci(problem, Cost.DET)
         assert result.alpha == 1.0 and not result.K2.any()
         adversarial_x_search(result, problem, samples=1000, seed=n)
-        assert sum(kernel_batches) <= 3 + 2 * SCREEN_CANDIDATES
+        assert sum(kernel_batches) <= 3
 
     def test_near_copy_above_the_copies_leaves_them_to_the_screen(self, kernel_batches):
         # 300 copies of one sample and a distinct near-copy, its c one ulp
-        # longer: the near-copy ranks first on the largest diagonal entry,
-        # so it is a candidate, and its computed largest eigenvalue is above
-        # the copies', so it sets the threshold.  A screen at the threshold
-        # itself keeps every copy; one a margin above it drops them all
+        # longer, which is also the head: its computed largest eigenvalue is
+        # above the copies', so it sets the threshold.  A screen at the
+        # threshold itself keeps every sample; one a margin above it drops
+        # them all
         n = 8
         rng = np.random.default_rng(1902)
         base, c, d, _ = random_factors(rng, n, 1, False)
@@ -1284,20 +1283,18 @@ class TestTiedStacks:
         copy_top, near_top = (np.linalg.eigvalsh(_sample_stack(base, x, d))[0, -1]
                               for x in (c, near))
         assert near_top > copy_top
-        diag_copy, diag_near = (np.diagonal(base) + 2.0 * x[:, 0] * d[:, 0] for x in (c, near))
-        assert diag_near.max() > diag_copy.max() and diag_near.sum() >= diag_copy.sum()
         cs, ds = tied_factors(rng, [(c, d), (near, d)], [300, 1])
-        heads = base[None]
+        heads = _sample_stack(base, near, d)
         assert _undecided(base, near_top, cs, ds).sum() == 301
         kernel_batches.clear()
         value = verifier._worst_sample(base, heads, cs, ds)
-        assert sum(kernel_batches) <= 1 + 2 * SCREEN_CANDIDATES
+        assert sum(kernel_batches) == 1
         assert value == near_top
         assert_within_margin(value, base, heads, cs, ds)
 
 
 class TestTieGeometries:
-    """The two geometries whose samples all tie at rounding level cost the candidates only.
+    """The two geometries whose samples all tie at rounding level cost the heads only.
 
     A square pair at an interior weight puts every adversarial sample at
     zero (:class:`TestSquarePair`).  At an endpoint weight one gain block is
@@ -1307,13 +1304,13 @@ class TestTieGeometries:
     """
 
     @staticmethod
-    def assert_ties_decided_by_the_candidates(kernel_calls, kernel_batches, heads):
+    def assert_ties_decided_by_the_heads(kernel_calls, kernel_batches, heads):
         ((args, value),) = kernel_calls["sample"]
         base, _, c, d, g, tol = args
         tops = np.linalg.eigvalsh(_sample_stack(base, c, d, g))[:, -1]
         # the samples tie far inside the margin
         assert np.ptp(tops) < 0.01 * tie_margin(base, 0.0, c, d, g)
-        assert sum(kernel_batches) <= heads + 2 * SCREEN_CANDIDATES
+        assert sum(kernel_batches) <= heads
         assert_within_margin(value, *args)
         assert value <= tol
 
@@ -1323,7 +1320,7 @@ class TestTieGeometries:
         result = solve_ci(problem, Cost.DET)
         assert 0.0 < result.alpha < 1.0
         adversarial_x_search(result, problem, samples=1000, seed=n)
-        self.assert_ties_decided_by_the_candidates(kernel_calls, kernel_batches, 3)
+        self.assert_ties_decided_by_the_heads(kernel_calls, kernel_batches, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_endpoint_monte_carlo(self, n, kernel_calls, kernel_batches):
@@ -1331,7 +1328,7 @@ class TestTieGeometries:
         result = solve_ci(problem, Cost.DET)
         assert result.alpha == 1.0 and not result.K2.any()
         monte_carlo_joint(result, problem, truth_samples=1000, seed=n)
-        self.assert_ties_decided_by_the_candidates(kernel_calls, kernel_batches, 2)
+        self.assert_ties_decided_by_the_heads(kernel_calls, kernel_batches, 2)
 
 
 class TestExactVerdict:
@@ -1340,7 +1337,9 @@ class TestExactVerdict:
     @pytest.mark.parametrize("n, seed", [(6, 1806), (8, 1809), (15, 1815)])
     def test_decision_level_inside_the_margin(self, n, seed):
         base, c, d = near_tie_factors(np.random.default_rng(seed), n, 300)
-        heads = np.empty((0, n, n))
+        # the head is the tie with the lowest value, below the dense maximum
+        low = np.linalg.eigvalsh(_sample_stack(base, c, d))[:, -1].argmin()
+        heads = _sample_stack(base, c[:, [low]], d[:, [low]])
         dense = dense_worst(base, heads, c, d)
         # with no decision level, the screen drops the dense maximum
         v = _worst_sample(base, heads, c, d)
