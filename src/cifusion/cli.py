@@ -34,7 +34,7 @@ from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known
 from .linalg import RESULT_RTOL, PsdMatrix
 from .optimizer import Cost, FusionResult, solve_ci
 from .problem import FusionProblem, PartialEstimate, covariance
-from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
+from .simulator import JOINT_HEADROOM, NoiseSpec, init_network, make_schedule, run_schedule
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -267,13 +267,20 @@ def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
     miss = np.abs(fused_x - (k1 @ x1 + k2 @ x2)).max()
     if miss > RESULT_RTOL * (np.abs(k1) @ np.abs(x1) + np.abs(k2) @ np.abs(x2)).max():
         raise ProblemFileError("fused_x", f"differs from K1 x_hat1 + K2 x_hat2 by {fmt(miss)}")
+    cost_value = doc.get("cost_value")
+    if not (cost_value is None or type(cost_value) is int
+            or type(cost_value) is float and math.isfinite(cost_value)):
+        raise ProblemFileError("cost_value",
+                               f"{json.dumps(cost_value)} is not a finite number or null")
+    if not isinstance(doc.get("branch"), (str, type(None))):
+        raise ProblemFileError("branch", f"{json.dumps(doc['branch'])} is not a string or null")
     return FusionResult(
         alpha=float(alpha),
         K1=k1,
         K2=k2,
         P_hat=p_hat,
         fused_x=fused_x,
-        cost_value=doc.get("cost_value"),
+        cost_value=cost_value,
         diagnostics={"branch": doc.get("branch")},
     )
 
@@ -284,8 +291,8 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ProblemFileError("--seed", f"must not be negative, got {args.seed}")
     problem, extras = load_problem_file(args.file)
-    # the samplers hold a few n x samples arrays and an n x n matrix per
-    # sample they cannot screen out; a count whose arrays numpy cannot
+    # Monte Carlo holds a few n x samples arrays and an n x n matrix per
+    # sample it cannot screen out; a count whose arrays numpy cannot
     # address exits here, before anything is allocated
     if args.samples > np.iinfo(np.intp).max // (8 * (problem.n + 4) ** 2):
         raise ProblemFileError("--samples", f"{args.samples} samples exceed the addressable memory")
@@ -370,7 +377,18 @@ def cmd_sim(args) -> int:
             raise ProblemFileError("--nodes", f"preset {args.preset} needs 2 nodes")
     elif n < 1:
         raise ProblemFileError("--state-dim", f"must be at least 1, got {n}")
-    nodes, truth = init_network(n, args.nodes, args.seed, spec)
+    # the joint grows to nodes x n rows once every node holds the full
+    # state, in a buffer JOINT_HEADROOM times as wide; a network whose
+    # buffer numpy cannot address exits here, before anything is allocated
+    side = math.isqrt(np.iinfo(np.intp).max // 8)
+    if args.nodes * n > side or math.ceil(JOINT_HEADROOM * args.nodes * n) > side:
+        raise ProblemFileError("--nodes", f"{args.nodes} nodes of state dimension {n} "
+                               "exceed the addressable memory")
+    try:
+        nodes, truth = init_network(n, args.nodes, args.seed, spec)
+    except MemoryError as exc:
+        raise ProblemFileError("--nodes", f"{args.nodes} nodes of state dimension {n} "
+                               "do not fit in memory") from exc
     schedule = make_schedule(args.topology, args.nodes, args.events, Cost(args.cost), args.seed)
     report = run_schedule(nodes, truth, schedule)
     _write_out(report.to_text(), args.out)
@@ -400,8 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the conservativeness certificates")
     p_verify.add_argument("file")
     p_verify.add_argument("--cost", choices=["det", "trace"], default="det")
-    p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--samples", type=int, default=1000,
+                          help="Monte Carlo draws; the adversarial-x row is the exact witness")
+    p_verify.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     p_verify.add_argument("--result", default=None, help="verify a stored fuse output")
     p_verify.set_defaults(func="cmd_verify")
 

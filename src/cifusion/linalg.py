@@ -9,7 +9,8 @@ Matrices here are small and dense (state dimensions of a few dozen at
 most).  The package's two PSD tolerances, ``DEFAULT_TOL`` and
 ``DEFAULT_CERT_TOL``, are named here, and every magnitude they are scaled
 by goes through :func:`tol_scale`.  So is the package's one search over a
-convex weight function, :func:`first_feasible_weight`.
+convex weight function, :func:`newton_weights`, which
+:func:`first_feasible_weight` stops at the first weight that certifies.
 """
 
 from __future__ import annotations
@@ -229,25 +230,31 @@ def _tangent_floor(lo_tangent, hi_tangent, lo: float, hi: float) -> tuple[float,
     return x, max(f1 + g1 * (x - a1), f2 + g2 * (x - a2))
 
 
-def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
-    """First weight of a safeguarded Newton search with ``lambda_max(M) <= tol``.
+def newton_weights(m, dm, start: float):
+    """Iterates of a safeguarded Newton search for the minimiser of ``f = lambda_max(M)``.
 
-    ``m(alpha)`` is a symmetric matrix on ``[0, 1]`` whose ``f = lambda_max``
-    is convex, or ``None`` at an end where M is infinite, which is never
-    evaluated but bisected towards; ``dm(alpha)`` is ``(M', M'')``.  From
-    ``start``, the sign of ``f' = v'M'v`` keeps a bracket around the
-    minimiser and the next iterate is the Newton step on ``f'``, with
+    ``m(alpha)`` is a symmetric matrix on ``[0, 1]`` whose ``f`` is convex,
+    or ``None`` at an end where M is infinite, which is never evaluated but
+    bisected towards; ``dm(alpha)`` is ``(M', M'')``.  Each evaluated
+    iterate is yielded as ``(alpha, w, v, d1, floor)``: the ``eigh`` of
+    ``M(alpha)``, ``M'`` there, and the lower bound on ``min f`` from the
+    end tangents.  From ``start``, the sign of ``f' = v'M'v`` keeps a
+    bracket around the minimiser and the next iterate is the Newton step on
+    ``f'``, with
     ``f'' = v'M''v + 2 sum_j (v_j'M'v)^2 / (lambda_max - lambda_j)`` from
     the same ``eigh``.  A step out of the bracket goes to the unevaluated
     end it points past, else to where the end tangents cross (a kink of
-    f); a bracket that did not halve in two steps is bisected.  ``None``
-    once the end tangents bound ``min f`` above ``tol`` (by convexity, no
-    weight qualifies) or the bracket is ``PETERSEN_WIDTH`` wide.
+    f).  A step is bisected instead unless it is at most half the step two
+    back and moves the weight by more than half ``PETERSEN_WIDTH``: the
+    step lengths, not the bracket, must shrink, so Newton keeps its
+    quadratic convergence where the minimiser is approached from one side.
+    The iterates end once the bracket is ``PETERSEN_WIDTH`` wide; the
+    caller stops them earlier when an iterate answers its question.
     """
     lo, hi = 0.0, 1.0
     lo_tangent = hi_tangent = None
     alpha = start
-    older = old = math.inf  # the bracket widths two steps and one step back
+    older = old = math.inf  # the step lengths two steps and one step back
     while True:
         value = m(alpha)
         if value is None:  # an end where M is infinite: bisect towards it instead
@@ -255,8 +262,6 @@ def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
             continue
         w, v = np.linalg.eigh(value)
         f, top = float(w[-1]), v[:, -1]
-        if f <= tol:
-            return alpha
         d1, d2 = dm(alpha)
         slope = float(top @ d1 @ top)
         if slope < 0.0:
@@ -264,20 +269,38 @@ def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
         else:
             hi, hi_tangent = alpha, (alpha, f, slope)
         cut, floor = _tangent_floor(lo_tangent, hi_tangent, lo, hi)
-        if hi - lo <= PETERSEN_WIDTH or floor > tol:
-            return None
+        yield alpha, w, v, d1, floor
+        if hi - lo <= PETERSEN_WIDTH:
+            return
         with np.errstate(divide="ignore", invalid="ignore"):
             gap_term = 2.0 * np.sum((v[:, :-1].T @ d1 @ top) ** 2 / (f - w[:-1]))
             newton = alpha - slope / (float(top @ d2 @ top) + gap_term)
-        halved = hi - lo <= 0.5 * older
-        older, old = old, hi - lo
-        if lo < newton < hi and halved:
-            alpha = newton
+        newton_ok, cut_ok = (0.5 * PETERSEN_WIDTH < abs(x - alpha) <= 0.5 * older
+                             for x in (newton, cut))
+        if lo < newton < hi and newton_ok:
+            step = newton
         elif newton >= hi and hi_tangent is None:
-            alpha = hi
+            step = hi
         elif newton <= lo and lo_tangent is None:
-            alpha = lo
-        elif lo < cut < hi and halved:
-            alpha = cut
+            step = lo
+        elif lo < cut < hi and cut_ok:
+            step = cut
         else:
-            alpha = 0.5 * (lo + hi)
+            step = 0.5 * (lo + hi)
+        older, old = old, abs(step - alpha)
+        alpha = step
+
+
+def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
+    """First iterate of :func:`newton_weights` from ``start`` with ``lambda_max(M) <= tol``.
+
+    ``None`` once the end tangents bound ``min f`` above ``tol`` (by
+    convexity, no weight qualifies) or the bracket is ``PETERSEN_WIDTH``
+    wide.
+    """
+    for alpha, w, _, _, floor in newton_weights(m, dm, start):
+        if w[-1] <= tol:
+            return alpha
+        if floor > tol:
+            return None
+    return None

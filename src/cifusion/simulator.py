@@ -482,8 +482,8 @@ def run_schedule(
     skipped and logged; a node whose own H lacks full row rank raises
     :class:`RankDeficientError`, which that check comes before.  The
     margin is the smallest eigenvalue of ``P_hat - P_true`` at the fused
-    node; a margin below ``-certificate_tolerance``, the band the sampling
-    verifiers judge by, counts as a conservativeness violation.
+    node; a margin below ``-certificate_tolerance``, the band the witness
+    and Monte Carlo verdicts use, counts as a conservativeness violation.
     """
     report = SimReport(
         n=truth.x_true.size,

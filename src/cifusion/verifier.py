@@ -1,57 +1,69 @@
 """Numerical certification that a fusion output stays conservative.
 
 Four routes cross-validate each other: the semidefinite block certificate,
-its scalar counterpart from a norm-bounded-uncertainty argument,
-adversarial search over admissible normalized cross terms, and Monte Carlo
-over admissible true joint covariances.  By a Schur complement the block
-certificate holds where ``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``,
-convex in the weight, is at most zero (:func:`_schur_function`; a gain
+its scalar counterpart from a norm-bounded-uncertainty argument, the exact
+worst admissible cross term, and Monte Carlo over admissible true joint
+covariances.  By a Schur complement the block certificate holds where
+``f(alpha) = lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``, convex in the
+weight, is at most zero (:func:`_schur_function`, ``S_i = Q_i Q_i'`` on the
+one pair ``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``; a gain
 block counts as zero throughout this module when its max |entry| is at most
 ``ZERO_Q_TOL``).  The block certificate takes its verdict from the
 assembled block and cross-checks it on that Schur complement; the scalar
-certificate comes from the package's one search over it,
-:func:`linalg.first_feasible_weight`.  With a zero gain block the scalar
-form degenerates to the one-sided bound of :func:`one_sided_bound`.  The
-two sampling routes share one kernel, :func:`_worst_violation`: the samples
-``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat`` on the one pair
-``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``, over cross
-parameters ``X`` of spectral norm at most one.  The kernel takes each ``X``
-as factors ``A B'`` and never forms it: the cross term is ``C + C'`` with
-``C = (Q1 A)(Q2 B)'``.  Both samplers draw rank-one cross parameters
-``X = a b'`` from unit Gaussian directions (:func:`_draw_cross`): by
-Petersen's lemma (Systems & Control Letters 8, 1987) the supremum over
-``|X| <= 1`` is attained at such an ``X`` of norm one, and the norm is
-``|a| |b|``, so no draw is decomposed.  Rounding can put that norm at
-``1 + O(eps)``, far inside the certificate tolerance.  Monte Carlo shrinks
-each prior block by a rank-one downdate, which enters as a change of the
-cross factors and two rank-one terms subtracted from each sample
+certificate stops the package's one search over f,
+:func:`linalg.newton_weights`, at the first weight that certifies
+(:func:`linalg.first_feasible_weight`).  With a zero gain block the scalar
+form degenerates to the one-sided bound of :func:`one_sided_bound`.
+
+By Petersen's lemma (Systems & Control Letters 8, 1987) the largest
+eigenvalue of ``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat`` over cross
+parameters ``X`` of spectral norm at most one is ``min f``, and a rank-one
+``X*`` attains it: :func:`adversarial_x_search` builds ``X*`` from a top
+eigenvector at the minimiser of f, which the same search finds, and
+returns the largest eigenvalue of that one sample.  Monte Carlo samples
+true joints below such samples, so its value cannot exceed ``min f``
+beyond rounding, and :func:`certify` raises
+:class:`InternalInconsistencyError` when it does.  It runs on the kernel
+:func:`_worst_violation`, which takes each cross parameter as factors
+``A B'`` and never forms it: the cross term is ``C + C'`` with
+``C = (Q1 A)(Q2 B)'``.  Monte Carlo draws rank-one cross parameters
+``X = r a b'`` from unit Gaussian directions (:func:`_draw_cross`) and
+shrinks each prior block by a rank-one downdate, which enters as a change
+of the cross factors and two rank-one terms subtracted from each sample
 (:func:`monte_carlo_joint`).  So every drawn sample is a rank-two update
 ``B + c d' + d c'`` of one matrix ``B = Q1 Q1' + Q2 Q2' - P_hat``, less
 those downdates, and the draws are kept as ``n x samples`` factor arrays.
 :func:`_worst_sample` takes its threshold from the heads, the fixed
-extremes each sampler passes.  It decides most samples from their factors
+extremes the sampler passes.  It decides most samples from their factors
 by one Cholesky factorisation and a closed-form test per sample
 (:func:`_undecided`), and forms and decomposes only the few it cannot
 drop.  The test is made on each draw's dominating joint, without the
-downdates, which is sound for Monte Carlo draws too, as each lies below
-it.  Its value lies less than a proven rounding-level margin below the
-largest ``eigvalsh`` value over all of them, and it lies at or below the
-certificate tolerance exactly when that largest value does.
-Each sampler is a pure function of its arguments and runs on the calling
-thread.  A found violation is conclusive; absence of violations is
-reported as "no violation found" for the sampled budget, while the block
-certificate carries the actual proof.  :func:`certify` runs and judges
-the routes for ``cifusion verify``.
+downdates, which is sound as each draw lies below it.  Its value lies less
+than a proven rounding-level margin below the largest ``eigvalsh`` value
+over all of them, and it lies at or below the certificate tolerance
+exactly when that largest value does.
+Each route is a pure function of its arguments and runs on the calling
+thread.  A violation found by Monte Carlo is conclusive; absence of
+violations is reported as "no violation found" for the sampled budget,
+while the block certificate and the exact witness carry the proof.
+:func:`certify` runs and judges the routes for ``cifusion verify``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateQError, InternalInconsistencyError
-from .linalg import DEFAULT_CERT_TOL, first_feasible_weight, loewner_compare, tol_scale
+from .linalg import (
+    DEFAULT_CERT_TOL,
+    first_feasible_weight,
+    loewner_compare,
+    newton_weights,
+    tol_scale,
+)
 from .problem import FusionProblem
 
 #: gain blocks with max |entry| below this count as zero (degenerate cases)
@@ -82,10 +94,11 @@ def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
     so any factor ``F_i F_i' = P_i`` serves.  ``L_i = P_i^{1/2} U_i`` for an
     orthogonal ``U_i``, so the block of :func:`lmi_certificate` is
     orthogonally congruent to the one built on the symmetric roots: the same
-    spectrum up to rounding, and the same Schur complement.  The sampling
-    verifiers see ``X`` through ``Q1 X Q2'``, and the law of ``X`` is
-    invariant under ``X -> U1 X U2'``, so their verdicts do not depend on the
-    factor either; their ``worst=`` values on a given seed do.
+    spectrum up to rounding, and the same Schur complement, so the exact
+    witness of :func:`adversarial_x_search` takes the same value up to
+    rounding.  Monte Carlo sees ``X`` through ``Q1 X Q2'``, and the law of
+    ``X`` is invariant under ``X -> U1 X U2'``, so its verdict does not
+    depend on the factor either; its ``worst=`` value on a given seed does.
     """
     q1 = result.K1 @ problem.est1.p_chol
     q2 = result.K2 @ problem.est2.p_chol
@@ -259,18 +272,18 @@ def _worst_sample(
     than a proven margin ``rho``, and it is at most the decision level
     ``tol`` exactly when the dense maximum is.  The heads, of which there
     must be at least one, are decomposed first, and their largest value is
-    the threshold ``v``; both samplers pass heads (three and two) at the
-    extremes that Petersen's lemma points to, so ``v`` lies close to the
-    sampled maximum.  With ``rho = 2 delta``, ``delta`` the margin of
+    the threshold ``v``; Monte Carlo passes two heads at the extremes that
+    Petersen's lemma points to, so ``v`` lies close to the sampled maximum.
+    With ``rho = 2 delta``, ``delta`` the margin of
     :func:`_undecided` at ``v``, that function proves most samples to lie
     below the ceiling ``v + rho``, or below ``min(v + rho, tol)`` when
     ``v <= tol``, by testing their dominating joints without ``g``, and
     only the rest are formed, downdates included.  Of those, every matrix
     bitwise equal to the head that set ``v`` is dropped before ``eigvalsh``
-    runs, as its value is ``v`` itself: at an endpoint weight with a zero
-    gain block, every adversarial sample is such a copy of the ``X = 0``
-    head.  The value returned is the largest ``eigvalsh`` value over the
-    heads and the formed samples, so:
+    runs, as its value is ``v`` itself: with a zero gain block and no
+    downdates, every sample is such a copy of an ``X = 0`` head.  The value
+    returned is the largest ``eigvalsh`` value over the heads and the
+    formed samples, so:
 
     - It is at most the dense maximum, and as no dropped sample reaches
       the ceiling, the dense maximum lies below ``v + rho``, hence below
@@ -278,9 +291,8 @@ def _worst_sample(
     - It is at most ``tol`` exactly when the dense maximum is: with
       ``v <= tol`` no sample above ``tol`` is dropped.
 
-    Samples tied with ``v`` at rounding level, as every adversarial sample
-    of a square pair (``p1 + p2 = n``) at an interior weight and every
-    Monte Carlo sample at an endpoint weight are, lie about ``delta`` below
+    Samples tied with ``v`` at rounding level, as every Monte Carlo sample
+    at an endpoint weight is, lie about ``delta`` below
     the ceiling, so they cost no decomposition beyond the heads'.
     ``rho = 128 (n + 2)^2 eps (|v| + s)``, with ``s`` of :func:`_undecided`,
     is about ``2e-12 s`` at n = 6.  The value depends on the lower
@@ -436,7 +448,8 @@ def _draw_cross(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarr
     at such an ``X``, with ``a`` and ``b`` along ``Q1' v`` and ``Q2' v`` for
     the top eigenvector ``v`` of the maximising matrix.  The law is
     invariant under ``X -> U1 X U2'`` for orthogonal ``U_i``.  Monte Carlo
-    draws the directions of its two shrink downdates with it too.
+    draws its cross directions and the directions of its two shrink
+    downdates with it.
     """
     a = rng.standard_normal((count, p1)).T.copy()
     b = rng.standard_normal((count, p2)).T.copy()
@@ -445,36 +458,123 @@ def _draw_cross(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarr
     return a, b
 
 
-def adversarial_x_search(
-    result, problem: FusionProblem, samples: int = 1000, seed: int = 0
-) -> float:
-    """Largest sampled violation of the norm-bounded cross-term inequality.
+def adversarial_x_search(result, problem: FusionProblem) -> float:
+    """Largest eigenvalue of the sample at the worst admissible cross term ``X*``.
 
-    Draws random rank-one cross parameters ``X = a b'`` of spectral norm
-    one (:func:`_draw_cross`), always including the zero matrix and the
-    aligned extremes ``+-U V'`` from the SVD of ``Q1.T Q2``, and returns
-    the largest eigenvalue of their :func:`_worst_violation` samples.  The
-    three fixed heads come first, as factors ``(0, V)`` and ``(+-U, V)``
-    with ``k = min(p1, p2)``.  The largest eigenvalue is convex in ``X``
-    and the heads hold ``X = 0``, so ``f(t X) <= max(f(0), f(X))`` for
-    ``0 <= t <= 1``: drawing at norm one loses nothing against smaller
-    radii, and by Petersen's lemma the supremum over ``|X| <= 1`` is
-    attained at a rank-one ``X`` of norm one.  Rounding can put a draw's
-    norm at ``1 + O(eps)``, far inside the certificate tolerance.  Values
-    at or below tolerance certify that no sampled violation exists.  The
-    value is :func:`_worst_sample`'s, judged against
-    :func:`certificate_tolerance`: at or below it exactly when the largest
-    sampled eigenvalue is, and less than a rounding-level margin below that
-    eigenvalue.
+    The sample is the fused error covariance, less ``P_hat``, of the joint
+    whose diagonal blocks factor as ``Q Q'`` (:func:`q_pair`) and whose cross
+    block is ``Q1 X* Q2'``.  By Petersen's lemma its largest eigenvalue is
+    the supremum over every cross parameter of norm at most one, and
+    ``X*`` is the rank-one ``a b' / (|a| |b|)``, ``a = Q1' v``,
+    ``b = Q2' v``, for a top eigenvector ``v`` of the Schur complement at
+    the minimiser of f with zero slope ``v'M'v`` (:func:`_petersen_witness`).
+    A zero gain block gives ``X* = 0``.  Judged against
+    :func:`certificate_tolerance`.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    rng = np.random.default_rng(seed)
-    q1, q2 = q_pair(result, problem)
-    a, b = _draw_cross(rng, samples, q1.shape[1], q2.shape[1])
-    u, v = _extreme_cross_direction(q1, q2)
-    return _worst_violation(q1, q2, result.P_hat.data, np.stack([np.zeros_like(u), u, -u]),
-                            np.stack([v] * 3), a, b, (), certificate_tolerance(result))
+    return _petersen_witness(*q_pair(result, problem), result.P_hat.data, result.alpha)[0]
+
+
+def _petersen_witness(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray,
+                      start: float) -> tuple[float, float]:
+    """``(value, bound)``: the largest eigenvalue at ``X*``, and ``min f`` plus its rounding.
+
+    With ``B = Q1 Q1' + Q2 Q2' - P_hat`` and the Schur complement
+    ``M = B + (1 - t)/t S1 + t/(1 - t) S2`` at weight ``t``, every sample
+    ``B + Q1 X Q2' + Q2 X' Q1'`` with ``|X| <= 1`` lies below ``M``, so
+    ``f(t) = lambda_max(M)`` bounds the supremum from above at every
+    weight.  For a unit ``v`` with ``a = Q1'v``, ``b = Q2'v``, ``x = |a|``
+    and ``y = |b|``, the sample at ``X = a b'/(x y)`` has
+    ``v'(sample)v = v'Mv - gap``, ``gap = t (1 - t) (x/t - y/(1 - t))^2``,
+    and ``gap`` vanishes where ``v'M'v = y^2/(1 - t)^2 - x^2/t^2`` does.  So
+    a top eigenvector with zero slope attains f there, which is then
+    ``min f``.
+
+    The iterates of :func:`linalg.newton_weights` run from ``start``.  At
+    each, ``v`` is taken from the top cluster of ``M``, the eigenvectors
+    within ``band / 4`` of the top: where ``M'`` restricted to it has
+    extreme eigenvalues of opposite sign (0 lies in the subdifferential
+    of f), ``v`` combines their eigenvectors so that ``v'M'v = 0``; else it
+    is the eigenvector of the extreme nearer zero.  When its ``gap`` is at
+    most ``eps s`` the sample is formed and ``eigvalsh`` gives the value,
+    and the search stops once ``f - value <= band``.  ``band`` is
+    :func:`_margin` at ``f`` and ``s = n (max|S1|/t + max|S2|/(1 - t) +
+    max|P_hat|)``, which bounds ``|M|_2`` and every sample's norm, so it
+    exceeds the rounding of both eigenvalues (see :func:`_undecided`).  At
+    a CI family member's own weight M vanishes, the cluster is the whole
+    space and the first iterate stops: one ``eigh`` of M, one of ``M'`` on
+    the cluster and one ``eigvalsh``.  Should the bracket close first, ``v``
+    is taken from the cluster within ``f - floor`` of the top at the last
+    iterate, ``floor`` the end tangents' lower bound on ``min f``, so the
+    value lies within about ``f - floor`` of the supremum; every value is a
+    sample's, and the largest found is returned.  ``bound`` is the least
+    ``f + band`` over the iterates.  A zero gain block gives ``X* = 0``,
+    the value ``lambda_max(B)``, and ``bound`` that value plus
+    ``2 |Q1|_F |Q2|_F`` and its ``band``.
+    """
+    s1, s2 = q1 @ q1.T, q2 @ q2.T
+    base = s1 + s2 - p_hat
+    n = base.shape[0]
+    big1, big2, big_p = (np.abs(x).max() for x in (s1, s2, p_hat))
+    if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
+        value = float(np.linalg.eigvalsh(base)[-1])
+        return value, (value + 2.0 * np.linalg.norm(q1) * np.linalg.norm(q2)
+                       + _margin(n, value, n * (big1 + big2 + big_p)))
+    m, dm = _schur_function(q1, q2, p_hat)
+    value, bound = -np.inf, np.inf
+    for alpha, w, v, d1, floor in newton_weights(m, dm, start):
+        f = float(w[-1])
+        s = n * (big1 / alpha + big2 / (1.0 - alpha) + big_p)
+        band = _margin(n, f, s)
+        bound = min(bound, f + band)
+        a, b, gap = _flat_direction(q1, q2, alpha, w, v, d1, 0.25 * band)
+        if gap <= np.finfo(float).eps * s:
+            value = max(value, _sample_top(base, q1, q2, a, b))
+            if f - value <= band:
+                return value, bound
+    a, b, _ = _flat_direction(q1, q2, alpha, w, v, d1, max(0.25 * band, f - floor))
+    return max(value, _sample_top(base, q1, q2, a, b)), bound
+
+
+def _flat_direction(q1, q2, alpha: float, w, v, d1, width: float):
+    """``(Q1'v, Q2'v, gap)`` for :func:`_petersen_witness`'s unit ``v`` in the top cluster of ``M``.
+
+    ``w``, ``v`` are the ``eigh`` of ``M`` at ``alpha`` and ``d1`` is ``M'``;
+    the cluster holds the eigenvectors with ``w >= w[-1] - width``.
+    """
+    cluster = v[:, w >= w[-1] - width]
+    if cluster.shape[1] == 1:
+        low = high = cluster[:, 0]
+        lo = hi = float(low @ d1 @ low)
+    else:
+        r, rv = np.linalg.eigh(cluster.T @ d1 @ cluster)
+        lo, hi = float(r[0]), float(r[-1])
+        low, high = cluster @ rv[:, 0], cluster @ rv[:, -1]
+    if lo >= 0.0:
+        top = low
+    elif hi <= 0.0:
+        top = high
+    else:  # cos^2 lo + sin^2 hi = 0; the two are M'-orthogonal
+        top = np.sqrt(hi / (hi - lo)) * low + np.sqrt(-lo / (hi - lo)) * high
+    a, b = q1.T @ top, q2.T @ top
+    x, y = math.sqrt(a @ a), math.sqrt(b @ b)
+    return a, b, alpha * (1.0 - alpha) * (x / alpha - y / (1.0 - alpha)) ** 2
+
+
+def _sample_top(base: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: np.ndarray,
+                b: np.ndarray) -> float:
+    """Largest eigenvalue of ``base + c d' + d c'`` at ``X = a b'/(|a| |b|)``.
+
+    ``c = Q1 a/|a|`` and ``d = Q2 b/|b|``, with ``a = Q1'v`` and
+    ``b = Q2'v``; where ``a`` or ``b`` is zero the sample is ``base``, as
+    every ``X`` gives ``v`` the same quadratic form there.
+    """
+    x, y = math.sqrt(a @ a), math.sqrt(b @ b)
+    sample = base
+    if x > 0.0 and y > 0.0:
+        c, d = q1 @ (a / x), q2 @ (b / y)
+        cross = np.outer(c, d)
+        sample = base + cross + cross.T
+    return float(np.linalg.eigvalsh(sample)[-1])
 
 
 def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
@@ -524,8 +624,8 @@ def monte_carlo_joint(
     ``W_i = I - (1 - sqrt(e_i)) w_i w_i'``.  The joint is
     ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with ``X = r a b'`` rank one.  The
     generator is seeded from ``SeedSequence(seed, spawn_key=(1,))``, a
-    child of the sequence :func:`adversarial_x_search` reads, so the two
-    draw independently at one seed.  The stream is read in this order:
+    child of ``SeedSequence(seed)``, so a caller that also draws from
+    ``default_rng(seed)`` draws independently.  The stream is read in this order:
     unit directions ``w1``, ``w2`` from :func:`_draw_cross`; ``e1``, ``e2``
     uniform on ``[0.05, 1)``; unit directions ``a``, ``b`` from
     :func:`_draw_cross`; a radius ``r`` uniform on ``[0, 1 - 1e-12)``,
@@ -539,13 +639,13 @@ def monte_carlo_joint(
     ``k = min(p1, p2)`` columns, are the heads.  Returns the largest
     eigenvalue of ``K P_joint K' - P_hat`` over heads and draws, to
     :func:`_worst_sample`'s margin and exactly against
-    :func:`certificate_tolerance`, as :func:`adversarial_x_search` does.
+    :func:`certificate_tolerance`.
 
     Every sampled joint lies below the joint with full diagonal blocks and
     cross parameter ``W1 X W2'``, of norm below one: the difference is
     ``blkdiag(L_i (I - W_i^2) L_i')``, positive semidefinite (Petersen's
     domination argument).  So no value exceeds the supremum that
-    :func:`adversarial_x_search` samples, whatever the law of the shrink;
+    :func:`adversarial_x_search` attains, whatever the law of the shrink;
     the law only decides which joints below it are visited.  For the same
     reason :func:`_undecided` screens each draw on its dominating joint,
     without the downdates; the draws it keeps are formed in full.
@@ -569,8 +669,35 @@ def monte_carlo_joint(
                             certificate_tolerance(result))
 
 
+def _check_monte_carlo(result, problem: FusionProblem, worst_mc: float, worst_x: float) -> None:
+    """Raise :class:`InternalInconsistencyError` where Monte Carlo exceeds ``min f`` past rounding.
+
+    ``min f`` bounds every admissible sample (:func:`_petersen_witness`),
+    so a larger Monte Carlo value means the two routes disagree.  Both
+    values carry the rounding of an ``eigvalsh`` of a formed sample, each
+    of norm at most ``s = n (3 max|S1| + 3 max|S2| + max|P_hat|)``, which
+    :func:`_margin` at the witness exceeds (see :func:`_undecided`), and
+    the test allows twice that margin.  The witness is itself a sample, so
+    a Monte Carlo value at most one margin above it passes without
+    searching for ``min f`` again.
+    """
+    q1, q2 = q_pair(result, problem)
+    p_hat = result.P_hat.data
+    n = p_hat.shape[0]
+    s = n * (3.0 * (np.abs(q1 @ q1.T).max() + np.abs(q2 @ q2.T).max()) + np.abs(p_hat).max())
+    margin = _margin(n, worst_x, s)
+    if worst_mc <= worst_x + margin:
+        return
+    _, bound = _petersen_witness(q1, q2, p_hat, result.alpha)
+    if worst_mc > bound + 2.0 * margin:
+        raise InternalInconsistencyError(
+            f"Monte Carlo value {worst_mc:.17g} exceeds min f = {bound:.17g}, "
+            f"which bounds every admissible sample"
+        )
+
+
 def certificate_tolerance(result) -> float:
-    """Scale-adjusted absolute tolerance used by the sampling verdicts."""
+    """Scale-adjusted absolute tolerance used by the witness and Monte Carlo verdicts."""
     return DEFAULT_CERT_TOL * tol_scale(float(np.diag(result.P_hat.data).max()))
 
 
@@ -580,8 +707,11 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
 
     ``lmi`` reuses a solve's ``lmi_min_eig`` (``solve_ci`` raises unless it
     passed) and certifies any other result; ``petersen(direct)`` replaces
-    ``petersen`` where a gain block counts as zero; ``truth`` adds
-    ``truth-joint``.  Routes are looked up in this module at each call.
+    ``petersen`` where a gain block counts as zero; ``adversarial-x`` is
+    the exact witness, and ``samples`` and ``seed`` drive Monte Carlo
+    alone, whose value above ``min f`` beyond rounding raises
+    :class:`InternalInconsistencyError`; ``truth`` adds ``truth-joint``.
+    Routes are looked up in this module at each call.
     """
     tol = certificate_tolerance(result)
     passed, min_eig = True, result.diagnostics.get("lmi_min_eig")
@@ -595,8 +725,9 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
     else:
         eps = petersen_certificate(result, problem)
         rows.append(CertificateRow("petersen", eps is not None, "eps", eps))
-    worst_x = adversarial_x_search(result, problem, samples, seed)
+    worst_x = adversarial_x_search(result, problem)
     worst_mc = monte_carlo_joint(result, problem, samples, seed)
+    _check_monte_carlo(result, problem, worst_mc, worst_x)
     rows.append(CertificateRow("adversarial-x", worst_x <= tol, "worst", worst_x))
     rows.append(CertificateRow("monte-carlo", worst_mc <= tol, "worst", worst_mc))
     if truth is not None:

@@ -21,6 +21,7 @@ from cifusion.linalg import (
 )
 from cifusion.optimizer import Cost, delta_value
 from cifusion.problem import covariance
+from cifusion import verifier
 from cifusion.verifier import _schur_function, certificate_tolerance, petersen_objective, q_pair
 
 
@@ -234,12 +235,34 @@ def rank_one_draws(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.nd
     return a, b
 
 
+def adversarial_sampling_oracle(result, problem: FusionProblem, samples: int = 1000,
+                                seed: int = 0) -> float:
+    """Largest sampled violation over rank-one cross parameters of norm one.
+
+    The sampling search that ``verifier.adversarial_x_search`` replaced,
+    kept as its oracle: ``samples`` unit Gaussian directions ``a``, ``b``
+    from ``default_rng(seed)`` (``verifier._draw_cross``), and the three
+    heads ``X = 0`` and ``+-U V'`` from the SVD of ``Q1' Q2``
+    (``verifier._extreme_cross_direction``), all on Monte Carlo's kernel
+    ``verifier._worst_violation``, judged against ``certificate_tolerance``.
+    Each helper is looked up in ``verifier`` at the call, so a test that
+    replaces one sees this oracle's calls too.  Every value is a sample's,
+    so none lies above the exact witness beyond rounding.
+    """
+    q1, q2 = q_pair(result, problem)
+    a, b = verifier._draw_cross(np.random.default_rng(seed), samples, q1.shape[1], q2.shape[1])
+    u, v = verifier._extreme_cross_direction(q1, q2)
+    return verifier._worst_violation(q1, q2, result.P_hat.data,
+                                     np.stack([np.zeros_like(u), u, -u]), np.stack([v] * 3),
+                                     a, b, (), certificate_tolerance(result))
+
+
 def monte_carlo_rng(seed: int) -> np.random.Generator:
     """The generator ``verifier.monte_carlo_joint`` reads for ``seed``.
 
     It is seeded from the second child of ``SeedSequence(seed)``, spawn key
     ``(1,)``, so its stream is independent of ``default_rng(seed)``, which
-    the adversarial search reads.
+    :func:`adversarial_sampling_oracle` reads.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
 

@@ -272,7 +272,30 @@ def test_criterion_5_conservativeness_certification(solved_pool):
         if not lmi.passed and lmi_feasible_interval(mutant, problem) is None:
             rejections += 1
         crit.check(rejections >= 2, f"mutant {j} rejected by only {rejections} methods")
+
+    # P_hat shrunk by 1e-3 on interior solves: the exact routes reject every
+    # one (sampled rank-one draws miss many; Monte Carlo is not gated here)
+    tight = _tight_mutants(problems, solved)
+    crit.check(len(tight) == 20, f"built {len(tight)} tight mutants, expected 20")
+    for j, (mutant, problem) in enumerate(tight):
+        rows = certify(mutant, problem, samples=1000, seed=j)
+        for row in rows[:3]:
+            crit.check(not row.passed, f"tight mutant {j}: {row.name} passes ({row.value})")
+        crit.check([row.name for row in rows[:3]] == ["lmi", "petersen", "adversarial-x"],
+                   f"tight mutant {j}: rows {[row.name for row in rows]}")
     crit.conclude()
+
+
+def _tight_mutants(problems, solved):
+    """Ten DET and ten TRACE interior solves, each with P_hat shrunk to (1 - 1e-3) P_hat."""
+    out = []
+    for cost in (Cost.DET, Cost.TRACE):
+        interior = [(p, r) for p, r in zip(problems, solved[cost]) if 0.0 < r.alpha < 1.0]
+        for problem, result in interior[:10]:
+            p_hat = psd_certify((1.0 - 1e-3) * result.P_hat.data)
+            out.append((FusionResult(alpha=result.alpha, K1=result.K1, K2=result.K2,
+                                     P_hat=p_hat, fused_x=result.fused_x), problem))
+    return out
 
 
 def test_lmi_certificate_agrees_with_symmetric_root_blocks(solved_pool, monkeypatch):

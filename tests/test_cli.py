@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from cifusion import cli, solve_ci, verifier
+from cifusion import cli, simulator, solve_ci, verifier
 from cifusion.errors import InternalInconsistencyError
 from cifusion.problem import Cost
 
@@ -439,6 +439,39 @@ class TestVerify:
         assert captured.err.startswith("error: K1: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key, value", [
+        ("cost_value", "not a number"), ("cost_value", [1.0]), ("cost_value", True),
+        ("cost_value", math.inf), ("cost_value", math.nan),
+        ("branch", [1, 2]), ("branch", 3), ("branch", {"kind": "interior"}),
+    ])
+    def test_result_file_optional_field_with_bad_value_exits_two(self, tmp_path, capsys,
+                                                                   key, value):
+        # a fuse output edited so: it printed four PASS rows and exited 0
+        problem_path = write(tmp_path, EXAMPLE2)
+        fused_path = tmp_path / "fused.json"
+        assert cli.main(["fuse", problem_path, "--out", str(fused_path)]) == 0
+        doc = json.loads(fused_path.read_text())
+        doc[key] = value
+        out, err, code = run_main(["verify", problem_path, "--samples", "50",
+                                   "--result", write(tmp_path, doc, "r.json")], capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err.startswith(f"error: {key}: ")
+
+    @pytest.mark.parametrize("key", ["cost_value", "branch"])
+    def test_result_file_optional_field_may_be_null_or_absent(self, tmp_path, capsys, key):
+        problem_path = write(tmp_path, EXAMPLE2)
+        fused_path = tmp_path / "fused.json"
+        assert cli.main(["fuse", problem_path, "--out", str(fused_path)]) == 0
+        doc = json.loads(fused_path.read_text())
+        for edit in (None, "delete"):
+            if edit is None:
+                doc[key] = None
+            else:
+                del doc[key]
+            rc = cli.main(["verify", problem_path, "--samples", "50",
+                           "--result", write(tmp_path, doc, "r.json")])
+            assert rc == 0 and capsys.readouterr().err == ""
+
     def test_result_file_with_inconsistent_fused_x_exits_two(self, tmp_path, capsys):
         problem_path = write(tmp_path, EXAMPLE2)
         fused_path = tmp_path / "fused.json"
@@ -711,6 +744,41 @@ class TestSim:
         assert " cost=trace\n" in out
         assert "# violations 0" in out
 
+    def test_unaddressable_network_exits_two_before_building_it(self, capsys, monkeypatch):
+        # 2**40 nodes of 2**20 states: a joint numpy cannot address, refused
+        # before init_network draws a single node
+        def unreachable(*args):
+            raise AssertionError("init_network ran")
+
+        monkeypatch.setattr(cli, "init_network", unreachable)
+        argv = ["sim", "--nodes", str(2**40), "--state-dim", str(2**20), "--events", "1"]
+        out, err, code = run_main(argv, capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == (f"error: --nodes: {2**40} nodes of state dimension {2**20} "
+                       "exceed the addressable memory\n")
+        # a joint whose buffer numpy can address passes the check and is
+        # built; one with more rows than the largest addressable side is not
+        def exhausted(*args):
+            raise MemoryError("built")
+
+        side = math.isqrt(np.iinfo(np.intp).max // 8)
+        nodes = int(side / simulator.JOINT_HEADROOM) // 2
+        monkeypatch.setattr(cli, "init_network", exhausted)
+        out, err, code = run_main(["sim", "--nodes", str(nodes), "--state-dim", "2"], capsys)
+        assert err.endswith("do not fit in memory\n") and code == cli.EXIT_INPUT
+        out, err, code = run_main(["sim", "--nodes", str(side), "--state-dim", "2"], capsys)
+        assert err.endswith("exceed the addressable memory\n") and code == cli.EXIT_INPUT
+
+    def test_out_of_memory_while_building_exits_two_naming_nodes(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 173. GiB")
+
+        monkeypatch.setattr(simulator, "GroundTruth", exhausted)
+        out, err, code = run_main(["sim", "--nodes", "3", "--state-dim", "2", "--events", "1"],
+                                  capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == "error: --nodes: 3 nodes of state dimension 2 do not fit in memory\n"
+
     def test_collinear_preset_unreachable(self, tmp_path, capsys):
         rc = cli.main([
             "sim", "--nodes", "2", "--topology", "chain", "--events", "1",
@@ -978,8 +1046,8 @@ class TestSamplerFailures:
         # caller's context would warn (an error under this suite's filter)
         problem = write(tmp_path, EXAMPLE2)
 
-        def dividing(*args):
-            return float(np.divide(1.0, np.zeros(1))[0])
+        def dividing(*args):  # -inf: below the bound of every admissible sample
+            return float(np.divide(-1.0, np.zeros(1))[0])
 
         monkeypatch.setattr(verifier, "monte_carlo_joint", dividing)
         argv = ["verify", problem, "--samples", "50"]
@@ -991,8 +1059,35 @@ class TestSamplerFailures:
             out, _, code = run_main(argv, capsys)
         rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
         assert rows["adversarial-x"][0] == "PASS"
-        assert rows["monte-carlo"] == ["FAIL", f"worst={cli.fmt(np.inf)}"]
-        assert code == cli.EXIT_CERT_FAIL
+        assert rows["monte-carlo"] == ["PASS", f"worst={cli.fmt(-np.inf)}"]
+        assert code == cli.EXIT_OK
+
+    @pytest.mark.parametrize("doc", [EXAMPLE2, SCALAR_PAIR, "shrunk"])
+    def test_monte_carlo_above_the_bound_exits_internal(self, tmp_path, capsys, monkeypatch,
+                                                         doc):
+        # min f bounds every admissible sample, so a Monte Carlo value above
+        # it beyond rounding is an inconsistency between redundant routes,
+        # whether the witness passes or fails; one just inside the margin
+        # is printed
+        if doc == "shrunk":
+            doc = dict(SCALAR_PAIR, P_hat_override=[[0.9, 0.0], [0.0, 0.9]])
+        path = write(tmp_path, doc)
+        problem, extras = cli.load_problem_file(path)
+        result = solve_ci(problem, Cost.DET)
+        if "p_hat_override" in extras:
+            result = dataclasses.replace(result, P_hat=extras["p_hat_override"], diagnostics={})
+        q1, q2 = verifier.q_pair(result, problem)
+        _, bound = verifier._petersen_witness(q1, q2, result.P_hat.data, result.alpha)
+        witness = verifier.adversarial_x_search(result, problem)
+        assert witness <= bound
+        for above, code in ((1e-6, cli.EXIT_INTERNAL), (0.0, None)):
+            monkeypatch.setattr(verifier, "monte_carlo_joint", lambda *args: bound + above)
+            out, err, got = run_main(["verify", path, "--samples", "50"], capsys)
+            if code == cli.EXIT_INTERNAL:
+                assert (out, got) == ("", code)
+                assert err.startswith("internal inconsistency: Monte Carlo value ")
+            else:
+                assert err == "" and got in (cli.EXIT_OK, cli.EXIT_CERT_FAIL)
 
     def test_unaddressable_sample_count_exits_two_before_sampling(self, tmp_path, capsys,
                                                                   monkeypatch):

@@ -77,3 +77,57 @@ def test_every_constant_is_read_in_the_package():
     read |= {node.attr for tree in trees for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert [name for name in constants if name not in read] == []
+
+
+#: (module, function) pairs that may build a random generator; None: anywhere in the module
+RANDOM_SCOPES = {("verifier.py", "monte_carlo_joint"), ("simulator.py", None)}
+#: the numpy names that build one
+GENERATOR_NAMES = {"default_rng", "SeedSequence", "Generator", "RandomState"}
+
+
+def _random_uses(tree: ast.Module) -> list[tuple[str | None, str, int]]:
+    """``(function, name, line)`` of every read of a generator name or of ``numpy.random``.
+
+    ``function`` is the enclosing top-level function, or None at module level.
+    """
+    uses = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            scope = function
+            if function is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = child.name
+            name = None
+            if isinstance(child, ast.Name) and child.id in GENERATOR_NAMES:
+                name = child.id
+            elif isinstance(child, ast.Attribute) and (
+                    child.attr in GENERATOR_NAMES or child.attr == "random"
+                    and isinstance(child.value, ast.Name) and child.value.id in ("np", "numpy")):
+                name = child.attr
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                module = getattr(child, "module", None) or ""
+                names = [module] + [alias.name for alias in child.names]
+                if any("random" in n.split(".") or n in GENERATOR_NAMES for n in names):
+                    name = "import"
+            if name is not None:
+                uses.append((scope, name, child.lineno))
+            visit(child, scope)
+
+    visit(tree, None)
+    return uses
+
+
+def test_only_monte_carlo_and_the_simulator_build_random_generators():
+    # sampling must not creep back into a certificate route: only Monte
+    # Carlo and the simulator may build a generator or touch numpy.random
+    found = {}
+    for path in sorted(Path(cifusion.__file__).parent.glob("*.py")):
+        for function, name, line in _random_uses(ast.parse(path.read_text(), filename=str(path))):
+            if (path.name, None) not in RANDOM_SCOPES and (path.name, function) not in RANDOM_SCOPES:
+                found.setdefault(path.name, []).append(f"{name} in {function} (line {line})")
+    assert found == {}
+    # the guard sees the uses it allows
+    verifier_tree = ast.parse(Path(cifusion.verifier.__file__).read_text())
+    assert {(f, n) for f, n, _ in _random_uses(verifier_tree)} == {
+        ("monte_carlo_joint", "random"), ("monte_carlo_joint", "default_rng"),
+        ("monte_carlo_joint", "SeedSequence")}
