@@ -28,7 +28,6 @@ from .errors import (
     InternalInconsistencyError,
     NotPdError,
     ProblemFileError,
-    UnreachableError,
 )
 from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
 from .linalg import RESULT_RTOL, PsdMatrix
@@ -157,6 +156,8 @@ def load_problem_file(path: str) -> tuple[FusionProblem, dict]:
     extras: dict = {}
     if "truth" in doc:
         t = doc["truth"]
+        if not isinstance(t, dict):
+            raise ProblemFileError("truth", f"{json.dumps(t)} is not a JSON object")
         for field in ("P1", "P2", "P12"):
             if field not in t:
                 raise ProblemFileError(f"truth.{field}", "missing")
@@ -190,8 +191,11 @@ def _result_to_json(result: FusionResult) -> dict:
 
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ProblemFileError("--out", str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -459,9 +463,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return globals()[args.func](args)
-    except (ProblemFileError, UnreachableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except np.linalg.LinAlgError as exc:  # an input scaled beyond what LAPACK resolves
         print(f"error: linear algebra failed on this input: {exc}", file=sys.stderr)
         return EXIT_INPUT

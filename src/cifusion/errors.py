@@ -58,10 +58,6 @@ class SingularSigmaError(CiFusionError):
     """The blended information matrix is singular at the requested weight."""
 
 
-class DegenerateQError(CiFusionError):
-    """A scaled-gain block is zero, so the scalar certificate degenerates."""
-
-
 class UnreachableError(CiFusionError):
     """No stacking of node observations reaches full state rank."""
 

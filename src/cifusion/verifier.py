@@ -7,13 +7,13 @@ covariances.  By a Schur complement the block certificate holds where
 ``f(alpha) = lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``, convex in the
 weight, is at most zero (:func:`_schur_function`, ``S_i = Q_i Q_i'`` on the
 one pair ``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``; a gain
-block counts as zero throughout this module when its max |entry| is at most
-``ZERO_Q_TOL``).  The block certificate takes its verdict from the
+block counts as zero throughout this module by one predicate,
+:func:`_counts_as_zero`, and then ``S_i/0 = 0``, so M stays finite at that
+block's zero weight).  The block certificate takes its verdict from the
 assembled block and cross-checks it on that Schur complement; the scalar
 certificate stops the package's one search over f,
 :func:`linalg.newton_weights`, at the first weight that certifies
-(:func:`linalg.first_feasible_weight`).  With a zero gain block the scalar
-form degenerates to the one-sided bound of :func:`one_sided_bound`.
+(:func:`linalg.first_feasible_weight`), with or without a zero gain block.
 
 By Petersen's lemma (Systems & Control Letters 8, 1987) the largest
 eigenvalue of ``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat`` over cross
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQError, InternalInconsistencyError
+from .errors import InternalInconsistencyError
 from .linalg import (
     DEFAULT_CERT_TOL,
     first_feasible_weight,
@@ -66,7 +66,7 @@ from .linalg import (
 )
 from .problem import FusionProblem
 
-#: gain blocks with max |entry| below this count as zero (degenerate cases)
+#: gain blocks with max |entry| at most this count as zero (:func:`_counts_as_zero`)
 ZERO_Q_TOL = 1e-14
 
 
@@ -105,21 +105,9 @@ def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
-def one_sided_bound(result, problem: FusionProblem) -> float | None:
-    """Smallest eigenvalue of ``P_hat - Q Q'`` when one gain block counts as zero, else ``None``.
-
-    ``Q`` is the other block of :func:`q_pair`.  A block counts as zero when
-    its max |entry| is at most ``ZERO_Q_TOL``; the scalar certificate is
-    then degenerate (:func:`petersen_certificate` raises), and
-    conservativeness is this one-sided bound being nonnegative.
-    """
-    q1, q2 = q_pair(result, problem)
-    zero1, zero2 = (np.abs(q).max() <= ZERO_Q_TOL for q in (q1, q2))
-    if not (zero1 or zero2):
-        return None
-    live = q2 if zero1 else q1
-    direct = result.P_hat.data - live @ live.T
-    return float(np.linalg.eigvalsh(0.5 * (direct + direct.T))[0])
+def _counts_as_zero(q: np.ndarray) -> bool:
+    """Whether a scaled gain block counts as zero: its max |entry| is at most ``ZERO_Q_TOL``."""
+    return bool(np.abs(q).max() <= ZERO_Q_TOL)
 
 
 def _decided(margin: float, band: float) -> bool:
@@ -183,10 +171,10 @@ def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
     """``m`` and ``dm`` of ``M = S1/alpha + S2/(1 - alpha) - P_hat`` for the weight search.
 
     ``S_i = Q_i Q_i'``; as in a generalized Schur complement, ``S_i/0`` is 0 when ``Q_i``
-    counts as zero (max |entry| at most ``ZERO_Q_TOL``), else M is infinite (``m`` gives ``None``).
+    counts as zero (:func:`_counts_as_zero`), else M is infinite (``m`` gives ``None``).
     """
     zero = np.zeros(p_hat.shape)
-    s1, s2 = (q @ q.T if np.abs(q).max() > ZERO_Q_TOL else None for q in (q1, q2))
+    s1, s2 = (None if _counts_as_zero(q) else q @ q.T for q in (q1, q2))
 
     def over(s, t):
         return zero if s is None else s / t
@@ -515,7 +503,7 @@ def _petersen_witness(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray,
     base = s1 + s2 - p_hat
     n = base.shape[0]
     big1, big2, big_p = (np.abs(x).max() for x in (s1, s2, p_hat))
-    if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
+    if _counts_as_zero(q1) or _counts_as_zero(q2):
         value = float(np.linalg.eigvalsh(base)[-1])
         return value, (value + 2.0 * np.linalg.norm(q1) * np.linalg.norm(q2)
                        + _margin(n, value, n * (big1 + big2 + big_p)))
@@ -596,19 +584,21 @@ def petersen_certificate(result, problem: FusionProblem) -> float | None:
 
     :func:`linalg.first_feasible_weight` searches the Schur complement M of
     :func:`_schur_function` from the result's own weight; ``lambda_max(M)``
-    is :func:`petersen_objective` at ``eps``.  The first certifying iterate's
-    eps is returned once :func:`petersen_objective` confirms it, else
-    ``None``.  Zero gain blocks make the scalar form degenerate and raise.
+    is :func:`petersen_objective` at ``eps``.  The first certifying
+    iterate's eps is returned, else ``None``.  At an interior weight
+    :func:`petersen_objective` must confirm it.  An iterate lies at an end
+    of ``[0, 1]`` only where M is finite there, as the gain block whose
+    weight vanishes counts as zero; its eps is ``math.inf`` at
+    ``alpha = 0`` and ``0.0`` at ``alpha = 1``, where the eps form is not
+    evaluated.
     """
-    q1, q2 = q_pair(result, problem)
-    if np.abs(q1).max() <= ZERO_Q_TOL:
-        raise DegenerateQError("Q1 = 0; use the direct one-sided bound")
-    if np.abs(q2).max() <= ZERO_Q_TOL:
-        raise DegenerateQError("Q2 = 0; use the direct one-sided bound")
     tol = certificate_tolerance(result)
-    alpha = first_feasible_weight(*_schur_function(q1, q2, result.P_hat.data), tol, result.alpha)
+    alpha = first_feasible_weight(
+        *_schur_function(*q_pair(result, problem), result.P_hat.data), tol, result.alpha)
     if alpha is None:
         return None
+    if alpha in (0.0, 1.0):  # an end, where M drops a zero gain block
+        return math.inf if alpha == 0.0 else 0.0
     eps = 1.0 / alpha - 1.0
     return eps if petersen_objective(result, problem, eps) <= tol else None
 
@@ -706,11 +696,12 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
     """The rows ``cifusion verify`` prints for ``result``, in that order.
 
     ``lmi`` reuses a solve's ``lmi_min_eig`` (``solve_ci`` raises unless it
-    passed) and certifies any other result; ``petersen(direct)`` replaces
-    ``petersen`` where a gain block counts as zero; ``adversarial-x`` is
-    the exact witness, and ``samples`` and ``seed`` drive Monte Carlo
-    alone, whose value above ``min f`` beyond rounding raises
-    :class:`InternalInconsistencyError`; ``truth`` adds ``truth-joint``.
+    passed) and certifies any other result; ``petersen`` is the scalar
+    certificate's eps, ``inf`` or ``0`` where a zero gain block puts it at
+    an end weight; ``adversarial-x`` is the exact witness, and ``samples``
+    and ``seed`` drive Monte Carlo alone, whose value above ``min f``
+    beyond rounding raises :class:`InternalInconsistencyError`; ``truth``
+    adds ``truth-joint``.
     Routes are looked up in this module at each call.
     """
     tol = certificate_tolerance(result)
@@ -719,12 +710,8 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
         cert = lmi_certificate(result, problem, result.alpha)
         passed, min_eig = cert.passed, cert.lmi_min_eig
     rows = [CertificateRow("lmi", passed, "min_eig", min_eig)]
-    direct = one_sided_bound(result, problem)
-    if direct is not None:
-        rows.append(CertificateRow("petersen(direct)", direct >= -tol, "min_eig", direct))
-    else:
-        eps = petersen_certificate(result, problem)
-        rows.append(CertificateRow("petersen", eps is not None, "eps", eps))
+    eps = petersen_certificate(result, problem)
+    rows.append(CertificateRow("petersen", eps is not None, "eps", eps))
     worst_x = adversarial_x_search(result, problem)
     worst_mc = monte_carlo_joint(result, problem, samples, seed)
     _check_monte_carlo(result, problem, worst_mc, worst_x)

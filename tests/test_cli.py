@@ -274,23 +274,17 @@ class TestVerify:
         assert "verdict: all certificates pass" not in out
         assert rc == 1
 
-    def test_zero_gain_block_prints_the_one_sided_bound(self, tmp_path, capsys):
-        # the determinant optimum of EXAMPLE2 is alpha = 0 with K1 = 0, so
-        # the scalar row is the one-sided bound lambda_min(P_hat - Q2 Q2')
-        from cifusion import FusionProblem, PartialEstimate, solve_ci
-        from cifusion.optimizer import Cost
-
-        problem = FusionProblem(*(
-            PartialEstimate(EXAMPLE2[k]["H"], EXAMPLE2[k]["x_hat"], EXAMPLE2[k]["P_hat"])
-            for k in ("est1", "est2")
-        ))
-        result = solve_ci(problem, Cost.DET)
-        q2 = verifier.q_pair(result, problem)[1]
-        min_eig = np.linalg.eigvalsh(result.P_hat.data - q2 @ q2.T)[0]
-        rc = cli.main(["verify", write(tmp_path, EXAMPLE2), "--samples", "50"])
-        rows = [r for r in capsys.readouterr().out.splitlines() if r.startswith("petersen")]
+    @pytest.mark.parametrize("swap, eps", [(False, "inf"), (True, "0")])
+    def test_zero_gain_block_prints_the_end_weight_eps(self, tmp_path, capsys, swap, eps):
+        # the determinant optimum of EXAMPLE2 is alpha = 0 with K1 = 0, and
+        # of its swap alpha = 1 with K2 = 0; M is finite at that weight, where
+        # the scalar certificate's search certifies: eps = 1/alpha - 1
+        doc = dict(EXAMPLE2, est1=EXAMPLE2["est2"], est2=EXAMPLE2["est1"]) if swap else EXAMPLE2
+        rc = cli.main(["verify", write(tmp_path, doc), "--samples", "50"])
+        rows = [r.split() for r in capsys.readouterr().out.splitlines()
+                if r.startswith("petersen")]
         assert rc == 0
-        assert rows == [f"petersen(direct)  PASS  min_eig={cli.fmt(min_eig)}"]
+        assert rows == [["petersen", "PASS", f"eps={eps}"]]
 
     def test_override_exposed_by_adversarial_search(self, tmp_path, capsys):
         from cifusion import FusionProblem, PartialEstimate, solve_ci
@@ -504,7 +498,6 @@ class TestCertify:
     """``verifier.certify`` decides the rows; ``verify`` prints them and nothing else."""
 
     ROUTES = ["lmi", "petersen", "adversarial-x", "monte-carlo"]
-    DIRECT = ["lmi", "petersen(direct)", "adversarial-x", "monte-carlo"]
     # an interior weight at which both samplers' worst values depend on the seed
     SEEDED = dict(EXAMPLE2, est2={"H": [[1, 0], [0, 1]], "x_hat": [1, -1],
                                   "P_hat": [[2, 0.5], [0.5, 0.5]]})
@@ -532,7 +525,7 @@ class TestCertify:
         (dict(SCALAR_PAIR, P_hat_override=[[0.9, 0.0], [0.0, 0.9]]), False, ROUTES, 1),
         (SEEDED, True, ROUTES, 0),
         # the determinant optimum of EXAMPLE2 is alpha = 0 with K1 = 0
-        (EXAMPLE2, False, DIRECT, 0),
+        (EXAMPLE2, False, ROUTES, 0),
     ], ids=["accepted", "truth", "override", "result", "zero-gain-block"])
     def test_rows_are_what_verify_prints(self, tmp_path, capsys, doc, stored, names, code):
         argv, result, problem, truth = self.inputs(tmp_path, doc, stored)
@@ -788,6 +781,19 @@ class TestSim:
         assert "rank" in capsys.readouterr().err
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("command", ["fuse", "scan", "known", "sim"])
+    def test_unwritable_out_exits_two_naming_it(self, tmp_path, capsys, command):
+        # a directory, then a file in a directory that does not exist
+        doc = dict(SCALAR_PAIR, truth={"P1": [[1.0]], "P2": [[1.0]], "P12": [[0.5]]})
+        argv = (["sim", "--nodes", "3", "--events", "2"] if command == "sim"
+                else [command, write(tmp_path, doc)])
+        for target in (tmp_path, tmp_path / "missing" / "out.txt"):
+            out, err, code = run_main(argv + ["--out", str(target)], capsys)
+            assert (out, code) == ("", cli.EXIT_INPUT)
+            assert err.startswith("error: --out: [Errno ")
+
+
 class TestProblemFiles:
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -856,6 +862,16 @@ class TestProblemFiles:
         assert rc == 2
         assert captured.err.startswith(f"error: {key}.P_hat: covariance estimate must be strictly PD")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["fuse", "scan", "known", "verify"])
+    @pytest.mark.parametrize("truth", [5, None, True, 1e308, "P1 P2 P12"])
+    def test_truth_that_is_not_an_object_exits_two_naming_it(self, tmp_path, capsys,
+                                                             command, truth):
+        doc = dict(EXAMPLE2, truth=truth)
+        samples = ["--samples", "10"] if command == "verify" else []
+        out, err, code = run_main([command, write(tmp_path, doc)] + samples, capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == f"error: truth: {json.dumps(truth)} is not a JSON object\n"
 
     def test_ragged_observation_matrix_names_json_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(EXAMPLE2))
@@ -1102,8 +1118,8 @@ class TestSamplerFailures:
         assert (out, code) == ("", cli.EXIT_INPUT)
         assert err == f"error: --samples: {2**62} samples exceed the addressable memory\n"
 
-    # any route that certify runs, the one-sided bound as well as the samplers
-    @pytest.mark.parametrize("name", ["one_sided_bound", "adversarial_x_search",
+    # any route that certify runs, the scalar certificate as well as the samplers
+    @pytest.mark.parametrize("name", ["petersen_certificate", "adversarial_x_search",
                                       "monte_carlo_joint"])
     def test_out_of_memory_in_certify_exits_two_naming_samples(self, tmp_path, capsys,
                                                                monkeypatch, name):

@@ -131,3 +131,27 @@ def test_only_monte_carlo_and_the_simulator_build_random_generators():
     assert {(f, n) for f, n, _ in _random_uses(verifier_tree)} == {
         ("monte_carlo_joint", "random"), ("monte_carlo_joint", "default_rng"),
         ("monte_carlo_joint", "SeedSequence")}
+
+
+def _readers(tree: ast.Module, name: str) -> set[str | None]:
+    """The top-level function or class of every read of ``name``; None at module level."""
+    readers = set()
+    for node in tree.body:
+        scope = node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for child in ast.walk(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name) \
+                    and isinstance(child.ctx, ast.Load):
+                readers.add(scope)
+    return readers
+
+
+def test_one_function_decides_when_a_gain_block_counts_as_zero():
+    # the zero-block threshold has one reader, so a change to how it is
+    # scaled is made in one place
+    readers = {(path.name, scope)
+               for path in sorted(Path(cifusion.__file__).parent.glob("*.py"))
+               for scope in _readers(ast.parse(path.read_text(), filename=str(path)),
+                                     "ZERO_Q_TOL")}
+    assert readers == {("verifier.py", "_counts_as_zero")}

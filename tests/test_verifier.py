@@ -16,7 +16,7 @@ from cifusion import (
     optimal_fusion_known_cross,
     psd_certify,
 )
-from cifusion.errors import DegenerateQError, InternalInconsistencyError
+from cifusion.errors import InternalInconsistencyError
 from cifusion.known_cross import JointCovariance
 from cifusion.linalg import PETERSEN_WIDTH
 from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
@@ -49,6 +49,7 @@ from conftest import (
     monte_carlo_draws,
     monte_carlo_rng,
     monte_carlo_sqrt_oracle,
+    one_sided_bound_reference,
     petersen_golden_oracle,
     random_joint,
     random_problem,
@@ -584,12 +585,32 @@ class TestPetersenCertificate:
         bad = shrink_result(result, 0.9)
         assert petersen_certificate(bad, problem) is None
 
-    def test_zero_gain_block_degenerate(self):
+    def test_zero_gain_block_certifies_at_its_end_weight(self):
+        # K1 = 0 at EXAMPLE2's determinant optimum alpha = 0, K2 = 0 at its
+        # swap's alpha = 1: M is finite at that end, and eps = 1/alpha - 1
+        # is inf or 0 there
         problem = example2_problem()
-        result = solve_ci(problem, Cost.DET)
-        assert np.abs(q_pair(result, problem)[0]).max() <= ZERO_Q_TOL
-        with pytest.raises(DegenerateQError):
-            petersen_certificate(result, problem)
+        swapped = FusionProblem(problem.est2, problem.est1)
+        for pair, zero, alpha, eps in ((problem, 0, 0.0, math.inf), (swapped, 1, 1.0, 0.0)):
+            result = solve_ci(pair, Cost.DET)
+            assert result.alpha == alpha
+            assert np.abs(q_pair(result, pair)[zero]).max() <= ZERO_Q_TOL
+            assert petersen_certificate(result, pair) == eps
+
+    def test_zero_gain_verdict_matches_the_one_sided_bound(self):
+        # the oracle's bound lambda_min(P_hat - Q Q') >= -tol decides the
+        # same as the search, on EXAMPLE2 and its swap, as solved and with
+        # P_hat scaled by 0.9
+        problem = example2_problem()
+        verdicts = []
+        for pair in (problem, FusionProblem(problem.est2, problem.est1)):
+            solved = solve_ci(pair, Cost.DET)
+            for result in (solved, shrink_result(solved, 0.9)):
+                bound = one_sided_bound_reference(result, pair)
+                eps = petersen_certificate(result, pair)
+                assert (eps is not None) == (bound >= -certificate_tolerance(result))
+                verdicts.append(eps is not None)
+        assert verdicts == [True, False, True, False]
 
     def test_agrees_with_golden_oracle(self):
         # the Newton search and the golden section it replaced give the same
@@ -1618,29 +1639,34 @@ class TestExtremeScales:
 class TestCertificateEquivalence:
     def test_three_routes_agree(self):
         # scalar certificate <=> block certificate <=> direct split bound,
-        # on 200 seeded results mixing conservative solutions and mutants
+        # on 200 seeded results mixing conservative solutions and mutants,
+        # those with a zero gain block included
         rng = np.random.default_rng(9)
         cases = []
         for problem in well_scaled_problems(rng, 100):
             result = solve_ci(problem, Cost.TRACE)
             cases.append((result, problem))
             cases.append((shrink_result(result, 0.9), problem))
+        zero_gain = 0
         for result, problem in cases:
             q1, q2 = q_pair(result, problem)
-            if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
-                continue
+            zero_gain += bool(min(np.abs(q1).max(), np.abs(q2).max()) <= ZERO_Q_TOL)
             tol = certificate_tolerance(result)
             lmi_ok = lmi_certificate(result, problem, result.alpha).passed
             eps = petersen_certificate(result, problem)
             petersen_ok = eps is not None
             # direct split bound, evaluated at the candidate weights (the
-            # feasible weight is unique, so a blind grid would miss it)
+            # feasible weight is unique, so a blind grid would miss it); a
+            # zero gain block drops out, and eps = inf is the weight 0
             candidates = [result.alpha] if 0.0 < result.alpha < 1.0 else []
             if eps is not None:
                 candidates.append(1.0 / (1.0 + eps))
             direct_ok = False
             for a in candidates:
-                m = result.P_hat.data - q1 @ q1.T / a - q2 @ q2.T / (1.0 - a)
+                m = result.P_hat.data.copy()
+                for q, t in ((q1, a), (q2, 1.0 - a)):
+                    if np.abs(q).max() > ZERO_Q_TOL:
+                        m -= q @ q.T / t
                 if np.linalg.eigvalsh(m)[0] >= -tol:
                     direct_ok = True
                     break
@@ -1648,6 +1674,7 @@ class TestCertificateEquivalence:
             if petersen_ok and 0.0 < result.alpha < 1.0:
                 tau = 1.0 / result.alpha - 1.0
                 assert petersen_objective(result, problem, tau) <= tol
+        assert zero_gain >= 40
 
     def test_degenerate_blocks_use_one_sided_bound(self):
         problem = example2_problem()
