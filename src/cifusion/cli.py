@@ -106,14 +106,18 @@ def _covariance(value, dim: int, path: str) -> PsdMatrix:
 
 
 def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
-    block = doc.get(key)
-    if not isinstance(block, dict):
+    if key not in doc:
         raise ProblemFileError(key, "missing estimate block")
+    block = doc[key]
+    if not isinstance(block, dict):
+        raise ProblemFileError(key, f"{json.dumps(block)} is not a JSON object")
     for field in ("H", "x_hat", "P_hat"):
         if field not in block:
             raise ProblemFileError(f"{key}.{field}", "missing")
     h_raw = _array(block["H"], f"{key}.H")
     p = h_raw.shape[0] if h_raw.ndim == 2 else h_raw.size // n
+    if p < 1:
+        raise ProblemFileError(f"{key}.H", "an estimate needs at least one row")
     h = _matrix(h_raw, p, n, f"{key}.H")
     x_hat = np.atleast_1d(_array(block["x_hat"], f"{key}.x_hat"))
     if x_hat.shape != (p,):

@@ -9,8 +9,8 @@ Matrices here are small and dense (state dimensions of a few dozen at
 most).  The package's two PSD tolerances, ``DEFAULT_TOL`` and
 ``DEFAULT_CERT_TOL``, are named here, and every magnitude they are scaled
 by goes through :func:`tol_scale`.  So is the package's one search over a
-convex weight function, :func:`newton_weights`, which
-:func:`first_feasible_weight` stops at the first weight that certifies.
+convex weight function, :func:`newton_weights`, whose caller stops it
+once an iterate answers its question.
 """
 
 from __future__ import annotations
@@ -290,17 +290,3 @@ def newton_weights(m, dm, start: float):
         older, old = old, abs(step - alpha)
         alpha = step
 
-
-def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
-    """First iterate of :func:`newton_weights` from ``start`` with ``lambda_max(M) <= tol``.
-
-    ``None`` once the end tangents bound ``min f`` above ``tol`` (by
-    convexity, no weight qualifies) or the bracket is ``PETERSEN_WIDTH``
-    wide.
-    """
-    for alpha, w, _, _, floor in newton_weights(m, dm, start):
-        if w[-1] <= tol:
-            return alpha
-        if floor > tol:
-            return None
-    return None

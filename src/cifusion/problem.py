@@ -82,7 +82,7 @@ def covariance(value, dim: int, name: str) -> PsdMatrix:
     """A ``dim x dim`` block certified PSD, or an error whose message starts with ``name``.
 
     In order: finite entries (:class:`NonFiniteError`), the shape
-    (:class:`DimensionMismatchError`), the transpose to ``RESULT_RTOL`` of the
+    (:class:`DimensionMismatchError`, also for a ``0 x 0`` block), the transpose to ``RESULT_RTOL`` of the
     largest entry (:class:`NotPdError`), then :func:`psd_certify`
     (:class:`NotPsdError`).  A :class:`PsdMatrix` passes after the shape
     check.  A caller that needs the block strictly PD tests that itself.
@@ -96,6 +96,8 @@ def covariance(value, dim: int, name: str) -> PsdMatrix:
         shape = value.shape
     if shape != (dim, dim):
         raise DimensionMismatchError(f"{name}: shape {shape}, expected {(dim, dim)}")
+    if dim < 1:
+        raise DimensionMismatchError(f"{name}: shape {shape}, a block needs at least one row")
     if isinstance(value, PsdMatrix):
         return value
     skew = float(np.abs(value - value.T).max())

@@ -10,16 +10,17 @@ one pair ``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``; a gain
 block counts as zero throughout this module by one predicate,
 :func:`_counts_as_zero`, and then ``S_i/0 = 0``, so M stays finite at that
 block's zero weight).  The block certificate takes its verdict from the
-assembled block and cross-checks it on that Schur complement; the scalar
-certificate stops the package's one search over f,
-:func:`linalg.newton_weights`, at the first weight that certifies
-(:func:`linalg.first_feasible_weight`), with or without a zero gain block.
+assembled block and cross-checks it on that Schur complement.  One walk
+over the weight, :func:`_walk` on the package's one search over f,
+:func:`linalg.newton_weights`, serves the scalar certificate and the
+witness below: the certificate is its first weight that certifies, with or
+without a zero gain block.
 
 By Petersen's lemma (Systems & Control Letters 8, 1987) the largest
 eigenvalue of ``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat`` over cross
 parameters ``X`` of spectral norm at most one is ``min f``, and a rank-one
 ``X*`` attains it: :func:`adversarial_x_search` builds ``X*`` from a top
-eigenvector at the minimiser of f, which the same search finds, and
+eigenvector at the minimiser of f, which the same walk finds, and
 returns the largest eigenvalue of that one sample.  Monte Carlo samples
 true joints below such samples, so its value cannot exceed ``min f``
 beyond rounding, and :func:`certify` raises
@@ -59,7 +60,6 @@ import numpy as np
 from .errors import InternalInconsistencyError
 from .linalg import (
     DEFAULT_CERT_TOL,
-    first_feasible_weight,
     loewner_compare,
     newton_weights,
     tol_scale,
@@ -446,7 +446,16 @@ def _draw_cross(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarr
     return a, b
 
 
-def adversarial_x_search(result, problem: FusionProblem) -> float:
+@dataclass(frozen=True)
+class _Walk:
+    """What :func:`_walk` found: the scalar certificate's weight and the witness's ``(value, bound)``."""
+
+    feasible: float | None  # the first weight that certifies, or None
+    value: float
+    bound: float
+
+
+def adversarial_x_search(result, problem: FusionProblem, walk: _Walk | None = None) -> float:
     """Largest eigenvalue of the sample at the worst admissible cross term ``X*``.
 
     The sample is the fused error covariance, less ``P_hat``, of the joint
@@ -455,16 +464,17 @@ def adversarial_x_search(result, problem: FusionProblem) -> float:
     the supremum over every cross parameter of norm at most one, and
     ``X*`` is the rank-one ``a b' / (|a| |b|)``, ``a = Q1' v``,
     ``b = Q2' v``, for a top eigenvector ``v`` of the Schur complement at
-    the minimiser of f with zero slope ``v'M'v`` (:func:`_petersen_witness`).
+    the minimiser of f with zero slope ``v'M'v`` (:func:`_walk`).
     A zero gain block gives ``X* = 0``.  Judged against
-    :func:`certificate_tolerance`.
+    :func:`certificate_tolerance`.  ``walk`` is the result's :func:`_walk`,
+    which :func:`certify` shares with :func:`petersen_certificate`; without
+    it, one is run.
     """
-    return _petersen_witness(*q_pair(result, problem), result.P_hat.data, result.alpha)[0]
+    return (walk or _walk(result, problem)).value
 
 
-def _petersen_witness(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray,
-                      start: float) -> tuple[float, float]:
-    """``(value, bound)``: the largest eigenvalue at ``X*``, and ``min f`` plus its rounding.
+def _walk(result, problem: FusionProblem) -> _Walk:
+    """The scalar certificate and the witness ``X*``, from one walk over the weight.
 
     With ``B = Q1 Q1' + Q2 Q2' - P_hat`` and the Schur complement
     ``M = B + (1 - t)/t S1 + t/(1 - t) S2`` at weight ``t``, every sample
@@ -477,54 +487,89 @@ def _petersen_witness(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray,
     a top eigenvector with zero slope attains f there, which is then
     ``min f``.
 
-    The iterates of :func:`linalg.newton_weights` run from ``start``.  At
-    each, ``v`` is taken from the top cluster of ``M``, the eigenvectors
-    within ``band / 4`` of the top: where ``M'`` restricted to it has
-    extreme eigenvalues of opposite sign (0 lies in the subdifferential
-    of f), ``v`` combines their eigenvectors so that ``v'M'v = 0``; else it
-    is the eigenvector of the extreme nearer zero.  When its ``gap`` is at
-    most ``eps s`` the sample is formed and ``eigvalsh`` gives the value,
-    and the search stops once ``f - value <= band``.  ``band`` is
-    :func:`_margin` at ``f`` and ``s = n (max|S1|/t + max|S2|/(1 - t) +
-    max|P_hat|)``, which bounds ``|M|_2`` and every sample's norm, so it
-    exceeds the rounding of both eigenvalues (see :func:`_undecided`).  At
-    a CI family member's own weight M vanishes, the cluster is the whole
-    space and the first iterate stops: one ``eigh`` of M, one of ``M'`` on
-    the cluster and one ``eigvalsh``.  Should the bracket close first, ``v``
-    is taken from the cluster within ``f - floor`` of the top at the last
+    The iterates of :func:`linalg.newton_weights` run from the result's own
+    weight and answer two questions about ``min f``:
+
+    - ``feasible``, the scalar certificate: the first iterate with
+      ``f <= tol``, ``tol`` of :func:`certificate_tolerance`.  The question
+      is closed there, or once the end tangents bound ``min f`` above
+      ``tol`` (by convexity no weight certifies, and ``feasible`` is
+      ``None``).
+    - ``value``, the witness: at each iterate ``v`` is taken from the top
+      cluster of ``M``, the eigenvectors within ``band / 4`` of the top:
+      where ``M'`` restricted to it has extreme eigenvalues of opposite
+      sign (0 lies in the subdifferential of f), ``v`` combines their
+      eigenvectors so that ``v'M'v = 0``; else it is the eigenvector of the
+      extreme nearer zero.  When its ``gap`` is at most ``eps s`` the
+      sample is formed and ``eigvalsh`` gives the value, and the question
+      is closed once ``f - value <= band``.  ``band`` is :func:`_margin` at
+      ``f`` and ``s = n (max|S1|/t + max|S2|/(1 - t) + max|P_hat|)``, which
+      bounds ``|M|_2`` and every sample's norm, so it exceeds the rounding
+      of both eigenvalues (see :func:`_undecided`).  ``bound`` is the least
+      ``f + band`` over the iterates.
+
+    The walk stops once both questions are closed, so each takes the
+    iterates it would take alone, or once the bracket closes; ``v`` is then
+    taken from the cluster within ``f - floor`` of the top at the last
     iterate, ``floor`` the end tangents' lower bound on ``min f``, so the
     value lies within about ``f - floor`` of the supremum; every value is a
-    sample's, and the largest found is returned.  ``bound`` is the least
-    ``f + band`` over the iterates.  A zero gain block gives ``X* = 0``,
-    the value ``lambda_max(B)``, and ``bound`` that value plus
-    ``2 |Q1|_F |Q2|_F`` and its ``band``.
+    sample's, and the largest found is returned.
+
+    At a CI family member's own weight M vanishes and the cluster is the
+    whole space, so a solved result stops at its first iterate: one
+    ``eigh`` of M, one of ``M'`` on the cluster and one ``eigvalsh``.  M
+    vanishes only to the solve's accuracy: the gains are built from the
+    solved ``P_hat``, so there ``M = U P_hat`` up to rounding,
+    ``U = K1 H1 + K2 H2 - I``, and ``|M|_2 <= n r n max|P_hat| <= n r s``
+    for ``r`` the largest entry of ``U``, which a solved result carries as
+    ``unbias_residual``.  So at the result's own weight the cluster is
+    ``2 n r s`` wide where that exceeds ``band / 4``, as an ill-conditioned
+    solve's M needs.  Any width is sound, as the value is a sample's; the
+    width decides only how soon the walk stops.
+
+    A zero gain block gives ``X* = 0`` without the walk, the value
+    ``lambda_max(B)``, and ``bound`` that value plus ``2 |Q1|_F |Q2|_F``
+    and its ``band``; the walk then serves ``feasible`` alone.
     """
+    q1, q2 = q_pair(result, problem)
+    p_hat = result.P_hat.data
+    tol = certificate_tolerance(result)
     s1, s2 = q1 @ q1.T, q2 @ q2.T
     base = s1 + s2 - p_hat
     n = base.shape[0]
     big1, big2, big_p = (np.abs(x).max() for x in (s1, s2, p_hat))
-    if _counts_as_zero(q1) or _counts_as_zero(q2):
-        value = float(np.linalg.eigvalsh(base)[-1])
-        return value, (value + 2.0 * np.linalg.norm(q1) * np.linalg.norm(q2)
-                       + _margin(n, value, n * (big1 + big2 + big_p)))
-    m, dm = _schur_function(q1, q2, p_hat)
     value, bound = -np.inf, np.inf
-    for alpha, w, v, d1, floor in newton_weights(m, dm, start):
+    witnessed = _counts_as_zero(q1) or _counts_as_zero(q2)
+    if witnessed:
+        value = float(np.linalg.eigvalsh(base)[-1])
+        bound = (value + 2.0 * np.linalg.norm(q1) * np.linalg.norm(q2)
+                 + _margin(n, value, n * (big1 + big2 + big_p)))
+    spread = 2.0 * n * result.diagnostics.get("unbias_residual", 0.0)
+    feasible, decided = None, False
+    for alpha, w, v, d1, floor in newton_weights(*_schur_function(q1, q2, p_hat), result.alpha):
         f = float(w[-1])
-        s = n * (big1 / alpha + big2 / (1.0 - alpha) + big_p)
-        band = _margin(n, f, s)
-        bound = min(bound, f + band)
-        a, b, gap = _flat_direction(q1, q2, alpha, w, v, d1, 0.25 * band)
-        if gap <= np.finfo(float).eps * s:
-            value = max(value, _sample_top(base, q1, q2, a, b))
-            if f - value <= band:
-                return value, bound
-    a, b, _ = _flat_direction(q1, q2, alpha, w, v, d1, max(0.25 * band, f - floor))
-    return max(value, _sample_top(base, q1, q2, a, b)), bound
+        if not decided:
+            feasible = alpha if f <= tol else None
+            decided = feasible is not None or floor > tol
+        if not witnessed:
+            s = n * (big1 / alpha + big2 / (1.0 - alpha) + big_p)
+            band = _margin(n, f, s)
+            bound = min(bound, f + band)
+            width = max(0.25 * band, spread * s) if alpha == result.alpha else 0.25 * band
+            a, b, gap = _flat_direction(q1, q2, alpha, w, v, d1, width)
+            if gap <= np.finfo(float).eps * s:
+                value = max(value, _sample_top(base, q1, q2, a, b))
+                witnessed = f - value <= band
+        if decided and witnessed:
+            return _Walk(feasible, value, bound)
+    if not witnessed:
+        a, b, _ = _flat_direction(q1, q2, alpha, w, v, d1, max(0.25 * band, f - floor))
+        value = max(value, _sample_top(base, q1, q2, a, b))
+    return _Walk(feasible, value, bound)
 
 
 def _flat_direction(q1, q2, alpha: float, w, v, d1, width: float):
-    """``(Q1'v, Q2'v, gap)`` for :func:`_petersen_witness`'s unit ``v`` in the top cluster of ``M``.
+    """``(Q1'v, Q2'v, gap)`` for :func:`_walk`'s unit ``v`` in the top cluster of ``M``.
 
     ``w``, ``v`` are the ``eigh`` of ``M`` at ``alpha`` and ``d1`` is ``M'``;
     the cluster holds the eigenvectors with ``w >= w[-1] - width``.
@@ -579,28 +624,25 @@ def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
 
 
-def petersen_certificate(result, problem: FusionProblem) -> float | None:
-    """Scalar certificate ``eps = 1/alpha - 1`` found by a safeguarded Newton search.
+def petersen_certificate(result, problem: FusionProblem, walk: _Walk | None = None) -> float | None:
+    """Scalar certificate ``eps = 1/alpha - 1`` at the first weight of :func:`_walk` that certifies.
 
-    :func:`linalg.first_feasible_weight` searches the Schur complement M of
-    :func:`_schur_function` from the result's own weight; ``lambda_max(M)``
-    is :func:`petersen_objective` at ``eps``.  The first certifying
-    iterate's eps is returned, else ``None``.  At an interior weight
-    :func:`petersen_objective` must confirm it.  An iterate lies at an end
-    of ``[0, 1]`` only where M is finite there, as the gain block whose
-    weight vanishes counts as zero; its eps is ``math.inf`` at
-    ``alpha = 0`` and ``0.0`` at ``alpha = 1``, where the eps form is not
-    evaluated.
+    The walk searches the Schur complement M of :func:`_schur_function`
+    from the result's own weight; ``lambda_max(M)`` is
+    :func:`petersen_objective` at ``eps``, and is at most
+    :func:`certificate_tolerance` there.  ``None`` when no iterate
+    certifies.  An iterate lies at an end of ``[0, 1]`` only where M is
+    finite there, as the gain block whose weight vanishes counts as zero;
+    its eps is ``math.inf`` at ``alpha = 0`` and ``0.0`` at ``alpha = 1``.
+    ``walk`` is the result's :func:`_walk`, which :func:`certify` shares
+    with :func:`adversarial_x_search`; without it, one is run.
     """
-    tol = certificate_tolerance(result)
-    alpha = first_feasible_weight(
-        *_schur_function(*q_pair(result, problem), result.P_hat.data), tol, result.alpha)
+    alpha = (walk or _walk(result, problem)).feasible
     if alpha is None:
         return None
     if alpha in (0.0, 1.0):  # an end, where M drops a zero gain block
         return math.inf if alpha == 0.0 else 0.0
-    eps = 1.0 / alpha - 1.0
-    return eps if petersen_objective(result, problem, eps) <= tol else None
+    return 1.0 / alpha - 1.0
 
 
 def monte_carlo_joint(
@@ -659,27 +701,25 @@ def monte_carlo_joint(
                             certificate_tolerance(result))
 
 
-def _check_monte_carlo(result, problem: FusionProblem, worst_mc: float, worst_x: float) -> None:
+def _check_monte_carlo(result, problem: FusionProblem, worst_mc: float, worst_x: float,
+                       bound: float) -> None:
     """Raise :class:`InternalInconsistencyError` where Monte Carlo exceeds ``min f`` past rounding.
 
-    ``min f`` bounds every admissible sample (:func:`_petersen_witness`),
-    so a larger Monte Carlo value means the two routes disagree.  Both
-    values carry the rounding of an ``eigvalsh`` of a formed sample, each
-    of norm at most ``s = n (3 max|S1| + 3 max|S2| + max|P_hat|)``, which
-    :func:`_margin` at the witness exceeds (see :func:`_undecided`), and
-    the test allows twice that margin.  The witness is itself a sample, so
-    a Monte Carlo value at most one margin above it passes without
-    searching for ``min f`` again.
+    ``min f`` bounds every admissible sample, and ``bound`` is ``min f``
+    plus its rounding (:func:`_walk`), so a larger Monte Carlo value means
+    the two routes disagree.  Both values carry the rounding of an
+    ``eigvalsh`` of a formed sample, each of norm at most
+    ``s = n (3 max|S1| + 3 max|S2| + max|P_hat|)``, which :func:`_margin`
+    at the witness exceeds (see :func:`_undecided`), and the test allows
+    twice that margin.  The witness is itself a sample, so a Monte Carlo
+    value at most one margin above it passes as well.
     """
     q1, q2 = q_pair(result, problem)
     p_hat = result.P_hat.data
     n = p_hat.shape[0]
     s = n * (3.0 * (np.abs(q1 @ q1.T).max() + np.abs(q2 @ q2.T).max()) + np.abs(p_hat).max())
     margin = _margin(n, worst_x, s)
-    if worst_mc <= worst_x + margin:
-        return
-    _, bound = _petersen_witness(q1, q2, p_hat, result.alpha)
-    if worst_mc > bound + 2.0 * margin:
+    if worst_mc > max(worst_x + margin, bound + 2.0 * margin):
         raise InternalInconsistencyError(
             f"Monte Carlo value {worst_mc:.17g} exceeds min f = {bound:.17g}, "
             f"which bounds every admissible sample"
@@ -698,7 +738,8 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
     ``lmi`` reuses a solve's ``lmi_min_eig`` (``solve_ci`` raises unless it
     passed) and certifies any other result; ``petersen`` is the scalar
     certificate's eps, ``inf`` or ``0`` where a zero gain block puts it at
-    an end weight; ``adversarial-x`` is the exact witness, and ``samples``
+    an end weight; ``adversarial-x`` is the exact witness, both read off
+    one :func:`_walk` over the weight; ``samples``
     and ``seed`` drive Monte Carlo alone, whose value above ``min f``
     beyond rounding raises :class:`InternalInconsistencyError`; ``truth``
     adds ``truth-joint``.
@@ -710,11 +751,12 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
         cert = lmi_certificate(result, problem, result.alpha)
         passed, min_eig = cert.passed, cert.lmi_min_eig
     rows = [CertificateRow("lmi", passed, "min_eig", min_eig)]
-    eps = petersen_certificate(result, problem)
+    walk = _walk(result, problem)
+    eps = petersen_certificate(result, problem, walk)
     rows.append(CertificateRow("petersen", eps is not None, "eps", eps))
-    worst_x = adversarial_x_search(result, problem)
+    worst_x = adversarial_x_search(result, problem, walk)
     worst_mc = monte_carlo_joint(result, problem, samples, seed)
-    _check_monte_carlo(result, problem, worst_mc, worst_x)
+    _check_monte_carlo(result, problem, worst_mc, worst_x, walk.bound)
     rows.append(CertificateRow("adversarial-x", worst_x <= tol, "worst", worst_x))
     rows.append(CertificateRow("monte-carlo", worst_mc <= tol, "worst", worst_mc))
     if truth is not None:

@@ -13,9 +13,9 @@ from cifusion.linalg import (
     DEFAULT_TOL,
     PETERSEN_WIDTH,
     PsdMatrix,
-    first_feasible_weight,
     inv_pd,
     loewner_compare,
+    newton_weights,
     sym_data,
     tol_scale,
 )
@@ -407,6 +407,22 @@ def delta_poly_coeffs(problem: FusionProblem) -> np.ndarray:
     return np.linalg.solve(vander, values) if n > 1 else values
 
 
+def first_feasible_weight(m, dm, tol: float, start: float) -> float | None:
+    """First iterate of ``linalg.newton_weights`` from ``start`` with ``lambda_max(M) <= tol``.
+
+    ``None`` once the end tangents bound ``min f`` above ``tol`` (by
+    convexity, no weight qualifies) or the bracket is ``PETERSEN_WIDTH``
+    wide.  The question that ``verifier._walk`` answers for the scalar
+    certificate, kept as the oracle of the searches below.
+    """
+    for alpha, w, _, _, floor in newton_weights(m, dm, start):
+        if w[-1] <= tol:
+            return alpha
+        if floor > tol:
+            return None
+    return None
+
+
 def feasible_weight_end(m, tol: float, inside: float, end: float) -> float:
     """The end towards ``end`` (0.0 or 1.0) of the weights with ``lambda_max(M) <= tol``.
 
@@ -430,7 +446,7 @@ def feasible_weight_interval(m, dm, tol: float, start: float) -> tuple[float, fl
     """The weights with ``lambda_max(M) <= tol``, one interval ``(lo, hi)``, or ``None``.
 
     Each end is :func:`feasible_weight_end` from the weight
-    ``linalg.first_feasible_weight`` finds; ``m`` and ``dm`` are as there.
+    :func:`first_feasible_weight` finds; ``m`` and ``dm`` are as there.
     """
     inside = first_feasible_weight(m, dm, tol, start)
     if inside is None:
@@ -483,7 +499,7 @@ def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float
     candidate's inverse, ``a`` qualifies when ``lambda_max(T - a*Sigma1 -
     (1-a)*Sigma0) <= tol``, ``tol = DEFAULT_TOL * tol_scale`` of the three
     matrices' largest entry: that is convex in ``a``, so from the weight
-    ``linalg.first_feasible_weight`` finds from ``a = 0`` the answer is
+    :func:`first_feasible_weight` finds from ``a = 0`` the answer is
     :func:`feasible_weight_end` towards 0, exactly 0.0 when ``a = 0``
     qualifies.
     """

@@ -864,6 +864,32 @@ class TestProblemFiles:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["fuse", "scan", "known", "verify"])
+    @pytest.mark.parametrize("key", ["est1", "est2"])
+    def test_estimate_with_no_rows_exits_two_naming_its_h(self, tmp_path, capsys, command, key):
+        doc = dict(EXAMPLE2, **{key: {"H": [], "x_hat": [], "P_hat": []}})
+        samples = ["--samples", "10"] if command == "verify" else []
+        out, err, code = run_main([command, write(tmp_path, doc)] + samples, capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == f"error: {key}.H: an estimate needs at least one row\n"
+
+    @pytest.mark.parametrize("command", ["fuse", "scan", "known", "verify"])
+    @pytest.mark.parametrize("block", [5, None, True, [], "x"])
+    def test_estimate_that_is_not_an_object_exits_two_naming_it(self, tmp_path, capsys,
+                                                                command, block):
+        samples = ["--samples", "10"] if command == "verify" else []
+        for key in ("est1", "est2"):
+            doc = dict(EXAMPLE2, **{key: block})
+            out, err, code = run_main([command, write(tmp_path, doc)] + samples, capsys)
+            assert (out, code) == ("", cli.EXIT_INPUT)
+            assert err == f"error: {key}: {json.dumps(block)} is not a JSON object\n"
+
+    @pytest.mark.parametrize("key", ["est1", "est2"])
+    def test_missing_estimate_block_says_so(self, tmp_path, capsys, key):
+        doc = {k: v for k, v in EXAMPLE2.items() if k != key}
+        out, err, code = run_main(["fuse", write(tmp_path, doc)], capsys)
+        assert (out, code, err) == ("", cli.EXIT_INPUT, f"error: {key}: missing estimate block\n")
+
+    @pytest.mark.parametrize("command", ["fuse", "scan", "known", "verify"])
     @pytest.mark.parametrize("truth", [5, None, True, 1e308, "P1 P2 P12"])
     def test_truth_that_is_not_an_object_exits_two_naming_it(self, tmp_path, capsys,
                                                              command, truth):
@@ -1092,8 +1118,7 @@ class TestSamplerFailures:
         result = solve_ci(problem, Cost.DET)
         if "p_hat_override" in extras:
             result = dataclasses.replace(result, P_hat=extras["p_hat_override"], diagnostics={})
-        q1, q2 = verifier.q_pair(result, problem)
-        _, bound = verifier._petersen_witness(q1, q2, result.P_hat.data, result.alpha)
+        bound = verifier._walk(result, problem).bound
         witness = verifier.adversarial_x_search(result, problem)
         assert witness <= bound
         for above, code in ((1e-6, cli.EXIT_INTERNAL), (0.0, None)):

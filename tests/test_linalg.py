@@ -11,7 +11,6 @@ from cifusion.linalg import (
     PETERSEN_WIDTH,
     LoewnerRelation,
     adjugate,
-    first_feasible_weight,
     inv_pd,
     loewner_compare,
     psd_certify,
@@ -20,6 +19,7 @@ from cifusion.linalg import (
 
 from conftest import (
     feasible_weight_interval,
+    first_feasible_weight,
     joint_from_cross_parameter,
     random_joint,
     random_spd,

@@ -155,3 +155,18 @@ def test_one_function_decides_when_a_gain_block_counts_as_zero():
                for scope in _readers(ast.parse(path.read_text(), filename=str(path)),
                                      "ZERO_Q_TOL")}
     assert readers == {("verifier.py", "_counts_as_zero")}
+
+
+def test_one_walk_over_the_weight_serves_the_verifier():
+    # the scalar certificate and the witness read the iterates of one walk,
+    # so a second search over f does not creep back into the package
+    readers = {(path.name, scope)
+               for path in sorted(Path(cifusion.__file__).parent.glob("*.py"))
+               for scope in _readers(ast.parse(path.read_text(), filename=str(path)),
+                                     "newton_weights")}
+    assert readers == {("verifier.py", "_walk")}
+    walk = next(node for node in ast.parse(Path(cifusion.verifier.__file__).read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_walk")
+    calls = [node for node in ast.walk(walk) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "newton_weights"]
+    assert len(calls) == 1

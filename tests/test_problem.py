@@ -10,7 +10,7 @@ from cifusion.errors import (
     StackedRankDeficientError,
 )
 from cifusion.linalg import LoewnerRelation
-from cifusion.problem import _pair_ranks, matrix_rank
+from cifusion.problem import _pair_ranks, covariance, matrix_rank
 
 
 class TestPartialEstimate:
@@ -33,6 +33,11 @@ class TestPartialEstimate:
     def test_non_finite_entries_rejected(self, h, x_hat, p_hat):
         with pytest.raises(NonFiniteError):
             PartialEstimate(h, x_hat, p_hat)
+
+    def test_empty_covariance_block_is_a_dimension_error(self):
+        # an empty block has no largest entry to scale the transpose check by
+        with pytest.raises(DimensionMismatchError, match="^P_hat: shape \\(0, 0\\)"):
+            covariance(np.zeros((0, 0)), 0, "P_hat")
 
     def test_arrays_are_frozen(self):
         est = PartialEstimate([[1.0, 0.0]], [0.0], [[1.0]])

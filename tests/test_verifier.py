@@ -420,6 +420,20 @@ def golden_bracket(result, problem) -> tuple[float, float]:
     return minimum, max(ends) - minimum
 
 
+def count_eig_calls(monkeypatch) -> list[str]:
+    """Patch ``np.linalg.eigh`` and ``eigvalsh`` to log their names into the returned list."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def verify_case_results(seed: int, tmp_path):
     """The benchmark's verify files for ``seed``: the result ``verify`` certifies, with its problem."""
     sys.path.insert(0, str(BENCH))
@@ -533,19 +547,30 @@ class TestAdversarialSearch:
                 if both_blocks_nonzero(result, problem):
                     cases.append((result, problem))
         assert len(cases) >= 15
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_eig_calls(monkeypatch)
         for result, problem in cases:
             calls.clear()
             assert adversarial_x_search(result, problem) <= certificate_tolerance(result)
             assert calls.count("eigh") <= 2 and calls.count("eigvalsh") == 1, calls
+
+    def test_ill_conditioned_solve_stops_at_its_own_weight(self, monkeypatch):
+        # rng 3's second instance under TRACE (n = 2, cond 3.4e4): at the
+        # solved weight M is zero only to the solve's accuracy, with an
+        # eigenvalue of -9e-8 against a band of 2e-8, so a cluster of band / 4
+        # holds the top eigenvector alone; the width from the result's unbias
+        # residual holds both, and the walk stops at its first iterate
+        rng = np.random.default_rng(3)
+        random_problem(rng)
+        problem = random_problem(rng)
+        result = solve_ci(problem, Cost.TRACE)
+        m, _ = verifier._schur_function(*q_pair(result, problem), result.P_hat.data)
+        assert np.linalg.eigvalsh(m(result.alpha))[0] < -5e-8
+        minimum, resolution = golden_bracket(result, problem)
+        calls = count_eig_calls(monkeypatch)
+        value = adversarial_x_search(result, problem)
+        assert calls.count("eigh") <= 3, calls
+        slack = 1e-13 * np.linalg.norm(result.P_hat.data, 2)
+        assert -slack <= minimum - value <= resolution + slack
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_never_below_the_sampling_oracle_on_the_benchmark_files(self, seed, tmp_path):
@@ -703,6 +728,31 @@ class TestPetersenCertificate:
             evals.clear()
             assert petersen_certificate(result, problem) is None
             assert 1 <= len(evals) <= 10
+
+
+class TestCallBudget:
+    """``certify``'s ``petersen`` and ``adversarial-x`` rows read one walk over the weight."""
+
+    def test_both_rows_of_a_solved_result_make_two_eigh_and_one_eigvalsh(self, monkeypatch):
+        # a solved result certifies at its own weight, where the witness
+        # stops too: one eigh of M, one of M' on its top cluster and the
+        # sample's eigvalsh; with a zero gain block, one eigh and the
+        # eigvalsh of the sample at X* = 0
+        rng = np.random.default_rng(30)
+        pool = [random_problem(rng, n=n) for n in (2, 3, 4, 5, 6, 8) for _ in range(2)]
+        pool += [random_problem(rng, full_state=True), interior_problem(), example2_problem(),
+                 dominated_problem(rng, 3, True), dominated_problem(rng, 4, False)]
+        cases = [(solve_ci(problem, cost), problem) for problem in pool for cost in Cost]
+        live = sum(both_blocks_nonzero(result, problem) for result, problem in cases)
+        assert live >= 15 and len(cases) - live >= 2
+        monkeypatch.setattr(verifier, "monte_carlo_joint", lambda *args: -np.inf)
+        calls = count_eig_calls(monkeypatch)
+        for result, problem in cases:
+            calls.clear()
+            rows = verifier.certify(result, problem)
+            assert [row.name for row in rows][1:3] == ["petersen", "adversarial-x"]
+            assert all(row.passed for row in rows), rows
+            assert calls.count("eigh") <= 2 and calls.count("eigvalsh") <= 1, calls
 
 
 class TestMonteCarloJoint:
