@@ -29,11 +29,7 @@ class InternalInconsistencyError(CiFusionError):
     """Two independent evaluation routes disagreed beyond tolerance."""
 
 
-class RankDeficientError(CiFusionError):
-    """Observation matrices violate the full-rank validity assumptions."""
-
-
-class StackedRankDeficientError(RankDeficientError):
+class StackedRankDeficientError(CiFusionError):
     """The stacked observation matrix of a pair does not reach full state rank."""
 
 

@@ -219,23 +219,35 @@ def _tangent_floor(lo_tangent, hi_tangent, lo: float, hi: float) -> tuple[float,
     """Where on ``[lo, hi]`` the larger of two end tangents is least, and that value.
 
     A tangent is ``(alpha, f, slope)`` of a convex function at ``lo`` or ``hi``, or
-    ``None`` at an unevaluated end (at most one); the value bounds it below.
+    ``None`` at an unevaluated end (at most one); the value bounds it below.  Each
+    tangent's value ``f + rise``, ``rise = slope (x - alpha)``, is taken less
+    ``8 eps (|f| + |rise|)``, more than the rounding of the sum: far from the
+    minimiser, as at a tiny weight, f and the rise are huge and cancel, and their
+    rounding alone could lift the value above ``min f``.
     """
+
+    def below(tangent, x: float) -> float:
+        a, f, g = tangent
+        rise = g * (x - a)
+        return f + rise - 8.0 * math.ulp(1.0) * (abs(f) + abs(rise))
+
     if lo_tangent is None or hi_tangent is None:
-        a, f, g = lo_tangent or hi_tangent
         x = lo if lo_tangent is None else hi
-        return x, f + g * (x - a)
+        return x, below(lo_tangent or hi_tangent, x)
     (a1, f1, g1), (a2, f2, g2) = lo_tangent, hi_tangent
     x = min(max((f1 - f2 + g2 * a2 - g1 * a1) / (g2 - g1), lo), hi)
-    return x, max(f1 + g1 * (x - a1), f2 + g2 * (x - a2))
+    return x, max(below(lo_tangent, x), below(hi_tangent, x))
 
 
 def newton_weights(m, dm, start: float):
     """Iterates of a safeguarded Newton search for the minimiser of ``f = lambda_max(M)``.
 
     ``m(alpha)`` is a symmetric matrix on ``[0, 1]`` whose ``f`` is convex,
-    or ``None`` at an end where M is infinite, which is never evaluated but
-    bisected towards; ``dm(alpha)`` is ``(M', M'')``.  Each evaluated
+    or ``None`` where M is infinite or overflows, as at an end;
+    ``dm(alpha)`` is ``(M', M'')``.  A weight where M or M' is not finite
+    is never evaluated but bisected towards, and it bounds the bracket on
+    the side of the nearer end of ``[0, 1]``; an infinite M'' only drops
+    the Newton step there.  Each evaluated
     iterate is yielded as ``(alpha, w, v, d1, floor)``: the ``eigh`` of
     ``M(alpha)``, ``M'`` there, and the lower bound on ``min f`` from the
     end tangents.  From ``start``, the sign of ``f' = v'M'v`` keeps a
@@ -257,12 +269,19 @@ def newton_weights(m, dm, start: float):
     older = old = math.inf  # the step lengths two steps and one step back
     while True:
         value = m(alpha)
-        if value is None:  # an end where M is infinite: bisect towards it instead
+        d1, d2 = (None, None) if value is None else dm(alpha)
+        if d1 is None or not np.isfinite(d1).all():
+            # as at an end where M is infinite: bisect towards it instead
+            if alpha < 0.5:
+                lo = max(lo, alpha)
+            else:
+                hi = min(hi, alpha)
+            if hi - lo <= PETERSEN_WIDTH:
+                return
             alpha = 0.5 * (lo + hi)
             continue
         w, v = np.linalg.eigh(value)
         f, top = float(w[-1]), v[:, -1]
-        d1, d2 = dm(alpha)
         slope = float(top @ d1 @ top)
         if slope < 0.0:
             lo, lo_tangent = alpha, (alpha, f, slope)
@@ -272,7 +291,8 @@ def newton_weights(m, dm, start: float):
         yield alpha, w, v, d1, floor
         if hi - lo <= PETERSEN_WIDTH:
             return
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an overflowing f'' gives a zero Newton step, which the cut or bisection replaces
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             gap_term = 2.0 * np.sum((v[:, :-1].T @ d1 @ top) ** 2 / (f - w[:-1]))
             newton = alpha - slope / (float(top @ d2 @ top) + gap_term)
         newton_ok, cut_ok = (0.5 * PETERSEN_WIDTH < abs(x - alpha) <= 0.5 * older

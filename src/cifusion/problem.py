@@ -2,11 +2,11 @@
 
 :func:`covariance` certifies every covariance block that enters the package
 from outside: an estimate's, a known joint's, the simulator's true ones and
-those the CLI reads.  A partial estimate observes ``H x`` for a full-row-rank
-H; a fusion problem is an ordered pair of such estimates whose stacked
-observation matrix has full column rank.  Rank validation happens once here
-so the solvers can assume it: one batched SVD gives the ranks of H1, H2 and
-the stack.  Each estimate has one factor, the Cholesky factor ``L`` of its
+those the CLI reads.  A partial estimate observes ``H x`` for any ``p x n``
+matrix H; a fusion problem is an ordered pair of such estimates whose
+stacked observation matrix has full column rank.  That is the one
+solvability test, made once here by one SVD of the stack, so the solvers
+can assume it.  Each estimate has one factor, the Cholesky factor ``L`` of its
 covariance, which gives ``P_hat^-1`` and the certificate's scaled gain
 blocks ``K L``; no symmetric root of a covariance is taken here.  A problem
 is preprocessed once: its information matrices and their joint
@@ -30,7 +30,6 @@ from .errors import (
     NonFiniteError,
     NotPdError,
     NotPsdError,
-    RankDeficientError,
     SingularSigmaError,
     StackedRankDeficientError,
 )
@@ -50,32 +49,11 @@ RANK_RTOL = 1e-10
 
 
 def matrix_rank(m: np.ndarray) -> int:
-    """Numerical rank with the package-wide singular-value threshold."""
-    return _rank_of(np.linalg.svd(m, compute_uv=False))
-
-
-def _rank_of(svals: np.ndarray) -> int:
-    """Singular values above ``RANK_RTOL`` times the largest, which comes first."""
+    """Numerical rank: the singular values above ``RANK_RTOL`` times the largest."""
+    svals = np.linalg.svd(m, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > RANK_RTOL * svals[0]))
-
-
-def _pair_ranks(h1: np.ndarray, h2: np.ndarray) -> tuple[tuple[int, int, int], np.ndarray]:
-    """:func:`matrix_rank` of H1, H2 and ``[H1; H2]`` from one batched SVD, and the stack.
-
-    The three sit in one stack of the stacked shape, H1 and H2 zero-padded;
-    zero rows add only zero singular values, so each count is that of the
-    unpadded matrix.  The stacked matrix is returned as a read-only view.
-    """
-    p1 = h1.shape[0]
-    stack = np.zeros((3, p1 + h2.shape[0], h1.shape[1]))
-    stack[0, :p1] = stack[2, :p1] = h1
-    stack[1, p1:] = stack[2, p1:] = h2
-    ranks = tuple(_rank_of(s) for s in np.linalg.svd(stack, compute_uv=False))
-    h = stack[2]
-    h.flags.writeable = False
-    return ranks, h
 
 
 def covariance(value, dim: int, name: str) -> PsdMatrix:
@@ -110,7 +88,11 @@ def covariance(value, dim: int, name: str) -> PsdMatrix:
 
 
 class PartialEstimate:
-    """One node's observation model, estimate and strictly PD covariance."""
+    """One node's observation model, estimate and strictly PD covariance.
+
+    H may have dependent rows or more rows than the state; only the pair's
+    stacked H must have full column rank (:class:`FusionProblem`).
+    """
 
     def __init__(self, h, x_hat, p_hat):
         # copies, so that freezing them leaves the caller's arrays writable
@@ -165,12 +147,12 @@ class PartialEstimate:
 class FusionProblem:
     """A validated pair of partial estimates.
 
-    Construction enforces the rank assumptions ``rank(H1) = p1``,
-    ``rank(H2) = p2`` and ``rank([H1; H2]) = n`` by singular values
-    (threshold ``RANK_RTOL * sigma_max``), all three from one batched SVD,
-    and checks them in that order; a stacked rank below n raises
-    :class:`StackedRankDeficientError`.  There is no automatic
-    rank-reduction preprocessing.
+    Construction makes the one solvability test, ``rank([H1; H2]) = n`` by
+    :func:`matrix_rank`, and raises :class:`StackedRankDeficientError`
+    below it.  Neither H needs full row rank: a sensor may have dependent
+    rows, or more rows than the state, as every formula here needs only
+    PD covariances and a nonsingular stacked information matrix.  The
+    stack is kept, read-only, as :attr:`h_stacked`.
     """
 
     def __init__(self, est1: PartialEstimate, est2: PartialEstimate):
@@ -178,18 +160,15 @@ class FusionProblem:
             raise DimensionMismatchError(
                 f"state dimensions differ: {est1.n} vs {est2.n}"
             )
-        (rank1, rank2, rank), h = _pair_ranks(est1.h, est2.h)
-        if rank1 != est1.p:
-            raise RankDeficientError("H1 does not have full row rank")
-        if rank2 != est2.p:
-            raise RankDeficientError("H2 does not have full row rank")
+        h = np.vstack([est1.h, est2.h])
+        rank = matrix_rank(h)
         if rank != est1.n:
             raise StackedRankDeficientError(
                 f"stacked observation matrix has rank {rank} < n = {est1.n}"
             )
         self.est1 = est1
         self.est2 = est2
-        self.h_stacked = h
+        self.h_stacked = _frozen(h)
 
     @property
     def n(self) -> int:
@@ -239,8 +218,9 @@ class Cost(enum.Enum):
 class JointSpectrum:
     """Joint diagonalisation of the two information matrices.
 
-    With ``S = (Sigma1 + Sigma0) / 2 = L L.T`` (PD under the rank
-    assumptions), ``M = L^-1 (Sigma1 - Sigma0) L^-T = V diag(lam) V.T`` and
+    With ``S = (Sigma1 + Sigma0) / 2 = L L.T`` (PD when the stacked H has
+    full column rank, up to rounding),
+    ``M = L^-1 (Sigma1 - Sigma0) L^-T = V diag(lam) V.T`` and
     ``t = alpha - 1/2``, the blend is ``Sigma_alpha = L V (I + t diag(lam))
     V.T L.T``.  So with ``W = L^-T V`` the fused covariance is
     ``W diag(1 / (1 + t lam)) W.T`` (:meth:`fused_cov`), and its ``det`` and

@@ -130,7 +130,8 @@ def lmi_certificate(
     count as zero at its zero weight, that route fails without a test: the
     block then has a zero diagonal entry with a nonzero coupling, so its
     smallest eigenvalue is at most zero and the direct route cannot clearly
-    pass.  A disagreement with both margins clearly outside their bands
+    pass.  Where M overflows, next to such a weight, the cross-check is
+    skipped.  A disagreement with both margins clearly outside their bands
     raises :class:`InternalInconsistencyError`; otherwise the direct
     verdict stands.
     """
@@ -171,7 +172,9 @@ def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
     """``m`` and ``dm`` of ``M = S1/alpha + S2/(1 - alpha) - P_hat`` for the weight search.
 
     ``S_i = Q_i Q_i'``; as in a generalized Schur complement, ``S_i/0`` is 0 when ``Q_i``
-    counts as zero (:func:`_counts_as_zero`), else M is infinite (``m`` gives ``None``).
+    counts as zero (:func:`_counts_as_zero`), else M is infinite.  ``m`` gives ``None``
+    wherever M is infinite or overflows, and ``dm``'s ``(M', M'')`` may hold infinities
+    near such a weight; neither warns.
     """
     zero = np.zeros(p_hat.shape)
     s1, s2 = (None if _counts_as_zero(q) else q @ q.T for q in (q1, q2))
@@ -180,13 +183,14 @@ def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
         return zero if s is None else s / t
 
     def m(alpha: float):
-        if (s1 is not None and alpha == 0.0) or (s2 is not None and alpha == 1.0):
-            return None
-        return over(s1, alpha) + over(s2, 1.0 - alpha) - p_hat
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = over(s1, alpha) + over(s2, 1.0 - alpha) - p_hat
+        return value if np.isfinite(value).all() else None
 
     def dm(alpha: float):
         a, b = alpha, 1.0 - alpha
-        return over(s2, b**2) - over(s1, a**2), 2.0 * (over(s1, a**3) + over(s2, b**3))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return over(s2, b**2) - over(s1, a**2), 2.0 * (over(s1, a**3) + over(s2, b**3))
 
     return m, dm
 
@@ -590,7 +594,8 @@ def _flat_direction(q1, q2, alpha: float, w, v, d1, width: float):
         top = np.sqrt(hi / (hi - lo)) * low + np.sqrt(-lo / (hi - lo)) * high
     a, b = q1.T @ top, q2.T @ top
     x, y = math.sqrt(a @ a), math.sqrt(b @ b)
-    return a, b, alpha * (1.0 - alpha) * (x / alpha - y / (1.0 - alpha)) ** 2
+    d = x / alpha - y / (1.0 - alpha)
+    return a, b, alpha * (1.0 - alpha) * d * d  # infinite, not an error, at a tiny weight
 
 
 def _sample_top(base: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: np.ndarray,

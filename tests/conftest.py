@@ -42,7 +42,10 @@ def random_problem(
     rng, n: int | None = None, p1: int | None = None, p2: int | None = None,
     full_state: bool = False,
 ) -> FusionProblem:
-    """An (A1)-valid random instance; Gaussian H's are full rank a.s."""
+    """A random instance whose stacked H has full column rank.
+
+    ``p1 + p2 >= n`` and Gaussian H's are of full rank almost surely.
+    """
     if n is None:
         n = int(rng.integers(2, 6))
     if full_state:
@@ -56,6 +59,31 @@ def random_problem(
     est1 = PartialEstimate(h1, rng.standard_normal(p1), random_spd(rng, p1))
     est2 = PartialEstimate(h2, rng.standard_normal(p2), random_spd(rng, p2))
     return FusionProblem(est1, est2)
+
+
+def compressed_sensor_pair(rng, n: int, rank: int, rows: int):
+    """A sensor ``H1 = M H'`` of ``rows`` rows and rank ``rank``, and its BLUE compression.
+
+    ``H'`` is ``rank x n`` and ``M`` is ``rows x rank``, both Gaussian, so
+    of full rank.  The compressed sensor observes ``H' x`` with
+    ``P' = (M' P1^-1 M)^-1`` and ``x' = P' M' P1^-1 x1``, which carries the
+    same information ``H1' P1^-1 H1 = H'' P'^-1 H'`` and the same
+    information vector.  The second sensor makes the stack reach rank n.
+    """
+    h_small = rng.standard_normal((rank, n))
+    m = rng.standard_normal((rows, rank))
+    p1 = random_spd(rng, rows)
+    x1 = rng.standard_normal(rows)
+    m_info = m.T @ np.linalg.solve(p1, np.column_stack([m, x1]))
+    p_small = np.linalg.inv(m_info[:, :rank])
+    p_small = 0.5 * (p_small + p_small.T)
+    x_small = p_small @ m_info[:, rank]
+    p2 = int(rng.integers(max(1, n - rank), n + 1))
+    est2 = PartialEstimate(rng.standard_normal((p2, n)), rng.standard_normal(p2),
+                           random_spd(rng, p2))
+    full = FusionProblem(PartialEstimate(m @ h_small, x1, p1), est2)
+    small = FusionProblem(PartialEstimate(h_small, x_small, p_small), est2)
+    return full, small
 
 
 def dominated_problem(rng, n: int, dominant_first: bool = True) -> FusionProblem:

@@ -37,6 +37,7 @@ from cifusion.verifier import (
 
 from conftest import (
     alpha_uniqueness_check,
+    compressed_sensor_pair,
     delta_poly_coeffs,
     first_order_width,
     fixed_point_residual,
@@ -458,15 +459,30 @@ def _ci_member_gains(problem, weights):
                            (1.0 - w) * fused @ (est2.h.T @ est2.p_inv)], axis=2)
 
 
+def _criterion_8_problems(rng):
+    """40 random instances, then 8 whose first sensor lacks full row rank.
+
+    Of those 8, the even ones have dependent rows (rank below n), the odd
+    ones more rows than the state (rank n); each has one to three rows
+    more than its rank.  They are drawn lazily, so the gains drawn for one
+    instance come before the next instance's draws.
+    """
+    for i in range(40):
+        yield random_problem(rng, full_state=i % 4 == 0)
+    for i in range(8):
+        n = int(rng.integers(2, 6))
+        rank = n if i % 2 else int(rng.integers(1, n))
+        yield compressed_sensor_pair(rng, n, rank, rank + int(rng.integers(1, 4)))[0]
+
+
 def test_criterion_8_no_conservative_rule_beats_ci():
     crit = Criterion(8, "no conservative unbiased linear rule beats CI", 5.0)
     rng = np.random.default_rng(123)
     grid = np.linspace(0.0, 1.0, 35)[1:-1]
     members = np.linspace(0.0, 1.0, 18)[1:-1]
     tol = 1e-9
-    perturbed = stationary = 0
-    for i in range(40):
-        problem = random_problem(rng, full_state=i % 4 == 0)
+    perturbed = stationary = without_row_rank = 0
+    for i, problem in enumerate(_criterion_8_problems(rng)):
         h = problem.h_stacked
         nullspace = np.eye(h.shape[0]) - h @ np.linalg.pinv(h)
         for cost in (Cost.DET, Cost.TRACE):
@@ -508,6 +524,7 @@ def test_criterion_8_no_conservative_rule_beats_ci():
                 crit.check(margins.min() >= -tol,
                            f"{tag}: a perturbed gain beats CI by {-margins.min():.3g} (eps {eps})")
             perturbed += 1
+            without_row_rank += i >= 40
             if 0.0 < alpha < 1.0:
                 # stationarity: the bound is quadratic in K, so its central
                 # difference along N is the first-order change, which the CI
@@ -521,5 +538,9 @@ def test_criterion_8_no_conservative_rule_beats_ci():
                 stationary += 1
     crit.check(perturbed >= 40 and stationary >= 20,
                f"only {perturbed} perturbed and {stationary} stationarity solves")
+    # every solve on a sensor without full row rank takes the sharp test:
+    # its stack has more rows than the state
+    crit.check(without_row_rank == 16,
+               f"only {without_row_rank} perturbed solves lack full row rank")
     crit.conclude()
 

@@ -30,6 +30,15 @@ SCALAR_PAIR = {
 }
 
 
+#: a pair whose fused result certifies at eps = 3.5 (alpha = 2/9) but not
+#: at a tiny stored weight
+TINY_WEIGHT_PAIR = {
+    "n": 2,
+    "est1": {"H": [[1, 0]], "x_hat": [0.3], "P_hat": [[1]]},
+    "est2": {"H": [[0, 1], [1, 1]], "x_hat": [0.1, -0.2], "P_hat": [[1, 0.1], [0.1, 2]]},
+}
+
+
 def write(tmp_path, doc, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -66,22 +75,45 @@ class TestFuse:
         rc = cli.main(["fuse", write(tmp_path, doc)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "(A1)" in err
+        assert err == ("error: est1/est2: Assumption (A1) validation failed: "
+                       "stacked observation matrix has rank 1 < n = 2\n")
 
-    @pytest.mark.parametrize("h1, h2, reason", [
-        ([[1, 0], [2, 0]], [[0, 1]], "H1 does not have full row rank"),
-        ([[0, 1]], [[1, 0], [2, 0]], "H2 does not have full row rank"),
-        ([[1, 0]], [[2, 0]], "stacked observation matrix has rank 1 < n = 2"),
+    @pytest.mark.parametrize("h1, h2", [
+        ([[1, 0], [2, 0]], [[0, 1]]),
+        ([[0, 1]], [[1, 0], [2, 0]]),
     ])
-    def test_each_rank_error_exits_two_with_its_message(self, tmp_path, capsys, h1, h2, reason):
+    def test_sensor_with_dependent_rows_fuses_and_verifies(self, tmp_path, capsys, h1, h2):
+        # only the stacked rank decides solvability, not each sensor's row rank
         doc = {"n": 2}
         for key, h in (("est1", h1), ("est2", h2)):
             doc[key] = {"H": h, "x_hat": [0] * len(h), "P_hat": np.eye(len(h)).tolist()}
-        rc = cli.main(["fuse", write(tmp_path, doc)])
-        assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: est1/est2: Assumption (A1) validation failed: {reason}\n"
-        )
+        path = write(tmp_path, doc)
+        assert cli.main(["fuse", path]) == 0
+        assert cli.main(["verify", path, "--samples", "50"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("verdict: all certificates pass\n")
+
+    def test_sensor_with_more_rows_than_the_state(self, tmp_path, capsys):
+        # a 3-row sensor of a 2-state: fuse, scan, known and verify all run
+        doc = {
+            "n": 2,
+            "est1": {"H": [[1, 0], [0, 1], [1, 1]], "x_hat": [0.1, -0.2, 0.3],
+                     "P_hat": [[1, 0.2, 0], [0.2, 2, 0.1], [0, 0.1, 1.5]]},
+            "est2": {"H": [[0, 1]], "x_hat": [0.4], "P_hat": [[0.5]]},
+            "truth": {"P1": [[1, 0.2, 0], [0.2, 2, 0.1], [0, 0.1, 1.5]], "P2": [[0.5]],
+                      "P12": [[0.1], [0.2], [0.0]]},
+        }
+        path = write(tmp_path, doc)
+        for command in (["fuse", path], ["fuse", path, "--cost", "trace"],
+                        ["scan", path, "--grid", "5"], ["known", path]):
+            assert cli.main(command) == 0, command
+        assert capsys.readouterr().err == ""
+        assert cli.main(["verify", path, "--samples", "200"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "truth-joint" in captured.out
+        assert captured.out.endswith("verdict: all certificates pass\n")
 
     def test_output_is_deterministic(self, tmp_path):
         path = write(tmp_path, EXAMPLE2)
@@ -153,6 +185,17 @@ class TestCovarianceNearFloatMax:
 
     def test_verify_passes_every_row(self, tmp_path, capsys):
         rc = cli.main(["verify", write(tmp_path, NEAR_FLOAT_MAX), "--samples", "20"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.endswith("verdict: all certificates pass\n")
+
+    def test_verify_where_the_curvature_overflows(self, tmp_path, capsys):
+        # at 1e307 units M'' overflows at the solved weight while M and M'
+        # do not: the walk still evaluates there and certifies
+        doc = json.loads(json.dumps(TINY_WEIGHT_PAIR))
+        for key in ("est1", "est2"):
+            doc[key]["P_hat"] = (1e307 * np.array(doc[key]["P_hat"])).tolist()
+        rc = cli.main(["verify", write(tmp_path, doc), "--samples", "50"])
         captured = capsys.readouterr()
         assert rc == 0 and captured.err == ""
         assert captured.out.endswith("verdict: all certificates pass\n")
@@ -285,6 +328,38 @@ class TestVerify:
                 if r.startswith("petersen")]
         assert rc == 0
         assert rows == [["petersen", "PASS", f"eps={eps}"]]
+
+    @staticmethod
+    def _stored_rows(tmp_path, capsys, alpha):
+        """``verify``'s exit code and ``{row: (verdict, value)}`` on the fused pair at ``alpha``."""
+        problem = write(tmp_path, TINY_WEIGHT_PAIR)
+        fused = tmp_path / "fused.json"
+        assert cli.main(["fuse", problem, "--out", str(fused)]) == 0
+        stored = json.loads(fused.read_text())
+        stored["alpha"] = alpha
+        rc = cli.main(["verify", problem, "--result", write(tmp_path, stored, "r.json"),
+                       "--samples", "50"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = {}
+        for line in captured.out.splitlines()[:-1]:
+            name, verdict, value = line.split()
+            rows[name] = (verdict, value.split("=")[1])
+        return rc, rows, stored
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e-300, 1e-160, 1e-120, 1e-100, 1e-18])
+    def test_tiny_stored_weight_prints_every_row(self, tmp_path, capsys, alpha):
+        # at the stored weight M or M' overflows, or f and its slope are so
+        # large that the end tangents cancel, and the walk still finds the
+        # weight that certifies; this suite turns a numpy RuntimeWarning
+        # into an error
+        rc, rows, stored = self._stored_rows(tmp_path, capsys, alpha)
+        assert rc == 1
+        assert rows["lmi"][0] == "FAIL" and rows["petersen"][0] == "PASS"
+        _, reference, _ = self._stored_rows(tmp_path, capsys, 1e-20)
+        scale = 2 * np.abs(stored["P_hat"]).max()
+        value, want = float(rows["adversarial-x"][1]), float(reference["adversarial-x"][1])
+        assert abs(value - want) <= verifier._margin(2, want, scale)
 
     def test_override_exposed_by_adversarial_search(self, tmp_path, capsys):
         from cifusion import FusionProblem, PartialEstimate, solve_ci

@@ -13,6 +13,7 @@ from cifusion.linalg import (
     adjugate,
     inv_pd,
     loewner_compare,
+    newton_weights,
     psd_certify,
     sym_data,
 )
@@ -356,6 +357,38 @@ class TestWeightSearch:
 
         assert 0.49 < first_feasible_weight(spied, dm, 1e-3, start) < 0.51
         assert seen and all(0.0 < a < 1.0 for a in seen)
+
+    @pytest.mark.parametrize("start", [1e-300, 0.1, 0.95])
+    def test_overflowing_slopes_are_never_evaluated(self, start):
+        # M' is infinite below 0.2 and above 0.9, as where a tiny weight
+        # overflows it: those weights bound the bracket like the ends
+        m, dm = _poles(0.0)
+        seen = []
+
+        def clipped(a):
+            inside = 0.2 <= a <= 0.9
+            return dm(a) if inside else (np.full((1, 1), -np.inf), np.full((1, 1), np.inf))
+
+        def spied(a):
+            value = m(a)
+            if value is not None and 0.2 <= a <= 0.9:
+                seen.append(a)
+            return value
+
+        assert 0.49 < first_feasible_weight(spied, clipped, 1e-3, start) < 0.51
+        iterates = [a for a, *_ in newton_weights(spied, clipped, start)]
+        assert iterates and all(0.2 <= a <= 0.9 for a in iterates)
+
+    def test_infinite_curvature_drops_only_the_newton_step(self):
+        # with M'' infinite everywhere the cut and bisection still find the
+        # minimiser, and no numpy warning is raised
+        m, dm = _poles(0.0)
+        flat = first_feasible_weight(m, lambda a: (dm(a)[0], np.full((1, 1), np.inf)), 1e-3, 0.1)
+        assert 0.49 < flat < 0.51
+
+    def test_nothing_evaluable_ends_the_iterates(self):
+        # every weight overflows: each one shrinks the bracket until it closes
+        assert list(newton_weights(lambda a: None, None, 0.3)) == []
 
     def test_tangents_prove_an_empty_set(self):
         # the minimum is 1 above the tolerance: two tangents prove it

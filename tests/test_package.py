@@ -170,3 +170,13 @@ def test_one_walk_over_the_weight_serves_the_verifier():
     calls = [node for node in ast.walk(walk) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "newton_weights"]
     assert len(calls) == 1
+
+
+def test_only_the_rank_test_and_the_cross_extreme_take_an_svd():
+    # solvability is decided by one SVD of the stacked H, so a per-sensor
+    # rank test does not creep back in; the aligned cross extreme of Monte
+    # Carlo's heads is the only other SVD
+    readers = {(path.name, scope)
+               for path in sorted(Path(cifusion.__file__).parent.glob("*.py"))
+               for scope in _readers(ast.parse(path.read_text(), filename=str(path)), "svd")}
+    assert readers == {("problem.py", "matrix_rank"), ("verifier.py", "_extreme_cross_direction")}

@@ -6,11 +6,15 @@ from cifusion.errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotPdError,
-    RankDeficientError,
+    SingularSigmaError,
     StackedRankDeficientError,
 )
 from cifusion.linalg import LoewnerRelation
-from cifusion.problem import _pair_ranks, covariance, matrix_rank
+from cifusion.optimizer import Cost, solve_ci
+from cifusion.problem import covariance, matrix_rank
+from cifusion.verifier import certify
+
+from conftest import compressed_sensor_pair
 
 
 class TestPartialEstimate:
@@ -60,20 +64,30 @@ class TestPartialEstimate:
 
 class TestFusionProblemValidation:
     def test_row_rank_of_each_observation(self):
+        # a sensor needs no full row rank: dependent rows fuse, either way round
         dup_rows = PartialEstimate(
             [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0.0, 0.0], np.eye(2)
         )
         other = PartialEstimate(np.eye(3), np.zeros(3), np.eye(3))
-        with pytest.raises(RankDeficientError):
-            FusionProblem(dup_rows, other)
-        with pytest.raises(RankDeficientError):
-            FusionProblem(other, dup_rows)
+        for problem in (FusionProblem(dup_rows, other), FusionProblem(other, dup_rows)):
+            for cost in Cost:
+                rows = certify(solve_ci(problem, cost), problem, samples=50)
+                assert all(row.passed for row in rows), rows
 
     def test_stacked_rank_must_reach_state_dimension(self):
         est1 = PartialEstimate([[1.0, 0.0]], [0.0], [[1.0]])
         est2 = PartialEstimate([[2.0, 0.0]], [0.0], [[1.0]])
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(StackedRankDeficientError,
+                           match="^stacked observation matrix has rank 1 < n = 2$"):
             FusionProblem(est1, est2)
+
+    def test_stacked_matrix_is_kept_read_only(self):
+        est1 = PartialEstimate([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]], np.zeros(3), np.eye(3))
+        est2 = PartialEstimate([[0.0, 1.0]], [0.0], [[1.0]])
+        problem = FusionProblem(est1, est2)
+        np.testing.assert_array_equal(problem.h_stacked, np.vstack([est1.h, est2.h]))
+        with pytest.raises(ValueError, match="read-only"):
+            problem.h_stacked[0, 0] = 2.0
 
     def test_state_dimensions_must_match(self):
         est1 = PartialEstimate([[1.0, 0.0]], [0.0], [[1.0]])
@@ -131,41 +145,48 @@ def _rank_pool(seed: int, count: int):
     return pool
 
 
-class TestBatchedRanks:
+def _estimate(h: np.ndarray) -> PartialEstimate:
+    return PartialEstimate(h, np.zeros(h.shape[0]), np.eye(h.shape[0]))
+
+
+class TestSolvability:
     POOL = _rank_pool(40, 240)
 
-    def test_same_ranks_as_three_matrix_rank_calls(self):
-        for h1, h2 in self.POOL:
-            want = (matrix_rank(h1), matrix_rank(h2), matrix_rank(np.vstack([h1, h2])))
-            ranks, stacked = _pair_ranks(h1, h2)
-            assert ranks == want
-            np.testing.assert_array_equal(stacked, np.vstack([h1, h2]))
-
-    def test_same_decision_and_message_as_three_matrix_rank_calls(self):
-        outcomes = set()
+    def test_rejected_exactly_below_the_stacked_rank(self):
+        rejected = 0
         for h1, h2 in self.POOL:
             n = h1.shape[1]
-            est1 = PartialEstimate(h1, np.zeros(h1.shape[0]), np.eye(h1.shape[0]))
-            est2 = PartialEstimate(h2, np.zeros(h2.shape[0]), np.eye(h2.shape[0]))
             rank = matrix_rank(np.vstack([h1, h2]))
-            if matrix_rank(h1) != h1.shape[0]:
-                want = (RankDeficientError, "H1 does not have full row rank")
-            elif matrix_rank(h2) != h2.shape[0]:
-                want = (RankDeficientError, "H2 does not have full row rank")
-            elif rank != n:
-                want = (StackedRankDeficientError,
-                        f"stacked observation matrix has rank {rank} < n = {n}")
+            if rank < n:
+                with pytest.raises(StackedRankDeficientError) as info:
+                    FusionProblem(_estimate(h1), _estimate(h2))
+                assert str(info.value) == f"stacked observation matrix has rank {rank} < n = {n}"
+                rejected += 1
             else:
-                want = None
-            try:
-                FusionProblem(est1, est2)
-                got = None
-            except RankDeficientError as exc:
-                got = (type(exc), str(exc))
-            assert got == want
-            outcomes.add(want and want[1][:2])
-        # accepted pairs, and each of the three rejections
-        assert outcomes == {None, "H1", "H2", "st"}
+                FusionProblem(_estimate(h1), _estimate(h2))
+        assert rejected == 90
+
+    def test_admitted_pairs_certify_or_raise_singular_sigma(self):
+        # a near-deficient stack passes the rank test but may have a blend
+        # the solver cannot invert; every other solve certifies on every row
+        outcomes = {"certified": 0, "deficient rows": 0, "singular": 0}
+        for h1, h2 in self.POOL:
+            if matrix_rank(np.vstack([h1, h2])) < h1.shape[1]:
+                continue
+            problem = FusionProblem(_estimate(h1), _estimate(h2))
+            deficient = matrix_rank(h1) < h1.shape[0] or matrix_rank(h2) < h2.shape[0]
+            for cost in Cost:
+                try:
+                    result = solve_ci(problem, cost)
+                except SingularSigmaError:
+                    outcomes["singular"] += 1
+                    continue
+                rows = certify(result, problem, samples=20)
+                assert all(row.passed for row in rows), (h1, h2, cost, rows)
+                outcomes["certified"] += 1
+                outcomes["deficient rows"] += deficient
+        assert outcomes["certified"] >= 200 and outcomes["deficient rows"] >= 100, outcomes
+        assert outcomes["singular"] >= 1, outcomes
 
     def test_pool_straddles_the_threshold(self):
         # near-deficient cases on both sides of RANK_RTOL, not only exact zeros
@@ -187,3 +208,24 @@ class TestLoewnerRelationSemantics:
         assert LoewnerRelation.STRICTLY_GREATER.is_ge
         assert not LoewnerRelation.STRICTLY_LESS.is_ge
         assert not LoewnerRelation.INCOMPARABLE.is_ge
+
+
+class TestSensorsWithoutFullRowRank:
+    @pytest.mark.parametrize("kind", ["dependent rows", "more rows than the state"])
+    def test_fuses_as_its_compressed_sensor(self, kind):
+        # CI sees a sensor only through its information H' P^-1 H and
+        # information vector H' P^-1 x, which a BLUE compression keeps
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            rank = n if kind == "more rows than the state" else int(rng.integers(1, n))
+            full, small = compressed_sensor_pair(rng, n, rank, rank + int(rng.integers(1, 4)))
+            assert matrix_rank(full.est1.h) == rank < full.p1
+            for cost in Cost:
+                got, want = solve_ci(full, cost), solve_ci(small, cost)
+                # relative to the distance from the nearer end, where the weight may sit
+                gap = min(want.alpha, 1.0 - want.alpha)
+                assert abs(got.alpha - want.alpha) <= 1e-10 * gap, (n, rank, cost)
+                for a, b in ((got.P_hat.data, want.P_hat.data), (got.fused_x, want.fused_x)):
+                    assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), (n, rank, cost)
+                assert all(row.passed for row in certify(got, full, samples=20))

@@ -8,9 +8,7 @@ from cifusion.errors import (
     DimensionMismatchError,
     NotPdError,
     OutOfRangeError,
-    RankDeficientError,
     ScheduleError,
-    StackedRankDeficientError,
     UnreachableError,
 )
 from cifusion.linalg import RESULT_RTOL
@@ -201,14 +199,15 @@ class TestRunSchedule:
         assert [(r.event_id, r.node_a, r.node_b) for r in report.records] == [(1, 1, 2)]
         assert "# skipped 0 (0,1): pair does not reach state rank\n" in report.to_text()
 
-    def test_row_rank_deficient_node_raises(self):
-        # node 0's two rows are collinear, though its pair reaches state rank
+    def test_row_rank_deficient_node_fuses(self):
+        # node 0's two rows are collinear; its pair reaches state rank, so it fuses
         spec = NoiseSpec(h_list=[[[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0]]])
         nodes, truth = init_network(2, 2, seed=0, noise_spec=spec)
         schedule = make_schedule("chain", 2, 1, Cost.DET)
-        with pytest.raises(RankDeficientError, match="H1 does not have full row rank") as info:
-            run_schedule(nodes, truth, schedule)
-        assert not isinstance(info.value, StackedRankDeficientError)
+        report = run_schedule(nodes, truth, schedule)
+        assert [(r.event_id, r.node_a, r.node_b) for r in report.records] == [(0, 0, 1)]
+        assert not report.skipped and report.violations == 0
+        assert report.to_text().endswith("# violations 0\n")
 
     def test_determinant_never_increases_at_full_state_nodes(self):
         # once a node is full-state, a further det-cost fusion it hosts
