@@ -121,7 +121,7 @@ def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
     h = _matrix(h_raw, p, n, f"{key}.H")
     x_hat = np.atleast_1d(_array(block["x_hat"], f"{key}.x_hat"))
     if x_hat.shape != (p,):
-        raise ProblemFileError(f"{key}.x_hat", f"length {x_hat.size}, expected {p}")
+        raise ProblemFileError(f"{key}.x_hat", f"shape {x_hat.shape}, expected ({p},)")
     p_hat = _covariance(block["P_hat"], p, f"{key}.P_hat")
     try:
         return PartialEstimate(h, x_hat, p_hat)
@@ -338,12 +338,9 @@ def cmd_known(args) -> int:
         "P_star": result.P_star.data,
         "P_star_inv": np.linalg.inv(result.P_star.data),
     }
-    full_state = (
-        problem.p1 == problem.p2 == problem.n
-        and np.allclose(problem.est1.h, np.eye(problem.n))
-        and np.allclose(problem.est2.h, np.eye(problem.n))
-    )
-    if full_state:
+    # the two-track form ignores H, so it is printed only where both H are I exactly
+    eye = np.eye(problem.n)
+    if np.array_equal(problem.est1.h, eye) and np.array_equal(problem.est2.h, eye):
         bsc = bar_shalom_campo(joint)
         residual = float(
             max(

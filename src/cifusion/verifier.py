@@ -6,15 +6,15 @@ worst admissible cross term, and Monte Carlo over admissible true joint
 covariances.  By a Schur complement the block certificate holds where
 ``f(alpha) = lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``, convex in the
 weight, is at most zero (:func:`_schur_function`, ``S_i = Q_i Q_i'`` on the
-one pair ``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``; a gain
-block counts as zero throughout this module by one predicate,
-:func:`_counts_as_zero`, and then ``S_i/0 = 0``, so M stays finite at that
-block's zero weight).  The block certificate takes its verdict from the
-assembled block and cross-checks it on that Schur complement.  One walk
-over the weight, :func:`_walk` on the package's one search over f,
-:func:`linalg.newton_weights`, serves the scalar certificate and the
-witness below: the certificate is its first weight that certifies, with or
-without a zero gain block.
+one pair ``Q_i = K_i L_i``, ``L_i`` the Cholesky factor of ``P_i``; where
+every entry of a gain block is zero, ``S_i/0 = 0``, so M stays finite at
+that block's zero weight; no tolerance makes a merely small block zero, as
+a magnitude threshold would depend on the units).  The block certificate
+takes its verdict from the assembled block and cross-checks it on that
+Schur complement.  One walk over the weight, :func:`_walk` on the
+package's one search over f, :func:`linalg.newton_weights`, serves the
+scalar certificate and the witness below: the certificate is its first
+weight that certifies, and a zero gain block takes no path of its own.
 
 By Petersen's lemma (Systems & Control Letters 8, 1987) the largest
 eigenvalue of ``Q1 Q1' + Q1 X Q2' + Q2 X' Q1' + Q2 Q2' - P_hat`` over cross
@@ -66,10 +66,6 @@ from .linalg import (
 )
 from .problem import FusionProblem
 
-#: gain blocks with max |entry| at most this count as zero (:func:`_counts_as_zero`)
-ZERO_Q_TOL = 1e-14
-
-
 @dataclass(frozen=True)
 class ConservativenessCertificate:
     alpha: float
@@ -105,11 +101,6 @@ def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
-def _counts_as_zero(q: np.ndarray) -> bool:
-    """Whether a scaled gain block counts as zero: its max |entry| is at most ``ZERO_Q_TOL``."""
-    return bool(np.abs(q).max() <= ZERO_Q_TOL)
-
-
 def _decided(margin: float, band: float) -> bool:
     """Whether a signed PSD margin is clearly away from the tolerance band."""
     return abs(margin) > 10.0 * band
@@ -126,11 +117,11 @@ def lmi_certificate(
     spectrum, and a failed certificate is returned, not raised.  The Schur
     complement ``M`` of :func:`_schur_function` cross-checks the verdict:
     the block is PSD exactly where ``lambda_max(M) <= 0``, judged to the
-    same relative band.  Where M is infinite, a gain block that does not
-    count as zero at its zero weight, that route fails without a test: the
-    block then has a zero diagonal entry with a nonzero coupling, so its
-    smallest eigenvalue is at most zero and the direct route cannot clearly
-    pass.  Where M overflows, next to such a weight, the cross-check is
+    same relative band.  Where M is infinite, a nonzero gain block at its
+    zero weight, however small the block, that route fails without a test:
+    the block then has a zero diagonal entry with a nonzero coupling, so
+    its smallest eigenvalue is at most zero and the direct route cannot
+    clearly pass.  Where M overflows, next to such a weight, the cross-check is
     skipped.  A disagreement with both margins clearly outside their bands
     raises :class:`InternalInconsistencyError`; otherwise the direct
     verdict stands.
@@ -171,13 +162,13 @@ def lmi_certificate(
 def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
     """``m`` and ``dm`` of ``M = S1/alpha + S2/(1 - alpha) - P_hat`` for the weight search.
 
-    ``S_i = Q_i Q_i'``; as in a generalized Schur complement, ``S_i/0`` is 0 when ``Q_i``
-    counts as zero (:func:`_counts_as_zero`), else M is infinite.  ``m`` gives ``None``
+    ``S_i = Q_i Q_i'``; as in a generalized Schur complement, ``S_i/0`` is 0 when every
+    entry of ``Q_i`` is zero, else M is infinite, however small ``Q_i``.  ``m`` gives ``None``
     wherever M is infinite or overflows, and ``dm``'s ``(M', M'')`` may hold infinities
     near such a weight; neither warns.
     """
     zero = np.zeros(p_hat.shape)
-    s1, s2 = (None if _counts_as_zero(q) else q @ q.T for q in (q1, q2))
+    s1, s2 = (q @ q.T if q.any() else None for q in (q1, q2))
 
     def over(s, t):
         return zero if s is None else s / t
@@ -270,12 +261,8 @@ def _worst_sample(
     :func:`_undecided` at ``v``, that function proves most samples to lie
     below the ceiling ``v + rho``, or below ``min(v + rho, tol)`` when
     ``v <= tol``, by testing their dominating joints without ``g``, and
-    only the rest are formed, downdates included.  Of those, every matrix
-    bitwise equal to the head that set ``v`` is dropped before ``eigvalsh``
-    runs, as its value is ``v`` itself: with a zero gain block and no
-    downdates, every sample is such a copy of an ``X = 0`` head.  The value
-    returned is the largest ``eigvalsh`` value over the heads and the
-    formed samples, so:
+    only the rest are formed, downdates included.  The value returned is the
+    largest ``eigvalsh`` value over the heads and the formed samples, so:
 
     - It is at most the dense maximum, and as no dropped sample reaches
       the ceiling, the dense maximum lies below ``v + rho``, hence below
@@ -302,10 +289,6 @@ def _worst_sample(
     if not keep.any():
         return level
     left = _sample_stack(base, c[:, keep], d[:, keep], [x[:, keep] for x in g])
-    # copies of the head that set the threshold have it as their value:
-    # bitwise equal input, bitwise equal eigvalsh output
-    bits = heads[tops.argmax()].view(np.int64)
-    left = left[(left.view(np.int64) != bits).any(axis=(1, 2))]
     return float(np.append(np.linalg.eigvalsh(left)[:, -1], level).max())
 
 
@@ -468,11 +451,10 @@ def adversarial_x_search(result, problem: FusionProblem, walk: _Walk | None = No
     the supremum over every cross parameter of norm at most one, and
     ``X*`` is the rank-one ``a b' / (|a| |b|)``, ``a = Q1' v``,
     ``b = Q2' v``, for a top eigenvector ``v`` of the Schur complement at
-    the minimiser of f with zero slope ``v'M'v`` (:func:`_walk`).
-    A zero gain block gives ``X* = 0``.  Judged against
-    :func:`certificate_tolerance`.  ``walk`` is the result's :func:`_walk`,
-    which :func:`certify` shares with :func:`petersen_certificate`; without
-    it, one is run.
+    the minimiser of f with zero slope ``v'M'v`` (:func:`_walk`).  Judged
+    against :func:`certificate_tolerance`.  ``walk`` is the result's
+    :func:`_walk`, which :func:`certify` shares with
+    :func:`petersen_certificate`; without it, one is run.
     """
     return (walk or _walk(result, problem)).value
 
@@ -531,9 +513,10 @@ def _walk(result, problem: FusionProblem) -> _Walk:
     solve's M needs.  Any width is sound, as the value is a sample's; the
     width decides only how soon the walk stops.
 
-    A zero gain block gives ``X* = 0`` without the walk, the value
-    ``lambda_max(B)``, and ``bound`` that value plus ``2 |Q1|_F |Q2|_F``
-    and its ``band``; the walk then serves ``feasible`` alone.
+    A zero gain block ``Q1`` takes the same path: M is finite at its zero
+    weight, and ``x/t`` and ``max|S1|/t`` read 0 there (:func:`_over`), so
+    ``gap`` is 0 and the sample is ``B``, whose largest eigenvalue is f
+    there, as ``M = B`` at that weight; likewise for ``Q2`` at weight 1.
     """
     q1, q2 = q_pair(result, problem)
     p_hat = result.P_hat.data
@@ -543,20 +526,15 @@ def _walk(result, problem: FusionProblem) -> _Walk:
     n = base.shape[0]
     big1, big2, big_p = (np.abs(x).max() for x in (s1, s2, p_hat))
     value, bound = -np.inf, np.inf
-    witnessed = _counts_as_zero(q1) or _counts_as_zero(q2)
-    if witnessed:
-        value = float(np.linalg.eigvalsh(base)[-1])
-        bound = (value + 2.0 * np.linalg.norm(q1) * np.linalg.norm(q2)
-                 + _margin(n, value, n * (big1 + big2 + big_p)))
     spread = 2.0 * n * result.diagnostics.get("unbias_residual", 0.0)
-    feasible, decided = None, False
+    feasible, decided, witnessed = None, False, False
     for alpha, w, v, d1, floor in newton_weights(*_schur_function(q1, q2, p_hat), result.alpha):
         f = float(w[-1])
         if not decided:
             feasible = alpha if f <= tol else None
             decided = feasible is not None or floor > tol
         if not witnessed:
-            s = n * (big1 / alpha + big2 / (1.0 - alpha) + big_p)
+            s = n * (_over(big1, alpha) + _over(big2, 1.0 - alpha) + big_p)
             band = _margin(n, f, s)
             bound = min(bound, f + band)
             width = max(0.25 * band, spread * s) if alpha == result.alpha else 0.25 * band
@@ -594,8 +572,13 @@ def _flat_direction(q1, q2, alpha: float, w, v, d1, width: float):
         top = np.sqrt(hi / (hi - lo)) * low + np.sqrt(-lo / (hi - lo)) * high
     a, b = q1.T @ top, q2.T @ top
     x, y = math.sqrt(a @ a), math.sqrt(b @ b)
-    d = x / alpha - y / (1.0 - alpha)
+    d = _over(x, alpha) - _over(y, 1.0 - alpha)
     return a, b, alpha * (1.0 - alpha) * d * d  # infinite, not an error, at a tiny weight
+
+
+def _over(x: float, t: float) -> float:
+    """``x / t``, but 0 where ``x`` is 0, as a zero gain block's term is at its zero weight."""
+    return x / t if x else 0.0
 
 
 def _sample_top(base: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: np.ndarray,
@@ -637,16 +620,17 @@ def petersen_certificate(result, problem: FusionProblem, walk: _Walk | None = No
     :func:`petersen_objective` at ``eps``, and is at most
     :func:`certificate_tolerance` there.  ``None`` when no iterate
     certifies.  An iterate lies at an end of ``[0, 1]`` only where M is
-    finite there, as the gain block whose weight vanishes counts as zero;
-    its eps is ``math.inf`` at ``alpha = 0`` and ``0.0`` at ``alpha = 1``.
+    finite there, as the gain block whose weight vanishes is zero; its eps
+    is ``math.inf`` at ``alpha = 0``, and ``1/alpha - 1`` is exactly
+    ``0.0`` at ``alpha = 1``.
     ``walk`` is the result's :func:`_walk`, which :func:`certify` shares
     with :func:`adversarial_x_search`; without it, one is run.
     """
     alpha = (walk or _walk(result, problem)).feasible
     if alpha is None:
         return None
-    if alpha in (0.0, 1.0):  # an end, where M drops a zero gain block
-        return math.inf if alpha == 0.0 else 0.0
+    if alpha == 0.0:  # the end where M drops a zero Q1
+        return math.inf
     return 1.0 / alpha - 1.0
 
 

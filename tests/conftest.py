@@ -404,17 +404,16 @@ def petersen_golden_oracle(result, problem: FusionProblem) -> tuple[float, float
 
 
 def one_sided_bound_reference(result, problem: FusionProblem) -> float | None:
-    """Smallest eigenvalue of ``P_hat - Q Q'`` when one gain block counts as zero, else ``None``.
+    """Smallest eigenvalue of ``P_hat - Q Q'`` when one gain block is zero, else ``None``.
 
     The route that ``verify`` once printed as its own scalar row where a
-    gain block counts as zero, kept as the oracle of
+    gain block is zero, kept as the oracle of
     ``verifier.petersen_certificate`` there: ``Q`` is the other block of
-    ``q_pair``, a block counts as zero when its max |entry| is at most
-    ``verifier.ZERO_Q_TOL``, and conservativeness is this bound being at
-    least ``-certificate_tolerance``.
+    ``q_pair``, a block is zero when every entry is exactly zero, and
+    conservativeness is this bound being at least ``-certificate_tolerance``.
     """
     q1, q2 = q_pair(result, problem)
-    zero1, zero2 = (np.abs(q).max() <= verifier.ZERO_Q_TOL for q in (q1, q2))
+    zero1, zero2 = (not q.any() for q in (q1, q2))
     if not (zero1 or zero2):
         return None
     live = q2 if zero1 else q1

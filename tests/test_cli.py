@@ -768,6 +768,23 @@ class TestKnown:
         assert rc == 0
         assert out["bsc"]["agreement_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("which", ["est1", "est2"])
+    def test_two_track_form_only_where_both_h_are_exactly_the_identity(self, tmp_path, capsys,
+                                                                      which):
+        # the two-track form ignores H: an H one part in 2^30 off I, which
+        # np.allclose would take for I, is fused by the general formula alone
+        doc = {
+            "n": 2,
+            "est1": {"H": [[1, 0], [0, 1]], "x_hat": [0, 0], "P_hat": [[1, 0], [0, 1]]},
+            "est2": {"H": [[1, 0], [0, 1]], "x_hat": [0, 0], "P_hat": [[2, 0], [0, 1]]},
+            "truth": {"P1": [[1, 0], [0, 1]], "P2": [[2, 0], [0, 1]], "P12": [[0.5, 0], [0, 0]]},
+        }
+        assert cli.main(["known", write(tmp_path, doc)]) == 0
+        assert "bsc" in json.loads(capsys.readouterr().out)
+        doc[which]["H"] = (np.eye(2) * (1.0 + 2.0**-30)).tolist()
+        assert cli.main(["known", write(tmp_path, doc)]) == 0
+        assert "bsc" not in json.loads(capsys.readouterr().out)
+
     def test_missing_truth_exits_two(self, tmp_path, capsys):
         rc = cli.main(["known", write(tmp_path, SCALAR_PAIR)])
         assert rc == 2
@@ -973,6 +990,17 @@ class TestProblemFiles:
         out, err, code = run_main([command, write(tmp_path, doc)] + samples, capsys)
         assert (out, code) == ("", cli.EXIT_INPUT)
         assert err == f"error: truth: {json.dumps(truth)} is not a JSON object\n"
+
+    @pytest.mark.parametrize("key", ["est1", "est2"])
+    @pytest.mark.parametrize("x_hat, shape", [([[0.3]], "(1, 1)"), ([0.3, 0.1], "(2,)")])
+    def test_misshapen_estimate_names_its_shape(self, tmp_path, capsys, key, x_hat, shape):
+        # a one-row sensor's x_hat must be a vector of length one: a 1x1
+        # matrix has the right size but the wrong shape, and says so
+        doc = json.loads(json.dumps(SCALAR_PAIR))
+        doc[key]["x_hat"] = x_hat
+        out, err, code = run_main(["fuse", write(tmp_path, doc)], capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == f"error: {key}.x_hat: shape {shape}, expected (1,)\n"
 
     def test_ragged_observation_matrix_names_json_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(EXAMPLE2))

@@ -147,14 +147,23 @@ def _readers(tree: ast.Module, name: str) -> set[str | None]:
     return readers
 
 
-def test_one_function_decides_when_a_gain_block_counts_as_zero():
-    # the zero-block threshold has one reader, so a change to how it is
-    # scaled is made in one place
-    readers = {(path.name, scope)
-               for path in sorted(Path(cifusion.__file__).parent.glob("*.py"))
-               for scope in _readers(ast.parse(path.read_text(), filename=str(path)),
-                                     "ZERO_Q_TOL")}
-    assert readers == {("verifier.py", "_counts_as_zero")}
+def test_a_gain_block_is_zero_only_when_it_is_exactly_zero():
+    # one exact test, `not q.any()` in the Schur function, decides when a
+    # gain block drops out of M, and no tolerance makes a merely small block
+    # count as zero: a magnitude threshold would not be unit-free
+    tree = ast.parse(Path(cifusion.verifier.__file__).read_text())
+    defined = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if isinstance(target, ast.Name)}
+    assert not {name for name in defined if "TOL" in name.upper() or "ZERO" in name.upper()}
+    anys = set()
+    for node in tree.body:
+        for child in ast.walk(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "any":
+                anys.add((getattr(node, "name", None), ast.unparse(child)))
+    # the other .any() asks whether a screen's mask kept any sample
+    assert anys == {("_schur_function", "q.any()"), ("_worst_sample", "keep.any()")}
 
 
 def test_one_walk_over_the_weight_serves_the_verifier():

@@ -21,7 +21,6 @@ from cifusion.known_cross import JointCovariance
 from cifusion.linalg import PETERSEN_WIDTH
 from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
 from cifusion.verifier import (
-    ZERO_Q_TOL,
     adversarial_x_search,
     certificate_tolerance,
     lmi_certificate,
@@ -334,11 +333,11 @@ class TestAlphaUniqueness:
 def schur_max_eig(result, problem, alpha: float) -> float:
     """``lambda_max(S1/alpha + S2/(1 - alpha) - P_hat)``.
 
-    ``S_i/0`` is 0 when ``Q_i`` counts as zero, and the value is inf otherwise.
+    ``S_i/0`` is 0 when ``Q_i`` is zero, and the value is inf otherwise.
     """
     m = -result.P_hat.data
     for q, t in zip(q_pair(result, problem), (alpha, 1.0 - alpha)):
-        if np.abs(q).max() > ZERO_Q_TOL:
+        if q.any():
             if t == 0.0:
                 return np.inf
             m = m + q @ q.T / t
@@ -406,7 +405,7 @@ class TestFeasibleInterval:
 
 
 def both_blocks_nonzero(result, problem) -> bool:
-    return all(np.abs(q).max() > ZERO_Q_TOL for q in q_pair(result, problem))
+    return all(q.any() for q in q_pair(result, problem))
 
 
 def golden_bracket(result, problem) -> tuple[float, float]:
@@ -531,7 +530,7 @@ class TestAdversarialSearch:
         problem = example2_problem()
         result = solve_ci(problem, Cost.DET)  # alpha* = 0, K1 = 0
         q1, q2 = q_pair(result, problem)
-        assert np.abs(q1).max() <= ZERO_Q_TOL
+        assert not q1.any()
         base = q1 @ q1.T + q2 @ q2.T - result.P_hat.data
         assert adversarial_x_search(result, problem) == np.linalg.eigvalsh(base)[-1]
 
@@ -619,7 +618,7 @@ class TestPetersenCertificate:
         for pair, zero, alpha, eps in ((problem, 0, 0.0, math.inf), (swapped, 1, 1.0, 0.0)):
             result = solve_ci(pair, Cost.DET)
             assert result.alpha == alpha
-            assert np.abs(q_pair(result, pair)[zero]).max() <= ZERO_Q_TOL
+            assert not q_pair(result, pair)[zero].any()
             assert petersen_certificate(result, pair) == eps
 
     def test_zero_gain_verdict_matches_the_one_sided_bound(self):
@@ -649,7 +648,7 @@ class TestPetersenCertificate:
             for cost in (Cost.DET, Cost.TRACE):
                 solved = solve_ci(problem, cost)
                 q1, q2 = q_pair(solved, problem)
-                if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
+                if not (q1.any() and q2.any()):
                     continue
                 moved = float(rng.uniform(0.05, 0.95))
                 for factor, alpha in itertools.product((1.0, 0.999, 1.001), (None, moved)):
@@ -678,7 +677,7 @@ class TestPetersenCertificate:
             for cost in (Cost.DET, Cost.TRACE):
                 solved = solve_ci(problem, cost)
                 q1, q2 = q_pair(solved, problem)
-                if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
+                if not (q1.any() and q2.any()):
                     continue
                 for factor in (1.0, 0.999, 1.001, 0.9):
                     result = dataclasses.replace(shrink_result(solved, factor), alpha=start)
@@ -723,7 +722,7 @@ class TestPetersenCertificate:
         for problem in problems:
             result = shrink_result(solve_ci(problem, Cost.TRACE), 0.9)
             q1, q2 = q_pair(result, problem)
-            if np.abs(q1).max() <= ZERO_Q_TOL or np.abs(q2).max() <= ZERO_Q_TOL:
+            if not (q1.any() and q2.any()):
                 continue
             evals.clear()
             assert petersen_certificate(result, problem) is None
@@ -736,8 +735,8 @@ class TestCallBudget:
     def test_both_rows_of_a_solved_result_make_two_eigh_and_one_eigvalsh(self, monkeypatch):
         # a solved result certifies at its own weight, where the witness
         # stops too: one eigh of M, one of M' on its top cluster and the
-        # sample's eigvalsh; with a zero gain block, one eigh and the
-        # eigvalsh of the sample at X* = 0
+        # sample's eigvalsh; a zero gain block's result takes the same path
+        # at that block's zero weight, its own weight, where the sample is B
         rng = np.random.default_rng(30)
         pool = [random_problem(rng, n=n) for n in (2, 3, 4, 5, 6, 8) for _ in range(2)]
         pool += [random_problem(rng, full_state=True), interior_problem(), example2_problem(),
@@ -865,7 +864,7 @@ class TestSamplerStrength:
             for cost in (Cost.DET, Cost.TRACE):
                 result = solve_ci(problem, cost)
                 q1, q2 = q_pair(result, problem)
-                if np.abs(q1).max() > ZERO_Q_TOL and np.abs(q2).max() > ZERO_Q_TOL:
+                if q1.any() and q2.any():
                     cases.append((shrink_result(result, self.SHRINK), problem))
         return cases
 
@@ -1673,17 +1672,42 @@ class TestExtremeScales:
                 # pytest turns any RuntimeWarning into an error here
                 drawn = adversarial_sampling_oracle(scaled_result, scaled, 300, 7)
                 worst_x, _ = sequential(scaled_result, scaled, 300, 7)
-                if scale > 1.0:
-                    assert drawn - 1e-13 * scale <= worst_x
+                # gain blocks of about 1e+-75 are live at either scale, and
+                # the witness stays at or above every sampled value
+                assert drawn - 1e-13 * scale <= worst_x
+                assert worst_x > 0.0 if shrink < 1.0 else worst_x <= 1e-13 * scale
+                if scale > 1.0:  # below unit scale the tolerance is absolute (item 3)
                     assert (worst_x > certificate_tolerance(scaled_result)) == (shrink < 1.0)
-                else:
-                    # gain blocks of about 1e-75 count as zero (ZERO_Q_TOL is
-                    # absolute), so the witness is the zero cross term's
-                    q1, q2 = q_pair(scaled_result, scaled)
-                    base = q1 @ q1.T + q2 @ q2.T - scaled_result.P_hat.data
-                    assert worst_x == np.linalg.eigvalsh(base)[-1]
         assert_dense_oracle(kernel_calls)
         assert all(np.isfinite(value) for _, value in kernel_calls["sample"])
+
+
+class TestUnitEquivariance:
+    """``H_i -> 2^j H_i`` maps a result to ``K_i / 2^j`` and ``P_hat / 4^j``: exact powers of two."""
+
+    @pytest.mark.parametrize("j", [-250, -125, 0, 125, 250])
+    def test_witness_scales_with_the_covariance_unit(self, j):
+        # solved and 0.9-shrunk DET results, interior ones with both gain
+        # blocks live and endpoint ones with an exactly zero block
+        rng = np.random.default_rng(3900)
+        problems = [random_problem(rng, 5) for _ in range(4)] + [
+            example2_problem(), dominated_problem(rng, 3, True), dominated_problem(rng, 4, False)]
+        live = 0
+        for problem in problems:
+            scaled_problem = FusionProblem(*(PartialEstimate(2.0**j * est.h, est.x_hat, est.p_hat)
+                                             for est in (problem.est1, problem.est2)))
+            solved = solve_ci(problem, Cost.DET)
+            live += bool(solved.K1.any() and solved.K2.any())
+            for result in (solved, dataclasses.replace(
+                    solved, P_hat=psd_certify(0.9 * solved.P_hat.data))):
+                scaled = dataclasses.replace(
+                    result, K1=2.0**-j * result.K1, K2=2.0**-j * result.K2,
+                    P_hat=psd_certify(4.0**-j * result.P_hat.data),
+                    fused_x=2.0**-j * result.fused_x)
+                value = adversarial_x_search(result, problem)
+                assert abs(4.0**j * adversarial_x_search(scaled, scaled_problem) - value) \
+                    <= 1e-10 * np.abs(result.P_hat.data).max(), (j, result.alpha)
+        assert live >= 3 and len(problems) - live >= 3
 
 
 class TestCertificateEquivalence:
@@ -1700,7 +1724,7 @@ class TestCertificateEquivalence:
         zero_gain = 0
         for result, problem in cases:
             q1, q2 = q_pair(result, problem)
-            zero_gain += bool(min(np.abs(q1).max(), np.abs(q2).max()) <= ZERO_Q_TOL)
+            zero_gain += not (q1.any() and q2.any())
             tol = certificate_tolerance(result)
             lmi_ok = lmi_certificate(result, problem, result.alpha).passed
             eps = petersen_certificate(result, problem)
@@ -1715,7 +1739,7 @@ class TestCertificateEquivalence:
             for a in candidates:
                 m = result.P_hat.data.copy()
                 for q, t in ((q1, a), (q2, 1.0 - a)):
-                    if np.abs(q).max() > ZERO_Q_TOL:
+                    if q.any():
                         m -= q @ q.T / t
                 if np.linalg.eigvalsh(m)[0] >= -tol:
                     direct_ok = True
