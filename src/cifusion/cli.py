@@ -299,9 +299,10 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ProblemFileError("--seed", f"must not be negative, got {args.seed}")
     problem, extras = load_problem_file(args.file)
-    # Monte Carlo holds a few n x samples arrays and an n x n matrix per
-    # sample it cannot screen out; a count whose arrays numpy cannot
-    # address exits here, before anything is allocated
+    # Monte Carlo holds its draws as two p x samples arrays, their
+    # products and whitened factors as a few n x samples arrays, and an
+    # n x n matrix per sample it cannot screen out; a count whose arrays
+    # numpy cannot address exits here, before anything is allocated
     if args.samples > np.iinfo(np.intp).max // (8 * (problem.n + 4) ** 2):
         raise ProblemFileError("--samples", f"{args.samples} samples exceed the addressable memory")
     if args.result:

@@ -22,27 +22,24 @@ parameters ``X`` of spectral norm at most one is ``min f``, and a rank-one
 ``X*`` attains it: :func:`adversarial_x_search` builds ``X*`` from a top
 eigenvector at the minimiser of f, which the same walk finds, and
 returns the largest eigenvalue of that one sample.  Monte Carlo samples
-true joints below such samples, so its value cannot exceed ``min f``
-beyond rounding, and :func:`certify` raises
+true joints with full prior blocks and cross parameters of norm below one,
+the joints every admissible joint lies below, so its value cannot exceed
+``min f`` beyond rounding, and :func:`certify` raises
 :class:`InternalInconsistencyError` when it does.  It runs on the kernel
 :func:`_worst_violation`, which takes each cross parameter as factors
 ``A B'`` and never forms it: the cross term is ``C + C'`` with
 ``C = (Q1 A)(Q2 B)'``.  Monte Carlo draws rank-one cross parameters
-``X = r a b'`` from unit Gaussian directions (:func:`_draw_cross`) and
-shrinks each prior block by a rank-one downdate, which enters as a change
-of the cross factors and two rank-one terms subtracted from each sample
-(:func:`monte_carlo_joint`).  So every drawn sample is a rank-two update
-``B + c d' + d c'`` of one matrix ``B = Q1 Q1' + Q2 Q2' - P_hat``, less
-those downdates, and the draws are kept as ``n x samples`` factor arrays.
+``X = r a b'`` from unit Gaussian directions (:func:`_draw_cross`,
+:func:`monte_carlo_joint`), so every drawn sample is a rank-two update
+``B + c d' + d c'`` of one matrix ``B = Q1 Q1' + Q2 Q2' - P_hat``, and the
+draws are kept as ``n x samples`` factor arrays.
 :func:`_worst_sample` takes its threshold from the heads, the fixed
 extremes the sampler passes.  It decides most samples from their factors
 by one Cholesky factorisation and a closed-form test per sample
 (:func:`_undecided`), and forms and decomposes only the few it cannot
-drop.  The test is made on each draw's dominating joint, without the
-downdates, which is sound as each draw lies below it.  Its value lies less
-than a proven rounding-level margin below the largest ``eigvalsh`` value
-over all of them, and it lies at or below the certificate tolerance
-exactly when that largest value does.
+drop.  Its value lies less than a proven rounding-level margin below the
+largest ``eigvalsh`` value over all of them, and it lies at or below the
+certificate tolerance exactly when that largest value does.
 Each route is a pure function of its arguments and runs on the calling
 thread.  A violation found by Monte Carlo is conclusive; absence of
 violations is reported as "no violation found" for the sampled budget,
@@ -198,24 +195,22 @@ def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray
 
 def _worst_violation(
     q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray,
-    head_a: np.ndarray, head_b: np.ndarray, a: np.ndarray, b: np.ndarray, g=(),
+    head_a: np.ndarray, head_b: np.ndarray, a: np.ndarray, b: np.ndarray,
     tol: float = np.inf,
 ) -> float:
-    """Largest eigenvalue of ``Q1 Q1' + Q2 Q2' - P_hat + C + C' - G G'`` over heads and draws.
+    """Largest eigenvalue of ``Q1 Q1' + Q2 Q2' - P_hat + C + C'`` over heads and draws.
 
     This is the fused error covariance, less ``P_hat``, of the joint whose
     diagonal blocks factor as ``Q Q'`` and whose cross block is
-    ``Q1 X Q2'``, ``X = A B'``, less the downdates ``G G'`` that Monte
-    Carlo subtracts; ``C = (Q1 A)(Q2 B)'``, so no ``X`` is formed.  The
-    heads stack their factors ``h x p x k`` with ``k`` fixed, and are
-    formed as matrices.  The draws are rank one, ``a`` and ``b`` of shape
-    ``p x S``, so each draw is the rank-two update ``base + c d' + d c'``
-    of one matrix ``base = Q1 Q1' + Q2 Q2' - P_hat``, with ``c = Q1 a``
-    and ``d = Q2 b``, less ``g1 g1' + g2 g2'`` for the zero or two
-    ``n x S`` arrays ``g``; :func:`_worst_sample` decides them from these
-    factors, exactly against the decision level ``tol``.  ``base`` is
-    formed once, so draws that differ only in a zero cross term are bitwise
-    equal.
+    ``Q1 X Q2'``, ``X = A B'``; ``C = (Q1 A)(Q2 B)'``, so no ``X`` is
+    formed.  The heads stack their factors ``h x p x k`` with ``k`` fixed,
+    and are formed as matrices.  The draws are rank one, ``a`` and ``b`` of
+    shape ``p x S``, so each draw is the rank-two update
+    ``base + c d' + d c'`` of one matrix ``base = Q1 Q1' + Q2 Q2' - P_hat``,
+    with ``c = Q1 a`` and ``d = Q2 b``; :func:`_worst_sample` decides them
+    from these factors, exactly against the decision level ``tol``.
+    ``base`` is formed once, so draws that differ only in a zero cross term
+    are bitwise equal.
     """
     base = np.einsum("ia,ja->ij", q1, q1) + np.einsum("ia,ja->ij", q2, q2) - p_hat
     cross = np.einsum("hik,hjk->hij", np.einsum("ia,hak->hik", q1, head_a),
@@ -223,30 +218,25 @@ def _worst_violation(
     heads = base + cross
     heads += np.swapaxes(cross, 1, 2)
     c, d = np.einsum("ia,as->is", q1, a), np.einsum("ia,as->is", q2, b)
-    return _worst_sample(base, heads, c, d, g, tol)
+    return _worst_sample(base, heads, c, d, tol)
 
 
-def _sample_stack(base: np.ndarray, c: np.ndarray, d: np.ndarray, g=()) -> np.ndarray:
-    """The samples ``base + c d' + d c' - g1 g1' - g2 g2'``, one per column of the factors.
+def _sample_stack(base: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The samples ``base + c d' + d c'``, one per column of the factors.
 
-    ``c``, ``d`` and each of the zero or two arrays ``g`` are ``n x S``;
-    the stack is ``S x n x n``.  Entry ``(i, j)`` of sample ``s`` is
-    ``(base_ij + c_is d_js) + c_js d_is``, less
-    ``g1_is g1_js + g2_is g2_js``, each formed elementwise in that order,
-    so a sample's matrix has the same bits whichever other columns are
-    formed with it.
+    ``c`` and ``d`` are ``n x S``; the stack is ``S x n x n``.  Entry
+    ``(i, j)`` of sample ``s`` is ``(base_ij + c_is d_js) + c_js d_is``,
+    formed elementwise in that order, so a sample's matrix has the same
+    bits whichever other columns are formed with it.
     """
     cross = c.T[:, :, None] * d.T[:, None, :]
     stack = base + cross
     stack += np.swapaxes(cross, 1, 2)
-    if g:
-        g1, g2 = (x.T for x in g)
-        stack -= g1[:, :, None] * g1[:, None, :] + g2[:, :, None] * g2[:, None, :]
     return stack
 
 
 def _worst_sample(
-    base: np.ndarray, heads: np.ndarray, c: np.ndarray, d: np.ndarray, g=(), tol: float = np.inf,
+    base: np.ndarray, heads: np.ndarray, c: np.ndarray, d: np.ndarray, tol: float = np.inf,
 ) -> float:
     """Largest ``eigvalsh`` eigenvalue over ``heads`` and the samples of :func:`_sample_stack`.
 
@@ -260,8 +250,7 @@ def _worst_sample(
     With ``rho = 2 delta``, ``delta`` the margin of
     :func:`_undecided` at ``v``, that function proves most samples to lie
     below the ceiling ``v + rho``, or below ``min(v + rho, tol)`` when
-    ``v <= tol``, by testing their dominating joints without ``g``, and
-    only the rest are formed, downdates included.  The value returned is the
+    ``v <= tol``, and only the rest are formed.  The value returned is the
     largest ``eigvalsh`` value over the heads and the formed samples, so:
 
     - It is at most the dense maximum, and as no dropped sample reaches
@@ -270,9 +259,10 @@ def _worst_sample(
     - It is at most ``tol`` exactly when the dense maximum is: with
       ``v <= tol`` no sample above ``tol`` is dropped.
 
-    Samples tied with ``v`` at rounding level, as every Monte Carlo sample
-    at an endpoint weight is, lie about ``delta`` below
-    the ceiling, so they cost no decomposition beyond the heads'.
+    Samples tied with ``v`` at rounding level, or bitwise copies of a head,
+    as every Monte Carlo sample at an endpoint weight is, lie about
+    ``delta`` below the ceiling, so they cost no decomposition beyond the
+    heads'.
     ``rho = 128 (n + 2)^2 eps (|v| + s)``, with ``s`` of :func:`_undecided`,
     is about ``2e-12 s`` at n = 6.  The value depends on the lower
     triangles alone, as ``eigvalsh``'s does.
@@ -281,21 +271,20 @@ def _worst_sample(
     level = float(tops.max())
     # an overflow can only give an infinite ceiling, which keeps samples
     with np.errstate(over="ignore", invalid="ignore"):
-        s = _sample_scale(base, c, d, g)
+        s = _sample_scale(base, c, d)
         ceiling = level + 2.0 * _margin(base.shape[0], level, s)
     if level <= tol:
         ceiling = min(ceiling, tol)
     keep = _undecided(base, ceiling, c, d, s)
     if not keep.any():
         return level
-    left = _sample_stack(base, c[:, keep], d[:, keep], [x[:, keep] for x in g])
+    left = _sample_stack(base, c[:, keep], d[:, keep])
     return float(np.append(np.linalg.eigvalsh(left)[:, -1], level).max())
 
 
-def _sample_scale(base: np.ndarray, c: np.ndarray, d: np.ndarray, g=()) -> float:
-    """``n (max|base| + 2 max|c| max|d| + max|g1|^2 + max|g2|^2)``, above every sample's norm."""
-    return base.shape[0] * (np.abs(base).max() + 2.0 * np.abs(c).max() * np.abs(d).max()
-                            + sum(np.abs(x).max() ** 2 for x in g))
+def _sample_scale(base: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
+    """``n (max|base| + 2 max|c| max|d|)``, above every sample's norm."""
+    return base.shape[0] * (np.abs(base).max() + 2.0 * np.abs(c).max() * np.abs(d).max())
 
 
 def _margin(n: int, level: float, s: float) -> float:
@@ -308,18 +297,15 @@ def _undecided(
 ) -> np.ndarray:
     """Mask of the samples of :func:`_sample_stack` whose ``eigvalsh`` value may reach ``level``.
 
-    The test is made on each sample's dominating joint
-    ``D = base + c d' + d c'``.  A Monte Carlo sample ``M = D - G G'``,
-    ``G = [g1 g2]``, lies below it, so ``lambda_max(M) <= lambda_max(D)``
-    and the test screens it too, as long as ``s``, which
-    :func:`_worst_sample` passes and which is otherwise
-    :func:`_sample_scale` of ``base``, ``c`` and ``d``, bounds ``|M|_2``.
+    The test is made on each sample ``M = base + c d' + d c'``.  ``s`` is
+    :func:`_sample_scale` of ``base``, ``c`` and ``d``, which
+    :func:`_worst_sample` passes so as not to form it twice.
     One Cholesky factorisation ``L L'`` of ``A = (level - delta) I - base``
     serves every sample.  With ``W`` the inverse of ``L`` by forward
     substitution and the whitened vectors ``c^ = W c`` and ``d^ = W d``, in
-    exact arithmetic ``(level - delta) I - D = L (I - c^ d^' - d^ c^') L'``.
+    exact arithmetic ``(level - delta) I - M = L (I - c^ d^' - d^ c^') L'``.
     The largest eigenvalue of ``c^ d^' + d^ c^'`` is
-    ``t = sqrt(q_cc q_dd) + q_cd`` with ``q_xy = x'y``, so ``D`` lies below
+    ``t = sqrt(q_cc q_dd) + q_cd`` with ``q_xy = x'y``, so ``M`` lies below
     ``level - delta`` when ``t < 1``.  A sample is dropped when
     ``t < 1 - eta``, ``eta = 8 (n + 3) eps (1 + h)^3``,
     ``h = 2 |c^| |d^|``.  A NaN or infinite ``t``, as from an overflow,
@@ -331,16 +317,16 @@ def _undecided(
 
     With ``u`` the unit roundoff, half the machine epsilon ``eps``,
     ``gamma_k = k u / (1 - k u)``,
-    ``s = n (max|base| + 2 max|c| max|d| + max|g1|^2 + max|g2|^2)``, which
-    bounds ``|base|_2 + 2 |c| |d| + |g1|^2 + |g2|^2``, hence every
-    ``|M|_2``, and ``T = n (|level| + delta) + s``, which bounds
+    ``s = n (max|base| + 2 max|c| max|d|)``, which bounds
+    ``|base|_2 + 2 |c| |d|``, hence every ``|M|_2``, and
+    ``T = n (|level| + delta) + s``, which bounds
     ``trace(A)``, the margin ``delta = 64 (n + 2)^2 eps (|level| + s)``
     exceeds the sum of five errors, so a dropped sample's ``eigvalsh``
     value lies strictly below ``level``:
 
-    - Each entry of a formed sample sums five terms, each rounded at most
-      four times, so the matrix that ``eigvalsh`` sees is within
-      ``gamma_4 s`` of ``M``.
+    - Each entry of a formed sample sums three terms, each rounded at most
+      three times, so the matrix that ``eigvalsh`` sees is within
+      ``gamma_3 s`` of ``M``.
     - ``eigvalsh`` is normwise backward stable: its largest eigenvalue lies
       within ``p(n) u |M|_2`` of the exact one.  LAPACK states ``p(n)`` only
       as a modestly growing function; the a-priori analysis of Householder
@@ -423,8 +409,7 @@ def _draw_cross(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarr
     at such an ``X``, with ``a`` and ``b`` along ``Q1' v`` and ``Q2' v`` for
     the top eigenvector ``v`` of the maximising matrix.  The law is
     invariant under ``X -> U1 X U2'`` for orthogonal ``U_i``.  Monte Carlo
-    draws its cross directions and the directions of its two shrink
-    downdates with it.
+    draws its cross directions with it.
     """
     a = rng.standard_normal((count, p1)).T.copy()
     b = rng.standard_normal((count, p2)).T.copy()
@@ -435,11 +420,16 @@ def _draw_cross(rng, count: int, p1: int, p2: int) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class _Walk:
-    """What :func:`_walk` found: the scalar certificate's weight and the witness's ``(value, bound)``."""
+    """What :func:`_walk` found: the scalar certificate's weight and the witness's ``(value, bound)``.
+
+    ``scale`` is ``n (3 max|S1| + 3 max|S2| + max|P_hat|)``, above the norm
+    of every sample at a cross parameter of norm at most one.
+    """
 
     feasible: float | None  # the first weight that certifies, or None
     value: float
     bound: float
+    scale: float
 
 
 def adversarial_x_search(result, problem: FusionProblem, walk: _Walk | None = None) -> float:
@@ -525,6 +515,7 @@ def _walk(result, problem: FusionProblem) -> _Walk:
     base = s1 + s2 - p_hat
     n = base.shape[0]
     big1, big2, big_p = (np.abs(x).max() for x in (s1, s2, p_hat))
+    scale = n * (3.0 * (big1 + big2) + big_p)
     value, bound = -np.inf, np.inf
     spread = 2.0 * n * result.diagnostics.get("unbias_residual", 0.0)
     feasible, decided, witnessed = None, False, False
@@ -543,11 +534,11 @@ def _walk(result, problem: FusionProblem) -> _Walk:
                 value = max(value, _sample_top(base, q1, q2, a, b))
                 witnessed = f - value <= band
         if decided and witnessed:
-            return _Walk(feasible, value, bound)
+            return _Walk(feasible, value, bound, scale)
     if not witnessed:
         a, b, _ = _flat_direction(q1, q2, alpha, w, v, d1, max(0.25 * band, f - floor))
         value = max(value, _sample_top(base, q1, q2, a, b))
-    return _Walk(feasible, value, bound)
+    return _Walk(feasible, value, bound, scale)
 
 
 def _flat_direction(q1, q2, alpha: float, w, v, d1, width: float):
@@ -639,78 +630,60 @@ def monte_carlo_joint(
 ) -> float:
     """Largest sampled violation over admissible true joint covariances.
 
-    Each sample shrinks both prior blocks by a rank-one downdate to
-    ``L_i (I - (1 - e_i) w_i w_i') L_i'``, ``L_i`` the Cholesky factor of
-    ``P_i``, with factor ``F_i = L_i W_i``,
-    ``W_i = I - (1 - sqrt(e_i)) w_i w_i'``.  The joint is
-    ``[[F1 F1', F1 X F2'], [., F2 F2']]`` with ``X = r a b'`` rank one.  The
+    Each sample is the joint ``[[P1, L1 X L2'], [., P2]]``, ``L_i`` the
+    Cholesky factor of ``P_i``, with ``X = r a b'`` rank one.  The
     generator is seeded from ``SeedSequence(seed, spawn_key=(1,))``, a
     child of ``SeedSequence(seed)``, so a caller that also draws from
-    ``default_rng(seed)`` draws independently.  The stream is read in this order:
-    unit directions ``w1``, ``w2`` from :func:`_draw_cross`; ``e1``, ``e2``
-    uniform on ``[0.05, 1)``; unit directions ``a``, ``b`` from
-    :func:`_draw_cross`; a radius ``r`` uniform on ``[0, 1 - 1e-12)``,
-    folded into ``a``.  As ``e_i >= 0.05`` and ``|X| = r (1 + O(eps)) < 1``,
-    every joint is positive definite.
-    ``K_i F_i = Q_i W_i``, so its fused error less ``P_hat`` is the
+    ``default_rng(seed)`` draws independently.  The stream is read in this
+    order: unit directions ``a``, ``b`` from :func:`_draw_cross`, then a
+    radius ``r`` uniform on ``[0, 1 - 1e-12)``, folded into ``a``; so each
+    sample reads ``p1 + p2`` normals and one uniform.  As
+    ``|X| = r (1 + O(eps)) < 1``, every joint is positive definite.
+    ``K_i L_i = Q_i``, so its fused error less ``P_hat`` is the
     :func:`_worst_violation` sample on ``(Q1, Q2)`` with cross factors
-    ``(W1 r a, W2 b)``, less the downdates ``g_i g_i'``,
-    ``g_i = sqrt(1 - e_i) Q_i w_i``.  Two aligned near-extreme cross
-    parameters ``+-(1 - 1e-6) U V'`` at the full diagonal, as factors of
-    ``k = min(p1, p2)`` columns, are the heads.  Returns the largest
-    eigenvalue of ``K P_joint K' - P_hat`` over heads and draws, to
-    :func:`_worst_sample`'s margin and exactly against
-    :func:`certificate_tolerance`.
+    ``(r a, b)``.  Two aligned near-extreme cross parameters
+    ``+-(1 - 1e-6) U V'``, as factors of ``k = min(p1, p2)`` columns, are
+    the heads.  Returns the largest eigenvalue of ``K P_joint K' - P_hat``
+    over heads and draws, to :func:`_worst_sample`'s margin and exactly
+    against :func:`certificate_tolerance`.
 
-    Every sampled joint lies below the joint with full diagonal blocks and
-    cross parameter ``W1 X W2'``, of norm below one: the difference is
-    ``blkdiag(L_i (I - W_i^2) L_i')``, positive semidefinite (Petersen's
-    domination argument).  So no value exceeds the supremum that
-    :func:`adversarial_x_search` attains, whatever the law of the shrink;
-    the law only decides which joints below it are visited.  For the same
-    reason :func:`_undecided` screens each draw on its dominating joint,
-    without the downdates; the draws it keeps are formed in full.
+    Only such joints can reach the supremum.  An admissible joint with
+    diagonal blocks ``A_i <= P_i`` has a cross block ``L1 X L2'`` with
+    ``|X| <= 1``, so it lies below the joint with full diagonal blocks and
+    the same cross block, by ``blkdiag(P_i - A_i)``, positive semidefinite
+    (Petersen's domination argument).  So no value exceeds the supremum
+    that :func:`adversarial_x_search` attains, and shrinking a prior block
+    would only lower a sample.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    w1, w2 = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
-    shrink = rng.uniform(0.05, 1.0, size=(2, truth_samples))
     a, b = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
     a *= rng.uniform(size=truth_samples) * (1.0 - 1e-12)
 
     q1, q2 = q_pair(result, problem)
     u, v = _extreme_cross_direction(q1, q2)
     u = u * (1.0 - 1e-6)
-    g = []
-    for q, w, f, e in ((q1, w1, a, shrink[0]), (q2, w2, b, shrink[1])):
-        f -= ((1.0 - np.sqrt(e)) * np.einsum("as,as->s", w, f)) * w
-        g.append(np.einsum("ia,as->is", q, w) * np.sqrt(1.0 - e))
-    return _worst_violation(q1, q2, result.P_hat.data, np.stack([u, -u]), np.stack([v, v]), a, b, g,
+    return _worst_violation(q1, q2, result.P_hat.data, np.stack([u, -u]), np.stack([v, v]), a, b,
                             certificate_tolerance(result))
 
 
-def _check_monte_carlo(result, problem: FusionProblem, worst_mc: float, worst_x: float,
-                       bound: float) -> None:
+def _check_monte_carlo(result, worst_mc: float, walk: _Walk) -> None:
     """Raise :class:`InternalInconsistencyError` where Monte Carlo exceeds ``min f`` past rounding.
 
-    ``min f`` bounds every admissible sample, and ``bound`` is ``min f``
+    ``min f`` bounds every admissible sample, and ``walk.bound`` is ``min f``
     plus its rounding (:func:`_walk`), so a larger Monte Carlo value means
     the two routes disagree.  Both values carry the rounding of an
-    ``eigvalsh`` of a formed sample, each of norm at most
-    ``s = n (3 max|S1| + 3 max|S2| + max|P_hat|)``, which :func:`_margin`
-    at the witness exceeds (see :func:`_undecided`), and the test allows
-    twice that margin.  The witness is itself a sample, so a Monte Carlo
-    value at most one margin above it passes as well.
+    ``eigvalsh`` of a formed sample, each of norm at most ``walk.scale``,
+    which :func:`_margin` at the witness ``walk.value`` exceeds (see
+    :func:`_undecided`), and the test allows twice that margin.  The
+    witness is itself a sample, so a Monte Carlo value at most one margin
+    above it passes as well.
     """
-    q1, q2 = q_pair(result, problem)
-    p_hat = result.P_hat.data
-    n = p_hat.shape[0]
-    s = n * (3.0 * (np.abs(q1 @ q1.T).max() + np.abs(q2 @ q2.T).max()) + np.abs(p_hat).max())
-    margin = _margin(n, worst_x, s)
-    if worst_mc > max(worst_x + margin, bound + 2.0 * margin):
+    margin = _margin(result.P_hat.data.shape[0], walk.value, walk.scale)
+    if worst_mc > max(walk.value + margin, walk.bound + 2.0 * margin):
         raise InternalInconsistencyError(
-            f"Monte Carlo value {worst_mc:.17g} exceeds min f = {bound:.17g}, "
+            f"Monte Carlo value {worst_mc:.17g} exceeds min f = {walk.bound:.17g}, "
             f"which bounds every admissible sample"
         )
 
@@ -745,7 +718,7 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
     rows.append(CertificateRow("petersen", eps is not None, "eps", eps))
     worst_x = adversarial_x_search(result, problem, walk)
     worst_mc = monte_carlo_joint(result, problem, samples, seed)
-    _check_monte_carlo(result, problem, worst_mc, worst_x, walk.bound)
+    _check_monte_carlo(result, worst_mc, walk)
     rows.append(CertificateRow("adversarial-x", worst_x <= tol, "worst", worst_x))
     rows.append(CertificateRow("monte-carlo", worst_mc <= tol, "worst", worst_mc))
     if truth is not None:

@@ -282,7 +282,7 @@ def adversarial_sampling_oracle(result, problem: FusionProblem, samples: int = 1
     u, v = verifier._extreme_cross_direction(q1, q2)
     return verifier._worst_violation(q1, q2, result.P_hat.data,
                                      np.stack([np.zeros_like(u), u, -u]), np.stack([v] * 3),
-                                     a, b, (), certificate_tolerance(result))
+                                     a, b, certificate_tolerance(result))
 
 
 def monte_carlo_rng(seed: int) -> np.random.Generator:
@@ -296,29 +296,19 @@ def monte_carlo_rng(seed: int) -> np.random.Generator:
 
 
 def monte_carlo_draws(problem: FusionProblem, seed: int, count: int):
-    """The random joints ``verifier.monte_carlo_joint`` draws for ``seed``.
+    """The random cross parameters ``verifier.monte_carlo_joint`` draws for ``seed``.
 
     Drawn here from the stream of :func:`monte_carlo_rng` in the sampler's
-    order: unit Gaussian shrink directions ``w1`` then ``w2``
-    (:func:`rank_one_draws`), shrink factors ``e1`` then ``e2`` uniform on
-    ``[0.05, 1)``, then rank-one cross parameters ``r a b'``: unit Gaussian
-    directions ``a`` then ``b``, then radii ``r`` uniform on
-    ``[0, 1 - 1e-12)``.  Returns the factors
-    ``F_i = L_i (I - (1 - sqrt(e_i)) w_i w_i')``, ``L_i`` the Cholesky
-    factor of ``P_i``, the cross factors ``r a`` and ``b``, and the shrunken
-    blocks ``L_i (I - (1 - e_i) w_i w_i') L_i'``, all sample-first.
+    order: unit Gaussian directions ``a`` then ``b``
+    (:func:`rank_one_draws`), then radii ``r`` uniform on
+    ``[0, 1 - 1e-12)``.  Returns the cross factors ``r a`` and ``b`` of
+    ``X = r a b'``, sample-first.  Every sampled joint has the full prior
+    blocks ``P_i`` on its diagonal.
     """
     rng = monte_carlo_rng(seed)
-    w1, w2 = rank_one_draws(rng, count, problem.p1, problem.p2)
-    e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
-    factors, blocks = [], []
-    for est, w, e in ((problem.est1, w1, e1), (problem.est2, w2, e2)):
-        eye, outer = np.eye(w.shape[1]), w[:, :, None] * w[:, None, :]
-        factors.append(est.p_chol @ (eye - (1.0 - np.sqrt(e))[:, None, None] * outer))
-        blocks.append(est.p_chol @ (eye - (1.0 - e)[:, None, None] * outer) @ est.p_chol.T)
     a, b = rank_one_draws(rng, count, problem.p1, problem.p2)
     a *= (rng.uniform(size=count) * (1.0 - 1e-12))[:, None]
-    return factors[0], factors[1], a, b, blocks[0], blocks[1]
+    return a, b
 
 
 def sqrt_q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -336,30 +326,23 @@ def monte_carlo_sqrt_oracle(result, problem: FusionProblem, truth_samples: int, 
 
     The sampler that ``verifier.monte_carlo_joint`` replaced, kept as its
     oracle.  On the draws of :func:`monte_carlo_draws` it takes the
-    symmetric square roots ``S_i`` of the shrunken blocks by ``eigh``,
+    symmetric square roots ``S_i`` of the prior blocks by ``eigh``,
     assembles the dense joint ``[[S1 S1, S1 X S2], [S2 X' S1, S2 S2]]`` and
     returns the largest eigenvalue of ``K P_joint K' - P_hat`` over the
-    samples, including the two aligned near-extreme cross draws at the full
-    diagonal, aligned on the blocks of :func:`sqrt_q_pair`.
+    samples, including the two aligned near-extreme cross draws, aligned on
+    the blocks of :func:`sqrt_q_pair`.
     """
     est1, est2 = problem.est1, problem.est2
-    p1, p2 = problem.p1, problem.p2
-    _, _, a, b, p1s, p2s = monte_carlo_draws(problem, seed, truth_samples)
-    xs = a[:, :, None] * b[:, None, :]
-
-    def batched_sqrt(mats):
-        w, v = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, -1, -2)))
-        return np.einsum("sij,sj,skj->sik", v, np.sqrt(np.clip(w, 0.0, None)), v)
-
+    a, b = monte_carlo_draws(problem, seed, truth_samples)
     q1, q2 = sqrt_q_pair(result, problem)
     u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
     extreme = u @ vt * (1.0 - 1e-6)
-    p1s = np.concatenate([np.broadcast_to(est1.p_hat.data, (2, p1, p1)), p1s], axis=0)
-    p2s = np.concatenate([np.broadcast_to(est2.p_hat.data, (2, p2, p2)), p2s], axis=0)
-    xs = np.concatenate([extreme[None], -extreme[None], xs], axis=0)
+    xs = np.concatenate([extreme[None], -extreme[None], a[:, :, None] * b[:, None, :]], axis=0)
 
-    sq1, sq2 = batched_sqrt(p1s), batched_sqrt(p2s)
+    sq1, sq2 = sqrt_psd(est1.p_hat), sqrt_psd(est2.p_hat)
     p12s = sq1 @ xs @ sq2
+    p1s = np.broadcast_to(est1.p_hat.data, (len(xs), problem.p1, problem.p1))
+    p2s = np.broadcast_to(est2.p_hat.data, (len(xs), problem.p2, problem.p2))
     joints = np.block([[p1s, p12s], [np.swapaxes(p12s, -1, -2), p2s]])
     k = np.hstack([result.K1, result.K2])
     fused = k @ joints @ k.T - result.P_hat.data

@@ -962,27 +962,26 @@ def dense_samples(q1, q2, p_hat, a, b) -> np.ndarray:
     return np.array(stack)
 
 
-def dense_worst(base, heads, c, d, g=(), tol=np.inf) -> float:
+def dense_worst(base, heads, c, d, tol=np.inf) -> float:
     """The kernel's value without its screen: ``eigvalsh`` over every head and sample.
 
     ``tol``, the kernel's decision level, does not enter the dense value.
     """
-    stack = np.concatenate([heads, _sample_stack(base, c, d, g)])
+    stack = np.concatenate([heads, _sample_stack(base, c, d)])
     return float(np.linalg.eigvalsh(stack)[:, -1].max())
 
 
-def tie_margin(base, value, c, d, g=()) -> float:
+def tie_margin(base, value, c, d) -> float:
     """``rho = 2 delta``: ``delta = 64 (n + 2)^2 eps (|value| + s)``, ``s`` from the factors."""
     n = base.shape[0]
-    s = n * (np.abs(base).max() + 2.0 * np.abs(c).max() * np.abs(d).max()
-             + sum(np.abs(x).max() ** 2 for x in g))
+    s = n * (np.abs(base).max() + 2.0 * np.abs(c).max() * np.abs(d).max())
     return 2.0 * (64.0 * (n + 2) ** 2 * np.finfo(float).eps * (abs(value) + s))
 
 
-def assert_within_margin(value, base, heads, c, d, g=(), tol=np.inf) -> None:
+def assert_within_margin(value, base, heads, c, d, tol=np.inf) -> None:
     """The kernel's contract: ``value <= dense < value + rho``, and ``tol`` decided alike."""
-    dense = dense_worst(base, heads, c, d, g)
-    assert value <= dense < value + tie_margin(base, value, c, d, g)
+    dense = dense_worst(base, heads, c, d)
+    assert value <= dense < value + tie_margin(base, value, c, d)
     assert (value <= tol) == (dense <= tol)
 
 
@@ -1016,14 +1015,13 @@ def kernel_calls(monkeypatch):
 def assert_dense_oracle(calls) -> None:
     """Each kernel value keeps its dense contract; no dropped sample reaches its level.
 
-    Each kernel call screens once, so the two lists pair up in order, and a
-    dropped sample is formed with the downdates ``g`` of its kernel call.
+    Each kernel call screens once, so the two lists pair up in order.
     """
     assert len(calls["sample"]) == len(calls["undecided"])
     for (args, value), ((base, level, c, d, *_), keep) in zip(calls["sample"],
                                                              calls["undecided"]):
         assert_within_margin(value, *args)
-        tops = np.linalg.eigvalsh(_sample_stack(base, c, d, args[4]))[:, -1]
+        tops = np.linalg.eigvalsh(_sample_stack(base, c, d))[:, -1]
         assert (tops[~keep] < level).all()
 
 
@@ -1039,10 +1037,9 @@ class TestWorstViolationKernel:
             yield seed, problem, shrink_result(result, 0.9)
 
     def test_sampler_feeds_kernel_the_factored_joints(self, kernel_calls):
-        # monte_carlo_joint hands the kernel the two aligned extremes at the
-        # full diagonal as factors (U, V), then (Q1, Q2) with the cross
-        # factors of each drawn joint and the factors g_i of its two
-        # downdates K_i (P_i - F_i F_i') K_i' = g_i g_i'
+        # monte_carlo_joint hands the kernel the two aligned extremes as
+        # factors (U, V), then (Q1, Q2) with the cross factors (r a, b) of
+        # each drawn joint [[P1, L1 X L2'], [., P2]], X = r a b'
         for seed, problem, result in self.cases():
             for calls in kernel_calls.values():
                 calls.clear()
@@ -1050,10 +1047,10 @@ class TestWorstViolationKernel:
             (args,), ((sample_args, value),) = kernel_calls["violation"], kernel_calls["sample"]
             assert worst == value
             assert_within_margin(value, *sample_args)
-            q1k, q2k, p_hat, head_a, head_b, a, b, g, tol = args
+            q1k, q2k, p_hat, head_a, head_b, a, b, tol = args
             assert tol == certificate_tolerance(result)
             assert p_hat is result.P_hat.data
-            f1, f2, a_draws, b_draws, b1, b2 = monte_carlo_draws(problem, seed, self.COUNT)
+            a_draws, b_draws = monte_carlo_draws(problem, seed, self.COUNT)
             q1, q2 = q_pair(result, problem)
             u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
             extreme = u @ vt * (1.0 - 1e-6)
@@ -1063,32 +1060,18 @@ class TestWorstViolationKernel:
             np.testing.assert_allclose(head_a @ np.swapaxes(head_b, 1, 2),
                                        [extreme, -extreme], rtol=0.0, atol=1e-14)
             assert a.shape == (problem.p1, self.COUNT) and b.shape == (problem.p2, self.COUNT)
-            for q, x, k, f, x_draws in ((q1, a, result.K1, f1, a_draws),
-                                        (q2, b, result.K2, f2, b_draws)):
-                # Q W x = K F x: the shrink enters through the cross factor
-                np.testing.assert_allclose((q @ x).T, (k @ f @ x_draws[:, :, None])[..., 0],
-                                           rtol=0.0, atol=1e-13 * np.abs(k @ f).max())
-            for f, block in ((f1, b1), (f2, b2)):
-                # F F' is the shrunken prior block
-                np.testing.assert_allclose(f @ np.swapaxes(f, 1, 2), block, rtol=0.0,
-                                           atol=1e-13 * np.abs(block).max())
-            full = [k @ est.p_hat.data @ k.T for k, est in ((result.K1, problem.est1),
-                                                            (result.K2, problem.est2))]
-            scale = sum(np.abs(t).max() for t in full) + np.abs(p_hat).max()
-            downdates = 0.0
-            for gi, full_i, k, block in ((g[0], full[0], result.K1, b1),
-                                         (g[1], full[1], result.K2, b2)):
-                downdate = full_i - k @ block @ k.T
-                np.testing.assert_allclose(gi.T[:, :, None] * gi.T[:, None, :], downdate,
-                                           rtol=0.0, atol=1e-13 * scale)
-                downdates = downdates + downdate
-            base, heads, c, d, gs, _ = sample_args
+            # the cross factors are the drawn ones, on Q_i = K_i L_i
+            np.testing.assert_allclose(a.T, a_draws, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(b.T, b_draws, rtol=1e-13, atol=0.0)
+            scale = (np.abs(q1 @ q1.T).max() + np.abs(q2 @ q2.T).max()
+                     + np.abs(p_hat).max())
+            base, heads, c, d, _ = sample_args
             cross = q1 @ extreme @ q2.T
             dense_heads = [q1 @ q1.T + q2 @ q2.T - p_hat + t * (cross + cross.T)
                            for t in (1.0, -1.0)]
             np.testing.assert_allclose(heads, dense_heads, rtol=0.0, atol=1e-13 * scale)
-            np.testing.assert_allclose(_sample_stack(base, c, d, gs),
-                                       dense_samples(q1, q2, p_hat, a, b) - downdates,
+            np.testing.assert_allclose(_sample_stack(base, c, d),
+                                       dense_samples(q1, q2, p_hat, a, b),
                                        rtol=0.0, atol=1e-13 * scale)
 
     def test_matches_dense_joint_per_sample(self, kernel_calls):
@@ -1096,22 +1079,21 @@ class TestWorstViolationKernel:
             kernel_calls["sample"].clear()
             monte_carlo_joint(result, problem, truth_samples=self.COUNT, seed=seed)
             ((args, _),) = kernel_calls["sample"]
-            mats = _sample_stack(*args[:1], *args[2:5])
+            mats = _sample_stack(args[0], args[2], args[3])
             p_hat = result.P_hat.data
             scale = np.linalg.norm(p_hat, 2)
             k = np.hstack([result.K1, result.K2])
-            f1, f2, a, b, _, _ = monte_carlo_draws(problem, seed, self.COUNT)
+            l1, l2 = problem.est1.p_chol, problem.est2.p_chol
+            a, b = monte_carlo_draws(problem, seed, self.COUNT)
             for s in range(self.COUNT):
                 x = np.outer(a[s], b[s])
-                p12 = f1[s] @ x @ f2[s].T
-                joint = np.block([[f1[s] @ f1[s].T, p12], [p12.T, f2[s] @ f2[s].T]])
+                p12 = l1 @ x @ l2.T
+                joint = np.block([[problem.est1.p_hat.data, p12],
+                                  [p12.T, problem.est2.p_hat.data]])
                 dense = np.linalg.eigvalsh(k @ joint @ k.T - p_hat)[-1]
                 kernel = np.linalg.eigvalsh(mats[s])[-1]
                 assert abs(kernel - dense) <= 1e-12 * scale
                 assert np.linalg.eigvalsh(joint)[0] >= -1e-12 * np.linalg.norm(joint, 2)
-                for f, est in ((f1[s], problem.est1), (f2[s], problem.est2)):
-                    p = est.p_hat.data
-                    assert np.linalg.eigvalsh(p - f @ f.T)[0] >= -1e-12 * np.linalg.norm(p, 2)
                 assert np.linalg.svd(x, compute_uv=False)[0] < 1.0
 
     @pytest.mark.parametrize("p1", range(1, 7))
@@ -1119,9 +1101,8 @@ class TestWorstViolationKernel:
     def test_cross_draws_are_rank_one_contractions(self, kernel_calls, p1, p2):
         # both samplers draw X = a b' from unit Gaussian directions, rebuilt
         # here from the raw stream: spectral norm one for the adversarial
-        # search; Monte Carlo reads its shrink directions w1, w2 and factors
-        # e1, e2 first, folds its radius, drawn after a and b, into a, and
-        # hands the kernel (W1 r a, W2 b), W = I - (1 - sqrt(e)) w w'
+        # search; Monte Carlo folds its radius r, drawn after a and b, into
+        # a and hands the kernel (r a, b)
         eps, count, seed = np.finfo(float).eps, 200, p1 * 10 + p2
         problem = random_problem(np.random.default_rng(seed), max(p1, p2), p1, p2)
         result = solve_ci(problem, Cost.TRACE)
@@ -1139,36 +1120,26 @@ class TestWorstViolationKernel:
         np.testing.assert_allclose(a_adv, unit_a, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(b_adv, unit_b, rtol=1e-13, atol=0.0)
         rng = monte_carlo_rng(seed)
-        w1, w2 = rank_one_draws(rng, count, p1, p2)
-        e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
         unit_a, unit_b = rank_one_draws(rng, count, p1, p2)
         radii = rng.uniform(size=count) * (1.0 - 1e-12)
-
-        def shrunk(w, e, f):
-            return f - ((1.0 - np.sqrt(e)) * np.einsum("si,si->s", w, f))[:, None] * w
-
-        # the shrink cancels in some entries, so each draw is held to 1e-13
-        # of its norm before the shrink, r for a and 1 for b
-        for f, want, norms in ((a_mc, shrunk(w1, e1, unit_a * radii[:, None]), radii),
-                               (b_mc, shrunk(w2, e2, unit_b), np.ones(count))):
-            assert (np.abs(f - want).max(axis=1) <= 1e-13 * norms).all()
-            # W is a contraction, so |W1 r a| <= r and |W2 b| <= 1
-            assert (np.linalg.norm(f, axis=1) <= norms * (1.0 + 4.0 * eps)).all()
-        for f in (a_adv, b_adv):
+        np.testing.assert_allclose(a_mc, unit_a * radii[:, None], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(b_mc, unit_b, rtol=1e-13, atol=0.0)
+        assert (np.abs(np.linalg.norm(a_mc, axis=1) - radii) <= 4.0 * eps * radii).all()
+        for f in (a_adv, b_adv, b_mc):
             assert (np.abs(np.linalg.norm(f, axis=1) - 1.0) <= 4.0 * eps).all()
-        # |W1 X W2| <= |W1 r a| |W2 b| < 1: the dominating joint's cross
-        # parameter, so every sampled joint is positive definite
+        # |X| = |r a| |b| < 1, so every sampled joint is positive definite
         assert (np.linalg.norm(a_mc, axis=1) * np.linalg.norm(b_mc, axis=1) < 1.0).all()
 
     def test_samplers_first_draws_differ_for_one_seed(self, monkeypatch):
         # the two sampling routes are reported side by side as independent:
-        # Monte Carlo's first draws, its shrink directions w1 and w2, must
-        # not repeat the adversarial search's cross directions a and b
+        # Monte Carlo's first draws, its cross directions a and b from the
+        # spawned stream, must not repeat the adversarial search's
         draws = []
 
         def recorded(rng, count, p1, p2, _draw=verifier._draw_cross):
-            draws.append(_draw(rng, count, p1, p2))
-            return draws[-1]
+            pair = _draw(rng, count, p1, p2)
+            draws.append(tuple(x.copy() for x in pair))  # Monte Carlo scales a in place
+            return pair
 
         monkeypatch.setattr(verifier, "_draw_cross", recorded)
         problem = random_problem(np.random.default_rng(31), 4, 2, 3)
@@ -1177,49 +1148,66 @@ class TestWorstViolationKernel:
             draws.clear()
             adversarial_sampling_oracle(result, problem, 50, seed)
             monte_carlo_joint(result, problem, truth_samples=50, seed=seed)
-            (a, b), (w1, w2), _ = draws
-            assert a.shape == w1.shape and b.shape == w2.shape
-            assert (a != w1).all() and (b != w2).all()
+            (a, b), (a_mc, b_mc) = draws
+            assert a.shape == a_mc.shape and b.shape == b_mc.shape
+            assert (a != a_mc).all() and (b != b_mc).all()
             # each stream is the one its sampler documents
             want_a, want_b = rank_one_draws(np.random.default_rng(seed), 50, 2, 3)
-            want_w1, want_w2 = rank_one_draws(monte_carlo_rng(seed), 50, 2, 3)
-            for got, want in ((a, want_a), (b, want_b), (w1, want_w1), (w2, want_w2)):
+            want_a_mc, want_b_mc = rank_one_draws(monte_carlo_rng(seed), 50, 2, 3)
+            for got, want in ((a, want_a), (b, want_b), (a_mc, want_a_mc), (b_mc, want_b_mc)):
                 np.testing.assert_allclose(got.T, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("p1", range(1, 7))
     @pytest.mark.parametrize("p2", range(1, 7))
-    def test_sampled_joints_lie_below_their_dominating_joints(self, kernel_calls, p1, p2):
-        # each Monte Carlo sample is the kernel's sample on (Q1, Q2) with the
-        # same cross factors (W1 r a, W2 b), less the two downdates: a
-        # positive semidefinite difference of rank at most two, whose trace
-        # is (1 - e1)|Q1 w1|^2 + (1 - e2)|Q2 w2|^2, so no sample exceeds
-        # the one of its dominating joint
+    def test_sampled_joints_are_admissible_with_full_prior_blocks(self, kernel_calls, p1, p2):
+        # each Monte Carlo sample is K P K' - P_hat on the joint
+        # [[P1, L1 X L2'], [., P2]], X = r a b' drawn from the documented
+        # stream: positive semidefinite, as |X| < 1, and, CI being
+        # conservative against every such joint, below the row's tolerance
         count, seed = 200, 500 + p1 * 10 + p2
-        n = max(p1, p2)
-        problem = random_problem(np.random.default_rng(seed), n, p1, p2)
+        problem = random_problem(np.random.default_rng(seed), max(p1, p2), p1, p2)
         result = solve_ci(problem, Cost.TRACE)
         worst = monte_carlo_joint(result, problem, truth_samples=count, seed=seed)
-        (((base, heads, c, d, g, tol), value),) = kernel_calls["sample"]
+        (((base, heads, c, d, tol), value),) = kernel_calls["sample"]
         assert worst == value
-        assert_within_margin(value, base, heads, c, d, g, tol)
-        dominating = _sample_stack(base, c, d)
-        diff = dominating - _sample_stack(base, c, d, g)
-        q1, q2 = q_pair(result, problem)
-        scale = (np.abs(q1 @ q1.T).max() + np.abs(q2 @ q2.T).max()
-                 + np.abs(result.P_hat.data).max())
-        eigs = np.linalg.eigvalsh(diff)
-        assert eigs[:, 0].min() >= -1e-13 * scale
-        assert ((eigs > 1e-13 * scale).sum(axis=1) <= min(2, n)).all()
-        rng = monte_carlo_rng(seed)
-        w1, w2 = rank_one_draws(rng, count, p1, p2)
-        e1, e2 = rng.uniform(0.05, 1.0, size=(2, count))
-        shrink = ((1.0 - e1) * np.sum((w1 @ q1.T) ** 2, axis=1)
-                  + (1.0 - e2) * np.sum((w2 @ q2.T) ** 2, axis=1))
-        np.testing.assert_allclose(np.einsum("sii->s", diff), shrink, rtol=0.0,
-                                   atol=1e-13 * n * scale)
-        # the optimum sits at zero violation, so the two differ by rounding
-        bound = dense_worst(base, heads, c, d)
-        assert worst <= bound + 1e-13 * scale
+        assert_within_margin(value, base, heads, c, d, tol)
+        p1_hat, p2_hat = problem.est1.p_hat.data, problem.est2.p_hat.data
+        l1, l2 = problem.est1.p_chol, problem.est2.p_chol
+        k = np.hstack([result.K1, result.K2])
+        p_hat = result.P_hat.data
+        a, b = monte_carlo_draws(problem, seed, count)
+        p12 = l1 @ (a[:, :, None] * b[:, None, :]) @ l2.T
+        joints = np.block([[np.broadcast_to(p1_hat, (count, p1, p1)), p12],
+                           [np.swapaxes(p12, 1, 2), np.broadcast_to(p2_hat, (count, p2, p2))]])
+        norms = np.linalg.norm(joints, 2, axis=(1, 2))
+        assert (np.linalg.eigvalsh(joints)[:, 0] >= -1e-12 * norms).all()
+        dense = k @ joints @ k.T - p_hat
+        scale = np.abs(k @ joints @ k.T).max() + np.abs(p_hat).max()
+        np.testing.assert_allclose(_sample_stack(base, c, d), dense, rtol=0.0,
+                                   atol=1e-13 * scale)
+        assert worst <= certificate_tolerance(result)
+
+    @pytest.mark.parametrize("p1, p2", [(1, 1), (2, 3), (4, 1), (5, 5)])
+    def test_monte_carlo_reads_one_normal_per_cross_entry_and_one_uniform_per_sample(
+            self, monkeypatch, p1, p2):
+        # each sample costs p1 + p2 normals and one uniform: the generator
+        # ends where one that drew exactly that budget ends
+        generators = []
+
+        def recorded(rng, *args, _draw=verifier._draw_cross):
+            generators.append(rng)
+            return _draw(rng, *args)
+
+        monkeypatch.setattr(verifier, "_draw_cross", recorded)
+        count, seed = 300, 40 + p1 * 10 + p2
+        problem = random_problem(np.random.default_rng(seed), max(p1, p2), p1, p2)
+        monte_carlo_joint(solve_ci(problem, Cost.TRACE), problem, truth_samples=count, seed=seed)
+        rng = generators[0]
+        assert all(g is rng for g in generators)
+        budget = monte_carlo_rng(seed)
+        budget.standard_normal(count * (p1 + p2))
+        budget.uniform(size=count)
+        assert rng.bit_generator.state == budget.bit_generator.state
 
 
 def strided(a: np.ndarray) -> np.ndarray:
@@ -1242,28 +1230,24 @@ class TestSampleLastSampler:
         g1 = rng.standard_normal((n, p1))
         g2 = rng.standard_normal((n, p2))
         a, b = _draw_cross(rng, count, p1, p2)
-        downdates = [rng.standard_normal((n, count)) for _ in range(2)]
         p_hat = random_spd(rng, n)
         base = g1 @ g1.T + g2 @ g2.T - p_hat
         c, d = g1 @ a, g2 @ b
         relayout = {"c_order": np.ascontiguousarray, "f_order": np.asfortranarray,
                     "strided": strided}[layout]
-        for g in ((), downdates):
-            want = _sample_stack(base, c, d, g)
-            stack = _sample_stack(base, relayout(c), relayout(d), [relayout(x) for x in g])
-            assert stack.shape == (count, n, n)
-            assert bits(stack.ravel()) == bits(want.ravel())
-            subset = rng.permutation(count)[: count // 3]
-            part = _sample_stack(base, c[:, subset], d[:, subset], [x[:, subset] for x in g])
-            assert bits(part.ravel()) == bits(want[subset].ravel())
-            dense = dense_samples(g1, g2, p_hat, a, b)
-            for x in g:
-                dense = dense - x.T[:, :, None] * x.T[:, None, :]
-            for s in range(count):
-                cross = g1 @ np.outer(a[:, s], b[:, s]) @ g2.T
-                scale = (np.abs(g1 @ g1.T).max() + np.abs(g2 @ g2.T).max() + np.abs(p_hat).max()
-                         + 2.0 * np.abs(cross).max() + sum(np.abs(x[:, s]).max() ** 2 for x in g))
-                np.testing.assert_allclose(stack[s], dense[s], rtol=0.0, atol=1e-13 * scale)
+        want = _sample_stack(base, c, d)
+        stack = _sample_stack(base, relayout(c), relayout(d))
+        assert stack.shape == (count, n, n)
+        assert bits(stack.ravel()) == bits(want.ravel())
+        subset = rng.permutation(count)[: count // 3]
+        part = _sample_stack(base, c[:, subset], d[:, subset])
+        assert bits(part.ravel()) == bits(want[subset].ravel())
+        dense = dense_samples(g1, g2, p_hat, a, b)
+        for s in range(count):
+            cross = g1 @ np.outer(a[:, s], b[:, s]) @ g2.T
+            scale = (np.abs(g1 @ g1.T).max() + np.abs(g2 @ g2.T).max() + np.abs(p_hat).max()
+                     + 2.0 * np.abs(cross).max())
+            np.testing.assert_allclose(stack[s], dense[s], rtol=0.0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("n, p1, p2", [(1, 1, 1), (3, 1, 2), (4, 3, 3), (6, 4, 6)])
     def test_heads_match_dense_products(self, kernel_calls, n, p1, p2):
@@ -1289,14 +1273,13 @@ class TestSampleLastSampler:
         adversarial_sampling_oracle(result, problem, 20, 3)
         monte_carlo_joint(result, problem, truth_samples=20, seed=3)
         adv, mc = kernel_calls["violation"]
-        assert len(adv[3]) == 3 and len(mc[3]) == 2 and adv[7] == () and len(mc[7]) == 2
+        assert len(adv[3]) == 3 and len(mc[3]) == 2
         for args in (adv, mc):
+            assert len(args) == 8
             assert all(m.ndim == 2 for m in args[:3]) and args[3].ndim == args[4].ndim == 3
-            rows = (problem.p1, problem.p2, problem.n, problem.n)
-            for factor, rows in zip((*args[5:7], *args[7]), rows):
-                assert factor.shape == (rows, 20)
-        for (_, _, c, d, g, _), _ in kernel_calls["sample"]:
-            for factor in (c, d, *g):
+            assert args[5].shape == (problem.p1, 20) and args[6].shape == (problem.p2, 20)
+        for (_, _, c, d, _), _ in kernel_calls["sample"]:
+            for factor in (c, d):
                 assert factor.shape == (problem.n, 20) and factor.flags.c_contiguous
 
 
@@ -1305,12 +1288,11 @@ def symmetric_stack(rng, count: int, n: int) -> np.ndarray:
     return a + np.swapaxes(a, 1, 2)
 
 
-def random_factors(rng, n: int, count: int, downdates: bool):
-    """``base``, ``c``, ``d`` and ``g`` (two downdate factors or none) of random samples."""
+def random_factors(rng, n: int, count: int):
+    """``base``, ``c`` and ``d`` of random samples."""
     base = -random_spd(rng, n)
     c, d = rng.standard_normal((2, n, count))
-    g = list(0.5 * rng.standard_normal((2, n, count))) if downdates else []
-    return base, c, d, g
+    return base, c, d
 
 
 def near_tie_factors(rng, n: int, count: int):
@@ -1336,17 +1318,15 @@ class TestScreenedKernel:
         # a small and a large P_hat: violations mostly positive, then negative
         for scale in (0.1, 10.0 * n):
             base = q1 @ q1.T + q2 @ q2.T - scale * p_hat
-            for g in ((), list(0.3 * rng.standard_normal((2, n, count)))):
-                args = (base, heads, q1 @ a, q2 @ b, g)
-                assert_within_margin(_worst_sample(*args), *args)
-        for downdates in (False, True):
-            base, c, d, g = random_factors(rng, n, count, downdates)
-            assert_within_margin(_worst_sample(base, heads, c, d, g), base, heads, c, d, g)
+            args = (base, heads, q1 @ a, q2 @ b)
+            assert_within_margin(_worst_sample(*args), *args)
+        base, c, d = random_factors(rng, n, count)
+        assert_within_margin(_worst_sample(base, heads, c, d), base, heads, c, d)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_exact_ties(self, n):
         rng = np.random.default_rng(600 + n)
-        base, c, d, _ = random_factors(rng, n, 1, False)
+        base, c, d = random_factors(rng, n, 1)
         c, d = np.repeat(c, 200, axis=1), np.repeat(d, 200, axis=1)
         heads = base[None]
         # every sample is one matrix, so the value is exact
@@ -1386,25 +1366,19 @@ class TestScreenedKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20])
     def test_screen_keeps_every_sample_reaching_the_threshold(self, n):
         # thresholds at the samples' own eigvalsh values: a sample at or
-        # above the threshold is never dropped.  The screen tests each
-        # sample's dominating one, without the downdates, at the kernel's
-        # scale s, which covers them; so once the threshold clears base's
-        # largest eigenvalue, every sample whose dominating one lies clearly
-        # below it is dropped
+        # above the threshold is never dropped; once the threshold clears
+        # base's largest eigenvalue, every sample clearly below it is
         rng = np.random.default_rng(900 + n)
-        for downdates in (False, True):
-            for base, c, d, g in (random_factors(rng, n, 400, downdates),
-                                  (*near_tie_factors(rng, n, 400), [])):
-                tops = np.linalg.eigvalsh(_sample_stack(base, c, d, g))[:, -1]
-                dominating = np.linalg.eigvalsh(_sample_stack(base, c, d))[:, -1]
-                s = verifier._sample_scale(base, c, d, g)
-                scale = np.abs(tops).max() + n * np.abs(base).max()
-                top_base = np.linalg.eigvalsh(base)[-1]
-                for level in np.sort(tops)[::-37]:
-                    keep = _undecided(base, level, c, d, s)
-                    assert keep[tops >= level].all()
-                    if level > top_base + 0.05 * scale:
-                        assert not keep[dominating < level - 1e-9 * scale].any()
+        for base, c, d in (random_factors(rng, n, 400), near_tie_factors(rng, n, 400)):
+            tops = np.linalg.eigvalsh(_sample_stack(base, c, d))[:, -1]
+            s = verifier._sample_scale(base, c, d)
+            scale = np.abs(tops).max() + n * np.abs(base).max()
+            top_base = np.linalg.eigvalsh(base)[-1]
+            for level in np.sort(tops)[::-37]:
+                keep = _undecided(base, level, c, d, s)
+                assert keep[tops >= level].all()
+                if level > top_base + 0.05 * scale:
+                    assert not keep[tops < level - 1e-9 * scale].any()
 
     def test_nan_or_infinite_test_value_keeps_its_sample(self):
         cc = np.array([1e-2, np.nan, np.inf, 1e-2, 1e-2, 1e-2])
@@ -1452,7 +1426,7 @@ class TestTiedStacks:
     def test_within_the_margin_of_unscreened(self, n):
         rng = np.random.default_rng(1000 + n)
         counts = [200, 300, 250]
-        base, c, d, _ = random_factors(rng, n, 3, False)
+        base, c, d = random_factors(rng, n, 3)
         tie_base, tie_c, tie_d = near_tie_factors(rng, n, 3)
         # the head is the first tied matrix, which need not set the maximum
         for b, factors in ((base, (c, d)), (tie_base, (tie_c, tie_d))):
@@ -1507,7 +1481,7 @@ class TestTiedStacks:
         # them all
         n = 8
         rng = np.random.default_rng(1902)
-        base, c, d, _ = random_factors(rng, n, 1, False)
+        base, c, d = random_factors(rng, n, 1)
         near = c * (1.0 + 2.0**-52)
         copy_top, near_top = (np.linalg.eigvalsh(_sample_stack(base, x, d))[0, -1]
                               for x in (c, near))
@@ -1528,17 +1502,16 @@ class TestTieGeometries:
     A square pair at an interior weight puts every adversarial sample at
     zero (:class:`TestSquarePair`).  At an endpoint weight one gain block is
     zero, so ``base`` is ``Q Q' - P_hat``, zero up to rounding, and every
-    Monte Carlo sample is ``base - g g'``, its largest eigenvalue zero up to
-    rounding too.
+    Monte Carlo sample is ``base`` itself, a copy of each head.
     """
 
     @staticmethod
     def assert_ties_decided_by_the_heads(kernel_calls, kernel_batches, heads):
         ((args, value),) = kernel_calls["sample"]
-        base, _, c, d, g, tol = args
-        tops = np.linalg.eigvalsh(_sample_stack(base, c, d, g))[:, -1]
+        base, _, c, d, tol = args
+        tops = np.linalg.eigvalsh(_sample_stack(base, c, d))[:, -1]
         # the samples tie far inside the margin
-        assert np.ptp(tops) < 0.01 * tie_margin(base, 0.0, c, d, g)
+        assert np.ptp(tops) < 0.01 * tie_margin(base, 0.0, c, d)
         assert sum(kernel_batches) <= heads
         assert_within_margin(value, *args)
         assert value <= tol
@@ -1575,12 +1548,12 @@ class TestExactVerdict:
         assert v < dense
         # a level of v + rho / 4 is factored about rho / 4 below v, where
         # no tie is dropped, so every sample is decomposed
-        value = _worst_sample(base, heads, c, d, (), v + 0.25 * tie_margin(base, v, c, d))
+        value = _worst_sample(base, heads, c, d, v + 0.25 * tie_margin(base, v, c, d))
         assert bits([value]) == bits([dense])
         for tol in (np.nextafter(dense, -np.inf), dense, np.nextafter(dense, np.inf)):
-            value = _worst_sample(base, heads, c, d, (), tol)
+            value = _worst_sample(base, heads, c, d, tol)
             assert (value <= tol) == (dense <= tol)
-            assert_within_margin(value, base, heads, c, d, (), tol)
+            assert_within_margin(value, base, heads, c, d, tol)
 
 
 class TestDenseOracle:
@@ -1632,7 +1605,7 @@ class TestSquarePair:
         drawn = adversarial_sampling_oracle(result, problem, 1000, case)
         worst_x, worst_mc = sequential(result, problem, 1000, case)
         adv, _ = kernel_calls["violation"]
-        q1, q2, p_hat, _, _, a, b, _, _ = adv
+        q1, q2, p_hat, _, _, a, b, _ = adv
         tops = np.linalg.eigvalsh(dense_samples(q1, q2, p_hat, a, b))[:, -1]
         assert np.abs(tops).max() <= band
         assert abs(worst_x) <= band and abs(drawn) <= band
