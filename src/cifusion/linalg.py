@@ -185,16 +185,12 @@ def cholesky_pd(a) -> np.ndarray:
         raise NotPdError(f"Cholesky failed: {exc}") from exc
 
 
-def inv_from_cholesky(chol: np.ndarray) -> np.ndarray:
-    """Inverse ``L^-T L^-1`` of the PD matrix whose lower Cholesky factor is ``chol``."""
+def inv_pd(a) -> np.ndarray:
+    """Inverse ``L^-T L^-1`` of a PD matrix through its lower Cholesky factor ``L``."""
+    chol = cholesky_pd(a)
     linv = np.linalg.solve(chol, np.eye(chol.shape[0]))
     out = linv.T @ linv
     return 0.5 * (out + out.T)
-
-
-def inv_pd(a) -> np.ndarray:
-    """Inverse of a PD matrix through its Cholesky factor."""
-    return inv_from_cholesky(cholesky_pd(a))
 
 
 def adjugate(a) -> np.ndarray:

@@ -3,16 +3,17 @@
 The family blends the two information matrices,
 ``Sigma_alpha = alpha * Sigma1 + (1 - alpha) * Sigma0``, and fuses with
 ``P_hat = Sigma_alpha^{-1}``.  A solve runs on one joint diagonalisation
-(:class:`~cifusion.problem.JointSpectrum`: a Cholesky factor of the mean
-information matrix, its inverse and one ``eigh``), in which the fused
-covariance, its determinant and its trace are explicit functions of
-``t = alpha - 1/2`` with monotone slopes.  A slope test at each
+(:class:`~cifusion.problem.JointSpectrum`: one ``eigh`` on the SVD of the
+whitened stack, with no factor or inverse of the information matrices' mean),
+in which the fused covariance, its determinant and its trace are explicit
+functions of ``t = alpha - 1/2`` with monotone slopes.  A slope test at each
 nonsingular endpoint, else a safeguarded Newton root, gives the optimum;
 the determinant slope has the sign of
 ``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.  The same
 spectrum then gives the family member: its dominance table, its
 singularity test, ``P_hat`` and the cost, so the only further spectral
-call is the PSD certification of ``P_hat``.  Because ``P_hat`` is formed
+call is the PSD certification of ``P_hat``; the gains ``K_i = alpha_i P_hat
+G_i' L_i^-1`` reuse the estimates' factors.  Because ``P_hat`` is formed
 from the spectrum rather than by inverting the blend, fused outputs can
 differ in their last digits from an explicit inverse.
 
@@ -70,13 +71,14 @@ def extended_cost(cost: Cost, sigma: np.ndarray) -> float:
 def delta_value(problem: FusionProblem, alpha: float) -> float:
     """``trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, defined at singular blends.
 
-    ``Sigma_alpha = alpha * Sigma1 + (1 - alpha) * Sigma0``; a weight outside
-    [0, 1] raises :class:`OutOfRangeError`.
+    ``Sigma_alpha = alpha * Sigma1 + (1 - alpha) * Sigma0``, ``Sigma_i = G_i'
+    G_i``; a weight outside [0, 1] raises :class:`OutOfRangeError`.
     """
     if not 0.0 <= alpha <= 1.0:
         raise OutOfRangeError(f"alpha={alpha} outside [0, 1]")
-    adj = adjugate(alpha * problem.sigma1 + (1.0 - alpha) * problem.sigma0)
-    return float(np.trace(adj @ (problem.sigma1 - problem.sigma0)))
+    s1, s0 = (est.whitened.T @ est.whitened for est in (problem.est1, problem.est2))
+    adj = adjugate(alpha * s1 + (1.0 - alpha) * s0)
+    return float(np.trace(adj @ (s1 - s0)))
 
 
 @dataclass(frozen=True)
@@ -161,8 +163,8 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
     if not p_hat.strict:
         raise SingularSigmaError("fused covariance is not strictly PD")
     est1, est2 = problem.est1, problem.est2
-    k1 = alpha * (p_hat.data @ est1.h.T @ est1.p_inv)
-    k2 = (1.0 - alpha) * (p_hat.data @ est2.h.T @ est2.p_inv)
+    k1 = alpha * (p_hat.data @ est1.whitened.T @ est1.chol_inv)
+    k2 = (1.0 - alpha) * (p_hat.data @ est2.whitened.T @ est2.chol_inv)
     fused_x = k1 @ est1.x_hat + k2 @ est2.x_hat
     unbias = k1 @ est1.h + k2 @ est2.h - np.eye(problem.n)
     return FusionResult(

@@ -4,16 +4,16 @@
 from outside: an estimate's, a known joint's, the simulator's true ones and
 those the CLI reads.  A partial estimate observes ``H x`` for any ``p x n``
 matrix H; a fusion problem is an ordered pair of such estimates whose
-stacked observation matrix has full column rank.  That is the one
-solvability test, made once here by one SVD of the stack, so the solvers
-can assume it.  Each estimate has one factor, the Cholesky factor ``L`` of its
-covariance, which gives ``P_hat^-1`` and the certificate's scaled gain
-blocks ``K L``; no symmetric root of a covariance is taken here.  A problem
-is preprocessed once: its information matrices and their joint
-diagonalisation (:class:`JointSpectrum`), which every solve under either
-:class:`Cost` reads, are built on first use and kept.  Every array an
-estimate or a problem keeps is read-only, so a kept value cannot drift
-from the data it was computed from.
+whitened stack ``G = [L1^-1 H1; L2^-1 H2]``, ``L_i`` the Cholesky factor of
+estimate i's covariance, has full column rank.  One SVD of ``G`` makes that
+one solvability test and gives the joint diagonalisation of the information
+matrices ``G_i' G_i`` without forming them (:class:`JointSpectrum`; the
+generalised SVD of Van Loan, SIAM J. Numer. Anal. 13, 1976), so a
+power-of-two change of one sensor's units changes nothing, and accuracy
+follows ``cond(G)``, not its square.  The spectrum, which every solve under
+either :class:`Cost` reads, is built on first use and kept.  Every array an
+estimate or a problem keeps is read-only, so a kept value cannot drift from
+the data it was computed from.
 """
 
 from __future__ import annotations
@@ -40,20 +40,11 @@ from .linalg import (
     LoewnerRelation,
     PsdMatrix,
     cholesky_pd,
-    inv_from_cholesky,
     psd_certify,
 )
 
-#: singular values below RANK_RTOL * sigma_max do not count towards rank
+#: singular values of a whitened stack below RANK_RTOL * sigma_max do not count towards rank
 RANK_RTOL = 1e-10
-
-
-def matrix_rank(m: np.ndarray) -> int:
-    """Numerical rank: the singular values above ``RANK_RTOL`` times the largest."""
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(svals > RANK_RTOL * svals[0]))
 
 
 def covariance(value, dim: int, name: str) -> PsdMatrix:
@@ -91,7 +82,7 @@ class PartialEstimate:
     """One node's observation model, estimate and strictly PD covariance.
 
     H may have dependent rows or more rows than the state; only the pair's
-    stacked H must have full column rank (:class:`FusionProblem`).
+    whitened stack must have full column rank (:class:`FusionProblem`).
     """
 
     def __init__(self, h, x_hat, p_hat):
@@ -130,15 +121,15 @@ class PartialEstimate:
         return _frozen(cholesky_pd(self.p_hat))
 
     @cached_property
-    def p_inv(self) -> np.ndarray:
-        return _frozen(inv_from_cholesky(self.p_chol))
+    def chol_inv(self) -> np.ndarray:
+        """``L^-1``, the inverse of :attr:`p_chol`."""
+        return _frozen(np.linalg.solve(self.p_chol, np.eye(self.p)))
 
     @cached_property
-    def info_matrix(self) -> np.ndarray:
-        """Information contribution ``H.T P_hat^{-1} H`` in state space; may overflow."""
+    def whitened(self) -> np.ndarray:
+        """``G = L^-1 H``, whose ``G' G`` is the information ``H' P_hat^-1 H``; may overflow."""
         with np.errstate(over="ignore", invalid="ignore"):
-            m = self.h.T @ self.p_inv @ self.h
-            return _frozen(0.5 * (m + m.T))
+            return _frozen(self.chol_inv @ self.h)
 
     def __repr__(self) -> str:
         return f"PartialEstimate(p={self.p}, n={self.n})"
@@ -147,12 +138,13 @@ class PartialEstimate:
 class FusionProblem:
     """A validated pair of partial estimates.
 
-    Construction makes the one solvability test, ``rank([H1; H2]) = n`` by
-    :func:`matrix_rank`, and raises :class:`StackedRankDeficientError`
-    below it.  Neither H needs full row rank: a sensor may have dependent
-    rows, or more rows than the state, as every formula here needs only
-    PD covariances and a nonsingular stacked information matrix.  The
-    stack is kept, read-only, as :attr:`h_stacked`.
+    Construction makes the one solvability test on the thin SVD ``G = U
+    diag(sigma) V'`` of the whitened stack, ``rank(G) = n``
+    (:meth:`whitened_svd`), and raises :class:`StackedRankDeficientError`
+    below it, or :class:`NonFiniteError` naming an estimate whose ``G_i``
+    overflows.  Neither H needs full row rank.  ``(U, sigma, V')`` is kept,
+    read-only, as :attr:`whitened_factors`, and ``[H1; H2]`` as
+    :attr:`h_stacked`.
     """
 
     def __init__(self, est1: PartialEstimate, est2: PartialEstimate):
@@ -160,15 +152,25 @@ class FusionProblem:
             raise DimensionMismatchError(
                 f"state dimensions differ: {est1.n} vs {est2.n}"
             )
-        h = np.vstack([est1.h, est2.h])
-        rank = matrix_rank(h)
+        for name, est in (("est1", est1), ("est2", est2)):
+            if not np.isfinite(est.whitened).all():
+                raise NonFiniteError(f"{name}: whitened observation matrix L^-1 H overflows")
+        *factors, rank = self.whitened_svd(np.vstack([est1.whitened, est2.whitened]))
         if rank != est1.n:
             raise StackedRankDeficientError(
                 f"stacked observation matrix has rank {rank} < n = {est1.n}"
             )
         self.est1 = est1
         self.est2 = est2
-        self.h_stacked = _frozen(h)
+        self.whitened_factors = tuple(_frozen(a) for a in factors)
+        self.h_stacked = _frozen(np.vstack([est1.h, est2.h]))
+
+    @staticmethod
+    def whitened_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``(U, sigma, V', rank)``: the thin SVD of a whitened stack and its numerical rank."""
+        u, sv, vt = np.linalg.svd(g, full_matrices=False)
+        rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
+        return u, sv, vt, rank
 
     @property
     def n(self) -> int:
@@ -183,23 +185,12 @@ class FusionProblem:
         return self.est2.p
 
     @cached_property
-    def sigma1(self) -> np.ndarray:
-        """Information matrix of the first estimate."""
-        return _information(self.est1, "est1")
-
-    @cached_property
-    def sigma0(self) -> np.ndarray:
-        """Information matrix of the second estimate."""
-        return _information(self.est2, "est2")
-
-    @cached_property
     def spectrum(self) -> JointSpectrum:
-        """The joint diagonalisation of ``(sigma1, sigma0)`` that every solve reads.
+        """The joint diagonalisation of the two information matrices that every solve reads.
 
         It depends on the pair and not on the cost, so it is built on first
         use and kept: a problem solved again, under either cost, pays for
-        it once.  A pair whose mean information matrix is not PD raises
-        :class:`SingularSigmaError` on every use; a failure is not kept.
+        it once.
         """
         return JointSpectrum.from_problem(self)
 
@@ -218,22 +209,23 @@ class Cost(enum.Enum):
 class JointSpectrum:
     """Joint diagonalisation of the two information matrices.
 
-    With ``S = (Sigma1 + Sigma0) / 2 = L L.T`` (PD when the stacked H has
-    full column rank, up to rounding),
-    ``M = L^-1 (Sigma1 - Sigma0) L^-T = V diag(lam) V.T`` and
-    ``t = alpha - 1/2``, the blend is ``Sigma_alpha = L V (I + t diag(lam))
-    V.T L.T``.  So with ``W = L^-T V`` the fused covariance is
-    ``W diag(1 / (1 + t lam)) W.T`` (:meth:`fused_cov`), and its ``det`` and
-    ``trace`` are ``exp(-log det S - sum(log(1 + t lam)))`` and
-    ``sum(c / (1 + t lam))`` with ``c`` the squared column norms of ``W``
-    (:meth:`cost`); ``log det S`` is twice the sum of the logs of
-    ``diag(L)``.  ``lam`` lies in [-2, 2]; its sign pattern is the Loewner
-    relation of the pair (:attr:`relation`, classified once), and a ``lam``
-    of +2 (-2) makes the blend at ``alpha = 0`` (``alpha = 1``) singular.
-    Building it takes three spectral calls (``cholesky``, ``inv``,
-    ``eigh``); nothing after that does.  A problem keeps the one it built
-    (:attr:`FusionProblem.spectrum`), with ``lam``, ``c`` and ``w``
-    read-only.
+    With the whitened stack's SVD ``G = U diag(sigma) V'``, ``U`` split after
+    ``p1`` rows into ``U1`` and ``U2``, ``z_j`` the eigenvectors of ``U1'
+    U1``, ``c2 = |U1 z_j|^2`` and ``s2 = |U2 z_j|^2`` (``c2 + s2 = 1``), the
+    information matrices are ``Sigma1 = V sigma Z diag(c2) Z' sigma V'`` and
+    ``Sigma0``, alike with ``s2``.  So with ``t = alpha - 1/2``, ``lam = 2
+    (c2 - s2) / (c2 + s2)`` and ``W = sqrt(2) V sigma^-1 Z``, the fused
+    covariance is ``W diag(1 / (1 + t lam)) W'`` (:meth:`fused_cov`), and its
+    ``det`` and ``trace`` are ``exp(-log det S - sum(log(1 + t lam)))`` and
+    ``sum(c / (1 + t lam))``, with ``c`` the squared column norms of ``W``
+    (:meth:`cost`) and ``log det S = 2 sum(log sigma) - n log 2`` for ``S =
+    (Sigma1 + Sigma0) / 2``.  ``lam`` is ascending up to rounding and lies in
+    [-2, 2]; its sign pattern is the Loewner relation of the pair
+    (:attr:`relation`, classified once), and a ``lam`` of +2 (-2) makes the
+    blend at ``alpha = 0`` (``alpha = 1``) singular.  Building it from the
+    problem's SVD takes one ``eigh``; nothing after that makes a spectral
+    call.  A problem keeps the one it built (:attr:`FusionProblem.spectrum`),
+    with ``lam``, ``c`` and ``w`` read-only.
     """
 
     lam: np.ndarray
@@ -243,27 +235,28 @@ class JointSpectrum:
 
     @classmethod
     def from_problem(cls, problem: FusionProblem) -> "JointSpectrum":
-        """A new joint spectrum of the pair, from the problem's cached information matrices.
+        """A new joint spectrum of the pair, from the problem's kept SVD of its whitened stack.
 
         Solvers read the problem's own, :attr:`FusionProblem.spectrum`,
         which this builds once.
         """
-        s1, s0 = problem.sigma1, problem.sigma0
-        try:
-            chol = np.linalg.cholesky(0.5 * (s1 + s0))
-        except np.linalg.LinAlgError as exc:
-            raise SingularSigmaError(f"mean information matrix is not PD: {exc}") from None
-        l_inv = np.linalg.inv(chol)
-        lam, v = np.linalg.eigh(l_inv @ (s1 - s0) @ l_inv.T)
-        w = _frozen(l_inv.T @ v)
-        # rounding can push |lam| just past 2, where 1 + t lam would
-        # change sign inside the interval
-        return cls(
-            _frozen(np.minimum(np.maximum(lam, -2.0), 2.0)),
-            _frozen(np.einsum("ij,ij->j", w, w)),
-            w,
-            2.0 * float(np.log(np.diagonal(chol)).sum()),
-        )
+        u, sv, vt = problem.whitened_factors
+        u1, u2 = u[: problem.p1], u[problem.p1 :]
+        z = np.linalg.eigh(u1.T @ u1)[1]
+        u1z, u2z = u1 @ z, u2 @ z
+        c2, s2 = np.einsum("ij,ij->j", u1z, u1z), np.einsum("ij,ij->j", u2z, u2z)
+        # c2 + s2 is 1 up to rounding; dividing by it keeps |lam| <= 2, and a
+        # direction one estimate does not see (c2 or s2 exactly 0) gets
+        # exactly -2 or +2, so the blend there is exactly singular
+        lam = 2.0 * (c2 - s2) / (c2 + s2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _frozen(math.sqrt(2.0) * (vt.T / sv) @ z)
+            c = _frozen(np.einsum("ij,ij->j", w, w))
+        # every fused covariance is at least W W' / 2, whose trace is sum(c) / 2,
+        # and its least eigenvalue is at most c_j / (1 + t lam_j) for each j
+        if not (np.isfinite(c).all() and c.all()):
+            raise SingularSigmaError("fused covariance is outside the float range at every weight")
+        return cls(_frozen(lam), c, w, 2.0 * float(np.log(sv).sum()) - problem.n * math.log(2.0))
 
     def fused_cov(self, t: float) -> np.ndarray:
         """``Sigma_alpha^-1 = W diag(1 / (1 + t lam)) W.T`` at ``alpha = t + 1/2``.
@@ -295,8 +288,8 @@ class JointSpectrum:
     def regular_at(self, t: float) -> bool:
         """Whether the blend at ``alpha = t + 1/2`` is nonsingular.
 
-        ``lam`` is sorted and rounding is monotone, so the extremes of
-        ``1 + t lam`` are its two ends.
+        ``lam`` is ascending up to its rounding, so the extremes of ``1 + t
+        lam`` are its two ends to within that rounding.
         """
         ends = 1.0 + t * float(self.lam[0]), 1.0 + t * float(self.lam[-1])
         return min(ends) > SINGULAR_RTOL * max(ends)
@@ -318,9 +311,3 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
-
-def _information(est: PartialEstimate, name: str) -> np.ndarray:
-    """``est.info_matrix``, or :class:`NonFiniteError` naming the estimate if it overflowed."""
-    if not np.isfinite(est.info_matrix).all():
-        raise NonFiniteError(f"{name}: information matrix H' P_hat^-1 H overflows")
-    return est.info_matrix

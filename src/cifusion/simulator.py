@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import PsdMatrix, loewner_compare, psd_certify
 from .optimizer import Cost, solve_ci
-from .problem import FusionProblem, PartialEstimate, covariance, matrix_rank
+from .problem import FusionProblem, PartialEstimate, covariance
 from .verifier import certificate_tolerance
 
 #: drawn true covariances have condition number at most this
@@ -376,8 +376,6 @@ def init_network(
         for _ in range(nodes):
             p = int(rng.integers(low, n + 1))
             hs.append(rng.standard_normal((p, n)))
-    if matrix_rank(np.vstack(hs)) < n:
-        raise UnreachableError("stacked observations never reach full state rank")
 
     if spec.p_list is not None:
         p_true = [np.atleast_2d(np.asarray(p, dtype=float)) for p in spec.p_list]
@@ -397,6 +395,10 @@ def init_network(
             factors.append(np.linalg.cholesky(p))
         except np.linalg.LinAlgError:
             raise NotPdError(f"p_list[{i}]: not positive definite") from None
+    # the rank test of FusionProblem, on the whole network's whitened stack
+    whitened = np.vstack([np.linalg.solve(f, h) for f, h in zip(factors, hs)])
+    if FusionProblem.whitened_svd(whitened)[-1] < n:
+        raise UnreachableError("stacked observations never reach full state rank")
 
     x_true = rng.standard_normal(n)
     truth = GroundTruth(x_true, p_true)

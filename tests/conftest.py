@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -132,9 +133,55 @@ def random_joint(rng, p1: int, p2: int, pd: bool = True) -> JointCovariance:
     return joint_from_cross_parameter(random_spd(rng, p1), x, random_spd(rng, p2))
 
 
+def information_pair(problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
+    """``(Sigma1, Sigma0)``: each estimate's information ``H' P_hat^-1 H``, symmetrised.
+
+    Formed from each estimate's ``H`` and ``P_hat`` directly, not from the
+    whitened stack or the joint spectrum the solvers read.
+    """
+    return tuple(sym_data(est.h.T @ inv_pd(est.p_hat.data) @ est.h)
+                 for est in (problem.est1, problem.est2))
+
+
+def _exact_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular matrix of fractions, by Gauss-Jordan elimination."""
+    n = len(a)
+    m = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+def exact_fused_cov(problem: FusionProblem, alpha: float) -> np.ndarray:
+    """``(alpha Sigma1 + (1 - alpha) Sigma0)^-1`` in exact rational arithmetic, rounded once.
+
+    Each ``Sigma_i = H_i' P_i^-1 H_i`` is formed from the estimate's float
+    ``H`` and ``P_hat`` as fractions, so the one rounding is the final
+    conversion of each entry to the nearest float.  For small ``n`` (the
+    fractions' size grows with it).
+    """
+    n, a = problem.n, Fraction(alpha)
+    blend = [[Fraction(0)] * n for _ in range(n)]
+    for weight, est in ((a, problem.est1), (1 - a, problem.est2)):
+        h = [[Fraction(x) for x in row] for row in est.h.tolist()]
+        p_inv = _exact_inverse([[Fraction(x) for x in row] for row in est.p_hat.data.tolist()])
+        p_inv_h = [[sum(r[k] * h[k][j] for k in range(est.p)) for j in range(n)] for r in p_inv]
+        for i in range(n):
+            for j in range(n):
+                blend[i][j] += weight * sum(h[k][i] * p_inv_h[k][j] for k in range(est.p))
+    return np.array([[float(x) for x in row] for row in _exact_inverse(blend)])
+
+
 def sigma_alpha(problem: FusionProblem, alpha: float) -> np.ndarray:
     """Convex blend ``alpha * Sigma1 + (1 - alpha) * Sigma0`` of the problem's information matrices."""
-    return sym_data(alpha * problem.sigma1 + (1.0 - alpha) * problem.sigma0)
+    s1, s0 = information_pair(problem)
+    return sym_data(alpha * s1 + (1.0 - alpha) * s0)
 
 
 def random_unbiased_gains(rng, problem: FusionProblem, count: int) -> np.ndarray:
@@ -149,10 +196,8 @@ def random_unbiased_gains(rng, problem: FusionProblem, count: int) -> np.ndarray
 def grid_costs(problem: FusionProblem, cost: Cost, grid: int = 1001):
     """Brute-force extended cost on a uniform weight grid (batched)."""
     alphas = np.linspace(0.0, 1.0, grid)
-    combos = (
-        alphas[:, None, None] * problem.sigma1
-        + (1.0 - alphas)[:, None, None] * problem.sigma0
-    )
+    s1, s0 = information_pair(problem)
+    combos = alphas[:, None, None] * s1 + (1.0 - alphas)[:, None, None] * s0
     eigs = np.linalg.eigvalsh(combos)
     scale = np.abs(eigs).max(axis=1)
     singular = eigs[:, 0] <= 1e-12 * np.maximum(scale, 1e-300)
@@ -192,16 +237,17 @@ def det_alpha_oracle(problem: FusionProblem) -> float:
     ``Delta(alpha) = trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``, which is
     positive left of the optimum and negative right of it.
     """
-    if loewner_compare(problem.sigma0, problem.sigma1) is LoewnerRelation.EQUAL:
+    s1, s0 = information_pair(problem)
+    if loewner_compare(s0, s1) is LoewnerRelation.EQUAL:
         return 0.5
 
     def regular(sigma) -> bool:
         eigs = np.linalg.eigvalsh(sigma)
         return eigs[0] > 1e-12 * np.abs(eigs).max()
 
-    if regular(problem.sigma0) and delta_value(problem, 0.0) <= 0.0:
+    if regular(s0) and delta_value(problem, 0.0) <= 0.0:
         return 0.0
-    if regular(problem.sigma1) and delta_value(problem, 1.0) >= 0.0:
+    if regular(s1) and delta_value(problem, 1.0) >= 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-12:
@@ -242,8 +288,9 @@ def sample_intersection_points(
 ) -> np.ndarray:
     """Points with both prior quadratic forms at most ``level`` (< 1)."""
     ys = rng.standard_normal((count, problem.n))
-    q1 = np.einsum("si,ij,sj->s", ys, problem.sigma1, ys)
-    q0 = np.einsum("si,ij,sj->s", ys, problem.sigma0, ys)
+    s1, s0 = information_pair(problem)
+    q1 = np.einsum("si,ij,sj->s", ys, s1, ys)
+    q0 = np.einsum("si,ij,sj->s", ys, s0, ys)
     worst = np.maximum(q1, q0)  # positive: the stacked observation has rank n
     targets = rng.uniform(0.05, level, size=count)
     return ys * np.sqrt(targets / worst)[:, None]
@@ -515,7 +562,7 @@ def lower_bound_witness(problem: FusionProblem, candidate_p: PsdMatrix) -> float
     """
     if not candidate_p.strict:
         raise NotPdError("candidate covariance must be strictly PD")
-    s1, s0, target = problem.sigma1, problem.sigma0, inv_pd(candidate_p.data)
+    (s1, s0), target = information_pair(problem), inv_pd(candidate_p.data)
     tol = DEFAULT_TOL * tol_scale(max(np.abs(s1).max(), np.abs(s0).max(), np.abs(target).max()))
     dm = s0 - s1, np.zeros_like(target)
 
@@ -548,8 +595,9 @@ def covering_cross_cov(x, problem: FusionProblem) -> np.ndarray:
     second observation map sends to zero while the first does not.
     """
     x = np.asarray(x, dtype=float)
-    q1 = float(x @ problem.sigma1 @ x)
-    q2 = float(x @ problem.sigma0 @ x)
+    s1, s0 = information_pair(problem)
+    q1 = float(x @ s1 @ x)
+    q2 = float(x @ s0 @ x)
     if q1 > 1.0 - INTERIOR_MARGIN or q2 > 1.0 - INTERIOR_MARGIN:
         raise ValueError(f"point is not strictly interior (values {q1:.6g}, {q2:.6g})")
     if problem.p2 >= problem.p1:
@@ -754,3 +802,29 @@ def block_psd_margin_reference(q, s, r_eigs) -> tuple[bool, float]:
     ):
         raise InternalInconsistencyError("block PSD criteria disagree")
     return direct, float(eigs[0])
+
+
+def exit_contract_docs(seed: int, count: int) -> list[tuple[dict, bool]]:
+    """``(problem document, representable)`` pairs scaled across the float range.
+
+    Each document has ``n`` in 1-4 columns; its estimates' ``H`` are
+    Gaussian and their ``P_hat`` random SPD blocks, times ``10^U[-300,
+    300]`` for ``H`` and another such factor for ``P_hat``.  A document is
+    representable when ``|log10 P - 2 log10 H| < 290`` and ``|log10 P| <
+    290``: its inputs and its fused covariance, of order ``P / H^2``, are
+    then normal floats.
+    """
+    rng = np.random.default_rng(seed)
+    docs = []
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        p1 = int(rng.integers(1, n + 1))
+        h_exp, p_exp = rng.uniform(-300.0, 300.0, size=2)
+        doc = {"n": n}
+        for key, p in (("est1", p1), ("est2", int(rng.integers(max(1, n - p1), n + 1)))):
+            cov = random_spd(rng, p) * 10.0**p_exp
+            doc[key] = {"H": (rng.standard_normal((p, n)) * 10.0**h_exp).tolist(),
+                        "x_hat": (rng.standard_normal(p) * 10.0**h_exp).tolist(),
+                        "P_hat": (0.5 * (cov + cov.T)).tolist()}
+        docs.append((doc, abs(p_exp - 2.0 * h_exp) < 290.0 and abs(p_exp) < 290.0))
+    return docs

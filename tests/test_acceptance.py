@@ -18,6 +18,7 @@ from cifusion import (
     bar_shalom_campo,
     psd_certify,
 )
+from cifusion.linalg import inv_pd
 from cifusion.optimizer import (
     Cost,
     FusionResult,
@@ -42,6 +43,7 @@ from conftest import (
     first_order_width,
     fixed_point_residual,
     grid_costs,
+    information_pair,
     lmi_feasible_grid,
     lmi_feasible_interval,
     lmi_matrix,
@@ -113,8 +115,9 @@ def test_criterion_1_det_example_reproduction():
     crit.check(result.alpha == 0.0, f"alpha* = {result.alpha}, expected exactly 0")
 
     h = 1e-5
+    s1, s0 = information_pair(problem)
     def det_obj(a):
-        sig = a * problem.sigma1 + (1.0 - a) * problem.sigma0
+        sig = a * s1 + (1.0 - a) * s0
         return float(np.linalg.det(np.linalg.inv(sig)))
     for a in (0.0, 0.25, 0.5, 0.75, 1.0):
         fd = (det_obj(a + h) - det_obj(a - h)) / (2.0 * h)
@@ -356,7 +359,8 @@ def _criterion_6_cases(solved_pool):
     for idx, (problem, result) in enumerate(zip(problems, solved[Cost.TRACE])):
         if len(cases) == 50:
             break
-        if loewner_compare(problem.sigma0, problem.sigma1).value == "equal":
+        s1, s0 = information_pair(problem)
+        if loewner_compare(s0, s1).value == "equal":
             continue
         if len(cases) % 2 == 1 and 0.0 < result.alpha < 1.0:
             # exercise non-optimal family members too
@@ -454,9 +458,10 @@ def _ci_member_gains(problem, weights):
     """
     est1, est2 = problem.est1, problem.est2
     w = weights[:, None, None]
-    fused = np.linalg.inv(w * problem.sigma1 + (1.0 - w) * problem.sigma0)
-    return np.concatenate([w * fused @ (est1.h.T @ est1.p_inv),
-                           (1.0 - w) * fused @ (est2.h.T @ est2.p_inv)], axis=2)
+    s1, s0 = information_pair(problem)
+    fused = np.linalg.inv(w * s1 + (1.0 - w) * s0)
+    return np.concatenate([w * fused @ (est1.h.T @ inv_pd(est1.p_hat.data)),
+                           (1.0 - w) * fused @ (est2.h.T @ inv_pd(est2.p_hat.data))], axis=2)
 
 
 def _criterion_8_problems(rng):

@@ -1,11 +1,14 @@
 import argparse
+import collections
 import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from cifusion import cli, simulator, solve_ci, verifier
 from cifusion.errors import InternalInconsistencyError
 from cifusion.problem import Cost
 
-from conftest import well_scaled_problems
+from conftest import exit_contract_docs, well_scaled_problems
 
 
 EXAMPLE2 = {
@@ -273,20 +276,25 @@ class TestScan:
         assert data_rows[0].split(",")[0] == "0"
         assert data_rows[1].split(",")[0] == "1"
 
-    def test_infinite_information_exits_two_naming_the_estimate(self, tmp_path, capsys):
-        # H_i' P_i^-1 H_i overflows to an infinity when it is symmetrized;
-        # that is now reported for the estimate, where the scan once got as
-        # far as a NaN cost at an interior weight (inf times zero)
+    def test_underflowing_determinant_prints_a_zero_cost(self, tmp_path, capsys):
+        # the information H' P^-1 H = 1e308 I overflows once it is
+        # symmetrized, but the whitened stack does not; the fused covariance
+        # of about 1e-308 I is below the strictness floor, so fuse refuses
+        # it, while scan prints each interior cost, whose determinant of
+        # about 4e-616 underflows to 0
         doc = {
             "n": 2,
             "est1": {"H": [[1e154, 0]], "x_hat": [0], "P_hat": [[1]]},
             "est2": {"H": [[0, 1e154]], "x_hat": [0], "P_hat": [[1]]},
         }
-        rc = cli.main(["scan", write(tmp_path, doc), "--grid", "5"])
+        path = write(tmp_path, doc)
+        assert cli.main(["fuse", path]) == 2
+        assert capsys.readouterr().err == "error: fused covariance is not strictly PD\n"
+        assert cli.main(["scan", path, "--grid", "5"]) == 0
         captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.err == "error: est1: information matrix H' P_hat^-1 H overflows\n"
-        assert captured.out == ""
+        assert captured.out.splitlines() == [
+            "alpha,cost,finite", "0,,0", "0.25,0,1", "0.5,0,1", "0.75,0,1", "1,,0", "# argmin,0.25,0"]
+        assert captured.err == ""
 
 
 class TestVerify:
@@ -1048,7 +1056,8 @@ class TestJsonNumbers:
         assert captured.out == ""
 
 
-#: scaled so far out that H' P^-1 H overflows for both estimates
+#: scaled so far out that H' P^-1 H overflows for both estimates, and the
+#: fused covariance, about 1e-360, underflows
 OUT_OF_RANGE = {
     "n": 3,
     "est1": {"H": [[1e200, 2e199, 0], [0, 1e200, 3e199]], "x_hat": [1, 2],
@@ -1056,37 +1065,88 @@ OUT_OF_RANGE = {
     "est2": {"H": [[3e199, 0, 1e200]], "x_hat": [0.5], "P_hat": [[3e40]]},
 }
 
+#: one scalar state seen by two sensors so weak that every fused
+#: covariance, about 1e310, overflows
+FUSED_OVERFLOW = {
+    "n": 1,
+    "est1": {"H": [[1e-5]], "x_hat": [0], "P_hat": [[1e300]]},
+    "est2": {"H": [[1e-5]], "x_hat": [1], "P_hat": [[2e300]]},
+}
+
+OUT_OF_FLOAT_RANGE = "error: fused covariance is outside the float range at every weight\n"
+
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("command", ["fuse", "verify", "scan"])
     def test_linalg_failure_exits_two_not_one(self, tmp_path, capsys, command):
-        # exit 1 means a failed certificate; an input whose information
-        # matrix overflows is an input error, reported in one line with no
-        # numpy warning before it (the overflow once reached the eigensolver,
-        # which did not converge, after three RuntimeWarnings)
+        # exit 1 means a failed certificate; an input whose fused covariance
+        # underflows at every weight is an input error, reported in one line
+        # with no numpy warning before it (the information matrices'
+        # overflow once reached the eigensolver, which did not converge)
         rc = cli.main([command, write(tmp_path, OUT_OF_RANGE)])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == "error: est1: information matrix H' P_hat^-1 H overflows\n"
+        assert captured.err == OUT_OF_FLOAT_RANGE
         assert captured.out == ""
 
-    def test_overflow_names_the_second_estimate(self, tmp_path, capsys):
+    def test_an_estimate_a_1e130_times_less_informative_adds_no_rank(self, tmp_path, capsys):
+        # whitened, the first estimate's rows are 1e-130 of the second's, so
+        # the stack has numerical rank 1, whatever the rank of the raw H
         doc = json.loads(json.dumps(OUT_OF_RANGE))
         doc["est1"]["P_hat"] = [[1e300, 0], [0, 1e300]]
         rc = cli.main(["fuse", write(tmp_path, doc)])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err == "error: est2: information matrix H' P_hat^-1 H overflows\n"
+        assert captured.err == ("error: est1/est2: Assumption (A1) validation failed: "
+                                "stacked observation matrix has rank 1 < n = 3\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["fuse", "verify", "scan"])
+    def test_overflowing_fused_covariance_exits_two_naming_it(self, tmp_path, capsys, command):
+        # fuse and verify once printed a RuntimeWarning from the fused
+        # covariance and then "matrix is not PSD (min eigenvalue inf)"
+        rc = cli.main([command, write(tmp_path, FUSED_OVERFLOW)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == OUT_OF_FLOAT_RANGE
         assert captured.out == ""
 
     def test_no_warning_reaches_stderr_in_a_fresh_process(self, tmp_path):
         # the command's whole stderr, outside the test run's warning filters
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        argv = [sys.executable, "-m", "cifusion", "fuse", write(tmp_path, OUT_OF_RANGE)]
+        argv = [sys.executable, "-m", "cifusion", "fuse", write(tmp_path, FUSED_OVERFLOW)]
         proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
-        assert proc.stderr == "error: est1: information matrix H' P_hat^-1 H overflows\n"
+        assert proc.stderr == OUT_OF_FLOAT_RANGE
+
+
+#: a number printed as NaN or an infinity; ``eps=inf`` on the petersen row
+#: is a documented value (an iterate at alpha = 0), not an overflow
+NON_FINITE = re.compile(r"\b(nan|-?inf|infinity)\b", re.IGNORECASE)
+
+
+class TestExitContractFuzz:
+    """Files scaled across the float range keep the CLI's exit contract."""
+
+    def test_no_traceback_warning_or_non_finite_output(self, tmp_path, capsys):
+        codes = collections.Counter()
+        for i, (doc, _) in enumerate(exit_contract_docs(12, 100)):
+            path = write(tmp_path, doc, f"fuzz{i}.json")
+            for argv in (["fuse", path, "--cost", "det"], ["fuse", path, "--cost", "trace"],
+                         ["verify", path, "--samples", "200"], ["scan", path, "--grid", "11"]):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc = cli.main(argv)
+                captured = capsys.readouterr()
+                assert rc in (0, 1, 2), (argv, rc)
+                assert not caught, (argv, [str(w.message) for w in caught])
+                assert not NON_FINITE.search(captured.out.replace("eps=inf", "")), argv
+                assert captured.err == "" or (captured.err.startswith("error: ")
+                                              and captured.err.count("\n") == 1), argv
+                codes[rc] += 1
+        # the pool reaches both outcomes of every command, not only refusals
+        assert codes[0] >= 50 and codes[2] >= 50, codes
 
 
 def run_main(argv, capsys):

@@ -23,6 +23,7 @@ from cifusion.optimizer import Cost
 
 from conftest import (
     covering_cross_cov,
+    information_pair,
     lower_bound_witness,
     random_problem,
     sample_intersection_points,
@@ -44,12 +45,14 @@ def full_state_problem(p1, p2) -> FusionProblem:
 
 def interpose_gap(problem, candidate, a):
     """``lambda_max(T - a Sigma1 - (1 - a) Sigma0)`` with ``T`` the candidate's inverse."""
-    m = inv_pd(candidate.data) - a * problem.sigma1 - (1.0 - a) * problem.sigma0
+    s1, s0 = information_pair(problem)
+    m = inv_pd(candidate.data) - a * s1 - (1.0 - a) * s0
     return np.linalg.eigvalsh(m)[-1]
 
 
 def witness_tol(problem, candidate):
-    mats = (problem.sigma1, problem.sigma0, inv_pd(candidate.data))
+    s1, s0 = information_pair(problem)
+    mats = (s1, s0, inv_pd(candidate.data))
     return DEFAULT_TOL * max(1.0, max(np.abs(m).max() for m in mats))
 
 
@@ -76,7 +79,8 @@ class TestLowerBoundWitness:
             witness = lower_bound_witness(problem, result.P_hat)
             assert witness is not None
             tol = witness_tol(problem, result.P_hat)
-            eigs = np.linalg.eigvalsh(problem.sigma0 - problem.sigma1)
+            s1, s0 = information_pair(problem)
+            eigs = np.linalg.eigvalsh(s0 - s1)
             alpha = result.alpha
             w1 = tol / eigs[-1] if eigs[-1] > 0.0 and alpha < 1.0 else 0.0
             w1 += tol / -eigs[0] if eigs[0] < 0.0 and alpha > 0.0 else 0.0

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import cifusion
@@ -182,10 +183,35 @@ def test_one_walk_over_the_weight_serves_the_verifier():
 
 
 def test_only_the_rank_test_and_the_cross_extreme_take_an_svd():
-    # solvability is decided by one SVD of the stacked H, so a per-sensor
-    # rank test does not creep back in; the aligned cross extreme of Monte
-    # Carlo's heads is the only other SVD
+    # one SVD of the whitened stack decides solvability and gives the joint
+    # spectrum, so a second rank test does not creep back in; the aligned
+    # cross extreme of Monte Carlo's heads is the only other SVD
     readers = {(path.name, scope)
                for path in sorted(Path(cifusion.__file__).parent.glob("*.py"))
                for scope in _readers(ast.parse(path.read_text(), filename=str(path)), "svd")}
-    assert readers == {("problem.py", "matrix_rank"), ("verifier.py", "_extreme_cross_direction")}
+    assert readers == {("problem.py", "FusionProblem"), ("verifier.py", "_extreme_cross_direction")}
+
+
+#: what CI installs besides the standard library: the package and its test extras
+CI_PACKAGES = {"numpy", "pytest", "hypothesis", "cifusion"}
+
+
+def test_tests_and_bench_import_only_what_ci_installs():
+    # a module that imports a package only this machine has (mpmath, say)
+    # passes here and fails in CI; local modules are the files of the two
+    # directories themselves
+    root = Path(__file__).resolve().parents[1]
+    local = {p.stem for d in ("tests", "bench") for p in (root / d).glob("*.py")}
+    allowed = set(sys.stdlib_module_names) | CI_PACKAGES | local
+    found = {}
+    for path in sorted(p for d in ("tests", "bench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update({(path.name, name): node.lineno for name in names
+                          if name.split(".")[0] not in allowed})
+    assert found == {}

@@ -11,10 +11,16 @@ from cifusion.errors import (
 )
 from cifusion.linalg import LoewnerRelation
 from cifusion.optimizer import Cost, solve_ci
-from cifusion.problem import covariance, matrix_rank
+from cifusion.problem import RANK_RTOL, covariance
 from cifusion.verifier import certify
 
-from conftest import compressed_sensor_pair
+from conftest import compressed_sensor_pair, information_pair
+
+
+def matrix_rank(m: np.ndarray) -> int:
+    """The singular values of ``m`` above ``RANK_RTOL`` times the largest."""
+    svals = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(svals > RANK_RTOL * svals[0])) if svals[0] > 0.0 else 0
 
 
 class TestPartialEstimate:
@@ -89,20 +95,31 @@ class TestFusionProblemValidation:
         with pytest.raises(ValueError, match="read-only"):
             problem.h_stacked[0, 0] = 2.0
 
+    def test_overflowing_whitened_block_names_its_estimate(self):
+        # G = L^-1 H = 1e305 / 1e-4 is past the largest float
+        est1 = PartialEstimate([[1.0]], [0.0], [[1.0]])
+        est2 = PartialEstimate([[1e305]], [0.0], [[1e-8]])
+        with pytest.raises(NonFiniteError, match="^est2: whitened observation matrix L\\^-1 H overflows$"):
+            FusionProblem(est1, est2)
+
     def test_state_dimensions_must_match(self):
         est1 = PartialEstimate([[1.0, 0.0]], [0.0], [[1.0]])
         est2 = PartialEstimate([[1.0]], [0.0], [[1.0]])
         with pytest.raises(DimensionMismatchError):
             FusionProblem(est1, est2)
 
-    def test_information_matrices_cached_and_symmetric(self):
+    def test_whitened_blocks_cached_and_carry_the_information(self):
         rng = np.random.default_rng(0)
-        est1 = PartialEstimate(rng.standard_normal((2, 3)), rng.standard_normal(2), np.eye(2))
+        est1 = PartialEstimate(rng.standard_normal((2, 3)), rng.standard_normal(2), np.diag([1.0, 4.0]))
         est2 = PartialEstimate(rng.standard_normal((2, 3)), rng.standard_normal(2), np.eye(2))
         problem = FusionProblem(est1, est2)
-        np.testing.assert_allclose(problem.sigma1, problem.sigma1.T)
-        expected = est1.h.T @ np.linalg.inv(est1.p_hat.data) @ est1.h
-        np.testing.assert_allclose(problem.sigma1, expected, atol=1e-12)
+        assert est1.whitened is est1.whitened
+        np.testing.assert_array_equal(est1.chol_inv @ est1.p_chol, np.eye(2))
+        for est, sigma in zip((est1, est2), information_pair(problem)):
+            np.testing.assert_allclose(est.whitened.T @ est.whitened, sigma, atol=1e-12)
+        u, sv, vt = problem.whitened_factors
+        np.testing.assert_allclose((u * sv) @ vt, np.vstack([est1.whitened, est2.whitened]),
+                                   atol=1e-12)
 
 
 def _with_singular_values(rng, rows: int, cols: int, svals) -> np.ndarray:
@@ -146,6 +163,7 @@ def _rank_pool(seed: int, count: int):
 
 
 def _estimate(h: np.ndarray) -> PartialEstimate:
+    """An estimate of unit covariance, whose whitened block is ``h`` to the bit."""
     return PartialEstimate(h, np.zeros(h.shape[0]), np.eye(h.shape[0]))
 
 
@@ -167,8 +185,9 @@ class TestSolvability:
         assert rejected == 90
 
     def test_admitted_pairs_certify_or_raise_singular_sigma(self):
-        # a near-deficient stack passes the rank test but may have a blend
-        # the solver cannot invert; every other solve certifies on every row
+        # a near-deficient stack passes the rank test but may have a fused
+        # covariance below the strictness floor, which is then the one
+        # message; every other solve certifies on every row
         outcomes = {"certified": 0, "deficient rows": 0, "singular": 0}
         for h1, h2 in self.POOL:
             if matrix_rank(np.vstack([h1, h2])) < h1.shape[1]:
@@ -178,7 +197,8 @@ class TestSolvability:
             for cost in Cost:
                 try:
                     result = solve_ci(problem, cost)
-                except SingularSigmaError:
+                except SingularSigmaError as exc:
+                    assert str(exc) == "fused covariance is not strictly PD"
                     outcomes["singular"] += 1
                     continue
                 rows = certify(result, problem, samples=20)

@@ -312,10 +312,13 @@ class TestAlphaUniqueness:
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e9, 1e12])
     def test_verdict_does_not_depend_on_units(self, scale):
-        # the solver finds the interior root alpha = 0.5 at every scale, and
-        # the check classifies the pair as the solver does: distinct pairs
-        # are isolated, equal ones not applicable (an absolute floor on the
-        # information matrices called every pair below ~1e-9 equal)
+        # the solver finds the interior root alpha = 0.5 at every scale, to
+        # the north star's 1e-12 (the whitened stack's two singular values
+        # are equal, so its SVD may rotate them, which moves alpha in its
+        # last digits), and the check classifies the pair as the solver does:
+        # distinct pairs are isolated, equal ones not applicable (an
+        # absolute floor on the information matrices called every pair below
+        # ~1e-9 equal)
         def problem_of(p2):
             return FusionProblem(
                 PartialEstimate(np.eye(2), [0.0, 0.0], scale * np.diag([1.0, 2.0])),
@@ -324,7 +327,8 @@ class TestAlphaUniqueness:
 
         problem = problem_of([2.0, 1.0])
         result = solve_ci(problem, Cost.DET)
-        assert result.alpha == 0.5 and result.diagnostics["branch"] == "interior_root"
+        assert abs(result.alpha - 0.5) <= 1e-12
+        assert result.diagnostics["branch"] == "interior_root"
         assert alpha_uniqueness_check(result, problem) is True
         equal = problem_of([1.0, 2.0])
         assert alpha_uniqueness_check(solve_ci(equal, Cost.DET), equal) is None
@@ -451,6 +455,30 @@ def verify_case_results(seed: int, tmp_path):
     return out
 
 
+def rounded_trace_result(diagnostics: bool = True) -> tuple[FusionResult, object]:
+    """rng 3's second instance with a TRACE result whose ``P_hat`` errs by about 4e-12 relative.
+
+    These are the digits a solve printed when it took the spectrum from
+    the information matrices (cond 3.4e4): at its weight, M has an
+    eigenvalue of -9e-8 against a band of 2e-8.  With ``diagnostics``, the
+    result carries that solve's unbias residual; without, it is a result
+    file's, which has none.
+    """
+    rng = np.random.default_rng(3)
+    random_problem(rng)
+    problem = random_problem(rng)
+    k1 = np.array([[22.083976286160542], [79.8045577941891]])
+    k2 = np.array([[-7.332919534850462], [-25.049855938773266]])
+    result = FusionResult(
+        alpha=0.8396500592793876, K1=k1, K2=k2,
+        P_hat=psd_certify([[1640.853212718644, 5872.833059046086],
+                           [5872.833059046086, 21028.89908319471]]),
+        fused_x=k1 @ problem.est1.x_hat + k2 @ problem.est2.x_hat,
+        diagnostics={"unbias_residual": 8.760991931922035e-12} if diagnostics else {},
+    )
+    return result, problem
+
+
 class TestAdversarialSearch:
     def test_zero_cross_term_is_safe_for_ci(self):
         problem = interior_problem()
@@ -480,7 +508,10 @@ class TestAdversarialSearch:
 
     @staticmethod
     def golden_cases():
-        """DET and TRACE solves with both gain blocks nonzero: as solved, shrunk, and with the weight moved."""
+        """DET and TRACE solves with both gain blocks nonzero: as solved, shrunk, and with the weight moved.
+
+        Then :func:`rounded_trace_result`, as a result file gives it.
+        """
         rng = np.random.default_rng(3)
         for problem in [random_problem(rng) for _ in range(30)] + [interior_problem()]:
             for cost in (Cost.DET, Cost.TRACE):
@@ -492,6 +523,8 @@ class TestAdversarialSearch:
                     if moved:
                         result = dataclasses.replace(result, alpha=float(rng.uniform(0.05, 0.95)))
                     yield result, problem
+        # a walk from a weight where M is zero only to 9e-8 closes its bracket
+        yield rounded_trace_result(diagnostics=False)
 
     def test_matches_the_golden_minimum(self, monkeypatch):
         # the witness is the largest eigenvalue of a sample, so at most min f,
@@ -553,15 +586,12 @@ class TestAdversarialSearch:
             assert calls.count("eigh") <= 2 and calls.count("eigvalsh") == 1, calls
 
     def test_ill_conditioned_solve_stops_at_its_own_weight(self, monkeypatch):
-        # rng 3's second instance under TRACE (n = 2, cond 3.4e4): at the
-        # solved weight M is zero only to the solve's accuracy, with an
-        # eigenvalue of -9e-8 against a band of 2e-8, so a cluster of band / 4
-        # holds the top eigenvector alone; the width from the result's unbias
-        # residual holds both, and the walk stops at its first iterate
-        rng = np.random.default_rng(3)
-        random_problem(rng)
-        problem = random_problem(rng)
-        result = solve_ci(problem, Cost.TRACE)
+        # at the result's weight M is zero only to the solve's accuracy,
+        # with an eigenvalue of -9e-8 against a band of 2e-8, so a cluster of
+        # band / 4 holds the top eigenvector alone; the width from the
+        # result's unbias residual holds both, and the walk stops at its
+        # first iterate
+        result, problem = rounded_trace_result()
         m, _ = verifier._schur_function(*q_pair(result, problem), result.P_hat.data)
         assert np.linalg.eigvalsh(m(result.alpha))[0] < -5e-8
         minimum, resolution = golden_bracket(result, problem)
@@ -979,9 +1009,14 @@ def tie_margin(base, value, c, d) -> float:
 
 
 def assert_within_margin(value, base, heads, c, d, tol=np.inf) -> None:
-    """The kernel's contract: ``value <= dense < value + rho``, and ``tol`` decided alike."""
+    """The kernel's contract: ``value <= dense < value + rho``, and ``tol`` decided alike.
+
+    ``rho`` is 0 only where every factor and the value are 0, as at a dead
+    gain of a scalar state; there the contract is ``dense == value``.
+    """
     dense = dense_worst(base, heads, c, d)
-    assert value <= dense < value + tie_margin(base, value, c, d)
+    rho = tie_margin(base, value, c, d)
+    assert (value <= dense < value + rho) if rho > 0.0 else dense == value
     assert (value <= tol) == (dense <= tol)
 
 
