@@ -9,13 +9,22 @@ in which the fused covariance, its determinant and its trace are explicit
 functions of ``t = alpha - 1/2`` with monotone slopes.  A slope test at each
 nonsingular endpoint, else a safeguarded Newton root, gives the optimum;
 the determinant slope has the sign of
-``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.  The same
+``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.  The root
+search stops once a Newton step is at most ``ROOT_TOL``, and reads the
+trace slope on ``c`` scaled by a power of two, so it cannot overflow.  The same
 spectrum then gives the family member: its dominance table, its
-singularity test, ``P_hat`` and the cost, so the only further spectral
-call is the PSD certification of ``P_hat``; the gains ``K_i = alpha_i P_hat
-G_i' L_i^-1`` reuse the estimates' factors.  Because ``P_hat`` is formed
+singularity test, the float-range test of its trace, ``P_hat`` and the
+cost, so the only further spectral call is the PSD certification of
+``P_hat``; the gains ``K_i = alpha_i P_hat G_i' L_i^-1`` reuse the
+estimates' factors.  Because ``P_hat`` is formed
 from the spectrum rather than by inverting the blend, fused outputs can
-differ in their last digits from an explicit inverse.
+differ in their last digits from an explicit inverse.  :func:`solve_ci`
+then asserts the block certificate, one ``eigvalsh`` of the LMI block: its
+Schur cross-check runs only where the block's margin is clear of its
+band, the one case in which it could overturn the verdict.  At a family
+member's own weight the block is singular up to rounding, so a solve's
+margin stays well inside that band and the cross-check does not run
+(:func:`~cifusion.verifier.lmi_certificate`).
 
 The spectrum belongs to the pair, not to the cost, so the problem builds it
 once and keeps it (:attr:`FusionProblem.spectrum`), and it lives in
@@ -101,7 +110,13 @@ def _optimal_weight(spectrum: JointSpectrum, slope) -> tuple[float, str]:
     interval; a singular endpoint has infinite cost and never wins.
     Otherwise the slope has one root in (0, 1), found by Newton steps kept
     inside a shrinking bracket, with bisection whenever a Newton step would
-    leave it or fails to halve the step before last.
+    leave it or fails to halve the step before last.  The search reads only
+    the sign of the slope and the Newton step ``h / dh``.  It stops at a
+    zero slope, at a bracket ``ROOT_TOL`` wide, or at a Newton step of at
+    most ``ROOT_TOL``, which it takes, clamped into the bracket, whether or
+    not it lands strictly inside: the iterate has converged, and a step
+    that rounds onto the bracket end just set must not restart bisection
+    on the stale bracket.
     """
     if spectrum.regular_at(-0.5) and slope(-0.5)[0] >= 0.0:
         return 0.0, "endpoint_zero"
@@ -118,10 +133,11 @@ def _optimal_weight(spectrum: JointSpectrum, slope) -> tuple[float, str]:
         else:
             hi = t
         newton = t - h / dh if dh > 0.0 else math.nan
+        if abs(newton - t) <= ROOT_TOL:
+            t = min(max(newton, lo), hi)
+            break
         if lo < newton < hi and abs(newton - t) <= 0.5 * last_step:
             last_step, t = abs(newton - t), newton
-            if last_step <= ROOT_TOL:
-                break
         else:
             last_step, t = 0.5 * (hi - lo), 0.5 * (lo + hi)
             if hi - lo <= ROOT_TOL:
@@ -156,6 +172,8 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
     t = alpha - 0.5
     if not spectrum.regular_at(t):
         raise SingularSigmaError(f"blended information matrix is singular at alpha={alpha}")
+    if not spectrum.bounded_at(t):
+        raise SingularSigmaError(f"fused covariance is outside the float range at alpha={alpha}")
     try:
         p_hat = psd_certify(spectrum.fused_cov(t))
     except NotPsdError as exc:  # near-singular blends only
@@ -182,9 +200,13 @@ def _optimal_member(problem: FusionProblem, cost: Cost) -> FusionResult:
     spectrum = problem.spectrum
     if spectrum.relation is LoewnerRelation.EQUAL:
         alpha, branch = 0.5, "equal"
+    elif cost is Cost.DET:
+        alpha, branch = _optimal_weight(spectrum, spectrum.det_slope)
     else:
-        slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
-        alpha, branch = _optimal_weight(spectrum, slope)
+        # on c scaled by a power of two the pair cannot overflow, and the
+        # search reads only its sign and ratio, which the scaling keeps
+        unit = spectrum.unit_c[0]
+        alpha, branch = _optimal_weight(spectrum, lambda t: spectrum.trace_slope(t, unit))
     result = ku_rule(problem, alpha, cost=cost)
     result.diagnostics.update(branch=branch, cost=cost.value)
     return result
@@ -221,7 +243,9 @@ def solve_ci(problem: FusionProblem, cost: Cost) -> FusionResult:
     Dispatches to the determinant or trace solver; the returned weight is a
     valid family member by construction, and the semidefinite certificate of
     conservativeness is asserted on the result (its smallest eigenvalue is
-    recorded in the diagnostics).
+    recorded in the diagnostics).  The result's block margin lies within
+    rounding of zero, well inside the band past which the certificate's
+    Schur cross-check runs, so the certificate makes one ``eigvalsh``.
     """
     if cost is Cost.DET:
         result = solve_ci_det(problem)

@@ -294,16 +294,43 @@ class JointSpectrum:
         ends = 1.0 + t * float(self.lam[0]), 1.0 + t * float(self.lam[-1])
         return min(ends) > SINGULAR_RTOL * max(ends)
 
+    @cached_property
+    def unit_c(self) -> tuple[np.ndarray, int]:
+        """``(c 2^-e, e)``, ``e`` the exponent of ``c.max()`` from ``np.frexp``.
+
+        The scaled ``c`` has its largest entry in [0.5, 1), and a power of two
+        scales it exactly, so sums of it over ``1 + t lam`` stay finite and
+        keep their signs and ratios.
+        """
+        e = int(np.frexp(self.c.max())[1])
+        return _frozen(np.ldexp(self.c, -e)), e
+
+    def bounded_at(self, t: float) -> bool:
+        """Whether the fused trace at a regular ``alpha = t + 1/2`` is below ``2^1023``.
+
+        The trace ``sum(c / (1 + t lam))`` bounds every entry of the fused
+        covariance and of the products :meth:`fused_cov` forms it from, and
+        half the float range leaves their rounding room.  It is summed on
+        :attr:`unit_c`, so the test itself cannot overflow.
+        """
+        unit, e = self.unit_c
+        return math.frexp(float((unit / (1.0 + t * self.lam)).sum()))[1] + e <= 1023
+
     def det_slope(self, t: float) -> tuple[float, float]:
         """Slope of ``log det P_hat`` in ``t`` and its (positive) derivative."""
         u = self.lam / (1.0 + t * self.lam)
         return -float(u.sum()), float(u @ u)
 
-    def trace_slope(self, t: float) -> tuple[float, float]:
-        """Slope of ``trace P_hat`` in ``t`` and its (positive) derivative."""
+    def trace_slope(self, t: float, c: np.ndarray | None = None) -> tuple[float, float]:
+        """Slope of ``trace P_hat`` in ``t`` and its (positive) derivative.
+
+        Given ``c``, the pair of ``sum(c / (1 + t lam))`` with that ``c`` in
+        place of the spectrum's, as the weight search reads it on
+        :attr:`unit_c`.
+        """
         u = 1.0 / (1.0 + t * self.lam)
         lu = self.lam * u
-        clu2 = self.c * lu * u
+        clu2 = (self.c if c is None else c) * lu * u
         return -float(clu2.sum()), 2.0 * float(clu2 @ lu)
 
 

@@ -120,8 +120,14 @@ def lmi_certificate(
     its smallest eigenvalue is at most zero and the direct route cannot
     clearly pass.  Where M overflows, next to such a weight, the cross-check is
     skipped.  A disagreement with both margins clearly outside their bands
-    raises :class:`InternalInconsistencyError`; otherwise the direct
-    verdict stands.
+    (:func:`_decided`) raises :class:`InternalInconsistencyError`;
+    otherwise the direct verdict stands.  So M is formed and decomposed
+    only when the block's margin is decided, the one case in which the
+    cross-check can raise, and skipping it elsewhere changes no return
+    value and no raise.  A solver's result does not get there, as its
+    block is singular up to rounding at its own weight: on the benchmark's
+    solve pools its margin stays below 1e-6 of the band.  A stored or
+    overridden result with a clear margin does.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
@@ -141,14 +147,14 @@ def lmi_certificate(
     lowest = float(eigs[0])
     band = DEFAULT_CERT_TOL * tol_scale(max(-lowest, float(eigs[-1])))
     passed = lowest >= -band
-
-    m = _schur_function(q1, q2, p_hat)[0](alpha)
+    # an undecided margin stands whatever M says, so M is formed only past it
+    m = _schur_function(q1, q2, p_hat)[0](alpha) if _decided(lowest, band) else None
     if m is not None:
         m_eigs = np.linalg.eigvalsh(m)
         top = float(m_eigs[-1])
         m_band = DEFAULT_CERT_TOL * tol_scale(max(top, -float(m_eigs[0])))
         schur = top <= m_band
-        if schur != passed and _decided(lowest, band) and (schur or _decided(top, m_band)):
+        if schur != passed and (schur or _decided(top, m_band)):
             raise InternalInconsistencyError(
                 f"LMI routes disagree: block min eig {lowest:.3g}, "
                 f"Schur complement max eig {top:.3g}"
@@ -514,7 +520,8 @@ def _walk(result, problem: FusionProblem) -> _Walk:
     s1, s2 = q1 @ q1.T, q2 @ q2.T
     base = s1 + s2 - p_hat
     n = base.shape[0]
-    big1, big2, big_p = (np.abs(x).max() for x in (s1, s2, p_hat))
+    # Python floats, so that scale and s overflow to inf without a warning
+    big1, big2, big_p = (float(np.abs(x).max()) for x in (s1, s2, p_hat))
     scale = n * (3.0 * (big1 + big2) + big_p)
     value, bound = -np.inf, np.inf
     spread = 2.0 * n * result.diagnostics.get("unbias_residual", 0.0)
@@ -568,8 +575,11 @@ def _flat_direction(q1, q2, alpha: float, w, v, d1, width: float):
 
 
 def _over(x: float, t: float) -> float:
-    """``x / t``, but 0 where ``x`` is 0, as a zero gain block's term is at its zero weight."""
-    return x / t if x else 0.0
+    """``x / t``, but 0 where ``x`` is 0, as a zero gain block's term is at its zero weight.
+
+    The quotient is a Python float, which overflows to inf without a warning.
+    """
+    return x / float(t) if x else 0.0
 
 
 def _sample_top(base: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: np.ndarray,

@@ -158,24 +158,53 @@ def _exact_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in m]
 
 
-def exact_fused_cov(problem: FusionProblem, alpha: float) -> np.ndarray:
-    """``(alpha Sigma1 + (1 - alpha) Sigma0)^-1`` in exact rational arithmetic, rounded once.
+def exact_information_pair(problem: FusionProblem) -> tuple[list[list[Fraction]], ...]:
+    """``(Sigma1, Sigma0)`` as fractions: each ``H_i' P_i^-1 H_i`` formed exactly.
 
-    Each ``Sigma_i = H_i' P_i^-1 H_i`` is formed from the estimate's float
-    ``H`` and ``P_hat`` as fractions, so the one rounding is the final
-    conversion of each entry to the nearest float.  For small ``n`` (the
-    fractions' size grows with it).
+    From the estimate's float ``H`` and ``P_hat``, read as fractions, so no
+    entry is rounded.  For small ``n`` (the fractions' size grows with it).
     """
-    n, a = problem.n, Fraction(alpha)
-    blend = [[Fraction(0)] * n for _ in range(n)]
-    for weight, est in ((a, problem.est1), (1 - a, problem.est2)):
+    n, pair = problem.n, []
+    for est in (problem.est1, problem.est2):
         h = [[Fraction(x) for x in row] for row in est.h.tolist()]
         p_inv = _exact_inverse([[Fraction(x) for x in row] for row in est.p_hat.data.tolist()])
         p_inv_h = [[sum(r[k] * h[k][j] for k in range(est.p)) for j in range(n)] for r in p_inv]
-        for i in range(n):
-            for j in range(n):
-                blend[i][j] += weight * sum(h[k][i] * p_inv_h[k][j] for k in range(est.p))
-    return np.array([[float(x) for x in row] for row in _exact_inverse(blend)])
+        pair.append([[sum(h[k][i] * p_inv_h[k][j] for k in range(est.p)) for j in range(n)]
+                     for i in range(n)])
+    return tuple(pair)
+
+
+def _exact_blend(pair, alpha: float) -> list[list[Fraction]]:
+    a = Fraction(alpha)
+    return [[a * x + (1 - a) * y for x, y in zip(r1, r0)] for r1, r0 in zip(*pair)]
+
+
+def exact_fused_cov(problem: FusionProblem, alpha: float) -> np.ndarray:
+    """``(alpha Sigma1 + (1 - alpha) Sigma0)^-1`` in exact rational arithmetic, rounded once.
+
+    The pair is :func:`exact_information_pair`, so the one rounding is the
+    final conversion of each entry to the nearest float.
+    """
+    inverse = _exact_inverse(_exact_blend(exact_information_pair(problem), alpha))
+    return np.array([[float(x) for x in row] for row in inverse])
+
+
+def exact_slope(pair, alpha: float, cost: Cost) -> Fraction:
+    """The cost's slope in alpha at ``alpha``, exactly, on a pair of :func:`exact_information_pair`.
+
+    ``-tr(P D)`` for DET (of ``log det P``) and ``-tr(P D P)`` for TRACE, with
+    ``P`` the inverse of the blend and ``D = Sigma1 - Sigma0``.
+    """
+    p = _exact_inverse(_exact_blend(pair, alpha))
+    d = [[x - y for x, y in zip(r1, r0)] for r1, r0 in zip(*pair)]
+    x = _exact_product(p, d)
+    if cost is Cost.TRACE:
+        x = _exact_product(x, p)
+    return -sum(x[i][i] for i in range(len(x)))
+
+
+def _exact_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def sigma_alpha(problem: FusionProblem, alpha: float) -> np.ndarray:

@@ -1149,6 +1149,59 @@ class TestExitContractFuzz:
         assert codes[0] >= 50 and codes[2] >= 50, codes
 
 
+#: a fused covariance of about 1e308 at alpha = 1/2 that overflows at the
+#: DET weight 2/3, where its third diagonal entry is about 2e308
+OVERFLOW_AT_WEIGHT = {
+    "n": 3,
+    "est1": {"H": [[1.2e-154, 0, 0], [0, 1.2e-154, 0]], "x_hat": [0, 0],
+             "P_hat": [[1, 0], [0, 1]]},
+    "est2": {"H": [[0, 0, 1.2e-154]], "x_hat": [0], "P_hat": [[1]]},
+}
+
+
+def quiet_main(argv, capsys):
+    """(stdout, stderr, exit code, warning messages) of one ``cli.main`` call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, rc, [str(w.message) for w in caught]
+
+
+class TestOverflowNearTheFloatRange:
+    def test_trace_search_on_a_1e302_fused_covariance_does_not_warn(self, tmp_path, capsys):
+        # the TRACE slope pair overflowed twice in a matmul here
+        path = write(tmp_path, exit_contract_docs(3, 100)[64][0])
+        out, err, rc, caught = quiet_main(["fuse", path, "--cost", "trace"], capsys)
+        assert (rc, err, caught) == (0, "", [])
+        assert json.loads(out)["branch"] == "interior_root"
+
+    def test_walk_scale_overflows_to_inf_silently(self, tmp_path, capsys):
+        # the walk's sample-norm bound overflowed twice in a scalar multiply;
+        # the exit code and every verdict are those printed with the warnings
+        path = write(tmp_path, exit_contract_docs(16, 600)[577][0])
+        out, err, rc, caught = quiet_main(["verify", path, "--samples", "200"], capsys)
+        assert (rc, err, caught) == (0, "", [])
+        assert [line.split()[:2] for line in out.splitlines()[:4]] == [
+            ["lmi", "PASS"], ["petersen", "PASS"], ["adversarial-x", "PASS"],
+            ["monte-carlo", "PASS"]]
+
+    @pytest.mark.parametrize("command, alpha", [
+        (["fuse"], "0.6666666666666667"),
+        (["fuse", "--cost", "trace"], "0.585786437626905"),
+        (["verify"], "0.6666666666666667"),
+    ])
+    def test_fused_covariance_overflowing_at_the_weight_exits_two(
+        self, tmp_path, capsys, command, alpha
+    ):
+        # this printed a RuntimeWarning from the fused covariance and then
+        # "matrix is not PSD (min eigenvalue nan)"
+        path = write(tmp_path, OVERFLOW_AT_WEIGHT)
+        out, err, rc, caught = quiet_main([command[0], path, *command[1:]], capsys)
+        assert (out, rc, caught) == ("", 2, [])
+        assert err == f"error: fused covariance is outside the float range at alpha={alpha}\n"
+
+
 def run_main(argv, capsys):
     """(stdout, stderr, exit code) of one ``cli.main`` call, SystemExit included."""
     try:
