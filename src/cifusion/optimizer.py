@@ -10,8 +10,7 @@ functions of ``t = alpha - 1/2`` with monotone slopes.  A slope test at each
 nonsingular endpoint, else a safeguarded Newton root, gives the optimum;
 the determinant slope has the sign of
 ``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.  The root
-search stops once a Newton step is at most ``ROOT_TOL``, and reads the
-trace slope on ``c`` scaled by a power of two, so it cannot overflow.  The same
+search stops once a Newton step is at most ``ROOT_TOL``.  The same
 spectrum then gives the family member: its dominance table, its
 singularity test, the float-range test of its trace, ``P_hat`` and the
 cost, so the only further spectral call is the PSD certification of
@@ -200,13 +199,9 @@ def _optimal_member(problem: FusionProblem, cost: Cost) -> FusionResult:
     spectrum = problem.spectrum
     if spectrum.relation is LoewnerRelation.EQUAL:
         alpha, branch = 0.5, "equal"
-    elif cost is Cost.DET:
-        alpha, branch = _optimal_weight(spectrum, spectrum.det_slope)
     else:
-        # on c scaled by a power of two the pair cannot overflow, and the
-        # search reads only its sign and ratio, which the scaling keeps
-        unit = spectrum.unit_c[0]
-        alpha, branch = _optimal_weight(spectrum, lambda t: spectrum.trace_slope(t, unit))
+        slope = spectrum.det_slope if cost is Cost.DET else spectrum.trace_slope
+        alpha, branch = _optimal_weight(spectrum, slope)
     result = ku_rule(problem, alpha, cost=cost)
     result.diagnostics.update(branch=branch, cost=cost.value)
     return result

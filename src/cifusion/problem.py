@@ -8,9 +8,10 @@ whitened stack ``G = [L1^-1 H1; L2^-1 H2]``, ``L_i`` the Cholesky factor of
 estimate i's covariance, has full column rank.  One SVD of ``G`` makes that
 one solvability test and gives the joint diagonalisation of the information
 matrices ``G_i' G_i`` without forming them (:class:`JointSpectrum`; the
-generalised SVD of Van Loan, SIAM J. Numer. Anal. 13, 1976), so a
-power-of-two change of one sensor's units changes nothing, and accuracy
-follows ``cond(G)``, not its square.  The spectrum, which every solve under
+generalised SVD of Van Loan, SIAM J. Numer. Anal. 13, 1976) on ``G``
+scaled by a power of two, so a power-of-two change of one sensor's units
+changes nothing, of both only that power, and accuracy follows ``cond(G)``,
+not its square.  The spectrum, which every solve under
 either :class:`Cost` reads, is built on first use and kept.  Every array an
 estimate or a problem keeps is read-only, so a kept value cannot drift from
 the data it was computed from.
@@ -138,13 +139,13 @@ class PartialEstimate:
 class FusionProblem:
     """A validated pair of partial estimates.
 
-    Construction makes the one solvability test on the thin SVD ``G = U
-    diag(sigma) V'`` of the whitened stack, ``rank(G) = n``
+    Construction makes the one solvability test on the thin SVD ``2^-e G =
+    U diag(sigma) V'`` of the whitened stack, ``rank(G) = n``
     (:meth:`whitened_svd`), and raises :class:`StackedRankDeficientError`
     below it, or :class:`NonFiniteError` naming an estimate whose ``G_i``
-    overflows.  Neither H needs full row rank.  ``(U, sigma, V')`` is kept,
-    read-only, as :attr:`whitened_factors`, and ``[H1; H2]`` as
-    :attr:`h_stacked`.
+    overflows.  Neither H needs full row rank.  ``(U, sigma, V', e)`` is
+    kept, its arrays read-only, as :attr:`whitened_factors`, and ``[H1;
+    H2]`` as :attr:`h_stacked`.
     """
 
     def __init__(self, est1: PartialEstimate, est2: PartialEstimate):
@@ -155,22 +156,28 @@ class FusionProblem:
         for name, est in (("est1", est1), ("est2", est2)):
             if not np.isfinite(est.whitened).all():
                 raise NonFiniteError(f"{name}: whitened observation matrix L^-1 H overflows")
-        *factors, rank = self.whitened_svd(np.vstack([est1.whitened, est2.whitened]))
+        u, sv, vt, e, rank = self.whitened_svd(np.vstack([est1.whitened, est2.whitened]))
         if rank != est1.n:
             raise StackedRankDeficientError(
                 f"stacked observation matrix has rank {rank} < n = {est1.n}"
             )
         self.est1 = est1
         self.est2 = est2
-        self.whitened_factors = tuple(_frozen(a) for a in factors)
+        self.whitened_factors = (_frozen(u), _frozen(sv), _frozen(vt), e)
         self.h_stacked = _frozen(np.vstack([est1.h, est2.h]))
 
     @staticmethod
-    def whitened_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """``(U, sigma, V', rank)``: the thin SVD of a whitened stack and its numerical rank."""
-        u, sv, vt = np.linalg.svd(g, full_matrices=False)
+    def whitened_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+        """``(U, sigma, V', e, rank)``: the thin SVD of ``2^-e G`` and the numerical rank of ``G``.
+
+        ``e``, the exponent of ``max|G|`` from ``np.frexp``, puts the largest
+        entry in [0.5, 1), which LAPACK never rescales (by a factor that is
+        not a power of two), so a common power-of-two unit change moves only ``e``.
+        """
+        e = int(np.frexp(np.abs(g).max())[1])
+        u, sv, vt = np.linalg.svd(np.ldexp(g, -e), full_matrices=False)
         rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
-        return u, sv, vt, rank
+        return u, sv, vt, e, rank
 
     @property
     def n(self) -> int:
@@ -222,15 +229,21 @@ class JointSpectrum:
     (Sigma1 + Sigma0) / 2``.  ``lam`` is ascending up to rounding and lies in
     [-2, 2]; its sign pattern is the Loewner relation of the pair
     (:attr:`relation`, classified once), and a ``lam`` of +2 (-2) makes the
-    blend at ``alpha = 0`` (``alpha = 1``) singular.  Building it from the
-    problem's SVD takes one ``eigh``; nothing after that makes a spectral
-    call.  A problem keeps the one it built (:attr:`FusionProblem.spectrum`),
-    with ``lam``, ``c`` and ``w`` read-only.
+    blend at ``alpha = 0`` (``alpha = 1``) singular.  ``w`` and ``c`` are
+    kept at the scale of the problem's SVD of ``2^-e G``, as ``2^e W`` and
+    ``4^e c`` with ``e`` the :attr:`exponent`; there ``c`` lies between
+    about ``1 / (rows n)`` and ``1e21`` (the rank test), so no sum over it
+    overflows, and the fused covariance, the cost and the range test apply
+    ``e`` exactly with ``ldexp``.  Building it from the problem's SVD takes
+    one ``eigh``; nothing after that makes a spectral call.  A problem
+    keeps the one it built (:attr:`FusionProblem.spectrum`), with ``lam``,
+    ``c`` and ``w`` read-only.
     """
 
     lam: np.ndarray
     c: np.ndarray
     w: np.ndarray
+    exponent: int
     log_det_s: float
 
     @classmethod
@@ -240,7 +253,7 @@ class JointSpectrum:
         Solvers read the problem's own, :attr:`FusionProblem.spectrum`,
         which this builds once.
         """
-        u, sv, vt = problem.whitened_factors
+        u, sv, vt, e = problem.whitened_factors
         u1, u2 = u[: problem.p1], u[problem.p1 :]
         z = np.linalg.eigh(u1.T @ u1)[1]
         u1z, u2z = u1 @ z, u2 @ z
@@ -249,14 +262,16 @@ class JointSpectrum:
         # direction one estimate does not see (c2 or s2 exactly 0) gets
         # exactly -2 or +2, so the blend there is exactly singular
         lam = 2.0 * (c2 - s2) / (c2 + s2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = _frozen(math.sqrt(2.0) * (vt.T / sv) @ z)
-            c = _frozen(np.einsum("ij,ij->j", w, w))
+        w = _frozen(math.sqrt(2.0) * (vt.T / sv) @ z)
+        c = _frozen(np.einsum("ij,ij->j", w, w))
         # every fused covariance is at least W W' / 2, whose trace is sum(c) / 2,
         # and its least eigenvalue is at most c_j / (1 + t lam_j) for each j
-        if not (np.isfinite(c).all() and c.all()):
+        with np.errstate(over="ignore"):
+            true_c = np.ldexp(c, -2 * e)
+        if not (np.isfinite(true_c).all() and true_c.all()):
             raise SingularSigmaError("fused covariance is outside the float range at every weight")
-        return cls(_frozen(lam), c, w, 2.0 * float(np.log(sv).sum()) - problem.n * math.log(2.0))
+        log_det_s = 2.0 * float(np.log(np.ldexp(sv, e)).sum()) - problem.n * math.log(2.0)
+        return cls(_frozen(lam), c, w, e, log_det_s)
 
     def fused_cov(self, t: float) -> np.ndarray:
         """``Sigma_alpha^-1 = W diag(1 / (1 + t lam)) W.T`` at ``alpha = t + 1/2``.
@@ -267,17 +282,17 @@ class JointSpectrum:
         ``1 + t lam`` is near 1 or above, as at every weight
         :func:`~cifusion.optimizer.ku_rule` admits, but more near the singular end of a dominated pair.
         """
-        return (self.w / (1.0 + t * self.lam)) @ self.w.T
+        return np.ldexp((self.w / (1.0 + t * self.lam)) @ self.w.T, -2 * self.exponent)
 
     def cost(self, cost: Cost, t: float) -> float:
-        """The cost of :meth:`fused_cov` at ``t``, without forming it."""
+        """The cost of :meth:`fused_cov` at ``t``, without forming it; ``inf`` past the float range."""
         mu = 1.0 + t * self.lam
-        if cost is Cost.DET:
-            try:
+        try:
+            if cost is Cost.DET:
                 return math.exp(-self.log_det_s - float(np.log(mu).sum()))
-            except OverflowError:
-                return math.inf
-        return float((self.c / mu).sum())
+            return math.ldexp(float((self.c / mu).sum()), -2 * self.exponent)
+        except OverflowError:
+            return math.inf
 
     @cached_property
     def relation(self) -> LoewnerRelation:
@@ -294,43 +309,31 @@ class JointSpectrum:
         ends = 1.0 + t * float(self.lam[0]), 1.0 + t * float(self.lam[-1])
         return min(ends) > SINGULAR_RTOL * max(ends)
 
-    @cached_property
-    def unit_c(self) -> tuple[np.ndarray, int]:
-        """``(c 2^-e, e)``, ``e`` the exponent of ``c.max()`` from ``np.frexp``.
-
-        The scaled ``c`` has its largest entry in [0.5, 1), and a power of two
-        scales it exactly, so sums of it over ``1 + t lam`` stay finite and
-        keep their signs and ratios.
-        """
-        e = int(np.frexp(self.c.max())[1])
-        return _frozen(np.ldexp(self.c, -e)), e
-
     def bounded_at(self, t: float) -> bool:
         """Whether the fused trace at a regular ``alpha = t + 1/2`` is below ``2^1023``.
 
         The trace ``sum(c / (1 + t lam))`` bounds every entry of the fused
         covariance and of the products :meth:`fused_cov` forms it from, and
         half the float range leaves their rounding room.  It is summed on
-        :attr:`unit_c`, so the test itself cannot overflow.
+        the kept ``c``, so the test itself cannot overflow.
         """
-        unit, e = self.unit_c
-        return math.frexp(float((unit / (1.0 + t * self.lam)).sum()))[1] + e <= 1023
+        trace = float((self.c / (1.0 + t * self.lam)).sum())
+        return math.frexp(trace)[1] - 2 * self.exponent <= 1023
 
     def det_slope(self, t: float) -> tuple[float, float]:
         """Slope of ``log det P_hat`` in ``t`` and its (positive) derivative."""
         u = self.lam / (1.0 + t * self.lam)
         return -float(u.sum()), float(u @ u)
 
-    def trace_slope(self, t: float, c: np.ndarray | None = None) -> tuple[float, float]:
-        """Slope of ``trace P_hat`` in ``t`` and its (positive) derivative.
+    def trace_slope(self, t: float) -> tuple[float, float]:
+        """Slope of ``trace P_hat`` in ``t`` and its (positive) derivative, both times ``4^e``.
 
-        Given ``c``, the pair of ``sum(c / (1 + t lam))`` with that ``c`` in
-        place of the spectrum's, as the weight search reads it on
-        :attr:`unit_c`.
+        On the kept ``c`` they cannot overflow, and the weight search reads
+        only their signs and ratio, which ``4^e`` keeps.
         """
         u = 1.0 / (1.0 + t * self.lam)
         lu = self.lam * u
-        clu2 = (self.c if c is None else c) * lu * u
+        clu2 = self.c * lu * u
         return -float(clu2.sum()), 2.0 * float(clu2 @ lu)
 
 

@@ -1149,6 +1149,13 @@ class TestExitContractFuzz:
         assert codes[0] >= 50 and codes[2] >= 50, codes
 
 
+#: TRACE costs near the float maximum, past it at alpha = 0.1; alpha = 0 is singular
+TRACE_NEAR_FLOAT_MAX = {
+    "n": 2,
+    "est1": {"H": [[2e-154, 0], [0, 2e-154]], "x_hat": [0, 0], "P_hat": [[1, 0], [0, 1]]},
+    "est2": {"H": [[2e-154, 0]], "x_hat": [0], "P_hat": [[0.5]]},
+}
+
 #: a fused covariance of about 1e308 at alpha = 1/2 that overflows at the
 #: DET weight 2/3, where its third diagonal entry is about 2e308
 OVERFLOW_AT_WEIGHT = {
@@ -1185,6 +1192,34 @@ class TestOverflowNearTheFloatRange:
         assert [line.split()[:2] for line in out.splitlines()[:4]] == [
             ["lmi", "PASS"], ["petersen", "PASS"], ["adversarial-x", "PASS"],
             ["monte-carlo", "PASS"]]
+
+    @pytest.mark.parametrize("grid", [11, 101])
+    def test_trace_scan_past_the_float_maximum_does_not_warn(self, tmp_path, capsys, grid):
+        # the trace sum overflowed in a divide here; every row is the exact
+        # power-of-two image of the same problem's at unit scale, or empty
+        # where that image is past the float range
+        def rows(doc, name):
+            out, err, rc, caught = quiet_main(
+                ["scan", write(tmp_path, doc, name), "--cost", "trace", "--grid", str(grid)], capsys)
+            assert (rc, err, caught) == (0, "", [])
+            return [line.split(",") for line in out.splitlines()[1:-1]]
+
+        k = 511
+        unit_doc = json.loads(json.dumps(TRACE_NEAR_FLOAT_MAX))
+        for key in ("est1", "est2"):
+            unit_doc[key]["H"] = np.ldexp(unit_doc[key]["H"], k).tolist()
+        got, unit = rows(TRACE_NEAR_FLOAT_MAX, "problem.json"), rows(unit_doc, "unit.json")
+        assert got[0][1:] == got[(grid - 1) // 10][1:] == ["", "0"]
+        for row, unit_row in zip(got, unit, strict=True):
+            assert row[0] == unit_row[0]
+            try:
+                want = math.ldexp(float(unit_row[1]), 2 * k) if unit_row[2] == "1" else None
+            except OverflowError:
+                want = None
+            if want is None:
+                assert row[1:] == ["", "0"]
+            else:
+                assert row[2] == "1" and float(row[1]) == want
 
     @pytest.mark.parametrize("command, alpha", [
         (["fuse"], "0.6666666666666667"),

@@ -332,22 +332,30 @@ class TestSolveCiTrace:
         assert 0.0 < result.alpha < 1.0
 
     def test_search_reads_the_slope_on_c_scaled_by_a_power_of_two(self):
-        # c reaches 1e302 here, where the unscaled slope pair overflows; the
-        # weight is, bit for bit, the unscaled pair's on the same spectrum
-        # with c scaled by 4^-k, as scaling both P_hat by 4^-k scales it in
-        # exact arithmetic
+        # c reaches 1e302 here, where the slope pair at true scale overflows;
+        # the spectrum keeps c at the scale of its SVD of 2^-e G, below
+        # 1e21, and scaling both P_hat by 4^-k moves e alone, so the weight
+        # keeps its bits
         doc = exit_contract_docs(3, 100)[64][0]
-        problem = FusionProblem(*(PartialEstimate(doc[key]["H"], doc[key]["x_hat"],
-                                                  doc[key]["P_hat"]) for key in ("est1", "est2")))
+
+        def problem_at(k):
+            return FusionProblem(*(PartialEstimate(doc[key]["H"], doc[key]["x_hat"],
+                                                   np.ldexp(doc[key]["P_hat"], -2 * k))
+                                   for key in ("est1", "est2")))
+
+        problem = problem_at(0)
         spectrum = problem.spectrum
-        unit, e = spectrum.unit_c
-        assert np.ldexp(unit, e).tobytes() == spectrum.c.tobytes() and 0.5 <= unit.max() < 1.0
+        true_c = np.ldexp(spectrum.c, -2 * spectrum.exponent)
+        assert true_c.max() > 1e302 and spectrum.c.max() < 1e21
+        at_true_scale = dataclasses.replace(spectrum, c=true_c, exponent=0)
         with pytest.warns(RuntimeWarning, match="overflow"):
-            _optimal_weight(spectrum, spectrum.trace_slope)
+            _optimal_weight(at_true_scale, at_true_scale.trace_slope)
         alpha = solve_ci_trace(problem).alpha
-        for k in (100, 150, 200):
-            shifted = dataclasses.replace(spectrum, c=np.ldexp(spectrum.c, -2 * k))
-            assert _optimal_weight(shifted, shifted.trace_slope) == (alpha, "interior_root")
+        for k in (50, 100, 150, 200):
+            moved = problem_at(k)
+            assert moved.spectrum.exponent == spectrum.exponent + k
+            assert moved.spectrum.c.tobytes() == spectrum.c.tobytes()
+            assert solve_ci_trace(moved).alpha == alpha
 
 
 class TestSolveCi:
@@ -504,7 +512,7 @@ class TestJointSpectrum:
             if k % 4 == 0 and n > 1:
                 lam[1] = lam[0]
             lam.sort()
-            spectrum = JointSpectrum(lam, np.ones(n), np.eye(n), 0.0)
+            spectrum = JointSpectrum(lam, np.ones(n), np.eye(n), 0, 0.0)
             for t in (-0.5, 0.5, rng.uniform(-0.5, 0.5)):
                 mu = 1.0 + t * lam
                 want = float(mu.min()) > SINGULAR_RTOL * float(mu.max())
@@ -523,11 +531,14 @@ class TestJointSpectrum:
             for alpha in (0.1, 0.5, 0.9):
                 t = alpha - 0.5
                 p = np.linalg.inv(sigma_alpha(problem, alpha))
+                # c and the trace slope are kept 4^e times their true values
+                e = spectrum.exponent
                 trace = float(np.sum(spectrum.c / (1.0 + t * spectrum.lam)))
-                assert trace == pytest.approx(np.trace(p), rel=1e-10)
+                assert np.ldexp(trace, -2 * e) == pytest.approx(np.trace(p), rel=1e-10)
                 # d/dalpha log det P = -tr(P D) and d/dalpha tr P = -tr(P D P)
                 assert spectrum.det_slope(t)[0] == pytest.approx(-np.trace(p @ d), rel=1e-9, abs=1e-12)
-                assert spectrum.trace_slope(t)[0] == pytest.approx(-np.trace(p @ d @ p), rel=1e-9, abs=1e-12)
+                assert np.ldexp(spectrum.trace_slope(t)[0], -2 * e) \
+                    == pytest.approx(-np.trace(p @ d @ p), rel=1e-9, abs=1e-12)
 
 
 def _admitted_weights(spectrum, weights=(0.0, 1e-6, 0.5, 1.0 - 1e-6, 1.0)):
@@ -794,13 +805,16 @@ class TestKeptSpectrum:
         problem = example2_problem()
         solve_ci(problem, Cost.TRACE)
         spectrum, est = problem.spectrum, problem.est1
-        for array in (spectrum.lam, spectrum.c, spectrum.w, spectrum.unit_c[0],
+        *factors, e = problem.whitened_factors
+        assert type(e) is int and e == spectrum.exponent
+        for array in (spectrum.lam, spectrum.c, spectrum.w,
                       est.p_chol, est.chol_inv, est.whitened, est.h, est.x_hat, est.p_hat.data,
-                      *problem.whitened_factors):
+                      *factors):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
-        with pytest.raises(AttributeError):
-            spectrum.lam = np.zeros(2)
+        for name, value in (("lam", np.zeros(2)), ("exponent", 0)):
+            with pytest.raises(AttributeError):
+                setattr(spectrum, name, value)
 
 
 class TestDetOracle:
@@ -866,6 +880,23 @@ class TestMetamorphic:
                     assert got.alpha == want.alpha, (problem, which, cost)
                     assert got.P_hat.data.tobytes() == want.P_hat.data.tobytes()
                     assert got.fused_x.tobytes() == want.fused_x.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 100, 300, 455, 465, 475, 500])
+    def test_common_power_of_two_units_keep_the_result_bitwise(self, k):
+        # P_i -> 4^k P_i for both estimates scales the whitened stack by
+        # 2^-k, which moves only the exponent its SVD is taken at; the
+        # weight, the gains and fused_x keep their bits and P_hat is scaled
+        # exactly.  Past k = 455 the stack's entries fall below about 1e-138,
+        # where LAPACK would rescale it by a factor that is not a power of two.
+        rng = np.random.default_rng(5)
+        for problem in [random_problem(rng) for _ in range(30)]:
+            moved = _rebuilt(problem, scale=4.0**k)
+            for cost in Cost:
+                want, got = solve_ci(problem, cost), solve_ci(moved, cost)
+                assert got.alpha == want.alpha, (problem, cost)
+                for name in ("K1", "K2", "fused_x"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+                assert got.P_hat.data.tobytes() == np.ldexp(want.P_hat.data, 2 * k).tobytes()
 
     @pytest.mark.xfail(strict=True, raises=NotPdError,
                        reason="ROADMAP item 3: tol_scale floors at 1, so a "

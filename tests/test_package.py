@@ -192,6 +192,24 @@ def test_only_the_rank_test_and_the_cross_extreme_take_an_svd():
     assert readers == {("problem.py", "FusionProblem"), ("verifier.py", "_extreme_cross_direction")}
 
 
+def test_only_the_problem_module_decides_the_float_range():
+    # the whitened stack's SVD is taken at a power-of-two scale and the
+    # spectrum applies that exponent, so no other module rescales by frexp
+    # or ldexp, and the trace slope reads the spectrum's own c
+    readers = {(path.name, scope)
+               for path in sorted(Path(cifusion.__file__).parent.glob("*.py"))
+               for name in ("frexp", "ldexp")
+               for scope in _readers(ast.parse(path.read_text(), filename=str(path)), name)}
+    assert readers == {("problem.py", "FusionProblem"), ("problem.py", "JointSpectrum")}
+    tree = ast.parse(Path(cifusion.problem.__file__).read_text())
+    slope = next(node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 and cls.name == "JointSpectrum" for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "trace_slope")
+    args = slope.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["self", "t"]
+    assert args.vararg is None and args.kwarg is None
+
+
 #: what CI installs besides the standard library: the package and its test extras
 CI_PACKAGES = {"numpy", "pytest", "hypothesis", "cifusion"}
 

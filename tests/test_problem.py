@@ -117,9 +117,11 @@ class TestFusionProblemValidation:
         np.testing.assert_array_equal(est1.chol_inv @ est1.p_chol, np.eye(2))
         for est, sigma in zip((est1, est2), information_pair(problem)):
             np.testing.assert_allclose(est.whitened.T @ est.whitened, sigma, atol=1e-12)
-        u, sv, vt = problem.whitened_factors
-        np.testing.assert_allclose((u * sv) @ vt, np.vstack([est1.whitened, est2.whitened]),
-                                   atol=1e-12)
+        # the factors are those of the stack scaled by 2^-e into [0.5, 1)
+        u, sv, vt, e = problem.whitened_factors
+        stack = np.vstack([est1.whitened, est2.whitened])
+        assert e == np.frexp(np.abs(stack).max())[1]
+        np.testing.assert_allclose(np.ldexp((u * sv) @ vt, e), stack, atol=1e-12)
 
 
 def _with_singular_values(rng, rows: int, cols: int, svals) -> np.ndarray:
