@@ -73,6 +73,8 @@ def _array(value, path: str) -> np.ndarray:
     """A finite float array of JSON numbers (not strings or booleans), or an error naming it."""
     try:
         arr = np.asarray(value, dtype=float)
+    except OverflowError:  # a JSON integer past the float range
+        raise ProblemFileError(path, "holds an integer outside the float range") from None
     except (TypeError, ValueError) as exc:
         raise ProblemFileError(path, f"not numeric: {exc}") from None
     for entry in np.asarray(value, dtype=object).flat:
@@ -81,6 +83,14 @@ def _array(value, path: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ProblemFileError(path, "holds a NaN or an infinity")
     return arr
+
+
+def _finite(number: int | float) -> bool:
+    """Whether a JSON number is a finite float; an integer past the float range is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
 
 
 def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
@@ -276,8 +286,7 @@ def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
     if miss > RESULT_RTOL * (np.abs(k1) @ np.abs(x1) + np.abs(k2) @ np.abs(x2)).max():
         raise ProblemFileError("fused_x", f"differs from K1 x_hat1 + K2 x_hat2 by {fmt(miss)}")
     cost_value = doc.get("cost_value")
-    if not (cost_value is None or type(cost_value) is int
-            or type(cost_value) is float and math.isfinite(cost_value)):
+    if not (cost_value is None or type(cost_value) in (int, float) and _finite(cost_value)):
         raise ProblemFileError("cost_value",
                                f"{json.dumps(cost_value)} is not a finite number or null")
     if not isinstance(doc.get("branch"), (str, type(None))):

@@ -519,6 +519,8 @@ class TestVerify:
     @pytest.mark.parametrize("key, value", [
         ("cost_value", "not a number"), ("cost_value", [1.0]), ("cost_value", True),
         ("cost_value", math.inf), ("cost_value", math.nan),
+        pytest.param("cost_value", 10**400, id="cost_value-1e400"),
+        pytest.param("cost_value", -10**400, id="cost_value--1e400"),
         ("branch", [1, 2]), ("branch", 3), ("branch", {"kind": "interior"}),
     ])
     def test_result_file_optional_field_with_bad_value_exits_two(self, tmp_path, capsys,
@@ -1044,6 +1046,23 @@ class TestJsonNumbers:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, where", [
+        (command, where) for command in ("fuse", "scan", "known", "verify")
+        for where in NUMBER_PATHS
+        if command == "verify" or where.startswith("est")
+        or command == "known" and where.startswith("truth")
+    ])
+    def test_integer_past_the_float_range_exits_two_naming_its_path(self, tmp_path, capsys,
+                                                                      command, where):
+        # np.asarray(10**400, dtype=float) raises OverflowError, which ended
+        # each of these commands in a traceback and exit 1
+        argv = verify_with_block(tmp_path, where, lambda v: first_entry_replaced(v, 10**400))
+        if command != "verify":
+            argv = [command, argv[1]]
+        out, err, code = run_main(argv, capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == f"error: {where}: holds an integer outside the float range\n"
+
     def test_string_and_boolean_entries_rejected_by_fuse(self, tmp_path, capsys):
         # this file used to fuse at alpha = 0.5 and exit 0
         doc = {"n": 2,
@@ -1235,6 +1254,42 @@ class TestOverflowNearTheFloatRange:
         out, err, rc, caught = quiet_main([command[0], path, *command[1:]], capsys)
         assert (out, rc, caught) == ("", 2, [])
         assert err == f"error: fused covariance is outside the float range at alpha={alpha}\n"
+
+
+class TestSingularEnds:
+    """Files with a singular end, where some ``1 + t lam`` is exactly 0.
+
+    The weight search's slopes and member tests run on Python floats, which
+    raise where numpy divided by zero to an infinity; each command keeps
+    the branch, the rows and the exit code it had on numpy's.
+    """
+
+    @pytest.mark.parametrize("doc, cost, branch", [
+        (SCALAR_PAIR, "det", "interior_root"), (SCALAR_PAIR, "trace", "interior_root"),
+        (TRACE_NEAR_FLOAT_MAX, "det", "endpoint_one"),
+        (TRACE_NEAR_FLOAT_MAX, "trace", "endpoint_one"),
+    ])
+    def test_fuse_and_verify_keep_their_branch(self, tmp_path, capsys, doc, cost, branch):
+        path = write(tmp_path, doc)
+        out, err, rc, caught = quiet_main(["fuse", path, "--cost", cost], capsys)
+        assert (err, rc, caught) == ("", 0, [])
+        assert json.loads(out)["branch"] == branch
+        out, err, rc, caught = quiet_main(["verify", path, "--cost", cost, "--samples", "50"],
+                                          capsys)
+        assert (err, rc, caught) == ("", 0, [])
+
+    @pytest.mark.parametrize("doc, cost, last", [
+        (SCALAR_PAIR, "det", "1,,0"), (SCALAR_PAIR, "trace", "1,,0"),
+        (TRACE_NEAR_FLOAT_MAX, "det", "1,,0"),
+        (TRACE_NEAR_FLOAT_MAX, "trace", "1,5.0000000000000021e+307,1"),
+        (OVERFLOW_AT_WEIGHT, "det", "1,,0"), (OVERFLOW_AT_WEIGHT, "trace", "1,,0"),
+    ])
+    def test_scan_prints_the_singular_end_rows(self, tmp_path, capsys, doc, cost, last):
+        out, err, rc, caught = quiet_main(
+            ["scan", write(tmp_path, doc), "--cost", cost, "--grid", "11"], capsys)
+        assert (err, rc, caught) == ("", 0, [])
+        rows = out.splitlines()
+        assert (rows[1], rows[-2]) == ("0,,0", last)
 
 
 def run_main(argv, capsys):

@@ -332,10 +332,12 @@ class TestSolveCiTrace:
         assert 0.0 < result.alpha < 1.0
 
     def test_search_reads_the_slope_on_c_scaled_by_a_power_of_two(self):
-        # c reaches 1e302 here, where the slope pair at true scale overflows;
-        # the spectrum keeps c at the scale of its SVD of 2^-e G, below
-        # 1e21, and scaling both P_hat by 4^-k moves e alone, so the weight
-        # keeps its bits
+        # c reaches 1e302 here, where the slope pair at true scale overflows
+        # (silently: the slopes run on Python floats) to an infinite
+        # curvature at both ends; the spectrum keeps c at the scale of its
+        # SVD of 2^-e G, below 1e21, where the pair is finite and the search
+        # lands within ROOT_TOL of the exact root, and scaling both P_hat by
+        # 4^-k moves e alone, so the weight keeps its bits
         doc = exit_contract_docs(3, 100)[64][0]
 
         def problem_at(k):
@@ -348,9 +350,13 @@ class TestSolveCiTrace:
         true_c = np.ldexp(spectrum.c, -2 * spectrum.exponent)
         assert true_c.max() > 1e302 and spectrum.c.max() < 1e21
         at_true_scale = dataclasses.replace(spectrum, c=true_c, exponent=0)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            _optimal_weight(at_true_scale, at_true_scale.trace_slope)
+        for t in (-0.5, 0.5):
+            assert not all(map(math.isfinite, at_true_scale.trace_slope(t)))
+            assert all(map(math.isfinite, spectrum.trace_slope(t)))
         alpha = solve_ci_trace(problem).alpha
+        pair = exact_information_pair(problem)
+        assert exact_slope(pair, alpha - ROOT_TOL, Cost.TRACE) < 0 \
+            < exact_slope(pair, alpha + ROOT_TOL, Cost.TRACE)
         for k in (50, 100, 150, 200):
             moved = problem_at(k)
             assert moved.spectrum.exponent == spectrum.exponent + k
@@ -519,6 +525,43 @@ class TestJointSpectrum:
                 assert spectrum.regular_at(t) is want
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+    def test_no_slope_or_member_test_divides_by_zero(self):
+        # a direction one estimate does not see gets lam exactly -2 or +2, so
+        # some 1 + t lam is exactly 0 at one end; the slopes and member tests
+        # run on Python floats, which raise ZeroDivisionError where numpy
+        # gave an infinity, so regular_at must refuse that end before any of
+        # them divides there.  Per instance: the DET and TRACE branches (0,
+        # 1, i: endpoint_zero, endpoint_one, interior_root), then whether
+        # ku_rule takes alpha = 0 and alpha = 1 (+ or -), as the numpy
+        # slopes gave them
+        want = ("ii-+ 00+- ii+- 11-+ 00+- ii-- 11-+ ii+- 11-+ ii+- 11-+ 00+- 11-+ 11-+ 00+- "
+                "11-+ ii-- 00+- 11-+ ii+- 00+- ii+- 11-+ 00+- ii-- 11-+ ii-- 11-+ ii-- 11-+ "
+                "ii-- 11-+ 00+-")
+        code = {"endpoint_zero": "0", "endpoint_one": "1", "interior_root": "i"}
+        rng = np.random.default_rng(31)
+        got, seen = [], set()
+        for i in range(45):
+            problem = (random_problem(rng) if i % 3 == 0 else
+                       dominated_problem(rng, int(rng.integers(2, 6)), dominant_first=i % 3 == 1))
+            spectrum = problem.spectrum
+            ends = {float(lam) for lam in spectrum.lam[[0, -1]] if abs(lam) == 2.0}
+            if not ends:
+                continue
+            seen |= ends
+            for t in (-0.5, 0.5):
+                if spectrum.regular_at(t):
+                    spectrum.det_slope(t), spectrum.trace_slope(t), spectrum.bounded_at(t)
+            row = "".join(code[solve_ci(problem, cost).diagnostics["branch"]] for cost in Cost)
+            for alpha in (0.0, 1.0):
+                try:
+                    ku_rule(problem, alpha)
+                    row += "+"
+                except (InvalidFamilyParameterError, SingularSigmaError):
+                    row += "-"
+            got.append(row)
+        assert seen == {-2.0, 2.0}
+        assert " ".join(got) == want
 
     def test_cost_forms_match_blended_inverse(self):
         rng = np.random.default_rng(21)

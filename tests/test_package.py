@@ -210,6 +210,26 @@ def test_only_the_problem_module_decides_the_float_range():
     assert args.vararg is None and args.kwarg is None
 
 
+def test_the_weight_search_runs_on_python_floats():
+    # the slopes and member tests run many times per solve, on n <= 20
+    # entries, where each numpy call costs more than the whole float loop;
+    # so they call nothing of numpy and read none of the spectrum's arrays
+    tree = ast.parse(Path(cifusion.problem.__file__).read_text())
+    spectrum = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "JointSpectrum")
+    scalar = {"det_slope", "trace_slope", "regular_at", "bounded_at"}
+    found = {}
+    for method in spectrum.body:
+        if isinstance(method, ast.FunctionDef) and method.name in scalar:
+            found[method.name] = sorted(
+                {node.id for node in ast.walk(method)
+                 if isinstance(node, ast.Name) and node.id in ("np", "numpy")}
+                | {f"self.{node.attr}" for node in ast.walk(method)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "self" and node.attr in ("lam", "c", "w")})
+    assert found == dict.fromkeys(scalar, [])
+
+
 #: what CI installs besides the standard library: the package and its test extras
 CI_PACKAGES = {"numpy", "pytest", "hypothesis", "cifusion"}
 
