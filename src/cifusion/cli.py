@@ -33,7 +33,7 @@ from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known
 from .linalg import RESULT_RTOL, PsdMatrix
 from .optimizer import Cost, FusionResult, solve_ci
 from .problem import FusionProblem, PartialEstimate, covariance
-from .simulator import JOINT_HEADROOM, NoiseSpec, init_network, make_schedule, run_schedule
+from .simulator import NoiseSpec, init_network, make_schedule, run_schedule
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -308,12 +308,6 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ProblemFileError("--seed", f"must not be negative, got {args.seed}")
     problem, extras = load_problem_file(args.file)
-    # Monte Carlo holds its draws as two p x samples arrays, their
-    # products and whitened factors as a few n x samples arrays, and an
-    # n x n matrix per sample it cannot screen out; a count whose arrays
-    # numpy cannot address exits here, before anything is allocated
-    if args.samples > np.iinfo(np.intp).max // (8 * (problem.n + 4) ** 2):
-        raise ProblemFileError("--samples", f"{args.samples} samples exceed the addressable memory")
     if args.result:
         result = _load_result_file(args.result, problem)
     else:
@@ -392,19 +386,15 @@ def cmd_sim(args) -> int:
             raise ProblemFileError("--nodes", f"preset {args.preset} needs 2 nodes")
     elif n < 1:
         raise ProblemFileError("--state-dim", f"must be at least 1, got {n}")
-    # the joint grows to nodes x n rows once every node holds the full
-    # state, in a buffer JOINT_HEADROOM times as wide; a network whose
-    # buffer numpy cannot address exits here, before anything is allocated
-    side = math.isqrt(np.iinfo(np.intp).max // 8)
-    if args.nodes * n > side or math.ceil(JOINT_HEADROOM * args.nodes * n) > side:
-        raise ProblemFileError("--nodes", f"{args.nodes} nodes of state dimension {n} "
-                               "exceed the addressable memory")
     try:
         nodes, truth = init_network(n, args.nodes, args.seed, spec)
     except MemoryError as exc:
         raise ProblemFileError("--nodes", f"{args.nodes} nodes of state dimension {n} "
                                "do not fit in memory") from exc
-    schedule = make_schedule(args.topology, args.nodes, args.events, Cost(args.cost), args.seed)
+    try:
+        schedule = make_schedule(args.topology, args.nodes, args.events, Cost(args.cost), args.seed)
+    except MemoryError as exc:
+        raise ProblemFileError("--events", f"{args.events} events do not fit in memory") from exc
     report = run_schedule(nodes, truth, schedule)
     _write_out(report.to_text(), args.out)
     return EXIT_OK if report.violations == 0 else EXIT_CERT_FAIL

@@ -11,6 +11,9 @@ information exactly the way the fusion rule is built to survive.
 
 from __future__ import annotations
 
+import itertools
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -99,24 +102,29 @@ class GroundTruth:
     object keeps it as a square block in the middle of one buffer, with
     spare rows and columns before and after it, so that a node that grows
     moves the rows and columns on its shorter side within that buffer
-    instead of rebuilding the joint.
+    instead of rebuilding the joint.  An array assigned to ``joint``, a view
+    of the buffer too, is copied into it at once; assigning ``None`` drops
+    the joint and keeps the buffer.
     """
 
     def __init__(self, x_true: np.ndarray, blocks: list[np.ndarray]):
         self.x_true = x_true
         self.dims = [b.shape[0] for b in blocks]
         total = sum(self.dims)
-        self._buf = np.zeros((_capacity(total),) * 2)
-        #: the buffer row and column of the joint's first entry
-        self._start = s = (self._buf.shape[0] - total) // 2
-        joint = self._buf[s : s + total, s : s + total]
-        off = 0
-        for b in blocks:
-            joint[off : off + b.shape[0], off : off + b.shape[0]] = b
-            off += b.shape[0]
-        #: the joint this object last stored; any other value of ``joint``
-        #: was assigned from outside
-        self._view = self.joint = joint
+        self._buf, self._joint = np.empty((0, 0)), None
+        self.joint = np.broadcast_to(0.0, (total, total))
+        for off, b in zip(itertools.accumulate(self.dims, initial=0), blocks):
+            self._joint[off : off + b.shape[0], off : off + b.shape[0]] = b
+
+    @property
+    def joint(self) -> np.ndarray | None:
+        return self._joint
+
+    @joint.setter
+    def joint(self, joint: np.ndarray | None) -> None:
+        self._joint = None
+        if joint is not None:
+            self._place(joint, joint.shape[0])
 
     def _offset(self, i: int) -> int:
         return sum(self.dims[:i])
@@ -126,7 +134,7 @@ class GroundTruth:
         the next :meth:`apply_fusion` into any node, since a node that grows
         or shrinks moves every row and column on one side of it."""
         o, d = self._offset(i), self.dims[i]
-        return self.joint[o : o + d, o : o + d]
+        return self._joint[o : o + d, o : o + d]
 
     def apply_fusion(self, a: int, b: int, k1: np.ndarray, k2: np.ndarray) -> None:
         """Propagate the exact joint through one linear fusion into node a.
@@ -149,7 +157,7 @@ class GroundTruth:
         ob = self._offset(b)
         rb = slice(ob, ob + self.dims[b])
         d = k1.shape[0]
-        old = self._adopt(self.joint.shape[0] - self.dims[a] + d)
+        old = self._joint
         rows = k1 @ old[lo:hi] + k2 @ old[rb]
         corner = rows[:, lo:hi] @ k1.T + rows[:, rb] @ k2.T
         corner = 0.5 * (corner + corner.T)
@@ -162,24 +170,6 @@ class GroundTruth:
         joint[:, lo : lo + d] = rows.T
         self.dims[a] = d
 
-    def _adopt(self, size: int) -> np.ndarray:
-        """Bring ``joint`` into the kept buffer; return it.
-
-        Afterwards ``joint`` is this object's own view of the buffer.  A
-        joint assigned from outside is copied into the middle of the kept
-        buffer when a joint of ``size`` rows fits there and it shares no
-        memory with the buffer, and into a new buffer otherwise; either way
-        it can then be resized to ``size`` rows in place.
-        """
-        joint = self.joint
-        if joint is not self._view:
-            n = max(joint.shape[0], size)
-            if n > self._buf.shape[0] or np.may_share_memory(joint, self._buf):
-                self._reallocate(n)
-            else:
-                self._place(self._buf, joint, n)
-        return self.joint
-
     def _resize(self, lo: int, hi: int, g: int) -> np.ndarray:
         """Resize rows and columns ``lo:hi`` of ``joint`` by ``g``; return the new joint.
 
@@ -191,8 +181,8 @@ class GroundTruth:
         columns ``lo:hi + g`` are left for the caller to write.
         """
         if g == 0:
-            return self.joint
-        n, s = self.joint.shape[0], self._start
+            return self._joint
+        n, s = self._joint.shape[0], self._start
         head_fits = g <= s
         tail_fits = s + n + g <= self._buf.shape[0]
         if head_fits and (lo < n - hi or not tail_fits):
@@ -200,34 +190,28 @@ class GroundTruth:
             s -= g
         else:
             if not tail_fits:
-                self._reallocate(n + g)
+                self._place(self._joint, n + g)
                 s = self._start
             _shift_side(self._buf, (s + hi, s + n), (s, s + lo), g)
         self._start = s
-        self._view = self.joint = self._buf[s : s + n + g, s : s + n + g]
-        return self.joint
+        self._joint = self._buf[s : s + n + g, s : s + n + g]
+        return self._joint
 
-    def _reallocate(self, size: int) -> None:
-        """Copy ``joint`` into a new buffer, centred for a joint of ``size`` rows.
-
-        Every reference to the kept buffer goes before its successor is
-        allocated; ``joint`` keeps the old one alive only when it is needed.
+    def _place(self, joint: np.ndarray, size: int) -> None:
+        """Copy ``joint`` where a joint of ``size`` rows is centred in the
+        kept buffer, if they fit and ``joint`` is not its own, or else in a
+        new buffer ``JOINT_HEADROOM`` times as large, which only ``joint``
+        keeps the old one alive for; keep the copy as ``joint``.  numpy
+        copies an overlapping source, such as a view of the buffer, whole.
         """
-        self._buf = self._view = None
-        self._place(np.empty((_capacity(size),) * 2), self.joint, size)
-
-    def _place(self, buf: np.ndarray, joint: np.ndarray, size: int) -> None:
-        """Copy ``joint`` into ``buf`` where a joint of ``size`` rows is
-        centred, and keep ``buf`` with the copy as this object's view."""
+        if size > self._buf.shape[0] or joint is self._joint:
+            self._buf = None
+            self._buf = np.empty((math.ceil(JOINT_HEADROOM * size),) * 2)
         n = joint.shape[0]
-        s = (buf.shape[0] - size) // 2
-        buf[s : s + n, s : s + n] = joint
-        self._buf, self._start = buf, s
-        self._view = self.joint = buf[s : s + n, s : s + n]
-
-
-def _capacity(size: int) -> int:
-    return int(np.ceil(JOINT_HEADROOM * size))
+        # the buffer row and column of the joint's first entry
+        s = self._start = (self._buf.shape[0] - size) // 2
+        self._buf[s : s + n, s : s + n] = joint
+        self._joint = self._buf[s : s + n, s : s + n]
 
 
 def _shift_side(buf: np.ndarray, moving: tuple, staying: tuple, shift: int) -> None:
@@ -272,7 +256,6 @@ def _move_rows(buf: np.ndarray, r0: int, r1: int, dr: int, spans: list) -> None:
 class ScheduleEvent:
     node_a: int
     node_b: int
-    cost: Cost
 
 
 @dataclass(frozen=True)
@@ -280,7 +263,7 @@ class Schedule:
     events: tuple
     topology: str
     seed: int
-    #: the cost the schedule was made with, which the report names
+    #: the cost every event is solved with, which the report names
     cost: Cost = Cost.DET
 
 
@@ -290,13 +273,15 @@ def make_schedule(
     """Build a pairwise fusion schedule over the given topology.
 
     Raises :class:`ScheduleError` for fewer than two nodes, a negative
-    ``events`` or an unknown topology.
+    ``events`` or an unknown topology, and :class:`MemoryError`, before
+    anything is built, when a tuple of ``events`` cannot be addressed.
     """
     if nodes < 2:
         raise ScheduleError(0, "need at least two nodes")
     if events < 0:
         raise ScheduleError(0, f"events must not be negative, got {events}")
-    pairs: list[tuple[int, int]] = []
+    if events > sys.maxsize // 8:
+        raise MemoryError(f"a schedule of {events} events cannot be addressed")
     if topology == "chain":
         cycle = [(i, i + 1) for i in range(nodes - 1)]
     elif topology == "ring":
@@ -312,11 +297,9 @@ def make_schedule(
             cycle.append((a, b))
     else:
         raise ScheduleError(0, f"unknown topology {topology!r}")
-    while len(pairs) < events:
-        pairs.extend(cycle)
-    pairs = pairs[:events]
+    pairs = itertools.islice(itertools.cycle(cycle), events)
     return Schedule(
-        events=tuple(ScheduleEvent(a, b, cost) for a, b in pairs),
+        events=tuple(ScheduleEvent(a, b) for a, b in pairs),
         topology=topology,
         seed=seed,
         cost=cost,
@@ -355,11 +338,16 @@ def init_network(
     wrong length or an ``h_list`` entry the wrong shape, any error of
     :func:`~cifusion.problem.covariance` for a ``p_list`` block, and
     :class:`NotPdError` when a block has no Cholesky factor; each message
-    names the entry.
+    names the entry.  Raises :class:`MemoryError` before it draws a node
+    when no buffer ``JOINT_HEADROOM`` times as wide as ``nodes * n`` rows,
+    the joint once every node holds the full state, can be addressed.
     """
     for name, value in (("n", n), ("nodes", nodes)):
         if value < 1:
             raise OutOfRangeError(f"{name} must be at least 1, got {value}")
+    rows, side = nodes * n, math.isqrt(np.iinfo(np.intp).max // 8)
+    if rows > side or math.ceil(JOINT_HEADROOM * rows) > side:
+        raise MemoryError(f"a joint of {rows} rows cannot be addressed")
     spec = noise_spec or NoiseSpec()
     rng = np.random.default_rng(seed)
     if spec.h_list is not None:
@@ -474,8 +462,9 @@ def run_schedule(
     """Execute the schedule, tracking exact conservativeness margins.
 
     Each event fuses the pair's kept estimates (:attr:`NodeState.estimate`)
-    with the optimal-weight rule, writes the fused full-state estimate into
-    the first node and propagates the exact joint through the gains.
+    with the optimal-weight rule under the schedule's cost, writes the
+    fused full-state estimate into the first node and propagates the exact
+    joint through the gains.
     Events whose pair cannot reach full state rank
     (:class:`FusionProblem` raises :class:`StackedRankDeficientError`) are
     skipped and logged; a node's own H needs no full row rank.  The
@@ -504,7 +493,7 @@ def run_schedule(
                 (event_id, ev.node_a, ev.node_b, "pair does not reach state rank")
             )
             continue
-        result = solve_ci(problem, ev.cost)
+        result = solve_ci(problem, schedule.cost)
         truth.apply_fusion(ev.node_a, ev.node_b, result.K1, result.K2)
         node_a.h = np.eye(n)
         node_a.x_hat = result.fused_x

@@ -664,9 +664,17 @@ def monte_carlo_joint(
     (Petersen's domination argument).  So no value exceeds the supremum
     that :func:`adversarial_x_search` attains, and shrinking a prior block
     would only lower a sample.
+
+    The draws take two ``p x truth_samples`` arrays, their products and
+    whitened factors a few ``n x truth_samples`` arrays, and a sample that
+    is not screened out an ``n x n`` matrix: at most ``8 (n + 4)^2`` bytes
+    each.  A count whose arrays numpy cannot address raises
+    :class:`MemoryError` before anything is drawn.
     """
     if truth_samples < 1:
         raise ValueError("truth_samples must be positive")
+    if truth_samples > np.iinfo(np.intp).max // (8 * (problem.n + 4) ** 2):
+        raise MemoryError(f"{truth_samples} samples exceed the addressable memory")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     a, b = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
     a *= rng.uniform(size=truth_samples) * (1.0 - 1e-12)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -841,28 +842,34 @@ class TestSim:
 
     def test_unaddressable_network_exits_two_before_building_it(self, capsys, monkeypatch):
         # 2**40 nodes of 2**20 states: a joint numpy cannot address, refused
-        # before init_network draws a single node
+        # by init_network before it draws a single node
         def unreachable(*args):
-            raise AssertionError("init_network ran")
+            raise AssertionError("a node was drawn")
 
-        monkeypatch.setattr(cli, "init_network", unreachable)
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
         argv = ["sim", "--nodes", str(2**40), "--state-dim", str(2**20), "--events", "1"]
         out, err, code = run_main(argv, capsys)
         assert (out, code) == ("", cli.EXIT_INPUT)
         assert err == (f"error: --nodes: {2**40} nodes of state dimension {2**20} "
-                       "exceed the addressable memory\n")
-        # a joint whose buffer numpy can address passes the check and is
-        # built; one with more rows than the largest addressable side is not
-        def exhausted(*args):
-            raise MemoryError("built")
-
+                       "do not fit in memory\n")
+        # the largest addressable side is refused too, and so is a count past
+        # the float range
         side = math.isqrt(np.iinfo(np.intp).max // 8)
-        nodes = int(side / simulator.JOINT_HEADROOM) // 2
-        monkeypatch.setattr(cli, "init_network", exhausted)
-        out, err, code = run_main(["sim", "--nodes", str(nodes), "--state-dim", "2"], capsys)
-        assert err.endswith("do not fit in memory\n") and code == cli.EXIT_INPUT
-        out, err, code = run_main(["sim", "--nodes", str(side), "--state-dim", "2"], capsys)
-        assert err.endswith("exceed the addressable memory\n") and code == cli.EXIT_INPUT
+        for nodes in (side, 10**400):
+            out, err, code = run_main(["sim", "--nodes", str(nodes), "--state-dim", "2"], capsys)
+            assert (out, code) == ("", cli.EXIT_INPUT)
+            assert err == f"error: --nodes: {nodes} nodes of state dimension 2 do not fit in memory\n"
+
+    @pytest.mark.parametrize("topology", ["chain", "ring", "random"])
+    @pytest.mark.parametrize("events", [10**30, 2**62])
+    def test_unaddressable_event_count_exits_two_before_building_it(self, capsys, topology,
+                                                                    events):
+        argv = ["sim", "--nodes", "3", "--topology", topology, "--events", str(events)]
+        start = time.perf_counter()
+        out, err, code = run_main(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err == f"error: --events: {events} events do not fit in memory\n"
 
     def test_out_of_memory_while_building_exits_two_naming_nodes(self, capsys, monkeypatch):
         def exhausted(*args):
@@ -1438,16 +1445,16 @@ class TestSamplerFailures:
 
     def test_unaddressable_sample_count_exits_two_before_sampling(self, tmp_path, capsys,
                                                                   monkeypatch):
-        # 2**62 samples: the count is refused before a sampler allocates anything
+        # 2**62 samples: Monte Carlo refuses the count before it draws a sample
         problem = write(tmp_path, EXAMPLE2)
-        for name in ("adversarial_x_search", "monte_carlo_joint"):
-            def unreachable(*args, name=name):
-                raise AssertionError(f"{name} ran")
 
-            monkeypatch.setattr(verifier, name, unreachable)
+        def unreachable(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", unreachable)
         out, err, code = run_main(["verify", problem, "--samples", str(2**62)], capsys)
         assert (out, code) == ("", cli.EXIT_INPUT)
-        assert err == f"error: --samples: {2**62} samples exceed the addressable memory\n"
+        assert err == f"error: --samples: {2**62} samples do not fit in memory\n"
 
     # any route that certify runs, the scalar certificate as well as the samplers
     @pytest.mark.parametrize("name", ["petersen_certificate", "adversarial_x_search",

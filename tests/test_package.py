@@ -230,6 +230,28 @@ def test_the_weight_search_runs_on_python_floats():
     assert found == dict.fromkeys(scalar, [])
 
 
+def test_the_simulator_and_the_verifier_own_their_memory_limits():
+    # the joint's buffer layout and Monte Carlo's arrays are sized where they
+    # are allocated; the CLI only maps their MemoryError to a flag
+    package = Path(cifusion.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    headroom = {name for name, tree in trees.items()
+                if _readers(tree, "JOINT_HEADROOM") or any(
+                    isinstance(node, ast.ImportFrom)
+                    and "JOINT_HEADROOM" in {alias.name for alias in node.names}
+                    for node in ast.walk(tree))}
+    assert headroom == {"simulator.py"}
+    cli_tree = trees["cli.py"]
+    from_simulator = {alias.name for node in ast.walk(cli_tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "simulator"
+                      for alias in node.names}
+    assert from_simulator == {"NoiseSpec", "init_network", "make_schedule", "run_schedule"}
+    assert not any(isinstance(node, ast.Import) and "simulator" in ast.unparse(node)
+                   for node in ast.walk(cli_tree))
+    assert _readers(cli_tree, "iinfo") == {"cmd_scan"}
+
+
 #: what CI installs besides the standard library: the package and its test extras
 CI_PACKAGES = {"numpy", "pytest", "hypothesis", "cifusion"}
 

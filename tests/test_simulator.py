@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from cifusion.errors import (
     UnreachableError,
 )
 from cifusion.linalg import RESULT_RTOL
-from cifusion.optimizer import Cost
+from cifusion.optimizer import Cost, solve_ci
+from cifusion.problem import FusionProblem
 from cifusion.simulator import (
     JOINT_HEADROOM,
     SHIFT_CHUNK_ENTRIES,
@@ -104,6 +107,20 @@ class TestInitNetwork:
         with pytest.raises(OutOfRangeError, match=rf"^{name} must be at least 1, got 0$"):
             init_network(n, nodes, seed=0)
 
+    def test_unaddressable_joint_is_refused_before_a_node_is_drawn(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a node was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", drawn)
+        # the most full-state rows whose buffer side numpy can address
+        side = math.isqrt(np.iinfo(np.intp).max // 8)
+        rows = int(side / JOINT_HEADROOM)
+        assert math.ceil(JOINT_HEADROOM * rows) <= side < math.ceil(JOINT_HEADROOM * (rows + 1))
+        with pytest.raises(MemoryError, match=rf"^a joint of {rows + 1} rows cannot be addressed$"):
+            init_network(1, rows + 1, seed=0)
+        with pytest.raises(AssertionError, match="a node was drawn"):
+            init_network(1, rows, seed=0)
+
 
 class TestSchedules:
     def test_chain_and_ring_patterns(self):
@@ -120,6 +137,12 @@ class TestSchedules:
     def test_unknown_topology(self):
         with pytest.raises(ScheduleError):
             make_schedule("star", 3, 4, Cost.DET)
+
+    @pytest.mark.parametrize("topology", ["chain", "ring", "random"])
+    def test_unaddressable_event_count_is_refused_before_building(self, topology):
+        events = sys.maxsize // 8 + 1
+        with pytest.raises(MemoryError, match=rf"^a schedule of {events} events cannot be addressed$"):
+            make_schedule(topology, 3, events, Cost.DET)
 
     def test_negative_event_count_is_named(self):
         with pytest.raises(ScheduleError, match=r"^event 0: events must not be negative, got -5$"):
@@ -169,6 +192,27 @@ class TestRunSchedule:
         report = run_schedule(nodes, truth, schedule)
         assert report.violations == 0
         assert report.cost == "trace"
+
+    def test_report_names_the_cost_it_solved_with(self):
+        # the events of a TRACE schedule under a schedule of the default cost
+        events = make_schedule("ring", 4, 3, Cost.TRACE, seed=1).events
+        reports = {}
+        for cost, schedule in (
+            ("det", simulator.Schedule(events=events, topology="ring", seed=1)),
+            ("trace", make_schedule("ring", 4, 3, Cost.TRACE, seed=1)),
+        ):
+            nodes, truth = init_network(3, 4, seed=1)
+            reports[cost] = run_schedule(nodes, truth, schedule)
+            assert reports[cost].cost == cost
+            nodes, truth = init_network(3, 4, seed=1)
+            for record in reports[cost].records:
+                a, b = nodes[record.node_a], nodes[record.node_b]
+                result = solve_ci(FusionProblem(a.estimate, b.estimate), Cost(cost))
+                assert record.alpha == result.alpha
+                truth.apply_fusion(record.node_a, record.node_b, result.K1, result.K2)
+                a.h, a.x_hat, a.p_hat = np.eye(3), result.fused_x, result.P_hat
+        alphas = {cost: [r.alpha for r in report.records] for cost, report in reports.items()}
+        assert alphas["det"] != alphas["trace"]
 
     def test_reports_are_bit_identical(self):
         def run(seed):
@@ -231,7 +275,7 @@ class TestRunSchedule:
         nodes, truth = init_network(2, 2, seed=0)
         bad = make_schedule("chain", 2, 1, Cost.DET)
         bad = type(bad)(
-            events=(type(bad.events[0])(0, 0, Cost.DET),), topology="chain", seed=0
+            events=(type(bad.events[0])(0, 0),), topology="chain", seed=0
         )
         with pytest.raises(ScheduleError):
             run_schedule(nodes, truth, bad)
@@ -419,7 +463,7 @@ class TestRetainedJointBuffer:
             joint, dims = reallocating_fusion_oracle(joint, dims, a, b, k1, k2)
             before = truth.joint
             truth.apply_fusion(a, b, k1, k2)
-            if change != "same" and k not in (20, 40):
+            if change != "same":
                 moves.add((moved_side(before, truth.joint), change))
             assert truth.dims == dims
             assert truth.joint.shape == joint.shape
@@ -437,9 +481,8 @@ class TestRetainedJointBuffer:
     @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
     def test_growing_an_end_node_leaves_the_other_rows_in_place(self, first):
         rng = np.random.default_rng(8)
+        # the assigned joint was copied into the buffer, so it grows in place
         truth = correlated_truth(rng, [2] * 10)
-        # a same-size fusion brings the assigned joint into the buffer
-        truth.apply_fusion(4, 5, *random_gains(rng, truth.dims, 4, 5, 2))
         a, b = (0, 1) if first else (9, 8)
         before = truth.joint[2:, 2:] if first else truth.joint[:-2, :-2]
         values = before.copy()
@@ -480,30 +523,82 @@ class TestRetainedJointBuffer:
         assert sides[:10] == ["tail"] * 5 + ["head"] * 5
         assert sides[10] is None
 
-    def test_assigned_joint_that_does_not_fit_gets_one_buffer(self, monkeypatch):
-        sizes = []
-        capacity = simulator._capacity
+    @staticmethod
+    def peak_bytes(operation):
+        """The most memory, in bytes, that ``operation()`` holds at once beyond what it started with."""
+        tracemalloc.start()
+        try:
+            operation()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def counted(size):
-            sizes.append(size)
-            return capacity(size)
-
-        monkeypatch.setattr(simulator, "_capacity", counted)
+    def test_assigned_joint_that_does_not_fit_gets_one_buffer(self):
         rng = np.random.default_rng(7)
         truth = GroundTruth(np.zeros(6), [np.eye(2)] * 10)
-        truth.joint, truth.dims = np.eye(24), [2] * 12
-        # three rows more than the spare at either end of a 24-row joint's buffer
+        kept = truth.joint
+        # a 24-row joint does not fit the 23-row buffer of a 20-row one, so
+        # it is copied into a buffer of its own at once
+        assigned = np.eye(24)
+        truth.joint, truth.dims = assigned, [2] * 12
+        assert truth.joint.base.shape == (math.ceil(JOINT_HEADROOM * 24),) * 2
+        assert not np.shares_memory(truth.joint, kept)
+        assert not np.shares_memory(truth.joint, assigned)
+        # three rows more than the spare at either end of that buffer
         truth.apply_fusion(6, 7, *random_gains(rng, truth.dims, 6, 7, 5))
-        assert sizes == [20, 27]
+        assert truth.joint.base.shape == (math.ceil(JOINT_HEADROOM * 27),) * 2
         assert truth.joint.shape == (27, 27)
 
-    def test_assigned_joint_is_copied_into_the_buffer_unless_it_overlaps(self):
+    def test_assigned_joint_is_copied_into_the_buffer_even_when_it_overlaps(self):
         rng = np.random.default_rng(6)
         truth = GroundTruth(np.zeros(3), [np.eye(2)] * 10)
         kept = truth.joint
         truth.joint = kept.copy()
+        assert np.shares_memory(truth.joint, kept)
         truth.apply_fusion(0, 1, *random_gains(rng, truth.dims, 0, 1, 2))
         assert np.shares_memory(truth.joint, kept)
+        # an asymmetric joint shows that an overlapping view is copied whole
+        # before it is written
+        values = rng.standard_normal((20, 20))
+        truth.joint = values
         truth.joint = truth.joint.T
-        truth.apply_fusion(0, 1, *random_gains(rng, truth.dims, 0, 1, 2))
-        assert not np.shares_memory(truth.joint, kept)
+        assert np.shares_memory(truth.joint, kept)
+        assert truth.joint.tobytes() == values.T.copy().tobytes()
+
+    def test_changing_an_assigned_array_leaves_the_joint(self):
+        rng = np.random.default_rng(9)
+        truth = GroundTruth(np.zeros(3), [np.eye(2)] * 10)
+        assigned = rng.standard_normal((20, 20))
+        truth.joint = assigned
+        values = assigned.copy()
+        assigned[...] = 0.0
+        assert truth.joint.tobytes() == values.tobytes()
+
+    def test_assigned_joint_that_fits_allocates_no_buffer(self):
+        rng = np.random.default_rng(10)
+        truth = GroundTruth(np.zeros(3), [np.eye(2)] * 100)
+        buf = truth.joint.base
+        joint = correlated_truth(rng, [2] * 100).joint.copy()
+        gains = random_gains(rng, truth.dims, 3, 4, 2)
+
+        def assign():
+            truth.joint = joint
+
+        # the fusion's own temporaries are a few block rows, far below a joint
+        assert self.peak_bytes(assign) < joint.nbytes / 8
+        assert truth.joint.base is buf and truth.joint.tobytes() == joint.tobytes()
+        assert self.peak_bytes(lambda: truth.apply_fusion(3, 4, *gains)) < joint.nbytes / 8
+        assert truth.joint.base is buf and truth.joint.shape == (200, 200)
+
+    def test_assigning_none_drops_the_joint_and_keeps_the_buffer(self):
+        truth = GroundTruth(np.zeros(3), [np.eye(2)] * 100)
+        buf = truth.joint.base
+        truth.joint = None
+        assert truth.joint is None
+        joint = np.eye(200)
+
+        def assign():
+            truth.joint = joint
+
+        assert self.peak_bytes(assign) < joint.nbytes / 8
+        assert truth.joint.base is buf and np.array_equal(truth.joint, joint)
