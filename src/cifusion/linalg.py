@@ -48,18 +48,28 @@ def tol_scale(magnitude: float) -> float:
 class PsdMatrix:
     """A real symmetric matrix with a certified smallest eigenvalue.
 
-    Build instances through :func:`psd_certify`.  ``data`` is the symmetric
-    array, frozen, so instances are safe to share between threads;
-    ``strict`` records whether the certificate established positive
-    definiteness.
+    Build instances through :func:`psd_certify`, or, for a fused
+    covariance, through :meth:`~cifusion.problem.JointSpectrum.fused_psd`,
+    which certifies from the joint spectrum and gives no ``min_eig``.
+    ``data`` is the symmetric array, frozen, so instances are safe to share
+    between threads; ``strict`` records whether the certificate established
+    positive definiteness.  ``min_eig`` is the smallest ``eigvalsh``
+    eigenvalue of ``data``; built without one, it is computed on first
+    read, the value :func:`psd_certify` would have stored.
     """
 
-    __slots__ = ("data", "min_eig", "strict")
+    __slots__ = ("data", "_min_eig", "strict")
 
-    def __init__(self, data: np.ndarray, min_eig: float, strict: bool):
+    def __init__(self, data: np.ndarray, min_eig: float | None, strict: bool):
         self.data = data
-        self.min_eig = float(min_eig)
+        self._min_eig = None if min_eig is None else float(min_eig)
         self.strict = bool(strict)
+
+    @property
+    def min_eig(self) -> float:
+        if self._min_eig is None:
+            self._min_eig = float(np.linalg.eigvalsh(self.data)[0])
+        return self._min_eig
 
     @property
     def dim(self) -> int:

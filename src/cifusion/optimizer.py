@@ -12,13 +12,17 @@ the determinant slope has the sign of
 ``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.  The root
 search stops once a Newton step is at most ``ROOT_TOL``.  The same
 spectrum then gives the family member: its dominance table, its
-singularity test, the float-range test of its trace, ``P_hat`` and the
-cost, so the only further spectral call is the PSD certification of
-``P_hat``; the gains ``K_i = alpha_i P_hat G_i' L_i^-1`` reuse the
-estimates' factors.  Because ``P_hat`` is formed
+singularity test, the float-range test of its trace, ``P_hat``, the
+bounds on ``P_hat``'s eigenvalues that decide its strictness
+(:meth:`~cifusion.problem.JointSpectrum.fused_psd`: one ``eigvalsh`` per
+problem, and one per member only where the bounds leave it undecided),
+and the cost.  The gains ``K_i = alpha_i P_hat G_i' L_i^-1`` are one
+product of ``P_hat`` with the problem's kept basis, and ``fused_x`` and
+the unbiasedness residual one product each.  Because ``P_hat`` is formed
 from the spectrum rather than by inverting the blend, fused outputs can
 differ in their last digits from an explicit inverse.  :func:`solve_ci`
-then asserts the block certificate, one ``eigvalsh`` of the LMI block: its
+then asserts the block certificate, one ``eigvalsh`` of the LMI block,
+so a problem solved before makes that one spectral call: its
 Schur cross-check runs only where the block's margin is clear of its
 band, the one case in which it could overturn the verdict.  At a family
 member's own weight the block is singular up to rounding, so a solve's
@@ -48,7 +52,7 @@ from .errors import (
     OutOfRangeError,
     SingularSigmaError,
 )
-from .linalg import SINGULAR_RTOL, LoewnerRelation, PsdMatrix, adjugate, psd_certify
+from .linalg import SINGULAR_RTOL, LoewnerRelation, PsdMatrix, adjugate
 from .problem import Cost, FusionProblem, JointSpectrum
 
 #: the interior optimum is located to this width in alpha
@@ -153,8 +157,12 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
     blended information matrix must be nonsingular.  The table, the
     singularity test and ``P_hat`` all come from the problem's joint
     spectrum (:attr:`FusionProblem.spectrum`), the one the solvers search
-    on.  ``P_hat`` is PSD-certified and must be strictly PD.  Given a
-    ``cost``, the result carries its value from the spectrum.
+    on.  ``P_hat`` is the spectrum's certified member
+    (:meth:`~cifusion.problem.JointSpectrum.fused_psd`) and must be
+    strictly PD; the rule makes no spectral call of its own.  The gains
+    are ``P_hat`` times :attr:`FusionProblem.gain_basis`, their column
+    blocks weighted by ``alpha`` and ``1 - alpha``.  Given a ``cost``, the
+    result carries its value from the spectrum.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
@@ -174,22 +182,22 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
     if not spectrum.bounded_at(t):
         raise SingularSigmaError(f"fused covariance is outside the float range at alpha={alpha}")
     try:
-        p_hat = psd_certify(spectrum.fused_cov(t))
+        p_hat = spectrum.fused_psd(t)
     except NotPsdError as exc:  # near-singular blends only
         raise SingularSigmaError(str(exc)) from exc
     if not p_hat.strict:
         raise SingularSigmaError("fused covariance is not strictly PD")
-    est1, est2 = problem.est1, problem.est2
-    k1 = alpha * (p_hat.data @ est1.whitened.T @ est1.chol_inv)
-    k2 = (1.0 - alpha) * (p_hat.data @ est2.whitened.T @ est2.chol_inv)
-    fused_x = k1 @ est1.x_hat + k2 @ est2.x_hat
-    unbias = k1 @ est1.h + k2 @ est2.h - np.eye(problem.n)
+    p1 = problem.p1
+    k = p_hat.data @ problem.gain_basis
+    k *= np.array([alpha] * p1 + [1.0 - alpha] * problem.p2)
+    unbias = k @ problem.h_stacked
+    unbias.reshape(-1)[:: problem.n + 1] -= 1.0  # K H - I
     return FusionResult(
         alpha=float(alpha),
-        K1=k1,
-        K2=k2,
+        K1=k[:, :p1],
+        K2=k[:, p1:],
         P_hat=p_hat,
-        fused_x=fused_x,
+        fused_x=k @ problem.x_stacked,
         cost_value=None if cost is None else spectrum.cost(cost, t),
         diagnostics={"unbias_residual": float(np.abs(unbias).max())},
     )

@@ -42,6 +42,8 @@ from .linalg import (
     PsdMatrix,
     cholesky_pd,
     psd_certify,
+    sym_data,
+    tol_scale,
 )
 
 #: singular values of a whitened stack below RANK_RTOL * sigma_max do not count towards rank
@@ -144,8 +146,11 @@ class FusionProblem:
     (:meth:`whitened_svd`), and raises :class:`StackedRankDeficientError`
     below it, or :class:`NonFiniteError` naming an estimate whose ``G_i``
     overflows.  Neither H needs full row rank.  ``(U, sigma, V', e)`` is
-    kept, its arrays read-only, as :attr:`whitened_factors`, and ``[H1;
-    H2]`` as :attr:`h_stacked`.
+    kept, its arrays read-only, as :attr:`whitened_factors`, ``[H1; H2]``
+    as :attr:`h_stacked`, ``[x_hat1; x_hat2]`` as :attr:`x_stacked` and
+    the gains' basis ``[G1' L1^-1 | G2' L2^-1]`` as :attr:`gain_basis`: a
+    family member's gains are ``P_hat`` times it, its column blocks
+    weighted by ``alpha`` and ``1 - alpha``.
     """
 
     def __init__(self, est1: PartialEstimate, est2: PartialEstimate):
@@ -156,7 +161,7 @@ class FusionProblem:
         for name, est in (("est1", est1), ("est2", est2)):
             if not np.isfinite(est.whitened).all():
                 raise NonFiniteError(f"{name}: whitened observation matrix L^-1 H overflows")
-        u, sv, vt, e, rank = self.whitened_svd(np.vstack([est1.whitened, est2.whitened]))
+        u, sv, vt, e, rank = self.whitened_svd(np.concatenate((est1.whitened, est2.whitened)))
         if rank != est1.n:
             raise StackedRankDeficientError(
                 f"stacked observation matrix has rank {rank} < n = {est1.n}"
@@ -164,7 +169,10 @@ class FusionProblem:
         self.est1 = est1
         self.est2 = est2
         self.whitened_factors = (_frozen(u), _frozen(sv), _frozen(vt), e)
-        self.h_stacked = _frozen(np.vstack([est1.h, est2.h]))
+        self.h_stacked = _frozen(np.concatenate((est1.h, est2.h)))
+        self.x_stacked = _frozen(np.concatenate((est1.x_hat, est2.x_hat)))
+        self.gain_basis = _frozen(np.concatenate(
+            (est1.whitened.T @ est1.chol_inv, est2.whitened.T @ est2.chol_inv), axis=1))
 
     @staticmethod
     def whitened_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
@@ -235,8 +243,11 @@ class JointSpectrum:
     about ``1 / (rows n)`` and ``1e21`` (the rank test), so no sum over it
     overflows, and the fused covariance, the cost and the range test apply
     ``e`` exactly with ``ldexp``.  Building it from the problem's SVD takes
-    one ``eigh``; nothing after that makes a spectral call.  A problem
-    keeps the one it built (:attr:`FusionProblem.spectrum`), with ``lam``,
+    one ``eigh``.  The certified member :meth:`fused_psd` bounds the fused
+    covariance's spectrum by the kept one and one ``eigvalsh`` of ``w w'``,
+    taken on first use and kept; only a member those bounds leave
+    undecided takes an ``eigvalsh`` of its own.  A problem keeps the
+    spectrum it built (:attr:`FusionProblem.spectrum`), with ``lam``,
     ``c`` and ``w`` read-only.
 
     The weight search evaluates its slopes and member tests (:meth:`det_slope`,
@@ -295,6 +306,86 @@ class JointSpectrum:
         :func:`~cifusion.optimizer.ku_rule` admits, but more near the singular end of a dominated pair.
         """
         return np.ldexp((self.w / (1.0 + t * self.lam)) @ self.w.T, -2 * self.exponent)
+
+    def fused_psd(self, t: float) -> PsdMatrix:
+        """``psd_certify(self.fused_cov(t))``, its strictness decided from the spectrum where it can.
+
+        The same ``data`` bits, ``strict``, ``min_eig`` (computed on first
+        read) and exception.  With ``mu_j = 1 + t lam_j``, ``T = sum(c_j /
+        mu_j)``, ``delta = 64 (n + 2)^2 eps T`` and ``omega`` of
+        :attr:`_omega`, every value ``eigvalsh`` gives for ``data`` lies in
+        ``[4^-e (omega / max(mu) - delta), 4^-e (T + delta)]``, and the
+        least lies within ``4^-e delta`` of the least eigenvalue of
+        ``data``, which is at most its least diagonal entry.  So the member
+        is strict where the lower end exceeds ``DEFAULT_TOL`` times
+        ``tol_scale`` of the upper end, and PSD but not strict where the
+        least diagonal entry plus ``4^-e delta`` is below ``DEFAULT_TOL``,
+        the least bound :func:`psd_certify` judges by.  Anywhere else, or
+        where some ``mu_j`` is not positive or the upper end overflows, it
+        is that call.
+
+        At the kept scale the exact member is ``P = W D W'``, ``D = diag(1 /
+        mu)`` on the computed ``mu``.  It is PSD and at least ``W W' /
+        max(mu)``, so ``lambda_min(P) >= max(0, omega / max(mu))``, and
+        ``lambda_max(P)`` is at most ``trace(P)``, which ``T`` gives to
+        within ``gamma_(2n+1)``.  With ``u = eps / 2`` and ``gamma_k`` as in
+        :func:`~cifusion.verifier._undecided`, three roundings separate
+        ``P`` from the values ``eigvalsh`` returns:
+
+        - :meth:`fused_cov` divides each entry of ``w`` once and sums ``n``
+          products, so it errs by at most ``gamma_(n+1) |W| D |W'|``
+          entrywise, and ``|W| D |W'|`` is PSD with trace ``trace(P)``, so
+          by at most ``gamma_(n+1) trace(P)`` in norm.
+        - :func:`~cifusion.linalg.sym_data` rounds each entry once, by at
+          most ``u trace(P)`` in norm.
+        - ``eigvalsh`` is normwise backward stable, to ``8 (n + 2)^2 u``
+          of the norm (the allowance of :func:`~cifusion.verifier._undecided`).
+
+        They sum to less than ``9 (n + 2)^2 u T``; ``delta`` is 14 times
+        that, which covers the rounding of ``T``, of ``omega`` and of the
+        bounds themselves.  Scaling by ``4^-e`` is exact short of
+        underflow, at most ``n 2^-1074`` in norm, which is far below
+        ``DEFAULT_TOL`` and, wherever the member is within reach of it,
+        below that slack.
+        """
+        raw = self.fused_cov(t)
+        trace = top_mu = 0.0
+        for lam, c in self._terms:
+            mu = 1.0 + t * lam
+            if not mu > 0.0:
+                return psd_certify(raw)
+            trace += c / mu
+            if mu > top_mu:
+                top_mu = mu
+        e2 = -2 * self.exponent
+        delta = _rounding(len(self._terms), trace)
+        try:
+            top = math.ldexp(trace + delta, e2)
+        except OverflowError:
+            return psd_certify(raw)
+        data = sym_data(raw)
+        if math.ldexp(self._omega / top_mu - delta, e2) > DEFAULT_TOL * tol_scale(top):
+            strict = True
+        elif float(data.diagonal().min()) + math.ldexp(delta, e2) < DEFAULT_TOL:
+            strict = False
+        else:
+            return psd_certify(raw)
+        data.flags.writeable = False
+        return PsdMatrix(data, None, strict)
+
+    @cached_property
+    def _omega(self) -> float:
+        """A lower bound on the least eigenvalue of ``w w'``, from one ``eigvalsh``.
+
+        The computed product errs by at most ``gamma_n sum(c)`` in norm and
+        ``eigvalsh`` by ``8 (n + 2)^2 u`` of that norm (see
+        :meth:`fused_psd`), so the least value less ``_rounding(n,
+        sum(c))`` is below the exact one.  Where ``cond(G)^2`` nears
+        ``1 / eps`` the bound is not positive, and :meth:`fused_psd` leaves
+        a member it cannot call not strict to :func:`psd_certify`.
+        """
+        least = float(np.linalg.eigvalsh(self.w @ self.w.T)[0])
+        return least - _rounding(len(self._terms), sum(c for _, c in self._terms))
 
     def cost(self, cost: Cost, t: float) -> float:
         """The cost of :meth:`fused_cov` at ``t``, without forming it; ``inf`` past the float range."""
@@ -363,6 +454,14 @@ class JointSpectrum:
             slope += clu2
             curvature += clu2 * lu
         return -slope, 2.0 * curvature
+
+
+def _rounding(n: int, size: float) -> float:
+    """``64 (n + 2)^2 eps size``: more than forming and decomposing an ``n x n`` matrix errs by.
+
+    ``size`` bounds the matrix's norm, as the trace of a PSD one does.
+    """
+    return 64.0 * (n + 2) ** 2 * math.ulp(1.0) * size
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -265,16 +265,21 @@ def _worst_sample(
     - It is at most ``tol`` exactly when the dense maximum is: with
       ``v <= tol`` no sample above ``tol`` is dropped.
 
-    Samples tied with ``v`` at rounding level, or bitwise copies of a head,
-    as every Monte Carlo sample at an endpoint weight is, lie about
-    ``delta`` below the ceiling, so they cost no decomposition beyond the
-    heads'.
+    Samples tied with ``v`` at rounding level lie about ``delta`` below
+    the ceiling, so the screen drops them.  Where ``c`` or ``d`` is exactly
+    zero, every sample is ``base`` (the factors are finite), and where
+    ``base`` is also a head, as at an endpoint weight, where a gain block
+    is zero, the heads' value is returned unscreened: there ``base`` is
+    rounding alone, on which the screen's ``kappa`` test can fail and keep
+    every sample.
     ``rho = 128 (n + 2)^2 eps (|v| + s)``, with ``s`` of :func:`_undecided`,
     is about ``2e-12 s`` at n = 6.  The value depends on the lower
     triangles alone, as ``eigvalsh``'s does.
     """
     tops = np.linalg.eigvalsh(heads)[:, -1]
     level = float(tops.max())
+    if not (c.any() and d.any()) and (heads == base).all(axis=(1, 2)).any():
+        return level
     # an overflow can only give an infinite ceiling, which keeps samples
     with np.errstate(over="ignore", invalid="ignore"):
         s = _sample_scale(base, c, d)

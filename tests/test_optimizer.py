@@ -11,9 +11,11 @@ from cifusion import (
     loewner_compare,
     psd_certify,
 )
+from cifusion import problem as problem_module
 from cifusion.errors import (
     InvalidFamilyParameterError,
     NotPdError,
+    NotPsdError,
     OutOfRangeError,
     SingularSigmaError,
 )
@@ -628,6 +630,25 @@ class TestSpectralSolvePath:
                 assert spectrum.cost(Cost.DET, t) == pytest.approx(np.linalg.det(p_hat), rel=rel)
                 assert spectrum.cost(Cost.TRACE, t) == pytest.approx(np.trace(p_hat), rel=1e-12)
 
+    def test_gains_from_one_product_match_each_estimates_own(self):
+        # K = P_hat [G1' L1^-1 | G2' L2^-1], its column blocks weighted by
+        # alpha and 1 - alpha, against K_i = alpha_i (P_hat G_i') L_i^-1;
+        # fused_x and the residual of K1 H1 + K2 H2 = I follow from it
+        for problem in _metamorphic_pool(28, 40)[1] + [example2_problem()]:
+            for cost in Cost:
+                result = solve_ci(problem, cost)
+                p_hat, k = result.P_hat.data, np.hstack([result.K1, result.K2])
+                scale = np.abs(k).max()
+                for gain, est, weight in ((result.K1, problem.est1, result.alpha),
+                                          (result.K2, problem.est2, 1.0 - result.alpha)):
+                    want = weight * (p_hat @ est.whitened.T @ est.chol_inv)
+                    assert np.abs(gain - want).max() <= 1e-13 * scale
+                x_want = result.K1 @ problem.est1.x_hat + result.K2 @ problem.est2.x_hat
+                assert np.abs(result.fused_x - x_want).max() <= 1e-13 * np.abs(x_want).max()
+                unbias = result.K1 @ problem.est1.h + result.K2 @ problem.est2.h - np.eye(problem.n)
+                assert result.diagnostics["unbias_residual"] == pytest.approx(
+                    np.abs(unbias).max(), abs=1e-13)
+
     def test_det_cost_overflows_to_inf(self):
         # det P_hat = 1e360 is past the largest float, as np.linalg.det finds
         n = 30
@@ -729,9 +750,10 @@ def _fresh(problem: FusionProblem) -> tuple[PartialEstimate, PartialEstimate]:
 
 class TestCallBudget:
     def test_certified_solve_makes_at_most_three_spectral_calls(self, monkeypatch):
-        # the first solve of a built problem: the spectrum's eigh, P_hat's
-        # certification and the LMI block's eigvalsh; a solved block is
-        # singular up to rounding, so its Schur cross-check is not formed
+        # the first solve of a built problem: the spectrum's eigh, the
+        # eigvalsh of w w' that bounds P_hat's least eigenvalue, and the LMI
+        # block's eigvalsh; a solved block is singular up to rounding, so its
+        # Schur cross-check is not formed
         pool = _budget_pool()
         calls = count_spectral_calls(monkeypatch)
         for problem in pool:
@@ -741,9 +763,10 @@ class TestCallBudget:
                 solve_ci(unsolved, cost)
                 assert len(calls) <= 3, (problem, cost, calls)
 
-    def test_solving_a_problem_again_makes_at_most_two_spectral_calls(self, monkeypatch):
-        # the problem keeps its spectrum, so a later solve under either cost
-        # makes only P_hat's certification and the LMI block's eigvalsh
+    def test_solving_a_problem_again_makes_one_spectral_call(self, monkeypatch):
+        # the problem keeps its spectrum and the bound from w w', which
+        # decide P_hat's strictness, so a later solve under either cost makes
+        # only the LMI block's eigvalsh
         pool = _budget_pool()
         for problem in pool:
             solve_ci(problem, Cost.DET)
@@ -752,12 +775,12 @@ class TestCallBudget:
             for cost in Cost:
                 calls.clear()
                 solve_ci(problem, cost)
-                assert len(calls) <= 2 and not {"cholesky", "inv", "eigh"} & set(calls), \
-                    (problem, cost, calls)
+                assert calls == ["eigvalsh"], (problem, cost, calls)
 
     def test_fresh_problem_and_solve_make_at_most_eight_calls(self, monkeypatch):
         # a Cholesky factor and its inverse per estimate, the whitened
-        # stack's SVD, and the solve's three
+        # stack's SVD, and the first solve's three: eigh, the eigvalsh of
+        # w w' and the LMI block's
         pool = _budget_pool()
         calls = count_spectral_calls(monkeypatch)
         for problem in pool:
@@ -793,6 +816,84 @@ class TestCallBudget:
             fused += len(run_schedule(nodes, truth, one).records)
             assert len(calls) <= 9, (ev, calls)
         assert fused == 400
+
+
+def _certified(certify, t: float):
+    """``certify(t)``'s data bytes, ``strict``, ``min_eig`` and writeable flag, or what it raised."""
+    try:
+        member = certify(t)
+    except NotPsdError as exc:
+        return type(exc), str(exc)
+    return member.data.tobytes(), member.strict, member.min_eig, member.data.flags.writeable
+
+
+class TestFusedPsd:
+    """``JointSpectrum.fused_psd(t)`` is ``psd_certify(fused_cov(t))``, decided from the spectrum."""
+
+    @staticmethod
+    def _pool():
+        rng = np.random.default_rng(7)
+        pool = [random_problem(rng) for _ in range(40)]  # instance 34: cond(P_hat) about 1e10
+        rng = np.random.default_rng(71)
+        pool += [dominated_problem(rng, n, first) for n in range(2, 7) for first in (True, False)]
+        # covariances at 1e-8 units, and H four times larger, put fused
+        # eigenvalues near and below the 1e-9 strictness floor
+        pool += [_rebuilt(problem, h_map, 1e-8) for problem in pool[:20]
+                 for h_map in (lambda h: h, lambda h: 4.0 * h)]
+        return pool
+
+    @staticmethod
+    def _weights(problem):
+        spectrum = problem.spectrum
+        solved = {_optimal_weight(spectrum, slope)[0]
+                  for slope in (spectrum.det_slope, spectrum.trace_slope)}
+        ends = {alpha for alpha in (0.0, 0.5, 1.0) if spectrum.regular_at(alpha - 0.5)}
+        return sorted(solved | ends)
+
+    def test_matches_psd_certify_on_every_branch(self, monkeypatch):
+        fallbacks = []
+        certify = problem_module.psd_certify
+        monkeypatch.setattr(problem_module, "psd_certify",
+                            lambda a: fallbacks.append(1) or certify(a))
+        branches = {}
+        for i, problem in enumerate(self._pool()):
+            spectrum = problem.spectrum
+            for alpha in self._weights(problem):
+                t = alpha - 0.5
+                fallbacks.clear()
+                got = _certified(spectrum.fused_psd, t)
+                want = _certified(lambda t: certify(spectrum.fused_cov(t)), t)
+                assert got == want, (i, alpha)
+                branch = "fallback" if fallbacks else ("strict" if got[1] else "not strict")
+                branches[branch] = branches.get(branch, 0) + 1
+        assert set(branches) == {"strict", "not strict", "fallback"}, branches
+
+    def test_ill_conditioned_member_falls_back(self, monkeypatch):
+        # ROADMAP item 12's instance: the spectrum's bounds cannot separate
+        # P_hat's least eigenvalue from the strictness floor
+        rng = np.random.default_rng(7)
+        problem = [random_problem(rng) for _ in range(35)][34]
+        spectrum = problem.spectrum
+        spectrum.fused_psd(0.0)  # takes the eigvalsh of w w' that the spectrum keeps
+        calls = count_spectral_calls(monkeypatch)
+        for slope in (spectrum.det_slope, spectrum.trace_slope):
+            alpha = _optimal_weight(spectrum, slope)[0]
+            calls.clear()
+            member = spectrum.fused_psd(alpha - 0.5)
+            assert calls == ["eigvalsh"] and not member.strict
+            with pytest.raises(SingularSigmaError, match="not strictly PD"):
+                ku_rule(problem, alpha)
+
+    def test_min_eig_is_computed_on_first_read(self, monkeypatch):
+        problem = example2_problem()
+        spectrum = problem.spectrum
+        solve_ci(problem, Cost.TRACE)  # the spectrum's bound is taken
+        want = psd_certify(spectrum.fused_cov(0.1)).min_eig
+        calls = count_spectral_calls(monkeypatch)
+        member = spectrum.fused_psd(0.1)
+        assert calls == [] and member.strict
+        # read twice, computed once
+        assert member.min_eig == want and member.min_eig == want and calls == ["eigvalsh"]
 
 
 class TestKeptSpectrum:

@@ -163,8 +163,12 @@ def test_a_gain_block_is_zero_only_when_it_is_exactly_zero():
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
                     and child.func.attr == "any":
                 anys.add((getattr(node, "name", None), ast.unparse(child)))
-    # the other .any() asks whether a screen's mask kept any sample
-    assert anys == {("_schur_function", "q.any()"), ("_worst_sample", "keep.any()")}
+    # the other exact zero tests are on Monte Carlo's sample factors c = Q1 a
+    # and d = Q2 b; the two .any() on boolean masks ask whether a screen
+    # kept any sample and whether some head is bitwise base
+    assert anys == {("_schur_function", "q.any()"), ("_worst_sample", "c.any()"),
+                    ("_worst_sample", "d.any()"), ("_worst_sample", "keep.any()"),
+                    ("_worst_sample", "(heads == base).all(axis=(1, 2)).any()")}
 
 
 def test_one_walk_over_the_weight_serves_the_verifier():
@@ -208,6 +212,24 @@ def test_only_the_problem_module_decides_the_float_range():
     args = slope.args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["self", "t"]
     assert args.vararg is None and args.kwarg is None
+
+
+#: the numpy.linalg routines a spectral call goes through
+SPECTRAL_ROUTINES = ("eigvalsh", "eigh", "svd", "cholesky", "inv", "det", "solve")
+
+
+def test_the_family_member_makes_no_spectral_call_of_its_own():
+    # ku_rule takes P_hat and its strictness from the problem's spectrum, so
+    # neither a numpy.linalg routine nor a fresh PSD certification creeps
+    # back into a re-solve
+    tree = ast.parse(Path(cifusion.optimizer.__file__).read_text())
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "ku_rule")
+    names = {node.id for node in ast.walk(rule) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(rule) if isinstance(node, ast.Attribute)}
+    assert "fused_psd" in attrs
+    assert not {"linalg", "psd_certify"} & (names | attrs)
+    assert not set(SPECTRAL_ROUTINES) & (names | attrs)
 
 
 def test_the_weight_search_runs_on_python_floats():

@@ -1050,14 +1050,23 @@ def kernel_calls(monkeypatch):
 def assert_dense_oracle(calls) -> None:
     """Each kernel value keeps its dense contract; no dropped sample reaches its level.
 
-    Each kernel call screens once, so the two lists pair up in order.
+    A kernel call screens once, on its own ``base``, unless a zero factor
+    makes every sample ``base`` and ``base`` is a head, as at an endpoint
+    weight; so the screens pair up in order with the calls that made them.
     """
-    assert len(calls["sample"]) == len(calls["undecided"])
-    for (args, value), ((base, level, c, d, *_), keep) in zip(calls["sample"],
-                                                             calls["undecided"]):
+    screens = iter(calls["undecided"])
+    screen = next(screens, None)
+    for args, value in calls["sample"]:
         assert_within_margin(value, *args)
+        base, heads, c, d = args[:4]
+        if screen is None or screen[0][0] is not base:
+            assert not (c.any() and d.any()) and (heads == base).all(axis=(1, 2)).any()
+            continue
+        (base, level, c, d, *_), keep = screen
         tops = np.linalg.eigvalsh(_sample_stack(base, c, d))[:, -1]
         assert (tops[~keep] < level).all()
+        screen = next(screens, None)
+    assert screen is None
 
 
 class TestWorstViolationKernel:
@@ -1589,6 +1598,53 @@ class TestExactVerdict:
             value = _worst_sample(base, heads, c, d, tol)
             assert (value <= tol) == (dense <= tol)
             assert_within_margin(value, base, heads, c, d, tol)
+
+
+class TestEndpointMonteCarlo:
+    """At an endpoint weight a gain block is exactly zero, so every sample is ``base``."""
+
+    def test_zero_gain_block_decomposes_only_the_heads(self, monkeypatch, kernel_calls):
+        # 600 dominated DET solves; on a base that is pure rounding the
+        # screen's kappa test can fail, and it would keep all 1000 samples
+        eigvalsh = np.linalg.eigvalsh
+        shapes = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        screen_keeps = 0
+        for n in range(2, 7):
+            for s in range(60):
+                for first in (True, False):
+                    problem = dominated_problem(np.random.default_rng(5000 + n + 100 * s), n, first)
+                    result = solve_ci(problem, Cost.DET)
+                    assert result.alpha == (1.0 if first else 0.0)
+                    shapes.clear()
+                    value = monte_carlo_joint(result, problem, 1000, 0)
+                    assert shapes == [(2, n, n)]
+                    (base, heads, c, d, tol), got = kernel_calls["sample"].pop()
+                    assert got == value and kernel_calls["undecided"] == []
+                    assert not (c.any() and d.any())
+                    assert (heads == base).all() and value == float(eigvalsh(base)[-1])
+                    # the screen that the kernel no longer runs here
+                    scale = verifier._sample_scale(base, c, d)
+                    ceiling = value + 2.0 * verifier._margin(n, value, scale)
+                    if value <= tol:
+                        ceiling = min(ceiling, tol)
+                    if verifier._undecided(base, ceiling, c, d, scale).any():
+                        screen_keeps += 1
+                        assert value == dense_worst(base, heads, c, d)
+                    kernel_calls["undecided"].clear()
+        assert screen_keeps > 0
+
+    def test_zero_factor_with_base_not_a_head_is_still_sampled(self):
+        # every sample is base, which lies above both heads here, so the
+        # value must be base's own and not the heads'
+        rng = np.random.default_rng(47)
+        n = 4
+        base = random_spd(rng, n)
+        heads = np.stack([base - np.eye(n), base - 2.0 * np.eye(n)])
+        c, d = np.zeros((n, 50)), rng.standard_normal((n, 50))
+        value = _worst_sample(base, heads, c, d)
+        assert value == float(np.linalg.eigvalsh(base)[-1])
+        assert_within_margin(value, base, heads, c, d)
 
 
 class TestDenseOracle:
