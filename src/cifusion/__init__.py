@@ -11,7 +11,6 @@ from .errors import CiFusionError
 from .known_cross import (
     JointCovariance,
     KnownCrossResult,
-    bar_shalom_campo,
     optimal_fusion_known_cross,
 )
 from .linalg import (
@@ -57,7 +56,6 @@ __all__ = [
     "Schedule",
     "adjugate",
     "adversarial_x_search",
-    "bar_shalom_campo",
     "certify",
     "delta_value",
     "init_network",

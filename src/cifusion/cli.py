@@ -29,7 +29,7 @@ from .errors import (
     NotPdError,
     ProblemFileError,
 )
-from .known_cross import JointCovariance, bar_shalom_campo, optimal_fusion_known_cross
+from .known_cross import JointCovariance, optimal_fusion_known_cross
 from .linalg import RESULT_RTOL, PsdMatrix
 from .optimizer import Cost, FusionResult, solve_ci
 from .problem import FusionProblem, PartialEstimate, covariance
@@ -340,24 +340,8 @@ def cmd_known(args) -> int:
     out = {
         "K_star": result.K_star,
         "P_star": result.P_star.data,
-        "P_star_inv": np.linalg.inv(result.P_star.data),
+        "P_star_inv": result.P_star_inv,
     }
-    # the two-track form ignores H, so it is printed only where both H are I exactly
-    eye = np.eye(problem.n)
-    if np.array_equal(problem.est1.h, eye) and np.array_equal(problem.est2.h, eye):
-        bsc = bar_shalom_campo(joint)
-        residual = float(
-            max(
-                np.abs(bsc.K_star - result.K_star).max(),
-                np.abs(bsc.P_star.data - result.P_star.data).max(),
-            )
-        )
-        out["bsc"] = {
-            "K1": bsc.K1,
-            "K2": bsc.K2,
-            "P_star": bsc.P_star.data,
-            "agreement_residual": residual,
-        }
     _write_out(dumps(out) + "\n", getattr(args, "out", None))
     return EXIT_OK
 

@@ -1,9 +1,9 @@
 """Optimal unbiased fusion when the full joint covariance is known.
 
 With the cross term available the fused estimate has a unique minimal error
-covariance in the semidefinite order; the general weighted-least-squares
-formula and its full-state two-track specialization are both provided, each
-serving as an independent oracle for the other.
+covariance in the semidefinite order, which the weighted-least-squares
+formula gives for any pair of observation maps.  Its full-state two-track
+specialization (Bar-Shalom and Campo) is kept in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -59,11 +59,12 @@ class JointCovariance:
 
 
 class KnownCrossResult:
-    """Optimal gain ``K*`` and fused covariance ``P*`` for a known joint."""
+    """Optimal gain ``K*``, fused covariance ``P*`` and information ``P*^-1`` for a known joint."""
 
-    def __init__(self, k_star: np.ndarray, p_star: PsdMatrix, p1: int):
+    def __init__(self, k_star: np.ndarray, p_star: PsdMatrix, p_star_inv: np.ndarray, p1: int):
         self.K_star = k_star
         self.P_star = p_star
+        self.P_star_inv = p_star_inv
         self._p1 = p1
 
     @property
@@ -108,7 +109,8 @@ def optimal_fusion_known_cross(
 
     ``K* = (H.T W H)^{-1} H.T W`` and ``P* = (H.T W H)^{-1}`` with
     ``W`` the inverse of the joint; ``P*`` is the unique semidefinite-order
-    minimum over all unbiased gains.
+    minimum over all unbiased gains.  The information ``H.T W H``, which
+    ``P*`` inverts, is kept as ``P_star_inv``.
     """
     if joint.p1_dim != problem.p1 or joint.p2_dim != problem.p2:
         raise DimensionMismatchError(
@@ -124,29 +126,4 @@ def optimal_fusion_known_cross(
     p_star = psd_certify(inv_pd(p_star_inv))
     k_star = p_star.data @ h.T @ w
     _check_within_intersection(p_star_inv, joint, problem)
-    return KnownCrossResult(k_star, p_star, problem.p1)
-
-
-def bar_shalom_campo(joint: JointCovariance) -> KnownCrossResult:
-    """Two-track fusion formula for the square full-state case.
-
-    Specialization of :func:`optimal_fusion_known_cross` to
-    ``p1 = p2 = n`` with identity observation maps:
-    ``K2* = (P1 - P12) D^{-1}``, ``K1* = I - K2*`` and
-    ``P* = P1 - (P1 - P12) D^{-1} (P1 - P12.T)`` where
-    ``D = P1 + P2 - P12 - P12.T``.
-    """
-    if joint.p1_dim != joint.p2_dim:
-        raise DimensionMismatchError("full-state form needs p1 == p2")
-    if not joint.pd:
-        raise SingularJointError("joint covariance must be PD")
-    p1 = joint.P1.data
-    p2 = joint.P2.data
-    p12 = joint.P12
-    delta = p1 + p2 - p12 - p12.T
-    delta_inv = inv_pd(delta)  # PD because the joint is PD
-    k2 = (p1 - p12) @ delta_inv
-    k1 = np.eye(joint.p1_dim) - k2
-    p_star = p1 - (p1 - p12) @ delta_inv @ (p1 - p12.T)
-    p_star = psd_certify(p_star)
-    return KnownCrossResult(np.hstack([k1, k2]), p_star, joint.p1_dim)
+    return KnownCrossResult(k_star, p_star, p_star_inv, problem.p1)

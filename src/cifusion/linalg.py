@@ -8,9 +8,11 @@ turns the ends of a difference's spectrum into a semidefinite order.
 Matrices here are small and dense (state dimensions of a few dozen at
 most).  The package's two PSD tolerances, ``DEFAULT_TOL`` and
 ``DEFAULT_CERT_TOL``, are named here, and every magnitude they are scaled
-by goes through :func:`tol_scale`.  So is the package's one search over a
-convex weight function, :func:`newton_weights`, whose caller stops it
-once an iterate answers its question.
+by goes through :func:`tol_scale`.  So are the package's one allowance
+for the rounding of a formed and decomposed matrix,
+:func:`rounding_allowance`, and its one search over a convex weight
+function, :func:`newton_weights`, whose caller stops it once an iterate
+answers its question.
 """
 
 from __future__ import annotations
@@ -45,12 +47,28 @@ def tol_scale(magnitude: float) -> float:
     return max(1.0, magnitude)
 
 
+def rounding_allowance(n: int, size: float) -> float:
+    """``64 (n + 2)^2 eps size``: more than forming and decomposing an ``n x n`` matrix errs by.
+
+    ``size`` bounds the norm of the matrix, as the trace of a PSD one does.
+    With ``u = eps / 2`` the unit roundoff, ``eigvalsh`` is normwise
+    backward stable: each value it returns lies within ``p(n) u size`` of
+    an eigenvalue of the matrix it was given.  LAPACK states ``p(n)`` only
+    as a modestly growing function; the a-priori analysis of Householder
+    tridiagonalisation gives order ``n^2`` (Wilkinson, *The Algebraic
+    Eigenvalue Problem*, ch. 3), and the allowance takes ``8 (n + 2)^2``
+    for it.  The other ``120 (n + 2)^2 u size`` is left to the roundings
+    that form the matrix, which each caller bounds in its own docstring.
+    """
+    return 64.0 * (n + 2) ** 2 * math.ulp(1.0) * size
+
+
 class PsdMatrix:
     """A real symmetric matrix with a certified smallest eigenvalue.
 
     Build instances through :func:`psd_certify`, or, for a fused
-    covariance, through :meth:`~cifusion.problem.JointSpectrum.fused_psd`,
-    which certifies from the joint spectrum and gives no ``min_eig``.
+    covariance, through :meth:`~cifusion.problem.JointSpectrum.member`,
+    which gives no ``min_eig`` where the joint spectrum proves strictness.
     ``data`` is the symmetric array, frozen, so instances are safe to share
     between threads; ``strict`` records whether the certificate established
     positive definiteness.  ``min_eig`` is the smallest ``eigvalsh``

@@ -11,14 +11,15 @@ nonsingular endpoint, else a safeguarded Newton root, gives the optimum;
 the determinant slope has the sign of
 ``-Delta(alpha) = -trace(adj(Sigma_alpha) (Sigma1 - Sigma0))``.  The root
 search stops once a Newton step is at most ``ROOT_TOL``.  The same
-spectrum then gives the family member: its dominance table, its
-singularity test, the float-range test of its trace, ``P_hat``, the
-bounds on ``P_hat``'s eigenvalues that decide its strictness
-(:meth:`~cifusion.problem.JointSpectrum.fused_psd`: one ``eigvalsh`` per
-problem, and one per member only where the bounds leave it undecided),
-and the cost.  The gains ``K_i = alpha_i P_hat G_i' L_i^-1`` are one
-product of ``P_hat`` with the problem's kept basis, and ``fused_x`` and
-the unbiasedness residual one product each.  Because ``P_hat`` is formed
+spectrum then gives the family member: its dominance table, the cost, and
+:meth:`~cifusion.problem.JointSpectrum.member`, which refuses a singular
+blend or a member outside the float range or not strictly PD, and
+otherwise returns the certified ``P_hat``.  One pass over the spectrum
+gives the member's float-range test and the bounds on its eigenvalues
+that prove strictness: one ``eigvalsh`` per problem, and one per member
+only where the bounds do not prove it.  The gains ``K_i = alpha_i P_hat
+G_i' L_i^-1`` are one product of ``P_hat`` with the problem's kept basis,
+and ``fused_x`` and the unbiasedness residual one product each.  Because ``P_hat`` is formed
 from the spectrum rather than by inverting the blend, fused outputs can
 differ in their last digits from an explicit inverse.  :func:`solve_ci`
 then asserts the block certificate, one ``eigvalsh`` of the LMI block,
@@ -45,13 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import verifier
-from .errors import (
-    InternalInconsistencyError,
-    InvalidFamilyParameterError,
-    NotPsdError,
-    OutOfRangeError,
-    SingularSigmaError,
-)
+from .errors import InternalInconsistencyError, InvalidFamilyParameterError, OutOfRangeError
 from .linalg import SINGULAR_RTOL, LoewnerRelation, PsdMatrix, adjugate
 from .problem import Cost, FusionProblem, JointSpectrum
 
@@ -153,13 +148,12 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
 
     The weight is validated against the family case table: a strictly
     dominant second (first) information matrix forces ``alpha = 0``
-    (``alpha = 1``), equal matrices admit any weight, and otherwise the
-    blended information matrix must be nonsingular.  The table, the
-    singularity test and ``P_hat`` all come from the problem's joint
-    spectrum (:attr:`FusionProblem.spectrum`), the one the solvers search
-    on.  ``P_hat`` is the spectrum's certified member
-    (:meth:`~cifusion.problem.JointSpectrum.fused_psd`) and must be
-    strictly PD; the rule makes no spectral call of its own.  The gains
+    (``alpha = 1``), and equal matrices admit any weight.  The table and
+    ``P_hat`` come from the problem's joint spectrum
+    (:attr:`FusionProblem.spectrum`), the one the solvers search on:
+    :meth:`~cifusion.problem.JointSpectrum.member` returns the certified,
+    strictly PD ``P_hat`` or raises :class:`SingularSigmaError`, so the
+    rule makes no spectral call and no refusal of its own.  The gains
     are ``P_hat`` times :attr:`FusionProblem.gain_basis`, their column
     blocks weighted by ``alpha`` and ``1 - alpha``.  Given a ``cost``, the
     result carries its value from the spectrum.
@@ -176,17 +170,7 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
         raise InvalidFamilyParameterError(
             alpha, "first information matrix strictly dominates; alpha must be 1"
         )
-    t = alpha - 0.5
-    if not spectrum.regular_at(t):
-        raise SingularSigmaError(f"blended information matrix is singular at alpha={alpha}")
-    if not spectrum.bounded_at(t):
-        raise SingularSigmaError(f"fused covariance is outside the float range at alpha={alpha}")
-    try:
-        p_hat = spectrum.fused_psd(t)
-    except NotPsdError as exc:  # near-singular blends only
-        raise SingularSigmaError(str(exc)) from exc
-    if not p_hat.strict:
-        raise SingularSigmaError("fused covariance is not strictly PD")
+    p_hat = spectrum.member(alpha)
     p1 = problem.p1
     k = p_hat.data @ problem.gain_basis
     k *= np.array([alpha] * p1 + [1.0 - alpha] * problem.p2)
@@ -198,7 +182,7 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
         K2=k[:, p1:],
         P_hat=p_hat,
         fused_x=k @ problem.x_stacked,
-        cost_value=None if cost is None else spectrum.cost(cost, t),
+        cost_value=None if cost is None else spectrum.cost(cost, alpha - 0.5),
         diagnostics={"unbias_residual": float(np.abs(unbias).max())},
     )
 

@@ -42,6 +42,7 @@ from .linalg import (
     PsdMatrix,
     cholesky_pd,
     psd_certify,
+    rounding_allowance,
     sym_data,
     tol_scale,
 )
@@ -243,16 +244,18 @@ class JointSpectrum:
     about ``1 / (rows n)`` and ``1e21`` (the rank test), so no sum over it
     overflows, and the fused covariance, the cost and the range test apply
     ``e`` exactly with ``ldexp``.  Building it from the problem's SVD takes
-    one ``eigh``.  The certified member :meth:`fused_psd` bounds the fused
-    covariance's spectrum by the kept one and one ``eigvalsh`` of ``w w'``,
-    taken on first use and kept; only a member those bounds leave
-    undecided takes an ``eigvalsh`` of its own.  A problem keeps the
+    one ``eigh``.  :meth:`member` makes and judges the family member at a
+    weight: it refuses the weight, or bounds the fused covariance's
+    spectrum by the kept one and one ``eigvalsh`` of ``w w'``, taken on
+    first use and kept; only a member those bounds do not prove strictly
+    PD takes an ``eigvalsh`` of its own.  A problem keeps the
     spectrum it built (:attr:`FusionProblem.spectrum`), with ``lam``,
     ``c`` and ``w`` read-only.
 
-    The weight search evaluates its slopes and member tests (:meth:`det_slope`,
-    :meth:`trace_slope`, :meth:`regular_at`, :meth:`bounded_at`) many times
-    per solve, so they loop over ``lam`` and ``c`` as Python floats
+    The weight search evaluates its slopes and member test (:meth:`det_slope`,
+    :meth:`trace_slope`, :meth:`regular_at`) many times per solve, and
+    :meth:`member` sums the fused trace once, so they loop over ``lam`` and
+    ``c`` as Python floats
     (:attr:`_terms`): a slope takes under 1 us that way at ``n = 6`` and
     2-3 us at ``n = 20``, against 3.5-8.5 us through numpy's per-call cost
     (2-CPU host, Python 3.11, numpy 2.4).  numpy wins only past ``n`` of
@@ -307,30 +310,38 @@ class JointSpectrum:
         """
         return np.ldexp((self.w / (1.0 + t * self.lam)) @ self.w.T, -2 * self.exponent)
 
-    def fused_psd(self, t: float) -> PsdMatrix:
-        """``psd_certify(self.fused_cov(t))``, its strictness decided from the spectrum where it can.
+    def member(self, alpha: float) -> PsdMatrix:
+        """The certified family member ``P_hat = Sigma_alpha^-1``, or :class:`SingularSigmaError`.
 
-        The same ``data`` bits, ``strict``, ``min_eig`` (computed on first
-        read) and exception.  With ``mu_j = 1 + t lam_j``, ``T = sum(c_j /
-        mu_j)``, ``delta = 64 (n + 2)^2 eps T`` and ``omega`` of
+        A weight is refused, in this order, where the blend is singular
+        (:meth:`regular_at`), where the fused trace reaches ``2^1023``, which
+        puts the member outside the float range, where :func:`psd_certify`
+        of :meth:`fused_cov` rejects the member (with its
+        :class:`NotPsdError` text), and where the member is not strictly
+        PD.  Otherwise it is that call's result: the same ``data`` bits,
+        ``strict`` and ``min_eig``, the last computed on first read where
+        the spectrum decides strictness without the call.
+
+        One pass over the kept pairs gives, with ``t = alpha - 1/2`` and
+        ``mu_j = 1 + t lam_j``, the trace ``T = sum(c_j / mu_j)`` at the kept
+        scale and ``max(mu)``; past :meth:`regular_at` every ``mu_j`` is
+        positive.  The trace bounds every entry of the member and of the
+        products :meth:`fused_cov` forms it from, and half the float range
+        leaves their rounding room; summed on the kept ``c`` it cannot
+        overflow.  With ``delta = rounding_allowance(n, T)`` and ``omega`` of
         :attr:`_omega`, every value ``eigvalsh`` gives for ``data`` lies in
-        ``[4^-e (omega / max(mu) - delta), 4^-e (T + delta)]``, and the
-        least lies within ``4^-e delta`` of the least eigenvalue of
-        ``data``, which is at most its least diagonal entry.  So the member
-        is strict where the lower end exceeds ``DEFAULT_TOL`` times
-        ``tol_scale`` of the upper end, and PSD but not strict where the
-        least diagonal entry plus ``4^-e delta`` is below ``DEFAULT_TOL``,
-        the least bound :func:`psd_certify` judges by.  Anywhere else, or
-        where some ``mu_j`` is not positive or the upper end overflows, it
-        is that call.
+        ``[4^-e (omega / max(mu) - delta), 4^-e (T + delta)]``.  So the
+        member is strict where the lower end exceeds ``DEFAULT_TOL`` times
+        ``tol_scale`` of the upper end, the least bound :func:`psd_certify`
+        judges by; anywhere else it is that call.
 
         At the kept scale the exact member is ``P = W D W'``, ``D = diag(1 /
         mu)`` on the computed ``mu``.  It is PSD and at least ``W W' /
         max(mu)``, so ``lambda_min(P) >= max(0, omega / max(mu))``, and
         ``lambda_max(P)`` is at most ``trace(P)``, which ``T`` gives to
-        within ``gamma_(2n+1)``.  With ``u = eps / 2`` and ``gamma_k`` as in
-        :func:`~cifusion.verifier._undecided`, three roundings separate
-        ``P`` from the values ``eigvalsh`` returns:
+        within ``gamma_(2n+1)``.  With ``u = eps / 2`` and ``gamma_k = k u /
+        (1 - k u)``, three roundings separate ``P`` from the values
+        ``eigvalsh`` returns:
 
         - :meth:`fused_cov` divides each entry of ``w`` once and sums ``n``
           products, so it errs by at most ``gamma_(n+1) |W| D |W'|``
@@ -338,8 +349,8 @@ class JointSpectrum:
           by at most ``gamma_(n+1) trace(P)`` in norm.
         - :func:`~cifusion.linalg.sym_data` rounds each entry once, by at
           most ``u trace(P)`` in norm.
-        - ``eigvalsh`` is normwise backward stable, to ``8 (n + 2)^2 u``
-          of the norm (the allowance of :func:`~cifusion.verifier._undecided`).
+        - ``eigvalsh`` errs by at most ``8 (n + 2)^2 u`` of the norm
+          (:func:`~cifusion.linalg.rounding_allowance`).
 
         They sum to less than ``9 (n + 2)^2 u T``; ``delta`` is 14 times
         that, which covers the rounding of ``T``, of ``omega`` and of the
@@ -348,44 +359,47 @@ class JointSpectrum:
         ``DEFAULT_TOL`` and, wherever the member is within reach of it,
         below that slack.
         """
-        raw = self.fused_cov(t)
+        t = alpha - 0.5
+        if not self.regular_at(t):
+            raise SingularSigmaError(f"blended information matrix is singular at alpha={alpha}")
         trace = top_mu = 0.0
         for lam, c in self._terms:
             mu = 1.0 + t * lam
-            if not mu > 0.0:
-                return psd_certify(raw)
             trace += c / mu
             if mu > top_mu:
                 top_mu = mu
         e2 = -2 * self.exponent
-        delta = _rounding(len(self._terms), trace)
+        if math.frexp(trace)[1] + e2 > 1023:
+            raise SingularSigmaError(
+                f"fused covariance is outside the float range at alpha={alpha}")
+        raw = self.fused_cov(t)
+        delta = rounding_allowance(len(self._terms), trace)
+        if math.ldexp(self._omega / top_mu - delta, e2) \
+                > DEFAULT_TOL * tol_scale(math.ldexp(trace + delta, e2)):
+            data = sym_data(raw)
+            data.flags.writeable = False
+            return PsdMatrix(data, None, True)
         try:
-            top = math.ldexp(trace + delta, e2)
-        except OverflowError:
-            return psd_certify(raw)
-        data = sym_data(raw)
-        if math.ldexp(self._omega / top_mu - delta, e2) > DEFAULT_TOL * tol_scale(top):
-            strict = True
-        elif float(data.diagonal().min()) + math.ldexp(delta, e2) < DEFAULT_TOL:
-            strict = False
-        else:
-            return psd_certify(raw)
-        data.flags.writeable = False
-        return PsdMatrix(data, None, strict)
+            p_hat = psd_certify(raw)
+        except NotPsdError as exc:  # near-singular blends only
+            raise SingularSigmaError(str(exc)) from exc
+        if not p_hat.strict:
+            raise SingularSigmaError("fused covariance is not strictly PD")
+        return p_hat
 
     @cached_property
     def _omega(self) -> float:
         """A lower bound on the least eigenvalue of ``w w'``, from one ``eigvalsh``.
 
         The computed product errs by at most ``gamma_n sum(c)`` in norm and
-        ``eigvalsh`` by ``8 (n + 2)^2 u`` of that norm (see
-        :meth:`fused_psd`), so the least value less ``_rounding(n,
-        sum(c))`` is below the exact one.  Where ``cond(G)^2`` nears
-        ``1 / eps`` the bound is not positive, and :meth:`fused_psd` leaves
-        a member it cannot call not strict to :func:`psd_certify`.
+        ``eigvalsh`` by ``8 (n + 2)^2 u`` of that norm (see :meth:`member`),
+        so the least value less ``rounding_allowance(n, sum(c))`` is below
+        the exact one.  Where ``cond(G)^2`` nears ``1 / eps`` the bound is
+        not positive, and :meth:`member` leaves strictness to
+        :func:`psd_certify`.
         """
         least = float(np.linalg.eigvalsh(self.w @ self.w.T)[0])
-        return least - _rounding(len(self._terms), sum(c for _, c in self._terms))
+        return least - rounding_allowance(len(self._terms), sum(c for _, c in self._terms))
 
     def cost(self, cost: Cost, t: float) -> float:
         """The cost of :meth:`fused_cov` at ``t``, without forming it; ``inf`` past the float range."""
@@ -408,28 +422,26 @@ class JointSpectrum:
         """The pairs ``(lam_j, c_j)`` as Python floats, for the scalar loops below."""
         return list(zip(self.lam.tolist(), self.c.tolist()))
 
+    @cached_property
+    def _lam_range(self) -> tuple[float, float]:
+        """The least and the largest ``lam``, as Python floats."""
+        lam = self.lam.tolist()
+        return min(lam), max(lam)
+
     def regular_at(self, t: float) -> bool:
         """Whether the blend at ``alpha = t + 1/2`` is nonsingular.
 
-        ``lam`` is ascending up to its rounding, so the extremes of ``1 + t
-        lam`` are its two ends to within that rounding.
+        Rounding is monotone, so the least and the largest computed ``1 + t
+        lam`` come from the least and the largest ``lam``, and where the
+        test passes every one is positive: no loop below divides by zero.
+        ``lam`` is ascending only up to its rounding, so its ends need not
+        be its extremes: where several ``lam`` lie within rounding of 2, as
+        for an estimate with 1e16 times the other's covariance, one of
+        exactly 2 can sit between them.
         """
-        terms = self._terms
-        first, last = 1.0 + t * terms[0][0], 1.0 + t * terms[-1][0]
+        lo, hi = self._lam_range
+        first, last = 1.0 + t * lo, 1.0 + t * hi
         return min(first, last) > SINGULAR_RTOL * max(first, last)
-
-    def bounded_at(self, t: float) -> bool:
-        """Whether the fused trace at a regular ``alpha = t + 1/2`` is below ``2^1023``.
-
-        The trace ``sum(c / (1 + t lam))`` bounds every entry of the fused
-        covariance and of the products :meth:`fused_cov` forms it from, and
-        half the float range leaves their rounding room.  It is summed on
-        the kept ``c``, so the test itself cannot overflow.
-        """
-        trace = 0.0
-        for lam, c in self._terms:
-            trace += c / (1.0 + t * lam)
-        return math.frexp(trace)[1] - 2 * self.exponent <= 1023
 
     def det_slope(self, t: float) -> tuple[float, float]:
         """Slope of ``log det P_hat`` in ``t`` and its (positive) derivative."""
@@ -454,14 +466,6 @@ class JointSpectrum:
             slope += clu2
             curvature += clu2 * lu
         return -slope, 2.0 * curvature
-
-
-def _rounding(n: int, size: float) -> float:
-    """``64 (n + 2)^2 eps size``: more than forming and decomposing an ``n x n`` matrix errs by.
-
-    ``size`` bounds the matrix's norm, as the trace of a PSD one does.
-    """
-    return 64.0 * (n + 2) ** 2 * math.ulp(1.0) * size
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

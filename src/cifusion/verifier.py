@@ -59,6 +59,7 @@ from .linalg import (
     DEFAULT_CERT_TOL,
     loewner_compare,
     newton_weights,
+    rounding_allowance,
     tol_scale,
 )
 from .problem import FusionProblem
@@ -283,7 +284,7 @@ def _worst_sample(
     # an overflow can only give an infinite ceiling, which keeps samples
     with np.errstate(over="ignore", invalid="ignore"):
         s = _sample_scale(base, c, d)
-        ceiling = level + 2.0 * _margin(base.shape[0], level, s)
+        ceiling = level + 2.0 * rounding_allowance(base.shape[0], abs(level) + s)
     if level <= tol:
         ceiling = min(ceiling, tol)
     keep = _undecided(base, ceiling, c, d, s)
@@ -296,11 +297,6 @@ def _worst_sample(
 def _sample_scale(base: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
     """``n (max|base| + 2 max|c| max|d|)``, above every sample's norm."""
     return base.shape[0] * (np.abs(base).max() + 2.0 * np.abs(c).max() * np.abs(d).max())
-
-
-def _margin(n: int, level: float, s: float) -> float:
-    """The screening margin ``delta = 64 (n + 2)^2 eps (|level| + s)`` of :func:`_undecided`."""
-    return 64.0 * (n + 2) ** 2 * np.finfo(float).eps * (abs(level) + s)
 
 
 def _undecided(
@@ -332,17 +328,15 @@ def _undecided(
     ``|base|_2 + 2 |c| |d|``, hence every ``|M|_2``, and
     ``T = n (|level| + delta) + s``, which bounds
     ``trace(A)``, the margin ``delta = 64 (n + 2)^2 eps (|level| + s)``
+    (:func:`~cifusion.linalg.rounding_allowance` of ``|level| + s``)
     exceeds the sum of five errors, so a dropped sample's ``eigvalsh``
     value lies strictly below ``level``:
 
     - Each entry of a formed sample sums three terms, each rounded at most
       three times, so the matrix that ``eigvalsh`` sees is within
       ``gamma_3 s`` of ``M``.
-    - ``eigvalsh`` is normwise backward stable: its largest eigenvalue lies
-      within ``p(n) u |M|_2`` of the exact one.  LAPACK states ``p(n)`` only
-      as a modestly growing function; the a-priori analysis of Householder
-      tridiagonalisation gives order ``n^2`` (Wilkinson, *The Algebraic
-      Eigenvalue Problem*, ch. 3), and the margin allows ``8 (n + 2)^2``.
+    - ``eigvalsh`` errs by at most ``8 (n + 2)^2 u |M|_2``
+      (:func:`~cifusion.linalg.rounding_allowance`).
     - Forming ``A`` rounds each diagonal entry, by at most
       ``2 u (|level| + delta) + u s``; off the diagonal ``A`` is exact.
     - If the Cholesky factorisation runs to completion,
@@ -380,7 +374,7 @@ def _undecided(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if s is None:
             s = _sample_scale(base, c, d)
-        delta = _margin(n, level, s)
+        delta = rounding_allowance(n, abs(level) + s)
         a = np.negative(base)
         a[np.diag_indices(n)] += level - delta
         try:
@@ -489,10 +483,11 @@ def _walk(result, problem: FusionProblem) -> _Walk:
       eigenvectors so that ``v'M'v = 0``; else it is the eigenvector of the
       extreme nearer zero.  When its ``gap`` is at most ``eps s`` the
       sample is formed and ``eigvalsh`` gives the value, and the question
-      is closed once ``f - value <= band``.  ``band`` is :func:`_margin` at
-      ``f`` and ``s = n (max|S1|/t + max|S2|/(1 - t) + max|P_hat|)``, which
-      bounds ``|M|_2`` and every sample's norm, so it exceeds the rounding
-      of both eigenvalues (see :func:`_undecided`).  ``bound`` is the least
+      is closed once ``f - value <= band``.  ``band`` is
+      :func:`~cifusion.linalg.rounding_allowance` of ``|f| + s``, with
+      ``s = n (max|S1|/t + max|S2|/(1 - t) + max|P_hat|)``, which bounds
+      ``|M|_2`` and every sample's norm, so it exceeds the rounding of both
+      eigenvalues (see :func:`_undecided`).  ``bound`` is the least
       ``f + band`` over the iterates.
 
     The walk stops once both questions are closed, so each takes the
@@ -538,7 +533,7 @@ def _walk(result, problem: FusionProblem) -> _Walk:
             decided = feasible is not None or floor > tol
         if not witnessed:
             s = n * (_over(big1, alpha) + _over(big2, 1.0 - alpha) + big_p)
-            band = _margin(n, f, s)
+            band = rounding_allowance(n, abs(f) + s)
             bound = min(bound, f + band)
             width = max(0.25 * band, spread * s) if alpha == result.alpha else 0.25 * band
             a, b, gap = _flat_direction(q1, q2, alpha, w, v, d1, width)
@@ -698,12 +693,13 @@ def _check_monte_carlo(result, worst_mc: float, walk: _Walk) -> None:
     plus its rounding (:func:`_walk`), so a larger Monte Carlo value means
     the two routes disagree.  Both values carry the rounding of an
     ``eigvalsh`` of a formed sample, each of norm at most ``walk.scale``,
-    which :func:`_margin` at the witness ``walk.value`` exceeds (see
+    which :func:`~cifusion.linalg.rounding_allowance` of ``|walk.value| +
+    walk.scale`` exceeds (see
     :func:`_undecided`), and the test allows twice that margin.  The
     witness is itself a sample, so a Monte Carlo value at most one margin
     above it passes as well.
     """
-    margin = _margin(result.P_hat.data.shape[0], walk.value, walk.scale)
+    margin = rounding_allowance(result.P_hat.data.shape[0], abs(walk.value) + walk.scale)
     if worst_mc > max(walk.value + margin, walk.bound + 2.0 * margin):
         raise InternalInconsistencyError(
             f"Monte Carlo value {worst_mc:.17g} exceeds min f = {walk.bound:.17g}, "

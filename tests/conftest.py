@@ -8,7 +8,13 @@ from fractions import Fraction
 import numpy as np
 
 from cifusion import FusionProblem, JointCovariance, LoewnerRelation, PartialEstimate
-from cifusion.errors import DimensionMismatchError, InternalInconsistencyError, NotPdError
+from cifusion.errors import (
+    DimensionMismatchError,
+    InternalInconsistencyError,
+    NotPdError,
+    NotPsdError,
+    SingularSigmaError,
+)
 from cifusion.linalg import (
     DEFAULT_CERT_TOL,
     DEFAULT_TOL,
@@ -17,6 +23,7 @@ from cifusion.linalg import (
     inv_pd,
     loewner_compare,
     newton_weights,
+    psd_certify,
     sym_data,
     tol_scale,
 )
@@ -131,6 +138,47 @@ def random_joint(rng, p1: int, p2: int, pd: bool = True) -> JointCovariance:
     smax = np.linalg.svd(x, compute_uv=False)[0]
     x *= rng.uniform(0.0, 0.95 if pd else 1.0) / max(smax, 1e-300)
     return joint_from_cross_parameter(random_spd(rng, p1), x, random_spd(rng, p2))
+
+
+def bar_shalom_campo(joint: JointCovariance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(K1*, K2*, P*)`` by the two-track formula of Bar-Shalom and Campo, for H1 = H2 = I.
+
+    ``K2* = (P1 - P12) D^{-1}``, ``K1* = I - K2*`` and ``P* = P1 - (P1 -
+    P12) D^{-1} (P1 - P12')`` with ``D = P1 + P2 - P12 - P12'``, PD for a
+    PD joint.  It ignores H, so it is an oracle of the known-cross optimum
+    only where both H are the identity.
+    """
+    assert joint.p1_dim == joint.p2_dim and joint.pd
+    p1, p2, p12 = joint.P1.data, joint.P2.data, joint.P12
+    d_inv = inv_pd(p1 + p2 - p12 - p12.T)
+    k2 = (p1 - p12) @ d_inv
+    return np.eye(joint.p1_dim) - k2, k2, p1 - (p1 - p12) @ d_inv @ (p1 - p12.T)
+
+
+def member_reference(spectrum, alpha: float) -> PsdMatrix:
+    """The family member at ``alpha`` by the ladder ``ku_rule`` ran before ``JointSpectrum.member``.
+
+    In order: :meth:`~cifusion.problem.JointSpectrum.regular_at`, the
+    fused trace below ``2^1023`` summed on the kept ``c``, then
+    ``psd_certify`` of the formed member (its ``NotPsdError`` becomes a
+    ``SingularSigmaError`` with the same text), then strictness.  It
+    certifies every member with its own ``eigvalsh``.
+    """
+    t = alpha - 0.5
+    if not spectrum.regular_at(t):
+        raise SingularSigmaError(f"blended information matrix is singular at alpha={alpha}")
+    trace = 0.0
+    for lam, c in zip(spectrum.lam.tolist(), spectrum.c.tolist()):
+        trace += c / (1.0 + t * lam)
+    if math.frexp(trace)[1] - 2 * spectrum.exponent > 1023:
+        raise SingularSigmaError(f"fused covariance is outside the float range at alpha={alpha}")
+    try:
+        p_hat = psd_certify(spectrum.fused_cov(t))
+    except NotPsdError as exc:
+        raise SingularSigmaError(str(exc)) from exc
+    if not p_hat.strict:
+        raise SingularSigmaError("fused covariance is not strictly PD")
+    return p_hat
 
 
 def information_pair(problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ import pytest
 
 from cifusion import cli, simulator, solve_ci, verifier
 from cifusion.errors import InternalInconsistencyError
+from cifusion.linalg import rounding_allowance
 from cifusion.problem import Cost
 
 from conftest import exit_contract_docs, well_scaled_problems
@@ -368,7 +369,7 @@ class TestVerify:
         _, reference, _ = self._stored_rows(tmp_path, capsys, 1e-20)
         scale = 2 * np.abs(stored["P_hat"]).max()
         value, want = float(rows["adversarial-x"][1]), float(reference["adversarial-x"][1])
-        assert abs(value - want) <= verifier._margin(2, want, scale)
+        assert abs(value - want) <= rounding_allowance(2, abs(want) + scale)
 
     def test_override_exposed_by_adversarial_search(self, tmp_path, capsys):
         from cifusion import FusionProblem, PartialEstimate, solve_ci
@@ -747,7 +748,9 @@ class TestKnown:
         expected = np.array([[1.0, -0.5], [-0.5, 1.0]]) / 0.75
         np.testing.assert_allclose(out["P_star_inv"], expected, atol=1e-12)
 
-    def test_full_state_reports_two_track_form(self, tmp_path, capsys):
+    def test_full_state_prints_one_optimum(self, tmp_path, capsys):
+        # the two-track form repeated K* and P* where both H are I; it is now
+        # a test oracle, and the output has the same three keys for every H
         doc = {
             "n": 2,
             "est1": {"H": [[1, 0], [0, 1]], "x_hat": [0, 0], "P_hat": [[1, 0], [0, 1]]},
@@ -757,11 +760,12 @@ class TestKnown:
         rc = cli.main(["known", write(tmp_path, doc)])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
+        assert set(out) == {"K_star", "P_star", "P_star_inv"}
         np.testing.assert_allclose(out["P_star"], 0.5 * np.eye(2), atol=1e-12)
-        assert out["bsc"]["agreement_residual"] <= 1e-10
+        np.testing.assert_allclose(out["P_star_inv"], 2.0 * np.eye(2), atol=1e-12)
 
-    def test_seeded_full_state_agreement(self, tmp_path, capsys):
-        from conftest import random_joint, random_spd
+    def test_seeded_full_state_agrees_with_the_two_track_oracle(self, tmp_path, capsys):
+        from conftest import bar_shalom_campo, random_joint, random_spd
 
         rng = np.random.default_rng(3)
         joint = random_joint(rng, 3, 3)
@@ -777,13 +781,15 @@ class TestKnown:
         rc = cli.main(["known", write(tmp_path, doc)])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert out["bsc"]["agreement_residual"] <= 1e-10
+        k1, k2, p_star = bar_shalom_campo(joint)
+        assert np.abs(np.hstack([k1, k2]) - out["K_star"]).max() <= 1e-10
+        assert np.abs(p_star - out["P_star"]).max() <= 1e-10
+        assert np.abs(np.array(out["P_star_inv"]) @ out["P_star"] - np.eye(3)).max() <= 1e-10
 
     @pytest.mark.parametrize("which", ["est1", "est2"])
-    def test_two_track_form_only_where_both_h_are_exactly_the_identity(self, tmp_path, capsys,
-                                                                      which):
-        # the two-track form ignores H: an H one part in 2^30 off I, which
-        # np.allclose would take for I, is fused by the general formula alone
+    def test_output_is_the_general_formula_for_every_h(self, tmp_path, capsys, which):
+        # an H one part in 2^30 off I gets the same keys, and the optimum moves
+        # by about that part
         doc = {
             "n": 2,
             "est1": {"H": [[1, 0], [0, 1]], "x_hat": [0, 0], "P_hat": [[1, 0], [0, 1]]},
@@ -791,10 +797,12 @@ class TestKnown:
             "truth": {"P1": [[1, 0], [0, 1]], "P2": [[2, 0], [0, 1]], "P12": [[0.5, 0], [0, 0]]},
         }
         assert cli.main(["known", write(tmp_path, doc)]) == 0
-        assert "bsc" in json.loads(capsys.readouterr().out)
+        exact = json.loads(capsys.readouterr().out)
         doc[which]["H"] = (np.eye(2) * (1.0 + 2.0**-30)).tolist()
         assert cli.main(["known", write(tmp_path, doc)]) == 0
-        assert "bsc" not in json.loads(capsys.readouterr().out)
+        off = json.loads(capsys.readouterr().out)
+        assert set(exact) == set(off) == {"K_star", "P_star", "P_star_inv"}
+        assert 0.0 < np.abs(np.array(off["P_star"]) - exact["P_star"]).max() <= 2.0**-28
 
     def test_missing_truth_exits_two(self, tmp_path, capsys):
         rc = cli.main(["known", write(tmp_path, SCALAR_PAIR)])

@@ -6,13 +6,13 @@ from cifusion import (
     JointCovariance,
     LoewnerRelation,
     PartialEstimate,
-    bar_shalom_campo,
     loewner_compare,
     optimal_fusion_known_cross,
 )
 from cifusion.errors import NonFiniteError, NotPsdError, SingularJointError
 
 from conftest import (
+    bar_shalom_campo,
     joint_from_cross_parameter,
     random_joint,
     random_problem,
@@ -140,20 +140,30 @@ class TestOptimalFusionKnownCross:
 
 
 class TestBarShalomCampo:
+    """The two-track oracle of ``conftest`` and the general formula it cross-checks."""
+
+    @staticmethod
+    def _full_state(joint):
+        eye = np.eye(joint.p1_dim)
+        return FusionProblem(PartialEstimate(eye, np.zeros(joint.p1_dim), joint.P1),
+                             PartialEstimate(eye, np.zeros(joint.p2_dim), joint.P2))
+
     def test_uncorrelated_identity(self):
         joint = JointCovariance(np.eye(2), np.zeros((2, 2)), np.eye(2))
-        result = bar_shalom_campo(joint)
-        np.testing.assert_allclose(result.K1, 0.5 * np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(result.K2, 0.5 * np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(result.P_star.data, 0.5 * np.eye(2), atol=1e-12)
+        k1, k2, p_star = bar_shalom_campo(joint)
+        general = optimal_fusion_known_cross(self._full_state(joint), joint)
+        for result in ((k1, k2, p_star), (general.K1, general.K2, general.P_star.data)):
+            for got, want in zip(result, (0.5 * np.eye(2),) * 3):
+                np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_fully_correlated_first_track(self):
         # P12 = P1 with a PD joint: all weight goes to the first track
         joint = JointCovariance(np.eye(2), np.eye(2), 2.0 * np.eye(2))
-        result = bar_shalom_campo(joint)
-        np.testing.assert_allclose(result.K1, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(result.K2, np.zeros((2, 2)), atol=1e-12)
-        np.testing.assert_allclose(result.P_star.data, np.eye(2), atol=1e-12)
+        k1, k2, p_star = bar_shalom_campo(joint)
+        general = optimal_fusion_known_cross(self._full_state(joint), joint)
+        for result in ((k1, k2, p_star), (general.K1, general.K2, general.P_star.data)):
+            for got, want in zip(result, (np.eye(2), np.zeros((2, 2)), np.eye(2))):
+                np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_agrees_with_general_formula(self):
         rng = np.random.default_rng(29)
@@ -162,9 +172,11 @@ class TestBarShalomCampo:
             problem = random_problem(rng, n=n, full_state=True)
             joint = random_joint(rng, n, n)
             general = optimal_fusion_known_cross(problem, joint)
-            bsc = bar_shalom_campo(joint)
-            assert np.abs(general.P_star.data - bsc.P_star.data).max() <= 1e-10
-            assert np.abs(general.K_star - bsc.K_star).max() <= 1e-10
+            k1, k2, p_star = bar_shalom_campo(joint)
+            assert np.abs(general.P_star.data - p_star).max() <= 1e-10
+            assert np.abs(general.K_star - np.hstack([k1, k2])).max() <= 1e-10
+            # the kept information is the inverse of P*
+            assert np.abs(general.P_star_inv @ general.P_star.data - np.eye(n)).max() <= 1e-10
 
 
 class TestBlockInverseIdentity:

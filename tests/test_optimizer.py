@@ -15,7 +15,6 @@ from cifusion import problem as problem_module
 from cifusion.errors import (
     InvalidFamilyParameterError,
     NotPdError,
-    NotPsdError,
     OutOfRangeError,
     SingularSigmaError,
 )
@@ -48,6 +47,7 @@ from conftest import (
     grid_costs,
     information_pair,
     lower_bound_witness,
+    member_reference,
     random_orthogonal,
     random_problem,
     random_spd,
@@ -114,7 +114,9 @@ class TestKuRule:
                                  PartialEstimate(h * np.eye(3)[2:], [0.0], [[1.0]]))
 
         refused, solved = problem(1.2e-154), problem(1.2e-153)
-        assert not any(refused.spectrum.bounded_at(t) for t in np.linspace(-0.45, 0.45, 19))
+        for alpha in np.linspace(0.05, 0.95, 19):
+            with pytest.raises(SingularSigmaError, match=r"^fused covariance is outside the float"):
+                refused.spectrum.member(alpha)
         with pytest.raises(SingularSigmaError,
                            match=r"^fused covariance is outside the float range at alpha=0\.666"):
             solve_ci(refused, Cost.DET)
@@ -553,7 +555,11 @@ class TestJointSpectrum:
             seen |= ends
             for t in (-0.5, 0.5):
                 if spectrum.regular_at(t):
-                    spectrum.det_slope(t), spectrum.trace_slope(t), spectrum.bounded_at(t)
+                    spectrum.det_slope(t), spectrum.trace_slope(t)
+                    try:
+                        spectrum.member(t + 0.5)
+                    except SingularSigmaError as exc:
+                        assert "float range" not in str(exc)
             row = "".join(code[solve_ci(problem, cost).diagnostics["branch"]] for cost in Cost)
             for alpha in (0.0, 1.0):
                 try:
@@ -818,17 +824,17 @@ class TestCallBudget:
         assert fused == 400
 
 
-def _certified(certify, t: float):
-    """``certify(t)``'s data bytes, ``strict``, ``min_eig`` and writeable flag, or what it raised."""
+def _member(certify, alpha: float):
+    """``certify(alpha)``'s data bytes, ``strict``, ``min_eig`` and writeable flag, or what it raised."""
     try:
-        member = certify(t)
-    except NotPsdError as exc:
+        member = certify(alpha)
+    except SingularSigmaError as exc:
         return type(exc), str(exc)
     return member.data.tobytes(), member.strict, member.min_eig, member.data.flags.writeable
 
 
-class TestFusedPsd:
-    """``JointSpectrum.fused_psd(t)`` is ``psd_certify(fused_cov(t))``, decided from the spectrum."""
+class TestMember:
+    """``JointSpectrum.member(alpha)`` is the refusal ladder of ``conftest.member_reference``."""
 
     @staticmethod
     def _pool():
@@ -844,13 +850,14 @@ class TestFusedPsd:
 
     @staticmethod
     def _weights(problem):
+        # the solved weights, the admitted ends and the middle, and a weight
+        # near each end, where a dominated pair's member is near singular
         spectrum = problem.spectrum
         solved = {_optimal_weight(spectrum, slope)[0]
                   for slope in (spectrum.det_slope, spectrum.trace_slope)}
-        ends = {alpha for alpha in (0.0, 0.5, 1.0) if spectrum.regular_at(alpha - 0.5)}
-        return sorted(solved | ends)
+        return sorted(solved | {0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0})
 
-    def test_matches_psd_certify_on_every_branch(self, monkeypatch):
+    def test_matches_the_reference_on_every_branch(self, monkeypatch):
         fallbacks = []
         certify = problem_module.psd_certify
         monkeypatch.setattr(problem_module, "psd_certify",
@@ -859,14 +866,16 @@ class TestFusedPsd:
         for i, problem in enumerate(self._pool()):
             spectrum = problem.spectrum
             for alpha in self._weights(problem):
-                t = alpha - 0.5
                 fallbacks.clear()
-                got = _certified(spectrum.fused_psd, t)
-                want = _certified(lambda t: certify(spectrum.fused_cov(t)), t)
-                assert got == want, (i, alpha)
-                branch = "fallback" if fallbacks else ("strict" if got[1] else "not strict")
+                got = _member(spectrum.member, alpha)
+                assert got == _member(lambda a: member_reference(spectrum, a), alpha), (i, alpha)
+                if len(got) == 2:
+                    branch = f"refused: {got[1].split(' at ')[0]}"
+                else:
+                    branch = "fallback" if fallbacks else "bounds"
                 branches[branch] = branches.get(branch, 0) + 1
-        assert set(branches) == {"strict", "not strict", "fallback"}, branches
+        assert {"bounds", "fallback", "refused: fused covariance is not strictly PD",
+                "refused: blended information matrix is singular"} <= set(branches), branches
 
     def test_ill_conditioned_member_falls_back(self, monkeypatch):
         # ROADMAP item 12's instance: the spectrum's bounds cannot separate
@@ -874,26 +883,52 @@ class TestFusedPsd:
         rng = np.random.default_rng(7)
         problem = [random_problem(rng) for _ in range(35)][34]
         spectrum = problem.spectrum
-        spectrum.fused_psd(0.0)  # takes the eigvalsh of w w' that the spectrum keeps
+        spectrum._omega  # the eigvalsh of w w' that the spectrum takes once and keeps
         calls = count_spectral_calls(monkeypatch)
         for slope in (spectrum.det_slope, spectrum.trace_slope):
             alpha = _optimal_weight(spectrum, slope)[0]
             calls.clear()
-            member = spectrum.fused_psd(alpha - 0.5)
-            assert calls == ["eigvalsh"] and not member.strict
-            with pytest.raises(SingularSigmaError, match="not strictly PD"):
+            with pytest.raises(SingularSigmaError, match="^fused covariance is not strictly PD$"):
+                spectrum.member(alpha)
+            assert calls == ["eigvalsh"]
+            with pytest.raises(SingularSigmaError, match="^fused covariance is not strictly PD$"):
                 ku_rule(problem, alpha)
 
     def test_min_eig_is_computed_on_first_read(self, monkeypatch):
         problem = example2_problem()
         spectrum = problem.spectrum
         solve_ci(problem, Cost.TRACE)  # the spectrum's bound is taken
-        want = psd_certify(spectrum.fused_cov(0.1)).min_eig
+        want = psd_certify(spectrum.fused_cov(0.6 - 0.5)).min_eig
         calls = count_spectral_calls(monkeypatch)
-        member = spectrum.fused_psd(0.1)
+        member = spectrum.member(0.6)
         assert calls == [] and member.strict
         # read twice, computed once
         assert member.min_eig == want and member.min_eig == want and calls == ["eigvalsh"]
+
+    def test_an_interior_lam_of_exactly_two_is_no_zero_division(self):
+        # a second estimate with about 1e16 times the first's covariance sees
+        # every direction with a share of about 1e-16, so every lam is within
+        # rounding of 2 and one can be exactly 2 while the kept order's ends
+        # are not; the blend at alpha = 0 is then singular, not a division
+        # by zero in the endpoint slope or the member's trace
+        rng = np.random.default_rng(0)
+        found = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 6))
+            p1 = random_spd(rng, n, 0.5, 2.0)
+            problem = FusionProblem(
+                PartialEstimate(np.eye(n), np.zeros(n), p1),
+                PartialEstimate(np.eye(n), np.zeros(n), 10.0 ** rng.uniform(15, 17) * np.eye(n)))
+            lam = problem.spectrum.lam
+            if not (2.0 in lam[1:-1] and lam[0] < 2.0 and lam[-1] < 2.0):
+                continue
+            found += 1
+            assert not problem.spectrum.regular_at(-0.5)
+            with pytest.raises(SingularSigmaError, match="^blended information matrix is singular"):
+                problem.spectrum.member(0.0)
+            for cost in Cost:
+                assert solve_ci(problem, cost).alpha == 1.0
+        assert found >= 3
 
 
 class TestKeptSpectrum:

@@ -219,27 +219,28 @@ SPECTRAL_ROUTINES = ("eigvalsh", "eigh", "svd", "cholesky", "inv", "det", "solve
 
 
 def test_the_family_member_makes_no_spectral_call_of_its_own():
-    # ku_rule takes P_hat and its strictness from the problem's spectrum, so
-    # neither a numpy.linalg routine nor a fresh PSD certification creeps
-    # back into a re-solve
+    # ku_rule takes P_hat, or the refusal of its weight, from the problem's
+    # spectrum's member, so neither a numpy.linalg routine, a fresh PSD
+    # certification nor a refusal ladder of its own creeps back into a re-solve
     tree = ast.parse(Path(cifusion.optimizer.__file__).read_text())
     rule = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "ku_rule")
     names = {node.id for node in ast.walk(rule) if isinstance(node, ast.Name)}
     attrs = {node.attr for node in ast.walk(rule) if isinstance(node, ast.Attribute)}
-    assert "fused_psd" in attrs
-    assert not {"linalg", "psd_certify"} & (names | attrs)
+    assert "member" in attrs
+    assert not {"linalg", "psd_certify", "SingularSigmaError", "NotPsdError"} & (names | attrs)
     assert not set(SPECTRAL_ROUTINES) & (names | attrs)
 
 
 def test_the_weight_search_runs_on_python_floats():
-    # the slopes and member tests run many times per solve, on n <= 20
-    # entries, where each numpy call costs more than the whole float loop;
-    # so they call nothing of numpy and read none of the spectrum's arrays
+    # the slopes and the member test run many times per solve, and the
+    # member sums its trace once, on n <= 20 entries, where each numpy call
+    # costs more than the whole float loop; so they call nothing of numpy
+    # and read none of the spectrum's arrays
     tree = ast.parse(Path(cifusion.problem.__file__).read_text())
     spectrum = next(node for node in tree.body
                     if isinstance(node, ast.ClassDef) and node.name == "JointSpectrum")
-    scalar = {"det_slope", "trace_slope", "regular_at", "bounded_at"}
+    scalar = {"det_slope", "trace_slope", "regular_at", "member"}
     found = {}
     for method in spectrum.body:
         if isinstance(method, ast.FunctionDef) and method.name in scalar:

@@ -18,7 +18,7 @@ from cifusion import (
 )
 from cifusion.errors import InternalInconsistencyError
 from cifusion.known_cross import JointCovariance
-from cifusion.linalg import PETERSEN_WIDTH
+from cifusion.linalg import PETERSEN_WIDTH, rounding_allowance
 from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
 from cifusion.verifier import (
     adversarial_x_search,
@@ -1625,7 +1625,7 @@ class TestEndpointMonteCarlo:
                     assert (heads == base).all() and value == float(eigvalsh(base)[-1])
                     # the screen that the kernel no longer runs here
                     scale = verifier._sample_scale(base, c, d)
-                    ceiling = value + 2.0 * verifier._margin(n, value, scale)
+                    ceiling = value + 2.0 * rounding_allowance(n, abs(value) + scale)
                     if value <= tol:
                         ceiling = min(ceiling, tol)
                     if verifier._undecided(base, ceiling, c, d, scale).any():
