@@ -188,6 +188,7 @@ def load_problem_file(path: str) -> tuple[FusionProblem, dict]:
 
 
 def _result_to_json(result: FusionResult) -> dict:
+    cert = result.diagnostics.get("certificate")
     out = {
         "alpha": result.alpha,
         "K1": result.K1,
@@ -195,7 +196,7 @@ def _result_to_json(result: FusionResult) -> dict:
         "P_hat": result.P_hat.data,
         "fused_x": result.fused_x,
         "cost_value": result.cost_value,
-        "lmi_min_eig": result.diagnostics.get("lmi_min_eig"),
+        "lmi_min_eig": None if cert is None else cert.lmi_min_eig,
         "branch": result.diagnostics.get("branch"),
     }
     if result.diagnostics.get("branch") == "equal":
@@ -313,8 +314,8 @@ def cmd_verify(args) -> int:
     else:
         result = solve_ci(problem, Cost(args.cost))
     if "p_hat_override" in extras:
-        # the solved cost and certificate margin describe the solved P_hat
-        diagnostics = {k: v for k, v in result.diagnostics.items() if k != "lmi_min_eig"}
+        # the solved cost and certificate describe the solved P_hat
+        diagnostics = {k: v for k, v in result.diagnostics.items() if k != "certificate"}
         result = dataclasses.replace(result, P_hat=extras["p_hat_override"], cost_value=None,
                                      diagnostics=diagnostics)
     try:

@@ -22,13 +22,12 @@ G_i' L_i^-1`` are one product of ``P_hat`` with the problem's kept basis,
 and ``fused_x`` and the unbiasedness residual one product each.  Because ``P_hat`` is formed
 from the spectrum rather than by inverting the blend, fused outputs can
 differ in their last digits from an explicit inverse.  :func:`solve_ci`
-then asserts the block certificate, one ``eigvalsh`` of the LMI block,
-so a problem solved before makes that one spectral call: its
-Schur cross-check runs only where the block's margin is clear of its
-band, the one case in which it could overturn the verdict.  At a family
-member's own weight the block is singular up to rounding, so a solve's
-margin stays well inside that band and the cross-check does not run
-(:func:`~cifusion.verifier.lmi_certificate`).
+then asserts the block certificate.  At a family member's own weight the
+Schur complement M of the LMI block vanishes up to rounding, so a norm
+bound on M proves the certificate without the block's ``eigvalsh``
+(:func:`~cifusion.verifier.lmi_certificate`), and a problem solved before
+makes no spectral call.  The block's smallest eigenvalue, which ``cifusion
+fuse`` and ``cifusion verify`` print, is computed when it is first read.
 
 The spectrum belongs to the pair, not to the cost, so the problem builds it
 once and keeps it (:attr:`FusionProblem.spectrum`), and it lives in
@@ -229,10 +228,11 @@ def solve_ci(problem: FusionProblem, cost: Cost) -> FusionResult:
 
     Dispatches to the determinant or trace solver; the returned weight is a
     valid family member by construction, and the semidefinite certificate of
-    conservativeness is asserted on the result (its smallest eigenvalue is
-    recorded in the diagnostics).  The result's block margin lies within
-    rounding of zero, well inside the band past which the certificate's
-    Schur cross-check runs, so the certificate makes one ``eigvalsh``.
+    conservativeness is asserted on the result and kept as
+    ``diagnostics["certificate"]``.  The result's block margin lies within
+    rounding of zero, which the certificate's Schur route proves from a
+    norm bound on M, so it makes no spectral call; its ``lmi_min_eig`` runs
+    the block's ``eigvalsh`` when first read.
     """
     if cost is Cost.DET:
         result = solve_ci_det(problem)
@@ -245,5 +245,5 @@ def solve_ci(problem: FusionProblem, cost: Cost) -> FusionResult:
         raise InternalInconsistencyError(
             f"optimal fusion failed its own certificate (min eig {cert.lmi_min_eig:.3g})"
         )
-    result.diagnostics["lmi_min_eig"] = cert.lmi_min_eig
+    result.diagnostics["certificate"] = cert
     return result

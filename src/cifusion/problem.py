@@ -413,9 +413,15 @@ class JointSpectrum:
 
     @cached_property
     def relation(self) -> LoewnerRelation:
-        """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them."""
-        # Sigma0 - Sigma1 is congruent to diag(-lam)
-        return LoewnerRelation.from_extremes(-float(self.lam[-1]), -float(self.lam[0]), DEFAULT_TOL)
+        """Sigma0 versus Sigma1, as :func:`loewner_compare` classifies them.
+
+        ``Sigma0 - Sigma1`` is congruent to ``diag(-lam)``, so the extremes of
+        ``lam`` classify it; like :meth:`regular_at`, this reads the true
+        extremes, not the ends of ``lam``, which is ascending only up to
+        rounding.
+        """
+        lo, hi = self._lam_range
+        return LoewnerRelation.from_extremes(-hi, -lo, DEFAULT_TOL)
 
     @cached_property
     def _terms(self) -> list[tuple[float, float]]:

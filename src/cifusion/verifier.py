@@ -11,7 +11,9 @@ every entry of a gain block is zero, ``S_i/0 = 0``, so M stays finite at
 that block's zero weight; no tolerance makes a merely small block zero, as
 a magnitude threshold would depend on the units).  The block certificate
 takes its verdict from the assembled block and cross-checks it on that
-Schur complement.  One walk over the weight, :func:`_walk` on the
+Schur complement; where a norm bound on M proves that verdict a pass
+inside the band, as at a solver's own weight, it takes no spectral call
+(:func:`_schur_margin`).  One walk over the weight, :func:`_walk` on the
 package's one search over f, :func:`linalg.newton_weights`, serves the
 scalar certificate and the witness below: the certificate is its first
 weight that certifies, and a zero gain block takes no path of its own.
@@ -64,11 +66,51 @@ from .linalg import (
 )
 from .problem import FusionProblem
 
-@dataclass(frozen=True)
 class ConservativenessCertificate:
-    alpha: float
-    lmi_min_eig: float
-    passed: bool
+    """The verdict of :func:`lmi_certificate` on one result at one weight.
+
+    ``route`` names what decided it: ``"schur"``, the norm bound of
+    :func:`_schur_margin`, which only passes, or ``"eigvalsh"``, the
+    block's own spectrum.  ``margin`` is the Schur route's proven bound on
+    ``|lmi_min_eig|`` over the band's floor, a unit-free number at most 1,
+    and ``None`` on the other route.  ``lmi_min_eig`` is the smallest
+    ``eigvalsh`` eigenvalue of the block; on the Schur route it is computed
+    on first read, from the same block and call, so it has the same bits,
+    as :attr:`PsdMatrix.min_eig <cifusion.linalg.PsdMatrix.min_eig>` does.
+    Certificates compare equal where all five values do.
+    """
+
+    __slots__ = ("alpha", "passed", "route", "margin", "_min_eig", "_parts")
+
+    def __init__(self, alpha: float, passed: bool, route: str, margin: float | None = None,
+                 min_eig: float | None = None, parts: tuple | None = None):
+        self.alpha = alpha
+        self.passed = passed
+        self.route = route
+        self.margin = margin
+        self._min_eig = min_eig
+        self._parts = parts  # (Q1, Q2, P_hat) of the block, where min_eig is not given
+
+    @property
+    def lmi_min_eig(self) -> float:
+        if self._min_eig is None:
+            self._min_eig = float(np.linalg.eigvalsh(_lmi_block(*self._parts, self.alpha))[0])
+        return self._min_eig
+
+    def _key(self) -> tuple:
+        return self.alpha, self.lmi_min_eig, self.passed, self.route, self.margin
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConservativenessCertificate):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"ConservativenessCertificate(alpha={self.alpha!r}, passed={self.passed}, "
+                f"route={self.route!r}, margin={self.margin!r})")
 
 
 @dataclass(frozen=True)
@@ -109,6 +151,17 @@ def lmi_certificate(
 ) -> ConservativenessCertificate:
     """PSD certificate on the block ``[P, Q1, Q2; Q1', aI, 0; Q2', 0, (1-a)I]``.
 
+    The Schur route comes first: where :func:`_schur_margin` proves that
+    the block's smallest ``eigvalsh`` value lies within the band, so that
+    the path below would pass it with a margin too small for the
+    cross-check, the certificate passes on the route ``"schur"`` with no
+    spectral call, and its ``lmi_min_eig`` is that value, computed on first
+    read.  At a CI family member's own weight M vanishes up to rounding, so
+    a solver's result takes this route: on the benchmark's solve pools and
+    verify files its proven bound is at most 0.06 of the band's floor.
+    Anything the bound leaves undecided takes the path below, on the route
+    ``"eigvalsh"``, so no verdict, value or raise differs from that path's.
+
     The verdict and the recorded smallest eigenvalue come from one
     ``eigvalsh`` of the assembled block: it passes when that eigenvalue is
     at least ``-DEFAULT_CERT_TOL * tol_scale`` of the larger end of the
@@ -125,26 +178,18 @@ def lmi_certificate(
     otherwise the direct verdict stands.  So M is formed and decomposed
     only when the block's margin is decided, the one case in which the
     cross-check can raise, and skipping it elsewhere changes no return
-    value and no raise.  A solver's result does not get there, as its
-    block is singular up to rounding at its own weight: on the benchmark's
-    solve pools its margin stays below 1e-6 of the band.  A stored or
-    overridden result with a clear margin does.
+    value and no raise.  A stored or overridden result with a clear
+    margin gets there.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
     q1, q2 = q_pair(result, problem)
     p_hat = result.P_hat.data
-    n, p1 = q1.shape
-    size = n + p1 + q2.shape[1]
-    block = np.zeros((size, size))
-    block[:n, :n] = p_hat
-    block[:n, n:n + p1] = q1
-    block[:n, n + p1:] = q2
-    block[n:, :n] = block[:n, n:].T
-    weights = block.reshape(-1)[n * (size + 1)::size + 1]  # the diagonal from (n, n) on
-    weights[:p1] = alpha
-    weights[p1:] = 1.0 - alpha
-    eigs = np.linalg.eigvalsh(block)
+    margin = _schur_margin(q1, q2, p_hat, alpha)
+    if margin <= 1.0:
+        return ConservativenessCertificate(float(alpha), True, "schur", margin,
+                                           parts=(q1, q2, p_hat))
+    eigs = np.linalg.eigvalsh(_lmi_block(q1, q2, p_hat, alpha))
     lowest = float(eigs[0])
     band = DEFAULT_CERT_TOL * tol_scale(max(-lowest, float(eigs[-1])))
     passed = lowest >= -band
@@ -160,7 +205,108 @@ def lmi_certificate(
                 f"LMI routes disagree: block min eig {lowest:.3g}, "
                 f"Schur complement max eig {top:.3g}"
             )
-    return ConservativenessCertificate(alpha=float(alpha), lmi_min_eig=lowest, passed=passed)
+    return ConservativenessCertificate(float(alpha), passed, "eigvalsh", min_eig=lowest)
+
+
+def _lmi_block(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray, alpha: float) -> np.ndarray:
+    """The block ``[P_hat, Q1, Q2; Q1', aI, 0; Q2', 0, (1-a)I]`` of :func:`lmi_certificate`."""
+    n, p1 = q1.shape
+    size = n + p1 + q2.shape[1]
+    block = np.zeros((size, size))
+    block[:n, :n] = p_hat
+    block[:n, n:n + p1] = q1
+    block[:n, n + p1:] = q2
+    block[n:, :n] = block[:n, n:].T
+    weights = block.reshape(-1)[n * (size + 1)::size + 1]  # the diagonal from (n, n) on
+    weights[:p1] = alpha
+    weights[p1:] = 1.0 - alpha
+    return block
+
+
+def _schur_margin(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray, alpha: float) -> float:
+    """A proven bound on ``|lambda|`` for the block's smallest ``eigvalsh`` value, over the band's floor.
+
+    At most 1 proves that :func:`lmi_certificate`'s ``eigvalsh`` path
+    would find its smallest value ``lowest`` with ``|lowest| <= band``: it
+    would pass, with a margin too small to run the Schur cross-check.
+    Above 1, or ``inf`` or NaN, decides nothing.  M is formed once, with
+    ``b = 1 - a`` as the block holds it, ``S_i = Q_i Q_i'`` and
+    ``M = S1/a + S2/b - P_hat``; a gain block that is exactly zero at its
+    zero weight is left out (else M is infinite there, and nothing is
+    decided).  With ``F`` the computed ``sqrt(vdot(M, M))``, ``T`` the
+    computed ``|Q1|_F^2/a + |Q2|_F^2/b`` over the blocks kept,
+    ``p = max(p1, p2)``, ``N = n + p1 + p2`` and ``u`` the unit roundoff,
+    half the machine epsilon ``eps``, the bound is
+    ``F + (p + n^2 + 8) eps (F + T) + rho``, ``rho`` of step (iv), and the
+    floor is that of step (v).  The proof, for the block ``B`` that
+    :func:`_lmi_block` forms exactly from the same arrays:
+
+    (i) ``lambda_min(B) >= -max(0, lambda_max(M))``.  With ``D = diag(aI,
+        bI)`` positive definite and ``m = max(0, lambda_max(M))``, ``B + mI``
+        has ``D + mI`` positive definite and Schur complement
+        ``P_hat + mI - Q (D + mI)^-1 Q' >= mI - M >= 0``, ``Q = [Q1, Q2]``,
+        so it is PSD.  A gain block that is exactly zero at its zero
+        weight gives exactly zero rows and columns of ``B``; they add the
+        eigenvalue 0 and leave the rest of ``B``, to which this applies.
+    (ii) ``lambda_min(B) <= max(0, -M_ii)``: at ``x = [e_i; -D^-1 Q' e_i]``,
+        ``|x| >= 1``, the Rayleigh quotient is ``-M_ii / |x|^2``.  So
+        ``|lambda_min(B)| <= |M|_2``: the margin is never decided in
+        either direction.
+    (iii) Rounding.  Each entry of the computed ``S_i`` errs by
+        ``gamma_p (|Q_i| |Q_i|')_jk`` (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., (3.5)), and
+        ``| |Q_i| |Q_i|' |_2 <= |Q_i|_F^2``; the division, the sum and the
+        difference each round once more, the difference by ``u |M|``
+        entrywise, so the computed M is within ``gamma_(p+3) T + u |M|_F``
+        of M in norm, and ``vdot`` and ``sqrt`` give ``F`` within
+        ``(n^2 + 2) u`` relative of ``|computed M|_F``.  Gradual underflow
+        adds at most ``n p 2^-1074``, and the rounding of ``T`` and of the
+        bound itself is relative; the constant is twice what these need.
+        So ``|M|_2 <= F + (p + n^2 + 8) eps (F + T)``.
+    (iv) ``eigvalsh``'s backward error on ``B``: each value it returns
+        lies within ``rho = rounding_allowance(N, 2 (T + F + 1))`` of the
+        eigenvalue of ``B`` in its place (see
+        :func:`~cifusion.linalg.rounding_allowance`), as
+        ``|B|_2 <= |P_hat|_2 + |Q|_2 + 1`` and ``P_hat = S1/a + S2/b - M``
+        put ``|B|_2`` below ``2 (T + F + 1)`` up to rounding, with room to
+        spare.  So ``|lowest| <= |M|_2 + rho``, the bound.
+    (v) The band: ``lambda_max(B) >= max diag P_hat``, so the largest
+        value ``eigvalsh`` returns is at least ``max diag P_hat - rho``,
+        and the band ``DEFAULT_CERT_TOL * tol_scale`` of the larger end of
+        the spectrum is at least the floor ``DEFAULT_CERT_TOL *
+        tol_scale(max diag P_hat - rho)``; ``rho``, sixteen times the
+        backward error it stands for in (iv), exceeds the rounding of that
+        difference and of the ratio, as ``2 (T + F + 1)`` bounds
+        ``max diag P_hat`` and ``F``.
+
+    The bound is taken only where ``T`` and the largest diagonal entry of
+    ``P_hat`` sum below ``2^1000``, so nothing formed here overflows, as
+    each entry of ``S_i`` is at most ``|Q_i|_F^2``; ``vdot`` may overflow
+    to ``inf``, which decides nothing.  No call here warns.
+    """
+    beta = 1.0 - alpha
+    if alpha and beta:
+        size = float(np.vdot(q1, q1)) / alpha + float(np.vdot(q2, q2)) / beta
+    else:  # the kept block's weight is exactly 1
+        zero, kept = (q1, q2) if beta else (q2, q1)
+        if zero.any():
+            return math.inf
+        size = float(np.vdot(kept, kept))
+    top = max(p_hat.diagonal().tolist())
+    if not size + top < 2.0 ** 1000:
+        return math.inf
+    if alpha and beta:
+        m = q1 @ q1.T
+        m /= alpha
+        m += (q2 @ q2.T) / beta
+    else:
+        m = kept @ kept.T
+    m -= p_hat
+    frob = math.sqrt(float(np.vdot(m, m)))
+    (n, p1), p2 = q1.shape, q2.shape[1]
+    rho = rounding_allowance(n + p1 + p2, 2.0 * (size + frob + 1.0))
+    bound = frob + (max(p1, p2) + n * n + 8) * math.ulp(1.0) * (frob + size) + rho
+    return bound / (DEFAULT_CERT_TOL * tol_scale(top - rho))
 
 
 def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
@@ -588,14 +734,15 @@ def _sample_top(base: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: np.ndarray,
 
     ``c = Q1 a/|a|`` and ``d = Q2 b/|b|``, with ``a = Q1'v`` and
     ``b = Q2'v``; where ``a`` or ``b`` is zero the sample is ``base``, as
-    every ``X`` gives ``v`` the same quadratic form there.
+    every ``X`` gives ``v`` the same quadratic form there.  The sample is
+    the one column of :func:`_sample_stack`, so it is formed as every
+    Monte Carlo sample is.
     """
     x, y = math.sqrt(a @ a), math.sqrt(b @ b)
     sample = base
     if x > 0.0 and y > 0.0:
         c, d = q1 @ (a / x), q2 @ (b / y)
-        cross = np.outer(c, d)
-        sample = base + cross + cross.T
+        sample = _sample_stack(base, c[:, None], d[:, None])[0]
     return float(np.linalg.eigvalsh(sample)[-1])
 
 
@@ -716,8 +863,10 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
             truth=None) -> tuple[CertificateRow, ...]:
     """The rows ``cifusion verify`` prints for ``result``, in that order.
 
-    ``lmi`` reuses a solve's ``lmi_min_eig`` (``solve_ci`` raises unless it
-    passed) and certifies any other result; ``petersen`` is the scalar
+    ``lmi`` reuses a solve's certificate, ``diagnostics["certificate"]``
+    (``solve_ci`` raises unless it passed), and certifies any other result;
+    its value is the certificate's ``lmi_min_eig``, so a solve's block
+    ``eigvalsh`` runs here, on first read; ``petersen`` is the scalar
     certificate's eps, ``inf`` or ``0`` where a zero gain block puts it at
     an end weight; ``adversarial-x`` is the exact witness, both read off
     one :func:`_walk` over the weight; ``samples``
@@ -727,11 +876,10 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
     Routes are looked up in this module at each call.
     """
     tol = certificate_tolerance(result)
-    passed, min_eig = True, result.diagnostics.get("lmi_min_eig")
-    if min_eig is None:
+    cert = result.diagnostics.get("certificate")
+    if cert is None:
         cert = lmi_certificate(result, problem, result.alpha)
-        passed, min_eig = cert.passed, cert.lmi_min_eig
-    rows = [CertificateRow("lmi", passed, "min_eig", min_eig)]
+    rows = [CertificateRow("lmi", cert.passed, "min_eig", cert.lmi_min_eig)]
     walk = _walk(result, problem)
     eps = petersen_certificate(result, problem, walk)
     rows.append(CertificateRow("petersen", eps is not None, "eps", eps))

@@ -419,22 +419,22 @@ class TestVerify:
         assert cli.main(["fuse", problem_path, "--out", fused_path]) == 0
         seen = self._certified(monkeypatch)
         assert cli.main(["verify", problem_path, "--result", fused_path, "--samples", "50"]) == 0
-        assert len(seen) == 1 and "lmi_min_eig" not in seen[0].diagnostics
+        assert len(seen) == 1 and "certificate" not in seen[0].diagnostics
 
     def test_overridden_result_drops_the_solved_fields(self, tmp_path, capsys, monkeypatch):
         # the copy with the file's P_hat keeps neither the solved P_hat's
-        # cost nor its certificate margin, and does not share its diagnostics
+        # cost nor its certificate, and does not share its diagnostics
         doc = dict(EXAMPLE2, P_hat_override=[[2.5, 0], [0, 0.2]])
         seen = self._certified(monkeypatch)
         assert cli.main(["verify", write(tmp_path, doc), "--samples", "50"]) == 0
         solved, overridden = seen
         assert np.array_equal(overridden.P_hat.data, [[2.5, 0], [0, 0.2]])
         assert solved.cost_value is not None and overridden.cost_value is None
-        assert "lmi_min_eig" in solved.diagnostics
-        assert "lmi_min_eig" not in overridden.diagnostics
+        assert "certificate" in solved.diagnostics
+        assert "certificate" not in overridden.diagnostics
         assert overridden.diagnostics is not solved.diagnostics
         assert overridden.diagnostics == {k: v for k, v in solved.diagnostics.items()
-                                          if k != "lmi_min_eig"}
+                                          if k != "certificate"}
 
     def test_truth_block_adds_joint_check(self, tmp_path, capsys):
         doc = dict(EXAMPLE2)
@@ -649,7 +649,7 @@ class TestCertify:
         lmi = verifier.certify(result, problem, 20)[0]
         assert len(seen) == calls
         if calls == 0:
-            assert lmi.passed and lmi.value == result.diagnostics["lmi_min_eig"]
+            assert lmi.passed and lmi.value == result.diagnostics["certificate"].lmi_min_eig
         else:
             cert = original(result, problem, result.alpha)
             assert (lmi.passed, lmi.value) == (cert.passed, cert.lmi_min_eig)

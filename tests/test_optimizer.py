@@ -18,7 +18,7 @@ from cifusion.errors import (
     OutOfRangeError,
     SingularSigmaError,
 )
-from cifusion.linalg import SINGULAR_RTOL, inv_pd
+from cifusion.linalg import DEFAULT_TOL, SINGULAR_RTOL, inv_pd
 from cifusion.optimizer import (
     ROOT_TOL,
     Cost,
@@ -376,7 +376,8 @@ class TestSolveCi:
 
     def test_certificate_recorded(self):
         result = solve_ci(example2_problem(), Cost.DET)
-        assert result.diagnostics["lmi_min_eig"] >= -1e-9
+        cert = result.diagnostics["certificate"]
+        assert cert.passed and cert.alpha == result.alpha and cert.lmi_min_eig >= -1e-9
 
     def test_dominant_first_estimate_forces_one_for_both_costs(self):
         problem = dominated_problem(np.random.default_rng(9), 3, dominant_first=True)
@@ -504,6 +505,23 @@ class TestJointSpectrum:
             assert rel is loewner_compare(s0, s1)
             seen.add(rel)
         assert len(seen) >= 4
+
+    @pytest.mark.parametrize("lam, want", [
+        ([0.0, 0.5, 1e-15], LoewnerRelation.LESS_EQUAL),  # the ends read EQUAL
+        ([-1e-15, -0.5, 0.0], LoewnerRelation.GREATER_EQUAL),  # EQUAL
+        ([0.5, 1.0, 0.0], LoewnerRelation.LESS_EQUAL),  # STRICTLY_LESS
+        ([0.5, -1.0, 1.0], LoewnerRelation.INCOMPARABLE),  # STRICTLY_LESS
+    ])
+    def test_relation_reads_the_extremes_not_the_ends(self, lam, want):
+        # lam is ascending only up to rounding, so its ends need not be its
+        # extremes; the relation is classified from the extremes, as the
+        # same lam sorted gives it
+        lam = np.array(lam)
+        n = lam.size
+        spectrum = JointSpectrum(lam, np.ones(n), np.eye(n), 0, 0.0)
+        ends = LoewnerRelation.from_extremes(-lam[-1], -lam[0], DEFAULT_TOL)
+        assert spectrum.relation is want is not ends
+        assert JointSpectrum(np.sort(lam), np.ones(n), np.eye(n), 0, 0.0).relation is want
 
     def test_regular_at_reads_the_ends_of_the_sorted_spectrum(self):
         # rounding of 1 + t lam is monotone in lam, so the ends of the
@@ -712,7 +730,7 @@ class TestSpectralSolvePath:
                 assert (result.P_hat.min_eig, result.P_hat.strict) == (
                     steps.P_hat.min_eig, steps.P_hat.strict)
                 assert result.cost_value == spectrum.cost(cost, alpha - 0.5)
-                assert cert.passed and result.diagnostics["lmi_min_eig"] == cert.lmi_min_eig
+                assert cert.passed and result.diagnostics["certificate"] == cert
                 for key, value in steps.diagnostics.items():
                     assert result.diagnostics[key] == value
                 branches.add((branch, spectrum.relation))
@@ -755,11 +773,11 @@ def _fresh(problem: FusionProblem) -> tuple[PartialEstimate, PartialEstimate]:
 
 
 class TestCallBudget:
-    def test_certified_solve_makes_at_most_three_spectral_calls(self, monkeypatch):
-        # the first solve of a built problem: the spectrum's eigh, the
-        # eigvalsh of w w' that bounds P_hat's least eigenvalue, and the LMI
-        # block's eigvalsh; a solved block is singular up to rounding, so its
-        # Schur cross-check is not formed
+    def test_certified_solve_makes_at_most_two_spectral_calls(self, monkeypatch):
+        # the first solve of a built problem: the spectrum's eigh and the
+        # eigvalsh of w w' that bounds P_hat's least eigenvalue; a solved
+        # block is singular up to rounding, so the Schur route proves its
+        # certificate without the block's eigvalsh
         pool = _budget_pool()
         calls = count_spectral_calls(monkeypatch)
         for problem in pool:
@@ -767,12 +785,12 @@ class TestCallBudget:
                 unsolved = FusionProblem(problem.est1, problem.est2)
                 calls.clear()
                 solve_ci(unsolved, cost)
-                assert len(calls) <= 3, (problem, cost, calls)
+                assert len(calls) <= 2, (problem, cost, calls)
 
-    def test_solving_a_problem_again_makes_one_spectral_call(self, monkeypatch):
+    def test_solving_a_problem_again_makes_no_spectral_call(self, monkeypatch):
         # the problem keeps its spectrum and the bound from w w', which
-        # decide P_hat's strictness, so a later solve under either cost makes
-        # only the LMI block's eigvalsh
+        # decide P_hat's strictness, and the Schur route proves the block
+        # certificate, so a later solve under either cost makes no call
         pool = _budget_pool()
         for problem in pool:
             solve_ci(problem, Cost.DET)
@@ -780,13 +798,14 @@ class TestCallBudget:
         for problem in pool:
             for cost in Cost:
                 calls.clear()
-                solve_ci(problem, cost)
-                assert calls == ["eigvalsh"], (problem, cost, calls)
+                result = solve_ci(problem, cost)
+                assert calls == [], (problem, cost, calls)
+                assert result.diagnostics["certificate"].route == "schur"
 
-    def test_fresh_problem_and_solve_make_at_most_eight_calls(self, monkeypatch):
+    def test_fresh_problem_and_solve_make_at_most_seven_calls(self, monkeypatch):
         # a Cholesky factor and its inverse per estimate, the whitened
-        # stack's SVD, and the first solve's three: eigh, the eigvalsh of
-        # w w' and the LMI block's
+        # stack's SVD, and the first solve's two: eigh and the eigvalsh of
+        # w w'
         pool = _budget_pool()
         calls = count_spectral_calls(monkeypatch)
         for problem in pool:
@@ -794,7 +813,7 @@ class TestCallBudget:
                 est1, est2 = _fresh(problem)
                 calls.clear()
                 solve_ci(FusionProblem(est1, est2), cost)
-                assert len(calls) <= 8, (problem, cost, calls)
+                assert len(calls) <= 7, (problem, cost, calls)
 
     def test_building_a_problem_makes_one_svd(self, monkeypatch):
         # the estimates' factors whiten the stack, and one SVD of it decides
@@ -810,8 +829,8 @@ class TestCallBudget:
             FusionProblem(est1, est2)
             assert calls == ["svd"], (problem, calls)
 
-    def test_sim_event_makes_at_most_nine_calls(self, monkeypatch):
-        # the build and solve's eight and the margin's eigvalsh, on every event
+    def test_sim_event_makes_at_most_eight_calls(self, monkeypatch):
+        # the build and solve's seven and the margin's eigvalsh, on every event
         nodes, truth = init_network(6, 200, seed=2)
         schedule = make_schedule("random", 200, 400, Cost.DET, seed=2)
         calls = count_spectral_calls(monkeypatch)
@@ -820,7 +839,7 @@ class TestCallBudget:
             calls.clear()
             one = Schedule(events=(ev,), topology=schedule.topology, seed=schedule.seed)
             fused += len(run_schedule(nodes, truth, one).records)
-            assert len(calls) <= 9, (ev, calls)
+            assert len(calls) <= 8, (ev, calls)
         assert fused == 400
 
 

@@ -149,9 +149,10 @@ def _readers(tree: ast.Module, name: str) -> set[str | None]:
 
 
 def test_a_gain_block_is_zero_only_when_it_is_exactly_zero():
-    # one exact test, `not q.any()` in the Schur function, decides when a
-    # gain block drops out of M, and no tolerance makes a merely small block
-    # count as zero: a magnitude threshold would not be unit-free
+    # an exact test, `q.any()` in the Schur function and `zero.any()` in
+    # the Schur route's bound, decides when a gain block drops out of M, and no
+    # tolerance makes a merely small block count as zero: a magnitude
+    # threshold would not be unit-free
     tree = ast.parse(Path(cifusion.verifier.__file__).read_text())
     defined = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
@@ -166,7 +167,8 @@ def test_a_gain_block_is_zero_only_when_it_is_exactly_zero():
     # the other exact zero tests are on Monte Carlo's sample factors c = Q1 a
     # and d = Q2 b; the two .any() on boolean masks ask whether a screen
     # kept any sample and whether some head is bitwise base
-    assert anys == {("_schur_function", "q.any()"), ("_worst_sample", "c.any()"),
+    assert anys == {("_schur_function", "q.any()"), ("_schur_margin", "zero.any()"),
+                    ("_worst_sample", "c.any()"),
                     ("_worst_sample", "d.any()"), ("_worst_sample", "keep.any()"),
                     ("_worst_sample", "(heads == base).all(axis=(1, 2)).any()")}
 
@@ -230,6 +232,19 @@ def test_the_family_member_makes_no_spectral_call_of_its_own():
     assert "member" in attrs
     assert not {"linalg", "psd_certify", "SingularSigmaError", "NotPsdError"} & (names | attrs)
     assert not set(SPECTRAL_ROUTINES) & (names | attrs)
+
+
+def test_the_schur_route_makes_no_spectral_call():
+    # a solve's block certificate is proven from the norm of M alone, so
+    # neither a numpy.linalg routine nor the Schur function's closures, with
+    # their errstate and finiteness test, creep into the route a re-solve takes
+    tree = ast.parse(Path(cifusion.verifier.__file__).read_text())
+    route = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_schur_margin")
+    names = {node.id for node in ast.walk(route) if isinstance(node, ast.Name)}
+    attrs = {node.attr for node in ast.walk(route) if isinstance(node, ast.Attribute)}
+    assert not set(SPECTRAL_ROUTINES) & (names | attrs)
+    assert not {"linalg", "_schur_function", "errstate", "isfinite"} & (names | attrs)
 
 
 def test_the_weight_search_runs_on_python_floats():

@@ -16,9 +16,9 @@ from cifusion import (
     optimal_fusion_known_cross,
     psd_certify,
 )
-from cifusion.errors import InternalInconsistencyError
+from cifusion.errors import InternalInconsistencyError, SingularSigmaError
 from cifusion.known_cross import JointCovariance
-from cifusion.linalg import PETERSEN_WIDTH, rounding_allowance
+from cifusion.linalg import DEFAULT_CERT_TOL, PETERSEN_WIDTH, rounding_allowance
 from cifusion.optimizer import Cost, FusionResult, ku_rule, solve_ci
 from cifusion.verifier import (
     adversarial_x_search,
@@ -260,6 +260,108 @@ class TestLmiCertificate:
         assert seen == {True, False}
 
 
+def bench_inputs():
+    """The benchmark's input generators, ``bench/inputs.py``."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(BENCH))
+    return inputs
+
+
+def eager_lmi(result, problem, alpha: float) -> tuple[float, float]:
+    """``(lowest, band)``: the block's smallest ``eigvalsh`` value and the band it is judged by."""
+    eigs = np.linalg.eigvalsh(lmi_matrix(result.P_hat.data, *q_pair(result, problem), alpha))
+    lowest = float(eigs[0])
+    return lowest, DEFAULT_CERT_TOL * max(1.0, max(-lowest, float(eigs[-1])))
+
+
+class TestSchurRoute:
+    def test_every_benchmark_solve_is_decided_without_the_block_eigvalsh(self, tmp_path):
+        # the 1640 certified solves of the solve pools and the 800 solves of
+        # the verify files: each passes on the Schur route with a margin at
+        # most 1; the block's eigvalsh would pass it with |lowest| <= band,
+        # and the value read later has that eigvalsh's bits.  The 160 failing
+        # pool solves fail in the family member, before any certificate, and
+        # the 200 shrunk covariances of the reject files are left to the
+        # block's eigvalsh, which fails them
+        inputs = bench_inputs()
+        solved, failed, alphas = [], [], set()
+        for seed in range(1, 21):
+            for prob in inputs.solve_pool(seed):
+                problem = FusionProblem(PartialEstimate(prob["H1"], prob["x1"], prob["P1"]),
+                                        PartialEstimate(prob["H2"], prob["x2"], prob["P2"]))
+                for cost in Cost:
+                    try:
+                        solved.append((solve_ci(problem, cost), problem))
+                    except SingularSigmaError as exc:
+                        failed.append((prob["kind"], str(exc)))
+        assert len(solved) == 1640
+        assert set(failed) == {("small_units_below", "fused covariance is not strictly PD")}
+        assert len(failed) == 160
+        overridden = []
+        for seed in range(1, 21):
+            cases = inputs.verify_cases(seed)
+            for path in inputs.write_verify_files(cases, str(tmp_path / str(seed))):
+                problem, extras = cli.load_problem_file(path)
+                for cost in Cost:
+                    result = solve_ci(problem, cost)
+                    solved.append((result, problem))
+                    if "p_hat_override" in extras:
+                        overridden.append((dataclasses.replace(
+                            result, P_hat=extras["p_hat_override"], diagnostics={}), problem))
+        assert len(solved) == 2440 and len(overridden) == 200
+        worst = 0.0
+        for result, problem in solved:
+            cert = result.diagnostics["certificate"]
+            assert (cert.route, cert.passed, cert.alpha) == ("schur", True, result.alpha)
+            assert 0.0 < cert.margin <= 1.0
+            worst = max(worst, cert.margin)
+            lowest, band = eager_lmi(result, problem, result.alpha)
+            assert abs(lowest) <= band
+            assert cert.lmi_min_eig == lowest
+            alphas.add(result.alpha)
+        assert worst < 0.5 and {0.0, 1.0} <= alphas
+        for result, problem in overridden:
+            cert = lmi_certificate(result, problem, result.alpha)
+            assert (cert.route, cert.passed, cert.margin) == ("eigvalsh", False, None)
+            assert cert.lmi_min_eig == eager_lmi(result, problem, result.alpha)[0]
+
+    def test_the_deferred_margin_is_computed_once(self, monkeypatch):
+        problem = interior_problem()
+        result = solve_ci(problem, Cost.DET)
+        cert = result.diagnostics["certificate"]
+        calls = count_eig_calls(monkeypatch)
+        values = [cert.lmi_min_eig for _ in range(3)]
+        assert calls == ["eigvalsh"]
+        assert type(values[0]) is float and values == [values[0]] * 3
+        assert cert == lmi_certificate(result, problem, result.alpha)
+        assert calls == ["eigvalsh"] * 2
+
+    @pytest.mark.parametrize("scale, alpha", [
+        (1e200, 0.5),     # |Q1|_F^2 overflows
+        (1.0, 5e-324),    # |Q1|_F^2 / alpha overflows
+        (1e100, 0.5),     # M is finite, the square of its Frobenius norm is not
+        (1.0, 0.0),       # a nonzero gain block at its zero weight
+    ])
+    def test_a_bound_that_overflows_decides_nothing_and_does_not_warn(self, scale, alpha):
+        # the suite turns a RuntimeWarning into an error, so reaching the
+        # assert shows that no warning was raised
+        q1 = np.array([[scale], [0.0]])
+        problem, result = lmi_case(np.diag([2.0, 2.0]), q1, np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert not verifier._schur_margin(*q_pair(result, problem), result.P_hat.data,
+                                          alpha) <= 1.0
+
+    def test_a_singular_block_at_an_interior_weight_takes_the_schur_route(self):
+        # P_hat = Q1Q1'/alpha + Q2Q2'/(1 - alpha) exactly, so M = 0
+        q1, q2 = np.array([[1.0], [0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])
+        problem, result = lmi_case(np.diag([2.0, 2.0]), q1, q2)
+        cert = lmi_certificate(result, problem, 0.5)
+        assert (cert.route, cert.passed) == ("schur", True) and 0.0 < cert.margin < 1e-3
+        assert cert.lmi_min_eig == eager_lmi(result, problem, 0.5)[0]
+
+
 def lmi_case(p_hat: np.ndarray, q1: np.ndarray, q2: np.ndarray):
     """A problem and result whose certificate block has ``P_hat`` and gain blocks ``(Q1, Q2)``.
 
@@ -439,11 +541,7 @@ def count_eig_calls(monkeypatch) -> list[str]:
 
 def verify_case_results(seed: int, tmp_path):
     """The benchmark's verify files for ``seed``: the result ``verify`` certifies, with its problem."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import inputs
-    finally:
-        sys.path.remove(str(BENCH))
+    inputs = bench_inputs()
     cases = inputs.verify_cases(seed)
     out = []
     for path, case in zip(inputs.write_verify_files(cases, str(tmp_path / str(seed))), cases):
@@ -777,6 +875,7 @@ class TestCallBudget:
         monkeypatch.setattr(verifier, "monte_carlo_joint", lambda *args: -np.inf)
         calls = count_eig_calls(monkeypatch)
         for result, problem in cases:
+            result.diagnostics["certificate"].lmi_min_eig  # the lmi row's value, read once
             calls.clear()
             rows = verifier.certify(result, problem)
             assert [row.name for row in rows][1:3] == ["petersen", "adversarial-x"]
