@@ -16,8 +16,9 @@ spectrum then gives the family member: its dominance table, the cost, and
 blend or a member outside the float range or not strictly PD, and
 otherwise returns the certified ``P_hat``.  One pass over the spectrum
 gives the member's float-range test and the bounds on its eigenvalues
-that prove strictness: one ``eigvalsh`` per problem, and one per member
-only where the bounds do not prove it.  The gains ``K_i = alpha_i P_hat
+that prove strictness, the lower one from the whitened stack's largest
+singular value, with no spectral call; a member takes an ``eigvalsh`` only
+where the bounds do not prove it.  The gains ``K_i = alpha_i P_hat
 G_i' L_i^-1`` are one product of ``P_hat`` with the problem's kept basis,
 and ``fused_x`` and the unbiasedness residual one product each.  Because ``P_hat`` is formed
 from the spectrum rather than by inverting the blend, fused outputs can

@@ -12,7 +12,10 @@ generalised SVD of Van Loan, SIAM J. Numer. Anal. 13, 1976) on ``G``
 scaled by a power of two, so a power-of-two change of one sensor's units
 changes nothing, of both only that power, and accuracy follows ``cond(G)``,
 not its square.  The spectrum, which every solve under
-either :class:`Cost` reads, is built on first use and kept.  Every array an
+either :class:`Cost` reads, is built on first use and kept; it takes one
+``eigh``, and the same SVD's largest singular value bounds the least
+eigenvalue of every fused covariance, so a first solve makes no other
+spectral call where that bound proves the member strictly PD.  Every array an
 estimate or a problem keeps is read-only, so a kept value cannot drift from
 the data it was computed from.
 """
@@ -126,8 +129,12 @@ class PartialEstimate:
 
     @cached_property
     def chol_inv(self) -> np.ndarray:
-        """``L^-1``, the inverse of :attr:`p_chol`."""
-        return _frozen(np.linalg.solve(self.p_chol, np.eye(self.p)))
+        """``L^-1``, the inverse of :attr:`p_chol`.
+
+        ``inv`` solves ``L X = I`` by the same LAPACK ``gesv`` as
+        ``solve(L, eye(p))``, so it gives the same bits.
+        """
+        return _frozen(np.linalg.inv(self.p_chol))
 
     @cached_property
     def whitened(self) -> np.ndarray:
@@ -146,12 +153,14 @@ class FusionProblem:
     U diag(sigma) V'`` of the whitened stack, ``rank(G) = n``
     (:meth:`whitened_svd`), and raises :class:`StackedRankDeficientError`
     below it, or :class:`NonFiniteError` naming an estimate whose ``G_i``
-    overflows.  Neither H needs full row rank.  ``(U, sigma, V', e)`` is
-    kept, its arrays read-only, as :attr:`whitened_factors`, ``[H1; H2]``
-    as :attr:`h_stacked`, ``[x_hat1; x_hat2]`` as :attr:`x_stacked` and
-    the gains' basis ``[G1' L1^-1 | G2' L2^-1]`` as :attr:`gain_basis`: a
-    family member's gains are ``P_hat`` times it, its column blocks
-    weighted by ``alpha`` and ``1 - alpha``.
+    overflows; the largest ``|G|``, which fixes ``e``, is finite exactly
+    when every entry is, so it makes that test too.  Neither H needs full
+    row rank.  ``(U, sigma, V', e)`` is kept, its arrays read-only, as
+    :attr:`whitened_factors`, ``[H1; H2]`` as :attr:`h_stacked`,
+    ``[x_hat1; x_hat2]`` as :attr:`x_stacked` and the gains' basis ``[G1'
+    L1^-1 | G2' L2^-1]`` as :attr:`gain_basis`: a family member's gains
+    are ``P_hat`` times it, its column blocks weighted by ``alpha`` and
+    ``1 - alpha``.
     """
 
     def __init__(self, est1: PartialEstimate, est2: PartialEstimate):
@@ -159,10 +168,12 @@ class FusionProblem:
             raise DimensionMismatchError(
                 f"state dimensions differ: {est1.n} vs {est2.n}"
             )
-        for name, est in (("est1", est1), ("est2", est2)):
-            if not np.isfinite(est.whitened).all():
-                raise NonFiniteError(f"{name}: whitened observation matrix L^-1 H overflows")
-        u, sv, vt, e, rank = self.whitened_svd(np.concatenate((est1.whitened, est2.whitened)))
+        g = np.concatenate((est1.whitened, est2.whitened))
+        top = float(np.abs(g).max())  # NaN or inf where an entry is
+        if not math.isfinite(top):
+            name = "est1" if not np.isfinite(est1.whitened).all() else "est2"
+            raise NonFiniteError(f"{name}: whitened observation matrix L^-1 H overflows")
+        u, sv, vt, e, rank = self.whitened_svd(g, top)
         if rank != est1.n:
             raise StackedRankDeficientError(
                 f"stacked observation matrix has rank {rank} < n = {est1.n}"
@@ -176,16 +187,22 @@ class FusionProblem:
             (est1.whitened.T @ est1.chol_inv, est2.whitened.T @ est2.chol_inv), axis=1))
 
     @staticmethod
-    def whitened_svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    def whitened_svd(g: np.ndarray, top: float | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
         """``(U, sigma, V', e, rank)``: the thin SVD of ``2^-e G`` and the numerical rank of ``G``.
 
-        ``e``, the exponent of ``max|G|`` from ``np.frexp``, puts the largest
-        entry in [0.5, 1), which LAPACK never rescales (by a factor that is
-        not a power of two), so a common power-of-two unit change moves only ``e``.
+        ``e``, the exponent of ``max|G|`` from ``math.frexp``, puts the
+        largest entry in [0.5, 1), which LAPACK never rescales (by a factor
+        that is not a power of two), so a common power-of-two unit change
+        moves only ``e``.  ``top`` is ``max|G|`` where the caller has it.
         """
-        e = int(np.frexp(np.abs(g).max())[1])
+        if top is None:
+            top = float(np.abs(g).max())
+        e = math.frexp(top)[1]
         u, sv, vt = np.linalg.svd(np.ldexp(g, -e), full_matrices=False)
-        rank = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
+        values = sv.tolist()
+        limit = RANK_RTOL * values[0]
+        rank = sum(value > limit for value in values) if values[0] > 0.0 else 0
         return u, sv, vt, e, rank
 
     @property
@@ -244,13 +261,16 @@ class JointSpectrum:
     about ``1 / (rows n)`` and ``1e21`` (the rank test), so no sum over it
     overflows, and the fused covariance, the cost and the range test apply
     ``e`` exactly with ``ldexp``.  Building it from the problem's SVD takes
-    one ``eigh``.  :meth:`member` makes and judges the family member at a
-    weight: it refuses the weight, or bounds the fused covariance's
-    spectrum by the kept one and one ``eigvalsh`` of ``w w'``, taken on
-    first use and kept; only a member those bounds do not prove strictly
-    PD takes an ``eigvalsh`` of its own.  A problem keeps the
-    spectrum it built (:attr:`FusionProblem.spectrum`), with ``lam``,
-    ``c`` and ``w`` read-only.
+    one ``eigh``, and ``omega``, a lower bound on the least eigenvalue of
+    ``w w'`` at the kept scale, comes from that SVD's largest singular
+    value with no spectral call (:meth:`from_problem`); 0, always a lower
+    bound, proves nothing.  :meth:`member` makes
+    and judges the family member at a weight: it refuses the weight, or
+    bounds the fused covariance's spectrum by the kept one and ``omega``;
+    only a member those bounds do not prove strictly PD takes an
+    ``eigvalsh`` of its own.  A problem keeps the spectrum it built
+    (:attr:`FusionProblem.spectrum`), with ``lam``, ``c`` and ``w``
+    read-only.
 
     The weight search evaluates its slopes and member test (:meth:`det_slope`,
     :meth:`trace_slope`, :meth:`regular_at`) many times per solve, and
@@ -271,6 +291,7 @@ class JointSpectrum:
     w: np.ndarray
     exponent: int
     log_det_s: float
+    omega: float
 
     @classmethod
     def from_problem(cls, problem: FusionProblem) -> "JointSpectrum":
@@ -278,6 +299,35 @@ class JointSpectrum:
 
         Solvers read the problem's own, :attr:`FusionProblem.spectrum`,
         which this builds once.
+
+        ``omega`` bounds the least eigenvalue of the computed ``w w'``
+        from below without forming it.  In exact arithmetic ``w w' = 2 V
+        sigma^-2 V'``, whose least eigenvalue is ``2 / sigma_0^2``,
+        ``sigma_0`` the largest singular value.  With ``u = eps / 2``,
+        ``gamma_k = k u / (1 - k u)``, ``s`` the computed ``sqrt(2)``, ``S``
+        the computed ``sum(c)`` and ``X = s V diag(sigma)^-1 Z`` on the
+        computed ``V``, ``sigma`` and ``Z``:
+
+        - LAPACK's computed singular vectors and eigenvectors are
+          orthonormal to within ``eps_o = 8 (n + 2)^2 u`` in norm (see
+          :func:`~cifusion.linalg.rounding_allowance`), so the least
+          singular values of ``V`` and ``Z`` are at least ``sqrt(1 -
+          eps_o)``, and ``sigma_min(X) >= s (1 - eps_o) / sigma_0``.
+        - ``w`` divides each entry of ``V`` once, multiplies it by ``s``
+          and sums ``n`` products with ``Z``, so ``|w - X|_2`` is at most
+          ``(gamma_2 + gamma_(n+1) sqrt(n)) (1 + eps_o)`` times ``|s V
+          diag(sigma)^-1|_F``, which is within a factor ``1 + 2 eps_o`` of
+          ``|w|_F``, itself at most ``(1 + gamma_(2n)) sqrt(S)``.  The
+          bound takes ``2 (n + 2)^2 eps sqrt(S)``, more than twice that.
+
+        So ``sigma_min(w)`` is at least ``r = s (1 - 16 (n + 2)^2 u) /
+        sigma_0 - 2 (n + 2)^2 eps sqrt(S)``, the extra ``8 (n + 2)^2 u``
+        covering the rounding of ``r`` and of its square, and ``omega`` is
+        ``r^2``, or 0 where ``r`` is not positive.  Relative to ``2 /
+        sigma_0^2`` its slack is about ``(n + 2)^2 eps cond(G)``, as
+        ``sqrt(S)`` is about ``sqrt(2) / sigma_min``.  A bound from an
+        ``eigvalsh`` of the formed ``w w'`` loses ``(n + 2)^2 eps
+        cond(G)^2`` instead, and is never the larger.
         """
         u, sv, vt, e = problem.whitened_factors
         u1, u2 = u[: problem.p1], u[problem.p1 :]
@@ -292,12 +342,17 @@ class JointSpectrum:
         c = _frozen(np.einsum("ij,ij->j", w, w))
         # every fused covariance is at least W W' / 2, whose trace is sum(c) / 2,
         # and its least eigenvalue is at most c_j / (1 + t lam_j) for each j
-        with np.errstate(over="ignore"):
-            true_c = np.ldexp(c, -2 * e)
-        if not (np.isfinite(true_c).all() and true_c.all()):
+        kept = c.tolist()
+        try:
+            in_range = all(0.0 < math.ldexp(x, -2 * e) < math.inf for x in kept)
+        except OverflowError:
+            in_range = False
+        if not in_range:
             raise SingularSigmaError("fused covariance is outside the float range at every weight")
         log_det_s = 2.0 * float(np.log(np.ldexp(sv, e)).sum()) - problem.n * math.log(2.0)
-        return cls(_frozen(lam), c, w, e, log_det_s)
+        k = (problem.n + 2) ** 2 * math.ulp(1.0)
+        root = math.sqrt(2.0) * (1.0 - 8.0 * k) / float(sv[0]) - 2.0 * k * math.sqrt(sum(kept))
+        return cls(_frozen(lam), c, w, e, log_det_s, root * root if root > 0.0 else 0.0)
 
     def fused_cov(self, t: float) -> np.ndarray:
         """``Sigma_alpha^-1 = W diag(1 / (1 + t lam)) W.T`` at ``alpha = t + 1/2``.
@@ -328,8 +383,8 @@ class JointSpectrum:
         positive.  The trace bounds every entry of the member and of the
         products :meth:`fused_cov` forms it from, and half the float range
         leaves their rounding room; summed on the kept ``c`` it cannot
-        overflow.  With ``delta = rounding_allowance(n, T)`` and ``omega`` of
-        :attr:`_omega`, every value ``eigvalsh`` gives for ``data`` lies in
+        overflow.  With ``delta = rounding_allowance(n, T)`` and ``omega``
+        of :meth:`from_problem`, every value ``eigvalsh`` gives for ``data`` lies in
         ``[4^-e (omega / max(mu) - delta), 4^-e (T + delta)]``.  So the
         member is strict where the lower end exceeds ``DEFAULT_TOL`` times
         ``tol_scale`` of the upper end, the least bound :func:`psd_certify`
@@ -353,8 +408,9 @@ class JointSpectrum:
           (:func:`~cifusion.linalg.rounding_allowance`).
 
         They sum to less than ``9 (n + 2)^2 u T``; ``delta`` is 14 times
-        that, which covers the rounding of ``T``, of ``omega`` and of the
-        bounds themselves.  Scaling by ``4^-e`` is exact short of
+        that, which covers the rounding of ``T`` and of the bounds
+        themselves; ``omega`` bounds the computed ``w``, its own rounding
+        included.  Scaling by ``4^-e`` is exact short of
         underflow, at most ``n 2^-1074`` in norm, which is far below
         ``DEFAULT_TOL`` and, wherever the member is within reach of it,
         below that slack.
@@ -374,7 +430,7 @@ class JointSpectrum:
                 f"fused covariance is outside the float range at alpha={alpha}")
         raw = self.fused_cov(t)
         delta = rounding_allowance(len(self._terms), trace)
-        if math.ldexp(self._omega / top_mu - delta, e2) \
+        if math.ldexp(self.omega / top_mu - delta, e2) \
                 > DEFAULT_TOL * tol_scale(math.ldexp(trace + delta, e2)):
             data = sym_data(raw)
             data.flags.writeable = False
@@ -386,20 +442,6 @@ class JointSpectrum:
         if not p_hat.strict:
             raise SingularSigmaError("fused covariance is not strictly PD")
         return p_hat
-
-    @cached_property
-    def _omega(self) -> float:
-        """A lower bound on the least eigenvalue of ``w w'``, from one ``eigvalsh``.
-
-        The computed product errs by at most ``gamma_n sum(c)`` in norm and
-        ``eigvalsh`` by ``8 (n + 2)^2 u`` of that norm (see :meth:`member`),
-        so the least value less ``rounding_allowance(n, sum(c))`` is below
-        the exact one.  Where ``cond(G)^2`` nears ``1 / eps`` the bound is
-        not positive, and :meth:`member` leaves strictness to
-        :func:`psd_certify`.
-        """
-        least = float(np.linalg.eigvalsh(self.w @ self.w.T)[0])
-        return least - rounding_allowance(len(self._terms), sum(c for _, c in self._terms))
 
     def cost(self, cost: Cost, t: float) -> float:
         """The cost of :meth:`fused_cov` at ``t``, without forming it; ``inf`` past the float range."""

@@ -30,7 +30,8 @@ the joints every admissible joint lies below, so its value cannot exceed
 :class:`InternalInconsistencyError` when it does.  It runs on the kernel
 :func:`_worst_violation`, which takes each cross parameter as factors
 ``A B'`` and never forms it: the cross term is ``C + C'`` with
-``C = (Q1 A)(Q2 B)'``.  Monte Carlo draws rank-one cross parameters
+``C = (Q1 A)(Q2 B)'``, and every product it forms is a matrix product
+``@``, which BLAS runs.  Monte Carlo draws rank-one cross parameters
 ``X = r a b'`` from unit Gaussian directions (:func:`_draw_cross`,
 :func:`monte_carlo_joint`), so every drawn sample is a rank-two update
 ``B + c d' + d c'`` of one matrix ``B = Q1 Q1' + Q2 Q2' - P_hat``, and the
@@ -42,6 +43,12 @@ by one Cholesky factorisation and a closed-form test per sample
 drop.  Its value lies less than a proven rounding-level margin below the
 largest ``eigvalsh`` value over all of them, and it lies at or below the
 certificate tolerance exactly when that largest value does.
+Gains so large that ``(|Q1|_F + |Q2|_F)^2 + max diag P_hat``, which bounds
+every entry of ``S_i``, of ``B`` and of every sample, is past the float
+range are not judged in floats (:func:`_formable`): M counts as
+overflowing at every weight, so the scalar certificate is infeasible, the
+witness, its bound and Monte Carlo are ``inf`` and fail, the block
+certificate skips its cross-check, and no call warns.
 Each route is a pure function of its arguments and runs on the calling
 thread.  A violation found by Monte Carlo is conclusive; absence of
 violations is reported as "no violation found" for the sampled budget,
@@ -141,6 +148,23 @@ def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
+def _formable(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray) -> bool:
+    """Whether ``S_i = Q_i Q_i'``, ``B = S1 + S2 - P_hat`` and every sample can be formed in floats.
+
+    A sample is ``B + C + C'`` at a cross parameter of norm at most one, and
+    each entry of ``S_i``, of ``B`` and of a sample, and each partial sum
+    that forms it, is at most ``F = (|Q1|_F + |Q2|_F)^2 + max diag P_hat``:
+    an entry of ``C`` is at most ``|Q1|_F |Q2|_F``, and a PSD ``P_hat`` has
+    its largest entries on its diagonal.  So none of them overflows where
+    ``F``, with ``2^-20`` of it more for the rounding of all these sums, is
+    finite.  ``F`` is taken in Python floats, on ``vdot``, both of which
+    overflow to ``inf`` without a warning, so nothing here warns.
+    """
+    f1, f2 = (math.sqrt(float(np.vdot(q, q))) for q in (q1, q2))
+    bound = (f1 + f2) * (f1 + f2) + max(p_hat.diagonal().tolist())
+    return bound * (1.0 + 2.0 ** -20) < math.inf
+
+
 def _decided(margin: float, band: float) -> bool:
     """Whether a signed PSD margin is clearly away from the tolerance band."""
     return abs(margin) > 10.0 * band
@@ -172,8 +196,9 @@ def lmi_certificate(
     zero weight, however small the block, that route fails without a test:
     the block then has a zero diagonal entry with a nonzero coupling, so
     its smallest eigenvalue is at most zero and the direct route cannot
-    clearly pass.  Where M overflows, next to such a weight, the cross-check is
-    skipped.  A disagreement with both margins clearly outside their bands
+    clearly pass.  Where M overflows, next to such a weight, or cannot be
+    formed (:func:`_formable`), the cross-check is skipped.  A
+    disagreement with both margins clearly outside their bands
     (:func:`_decided`) raises :class:`InternalInconsistencyError`;
     otherwise the direct verdict stands.  So M is formed and decomposed
     only when the block's margin is decided, the one case in which the
@@ -194,7 +219,8 @@ def lmi_certificate(
     band = DEFAULT_CERT_TOL * tol_scale(max(-lowest, float(eigs[-1])))
     passed = lowest >= -band
     # an undecided margin stands whatever M says, so M is formed only past it
-    m = _schur_function(q1, q2, p_hat)[0](alpha) if _decided(lowest, band) else None
+    m = _schur_function(q1, q2, p_hat)[0](alpha) \
+        if _decided(lowest, band) and _formable(q1, q2, p_hat) else None
     if m is not None:
         m_eigs = np.linalg.eigvalsh(m)
         top = float(m_eigs[-1])
@@ -315,7 +341,8 @@ def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
     ``S_i = Q_i Q_i'``; as in a generalized Schur complement, ``S_i/0`` is 0 when every
     entry of ``Q_i`` is zero, else M is infinite, however small ``Q_i``.  ``m`` gives ``None``
     wherever M is infinite or overflows, and ``dm``'s ``(M', M'')`` may hold infinities
-    near such a weight; neither warns.
+    near such a weight; neither warns.  The caller makes sure that ``S_i`` can be formed
+    (:func:`_formable`).
     """
     zero = np.zeros(p_hat.shape)
     s1, s2 = (q @ q.T if q.any() else None for q in (q1, q2))
@@ -363,15 +390,15 @@ def _worst_violation(
     with ``c = Q1 a`` and ``d = Q2 b``; :func:`_worst_sample` decides them
     from these factors, exactly against the decision level ``tol``.
     ``base`` is formed once, so draws that differ only in a zero cross term
-    are bitwise equal.
+    are bitwise equal.  Every product is a matrix product ``@``, which
+    BLAS runs, the heads' as one stacked product.  The caller makes sure
+    they cannot overflow (:func:`_formable`).
     """
-    base = np.einsum("ia,ja->ij", q1, q1) + np.einsum("ia,ja->ij", q2, q2) - p_hat
-    cross = np.einsum("hik,hjk->hij", np.einsum("ia,hak->hik", q1, head_a),
-                      np.einsum("ia,hak->hik", q2, head_b))
+    base = q1 @ q1.T + q2 @ q2.T - p_hat
+    cross = (q1 @ head_a) @ np.swapaxes(q2 @ head_b, 1, 2)
     heads = base + cross
     heads += np.swapaxes(cross, 1, 2)
-    c, d = np.einsum("ia,as->is", q1, a), np.einsum("ia,as->is", q2, b)
-    return _worst_sample(base, heads, c, d, tol)
+    return _worst_sample(base, heads, q1 @ a, q2 @ b, tol)
 
 
 def _sample_stack(base: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -535,12 +562,19 @@ def _undecided(
             return keep
         ch, dh = w @ c, w @ d
         cc, dd, cd = (np.einsum("is,is->s", x, y) for x, y in ((ch, ch), (dh, dh), (ch, dh)))
-        return ~_proved_below(cc, dd, cd, 2.0 * np.sqrt(cc) * np.sqrt(dd), n)
+        return ~_proved_below(cd, 2.0 * np.sqrt(cc) * np.sqrt(dd), n)
 
 
-def _proved_below(cc, dd, cd, h, n: int) -> np.ndarray:
-    """Where ``t = sqrt(cc dd) + cd`` lies below ``1 - eta`` (see :func:`_undecided`)."""
-    t = np.sqrt(cc) * np.sqrt(dd) + cd
+def _proved_below(cd, h, n: int) -> np.ndarray:
+    """Where ``t = h / 2 + cd`` lies below ``1 - eta`` (see :func:`_undecided`).
+
+    ``h = 2 sqrt(cc) sqrt(dd)``, formed as ``(2 sqrt(cc)) sqrt(dd)``.
+    Doubling and halving are exact, so ``h / 2`` is ``sqrt(cc) sqrt(dd)``
+    bit for bit wherever that product is a normal number; a subnormal one
+    differs from it by at most ``2^-1074``, far below ``eta``.  Where ``h``
+    overflows, ``eta`` is infinite, which keeps the sample.
+    """
+    t = 0.5 * h + cd
     grow = 1.0 + h
     eta = 8.0 * (n + 3) * np.finfo(float).eps * grow * grow * grow
     return np.isfinite(t) & (t < 1.0 - eta)
@@ -659,9 +693,16 @@ def _walk(result, problem: FusionProblem) -> _Walk:
     weight, and ``x/t`` and ``max|S1|/t`` read 0 there (:func:`_over`), so
     ``gap`` is 0 and the sample is ``B``, whose largest eigenvalue is f
     there, as ``M = B`` at that weight; likewise for ``Q2`` at weight 1.
+
+    Where M overflows at every weight the search tries, no weight
+    certifies and no sample is taken: the walk has no feasible weight, and
+    its value and bound are ``inf``; so is its scale where
+    :func:`_formable` fails, which forms nothing.
     """
     q1, q2 = q_pair(result, problem)
     p_hat = result.P_hat.data
+    if not _formable(q1, q2, p_hat):
+        return _Walk(None, math.inf, math.inf, math.inf)
     tol = certificate_tolerance(result)
     s1, s2 = q1 @ q1.T, q2 @ q2.T
     base = s1 + s2 - p_hat
@@ -672,6 +713,7 @@ def _walk(result, problem: FusionProblem) -> _Walk:
     value, bound = -np.inf, np.inf
     spread = 2.0 * n * result.diagnostics.get("unbias_residual", 0.0)
     feasible, decided, witnessed = None, False, False
+    alpha = None  # stays None where M overflows at every weight the search tries
     for alpha, w, v, d1, floor in newton_weights(*_schur_function(q1, q2, p_hat), result.alpha):
         f = float(w[-1])
         if not decided:
@@ -688,6 +730,8 @@ def _walk(result, problem: FusionProblem) -> _Walk:
                 witnessed = f - value <= band
         if decided and witnessed:
             return _Walk(feasible, value, bound, scale)
+    if alpha is None:
+        return _Walk(None, math.inf, math.inf, scale)
     if not witnessed:
         a, b, _ = _flat_direction(q1, q2, alpha, w, v, d1, max(0.25 * band, f - floor))
         value = max(value, _sample_top(base, q1, q2, a, b))
@@ -802,7 +846,8 @@ def monte_carlo_joint(
     ``+-(1 - 1e-6) U V'``, as factors of ``k = min(p1, p2)`` columns, are
     the heads.  Returns the largest eigenvalue of ``K P_joint K' - P_hat``
     over heads and draws, to :func:`_worst_sample`'s margin and exactly
-    against :func:`certificate_tolerance`.
+    against :func:`certificate_tolerance`; ``inf``, with nothing drawn or
+    formed, where :func:`_formable` fails, as the walk's bound is there.
 
     Only such joints can reach the supremum.  An admissible joint with
     diagonal blocks ``A_i <= P_i`` has a cross block ``L1 X L2'`` with
@@ -822,11 +867,13 @@ def monte_carlo_joint(
         raise ValueError("truth_samples must be positive")
     if truth_samples > np.iinfo(np.intp).max // (8 * (problem.n + 4) ** 2):
         raise MemoryError(f"{truth_samples} samples exceed the addressable memory")
+    q1, q2 = q_pair(result, problem)
+    if not _formable(q1, q2, result.P_hat.data):
+        return math.inf  # as the walk's bound, so the two routes agree
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     a, b = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
     a *= rng.uniform(size=truth_samples) * (1.0 - 1e-12)
 
-    q1, q2 = q_pair(result, problem)
     u, v = _extreme_cross_direction(q1, q2)
     u = u * (1.0 - 1e-6)
     return _worst_violation(q1, q2, result.P_hat.data, np.stack([u, -u]), np.stack([v, v]), a, b,

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +33,18 @@ from cifusion.optimizer import Cost, delta_value
 from cifusion.problem import covariance
 from cifusion import verifier
 from cifusion.verifier import _schur_function, certificate_tolerance, petersen_objective, q_pair
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_inputs():
+    """The benchmark's input generators, ``bench/inputs.py``."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(BENCH))
+    return inputs
 
 
 def random_orthogonal(rng, dim: int) -> np.ndarray:

@@ -1217,6 +1217,44 @@ class TestOverflowNearTheFloatRange:
         assert (rc, err, caught) == (0, "", [])
         assert json.loads(out)["branch"] == "interior_root"
 
+    def test_gains_past_the_float_range_of_q_q_fail_without_a_warning(self, tmp_path, capsys):
+        # |Q1|_F^2 overflows: S_i = Q_i Q_i' cannot be formed, so the walk and
+        # Monte Carlo form nothing and report inf; the walk read an unset
+        # weight here, and Monte Carlo printed worst=nan
+        doc = {"n": 2, "est1": {"H": [[1, 0]], "x_hat": [0], "P_hat": [[1]]},
+               "est2": {"H": [[1, 0], [0, 1]], "x_hat": [0, 0], "P_hat": [[1, 0], [0, 1]]}}
+        result = {"alpha": 0.5, "K1": [[1e200], [0]], "K2": [[-1e200, 0], [0, 1]],
+                  "P_hat": [[2, 0], [0, 2]], "fused_x": [0, 0]}
+        rc = cli.main(["verify", write(tmp_path, doc), "--result",
+                       write(tmp_path, result, "r.json")])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (1, "")
+        assert [line.split()[:2] for line in captured.out.splitlines()[:4]] == [
+            ["lmi", "FAIL"], ["petersen", "FAIL"], ["adversarial-x", "FAIL"],
+            ["monte-carlo", "FAIL"]]
+        assert "petersen       FAIL  infeasible" in captured.out
+        assert "adversarial-x  FAIL  worst=inf" in captured.out
+        assert "monte-carlo    FAIL  worst=inf" in captured.out
+
+    def test_schur_complement_past_the_float_range_at_every_tried_weight(self, tmp_path, capsys):
+        # the samples are finite, but M = 9k^2/a + k^2/(1 - a) - P_hat
+        # overflows wherever the search goes from a = 1/2, towards 0; it is
+        # finite only near a = 3/4.  The walk finds no weight and reports
+        # inf, where it read an unset weight; Monte Carlo's value is finite
+        k = 3.18e153
+        doc = {"n": 1, "est1": {"H": [[1]], "x_hat": [0], "P_hat": [[9]]},
+               "est2": {"H": [[1]], "x_hat": [0], "P_hat": [[1]]}}
+        result = {"alpha": 0.5, "K1": [[k]], "K2": [[1 - k]], "P_hat": [[2]], "fused_x": [0]}
+        rc = cli.main(["verify", write(tmp_path, doc), "--result",
+                       write(tmp_path, result, "r.json")])
+        captured = capsys.readouterr()
+        assert (rc, captured.err) == (1, "")
+        rows = {line.split()[0]: line.split()[1:] for line in captured.out.splitlines()[:4]}
+        assert rows["petersen"] == ["FAIL", "infeasible"]
+        assert rows["adversarial-x"] == ["FAIL", "worst=inf"]
+        verdict, worst = rows["monte-carlo"]
+        assert verdict == "FAIL" and 1e308 < float(worst.split("=")[1]) < math.inf
+
     def test_walk_scale_overflows_to_inf_silently(self, tmp_path, capsys):
         # the walk's sample-norm bound overflowed twice in a scalar multiply;
         # the exit code and every verdict are those printed with the warnings

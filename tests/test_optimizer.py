@@ -518,10 +518,10 @@ class TestJointSpectrum:
         # same lam sorted gives it
         lam = np.array(lam)
         n = lam.size
-        spectrum = JointSpectrum(lam, np.ones(n), np.eye(n), 0, 0.0)
+        spectrum = JointSpectrum(lam, np.ones(n), np.eye(n), 0, 0.0, 0.0)
         ends = LoewnerRelation.from_extremes(-lam[-1], -lam[0], DEFAULT_TOL)
         assert spectrum.relation is want is not ends
-        assert JointSpectrum(np.sort(lam), np.ones(n), np.eye(n), 0, 0.0).relation is want
+        assert JointSpectrum(np.sort(lam), np.ones(n), np.eye(n), 0, 0.0, 0.0).relation is want
 
     def test_regular_at_reads_the_ends_of_the_sorted_spectrum(self):
         # rounding of 1 + t lam is monotone in lam, so the ends of the
@@ -540,7 +540,7 @@ class TestJointSpectrum:
             if k % 4 == 0 and n > 1:
                 lam[1] = lam[0]
             lam.sort()
-            spectrum = JointSpectrum(lam, np.ones(n), np.eye(n), 0, 0.0)
+            spectrum = JointSpectrum(lam, np.ones(n), np.eye(n), 0, 0.0, 0.0)
             for t in (-0.5, 0.5, rng.uniform(-0.5, 0.5)):
                 mu = 1.0 + t * lam
                 want = float(mu.min()) > SINGULAR_RTOL * float(mu.max())
@@ -773,11 +773,11 @@ def _fresh(problem: FusionProblem) -> tuple[PartialEstimate, PartialEstimate]:
 
 
 class TestCallBudget:
-    def test_certified_solve_makes_at_most_two_spectral_calls(self, monkeypatch):
-        # the first solve of a built problem: the spectrum's eigh and the
-        # eigvalsh of w w' that bounds P_hat's least eigenvalue; a solved
-        # block is singular up to rounding, so the Schur route proves its
-        # certificate without the block's eigvalsh
+    def test_certified_solve_makes_at_most_one_spectral_call(self, monkeypatch):
+        # the first solve of a built problem: the spectrum's eigh; the SVD's
+        # largest singular value bounds P_hat's least eigenvalue, and a
+        # solved block is singular up to rounding, so the Schur route proves
+        # its certificate without the block's eigvalsh
         pool = _budget_pool()
         calls = count_spectral_calls(monkeypatch)
         for problem in pool:
@@ -785,11 +785,11 @@ class TestCallBudget:
                 unsolved = FusionProblem(problem.est1, problem.est2)
                 calls.clear()
                 solve_ci(unsolved, cost)
-                assert len(calls) <= 2, (problem, cost, calls)
+                assert len(calls) <= 1, (problem, cost, calls)
 
     def test_solving_a_problem_again_makes_no_spectral_call(self, monkeypatch):
-        # the problem keeps its spectrum and the bound from w w', which
-        # decide P_hat's strictness, and the Schur route proves the block
+        # the problem keeps its spectrum and its bound omega, which decide
+        # P_hat's strictness, and the Schur route proves the block
         # certificate, so a later solve under either cost makes no call
         pool = _budget_pool()
         for problem in pool:
@@ -802,10 +802,9 @@ class TestCallBudget:
                 assert calls == [], (problem, cost, calls)
                 assert result.diagnostics["certificate"].route == "schur"
 
-    def test_fresh_problem_and_solve_make_at_most_seven_calls(self, monkeypatch):
+    def test_fresh_problem_and_solve_make_at_most_six_calls(self, monkeypatch):
         # a Cholesky factor and its inverse per estimate, the whitened
-        # stack's SVD, and the first solve's two: eigh and the eigvalsh of
-        # w w'
+        # stack's SVD, and the first solve's eigh
         pool = _budget_pool()
         calls = count_spectral_calls(monkeypatch)
         for problem in pool:
@@ -813,24 +812,25 @@ class TestCallBudget:
                 est1, est2 = _fresh(problem)
                 calls.clear()
                 solve_ci(FusionProblem(est1, est2), cost)
-                assert len(calls) <= 7, (problem, cost, calls)
+                assert len(calls) <= 6, (problem, cost, calls)
 
     def test_building_a_problem_makes_one_svd(self, monkeypatch):
-        # the estimates' factors whiten the stack, and one SVD of it decides
-        # solvability; a second problem on the same estimates takes only the SVD
+        # the estimates' factors and their inverses whiten the stack, and one
+        # SVD of it decides solvability, its largest entry finiteness; a
+        # second problem on the same estimates takes only the SVD
         pool = _budget_pool()
         calls = count_spectral_calls(monkeypatch)
         for problem in pool:
             est1, est2 = _fresh(problem)
             calls.clear()
             FusionProblem(est1, est2)
-            assert calls == ["cholesky", "solve", "cholesky", "solve", "svd"], (problem, calls)
+            assert calls == ["cholesky", "inv", "cholesky", "inv", "svd"], (problem, calls)
             calls.clear()
             FusionProblem(est1, est2)
             assert calls == ["svd"], (problem, calls)
 
-    def test_sim_event_makes_at_most_eight_calls(self, monkeypatch):
-        # the build and solve's seven and the margin's eigvalsh, on every event
+    def test_sim_event_makes_at_most_seven_calls(self, monkeypatch):
+        # the build and solve's six and the margin's eigvalsh, on every event
         nodes, truth = init_network(6, 200, seed=2)
         schedule = make_schedule("random", 200, 400, Cost.DET, seed=2)
         calls = count_spectral_calls(monkeypatch)
@@ -839,7 +839,7 @@ class TestCallBudget:
             calls.clear()
             one = Schedule(events=(ev,), topology=schedule.topology, seed=schedule.seed)
             fused += len(run_schedule(nodes, truth, one).records)
-            assert len(calls) <= 8, (ev, calls)
+            assert len(calls) <= 7, (ev, calls)
         assert fused == 400
 
 
@@ -902,7 +902,6 @@ class TestMember:
         rng = np.random.default_rng(7)
         problem = [random_problem(rng) for _ in range(35)][34]
         spectrum = problem.spectrum
-        spectrum._omega  # the eigvalsh of w w' that the spectrum takes once and keeps
         calls = count_spectral_calls(monkeypatch)
         for slope in (spectrum.det_slope, spectrum.trace_slope):
             alpha = _optimal_weight(spectrum, slope)[0]

@@ -9,12 +9,13 @@ from cifusion.errors import (
     SingularSigmaError,
     StackedRankDeficientError,
 )
-from cifusion.linalg import LoewnerRelation
+from cifusion import problem as problem_module
+from cifusion.linalg import LoewnerRelation, rounding_allowance
 from cifusion.optimizer import Cost, solve_ci
 from cifusion.problem import RANK_RTOL, covariance
 from cifusion.verifier import certify
 
-from conftest import compressed_sensor_pair, information_pair
+from conftest import bench_inputs, compressed_sensor_pair, information_pair, random_problem
 
 
 def matrix_rank(m: np.ndarray) -> int:
@@ -122,6 +123,59 @@ class TestFusionProblemValidation:
         stack = np.vstack([est1.whitened, est2.whitened])
         assert e == np.frexp(np.abs(stack).max())[1]
         np.testing.assert_allclose(np.ldexp((u * sv) @ vt, e), stack, atol=1e-12)
+
+
+def _pool_problems(seeds):
+    """The problems of the benchmark's solve pools on ``seeds``, built fresh."""
+    inputs = bench_inputs()
+    return [FusionProblem(PartialEstimate(prob["H1"], prob["x1"], prob["P1"]),
+                          PartialEstimate(prob["H2"], prob["x2"], prob["P2"]))
+            for seed in seeds for prob in inputs.solve_pool(seed)]
+
+
+class TestFreshProblemValues:
+    def test_chol_inv_has_the_bits_of_a_solve_on_the_identity(self):
+        # inv and solve(L, I) both run LAPACK's gesv on the identity, so the
+        # inverse factor, and all that is built from it, keeps its bits
+        rng = np.random.default_rng(5)
+        problems = _pool_problems(range(1, 4)) + [random_problem(rng) for _ in range(100)]
+        for problem in problems:
+            for est in (problem.est1, problem.est2):
+                want = np.linalg.solve(est.p_chol, np.eye(est.p))
+                assert est.chol_inv.tobytes() == want.tobytes(), problem
+
+    def test_omega_lies_within_rounding_of_the_least_eigenvalue_of_w_w(self):
+        # omega comes from the SVD's largest singular value; it never exceeds
+        # the least eigvalsh value of the formed w w' by more than that call's
+        # rounding, and never falls below that value less the same allowance,
+        # the bound the eigvalsh gave, so the family member falls back on
+        # psd_certify no more often.  Instance 34 of random_problem has
+        # cond(G) about 1.5e5 and cond(P_hat) about 1e10
+        rng = np.random.default_rng(7)
+        problems = _pool_problems(range(1, 21)) + [[random_problem(rng) for _ in range(35)][34]]
+        for problem in problems:
+            spectrum = problem.spectrum
+            allowance = rounding_allowance(spectrum.lam.size, sum(spectrum.c.tolist()))
+            least = float(np.linalg.eigvalsh(spectrum.w @ spectrum.w.T)[0])
+            assert least - allowance <= spectrum.omega <= least + allowance, problem
+
+    def test_only_the_failing_pool_members_fall_back(self, monkeypatch):
+        # omega proves every certified member of the solve pools strictly PD;
+        # only the 160 members below the strictness floor take psd_certify,
+        # which refuses them
+        problems = _pool_problems(range(1, 21))
+        fallbacks = []
+        certify_psd = problem_module.psd_certify
+        monkeypatch.setattr(problem_module, "psd_certify",
+                            lambda a: fallbacks.append(1) or certify_psd(a))
+        failed = 0
+        for problem in problems:
+            for cost in Cost:
+                try:
+                    solve_ci(problem, cost)
+                except SingularSigmaError:
+                    failed += 1
+        assert len(fallbacks) == failed == 160
 
 
 def _with_singular_values(rng, rows: int, cols: int, svals) -> np.ndarray:

@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +39,7 @@ from cifusion.verifier import (
 from conftest import (
     adversarial_sampling_oracle,
     alpha_uniqueness_check,
+    bench_inputs,
     block_psd_margin_reference,
     dominated_problem,
     lmi_feasible_grid,
@@ -56,8 +56,6 @@ from conftest import (
     rank_one_draws,
     well_scaled_problems,
 )
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def example2_problem():
@@ -258,16 +256,6 @@ class TestLmiCertificate:
             assert cert.passed is bool(lowest > 0.0) is bool(top < 0.0)
             seen.add(cert.passed)
         assert seen == {True, False}
-
-
-def bench_inputs():
-    """The benchmark's input generators, ``bench/inputs.py``."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import inputs
-    finally:
-        sys.path.remove(str(BENCH))
-    return inputs
 
 
 def eager_lmi(result, problem, alpha: float) -> tuple[float, float]:
@@ -1528,7 +1516,7 @@ class TestScreenedKernel:
         dd = np.array([1e-2, 1e-2, 1e-2, 1e-2, np.nan, 1e-2])
         cd = np.array([0.0, 0.0, 0.0, -np.inf, 0.0, np.inf])
         h = 2.0 * np.sqrt(cc) * np.sqrt(dd)
-        assert verifier._proved_below(cc, dd, cd, h, 3).tolist() == [True] + [False] * 5
+        assert verifier._proved_below(cd, h, 3).tolist() == [True] + [False] * 5
 
 
 def tied_factors(rng, factors, counts):
