@@ -255,6 +255,24 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _check_misfit(k1, y1, k2, y2, target, path: str, what: str, message: str) -> None:
+    """Refuse the result at ``path`` where ``what = K1 y1 + K2 y2`` misses ``target``.
+
+    The misfit ``max|K1 y1 + K2 y2 - target|`` is judged against
+    ``RESULT_RTOL`` of the scale ``max(|K1| |y1| + |K2| |y2|)``, and
+    ``message`` is formatted with it.  A scale past the float range is
+    refused as well: the misfit would be NaN there, and NaN passes any test
+    against a bound.  Nothing here warns.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = (np.abs(k1) @ np.abs(y1) + np.abs(k2) @ np.abs(y2)).max()
+        misfit = np.abs(k1 @ y1 + k2 @ y2 - target).max()
+    if not np.isfinite(size):
+        raise ProblemFileError(path, f"{what} is past the float range")
+    if misfit > RESULT_RTOL * size:
+        raise ProblemFileError(path, message.format(fmt(misfit)))
+
+
 def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
     try:
         with open(path) as fh:
@@ -273,19 +291,15 @@ def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
     k1 = _matrix(doc["K1"], n, problem.p1, "K1")
     k2 = _matrix(doc["K2"], n, problem.p2, "K2")
     h1, h2 = problem.est1.h, problem.est2.h
-    bias = np.abs(k1 @ h1 + k2 @ h2 - np.eye(n)).max()
-    if bias > RESULT_RTOL * (np.abs(k1) @ np.abs(h1) + np.abs(k2) @ np.abs(h2)).max():
-        raise ProblemFileError(
-            "K1", f"K1 H1 + K2 H2 differs from I by {fmt(bias)}: the gains are biased"
-        )
+    _check_misfit(k1, h1, k2, h2, np.eye(n), "K1", "K1 H1 + K2 H2",
+                  "K1 H1 + K2 H2 differs from I by {}: the gains are biased")
     p_hat = _covariance(doc["P_hat"], n, "P_hat")
     fused_x = _array(doc["fused_x"], "fused_x")
     if fused_x.shape != (n,):
         raise ProblemFileError("fused_x", f"shape {fused_x.shape}, expected ({n},)")
     x1, x2 = problem.est1.x_hat, problem.est2.x_hat
-    miss = np.abs(fused_x - (k1 @ x1 + k2 @ x2)).max()
-    if miss > RESULT_RTOL * (np.abs(k1) @ np.abs(x1) + np.abs(k2) @ np.abs(x2)).max():
-        raise ProblemFileError("fused_x", f"differs from K1 x_hat1 + K2 x_hat2 by {fmt(miss)}")
+    _check_misfit(k1, x1, k2, x2, fused_x, "fused_x", "K1 x_hat1 + K2 x_hat2",
+                  "differs from K1 x_hat1 + K2 x_hat2 by {}")
     cost_value = doc.get("cost_value")
     if not (cost_value is None or type(cost_value) in (int, float) and _finite(cost_value)):
         raise ProblemFileError("cost_value",

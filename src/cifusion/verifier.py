@@ -36,6 +36,11 @@ the joints every admissible joint lies below, so its value cannot exceed
 :func:`monte_carlo_joint`), so every drawn sample is a rank-two update
 ``B + c d' + d c'`` of one matrix ``B = Q1 Q1' + Q2 Q2' - P_hat``, and the
 draws are kept as ``n x samples`` factor arrays.
+Every route reads ``Q_i``, ``S_i`` and ``B`` from one value per result,
+:class:`_Gains`, which forms each on first read: the block certificate
+builds it and keeps it, and :func:`certify` hands it on to the walk and
+from the walk to Monte Carlo, so a result is judged on arrays formed once,
+and a solved result on those its solve's certificate formed.
 :func:`_worst_sample` takes its threshold from the heads, the fixed
 extremes the sampler passes.  It decides most samples from their factors
 by one Cholesky factorisation and a closed-form test per sample
@@ -45,7 +50,7 @@ largest ``eigvalsh`` value over all of them, and it lies at or below the
 certificate tolerance exactly when that largest value does.
 Gains so large that ``(|Q1|_F + |Q2|_F)^2 + max diag P_hat``, which bounds
 every entry of ``S_i``, of ``B`` and of every sample, is past the float
-range are not judged in floats (:func:`_formable`): M counts as
+range are not judged in floats (:attr:`_Gains.formable`): M counts as
 overflowing at every weight, so the scalar certificate is infeasible, the
 witness, its bound and Monte Carlo are ``inf`` and fail, the block
 certificate skips its cross-check, and no call warns.
@@ -59,7 +64,7 @@ while the block certificate and the exact witness carry the proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +78,7 @@ from .linalg import (
 )
 from .problem import FusionProblem
 
+@dataclass(eq=False, slots=True)
 class ConservativenessCertificate:
     """The verdict of :func:`lmi_certificate` on one result at one weight.
 
@@ -84,24 +90,22 @@ class ConservativenessCertificate:
     ``eigvalsh`` eigenvalue of the block; on the Schur route it is computed
     on first read, from the same block and call, so it has the same bits,
     as :attr:`PsdMatrix.min_eig <cifusion.linalg.PsdMatrix.min_eig>` does.
-    Certificates compare equal where all five values do.
+    Certificates compare equal where all five values do.  The certificate
+    keeps the result's :class:`_Gains`, which :func:`certify` hands on to
+    the walk and Monte Carlo, so a solved result forms each array once.
     """
 
-    __slots__ = ("alpha", "passed", "route", "margin", "_min_eig", "_parts")
-
-    def __init__(self, alpha: float, passed: bool, route: str, margin: float | None = None,
-                 min_eig: float | None = None, parts: tuple | None = None):
-        self.alpha = alpha
-        self.passed = passed
-        self.route = route
-        self.margin = margin
-        self._min_eig = min_eig
-        self._parts = parts  # (Q1, Q2, P_hat) of the block, where min_eig is not given
+    alpha: float
+    passed: bool
+    route: str
+    margin: float | None = None
+    _min_eig: float | None = field(default=None, repr=False)  # computed on first read if None
+    _gains: _Gains | None = field(default=None, repr=False)
 
     @property
     def lmi_min_eig(self) -> float:
         if self._min_eig is None:
-            self._min_eig = float(np.linalg.eigvalsh(_lmi_block(*self._parts, self.alpha))[0])
+            self._min_eig = float(np.linalg.eigvalsh(_lmi_block(self._gains, self.alpha))[0])
         return self._min_eig
 
     def _key(self) -> tuple:
@@ -114,10 +118,6 @@ class ConservativenessCertificate:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"ConservativenessCertificate(alpha={self.alpha!r}, passed={self.passed}, "
-                f"route={self.route!r}, margin={self.margin!r})")
 
 
 @dataclass(frozen=True)
@@ -142,32 +142,71 @@ def q_pair(result, problem: FusionProblem) -> tuple[np.ndarray, np.ndarray]:
     rounding.  Monte Carlo sees ``X`` through ``Q1 X Q2'``, and the law of
     ``X`` is invariant under ``X -> U1 X U2'``, so its verdict does not
     depend on the factor either; its ``worst=`` value on a given seed does.
+    The routes call it through :class:`_Gains`, once per result judged.
     """
-    q1 = result.K1 @ problem.est1.p_chol
-    q2 = result.K2 @ problem.est2.p_chol
-    return q1, q2
+    return result.K1 @ problem.est1.p_chol, result.K2 @ problem.est2.p_chol
 
 
-def _formable(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray) -> bool:
-    """Whether ``S_i = Q_i Q_i'``, ``B = S1 + S2 - P_hat`` and every sample can be formed in floats.
+class _Gains:
+    """The arrays every route judges one result on, each formed at most once.
 
-    A sample is ``B + C + C'`` at a cross parameter of norm at most one, and
-    each entry of ``S_i``, of ``B`` and of a sample, and each partial sum
-    that forms it, is at most ``F = (|Q1|_F + |Q2|_F)^2 + max diag P_hat``:
-    an entry of ``C`` is at most ``|Q1|_F |Q2|_F``, and a PSD ``P_hat`` has
-    its largest entries on its diagonal.  So none of them overflows where
-    ``F``, with ``2^-20`` of it more for the rounding of all these sums, is
-    finite.  ``F`` is taken in Python floats, on ``vdot``, both of which
-    overflow to ``inf`` without a warning, so nothing here warns.
+    ``q1`` and ``q2`` are :func:`q_pair`'s blocks and ``p_hat`` the
+    result's ``P_hat``; the Grams ``s1 = Q1 Q1'`` and ``s2 = Q2 Q2'``,
+    ``base``, ``B = S1 + S2 - P_hat``, and the verdict ``formable`` are
+    formed on first read and kept, so a route that reads none of them forms
+    none.  :func:`lmi_certificate` builds one per result and its
+    certificate keeps it; :func:`certify` hands it to :func:`_walk`, and
+    the walk's to :func:`monte_carlo_joint`; a route called alone builds
+    its own.  The routes read these arrays and never write them.  Callers
+    on two threads that share one may both form an array on its first
+    read; each is a pure function of ``q1``, ``q2`` and ``p_hat``, so both
+    get the same bits.
     """
-    f1, f2 = (math.sqrt(float(np.vdot(q, q))) for q in (q1, q2))
-    bound = (f1 + f2) * (f1 + f2) + max(p_hat.diagonal().tolist())
-    return bound * (1.0 + 2.0 ** -20) < math.inf
 
+    __slots__ = ("q1", "q2", "p_hat", "_s1", "_s2", "_base", "_formable")
 
-def _decided(margin: float, band: float) -> bool:
-    """Whether a signed PSD margin is clearly away from the tolerance band."""
-    return abs(margin) > 10.0 * band
+    def __init__(self, result, problem: FusionProblem):
+        self.q1, self.q2 = q_pair(result, problem)
+        self.p_hat = result.P_hat.data
+        self._s1 = self._s2 = self._base = self._formable = None
+
+    @property
+    def s1(self) -> np.ndarray:
+        if self._s1 is None:
+            self._s1 = self.q1 @ self.q1.T
+        return self._s1
+
+    @property
+    def s2(self) -> np.ndarray:
+        if self._s2 is None:
+            self._s2 = self.q2 @ self.q2.T
+        return self._s2
+
+    @property
+    def base(self) -> np.ndarray:
+        if self._base is None:
+            self._base = self.s1 + self.s2 - self.p_hat
+        return self._base
+
+    @property
+    def formable(self) -> bool:
+        """Whether ``S_i``, ``B`` and every sample can be formed in floats.
+
+        A sample is ``B + C + C'`` at a cross parameter of norm at most one,
+        and each entry of ``S_i``, of ``B`` and of a sample, and each
+        partial sum that forms it, is at most
+        ``F = (|Q1|_F + |Q2|_F)^2 + max diag P_hat``: an entry of ``C`` is
+        at most ``|Q1|_F |Q2|_F``, and a PSD ``P_hat`` has its largest
+        entries on its diagonal.  So none of them overflows where ``F``,
+        with ``2^-20`` of it more for the rounding of all these sums, is
+        finite.  ``F`` is taken in Python floats, on ``vdot``, both of
+        which overflow to ``inf`` without a warning, so nothing here warns.
+        """
+        if self._formable is None:
+            f1, f2 = (math.sqrt(float(np.vdot(q, q))) for q in (self.q1, self.q2))
+            bound = (f1 + f2) * (f1 + f2) + max(self.p_hat.diagonal().tolist())
+            self._formable = bound * (1.0 + 2.0 ** -20) < math.inf
+        return self._formable
 
 
 def lmi_certificate(
@@ -185,6 +224,8 @@ def lmi_certificate(
     verify files its proven bound is at most 0.06 of the band's floor.
     Anything the bound leaves undecided takes the path below, on the route
     ``"eigvalsh"``, so no verdict, value or raise differs from that path's.
+    Both routes read the result's :class:`_Gains`, built here, and the
+    certificate keeps it for :func:`certify`.
 
     The verdict and the recorded smallest eigenvalue come from one
     ``eigvalsh`` of the assembled block: it passes when that eigenvalue is
@@ -197,9 +238,9 @@ def lmi_certificate(
     the block then has a zero diagonal entry with a nonzero coupling, so
     its smallest eigenvalue is at most zero and the direct route cannot
     clearly pass.  Where M overflows, next to such a weight, or cannot be
-    formed (:func:`_formable`), the cross-check is skipped.  A
-    disagreement with both margins clearly outside their bands
-    (:func:`_decided`) raises :class:`InternalInconsistencyError`;
+    formed (:attr:`_Gains.formable`), the cross-check is skipped.  A
+    disagreement with both margins clearly outside their bands, by more
+    than ten times each band, raises :class:`InternalInconsistencyError`;
     otherwise the direct verdict stands.  So M is formed and decomposed
     only when the block's margin is decided, the one case in which the
     cross-check can raise, and skipping it elsewhere changes no return
@@ -208,48 +249,40 @@ def lmi_certificate(
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
-    q1, q2 = q_pair(result, problem)
-    p_hat = result.P_hat.data
-    margin = _schur_margin(q1, q2, p_hat, alpha)
+    gains = _Gains(result, problem)
+    margin = _schur_margin(gains, alpha)
     if margin <= 1.0:
-        return ConservativenessCertificate(float(alpha), True, "schur", margin,
-                                           parts=(q1, q2, p_hat))
-    eigs = np.linalg.eigvalsh(_lmi_block(q1, q2, p_hat, alpha))
+        return ConservativenessCertificate(float(alpha), True, "schur", margin, _gains=gains)
+    eigs = np.linalg.eigvalsh(_lmi_block(gains, alpha))
     lowest = float(eigs[0])
     band = DEFAULT_CERT_TOL * tol_scale(max(-lowest, float(eigs[-1])))
     passed = lowest >= -band
     # an undecided margin stands whatever M says, so M is formed only past it
-    m = _schur_function(q1, q2, p_hat)[0](alpha) \
-        if _decided(lowest, band) and _formable(q1, q2, p_hat) else None
+    m = _schur_function(gains)[0](alpha) if abs(lowest) > 10.0 * band and gains.formable else None
     if m is not None:
         m_eigs = np.linalg.eigvalsh(m)
         top = float(m_eigs[-1])
         m_band = DEFAULT_CERT_TOL * tol_scale(max(top, -float(m_eigs[0])))
         schur = top <= m_band
-        if schur != passed and (schur or _decided(top, m_band)):
+        if schur != passed and (schur or abs(top) > 10.0 * m_band):
             raise InternalInconsistencyError(
                 f"LMI routes disagree: block min eig {lowest:.3g}, "
                 f"Schur complement max eig {top:.3g}"
             )
-    return ConservativenessCertificate(float(alpha), passed, "eigvalsh", min_eig=lowest)
+    return ConservativenessCertificate(float(alpha), passed, "eigvalsh", None, lowest, gains)
 
 
-def _lmi_block(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray, alpha: float) -> np.ndarray:
+def _lmi_block(gains: _Gains, alpha: float) -> np.ndarray:
     """The block ``[P_hat, Q1, Q2; Q1', aI, 0; Q2', 0, (1-a)I]`` of :func:`lmi_certificate`."""
-    n, p1 = q1.shape
-    size = n + p1 + q2.shape[1]
-    block = np.zeros((size, size))
-    block[:n, :n] = p_hat
-    block[:n, n:n + p1] = q1
-    block[:n, n + p1:] = q2
+    n, p1 = gains.q1.shape
+    block = np.diag(np.repeat([0.0, alpha, 1.0 - alpha], [n, p1, gains.q2.shape[1]]))
+    block[:n, :n] = gains.p_hat
+    block[:n, n:] = np.hstack([gains.q1, gains.q2])
     block[n:, :n] = block[:n, n:].T
-    weights = block.reshape(-1)[n * (size + 1)::size + 1]  # the diagonal from (n, n) on
-    weights[:p1] = alpha
-    weights[p1:] = 1.0 - alpha
     return block
 
 
-def _schur_margin(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray, alpha: float) -> float:
+def _schur_margin(gains: _Gains, alpha: float) -> float:
     """A proven bound on ``|lambda|`` for the block's smallest ``eigvalsh`` value, over the band's floor.
 
     At most 1 proves that :func:`lmi_certificate`'s ``eigvalsh`` path
@@ -259,9 +292,9 @@ def _schur_margin(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray, alpha: floa
     ``b = 1 - a`` as the block holds it, ``S_i = Q_i Q_i'`` and
     ``M = S1/a + S2/b - P_hat``; a gain block that is exactly zero at its
     zero weight is left out (else M is infinite there, and nothing is
-    decided).  With ``F`` the computed ``sqrt(vdot(M, M))``, ``T`` the
-    computed ``|Q1|_F^2/a + |Q2|_F^2/b`` over the blocks kept,
-    ``p = max(p1, p2)``, ``N = n + p1 + p2`` and ``u`` the unit roundoff,
+    decided); ``S_i`` is read from ``gains``.  With ``F`` the computed
+    ``sqrt(vdot(M, M))``, ``T`` the computed ``|Q1|_F^2/a + |Q2|_F^2/b``
+    over the blocks kept, ``p = max(p1, p2)``, ``N = n + p1 + p2`` and ``u`` the unit roundoff,
     half the machine epsilon ``eps``, the bound is
     ``F + (p + n^2 + 8) eps (F + T) + rho``, ``rho`` of step (iv), and the
     floor is that of step (v).  The proof, for the block ``B`` that
@@ -311,23 +344,16 @@ def _schur_margin(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray, alpha: floa
     to ``inf``, which decides nothing.  No call here warns.
     """
     beta = 1.0 - alpha
-    if alpha and beta:
-        size = float(np.vdot(q1, q1)) / alpha + float(np.vdot(q2, q2)) / beta
-    else:  # the kept block's weight is exactly 1
-        zero, kept = (q1, q2) if beta else (q2, q1)
-        if zero.any():
-            return math.inf
-        size = float(np.vdot(kept, kept))
+    q1, q2, p_hat = gains.q1, gains.q2, gains.p_hat
+    if not alpha and q1.any() or not beta and q2.any():
+        return math.inf  # a nonzero gain block at its zero weight
+    # a block at its zero weight is zero, and drops out; the other's weight is 1
+    size = (float(np.vdot(q1, q1)) / alpha if alpha else 0.0) \
+        + (float(np.vdot(q2, q2)) / beta if beta else 0.0)
     top = max(p_hat.diagonal().tolist())
     if not size + top < 2.0 ** 1000:
         return math.inf
-    if alpha and beta:
-        m = q1 @ q1.T
-        m /= alpha
-        m += (q2 @ q2.T) / beta
-    else:
-        m = kept @ kept.T
-    m -= p_hat
+    m = (gains.s1 / alpha if alpha else 0.0) + (gains.s2 / beta if beta else 0.0) - p_hat
     frob = math.sqrt(float(np.vdot(m, m)))
     (n, p1), p2 = q1.shape, q2.shape[1]
     rho = rounding_allowance(n + p1 + p2, 2.0 * (size + frob + 1.0))
@@ -335,24 +361,24 @@ def _schur_margin(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray, alpha: floa
     return bound / (DEFAULT_CERT_TOL * tol_scale(top - rho))
 
 
-def _schur_function(q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray):
+def _schur_function(gains: _Gains):
     """``m`` and ``dm`` of ``M = S1/alpha + S2/(1 - alpha) - P_hat`` for the weight search.
 
-    ``S_i = Q_i Q_i'``; as in a generalized Schur complement, ``S_i/0`` is 0 when every
-    entry of ``Q_i`` is zero, else M is infinite, however small ``Q_i``.  ``m`` gives ``None``
-    wherever M is infinite or overflows, and ``dm``'s ``(M', M'')`` may hold infinities
-    near such a weight; neither warns.  The caller makes sure that ``S_i`` can be formed
-    (:func:`_formable`).
+    ``S_i = Q_i Q_i'``, read from ``gains``; as in a generalized Schur complement, ``S_i/0``
+    is 0 when every entry of ``Q_i`` is zero, else M is infinite, however small ``Q_i``.
+    ``m`` gives ``None`` wherever M is infinite or overflows, and ``dm``'s ``(M', M'')`` may
+    hold infinities near such a weight; neither warns.  The caller makes sure that ``S_i``
+    can be formed (:attr:`_Gains.formable`).
     """
-    zero = np.zeros(p_hat.shape)
-    s1, s2 = (q @ q.T if q.any() else None for q in (q1, q2))
+    zero = np.zeros(gains.p_hat.shape)
+    s1, s2 = (s if q.any() else None for q, s in ((gains.q1, gains.s1), (gains.q2, gains.s2)))
 
     def over(s, t):
         return zero if s is None else s / t
 
     def m(alpha: float):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            value = over(s1, alpha) + over(s2, 1.0 - alpha) - p_hat
+            value = over(s1, alpha) + over(s2, 1.0 - alpha) - gains.p_hat
         return value if np.isfinite(value).all() else None
 
     def dm(alpha: float):
@@ -374,27 +400,27 @@ def _extreme_cross_direction(q1: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray
 
 
 def _worst_violation(
-    q1: np.ndarray, q2: np.ndarray, p_hat: np.ndarray,
+    q1: np.ndarray, q2: np.ndarray, base: np.ndarray,
     head_a: np.ndarray, head_b: np.ndarray, a: np.ndarray, b: np.ndarray,
     tol: float = np.inf,
 ) -> float:
-    """Largest eigenvalue of ``Q1 Q1' + Q2 Q2' - P_hat + C + C'`` over heads and draws.
+    """Largest eigenvalue of ``base + C + C'`` over heads and draws, ``base`` of :class:`_Gains`.
 
-    This is the fused error covariance, less ``P_hat``, of the joint whose
+    With ``base = Q1 Q1' + Q2 Q2' - P_hat``, which the caller forms, this
+    is the fused error covariance, less ``P_hat``, of the joint whose
     diagonal blocks factor as ``Q Q'`` and whose cross block is
     ``Q1 X Q2'``, ``X = A B'``; ``C = (Q1 A)(Q2 B)'``, so no ``X`` is
     formed.  The heads stack their factors ``h x p x k`` with ``k`` fixed,
     and are formed as matrices.  The draws are rank one, ``a`` and ``b`` of
     shape ``p x S``, so each draw is the rank-two update
-    ``base + c d' + d c'`` of one matrix ``base = Q1 Q1' + Q2 Q2' - P_hat``,
-    with ``c = Q1 a`` and ``d = Q2 b``; :func:`_worst_sample` decides them
-    from these factors, exactly against the decision level ``tol``.
-    ``base`` is formed once, so draws that differ only in a zero cross term
-    are bitwise equal.  Every product is a matrix product ``@``, which
-    BLAS runs, the heads' as one stacked product.  The caller makes sure
-    they cannot overflow (:func:`_formable`).
+    ``base + c d' + d c'`` of the caller's ``base``, with ``c = Q1 a`` and
+    ``d = Q2 b``; :func:`_worst_sample` decides them from these factors,
+    exactly against the decision level ``tol``.  Every sample adds its
+    cross term to the one ``base``, so draws that differ only in a zero
+    cross term are bitwise equal.  Every product is a matrix product ``@``,
+    which BLAS runs, the heads' as one stacked product.  The caller makes
+    sure they cannot overflow (:attr:`_Gains.formable`).
     """
-    base = q1 @ q1.T + q2 @ q2.T - p_hat
     cross = (q1 @ head_a) @ np.swapaxes(q2 @ head_b, 1, 2)
     heads = base + cross
     heads += np.swapaxes(cross, 1, 2)
@@ -608,13 +634,15 @@ class _Walk:
     """What :func:`_walk` found: the scalar certificate's weight and the witness's ``(value, bound)``.
 
     ``scale`` is ``n (3 max|S1| + 3 max|S2| + max|P_hat|)``, above the norm
-    of every sample at a cross parameter of norm at most one.
+    of every sample at a cross parameter of norm at most one.  ``gains``
+    are the arrays the walk read, which Monte Carlo reads in turn.
     """
 
     feasible: float | None  # the first weight that certifies, or None
     value: float
     bound: float
     scale: float
+    gains: _Gains = field(compare=False, repr=False)
 
 
 def adversarial_x_search(result, problem: FusionProblem, walk: _Walk | None = None) -> float:
@@ -631,10 +659,10 @@ def adversarial_x_search(result, problem: FusionProblem, walk: _Walk | None = No
     :func:`_walk`, which :func:`certify` shares with
     :func:`petersen_certificate`; without it, one is run.
     """
-    return (walk or _walk(result, problem)).value
+    return (walk or _walk(result, _Gains(result, problem))).value
 
 
-def _walk(result, problem: FusionProblem) -> _Walk:
+def _walk(result, gains: _Gains) -> _Walk:
     """The scalar certificate and the witness ``X*``, from one walk over the weight.
 
     With ``B = Q1 Q1' + Q2 Q2' - P_hat`` and the Schur complement
@@ -697,24 +725,22 @@ def _walk(result, problem: FusionProblem) -> _Walk:
     Where M overflows at every weight the search tries, no weight
     certifies and no sample is taken: the walk has no feasible weight, and
     its value and bound are ``inf``; so is its scale where
-    :func:`_formable` fails, which forms nothing.
+    :attr:`_Gains.formable` fails, which forms nothing.  Every array is
+    read from ``gains``, the result's :class:`_Gains`, which the returned
+    walk carries on to Monte Carlo.
     """
-    q1, q2 = q_pair(result, problem)
-    p_hat = result.P_hat.data
-    if not _formable(q1, q2, p_hat):
-        return _Walk(None, math.inf, math.inf, math.inf)
+    if not gains.formable:
+        return _Walk(None, math.inf, math.inf, math.inf, gains)
     tol = certificate_tolerance(result)
-    s1, s2 = q1 @ q1.T, q2 @ q2.T
-    base = s1 + s2 - p_hat
-    n = base.shape[0]
+    n = gains.p_hat.shape[0]
     # Python floats, so that scale and s overflow to inf without a warning
-    big1, big2, big_p = (float(np.abs(x).max()) for x in (s1, s2, p_hat))
+    big1, big2, big_p = (float(np.abs(x).max()) for x in (gains.s1, gains.s2, gains.p_hat))
     scale = n * (3.0 * (big1 + big2) + big_p)
     value, bound = -np.inf, np.inf
     spread = 2.0 * n * result.diagnostics.get("unbias_residual", 0.0)
     feasible, decided, witnessed = None, False, False
     alpha = None  # stays None where M overflows at every weight the search tries
-    for alpha, w, v, d1, floor in newton_weights(*_schur_function(q1, q2, p_hat), result.alpha):
+    for alpha, w, v, d1, floor in newton_weights(*_schur_function(gains), result.alpha):
         f = float(w[-1])
         if not decided:
             feasible = alpha if f <= tol else None
@@ -724,21 +750,21 @@ def _walk(result, problem: FusionProblem) -> _Walk:
             band = rounding_allowance(n, abs(f) + s)
             bound = min(bound, f + band)
             width = max(0.25 * band, spread * s) if alpha == result.alpha else 0.25 * band
-            a, b, gap = _flat_direction(q1, q2, alpha, w, v, d1, width)
+            a, b, gap = _flat_direction(gains, alpha, w, v, d1, width)
             if gap <= np.finfo(float).eps * s:
-                value = max(value, _sample_top(base, q1, q2, a, b))
+                value = max(value, _sample_top(gains, a, b))
                 witnessed = f - value <= band
         if decided and witnessed:
-            return _Walk(feasible, value, bound, scale)
+            return _Walk(feasible, value, bound, scale, gains)
     if alpha is None:
-        return _Walk(None, math.inf, math.inf, scale)
+        return _Walk(None, math.inf, math.inf, scale, gains)
     if not witnessed:
-        a, b, _ = _flat_direction(q1, q2, alpha, w, v, d1, max(0.25 * band, f - floor))
-        value = max(value, _sample_top(base, q1, q2, a, b))
-    return _Walk(feasible, value, bound, scale)
+        a, b, _ = _flat_direction(gains, alpha, w, v, d1, max(0.25 * band, f - floor))
+        value = max(value, _sample_top(gains, a, b))
+    return _Walk(feasible, value, bound, scale, gains)
 
 
-def _flat_direction(q1, q2, alpha: float, w, v, d1, width: float):
+def _flat_direction(gains: _Gains, alpha: float, w, v, d1, width: float):
     """``(Q1'v, Q2'v, gap)`` for :func:`_walk`'s unit ``v`` in the top cluster of ``M``.
 
     ``w``, ``v`` are the ``eigh`` of ``M`` at ``alpha`` and ``d1`` is ``M'``;
@@ -758,7 +784,7 @@ def _flat_direction(q1, q2, alpha: float, w, v, d1, width: float):
         top = high
     else:  # cos^2 lo + sin^2 hi = 0; the two are M'-orthogonal
         top = np.sqrt(hi / (hi - lo)) * low + np.sqrt(-lo / (hi - lo)) * high
-    a, b = q1.T @ top, q2.T @ top
+    a, b = gains.q1.T @ top, gains.q2.T @ top
     x, y = math.sqrt(a @ a), math.sqrt(b @ b)
     d = _over(x, alpha) - _over(y, 1.0 - alpha)
     return a, b, alpha * (1.0 - alpha) * d * d  # infinite, not an error, at a tiny weight
@@ -772,36 +798,39 @@ def _over(x: float, t: float) -> float:
     return x / float(t) if x else 0.0
 
 
-def _sample_top(base: np.ndarray, q1: np.ndarray, q2: np.ndarray, a: np.ndarray,
-                b: np.ndarray) -> float:
-    """Largest eigenvalue of ``base + c d' + d c'`` at ``X = a b'/(|a| |b|)``.
+def _sample_top(gains: _Gains, a: np.ndarray, b: np.ndarray) -> float:
+    """Largest eigenvalue of ``B + c d' + d c'`` at ``X = a b'/(|a| |b|)``, ``B`` of ``gains``.
 
     ``c = Q1 a/|a|`` and ``d = Q2 b/|b|``, with ``a = Q1'v`` and
-    ``b = Q2'v``; where ``a`` or ``b`` is zero the sample is ``base``, as
+    ``b = Q2'v``; where ``a`` or ``b`` is zero the sample is ``B``, as
     every ``X`` gives ``v`` the same quadratic form there.  The sample is
     the one column of :func:`_sample_stack`, so it is formed as every
     Monte Carlo sample is.
     """
     x, y = math.sqrt(a @ a), math.sqrt(b @ b)
-    sample = base
+    sample = gains.base
     if x > 0.0 and y > 0.0:
-        c, d = q1 @ (a / x), q2 @ (b / y)
-        sample = _sample_stack(base, c[:, None], d[:, None])[0]
+        c, d = gains.q1 @ (a / x), gains.q2 @ (b / y)
+        sample = _sample_stack(gains.base, c[:, None], d[:, None])[0]
     return float(np.linalg.eigvalsh(sample)[-1])
 
 
 def petersen_objective(result, problem: FusionProblem, eps: float) -> float:
-    """Largest eigenvalue of ``G + eps*Q1 Q1' + (1/eps)*Q2 Q2'``, ``G = -P_hat + Q1 Q1' + Q2 Q2'``.
+    """Largest eigenvalue of ``B + eps*S1 + (1/eps)*S2``, ``B = S1 + S2 - P_hat``.
 
     Nonpositive values certify conservativeness through the scalar
     uncertainty bound; ``eps = 1/alpha - 1`` relates it to the weight.
+    ``S_i = Q_i Q_i'``.  The arrays are those of a :class:`_Gains` of its
+    own, so where :attr:`_Gains.formable` fails nothing is formed and the
+    value is ``inf``, as the walk's is.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    q1, q2 = q_pair(result, problem)
-    g = -result.P_hat.data + q1 @ q1.T + q2 @ q2.T
-    m = g + eps * (q1 @ q1.T) + (1.0 / eps) * (q2 @ q2.T)
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1])
+    gains = _Gains(result, problem)
+    if not gains.formable:
+        return math.inf
+    m = gains.base + eps * gains.s1 + (1.0 / eps) * gains.s2
+    return float(np.linalg.eigvalsh(m)[-1])
 
 
 def petersen_certificate(result, problem: FusionProblem, walk: _Walk | None = None) -> float | None:
@@ -818,7 +847,7 @@ def petersen_certificate(result, problem: FusionProblem, walk: _Walk | None = No
     ``walk`` is the result's :func:`_walk`, which :func:`certify` shares
     with :func:`adversarial_x_search`; without it, one is run.
     """
-    alpha = (walk or _walk(result, problem)).feasible
+    alpha = (walk or _walk(result, _Gains(result, problem))).feasible
     if alpha is None:
         return None
     if alpha == 0.0:  # the end where M drops a zero Q1
@@ -827,7 +856,8 @@ def petersen_certificate(result, problem: FusionProblem, walk: _Walk | None = No
 
 
 def monte_carlo_joint(
-    result, problem: FusionProblem, truth_samples: int = 1000, seed: int = 0
+    result, problem: FusionProblem, truth_samples: int = 1000, seed: int = 0,
+    walk: _Walk | None = None,
 ) -> float:
     """Largest sampled violation over admissible true joint covariances.
 
@@ -847,7 +877,9 @@ def monte_carlo_joint(
     the heads.  Returns the largest eigenvalue of ``K P_joint K' - P_hat``
     over heads and draws, to :func:`_worst_sample`'s margin and exactly
     against :func:`certificate_tolerance`; ``inf``, with nothing drawn or
-    formed, where :func:`_formable` fails, as the walk's bound is there.
+    formed, where :attr:`_Gains.formable` fails, as the walk's bound is there.
+    ``walk`` is the result's :func:`_walk`, whose :class:`_Gains`, with
+    ``B``, :func:`certify` shares here; without it, the arrays are formed.
 
     Only such joints can reach the supremum.  An admissible joint with
     diagonal blocks ``A_i <= P_i`` has a cross block ``L1 X L2'`` with
@@ -867,17 +899,16 @@ def monte_carlo_joint(
         raise ValueError("truth_samples must be positive")
     if truth_samples > np.iinfo(np.intp).max // (8 * (problem.n + 4) ** 2):
         raise MemoryError(f"{truth_samples} samples exceed the addressable memory")
-    q1, q2 = q_pair(result, problem)
-    if not _formable(q1, q2, result.P_hat.data):
+    gains = walk.gains if walk else _Gains(result, problem)
+    if not gains.formable:
         return math.inf  # as the walk's bound, so the two routes agree
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     a, b = _draw_cross(rng, truth_samples, problem.p1, problem.p2)
     a *= rng.uniform(size=truth_samples) * (1.0 - 1e-12)
 
-    u, v = _extreme_cross_direction(q1, q2)
-    u = u * (1.0 - 1e-6)
-    return _worst_violation(q1, q2, result.P_hat.data, np.stack([u, -u]), np.stack([v, v]), a, b,
-                            certificate_tolerance(result))
+    u, v = _extreme_cross_direction(gains.q1, gains.q2)
+    return _worst_violation(gains.q1, gains.q2, gains.base, np.stack([u, -u]) * (1.0 - 1e-6),
+                            np.stack([v, v]), a, b, certificate_tolerance(result))
 
 
 def _check_monte_carlo(result, worst_mc: float, walk: _Walk) -> None:
@@ -911,7 +942,11 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
     """The rows ``cifusion verify`` prints for ``result``, in that order.
 
     ``lmi`` reuses a solve's certificate, ``diagnostics["certificate"]``
-    (``solve_ci`` raises unless it passed), and certifies any other result;
+    (``solve_ci`` raises unless it passed), and certifies any other result,
+    and a result whose ``P_hat`` is not the one its certificate was made on,
+    as after ``dataclasses.replace``; the certificate's :class:`_Gains` then
+    serves the walk and Monte Carlo, so the result is judged on one set of
+    arrays, its own;
     its value is the certificate's ``lmi_min_eig``, so a solve's block
     ``eigvalsh`` runs here, on first read; ``petersen`` is the scalar
     certificate's eps, ``inf`` or ``0`` where a zero gain block puts it at
@@ -924,14 +959,14 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
     """
     tol = certificate_tolerance(result)
     cert = result.diagnostics.get("certificate")
-    if cert is None:
+    if cert is None or cert._gains.p_hat is not result.P_hat.data:
         cert = lmi_certificate(result, problem, result.alpha)
     rows = [CertificateRow("lmi", cert.passed, "min_eig", cert.lmi_min_eig)]
-    walk = _walk(result, problem)
+    walk = _walk(result, cert._gains)
     eps = petersen_certificate(result, problem, walk)
     rows.append(CertificateRow("petersen", eps is not None, "eps", eps))
     worst_x = adversarial_x_search(result, problem, walk)
-    worst_mc = monte_carlo_joint(result, problem, samples, seed)
+    worst_mc = monte_carlo_joint(result, problem, samples, seed, walk)
     _check_monte_carlo(result, worst_mc, walk)
     rows.append(CertificateRow("adversarial-x", worst_x <= tol, "worst", worst_x))
     rows.append(CertificateRow("monte-carlo", worst_mc <= tol, "worst", worst_mc))

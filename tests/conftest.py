@@ -32,7 +32,13 @@ from cifusion.linalg import (
 from cifusion.optimizer import Cost, delta_value
 from cifusion.problem import covariance
 from cifusion import verifier
-from cifusion.verifier import _schur_function, certificate_tolerance, petersen_objective, q_pair
+from cifusion.verifier import (
+    _Gains,
+    _schur_function,
+    certificate_tolerance,
+    petersen_objective,
+    q_pair,
+)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -416,9 +422,10 @@ def adversarial_sampling_oracle(result, problem: FusionProblem, samples: int = 1
     so none lies above the exact witness beyond rounding.
     """
     q1, q2 = q_pair(result, problem)
+    base = q1 @ q1.T + q2 @ q2.T - result.P_hat.data
     a, b = verifier._draw_cross(np.random.default_rng(seed), samples, q1.shape[1], q2.shape[1])
     u, v = verifier._extreme_cross_direction(q1, q2)
-    return verifier._worst_violation(q1, q2, result.P_hat.data,
+    return verifier._worst_violation(q1, q2, base,
                                      np.stack([np.zeros_like(u), u, -u]), np.stack([v] * 3),
                                      a, b, certificate_tolerance(result))
 
@@ -608,7 +615,7 @@ def lmi_feasible_interval(result, problem: FusionProblem) -> tuple[float, float]
     The block of ``verifier.lmi_certificate`` is PSD exactly where its Schur
     complement (``verifier._schur_function``) has ``lambda_max <= 0``.
     """
-    m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
+    m, dm = _schur_function(_Gains(result, problem))
     return feasible_weight_interval(m, dm, certificate_tolerance(result), result.alpha)
 
 
@@ -626,7 +633,7 @@ def alpha_uniqueness_check(result, problem: FusionProblem) -> bool | None:
     """
     if problem.spectrum.relation is LoewnerRelation.EQUAL:
         return None
-    m, dm = _schur_function(*q_pair(result, problem), result.P_hat.data)
+    m, dm = _schur_function(_Gains(result, problem))
     tol = certificate_tolerance(result)
     interval = feasible_weight_interval(m, dm, tol, result.alpha)
     if interval is None or m(result.alpha) is None:

@@ -1236,6 +1236,23 @@ class TestOverflowNearTheFloatRange:
         assert "adversarial-x  FAIL  worst=inf" in captured.out
         assert "monte-carlo    FAIL  worst=inf" in captured.out
 
+    @pytest.mark.parametrize("gains, x_hat1, path", [
+        # K1 H1 overflows: the bias read NaN, passed its test, and every row failed
+        (([[1e308], [0]], [[-1e308, 0], [0, 1]]), [0], "K1"),
+        # K1 x_hat1 overflows, where the gains' own misfit is finite
+        (([[1e10], [0]], [[-1e10, 0], [0, 1]]), [1e300], "fused_x"),
+    ])
+    def test_result_past_the_float_range_exits_two_without_a_warning(
+            self, tmp_path, capsys, gains, x_hat1, path):
+        doc = {"n": 2, "est1": {"H": [[10, 0]], "x_hat": x_hat1, "P_hat": [[1]]},
+               "est2": {"H": [[10, 0], [0, 1]], "x_hat": [0, 0], "P_hat": [[1, 0], [0, 1]]}}
+        result = {"alpha": 0.5, "K1": gains[0], "K2": gains[1], "P_hat": [[2, 0], [0, 2]],
+                  "fused_x": [0, 0]}
+        out, err, rc = run_main(["verify", write(tmp_path, doc), "--result",
+                                 write(tmp_path, result, "r.json")], capsys)
+        assert (out, rc) == ("", cli.EXIT_INPUT)
+        assert err.startswith(f"error: {path}: ") and err.endswith("is past the float range\n")
+
     def test_schur_complement_past_the_float_range_at_every_tried_weight(self, tmp_path, capsys):
         # the samples are finite, but M = 9k^2/a + k^2/(1 - a) - P_hat
         # overflows wherever the search goes from a = 1/2, towards 0; it is
@@ -1477,7 +1494,7 @@ class TestSamplerFailures:
         result = solve_ci(problem, Cost.DET)
         if "p_hat_override" in extras:
             result = dataclasses.replace(result, P_hat=extras["p_hat_override"], diagnostics={})
-        bound = verifier._walk(result, problem).bound
+        bound = verifier._walk(result, verifier._Gains(result, problem)).bound
         witness = verifier.adversarial_x_search(result, problem)
         assert witness <= bound
         for above, code in ((1e-6, cli.EXIT_INTERNAL), (0.0, None)):

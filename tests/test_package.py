@@ -149,10 +149,10 @@ def _readers(tree: ast.Module, name: str) -> set[str | None]:
 
 
 def test_a_gain_block_is_zero_only_when_it_is_exactly_zero():
-    # an exact test, `q.any()` in the Schur function and `zero.any()` in
-    # the Schur route's bound, decides when a gain block drops out of M, and no
-    # tolerance makes a merely small block count as zero: a magnitude
-    # threshold would not be unit-free
+    # an exact test, `q.any()` in the Schur function and `q1.any()` and
+    # `q2.any()` in the Schur route's bound, decides when a gain block
+    # drops out of M, and no tolerance makes a merely small block count as
+    # zero: a magnitude threshold would not be unit-free
     tree = ast.parse(Path(cifusion.verifier.__file__).read_text())
     defined = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
@@ -167,10 +167,23 @@ def test_a_gain_block_is_zero_only_when_it_is_exactly_zero():
     # the other exact zero tests are on Monte Carlo's sample factors c = Q1 a
     # and d = Q2 b; the two .any() on boolean masks ask whether a screen
     # kept any sample and whether some head is bitwise base
-    assert anys == {("_schur_function", "q.any()"), ("_schur_margin", "zero.any()"),
+    assert anys == {("_schur_function", "q.any()"), ("_schur_margin", "q1.any()"),
+                    ("_schur_margin", "q2.any()"),
                     ("_worst_sample", "c.any()"),
                     ("_worst_sample", "d.any()"), ("_worst_sample", "keep.any()"),
                     ("_worst_sample", "(heads == base).all(axis=(1, 2)).any()")}
+
+
+def test_only_the_shared_gain_arrays_form_a_gram():
+    # S_i = Q_i Q_i' is formed in one place, the result's _Gains, which
+    # every route reads, so a route's own Gram does not creep back in
+    tree = ast.parse(Path(cifusion.verifier.__file__).read_text())
+    grams = {(getattr(node, "name", None), ast.unparse(child))
+             for node in tree.body for child in ast.walk(node)
+             if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult)
+             and isinstance(child.right, ast.Attribute) and child.right.attr == "T"
+             and ast.dump(child.left) == ast.dump(child.right.value)}
+    assert grams == {("_Gains", "self.q1 @ self.q1.T"), ("_Gains", "self.q2 @ self.q2.T")}
 
 
 def test_one_walk_over_the_weight_serves_the_verifier():

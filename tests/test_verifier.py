@@ -338,8 +338,7 @@ class TestSchurRoute:
         # assert shows that no warning was raised
         q1 = np.array([[scale], [0.0]])
         problem, result = lmi_case(np.diag([2.0, 2.0]), q1, np.array([[0.0, 0.0], [0.0, 1.0]]))
-        assert not verifier._schur_margin(*q_pair(result, problem), result.P_hat.data,
-                                          alpha) <= 1.0
+        assert not verifier._schur_margin(verifier._Gains(result, problem), alpha) <= 1.0
 
     def test_a_singular_block_at_an_interior_weight_takes_the_schur_route(self):
         # P_hat = Q1Q1'/alpha + Q2Q2'/(1 - alpha) exactly, so M = 0
@@ -678,7 +677,7 @@ class TestAdversarialSearch:
         # result's unbias residual holds both, and the walk stops at its
         # first iterate
         result, problem = rounded_trace_result()
-        m, _ = verifier._schur_function(*q_pair(result, problem), result.P_hat.data)
+        m, _ = verifier._schur_function(verifier._Gains(result, problem))
         assert np.linalg.eigvalsh(m(result.alpha))[0] < -5e-8
         minimum, resolution = golden_bracket(result, problem)
         calls = count_eig_calls(monkeypatch)
@@ -718,6 +717,13 @@ class TestPetersenCertificate:
         scale = max(1.0, np.diag(result.P_hat.data).max())
         assert petersen_objective(result, problem, tau) <= 1e-8 * scale
         assert eps == pytest.approx(tau, rel=1e-4)
+
+    def test_objective_past_the_float_range_is_infinite_without_a_warning(self):
+        # S_i = Q_i Q_i' cannot be formed (_Gains.formable): nothing is formed and
+        # the value is inf, as the walk's; it warned twice and read nan
+        problem, result = lmi_case(np.diag([2.0, 2.0]), np.array([[1e200], [0.0]]),
+                                   np.array([[-1e200, 0.0], [0.0, 1.0]]))
+        assert petersen_objective(result, problem, 1.0) == math.inf
 
     def test_shrunken_covariance_infeasible(self):
         problem = interior_problem()
@@ -869,6 +875,64 @@ class TestCallBudget:
             assert [row.name for row in rows][1:3] == ["petersen", "adversarial-x"]
             assert all(row.passed for row in rows), rows
             assert calls.count("eigh") <= 2 and calls.count("eigvalsh") <= 1, calls
+
+    def test_verify_forms_each_gain_array_once_per_result(self, monkeypatch, tmp_path, capsys):
+        # the certificate's arrays serve the walk and Monte Carlo: a solved
+        # file forms Q, S_i and B and the float-range verdict once, from its
+        # solve's certificate; an overridden one forms Q and S_i once per
+        # result judged, the solve's and the override's
+        inputs = bench_inputs()
+        cases = inputs.verify_cases(1)
+        paths = inputs.write_verify_files(cases, str(tmp_path))
+        calls, built = [], []
+        q_pair, init = verifier.q_pair, verifier._Gains.__init__
+
+        def spy_q_pair(*args):
+            calls.append(None)
+            return q_pair(*args)
+
+        def spy_init(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(verifier, "q_pair", spy_q_pair)
+        monkeypatch.setattr(verifier._Gains, "__init__", spy_init)
+        for path, case in zip(paths, cases):
+            calls.clear()
+            built.clear()
+            assert cli.main(["verify", path, "--samples", "50"]) in (0, 1)
+            capsys.readouterr()
+            judged = 2 if case["expect"] == "reject" else 1
+            grams = sum(gains._s1 is not None and gains._s2 is not None for gains in built)
+            assert (len(calls), len(built), grams) == (judged, judged, judged)
+            # B and the verdict serve the walk and Monte Carlo of the result printed
+            assert sum(gains._base is not None for gains in built) == 1
+            assert sum(gains._formable is not None for gains in built) == 1
+        assert {case["expect"] for case in cases} == {"accept", "truth", "reject"}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shared_arrays_give_the_values_of_routes_called_alone(self, seed, tmp_path):
+        # certify hands one set of arrays from route to route; each route
+        # called alone forms its own, and every row keeps its bits
+        for result, problem, _ in verify_case_results(seed, tmp_path):
+            rows = verifier.certify(result, problem, 200, seed)
+            cert = lmi_certificate(result, problem, result.alpha)
+            eps = petersen_certificate(result, problem)
+            alone = [cert.lmi_min_eig, math.nan if eps is None else eps,
+                     adversarial_x_search(result, problem),
+                     monte_carlo_joint(result, problem, 200, seed)]
+            shared = [math.nan if row.value is None else row.value for row in rows]
+            assert rows[0].passed == cert.passed
+            assert bits(shared) == bits(alone)
+
+    def test_a_certificate_of_another_p_hat_is_not_reused(self):
+        # a shrunk P_hat that keeps the solve's diagnostics is certified
+        # anew: its own arrays judge every row, and each row fails
+        problem = interior_problem()
+        result = solve_ci(problem, Cost.DET)
+        bad = dataclasses.replace(result, P_hat=psd_certify(0.5 * result.P_hat.data))
+        assert bad.diagnostics["certificate"].passed
+        assert not any(row.passed for row in verifier.certify(bad, problem, 100))
 
 
 class TestMonteCarloJoint:
@@ -1178,11 +1242,13 @@ class TestWorstViolationKernel:
             (args,), ((sample_args, value),) = kernel_calls["violation"], kernel_calls["sample"]
             assert worst == value
             assert_within_margin(value, *sample_args)
-            q1k, q2k, p_hat, head_a, head_b, a, b, tol = args
+            q1k, q2k, base_k, head_a, head_b, a, b, tol = args
             assert tol == certificate_tolerance(result)
-            assert p_hat is result.P_hat.data
+            p_hat = result.P_hat.data
             a_draws, b_draws = monte_carlo_draws(problem, seed, self.COUNT)
             q1, q2 = q_pair(result, problem)
+            # the kernel takes B = Q1 Q1' + Q2 Q2' - P_hat from its caller
+            np.testing.assert_array_equal(base_k, q1 @ q1.T + q2 @ q2.T - p_hat)
             u, _, vt = np.linalg.svd(q1.T @ q2, full_matrices=False)
             extreme = u @ vt * (1.0 - 1e-6)
             np.testing.assert_array_equal(q1k, q1)
@@ -1389,7 +1455,8 @@ class TestSampleLastSampler:
         k = min(p1, p2)
         head_a, head_b = rng.standard_normal((4, p1, k)), rng.standard_normal((4, p2, k))
         a, b = _draw_cross(rng, 20, p1, p2)
-        value = verifier._worst_violation(q1, q2, p_hat, head_a, head_b, a, b)
+        base = q1 @ q1.T + q2 @ q2.T - p_hat
+        value = verifier._worst_violation(q1, q2, base, head_a, head_b, a, b)
         ((args, got),) = kernel_calls["sample"]
         assert value == got
         assert_within_margin(value, *args)
@@ -1783,8 +1850,8 @@ class TestSquarePair:
         drawn = adversarial_sampling_oracle(result, problem, 1000, case)
         worst_x, worst_mc = sequential(result, problem, 1000, case)
         adv, _ = kernel_calls["violation"]
-        q1, q2, p_hat, _, _, a, b, _ = adv
-        tops = np.linalg.eigvalsh(dense_samples(q1, q2, p_hat, a, b))[:, -1]
+        q1, q2, _, _, _, a, b, _ = adv
+        tops = np.linalg.eigvalsh(dense_samples(q1, q2, result.P_hat.data, a, b))[:, -1]
         assert np.abs(tops).max() <= band
         assert abs(worst_x) <= band and abs(drawn) <= band
         # Monte Carlo's joints lie below the adversarial ones: at most zero
