@@ -94,7 +94,8 @@ def _finite(number: int | float) -> bool:
 
 
 def _matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
-    arr = _array(value, path)
+    """The ``rows x cols`` matrix at ``path``; an array :func:`_array` typed is not typed again."""
+    arr = value if isinstance(value, np.ndarray) else _array(value, path)
     if arr.ndim == 1:
         if arr.size != rows * cols:
             raise ProblemFileError(
@@ -328,10 +329,9 @@ def cmd_verify(args) -> int:
     else:
         result = solve_ci(problem, Cost(args.cost))
     if "p_hat_override" in extras:
-        # the solved cost and certificate describe the solved P_hat
-        diagnostics = {k: v for k, v in result.diagnostics.items() if k != "certificate"}
-        result = dataclasses.replace(result, P_hat=extras["p_hat_override"], cost_value=None,
-                                     diagnostics=diagnostics)
+        # the solved cost describes the solved P_hat; certify refuses its
+        # certificate for another P_hat on its own
+        result = dataclasses.replace(result, P_hat=extras["p_hat_override"], cost_value=None)
     try:
         rows = verifier.certify(result, problem, args.samples, args.seed, extras.get("truth"))
     except MemoryError as exc:

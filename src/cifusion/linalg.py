@@ -214,9 +214,12 @@ def cholesky_pd(a) -> np.ndarray:
 
 
 def inv_pd(a) -> np.ndarray:
-    """Inverse ``L^-T L^-1`` of a PD matrix through its lower Cholesky factor ``L``."""
-    chol = cholesky_pd(a)
-    linv = np.linalg.solve(chol, np.eye(chol.shape[0]))
+    """Inverse ``L^-T L^-1`` of a PD matrix through its lower Cholesky factor ``L``.
+
+    ``L^-1`` is ``inv(L)``, as :attr:`PartialEstimate.chol_inv
+    <cifusion.problem.PartialEstimate.chol_inv>` takes it.
+    """
+    linv = np.linalg.inv(cholesky_pd(a))
     out = linv.T @ linv
     return 0.5 * (out + out.T)
 

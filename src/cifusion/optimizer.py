@@ -156,7 +156,9 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
     rule makes no spectral call and no refusal of its own.  The gains
     are ``P_hat`` times :attr:`FusionProblem.gain_basis`, their column
     blocks weighted by ``alpha`` and ``1 - alpha``.  Given a ``cost``, the
-    result carries its value from the spectrum.
+    result carries its value from the spectrum.  ``K1``, ``K2`` and
+    ``fused_x`` are read-only, as ``P_hat`` is, so a certificate formed on
+    these arrays describes their values for as long as it holds them.
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidFamilyParameterError(alpha, "outside [0, 1]")
@@ -176,12 +178,15 @@ def ku_rule(problem: FusionProblem, alpha: float, *, cost: Cost | None = None) -
     k *= np.array([alpha] * p1 + [1.0 - alpha] * problem.p2)
     unbias = k @ problem.h_stacked
     unbias.reshape(-1)[:: problem.n + 1] -= 1.0  # K H - I
+    k.setflags(write=False)  # read-only, as P_hat is, and so are its blocks K1 and K2
+    fused_x = k @ problem.x_stacked
+    fused_x.setflags(write=False)
     return FusionResult(
         alpha=float(alpha),
         K1=k[:, :p1],
         K2=k[:, p1:],
         P_hat=p_hat,
-        fused_x=k @ problem.x_stacked,
+        fused_x=fused_x,
         cost_value=None if cost is None else spectrum.cost(cost, alpha - 0.5),
         diagnostics={"unbias_residual": float(np.abs(unbias).max())},
     )

@@ -129,11 +129,7 @@ class PartialEstimate:
 
     @cached_property
     def chol_inv(self) -> np.ndarray:
-        """``L^-1``, the inverse of :attr:`p_chol`.
-
-        ``inv`` solves ``L X = I`` by the same LAPACK ``gesv`` as
-        ``solve(L, eye(p))``, so it gives the same bits.
-        """
+        """``L^-1``, the inverse of :attr:`p_chol`, by ``inv`` as :func:`~cifusion.linalg.inv_pd`."""
         return _frozen(np.linalg.inv(self.p_chol))
 
     @cached_property

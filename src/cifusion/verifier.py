@@ -39,8 +39,10 @@ draws are kept as ``n x samples`` factor arrays.
 Every route reads ``Q_i``, ``S_i`` and ``B`` from one value per result,
 :class:`_Gains`, which forms each on first read: the block certificate
 builds it and keeps it, and :func:`certify` hands it on to the walk and
-from the walk to Monte Carlo, so a result is judged on arrays formed once,
-and a solved result on those its solve's certificate formed.
+to Monte Carlo, so a result is judged on arrays formed once.  A solved
+result is judged on those its solve's certificate formed, and only while
+that certificate describes it: the same ``K1``, ``K2`` and ``P_hat``
+arrays, the same problem and the same weight (:meth:`_Gains.describes`).
 :func:`_worst_sample` takes its threshold from the heads, the fixed
 extremes the sampler passes.  It decides most samples from their factors
 by one Cholesky factorisation and a closed-form test per sample
@@ -92,7 +94,8 @@ class ConservativenessCertificate:
     as :attr:`PsdMatrix.min_eig <cifusion.linalg.PsdMatrix.min_eig>` does.
     Certificates compare equal where all five values do.  The certificate
     keeps the result's :class:`_Gains`, which :func:`certify` hands on to
-    the walk and Monte Carlo, so a solved result forms each array once.
+    the walk and Monte Carlo while it describes the result judged, so a
+    solved result forms each array once.
     """
 
     alpha: float
@@ -154,21 +157,34 @@ class _Gains:
     result's ``P_hat``; the Grams ``s1 = Q1 Q1'`` and ``s2 = Q2 Q2'``,
     ``base``, ``B = S1 + S2 - P_hat``, and the verdict ``formable`` are
     formed on first read and kept, so a route that reads none of them forms
-    none.  :func:`lmi_certificate` builds one per result and its
-    certificate keeps it; :func:`certify` hands it to :func:`_walk`, and
-    the walk's to :func:`monte_carlo_joint`; a route called alone builds
-    its own.  The routes read these arrays and never write them.  Callers
-    on two threads that share one may both form an array on its first
-    read; each is a pure function of ``q1``, ``q2`` and ``p_hat``, so both
-    get the same bits.
+    none.  It keeps the ``K1``, ``K2`` and ``P_hat`` arrays and the problem
+    it was formed from, so :meth:`describes` can tell whether it judges a
+    given result.  :func:`lmi_certificate` builds one per result and its
+    certificate keeps it; :func:`certify` hands the one it judges on to
+    :func:`_walk` and :func:`monte_carlo_joint`; a route called alone
+    builds its own.  The routes read these arrays and never write them.
+    Callers on two threads that share one may both form an array on its
+    first read; each is a pure function of ``q1``, ``q2`` and ``p_hat``,
+    so both get the same bits.
     """
 
-    __slots__ = ("q1", "q2", "p_hat", "_s1", "_s2", "_base", "_formable")
+    __slots__ = ("k1", "k2", "p_hat", "problem", "q1", "q2", "_s1", "_s2", "_base",
+                 "_formable")
 
     def __init__(self, result, problem: FusionProblem):
+        self.k1, self.k2, self.p_hat = result.K1, result.K2, result.P_hat.data
+        self.problem = problem
         self.q1, self.q2 = q_pair(result, problem)
-        self.p_hat = result.P_hat.data
         self._s1 = self._s2 = self._base = self._formable = None
+
+    def describes(self, result, problem: FusionProblem) -> bool:
+        """Whether these are the arrays of ``result`` on ``problem``: the same objects.
+
+        A solve returns its arrays read-only, so the same objects hold the
+        same values.
+        """
+        return (self.k1 is result.K1 and self.k2 is result.K2
+                and self.p_hat is result.P_hat.data and self.problem is problem)
 
     @property
     def s1(self) -> np.ndarray:
@@ -353,7 +369,11 @@ def _schur_margin(gains: _Gains, alpha: float) -> float:
     top = max(p_hat.diagonal().tolist())
     if not size + top < 2.0 ** 1000:
         return math.inf
-    m = (gains.s1 / alpha if alpha else 0.0) + (gains.s2 / beta if beta else 0.0) - p_hat
+    # formed in place, in the order S1/a + S2/b - P_hat
+    m = gains.s1 / alpha if alpha else gains.s2 / beta
+    if alpha and beta:
+        m += gains.s2 / beta
+    m -= p_hat
     frob = math.sqrt(float(np.vdot(m, m)))
     (n, p1), p2 = q1.shape, q2.shape[1]
     rho = rounding_allowance(n + p1 + p2, 2.0 * (size + frob + 1.0))
@@ -634,15 +654,13 @@ class _Walk:
     """What :func:`_walk` found: the scalar certificate's weight and the witness's ``(value, bound)``.
 
     ``scale`` is ``n (3 max|S1| + 3 max|S2| + max|P_hat|)``, above the norm
-    of every sample at a cross parameter of norm at most one.  ``gains``
-    are the arrays the walk read, which Monte Carlo reads in turn.
+    of every sample at a cross parameter of norm at most one.
     """
 
     feasible: float | None  # the first weight that certifies, or None
     value: float
     bound: float
     scale: float
-    gains: _Gains = field(compare=False, repr=False)
 
 
 def adversarial_x_search(result, problem: FusionProblem, walk: _Walk | None = None) -> float:
@@ -726,11 +744,10 @@ def _walk(result, gains: _Gains) -> _Walk:
     certifies and no sample is taken: the walk has no feasible weight, and
     its value and bound are ``inf``; so is its scale where
     :attr:`_Gains.formable` fails, which forms nothing.  Every array is
-    read from ``gains``, the result's :class:`_Gains`, which the returned
-    walk carries on to Monte Carlo.
+    read from ``gains``, the result's :class:`_Gains`.
     """
     if not gains.formable:
-        return _Walk(None, math.inf, math.inf, math.inf, gains)
+        return _Walk(None, math.inf, math.inf, math.inf)
     tol = certificate_tolerance(result)
     n = gains.p_hat.shape[0]
     # Python floats, so that scale and s overflow to inf without a warning
@@ -755,13 +772,13 @@ def _walk(result, gains: _Gains) -> _Walk:
                 value = max(value, _sample_top(gains, a, b))
                 witnessed = f - value <= band
         if decided and witnessed:
-            return _Walk(feasible, value, bound, scale, gains)
+            return _Walk(feasible, value, bound, scale)
     if alpha is None:
-        return _Walk(None, math.inf, math.inf, scale, gains)
+        return _Walk(None, math.inf, math.inf, scale)
     if not witnessed:
         a, b, _ = _flat_direction(gains, alpha, w, v, d1, max(0.25 * band, f - floor))
         value = max(value, _sample_top(gains, a, b))
-    return _Walk(feasible, value, bound, scale, gains)
+    return _Walk(feasible, value, bound, scale)
 
 
 def _flat_direction(gains: _Gains, alpha: float, w, v, d1, width: float):
@@ -857,7 +874,7 @@ def petersen_certificate(result, problem: FusionProblem, walk: _Walk | None = No
 
 def monte_carlo_joint(
     result, problem: FusionProblem, truth_samples: int = 1000, seed: int = 0,
-    walk: _Walk | None = None,
+    gains: _Gains | None = None,
 ) -> float:
     """Largest sampled violation over admissible true joint covariances.
 
@@ -878,8 +895,9 @@ def monte_carlo_joint(
     over heads and draws, to :func:`_worst_sample`'s margin and exactly
     against :func:`certificate_tolerance`; ``inf``, with nothing drawn or
     formed, where :attr:`_Gains.formable` fails, as the walk's bound is there.
-    ``walk`` is the result's :func:`_walk`, whose :class:`_Gains`, with
-    ``B``, :func:`certify` shares here; without it, the arrays are formed.
+    ``gains`` is the result's :class:`_Gains`, with ``B``, which
+    :func:`certify` shares here; without it, the arrays are formed.  The
+    caller makes sure that it describes ``result`` (:meth:`_Gains.describes`).
 
     Only such joints can reach the supremum.  An admissible joint with
     diagonal blocks ``A_i <= P_i`` has a cross block ``L1 X L2'`` with
@@ -899,7 +917,8 @@ def monte_carlo_joint(
         raise ValueError("truth_samples must be positive")
     if truth_samples > np.iinfo(np.intp).max // (8 * (problem.n + 4) ** 2):
         raise MemoryError(f"{truth_samples} samples exceed the addressable memory")
-    gains = walk.gains if walk else _Gains(result, problem)
+    if gains is None:
+        gains = _Gains(result, problem)
     if not gains.formable:
         return math.inf  # as the walk's bound, so the two routes agree
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
@@ -941,32 +960,37 @@ def certify(result, problem: FusionProblem, samples: int = 1000, seed: int = 0,
             truth=None) -> tuple[CertificateRow, ...]:
     """The rows ``cifusion verify`` prints for ``result``, in that order.
 
-    ``lmi`` reuses a solve's certificate, ``diagnostics["certificate"]``
-    (``solve_ci`` raises unless it passed), and certifies any other result,
-    and a result whose ``P_hat`` is not the one its certificate was made on,
-    as after ``dataclasses.replace``; the certificate's :class:`_Gains` then
-    serves the walk and Monte Carlo, so the result is judged on one set of
-    arrays, its own;
-    its value is the certificate's ``lmi_min_eig``, so a solve's block
-    ``eigvalsh`` runs here, on first read; ``petersen`` is the scalar
+    ``lmi`` is a certificate's verdict and its ``lmi_min_eig``.  It reuses
+    a solve's certificate, ``diagnostics["certificate"]`` (``solve_ci``
+    raises unless it passed), only where that describes this result: its
+    weight is ``result.alpha``, and its :class:`_Gains` was formed from
+    this result's own ``K1``, ``K2`` and ``P_hat`` arrays and from
+    ``problem`` (:meth:`_Gains.describes`).  Any other result is certified
+    afresh, as a loaded one is, so a result derived from a solved one by
+    ``dataclasses.replace``, or judged on another problem, gets the rows
+    of a new :class:`~cifusion.optimizer.FusionResult` with the same
+    fields.  A solve's block ``eigvalsh`` runs here, on first read of its
+    ``lmi_min_eig``.  The certificate's one :class:`_Gains` then serves
+    :func:`_walk` and :func:`monte_carlo_joint`, so every row judges the
+    result on one set of arrays, its own.  ``petersen`` is the scalar
     certificate's eps, ``inf`` or ``0`` where a zero gain block puts it at
     an end weight; ``adversarial-x`` is the exact witness, both read off
-    one :func:`_walk` over the weight; ``samples``
-    and ``seed`` drive Monte Carlo alone, whose value above ``min f``
-    beyond rounding raises :class:`InternalInconsistencyError`; ``truth``
-    adds ``truth-joint``.
+    one walk over the weight; ``samples`` and ``seed`` drive Monte Carlo
+    alone, whose value above ``min f`` beyond rounding raises
+    :class:`InternalInconsistencyError`; ``truth`` adds ``truth-joint``.
     Routes are looked up in this module at each call.
     """
     tol = certificate_tolerance(result)
     cert = result.diagnostics.get("certificate")
-    if cert is None or cert._gains.p_hat is not result.P_hat.data:
+    if cert is None or cert.alpha != result.alpha or not cert._gains.describes(result, problem):
         cert = lmi_certificate(result, problem, result.alpha)
+    gains = cert._gains
     rows = [CertificateRow("lmi", cert.passed, "min_eig", cert.lmi_min_eig)]
-    walk = _walk(result, cert._gains)
+    walk = _walk(result, gains)
     eps = petersen_certificate(result, problem, walk)
     rows.append(CertificateRow("petersen", eps is not None, "eps", eps))
     worst_x = adversarial_x_search(result, problem, walk)
-    worst_mc = monte_carlo_joint(result, problem, samples, seed, walk)
+    worst_mc = monte_carlo_joint(result, problem, samples, seed, gains)
     _check_monte_carlo(result, worst_mc, walk)
     rows.append(CertificateRow("adversarial-x", worst_x <= tol, "worst", worst_x))
     rows.append(CertificateRow("monte-carlo", worst_mc <= tol, "worst", worst_mc))

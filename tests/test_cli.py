@@ -422,19 +422,19 @@ class TestVerify:
         assert len(seen) == 1 and "certificate" not in seen[0].diagnostics
 
     def test_overridden_result_drops_the_solved_fields(self, tmp_path, capsys, monkeypatch):
-        # the copy with the file's P_hat keeps neither the solved P_hat's
-        # cost nor its certificate, and does not share its diagnostics
+        # the copy with the file's P_hat keeps no cost of the solved P_hat;
+        # it still carries the solve's certificate, which does not describe
+        # it, so certify judges it on a certificate of its own
         doc = dict(EXAMPLE2, P_hat_override=[[2.5, 0], [0, 0.2]])
         seen = self._certified(monkeypatch)
         assert cli.main(["verify", write(tmp_path, doc), "--samples", "50"]) == 0
         solved, overridden = seen
         assert np.array_equal(overridden.P_hat.data, [[2.5, 0], [0, 0.2]])
         assert solved.cost_value is not None and overridden.cost_value is None
-        assert "certificate" in solved.diagnostics
-        assert "certificate" not in overridden.diagnostics
-        assert overridden.diagnostics is not solved.diagnostics
-        assert overridden.diagnostics == {k: v for k, v in solved.diagnostics.items()
-                                          if k != "certificate"}
+        gains = solved.diagnostics["certificate"]._gains
+        assert overridden.diagnostics["certificate"]._gains is gains
+        assert gains.describes(solved, gains.problem)
+        assert not gains.describes(overridden, gains.problem)
 
     def test_truth_block_adds_joint_check(self, tmp_path, capsys):
         doc = dict(EXAMPLE2)

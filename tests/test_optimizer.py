@@ -999,14 +999,15 @@ class TestKeptSpectrum:
             assert problem.spectrum is spectrum
 
     def test_kept_arrays_are_read_only(self):
+        # a solve's own arrays too, so the same objects hold the same values
         problem = example2_problem()
-        solve_ci(problem, Cost.TRACE)
+        result = solve_ci(problem, Cost.TRACE)
         spectrum, est = problem.spectrum, problem.est1
         *factors, e = problem.whitened_factors
         assert type(e) is int and e == spectrum.exponent
         for array in (spectrum.lam, spectrum.c, spectrum.w,
                       est.p_chol, est.chol_inv, est.whitened, est.h, est.x_hat, est.p_hat.data,
-                      *factors):
+                      *factors, result.K1, result.K2, result.fused_x, result.P_hat.data):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
         for name, value in (("lam", np.zeros(2)), ("exponent", 0)):

@@ -186,6 +186,42 @@ def test_only_the_shared_gain_arrays_form_a_gram():
     assert grams == {("_Gains", "self.q1 @ self.q1.T"), ("_Gains", "self.q2 @ self.q2.T")}
 
 
+def _key_uses(key: str) -> list[tuple[str, str | None, str]]:
+    """``(module, function, use)`` of every string constant ``key`` in the package.
+
+    ``use`` is ``"write"`` for a subscript store, ``"read"`` for a subscript
+    load or a ``.get`` call, and else the source of the expression holding
+    it; ``function`` is the innermost enclosing function, or None.
+    """
+    uses = []
+    for path in sorted(Path(cifusion.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Constant) and node.value == key):
+                continue
+            parent = scope = parents[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parents[scope]
+            if isinstance(parent, ast.Subscript):
+                use = "write" if isinstance(parent.ctx, ast.Store) else "read"
+            elif isinstance(parent, ast.Call) and getattr(parent.func, "attr", None) == "get":
+                use = "read"
+            else:
+                use = ast.unparse(parent)
+            uses.append((path.name, getattr(scope, "name", None), use))
+    return uses
+
+
+def test_one_owner_decides_whether_a_stored_certificate_is_reused():
+    # the solve writes its certificate into the diagnostics; certify alone
+    # decides whether it describes the result judged, and the fuse output
+    # prints its smallest eigenvalue, so no other module filters or reads it
+    assert sorted(_key_uses("certificate")) == [
+        ("cli.py", "_result_to_json", "read"), ("optimizer.py", "solve_ci", "write"),
+        ("verifier.py", "certify", "read")]
+
+
 def test_one_walk_over_the_weight_serves_the_verifier():
     # the scalar certificate and the witness read the iterates of one walk,
     # so a second search over f does not creep back into the package

@@ -10,7 +10,7 @@ from cifusion.errors import (
     StackedRankDeficientError,
 )
 from cifusion import problem as problem_module
-from cifusion.linalg import LoewnerRelation, rounding_allowance
+from cifusion.linalg import LoewnerRelation, inv_pd, rounding_allowance
 from cifusion.optimizer import Cost, solve_ci
 from cifusion.problem import RANK_RTOL, covariance
 from cifusion.verifier import certify
@@ -136,13 +136,16 @@ def _pool_problems(seeds):
 class TestFreshProblemValues:
     def test_chol_inv_has_the_bits_of_a_solve_on_the_identity(self):
         # inv and solve(L, I) both run LAPACK's gesv on the identity, so the
-        # inverse factor, and all that is built from it, keeps its bits
+        # inverse factor, and all that is built from it, keeps its bits, and
+        # so does inv_pd, which takes L^-1 by the same inv
         rng = np.random.default_rng(5)
         problems = _pool_problems(range(1, 4)) + [random_problem(rng) for _ in range(100)]
         for problem in problems:
             for est in (problem.est1, problem.est2):
                 want = np.linalg.solve(est.p_chol, np.eye(est.p))
                 assert est.chol_inv.tobytes() == want.tobytes(), problem
+                inverse = want.T @ want
+                assert inv_pd(est.p_hat).tobytes() == (0.5 * (inverse + inverse.T)).tobytes()
 
     def test_omega_lies_within_rounding_of_the_least_eigenvalue_of_w_w(self):
         # omega comes from the SVD's largest singular value; it never exceeds

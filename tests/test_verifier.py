@@ -934,6 +934,33 @@ class TestCallBudget:
         assert bad.diagnostics["certificate"].passed
         assert not any(row.passed for row in verifier.certify(bad, problem, 100))
 
+    @pytest.mark.parametrize("derive, failing", [
+        ("gains", {"lmi", "petersen", "adversarial-x", "monte-carlo"}),
+        ("problem", {"lmi", "petersen", "adversarial-x", "monte-carlo"}),
+        ("alpha", {"lmi"}),
+    ])
+    def test_a_derived_result_gets_the_rows_of_a_fresh_one(self, derive, failing):
+        # a solve's certificate describes only its own K1, K2, P_hat, problem
+        # and weight: replaced gains, another problem or a replaced weight
+        # is certified afresh, with the rows of a new FusionResult
+        problem = example2_problem()
+        result = solve_ci(problem, Cost.TRACE)
+        if derive == "gains":
+            result = dataclasses.replace(result, K1=3.0 * result.K1, K2=0.5 * result.K2)
+        elif derive == "problem":
+            problem = FusionProblem(PartialEstimate(np.eye(2), [0.0, 0.0], 4.0 * np.eye(2)),
+                                    problem.est2)
+        else:
+            result = dataclasses.replace(result, alpha=0.9)
+        fresh = FusionResult(result.alpha, result.K1, result.K2, result.P_hat, result.fused_x,
+                             result.cost_value)
+        rows = verifier.certify(result, problem, 200)
+        want = verifier.certify(fresh, problem, 200)
+        assert [(row.name, row.passed) for row in rows] == [(row.name, row.passed) for row in want]
+        assert bits([math.nan if row.value is None else row.value for row in rows]) \
+            == bits([math.nan if row.value is None else row.value for row in want])
+        assert {row.name for row in rows if not row.passed} == failing
+
 
 class TestMonteCarloJoint:
     def test_diagonal_truth_respects_bound(self):
