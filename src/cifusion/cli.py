@@ -142,15 +142,26 @@ def _estimate(doc: dict, key: str, n: int) -> PartialEstimate:
         raise ProblemFileError(key, str(exc)) from None
 
 
-def load_problem_file(path: str) -> tuple[FusionProblem, dict]:
-    """Parse and validate a problem file; extras carry optional blocks."""
+def _read_json(path: str):
+    """The JSON document in the file at ``path``, or :class:`ProblemFileError` naming the file.
+
+    The file's bytes are parsed as JSON text (RFC 8259): UTF-8, or UTF-16 or
+    UTF-32 told by its first bytes, whatever the locale.  Bytes that do not
+    decode and nesting deeper than the parser's recursion limit are
+    invalid JSON like any other.
+    """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read())
     except OSError as exc:
         raise ProblemFileError(path, str(exc)) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
         raise ProblemFileError(path, f"invalid JSON: {exc}") from None
+
+
+def load_problem_file(path: str) -> tuple[FusionProblem, dict]:
+    """Parse and validate a problem file; extras carry optional blocks."""
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "n" not in doc:
         raise ProblemFileError("n", "missing state dimension")
     n = doc["n"]
@@ -275,11 +286,7 @@ def _check_misfit(k1, y1, k2, y2, target, path: str, what: str, message: str) ->
 
 
 def _load_result_file(path: str, problem: FusionProblem) -> FusionResult:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProblemFileError(path, str(exc)) from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ProblemFileError(path, "a result file holds one JSON object")
     for key in ("alpha", "K1", "K2", "P_hat", "fused_x"):

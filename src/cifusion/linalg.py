@@ -5,8 +5,11 @@ PSD certification; inverses of PD matrices go through a Cholesky factor,
 and the adjugate through its cofactors, all taken in one batched
 determinant.  One classification, :meth:`LoewnerRelation.from_extremes`,
 turns the ends of a difference's spectrum into a semidefinite order.
-Matrices here are small and dense (state dimensions of a few dozen at
-most).  The package's two PSD tolerances, ``DEFAULT_TOL`` and
+:func:`psd_certify` and :func:`loewner_compare` each have a stacked
+counterpart that makes one ``eigvalsh`` call for a stack of same-size
+matrices and judges each by the single call's rule (:func:`psd_verdict`,
+:meth:`LoewnerRelation.of_difference`).  Matrices here are small and
+dense (state dimensions of a few dozen at most).  The package's two PSD tolerances, ``DEFAULT_TOL`` and
 ``DEFAULT_CERT_TOL``, are named here, and every magnitude they are scaled
 by goes through :func:`tol_scale`.  So are the package's one allowance
 for the rounding of a formed and decomposed matrix,
@@ -116,6 +119,17 @@ class LoewnerRelation(enum.Enum):
         )
 
     @classmethod
+    def of_difference(cls, lo: float, hi: float, top_a: float, top_b: float,
+                      tol: float = DEFAULT_TOL) -> "LoewnerRelation":
+        """A versus B from the ends of the spectrum of ``A - B`` and the largest |entry| of each.
+
+        :func:`loewner_compare`'s rule, and :func:`loewner_compare_stack`'s
+        for each pair: :meth:`from_extremes` with bound
+        ``tol * tol_scale(max(top_a, top_b))``.
+        """
+        return cls.from_extremes(lo, hi, tol * tol_scale(max(top_a, top_b)))
+
+    @classmethod
     def from_extremes(cls, lo: float, hi: float, bound: float) -> "LoewnerRelation":
         """A versus B from the smallest and largest eigenvalues of ``A - B``.
 
@@ -159,11 +173,19 @@ def sym_data(m) -> np.ndarray:
     return half + half.T
 
 
+def sym_stack(stack: np.ndarray) -> np.ndarray:
+    """:func:`sym_data` of each matrix of a stack, frozen: ``0.5 * a + 0.5 * a.T``, the same bits."""
+    half = 0.5 * stack
+    data = half + np.swapaxes(half, -1, -2)
+    data.flags.writeable = False
+    return data
+
+
 def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
     """Classify A versus B in the semidefinite matrix order.
 
     The ends of the spectrum of ``A - B`` decide the variant
-    (:meth:`LoewnerRelation.from_extremes`, bound ``tol * scale``).
+    (:meth:`LoewnerRelation.of_difference`, bound ``tol * scale``).
     Equality is spectral (``max |eig(A - B)| <= tol * scale``), which for
     symmetric matrices also bounds every entry of the difference.
     ``scale`` is ``tol_scale(max(|A|_max, |B|_max))``.  An operand that
@@ -179,8 +201,41 @@ def loewner_compare(a, b, tol: float = DEFAULT_TOL) -> LoewnerRelation:
     if not (np.isfinite(da).all() and np.isfinite(db).all()):
         raise NonFiniteError("loewner_compare: an operand holds a NaN or an infinity")
     eigs = np.linalg.eigvalsh(da - db)
-    bound = tol * tol_scale(max(np.abs(da).max(), np.abs(db).max()))
-    return LoewnerRelation.from_extremes(eigs[0], eigs[-1], bound)
+    return LoewnerRelation.of_difference(eigs[0], eigs[-1], np.abs(da).max(), np.abs(db).max(), tol)
+
+
+def loewner_compare_stack(da: np.ndarray, db: np.ndarray) -> list[LoewnerRelation] | None:
+    """:func:`loewner_compare` of each pair of two stacks of symmetric matrices, or None.
+
+    ``da`` and ``db`` hold ``dim x dim`` matrices, ``dim >= 1``, as
+    :func:`sym_stack` gives them.  One ``eigvalsh`` call takes every
+    difference, and each pair is classified by
+    :meth:`LoewnerRelation.of_difference`, the rule of the single call, on
+    its own values.  None where the single call of some pair would raise
+    (an operand that is not finite) or the stacked call raises; the caller
+    then makes each pair's own call to learn which.
+    """
+    if da.shape[-1] < 1 or not (np.isfinite(da).all() and np.isfinite(db).all()):
+        return None
+    try:
+        eigs = np.linalg.eigvalsh(da - db)
+    except np.linalg.LinAlgError:
+        return None
+    tops_a, tops_b = (np.abs(d).max(axis=(-2, -1)).tolist() for d in (da, db))
+    return [LoewnerRelation.of_difference(lo, hi, top_a, top_b)
+            for lo, hi, top_a, top_b
+            in zip(eigs[:, 0].tolist(), eigs[:, -1].tolist(), tops_a, tops_b)]
+
+
+def psd_verdict(lo: float, hi: float) -> tuple[bool, bool]:
+    """Whether a symmetric matrix whose spectrum runs from ``lo`` to ``hi`` is PSD, and strictly.
+
+    :func:`psd_certify`'s rule, and :func:`psd_certify_stack`'s for each
+    matrix: with ``bound = DEFAULT_TOL * tol_scale(max(-lo, hi))``, PSD when
+    ``lo >= -bound`` and ``bound`` is finite, strictly when ``lo > bound``.
+    """
+    bound = DEFAULT_TOL * tol_scale(max(-lo, hi))
+    return lo >= -bound and bound != math.inf, lo > bound
 
 
 def psd_certify(a) -> PsdMatrix:
@@ -199,10 +254,36 @@ def psd_certify(a) -> PsdMatrix:
     data.flags.writeable = False
     eigs = np.linalg.eigvalsh(data)
     min_eig = float(eigs[0])
-    bound = DEFAULT_TOL * tol_scale(max(-min_eig, float(eigs[-1])))
-    if not min_eig >= -bound or bound == math.inf:
+    psd, strict = psd_verdict(min_eig, float(eigs[-1]))
+    if not psd:
         raise NotPsdError(min_eig)
-    return PsdMatrix(data, min_eig, strict=min_eig > bound)
+    return PsdMatrix(data, min_eig, strict)
+
+
+def psd_certify_stack(data: np.ndarray) -> list[PsdMatrix] | None:
+    """:func:`psd_certify` of each matrix of a stack, or None.
+
+    ``data`` holds symmetric ``dim x dim`` matrices, ``dim >= 1``, frozen,
+    as :func:`sym_stack` gives them.  One ``eigvalsh`` call takes every
+    spectrum, and each matrix is judged by :func:`psd_verdict`, the rule of
+    the single call, on its own ends; its :class:`PsdMatrix` keeps a view
+    of ``data``.  None where the single call of some matrix would raise or
+    the stacked call raises; the caller then makes each matrix's own call
+    to learn which.
+    """
+    if data.shape[-1] < 1:
+        return None
+    try:
+        eigs = np.linalg.eigvalsh(data)
+    except np.linalg.LinAlgError:
+        return None
+    certs = []
+    for matrix, lo, hi in zip(data, eigs[:, 0].tolist(), eigs[:, -1].tolist()):
+        psd, strict = psd_verdict(lo, hi)
+        if not psd:
+            return None
+        certs.append(PsdMatrix(matrix, lo, strict))
+    return certs
 
 
 def cholesky_pd(a) -> np.ndarray:

@@ -45,8 +45,10 @@ from .linalg import (
     PsdMatrix,
     cholesky_pd,
     psd_certify,
+    psd_certify_stack,
     rounding_allowance,
     sym_data,
+    sym_stack,
     tol_scale,
 )
 
@@ -77,12 +79,36 @@ def covariance(value, dim: int, name: str) -> PsdMatrix:
     if isinstance(value, PsdMatrix):
         return value
     skew = float(np.abs(value - value.T).max())
-    if skew > RESULT_RTOL * np.abs(value).max():
+    if _asymmetric(skew, np.abs(value).max()):
         raise NotPdError(f"{name}: not symmetric: differs from its transpose by {skew:.17g}")
     try:
         return psd_certify(value)
     except NotPsdError as exc:
         raise NotPsdError(exc.min_eig, f"{name}: {exc}") from None
+
+
+def _asymmetric(skew, top):
+    """:func:`covariance`'s symmetry rule, elementwise on arrays: a block
+    whose largest entry is ``top`` in magnitude may differ from its
+    transpose by at most ``RESULT_RTOL * top``; ``skew`` is the difference."""
+    return skew > RESULT_RTOL * top
+
+
+def covariances_pass(stack: np.ndarray) -> bool:
+    """Whether :func:`covariance` accepts every block of a stack of ``dim x dim`` blocks.
+
+    Each check takes the whole stack at once, by the single call's rule:
+    finite entries, :func:`_asymmetric` on each block's own values, then
+    :func:`~cifusion.linalg.psd_certify_stack`, one ``eigvalsh`` call.
+    False names no block; the caller then calls :func:`covariance` on each
+    in order, so the first block at fault raises its own error.
+    """
+    if stack.shape[-1] < 1 or not np.isfinite(stack).all():
+        return False
+    skew = np.abs(stack - np.swapaxes(stack, -1, -2)).max(axis=(-2, -1))
+    if _asymmetric(skew, np.abs(stack).max(axis=(-2, -1))).any():
+        return False
+    return psd_certify_stack(sym_stack(stack)) is not None
 
 
 class PartialEstimate:

@@ -7,6 +7,9 @@ is the only way to assert conservativeness against ground truth without
 Monte Carlo noise.  The fused result overwrites the first node of each
 event; the second keeps its prior, so repeated fusions double-count
 information exactly the way the fusion rule is built to survive.
+:func:`init_network` builds the nodes in stages, with one stacked numpy
+call per stage and block size, and a seeded network is the same to the
+bit as one built node by node.
 """
 
 from __future__ import annotations
@@ -16,20 +19,29 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InternalInconsistencyError,
     NotPdError,
     OutOfRangeError,
     ScheduleError,
     StackedRankDeficientError,
     UnreachableError,
 )
-from .linalg import PsdMatrix, loewner_compare, psd_certify
+from .linalg import (
+    PsdMatrix,
+    loewner_compare,
+    loewner_compare_stack,
+    psd_certify,
+    psd_certify_stack,
+    sym_stack,
+)
 from .optimizer import Cost, solve_ci
-from .problem import FusionProblem, PartialEstimate, covariance
+from .problem import FusionProblem, PartialEstimate, covariance, covariances_pass
 from .verifier import certificate_tolerance
 
 #: drawn true covariances have condition number at most this
@@ -315,11 +327,40 @@ def _random_spd(rng, dim: int) -> np.ndarray:
     return (q * eigs) @ q.T
 
 
-def _random_psd_inflation(rng, dim: int, trace_budget: float) -> np.ndarray:
-    gauss = rng.standard_normal((dim, dim))
-    w = gauss @ gauss.T
-    target = trace_budget * rng.uniform(0.1, 1.0)
-    return w * (target / np.trace(w))
+class _Group:
+    """The nodes of one block size, in node order, with their arrays stacked.
+
+    ``rows`` are the nodes' rows in the network's stack of observations, as
+    the ground truth orders them; the stages add ``factor``, the Cholesky
+    factors of ``p``, and ``inflated``, the inflated covariances.
+    """
+
+    def __init__(self, nodes: list[int], offsets: list[int], hs: list, p_true: list):
+        self.nodes = nodes
+        self.size = hs[nodes[0]].shape[0]
+        self.rows = (np.array([offsets[i] for i in nodes])[:, None] + np.arange(self.size)).ravel()
+        self.h = np.stack([hs[i] for i in nodes])
+        self.p = np.stack([p_true[i] for i in nodes])
+
+
+def _groups(hs: list, p_true: list) -> list[_Group]:
+    """The nodes grouped by block size, the sizes in ascending order."""
+    by_size: dict[int, list[int]] = {}
+    for i, h in enumerate(hs):
+        by_size.setdefault(h.shape[0], []).append(i)
+    offsets = list(itertools.accumulate((h.shape[0] for h in hs), initial=0))
+    return [_Group(by_size[size], offsets, hs, p_true) for size in sorted(by_size)]
+
+
+def _search(check, count: int, stage: str) -> NoReturn:
+    """The error path of a stage that numpy or a verdict rejected for a stack.
+
+    Runs ``check(i)``, node i's own call of the stage, for every node in
+    order, so the lowest node at fault raises the error it raises alone.
+    """
+    for i in range(count):
+        check(i)
+    raise InternalInconsistencyError(f"the stacked {stage} failed where each node's own passes")
 
 
 def init_network(
@@ -341,6 +382,17 @@ def init_network(
     names the entry.  Raises :class:`MemoryError` before it draws a node
     when no buffer ``JOINT_HEADROOM`` times as wide as ``nodes * n`` rows,
     the joint once every node holds the full state, can be addressed.
+
+    The network is built in stages, each over every node: the ``p_list``
+    checks, the Cholesky factors, the rank test on the whitened stack, and
+    the inflations with their certificates.  A stage makes one stacked
+    numpy call per block size, not one per node.  Where numpy or a verdict
+    rejects a stack, each node's own call runs in node order, so the lowest
+    node at fault raises the error that it raises alone, and a later stage
+    never runs before an earlier one has passed every node.  Each stacked
+    call gives every matrix the bits of its own call, and the draws keep
+    their order, so a seeded network is the same to the bit as one built
+    node by node (``tests/test_simulator.py`` checks both).
     """
     for name, value in (("n", n), ("nodes", nodes)):
         if value < 1:
@@ -370,21 +422,37 @@ def init_network(
         if len(p_true) != nodes:
             raise DimensionMismatchError(
                 f"p_list has {len(p_true)} entries for {nodes} nodes")
+
         # the ground truth keeps each block as given, and the node's error is
         # drawn from the Cholesky factor of its lower triangle, so a block is
         # only checked here, not replaced by the certified copy
-        for i, (h, p) in enumerate(zip(hs, p_true)):
-            covariance(p, h.shape[0], f"p_list[{i}]")
+        def check_block(i: int) -> None:
+            covariance(p_true[i], hs[i].shape[0], f"p_list[{i}]")
+
+        if any(p.shape != (h.shape[0],) * 2 for h, p in zip(hs, p_true)):
+            _search(check_block, nodes, "p_list check")
+        groups = _groups(hs, p_true)
+        if not all(covariances_pass(g.p) for g in groups):
+            _search(check_block, nodes, "p_list check")
     else:
         p_true = [_random_spd(rng, h.shape[0]) for h in hs]
-    factors = []
-    for i, p in enumerate(p_true):
+        groups = _groups(hs, p_true)
+
+    def factor(i: int) -> None:
         try:
-            factors.append(np.linalg.cholesky(p))
+            np.linalg.cholesky(p_true[i])
         except np.linalg.LinAlgError:
             raise NotPdError(f"p_list[{i}]: not positive definite") from None
+
+    try:
+        for g in groups:
+            g.factor = np.linalg.cholesky(g.p)
+    except np.linalg.LinAlgError:
+        _search(factor, nodes, "Cholesky factorisation")
     # the rank test of FusionProblem, on the whole network's whitened stack
-    whitened = np.vstack([np.linalg.solve(f, h) for f, h in zip(factors, hs)])
+    whitened = np.empty((sum(h.shape[0] for h in hs), n))
+    for g in groups:
+        whitened[g.rows] = np.linalg.solve(g.factor, g.h).reshape(-1, n)
     if FusionProblem.whitened_svd(whitened)[-1] < n:
         raise UnreachableError("stacked observations never reach full state rank")
 
@@ -393,20 +461,35 @@ def init_network(
     # the initial joint is block diagonal, so each node's error is drawn
     # from its own block's Cholesky factor
     z = rng.standard_normal(truth.joint.shape[0])
+    # each node's inflation: a Gram matrix of Gaussians scaled to a uniform
+    # fraction of the budget, drawn node by node
+    draws = [(rng.standard_normal((h.shape[0],) * 2), rng.uniform(0.1, 1.0)) for h in hs]
+    for g in groups:
+        gauss = np.stack([draws[i][0] for i in g.nodes])
+        w = gauss @ np.swapaxes(gauss, -1, -2)
+        target = INFLATION_FRAC * np.trace(g.p, axis1=1, axis2=2) * [draws[i][1] for i in g.nodes]
+        g.inflated = g.p + w * (target / np.trace(w, axis1=1, axis2=2))[:, None, None]
 
-    node_states = []
-    off = 0
-    for i, h in enumerate(hs):
-        p = h.shape[0]
-        e_i = factors[i] @ z[off : off + p]
-        off += p
-        inflation = _random_psd_inflation(rng, p, INFLATION_FRAC * np.trace(p_true[i]))
-        p_hat = psd_certify(p_true[i] + inflation)
-        if not loewner_compare(p_hat, p_true[i]).is_ge:
+    def certify(i: int) -> None:
+        group = next(g for g in groups if i in g.nodes)
+        inflated = group.inflated[group.nodes.index(i)]
+        if not loewner_compare(psd_certify(inflated), p_true[i]).is_ge:
             raise UnreachableError("inflated covariance failed conservativeness")
-        node_states.append(
-            NodeState(node_id=i, h=h, x_hat=h @ x_true + e_i, p_hat=p_hat)
-        )
+
+    p_hats, x_hats = [None] * nodes, [None] * nodes
+    for g in groups:
+        data = sym_stack(g.inflated)
+        certs = psd_certify_stack(data)
+        relations = None if certs is None else loewner_compare_stack(data, sym_stack(g.p))
+        if relations is None or not all(r.is_ge for r in relations):
+            _search(certify, nodes, "inflation check")
+        errors = (g.factor @ z[g.rows].reshape(len(g.nodes), g.size, 1))[..., 0]
+        # H x_true node by node: on the caller's own H, whatever its memory
+        # order, the product keeps the bits of its BLAS kernel
+        for i, cert, e_i in zip(g.nodes, certs, errors):
+            p_hats[i], x_hats[i] = cert, hs[i] @ x_true + e_i
+    node_states = [NodeState(node_id=i, h=h, x_hat=x_hats[i], p_hat=p_hats[i])
+                   for i, h in enumerate(hs)]
     return node_states, truth
 
 

@@ -15,7 +15,9 @@ from cifusion.errors import (
     InternalInconsistencyError,
     NotPdError,
     NotPsdError,
+    OutOfRangeError,
     SingularSigmaError,
+    UnreachableError,
 )
 from cifusion.linalg import (
     DEFAULT_CERT_TOL,
@@ -31,6 +33,14 @@ from cifusion.linalg import (
 )
 from cifusion.optimizer import Cost, delta_value
 from cifusion.problem import covariance
+from cifusion.simulator import (
+    INFLATION_FRAC,
+    JOINT_HEADROOM,
+    GroundTruth,
+    NodeState,
+    NoiseSpec,
+    _random_spd,
+)
 from cifusion import verifier
 from cifusion.verifier import (
     _Gains,
@@ -836,6 +846,74 @@ def reallocating_fusion_oracle(joint, dims, a, b, k1, k2):
     new[:, lo : lo + d] = rows.T
     dims[a] = d
     return new, dims
+
+
+def init_network_reference(n: int, nodes: int, seed: int, noise_spec=None):
+    """``simulator.init_network`` built node by node, one numpy call per matrix.
+
+    The builder that the staged one replaced, kept as its oracle: each
+    node's ``p_list`` check, Cholesky factor, whitening solve, inflation
+    and certificates are single calls, in the same draw order, so a network
+    built here and by the stages must agree to the bit, and so must the
+    error that a bad input raises.
+    """
+    for name, value in (("n", n), ("nodes", nodes)):
+        if value < 1:
+            raise OutOfRangeError(f"{name} must be at least 1, got {value}")
+    rows, side = nodes * n, math.isqrt(np.iinfo(np.intp).max // 8)
+    if rows > side or math.ceil(JOINT_HEADROOM * rows) > side:
+        raise MemoryError(f"a joint of {rows} rows cannot be addressed")
+    spec = noise_spec or NoiseSpec()
+    rng = np.random.default_rng(seed)
+    if spec.h_list is not None:
+        hs = [np.atleast_2d(np.asarray(h, dtype=float)) for h in spec.h_list]
+        if len(hs) != nodes:
+            raise DimensionMismatchError(f"h_list has {len(hs)} entries for {nodes} nodes")
+        for i, h in enumerate(hs):
+            if h.ndim != 2 or h.shape[1] != n:
+                raise DimensionMismatchError(
+                    f"h_list[{i}] has shape {h.shape}; it needs {n} columns")
+    else:
+        hs = []
+        low = max(1, (n + 1) // 2)
+        for _ in range(nodes):
+            p = int(rng.integers(low, n + 1))
+            hs.append(rng.standard_normal((p, n)))
+    if spec.p_list is not None:
+        p_true = [np.atleast_2d(np.asarray(p, dtype=float)) for p in spec.p_list]
+        if len(p_true) != nodes:
+            raise DimensionMismatchError(
+                f"p_list has {len(p_true)} entries for {nodes} nodes")
+        for i, (h, p) in enumerate(zip(hs, p_true)):
+            covariance(p, h.shape[0], f"p_list[{i}]")
+    else:
+        p_true = [_random_spd(rng, h.shape[0]) for h in hs]
+    factors = []
+    for i, p in enumerate(p_true):
+        try:
+            factors.append(np.linalg.cholesky(p))
+        except np.linalg.LinAlgError:
+            raise NotPdError(f"p_list[{i}]: not positive definite") from None
+    whitened = np.vstack([np.linalg.solve(f, h) for f, h in zip(factors, hs)])
+    if FusionProblem.whitened_svd(whitened)[-1] < n:
+        raise UnreachableError("stacked observations never reach full state rank")
+    x_true = rng.standard_normal(n)
+    truth = GroundTruth(x_true, p_true)
+    z = rng.standard_normal(truth.joint.shape[0])
+    node_states = []
+    off = 0
+    for i, h in enumerate(hs):
+        p = h.shape[0]
+        e_i = factors[i] @ z[off : off + p]
+        off += p
+        gauss = rng.standard_normal((p, p))
+        w = gauss @ gauss.T
+        target = INFLATION_FRAC * np.trace(p_true[i]) * rng.uniform(0.1, 1.0)
+        p_hat = psd_certify(p_true[i] + w * (target / np.trace(w)))
+        if not loewner_compare(p_hat, p_true[i]).is_ge:
+            raise UnreachableError("inflated covariance failed conservativeness")
+        node_states.append(NodeState(node_id=i, h=h, x_hat=h @ x_true + e_i, p_hat=p_hat))
+    return node_states, truth
 
 
 #: R eigenvalues below this fraction of the largest count as zero in the

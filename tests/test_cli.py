@@ -1036,6 +1036,50 @@ class TestProblemFiles:
         assert "est1.H: not numeric" in err
 
 
+#: file contents that are not JSON text: bytes that do not decode as UTF-8,
+#: and arrays nested past the parser's recursion limit
+UNREADABLE = {"not_utf8": b'\xff{"n": 2}', "nested": b"[" * 100_000}
+
+
+class TestUnreadableFiles:
+    """A file that holds no JSON text exits 2 naming the file, on every reader."""
+
+    @pytest.mark.parametrize("content", UNREADABLE)
+    @pytest.mark.parametrize("command", ["fuse", "scan", "known", "verify"])
+    def test_problem_file(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(UNREADABLE[content])
+        samples = ["--samples", "10"] if command == "verify" else []
+        out, err, code = run_main([command, str(path)] + samples, capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", UNREADABLE)
+    def test_result_file(self, tmp_path, capsys, content):
+        path = tmp_path / "result.json"
+        path.write_bytes(UNREADABLE[content])
+        out, err, code = run_main(["verify", write(tmp_path, EXAMPLE2), "--result", str(path)],
+                                  capsys)
+        assert (out, code) == ("", cli.EXIT_INPUT)
+        assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+
+    def test_utf8_text_is_read_whatever_the_locale(self, tmp_path):
+        # under the C locale with UTF-8 mode off, text-mode open() decodes
+        # as ASCII; the reader parses the file's bytes as UTF-8 JSON instead
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        outputs = []
+        for name, note in (("ascii.json", "P_hat >= 0"), ("utf8.json", "P\u0302 \u2ab0 0")):
+            path = tmp_path / name
+            path.write_bytes(json.dumps(dict(EXAMPLE2, note=note), ensure_ascii=False).encode())
+            env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+            env.pop("PYTHONUTF8", None)
+            proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "cifusion", "fuse",
+                                   str(path)], env=env, capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
 NUMBER_PATHS = ["est1.H", "est2.H", "est1.x_hat", "est2.x_hat", "est1.P_hat", "est2.P_hat",
                 "truth.P1", "truth.P2", "truth.P12", "P_hat_override", *RESULT_KEYS]
 

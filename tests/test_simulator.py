@@ -1,6 +1,8 @@
+import collections
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +11,12 @@ from cifusion import loewner_compare, simulator
 from cifusion.errors import (
     DimensionMismatchError,
     NotPdError,
+    NotPsdError,
     OutOfRangeError,
     ScheduleError,
     UnreachableError,
 )
-from cifusion.linalg import RESULT_RTOL
+from cifusion.linalg import RESULT_RTOL, sym_data, sym_stack
 from cifusion.optimizer import Cost, solve_ci
 from cifusion.problem import FusionProblem
 from cifusion.simulator import (
@@ -26,7 +29,7 @@ from cifusion.simulator import (
     run_schedule,
 )
 
-from conftest import reallocating_fusion_oracle
+from conftest import bench_inputs, init_network_reference, reallocating_fusion_oracle
 
 EXAMPLE1_SPEC = NoiseSpec(
     h_list=[[[1.0, 0.0]], [[0.0, 1.0]]], p_list=[[[1.0]], [[1.0]]]
@@ -120,6 +123,211 @@ class TestInitNetwork:
             init_network(1, rows + 1, seed=0)
         with pytest.raises(AssertionError, match="a node was drawn"):
             init_network(1, rows, seed=0)
+
+
+def _network_bits(nodes, truth) -> list:
+    """Every array and flag of a built network, as bytes and values."""
+    bits = [truth.joint.tobytes(), truth.joint.shape, truth.x_true.tobytes(), truth.dims]
+    for node in nodes:
+        bits += [node.node_id, node.lineage]
+        for a in (node.h, node.x_hat, node.p_hat.data):
+            bits += [np.ascontiguousarray(a).tobytes(), a.shape, a.flags.writeable]
+        bits += [node.p_hat.min_eig, node.p_hat.strict]
+    return bits
+
+
+def _outcome(build, *args):
+    """A network's bits, or the type and message of what building it raises."""
+    try:
+        return _network_bits(*build(*args))
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def _bench_spec(seed: int):
+    net = bench_inputs().sim_network(seed)
+    return net, NoiseSpec(h_list=net["h_list"], p_list=net["p_list"])
+
+
+class TestStackedCalls:
+    """Each stacked numpy call of ``init_network`` gives a matrix the bits of its own call."""
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_every_matrix_has_the_bits_of_its_own_call(self, size):
+        rng = np.random.default_rng(size)
+        count, n = 40, 8
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1, 1))
+        gauss = rng.standard_normal((count, size, size)) * scales
+        other = rng.standard_normal((count, size, size))
+        gram = gauss @ np.swapaxes(gauss, -1, -2)
+        spd = gram + 0.1 * scales**2 * np.eye(size)
+        factors = np.linalg.cholesky(spd)
+        h = rng.standard_normal((count, size, n))
+        z = rng.standard_normal(count * size)
+        stacked = {
+            "gram": (gram, lambda k: gauss[k] @ gauss[k].T),
+            "trace": (np.trace(spd, axis1=1, axis2=2), lambda k: np.trace(spd[k])),
+            "eigvalsh": (np.linalg.eigvalsh(sym_stack(spd + other)),
+                         lambda k: np.linalg.eigvalsh(sym_data(spd[k] + other[k]))),
+            "eigvalsh of a difference": (
+                np.linalg.eigvalsh(sym_stack(spd + other) - sym_stack(spd)),
+                lambda k: np.linalg.eigvalsh(sym_data(spd[k] + other[k]) - sym_data(spd[k]))),
+            "cholesky": (factors, lambda k: np.linalg.cholesky(spd[k])),
+            "solve": (np.linalg.solve(factors, h), lambda k: np.linalg.solve(factors[k], h[k])),
+            "matvec": ((factors @ z.reshape(count, size, 1))[..., 0],
+                       lambda k: factors[k] @ z[k * size : (k + 1) * size]),
+        }
+        for name, (stack, single) in stacked.items():
+            for k in range(count):
+                own = np.asarray(single(k))
+                assert stack[k].shape == own.shape and stack[k].tobytes() == own.tobytes(), (
+                    name, size, k)
+
+
+class TestStagedBuild:
+    """The staged ``init_network`` against the node-by-node reference in ``conftest``."""
+
+    @pytest.mark.parametrize("seed", range(1, 21))
+    def test_benchmark_networks_are_bit_identical(self, seed):
+        net, spec = _bench_spec(seed)
+        args = (net["n"], net["nodes"], seed, spec)
+        assert _outcome(init_network, *args) == _outcome(init_network_reference, *args)
+
+    @pytest.mark.parametrize("seed, path",
+                             enumerate(["random", "h_list", "h_list_fortran", "p_list"]))
+    def test_random_networks_are_bit_identical(self, seed, path):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            n, nodes, seed = int(rng.integers(1, 9)), int(rng.integers(1, 201)), int(rng.integers(99))
+            spec = None
+            if path != "random":
+                hs = [rng.standard_normal((int(rng.integers(1, n + 1)), n)) for _ in range(nodes)]
+                if path == "h_list_fortran":
+                    hs = [np.asfortranarray(h) for h in hs]
+                ps = None
+                if path == "p_list":
+                    ps = [g @ g.T + 0.1 * np.eye(h.shape[0])
+                          for h in hs for g in [rng.standard_normal((h.shape[0],) * 2)]]
+                spec = NoiseSpec(h_list=hs, p_list=ps)
+            args = (n, nodes, seed, spec)
+            outcome = _outcome(init_network, *args)
+            assert isinstance(outcome, list)
+            assert outcome == _outcome(init_network_reference, *args)
+
+    @pytest.mark.parametrize("p_list", [None, [np.eye(2), np.zeros((0, 0)), -np.eye(2)]])
+    def test_a_node_with_no_rows_raises_what_the_reference_raises(self, p_list):
+        spec = NoiseSpec(h_list=[np.eye(2), np.zeros((0, 2)), np.eye(2)], p_list=p_list)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            outcome = _outcome(init_network, 2, 3, 0, spec)
+            assert outcome == _outcome(init_network_reference, 2, 3, 0, spec)
+        assert outcome[0] is DimensionMismatchError
+
+    def test_bad_blocks_raise_what_the_reference_raises(self):
+        # blocks that fail each check, wherever they land, and networks that
+        # never reach full rank
+        rng = np.random.default_rng(5)
+        kinds = collections.Counter()
+        for case in range(150):
+            n, nodes = int(rng.integers(1, 5)), int(rng.integers(2, 25))
+            hs = [rng.standard_normal((int(rng.integers(1, n + 1)), n)) for _ in range(nodes)]
+            if case % 5 == 0:
+                hs = [np.eye(n)[:1] for _ in range(nodes)]
+            ps = [g @ g.T + 0.1 * np.eye(h.shape[0])
+                  for h in hs for g in [rng.standard_normal((h.shape[0],) * 2)]]
+            for _ in range(int(rng.integers(0, 4))):
+                i = int(rng.integers(nodes))
+                ps[i] = _bad_block(rng, ps[i])
+            args = (n, nodes, case, NoiseSpec(h_list=hs, p_list=ps))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                outcome = _outcome(init_network, *args)
+                assert outcome == _outcome(init_network_reference, *args), case
+            kinds[outcome[0].__name__ if isinstance(outcome, tuple) else "built"] += 1
+        assert set(kinds) >= {"built", "DimensionMismatchError", "NonFiniteError", "NotPdError",
+                              "NotPsdError", "UnreachableError"}, kinds
+
+
+def _bad_block(rng, block):
+    """``block`` spoiled for one of the stages: asymmetric, indefinite, holding a
+    NaN, misshapen, singular, or near the float maximum."""
+    size = block.shape[0]
+    kind = int(rng.integers(6))
+    if kind == 0 and size > 1:
+        block = block.copy()
+        block[0, -1] += 1.0
+    elif kind in (0, 1):
+        block = -block
+    elif kind == 2:
+        block = block.copy()
+        block[-1, -1] = np.nan
+    elif kind == 3:
+        block = np.eye(size + 1)
+    elif kind == 4:
+        block = np.diag(np.r_[1.0, np.zeros(size - 1)]) if size > 1 else np.zeros((1, 1))
+    else:
+        block = block / np.abs(block).max() * 1e308
+    return block
+
+
+class TestStageBudget:
+    def test_each_stage_makes_one_call_per_block_size(self, monkeypatch):
+        net, spec = _bench_spec(1)
+        sizes = {h.shape[0] for h in net["h_list"]}
+        assert (len(sizes), net["nodes"]) == (4, 200)
+        calls = collections.Counter()
+        for name in ("eigvalsh", "cholesky", "solve", "svd"):
+            def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        init_network(net["n"], net["nodes"], 1, spec)
+        assert calls["eigvalsh"] <= 3 * len(sizes), calls
+        assert calls["cholesky"] <= len(sizes) and calls["solve"] <= len(sizes), calls
+        assert calls["svd"] == 1, calls
+
+
+class TestStageOrder:
+    """Within a stage the lowest node at fault is named; a stage ends before the next."""
+
+    #: nodes of one and two rows, alternating, so that two size groups interleave
+    HS = [np.eye(2)[:1] if i % 2 else np.eye(2) for i in range(8)]
+
+    def _spec(self, bad: dict) -> NoiseSpec:
+        ps = [np.eye(h.shape[0]) for h in self.HS]
+        for i, block in bad.items():
+            ps[i] = block
+        return NoiseSpec(h_list=self.HS, p_list=ps)
+
+    @pytest.mark.parametrize("first, second", [(3, 6), (2, 5)])
+    def test_the_lower_node_is_named_across_size_groups(self, first, second):
+        # one bad block in each size group; the later check kind sits lower
+        bad = {first: -np.eye(self.HS[first].shape[0])}
+        bad[second] = np.full((self.HS[second].shape[0],) * 2, np.nan)
+        with pytest.raises(NotPsdError, match=rf"^p_list\[{first}\]: matrix is not PSD"):
+            init_network(2, 8, seed=0, noise_spec=self._spec(bad))
+
+    def test_every_block_is_checked_before_any_is_factored(self):
+        # node 1's block is PSD but singular: it passes the check and has no
+        # Cholesky factor; node 6's is not symmetric
+        spec = self._spec({1: np.zeros((1, 1)), 6: np.array([[2.0, 1.0], [0.0, 2.0]])})
+        with pytest.raises(NotPdError, match=r"^p_list\[6\]: not symmetric"):
+            init_network(2, 8, seed=0, noise_spec=spec)
+
+    def test_the_lower_node_without_a_factor_is_named_across_size_groups(self):
+        spec = self._spec({5: np.zeros((1, 1)), 2: np.diag([1.0, 0.0])})
+        with pytest.raises(NotPdError, match=r"^p_list\[2\]: not positive definite$"):
+            init_network(2, 8, seed=0, noise_spec=spec)
+
+    def test_every_block_is_factored_before_the_rank_test(self):
+        # the network never reaches full rank, and node 4 has no factor
+        spec = NoiseSpec(h_list=[[[1.0, 0.0]]] * 6, p_list=[[[1.0]]] * 4 + [[[0.0]], [[1.0]]])
+        with pytest.raises(NotPdError, match=r"^p_list\[4\]: not positive definite$"):
+            init_network(2, 6, seed=0, noise_spec=spec)
+        spec.p_list[4] = [[1.0]]
+        with pytest.raises(UnreachableError):
+            init_network(2, 6, seed=0, noise_spec=spec)
 
 
 class TestSchedules:
